@@ -158,6 +158,13 @@ def _cmd_benchmark(args):
     return 0
 
 
+def _damping(text: str) -> float:
+    value = float(text)
+    if not (0.0 < value <= 1.0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not in (0, 1]")
+    return value
+
+
 def _add_common_model_opts(p):
     p.add_argument("--kernel", default="rbf",
                    choices=["rbf", "linear", "polynomial"])
@@ -167,7 +174,7 @@ def _add_common_model_opts(p):
     p.add_argument("--max-iter", type=int, default=200)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--alpha-threshold", type=float, default=1e12)
-    p.add_argument("--damping", type=float, default=0.8)
+    p.add_argument("--damping", type=_damping, default=0.8)
     p.add_argument("--seed", type=int, default=0)
 
 

@@ -25,6 +25,7 @@ import scipy.linalg as sla
 
 from .data import Dataset, Standardization, standardize
 from .kernels import KernelSpec, build_design_matrix, _sqdist
+from . import numerics
 from .model import HrvmModel
 from .numerics import FactorizationError, chol_factor, gauss_hermite
 from .vi import (_JITTER_FRAC, _noise_cov, noise_diag, update_alpha,
@@ -226,6 +227,17 @@ def fit_ep(data: Dataset, kernel: Optional[KernelSpec] = None,
     precision update and pruning shared with the variational trainer."""
     kernel = kernel or KernelSpec()
     config = config or EpConfig()
+    # checked before the O(N^3) setup; damping 0 would leave every site
+    # flat and report "converged" after one pass
+    if not (0.0 < config.damping <= 1.0):
+        raise ValueError("damping must lie in (0, 1]")
+    if config.max_passes < 1:
+        raise ValueError("max_passes must be at least 1")
+    if not (config.tol >= 0.0):
+        raise ValueError("tol must be nonnegative")
+    # called through the module: perfbench traces hetrvm.ep.gauss_hermite
+    # as one call per site visit
+    numerics.gauss_hermite(config.quad_order)
     if config.standardize:
         work, record = standardize(data)
     else:

@@ -10,6 +10,7 @@ inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
@@ -113,11 +114,22 @@ def gauss_hermite(n: int) -> Quadrature:
     """Gauss-Hermite rule of order n for the standard normal weight.
 
     Exact for polynomials up to degree 2n - 1 in E[f(Z)], Z ~ N(0,1).
+    The rule for each order is built once per process and the same
+    :class:`Quadrature` is returned on every later call; its ``nodes``
+    and ``weights`` arrays are read-only, so a caller cannot alter the
+    rule that every other caller shares.
     """
     if not (1 <= int(n) <= 128):
         raise ValueError("quadrature order must be in [1, 128]")
-    nodes, weights = np.polynomial.hermite_e.hermegauss(int(n))
+    return _gauss_hermite_rule(int(n))
+
+
+@lru_cache(maxsize=None)
+def _gauss_hermite_rule(n: int) -> Quadrature:
+    nodes, weights = np.polynomial.hermite_e.hermegauss(n)
     weights = weights / np.sqrt(2.0 * np.pi)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
     return Quadrature(nodes=nodes, weights=weights)
 
 

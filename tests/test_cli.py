@@ -104,6 +104,14 @@ class TestExitCodes:
         assert run(["train", "--method", "nonsense"]) == 2
         assert run(["frobnicate"]) == 2
 
+    @pytest.mark.parametrize("damping", ["0", "-0.5", "1.5", "nan", "x"])
+    def test_damping_outside_unit_interval_is_usage_error(
+            self, train_csv, tmp_path, damping):
+        assert run(["train", "--method", "ep", "--data", str(train_csv),
+                    "--out", str(tmp_path / "m.json"),
+                    "--damping", damping]) == 2
+        assert not (tmp_path / "m.json").exists()
+
     def test_data_error_missing_file(self, tmp_path):
         assert run(["train", "--method", "vi",
                     "--data", str(tmp_path / "absent.csv"),

@@ -1,10 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 
+import hetrvm.ep
 from hetrvm.data import SynthSpec, synth
 from hetrvm.ep import (EpConfig, EpState, cavity, ep_posterior, fit_ep,
                        site_update, tilted_moments)
 from hetrvm.kernels import KernelSpec
+from hetrvm.numerics import Quadrature
+from hetrvm.serialize import model_to_dict
 
 
 def fresh_state(K, mu0=0.0):
@@ -211,3 +216,30 @@ class TestFitEp:
         assert model.g_Sigma.shape == (30, 30)
         np.testing.assert_allclose(model.g_Sigma, model.g_Sigma.T, atol=1e-12)
         assert np.all(np.linalg.eigvalsh(model.g_Sigma) > 0)
+
+    def test_cached_rule_changes_no_number(self, monkeypatch):
+        # oracle: the same fit with the rule rebuilt on every site visit
+        def uncached(n):
+            nodes, weights = np.polynomial.hermite_e.hermegauss(int(n))
+            return Quadrature(nodes=nodes,
+                              weights=weights / np.sqrt(2.0 * np.pi))
+
+        data, _ = synth(SynthSpec(generator="goldberg_sine", n=100, seed=0))
+        cached = fit_ep(data, KernelSpec(lengthscale=0.3))
+        monkeypatch.setattr(hetrvm.ep, "gauss_hermite", uncached)
+        rebuilt = fit_ep(data, KernelSpec(lengthscale=0.3))
+        assert (json.dumps(model_to_dict(cached), sort_keys=True)
+                == json.dumps(model_to_dict(rebuilt), sort_keys=True))
+
+    @pytest.mark.parametrize("bad", [
+        dict(damping=0.0), dict(damping=-0.1), dict(damping=1.5),
+        dict(damping=float("nan")), dict(max_passes=0), dict(tol=-1.0),
+        dict(tol=float("nan")), dict(quad_order=0), dict(quad_order=129)])
+    def test_invalid_config_rejected_before_setup(self, monkeypatch, bad):
+        def no_setup(*args, **kwargs):
+            raise AssertionError("config must be checked before setup")
+
+        monkeypatch.setattr(hetrvm.ep, "build_design_matrix", no_setup)
+        data, _ = synth(SynthSpec(n=10, seed=0))
+        with pytest.raises(ValueError):
+            fit_ep(data, KernelSpec(lengthscale=0.3), EpConfig(**bad))

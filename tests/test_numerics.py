@@ -100,6 +100,18 @@ class TestGaussHermite:
         gauss_hermite(1)
         gauss_hermite(128)
 
+    def test_rule_built_once_per_order(self):
+        assert gauss_hermite(32) is gauss_hermite(np.int64(32))
+        assert gauss_hermite(32) is not gauss_hermite(31)
+
+    def test_cached_arrays_read_only(self):
+        q = gauss_hermite(32)
+        with pytest.raises(ValueError):
+            q.nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            q.weights *= 2.0
+        assert gauss_hermite(32).weights.sum() == pytest.approx(1.0, abs=1e-12)
+
 
 class TestLognormalMean:
     def test_scalar(self):
