@@ -165,15 +165,36 @@ def _damping(text: str) -> float:
     return value
 
 
+def _max_iter(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is less than 1")
+    return value
+
+
+def _tol(text: str) -> float:
+    value = float(text)
+    if not (np.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not finite and >= 0")
+    return value
+
+
+def _alpha_threshold(text: str) -> float:
+    value = float(text)
+    if not (value > 0.0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not positive")
+    return value
+
+
 def _add_common_model_opts(p):
     p.add_argument("--kernel", default="rbf",
                    choices=["rbf", "linear", "polynomial"])
     p.add_argument("--lengthscale", type=float, default=1.0)
     p.add_argument("--degree", type=int, default=3)
     p.add_argument("--no-bias", action="store_true")
-    p.add_argument("--max-iter", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--alpha-threshold", type=float, default=1e12)
+    p.add_argument("--max-iter", type=_max_iter, default=200)
+    p.add_argument("--tol", type=_tol, default=1e-6)
+    p.add_argument("--alpha-threshold", type=_alpha_threshold, default=1e12)
     p.add_argument("--damping", type=_damping, default=0.8)
     p.add_argument("--seed", type=int, default=0)
 

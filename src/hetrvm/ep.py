@@ -23,13 +23,13 @@ from typing import List, Optional
 import numpy as np
 import scipy.linalg as sla
 
-from .data import Dataset, Standardization, standardize
-from .kernels import KernelSpec, build_design_matrix, _sqdist
+from .data import Dataset
+from .kernels import KernelSpec, build_design_matrix
 from . import numerics
 from .model import HrvmModel
 from .numerics import FactorizationError, chol_factor, gauss_hermite
-from .vi import (_JITTER_FRAC, _noise_cov, noise_diag, update_alpha,
-                 weight_posterior)
+from .vi import (_JITTER_FRAC, _check_loop, _setup, _standardized,
+                 noise_diag, prune_basis, update_alpha, weight_posterior)
 
 __all__ = [
     "EpConfig",
@@ -51,6 +51,17 @@ class EpConfig:
     seed: int = 0
     quad_order: int = 32
     standardize: bool = True
+
+    def __post_init__(self):
+        # damping 0 would leave every site flat and report "converged"
+        # after one pass
+        if not (0.0 < self.damping <= 1.0):
+            raise ValueError("damping must lie in (0, 1]")
+        _check_loop(self.max_passes, self.tol, self.alpha_threshold,
+                    "max_passes")
+        # called through the module: perfbench traces hetrvm.ep.gauss_hermite
+        # as one call per site visit
+        numerics.gauss_hermite(self.quad_order)
 
 
 @dataclass
@@ -138,17 +149,14 @@ def _weighted_moments(g, logv, weights):
     return np.log(z) + shift, mean, var
 
 
-def site_update(state: EpState, n: int, tilted, damping: float):
-    """Divide the tilted approximation by the cavity, damp on natural
-    parameters, and refresh the posterior by a rank-one update.  An
-    update that would break positive-definiteness is rejected (logged)
+def site_update(state: EpState, n: int, cav, tilted, damping: float):
+    """Divide the tilted approximation by the cavity ``cav`` (the
+    (cav_mu, cav_var) that :func:`cavity` returned for site n), damp on
+    natural parameters, and refresh the posterior by a rank-one update.
+    An update that would break positive-definiteness is rejected (logged)
     and the state left unchanged."""
     if not (0.0 <= damping <= 1.0):
         raise ValueError("damping must lie in [0, 1]")
-    cav = cavity(state, n)
-    if cav is None:
-        state.skipped.append(n)
-        return state
     cav_mu, cav_var = cav
     logz_t, mean_t, var_t = tilted
 
@@ -227,40 +235,11 @@ def fit_ep(data: Dataset, kernel: Optional[KernelSpec] = None,
     precision update and pruning shared with the variational trainer."""
     kernel = kernel or KernelSpec()
     config = config or EpConfig()
-    # checked before the O(N^3) setup; damping 0 would leave every site
-    # flat and report "converged" after one pass
-    if not (0.0 < config.damping <= 1.0):
-        raise ValueError("damping must lie in (0, 1]")
-    if config.max_passes < 1:
-        raise ValueError("max_passes must be at least 1")
-    if not (config.tol >= 0.0):
-        raise ValueError("tol must be nonnegative")
-    # called through the module: perfbench traces hetrvm.ep.gauss_hermite
-    # as one call per site visit
-    numerics.gauss_hermite(config.quad_order)
-    if config.standardize:
-        work, record = standardize(data)
-    else:
-        work, record = data, Standardization.identity(data.q)
-    y = work.y
-    X = work.X
-    n = y.size
-    if n < 3:
-        raise ValueError("need at least 3 points")
-
-    design = build_design_matrix(X, kernel)
+    work, record = _standardized(data, config.standardize)
+    design = build_design_matrix(work.X, kernel)
+    active, alpha, _, log_ell, log_sv, mu0, K = _setup(work, design)
     Phi = design.values
-    active = list(range(Phi.shape[1]))
-    alpha = np.ones(len(active))
-
-    D2 = _sqdist(X, X)
-    off = D2[np.triu_indices(n, k=1)]
-    ell0 = float(np.sqrt(np.median(off[off > 0]))) if np.any(off > 0) else 1.0
-    log_ell = float(np.log(ell0))
-    log_sv = 0.0
-    var_y = max(float(np.var(y)), 1e-12)
-    mu0 = float(np.log(0.1 * var_y))
-    K, _ = _noise_cov(D2, log_ell, log_sv)
+    y, n = work.y, work.n
 
     state = EpState(site_prec=np.zeros(n), site_nu=np.zeros(n),
                     site_logz=np.zeros(n),
@@ -291,19 +270,14 @@ def fit_ep(data: Dataset, kernel: Optional[KernelSpec] = None,
                 continue
             tilt = tilted_moments(cav[0], cav[1], float(m_hat[idx]),
                                   config.quad_order)
-            site_update(state, int(idx), tilt, damping)
+            site_update(state, int(idx), cav, tilt, damping)
 
         state.post_mu, state.post_Sigma, logz = ep_posterior(
             K, mu0, state.site_prec, state.site_nu, state.site_logz)
 
         r = noise_diag(state.post_mu, state.post_Sigma)
         alpha, _ = update_alpha(alpha, Phi_a, r, y)
-        keep = alpha <= config.alpha_threshold
-        if not np.all(keep):
-            if not np.any(keep):
-                keep[int(np.argmin(alpha))] = True
-            active = [a for a, k in zip(active, keep) if k]
-            alpha = alpha[keep]
+        active, alpha, _ = prune_basis(active, alpha, config.alpha_threshold)
         training_log.append(logz)
 
         change = float(max(np.max(np.abs(state.site_prec - prev_prec)),

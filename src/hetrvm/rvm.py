@@ -1,6 +1,11 @@
 """Homoscedastic relevance vector machine with fast marginal-likelihood
 basis selection (sequential add / re-estimate / delete on the candidate
-columns of the design matrix)."""
+columns of the design matrix).
+
+The weight posterior, the marginal likelihood and the final pruning step
+are the heteroscedastic trainers' (:mod:`hetrvm.vi`) with the constant
+noise r = sigma2; only the add / re-estimate / delete statistics are
+specific to this module."""
 
 from __future__ import annotations
 
@@ -10,9 +15,11 @@ from typing import List, Optional
 import numpy as np
 import scipy.linalg as sla
 
-from .data import Dataset, Standardization, standardize
+from .data import Dataset, Standardization
 from .kernels import DesignMatrix, KernelSpec, build_design_matrix, design_matrix_at
 from .numerics import chol_factor
+from .vi import (_check_loop, _log_evidence, _standardized, prune_basis,
+                 weight_posterior)
 
 __all__ = ["RvmConfig", "RvmModel", "sparsity_quality", "fit_rvm", "rvm_predict"]
 
@@ -23,6 +30,9 @@ class RvmConfig:
     tol: float = 1e-6
     alpha_threshold: float = 1e12
     standardize: bool = True
+
+    def __post_init__(self):
+        _check_loop(self.max_iter, self.tol, self.alpha_threshold)
 
 
 @dataclass
@@ -40,31 +50,6 @@ class RvmModel:
     training_log: List[float] = field(default_factory=list)
     status: str = "converged"
     n_iter: int = 0
-
-
-def _weight_posterior(Phi_a, alpha, sigma2, y):
-    """mu_w, Sigma_w, plus the Cholesky of the posterior precision."""
-    m = Phi_a.shape[1]
-    if m == 0:
-        return np.zeros(0), np.zeros((0, 0)), np.zeros((0, 0))
-    H = np.diag(alpha) + (Phi_a.T @ Phi_a) / sigma2
-    L = chol_factor(H, "weight precision")
-    Sigma_w = sla.cho_solve((L, True), np.eye(m), check_finite=False)
-    mu_w = sla.cho_solve((L, True), Phi_a.T @ y / sigma2, check_finite=False)
-    return mu_w, Sigma_w, L
-
-
-def _marginal_loglik(Phi_a, alpha, sigma2, y):
-    """log N(y | 0, sigma2 I + Phi_a diag(1/alpha) Phi_a^T)."""
-    n = y.size
-    if Phi_a.shape[1] == 0:
-        return -0.5 * (n * np.log(2 * np.pi * sigma2) + y @ y / sigma2)
-    mu_w, Sigma_w, L = _weight_posterior(Phi_a, alpha, sigma2, y)
-    # |C| = sigma2^N |H| / |A|;  y^T C^-1 y = (y^T y - y^T Phi mu_w) / sigma2
-    logdet_H = 2.0 * np.sum(np.log(np.diag(L)))
-    logdet_C = n * np.log(sigma2) + logdet_H - np.sum(np.log(alpha))
-    quad = (y @ y - y @ (Phi_a @ mu_w)) / sigma2
-    return -0.5 * (n * np.log(2 * np.pi) + logdet_C + quad)
 
 
 def _all_SQ(Phi, Phi_a, Sigma_w, sigma2, y):
@@ -112,10 +97,7 @@ def fit_rvm(data: Dataset, kernel: Optional[KernelSpec] = None,
     the likelihood."""
     kernel = kernel or KernelSpec()
     config = config or RvmConfig()
-    if config.standardize:
-        work, record = standardize(data)
-    else:
-        work, record = data, Standardization.identity(data.q)
+    work, record = _standardized(data, config.standardize)
     y = work.y
     n = y.size
     design = build_design_matrix(work.X, kernel)
@@ -136,6 +118,7 @@ def fit_rvm(data: Dataset, kernel: Optional[KernelSpec] = None,
     a0 = s0**2 / (q0**2 - s0) if q0**2 > s0 else 1.0
     active: List[int] = [j0]
     alpha = np.array([a0], dtype=float)
+    r = np.full(n, sigma2)
 
     log: List[float] = []
     status = "max_iter"
@@ -143,7 +126,7 @@ def fit_rvm(data: Dataset, kernel: Optional[KernelSpec] = None,
     for it in range(config.max_iter):
         n_iter = it + 1
         Phi_a = Phi[:, active]
-        mu_w, Sigma_w, _ = _weight_posterior(Phi_a, alpha, sigma2, y)
+        mu_w, Sigma_w = weight_posterior(Phi_a, alpha, r, y)
         S, Q = _all_SQ(Phi, Phi_a, Sigma_w, sigma2, y)
 
         in_model = np.zeros(M, dtype=bool)
@@ -193,33 +176,27 @@ def fit_rvm(data: Dataset, kernel: Optional[KernelSpec] = None,
 
         # noise re-estimate, accepted only when it does not lower the evidence
         Phi_a = Phi[:, active]
-        mu_w, Sigma_w, _ = _weight_posterior(Phi_a, alpha, sigma2, y)
+        mu_w, Sigma_w = weight_posterior(Phi_a, alpha, r, y)
         gamma = 1.0 - alpha * np.diag(Sigma_w)
         dof = n - float(np.sum(gamma))
         resid = y - Phi_a @ mu_w
         if dof > 1e-8:
             sigma2_new = float(resid @ resid) / dof
             if sigma2_new > 1e-12:
-                L_old = _marginal_loglik(Phi_a, alpha, sigma2, y)
-                L_new = _marginal_loglik(Phi_a, alpha, sigma2_new, y)
+                L_old = _log_evidence(Phi_a, alpha, r, y)
+                r_new = np.full(n, sigma2_new)
+                L_new = _log_evidence(Phi_a, alpha, r_new, y)
                 if L_new >= L_old - 1e-10:
-                    sigma2 = sigma2_new
+                    sigma2, r = sigma2_new, r_new
 
-        log.append(_marginal_loglik(Phi_a, alpha, sigma2, y))
+        log.append(_log_evidence(Phi_a, alpha, r, y))
         if best_gain <= 1e-12 or (max_log_change < config.tol):
             status = "converged"
             break
 
     # threshold pruning (alpha -> infinity basis carry no weight)
-    keep = alpha <= config.alpha_threshold
-    if not np.all(keep):
-        active = [a for a, k in zip(active, keep) if k]
-        alpha = alpha[keep]
-    Phi_a = Phi[:, active]
-    mu_w, Sigma_w, _ = _weight_posterior(Phi_a, alpha, sigma2, y)
-    Sigma_w = np.atleast_2d(Sigma_w)
-    if Sigma_w.size == 0:
-        Sigma_w = np.zeros((0, 0))
+    active, alpha, _ = prune_basis(active, alpha, config.alpha_threshold)
+    mu_w, Sigma_w = weight_posterior(Phi[:, active], alpha, r, y)
     return RvmModel(kernel=kernel, centers=design.centers,
                     active_indices=list(active), alpha=alpha,
                     sigma2=sigma2, mu_w=mu_w, Sigma_w=Sigma_w,

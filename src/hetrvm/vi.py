@@ -17,6 +17,12 @@ transform), the log-variance GP hyperparameters and mu0 by L-BFGS, with
 analytic gradients.  Weight precisions follow the usual effective-degrees
 fixed point, safeguarded so the bound never decreases, and basis columns
 whose precision diverges are pruned permanently.
+
+The weight posterior, the evidence log N(y | 0, Phi A^-1 Phi^T + R) and
+the pruning rule defined here are the only copies in the package: the EP
+trainer uses them as they are, and the constant-noise RVM uses them with
+R = sigma2 I.  The evidence is evaluated through the m x m weight
+precision (Woodbury), never the N x N covariance.
 """
 
 from __future__ import annotations
@@ -44,12 +50,23 @@ __all__ = [
     "collapsed_bound",
     "bound_gradients",
     "update_alpha",
-    "prune_state",
+    "prune_basis",
     "fit_vi",
 ]
 
 _ALPHA_MIN, _ALPHA_MAX = 1e-12, 1e14
 _JITTER_FRAC = 1e-6  # diagonal jitter on K as a fraction of signal variance
+
+
+def _check_loop(max_iter, tol, alpha_threshold, max_iter_name="max_iter"):
+    """Reject trainer settings that would end a fit before it learns
+    anything or make it prune on a meaningless threshold."""
+    if not (max_iter >= 1):
+        raise ValueError(f"{max_iter_name} must be at least 1")
+    if not (tol >= 0.0):
+        raise ValueError("tol must be nonnegative")
+    if not (alpha_threshold > 0.0):
+        raise ValueError("alpha_threshold must be positive")
 
 
 @dataclass(frozen=True)
@@ -63,6 +80,11 @@ class VIConfig:
     learn_mu0: bool = True
     clamp_g: Optional[float] = None  # fix q(g) to a point mass (diagnostics)
     standardize: bool = True
+
+    def __post_init__(self):
+        _check_loop(self.max_iter, self.tol, self.alpha_threshold)
+        if not (self.inner_maxiter >= 1):
+            raise ValueError("inner_maxiter must be at least 1")
 
 
 @dataclass
@@ -125,32 +147,45 @@ def expected_loglik(y, w, Phi, mu, Sigma) -> float:
     return float(ll - 0.25 * tr)
 
 
+def _weight_precision(Phi_a, alpha, r, y):
+    """Cholesky factor of H = diag(alpha) + Phi^T R^-1 Phi, and
+    b = Phi^T R^-1 y, for R = diag(r)."""
+    Phir = Phi_a / r[:, None]
+    H = np.diag(alpha) + Phi_a.T @ Phir
+    return chol_factor(H, "weight precision"), Phir.T @ y
+
+
 def weight_posterior(Phi_a, alpha, r, y):
     """Exact maximizing Gaussian over the weights for effective noise r:
     Sigma_w = (diag(alpha) + Phi^T diag(1/r) Phi)^-1,
-    mu_w = Sigma_w Phi^T diag(1/r) y."""
+    mu_w = Sigma_w Phi^T diag(1/r) y.  Constant r = sigma2 gives the
+    homoscedastic RVM posterior."""
     Phi_a = np.asarray(Phi_a, dtype=float)
     alpha = np.asarray(alpha, dtype=float).ravel()
     r = np.asarray(r, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
-    Phir = Phi_a / r[:, None]
-    H = np.diag(alpha) + Phi_a.T @ Phir
-    L = chol_factor(H, "weight precision")
+    if alpha.size == 0:
+        return np.zeros(0), np.zeros((0, 0))
+    L, b = _weight_precision(Phi_a, alpha, r, y)
     Sigma_w = sla.cho_solve((L, True), np.eye(alpha.size), check_finite=False)
     Sigma_w = 0.5 * (Sigma_w + Sigma_w.T)
-    mu_w = sla.cho_solve((L, True), Phir.T @ y, check_finite=False)
+    mu_w = sla.cho_solve((L, True), b, check_finite=False)
     return mu_w, Sigma_w
 
 
 def _log_evidence(Phi_a, alpha, r, y):
-    """log N(y | 0, Phi diag(1/alpha) Phi^T + diag(r)) via Cholesky."""
-    n = y.size
-    Cp = (Phi_a / alpha[None, :]) @ Phi_a.T if alpha.size else np.zeros((n, n))
-    Cp = Cp + np.diag(r)
-    L = chol_factor(0.5 * (Cp + Cp.T), "collapsed covariance")
-    v = sla.solve_triangular(L, y, lower=True, check_finite=False)
-    return float(-0.5 * (n * np.log(2 * np.pi)
-                         + 2.0 * np.sum(np.log(np.diag(L))) + v @ v))
+    """log N(y | 0, C) with C = Phi diag(1/alpha) Phi^T + diag(r), by
+    Woodbury on the m x m weight precision H (Tipping & Faul, 2003):
+    log|C| = sum log r + log|H| - sum log alpha and
+    y^T C^-1 y = y^T R^-1 y - b^T H^-1 b, with b = Phi^T R^-1 y."""
+    logdet = np.sum(np.log(r))
+    quad = y @ (y / r)
+    if alpha.size:
+        L, b = _weight_precision(Phi_a, alpha, r, y)
+        v = sla.solve_triangular(L, b, lower=True, check_finite=False)
+        logdet += 2.0 * np.sum(np.log(np.diag(L))) - np.sum(np.log(alpha))
+        quad -= v @ v
+    return float(-0.5 * (y.size * np.log(2 * np.pi) + logdet + quad))
 
 
 def reduced_to_moments(lam, K, mu0):
@@ -310,32 +345,44 @@ def update_alpha(alpha, Phi_a, r, y, max_inner: int = 30):
     return alpha, ev
 
 
-def prune_state(state: VariationalState, threshold: float):
-    """Drop basis columns whose precision exceeds the threshold; pruning
-    the last column falls back to keeping the smallest-precision one."""
-    mask = state.alpha <= threshold
-    if np.all(mask):
-        return state, False
-    if not np.any(mask):
-        keep = int(np.argmin(state.alpha))
-        mask[keep] = True
-    state.active_indices = [a for a, m in zip(state.active_indices, mask) if m]
-    state.alpha = state.alpha[mask]
-    return state, True
+def prune_basis(active, alpha, threshold: float):
+    """Drop the basis columns whose precision exceeds the threshold; if
+    every column would go, keep the smallest-precision one.  An empty set
+    stays empty.  Returns (active, alpha, pruned)."""
+    keep = alpha <= threshold
+    if np.all(keep):
+        return active, alpha, False
+    if not np.any(keep):
+        keep[int(np.argmin(alpha))] = True
+    return [a for a, k in zip(active, keep) if k], alpha[keep], True
 
 
-def diagnostic_alpha(Phi, y, mu, Sigma, alpha, active):
-    """The additive-denominator precision formula; dimensionally suspect,
-    evaluated for logging only and never used to train."""
-    Phi = np.asarray(getattr(Phi, "values", Phi), dtype=float)
-    r = noise_diag(mu, Sigma)
-    out = np.empty(len(active))
-    for idx, j in enumerate(active):
-        denom = (y - r
-                 - sum(Phi[:, i] / a for i, a in zip(active, alpha) if i != j))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out[idx] = float(np.sum(Phi[:, j] / denom))
-    return out
+def _standardized(data: Dataset, standardize_data: bool):
+    """The working data and the record that maps predictions back."""
+    if standardize_data:
+        return standardize(data)
+    return data, Standardization.identity(data.q)
+
+
+def _setup(work: Dataset, design):
+    """Starting point shared by fit_vi and fit_ep: every basis column
+    active at unit precision, and the noise GP at the median-distance
+    lengthscale, unit signal variance and mu0 = log(0.1 var y).
+
+    Returns (active, alpha, D2, log_ell, log_sv, mu0, K)."""
+    n = work.n
+    if n < 3:
+        raise ValueError("need at least 3 points")
+    active = list(range(design.n_basis))
+    alpha = np.ones(len(active))
+    D2 = _sqdist(work.X, work.X)
+    off = D2[np.triu_indices(n, k=1)]
+    ell0 = float(np.sqrt(np.median(off[off > 0]))) if np.any(off > 0) else 1.0
+    log_ell = float(np.log(ell0))
+    log_sv = 0.0
+    mu0 = float(np.log(0.1 * max(float(np.var(work.y)), 1e-12)))
+    K, _ = _noise_cov(D2, log_ell, log_sv)
+    return active, alpha, D2, log_ell, log_sv, mu0, K
 
 
 def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
@@ -345,32 +392,14 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
     safeguarded precision updates, then pruning."""
     kernel = kernel or KernelSpec()
     config = config or VIConfig()
-    if config.standardize:
-        work, record = standardize(data)
-    else:
-        work, record = data, Standardization.identity(data.q)
-    y = work.y
-    X = work.X
-    n = y.size
-    if n < 3:
-        raise ValueError("need at least 3 points")
-
-    design = build_design_matrix(X, kernel)
+    work, record = _standardized(data, config.standardize)
+    design = build_design_matrix(work.X, kernel)
+    active, alpha, D2, log_ell, log_sv, mu0, K = _setup(work, design)
     Phi = design.values
-    active = list(range(Phi.shape[1]))
-    alpha = np.ones(len(active))
-
-    D2 = _sqdist(X, X)
-    off = D2[np.triu_indices(n, k=1)]
-    ell0 = float(np.sqrt(np.median(off[off > 0]))) if np.any(off > 0) else 1.0
-    log_ell = float(np.log(ell0))
-    log_sv = 0.0
-    var_y = max(float(np.var(y)), 1e-12)
-    mu0 = float(np.log(0.1 * var_y))
+    X, y, n = work.X, work.y, work.n
     lam = np.full(n, 0.25)
 
     clamp = config.clamp_g
-    K, _ = _noise_cov(D2, log_ell, log_sv)
     if clamp is None:
         mu, Sigma = reduced_to_moments(lam, K, mu0)
     else:
@@ -457,19 +486,16 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
             fval = _log_evidence(Phi[:, active], alpha, r, y)
         training_log.append(fval)
 
-        will_prune = bool(np.any(state.alpha > config.alpha_threshold))
-        if will_prune:
-            mw_b, _ = weight_posterior(Phi[:, active], alpha, r, y)
-            fit_before = Phi[:, active] @ mw_b
-        state, pruned = prune_state(state, config.alpha_threshold)
-        active = state.active_indices
-        alpha = state.alpha
+        kept, kept_alpha, pruned = prune_basis(active, alpha,
+                                               config.alpha_threshold)
         prune_flags.append(pruned)
         if pruned:
-            mw_a, _ = weight_posterior(Phi[:, active], alpha, r, y)
+            mw_b, _ = weight_posterior(Phi[:, active], alpha, r, y)
+            mw_a, _ = weight_posterior(Phi[:, kept], kept_alpha, r, y)
             shift = float(np.sqrt(np.mean(
-                (fit_before - Phi[:, active] @ mw_a) ** 2)))
+                (Phi[:, active] @ mw_b - Phi[:, kept] @ mw_a) ** 2)))
             prune_shifts.append(shift)
+        active, alpha = kept, kept_alpha
 
         if status == "stalled":
             break

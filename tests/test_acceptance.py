@@ -242,7 +242,7 @@ def _ep_converge(K, mu0, m_hat, passes=400, damping=0.8):
             if cav is None:
                 continue
             tilt = tilted_moments(cav[0], cav[1], float(m_hat[i]), 64)
-            site_update(st, i, tilt, damping)
+            site_update(st, i, cav, tilt, damping)
         st.post_mu, st.post_Sigma, _ = ep_posterior(K, mu0, st.site_prec,
                                                     st.site_nu, st.site_logz)
         change = max(np.max(np.abs(st.site_prec - prev[0])),

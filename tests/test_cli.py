@@ -112,6 +112,23 @@ class TestExitCodes:
                     "--damping", damping]) == 2
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("method", ["rvm", "vi", "ep"])
+    @pytest.mark.parametrize("option, value", [
+        ("--max-iter", "0"), ("--max-iter", "-2"), ("--max-iter", "1.5"),
+        ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"),
+        ("--alpha-threshold", "0"), ("--alpha-threshold", "-1"),
+        ("--alpha-threshold", "nan")])
+    def test_invalid_fit_setting_is_usage_error(self, train_csv, tmp_path,
+                                                method, option, value):
+        out = tmp_path / "m.json"
+        assert run(["train", "--method", method, "--data", str(train_csv),
+                    "--out", str(out), option, value]) == 2
+        assert not out.exists()
+        assert run(["benchmark", "--n", "10", "--seeds", "1",
+                    "--methods", method, "--report",
+                    str(tmp_path / "bench.tsv"), option, value]) == 2
+        assert not (tmp_path / "bench.tsv").exists()
+
     def test_data_error_missing_file(self, tmp_path):
         assert run(["train", "--method", "vi",
                     "--data", str(tmp_path / "absent.csv"),

@@ -114,7 +114,7 @@ class TestSiteUpdate:
         st = fresh_state(np.eye(1))
         before = (st.site_prec.copy(), st.site_nu.copy(),
                   st.post_mu.copy(), st.post_Sigma.copy())
-        site_update(st, 0, (0.0, 0.5, 0.5), 0.0)
+        site_update(st, 0, cavity(st, 0), (0.0, 0.5, 0.5), 0.0)
         assert np.array_equal(st.site_prec, before[0])
         assert np.array_equal(st.site_nu, before[1])
         np.testing.assert_allclose(st.post_mu, before[2], atol=1e-15)
@@ -126,7 +126,7 @@ class TestSiteUpdate:
         # factor exactly as the site, with site normalizer 0.
         st = fresh_state(np.eye(1))
         logz_t = -0.5 * np.log(2 * np.pi * 2.0) - 0.25
-        site_update(st, 0, (logz_t, 0.5, 0.5), 1.0)
+        site_update(st, 0, cavity(st, 0), (logz_t, 0.5, 0.5), 1.0)
         assert st.site_prec[0] == pytest.approx(1.0, abs=1e-12)
         assert st.site_nu[0] == pytest.approx(1.0, abs=1e-12)
         assert st.site_logz[0] == pytest.approx(0.0, abs=1e-12)
@@ -137,16 +137,16 @@ class TestSiteUpdate:
         st1 = fresh_state(np.eye(1))
         st2 = fresh_state(np.eye(1))
         tilt = (0.0, 0.5, 0.5)
-        site_update(st1, 0, tilt, 1.0)
-        site_update(st2, 0, tilt, 0.25)
+        site_update(st1, 0, cavity(st1, 0), tilt, 1.0)
+        site_update(st2, 0, cavity(st2, 0), tilt, 0.25)
         assert st2.site_prec[0] == pytest.approx(0.25 * st1.site_prec[0])
         assert st2.site_nu[0] == pytest.approx(0.25 * st1.site_nu[0])
 
     def test_rank_one_refresh_matches_full(self):
         K = np.array([[1.0, 0.4], [0.4, 1.5]])
         st = fresh_state(K)
-        site_update(st, 0, (0.0, 0.3, 0.6), 1.0)
-        site_update(st, 1, (0.0, -0.2, 0.9), 0.7)
+        site_update(st, 0, cavity(st, 0), (0.0, 0.3, 0.6), 1.0)
+        site_update(st, 1, cavity(st, 1), (0.0, -0.2, 0.9), 0.7)
         mu, Sigma, _ = ep_posterior(K, 0.0, st.site_prec, st.site_nu)
         np.testing.assert_allclose(st.post_mu, mu, atol=1e-10)
         np.testing.assert_allclose(st.post_Sigma, Sigma, atol=1e-10)
@@ -234,7 +234,8 @@ class TestFitEp:
     @pytest.mark.parametrize("bad", [
         dict(damping=0.0), dict(damping=-0.1), dict(damping=1.5),
         dict(damping=float("nan")), dict(max_passes=0), dict(tol=-1.0),
-        dict(tol=float("nan")), dict(quad_order=0), dict(quad_order=129)])
+        dict(tol=float("nan")), dict(quad_order=0), dict(quad_order=129),
+        dict(alpha_threshold=0.0), dict(alpha_threshold=float("nan"))])
     def test_invalid_config_rejected_before_setup(self, monkeypatch, bad):
         def no_setup(*args, **kwargs):
             raise AssertionError("config must be checked before setup")

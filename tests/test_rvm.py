@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hetrvm.rvm
 from hetrvm.data import Dataset, SynthSpec, synth
 from hetrvm.kernels import KernelSpec, build_design_matrix
 from hetrvm.rvm import RvmConfig, fit_rvm, rvm_predict, sparsity_quality
@@ -108,6 +109,19 @@ class TestFitRvm:
         X = np.linspace(0, 1, 10)[:, None]
         model = fit_rvm(Dataset(X, np.full(10, 5.0)), KernelSpec())
         assert set(model.active_indices) <= {0}
+
+    @pytest.mark.parametrize("bad", [
+        dict(max_iter=0), dict(max_iter=-3), dict(tol=-1.0),
+        dict(tol=float("nan")), dict(alpha_threshold=0.0),
+        dict(alpha_threshold=-1.0), dict(alpha_threshold=float("nan"))])
+    def test_invalid_config_rejected_before_setup(self, monkeypatch, bad):
+        def no_setup(*args, **kwargs):
+            raise AssertionError("config must be checked before setup")
+
+        monkeypatch.setattr(hetrvm.rvm, "build_design_matrix", no_setup)
+        data, _ = synth(SynthSpec(n=10, seed=0))
+        with pytest.raises(ValueError):
+            fit_rvm(data, KernelSpec(lengthscale=0.3), RvmConfig(**bad))
 
     def test_sparse_on_structured_data(self):
         data, _ = synth(SynthSpec(generator="goldberg_sine", n=60, seed=0))

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
+import hetrvm.vi
 from hetrvm.data import Dataset, SynthSpec, synth
 from hetrvm.kernels import (GpNoisePrior, KernelSpec, build_design_matrix,
                             gp_covariance)
 from hetrvm.numerics import gauss_hermite, grad_check
-from hetrvm.vi import (VIConfig, VariationalState, bound_gradients,
-                       collapsed_bound, expected_loglik, fit_vi, noise_diag,
-                       prune_state, reduced_to_moments, update_alpha,
+from hetrvm.vi import (VIConfig, VariationalState, _log_evidence,
+                       bound_gradients, collapsed_bound, expected_loglik, fit_vi, noise_diag,
+                       prune_basis, reduced_to_moments, update_alpha,
                        weight_posterior)
 
 
@@ -115,6 +116,47 @@ class TestWeightPosterior:
         np.testing.assert_allclose(Sigma_w, np.linalg.inv(H), atol=1e-10)
         np.testing.assert_allclose(mu_w, np.linalg.solve(H, Phi.T @ y / s2),
                                    atol=1e-10)
+
+
+def _evidence_case(n, m, hetero, seed):
+    rng = np.random.default_rng(seed)
+    Phi = rng.normal(size=(n, m))
+    alpha = rng.uniform(0.2, 5.0, size=m)
+    r = rng.uniform(0.05, 2.0, size=n) if hetero else np.full(n, 0.3)
+    y = rng.normal(size=n)
+    return Phi, alpha, r, y
+
+
+class TestOneEvidence:
+    """The weight posterior and the Woodbury evidence against dense
+    N x N Gaussian algebra, for the heteroscedastic and RVM noise."""
+
+    @pytest.mark.parametrize("n, m, hetero", [
+        (12, 4, True),     # heteroscedastic, m < N
+        (6, 9, True),      # more basis columns than points
+        (12, 4, False),    # constant noise: the RVM case
+        (8, 0, True),      # empty active set
+        (8, 0, False)])
+    def test_evidence_matches_dense_logpdf(self, n, m, hetero):
+        Phi, alpha, r, y = _evidence_case(n, m, hetero, seed=n + m)
+        C = (Phi / alpha) @ Phi.T + np.diag(r)
+        want = multivariate_normal(np.zeros(n), C).logpdf(y)
+        assert _log_evidence(Phi, alpha, r, y) == pytest.approx(want,
+                                                                abs=1e-9)
+
+    def test_constant_noise_posterior_more_columns_than_points(self):
+        # m < N is TestWeightPosterior.test_constant_noise_matches_sigma2_form
+        Phi, alpha, r, y = _evidence_case(6, 9, False, seed=54)
+        s2 = r[0]
+        mu_w, Sigma_w = weight_posterior(Phi, alpha, r, y)
+        want = np.linalg.inv(np.diag(alpha) + Phi.T @ Phi / s2)
+        np.testing.assert_allclose(Sigma_w, want, atol=1e-10)
+        np.testing.assert_allclose(mu_w, want @ Phi.T @ y / s2, atol=1e-10)
+
+    def test_empty_active_set_posterior(self):
+        mu_w, Sigma_w = weight_posterior(np.zeros((5, 0)), np.zeros(0),
+                                         np.ones(5), np.ones(5))
+        assert mu_w.shape == (0,) and Sigma_w.shape == (0, 0)
 
 
 class TestReducedToMoments:
@@ -256,29 +298,29 @@ class TestUpdateAlpha:
         assert alpha[1] > 1e6
 
 
-class TestPruneState:
-    def _state(self, alpha):
-        X = np.linspace(0, 1, 3)[:, None]
-        return make_state(X, eta=np.zeros(3), log_ell=0.0, log_sv=0.0,
-                          mu0=0.0, alpha=alpha, active=list(range(len(alpha))))
-
+class TestPruneBasis:
     def test_noop_below_threshold(self):
-        st = self._state([1.0, 2.0])
-        st2, pruned = prune_state(st, 1e12)
+        active, alpha, pruned = prune_basis([0, 1], np.array([1.0, 2.0]),
+                                            1e12)
         assert not pruned
-        assert st2.active_indices == [0, 1]
+        assert active == [0, 1]
 
     def test_removes_large_precision(self):
-        st = self._state([1.0, 1e13, 2.0])
-        st2, pruned = prune_state(st, 1e12)
+        active, alpha, pruned = prune_basis(
+            [0, 1, 2], np.array([1.0, 1e13, 2.0]), 1e12)
         assert pruned
-        assert st2.active_indices == [0, 2]
-        np.testing.assert_allclose(st2.alpha, [1.0, 2.0])
+        assert active == [0, 2]
+        np.testing.assert_allclose(alpha, [1.0, 2.0])
 
     def test_keeps_smallest_when_all_exceed(self):
-        st = self._state([5e13, 1e13, 9e13])
-        st2, pruned = prune_state(st, 1e12)
-        assert st2.active_indices == [1]
+        active, alpha, pruned = prune_basis(
+            [0, 1, 2], np.array([5e13, 1e13, 9e13]), 1e12)
+        assert active == [1]
+
+    def test_empty_set_stays_empty(self):
+        active, alpha, pruned = prune_basis([], np.zeros(0), 1e12)
+        assert not pruned
+        assert active == [] and alpha.size == 0
 
 
 class TestFitVi:
@@ -338,3 +380,17 @@ class TestFitVi:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             fit_vi(Dataset(np.array([[0.0], [1.0]]), np.array([0.0, 1.0])))
+
+    @pytest.mark.parametrize("bad", [
+        dict(max_iter=0), dict(max_iter=-3), dict(tol=-1.0),
+        dict(tol=float("nan")), dict(alpha_threshold=0.0),
+        dict(alpha_threshold=-1.0), dict(alpha_threshold=float("nan")),
+        dict(inner_maxiter=0)])
+    def test_invalid_config_rejected_before_setup(self, monkeypatch, bad):
+        def no_setup(*args, **kwargs):
+            raise AssertionError("config must be checked before setup")
+
+        monkeypatch.setattr(hetrvm.vi, "build_design_matrix", no_setup)
+        data, _ = synth(SynthSpec(n=10, seed=0))
+        with pytest.raises(ValueError):
+            fit_vi(data, KernelSpec(lengthscale=0.3), VIConfig(**bad))
