@@ -136,8 +136,11 @@ def build_design_matrix(X, kernel: KernelSpec) -> DesignMatrix:
 def design_matrix_at(Xstar, kernel: KernelSpec, centers,
                      active_columns=None) -> np.ndarray:
     """Evaluate the basis at new inputs, restricted to ``active_columns``
-    (indices into the full design matrix, bias = column 0 when present)."""
+    (indices into the full design matrix, bias = column 0 when present).
+    Non-finite inputs raise ``ValueError``."""
     Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
+    if not np.all(np.isfinite(Xstar)):
+        raise ValueError("non-finite prediction input")
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     K = kernel_matrix(kernel, Xstar, centers)
     if kernel.include_bias:

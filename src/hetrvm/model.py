@@ -22,6 +22,10 @@ class HrvmModel:
     posterior over the latent log-noise-variance process at the training
     inputs, all in standardized units.  ``standardization`` maps back to
     the original units at prediction time.
+
+    Treat a fitted model as read-only: its first ``predict`` factors the
+    noise-GP covariance at ``centers`` and keeps the result, so later
+    edits to the fields would not reach the predictions.
     """
 
     method: str                  # "vi" or "ep"
@@ -42,6 +46,9 @@ class HrvmModel:
     status: str = "converged"
     n_iter: int = 0
     config: Dict = field(default_factory=dict)
+    # per-model noise-GP readout, built by the first ``predict`` (predict.py)
+    _noise_readout: object = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     def noise_prior(self) -> GpNoisePrior:
         kern = KernelSpec(family="rbf",

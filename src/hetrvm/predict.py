@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .kernels import cross_covariance, design_matrix_at, gp_covariance
+from .kernels import (GpNoisePrior, cross_covariance, design_matrix_at,
+                      gp_covariance)
 from .model import HrvmModel
 from .numerics import chol_factor, gauss_hermite, lognormal_mean
 from .rvm import RvmModel, rvm_predict
@@ -32,6 +33,37 @@ class PredictiveDist:
     total_var: np.ndarray
 
 
+@dataclass(frozen=True)
+class _NoiseReadout:
+    """The model-only part of the log-noise predictive: the prior, the
+    Cholesky factor ``L`` of its covariance at the centers, and
+    ``a = K^-1 (g_mu - mu0)``.  ``L`` and ``a`` are read-only; all three
+    are None for a clamped posterior, whose noise is a known constant."""
+
+    prior: GpNoisePrior | None
+    L: np.ndarray | None
+    a: np.ndarray | None
+
+
+def _noise_readout(model: HrvmModel) -> _NoiseReadout:
+    """The model's noise-GP readout, built on its first call and kept on
+    the model."""
+    if model._noise_readout is None:
+        if np.all(model.g_Sigma == 0.0) and np.ptp(model.g_mu) == 0.0:
+            readout = _NoiseReadout(None, None, None)
+        else:
+            prior = model.noise_prior()
+            L = chol_factor(gp_covariance(model.centers, prior),
+                            "noise covariance")
+            a = sla.cho_solve((L, True), model.g_mu - model.noise_mu0,
+                              check_finite=False)
+            L.flags.writeable = False
+            a.flags.writeable = False
+            readout = _NoiseReadout(prior, L, a)
+        model._noise_readout = readout
+    return model._noise_readout
+
+
 def predict(model: HrvmModel, Xstar) -> PredictiveDist:
     """Predictive moments at new inputs.
 
@@ -39,6 +71,11 @@ def predict(model: HrvmModel, Xstar) -> PredictiveDist:
     process is conditioned on its training-time posterior by standard GP
     algebra, and the expected noise variance enters the total as the
     log-normal mean exp(g_mean + g_var / 2).
+
+    The first call on a model factors the noise-GP covariance at the
+    training inputs and keeps the factor on the model, so later calls
+    only do per-point work.  Treat a fitted model as read-only.
+    Non-finite inputs raise ``ValueError``.
     """
     record = model.standardization
     Xs = record.apply_x(Xstar)
@@ -52,20 +89,18 @@ def predict(model: HrvmModel, Xstar) -> PredictiveDist:
         latent_mean = np.zeros(Xs.shape[0])
         latent_var = np.zeros(Xs.shape[0])
 
-    if np.all(model.g_Sigma == 0.0) and np.ptp(model.g_mu) == 0.0:
+    readout = _noise_readout(model)
+    if readout.prior is None:
         # degenerate (clamped) posterior: the noise is a known constant
         g_mean = np.full(Xs.shape[0], float(model.g_mu[0]))
         g_var = np.zeros(Xs.shape[0])
         return _assemble(record, latent_mean, latent_var, g_mean, g_var)
 
-    prior = model.noise_prior()
-    K = gp_covariance(model.centers, prior)
-    L = chol_factor(K, "noise covariance")
+    prior, L = readout.prior, readout.L
     ks = cross_covariance(Xs, model.centers, prior)      # n* x N
     kss = prior.kernel.signal_variance + prior.jitter
     W = sla.cho_solve((L, True), ks.T, check_finite=False)   # K^-1 ks^T
-    g_mean = model.noise_mu0 + ks @ sla.cho_solve(
-        (L, True), model.g_mu - model.noise_mu0, check_finite=False)
+    g_mean = model.noise_mu0 + ks @ readout.a
     reduce_term = np.sum(ks * W.T, axis=1)
     add_term = np.sum(W * (model.g_Sigma @ W), axis=0)
     g_var = np.maximum(kss - reduce_term + add_term, 0.0)
@@ -99,31 +134,45 @@ def rvm_predictive_dist(model: RvmModel, Xstar) -> PredictiveDist:
 def nlpd(pred: PredictiveDist, y, quad_order: int = 32) -> float:
     """Mean negative log predictive density, marginalizing the
     log-variance by Gauss-Hermite quadrature (exact Gaussian formula
-    when the log-variance is deterministic)."""
-    y = np.asarray(y, dtype=float).ravel()
-    if y.size != pred.latent_mean.size:
-        raise ValueError("length mismatch between predictions and targets")
+    when the log-variance is deterministic, ``g_var < 1e-14``).
+
+    Array code over a (points x ``quad_order``) grid of log-variance
+    nodes, clipped at +-700 and summed by a max-shifted log-sum-exp.
+    An empty or non-finite target raises ``ValueError``.
+    """
+    y = _targets(y, pred.latent_mean)
     quad = gauss_hermite(quad_order)
-    total = 0.0
-    for m, lv, gm, gv, yi in zip(pred.latent_mean, pred.latent_var,
-                                 pred.g_mean, pred.g_var, y):
-        if gv < 1e-14:
-            var = lv + np.exp(gm)
-            ll = -0.5 * (np.log(2 * np.pi * var) + (yi - m) ** 2 / var)
-        else:
-            g = gm + np.sqrt(gv) * quad.nodes
-            var = lv + np.exp(np.clip(g, -700, 700))
-            logp = -0.5 * (np.log(2 * np.pi * var) + (yi - m) ** 2 / var)
-            shift = np.max(logp)
-            ll = shift + np.log(np.sum(quad.weights * np.exp(logp - shift)))
-        total += ll
-    return float(-total / y.size)
+    m, lv, gm, gv = pred.latent_mean, pred.latent_var, pred.g_mean, pred.g_var
+    ll = np.empty(y.size)
+    exact = gv < 1e-14
+    var = lv[exact] + np.exp(gm[exact])
+    ll[exact] = -0.5 * (np.log(2 * np.pi * var)
+                        + (y[exact] - m[exact]) ** 2 / var)
+    q = ~exact
+    g = gm[q, None] + np.sqrt(gv[q])[:, None] * quad.nodes
+    var = lv[q, None] + np.exp(np.clip(g, -700, 700))
+    logp = -0.5 * (np.log(2 * np.pi * var) + (y[q] - m[q])[:, None] ** 2 / var)
+    shift = np.max(logp, axis=1)
+    ll[q] = shift + np.log(np.sum(quad.weights * np.exp(logp - shift[:, None]),
+                                  axis=1))
+    return float(-np.sum(ll) / y.size)
 
 
 def rmse(pred_mean, y) -> float:
-    """Root mean squared error."""
+    """Root mean squared error.  An empty or non-finite target raises
+    ``ValueError``."""
     pred_mean = np.asarray(pred_mean, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if pred_mean.size != y.size:
-        raise ValueError("length mismatch")
+    y = _targets(y, pred_mean)
     return float(np.sqrt(np.mean((pred_mean - y) ** 2)))
+
+
+def _targets(y, pred_mean) -> np.ndarray:
+    """Targets as a flat float array, checked against the predictions."""
+    y = np.asarray(y, dtype=float).ravel()
+    if y.size != np.size(pred_mean):
+        raise ValueError("length mismatch between predictions and targets")
+    if y.size == 0:
+        raise ValueError("no targets to score")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("non-finite target")
+    return y
