@@ -132,7 +132,7 @@ def _cmd_evaluate(args):
 
 
 def _cmd_benchmark(args):
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    methods = _method_names(args.methods)
     rows = []
     for seed in range(args.seeds):
         train, _ = synth(SynthSpec(generator=args.generator, n=args.n,
@@ -165,7 +165,7 @@ def _damping(text: str) -> float:
     return value
 
 
-def _max_iter(text: str) -> int:
+def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is less than 1")
@@ -186,13 +186,32 @@ def _alpha_threshold(text: str) -> float:
     return value
 
 
+def _positive_finite(text: str) -> float:
+    value = float(text)
+    if not (np.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not finite and > 0")
+    return value
+
+
+def _method_names(text: str):
+    return [m.strip() for m in text.split(",") if m.strip()]
+
+
+def _methods(text: str) -> str:
+    names = _method_names(text)
+    if not names or any(m not in ("rvm", "vi", "ep") for m in names):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated list of rvm, vi, ep")
+    return text
+
+
 def _add_common_model_opts(p):
     p.add_argument("--kernel", default="rbf",
                    choices=["rbf", "linear", "polynomial"])
-    p.add_argument("--lengthscale", type=float, default=1.0)
-    p.add_argument("--degree", type=int, default=3)
+    p.add_argument("--lengthscale", type=_positive_finite, default=1.0)
+    p.add_argument("--degree", type=_positive_int, default=3)
     p.add_argument("--no-bias", action="store_true")
-    p.add_argument("--max-iter", type=_max_iter, default=200)
+    p.add_argument("--max-iter", type=_positive_int, default=200)
     p.add_argument("--tol", type=_tol, default=1e-6)
     p.add_argument("--alpha-threshold", type=_alpha_threshold, default=1e12)
     p.add_argument("--damping", type=_damping, default=0.8)
@@ -216,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["goldberg_sine", "linear_het", "const_noise"])
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sigma", type=float, default=0.3)
+    p.add_argument("--sigma", type=_positive_finite, default=0.3)
     p.add_argument("--out", required=True)
     p.add_argument("--noise-out", default=None)
     p.set_defaults(func=_cmd_synth)
@@ -246,9 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generator", default="goldberg_sine",
                    choices=["goldberg_sine", "linear_het", "const_noise"])
     p.add_argument("--n", type=int, default=100)
-    p.add_argument("--seeds", type=int, default=5)
-    p.add_argument("--sigma", type=float, default=0.3)
-    p.add_argument("--methods", default="rvm,vi,ep")
+    p.add_argument("--seeds", type=_positive_int, default=5)
+    p.add_argument("--sigma", type=_positive_finite, default=0.3)
+    p.add_argument("--methods", type=_methods, default="rvm,vi,ep")
     p.add_argument("--report", default=None)
     _add_common_model_opts(p)
     p.set_defaults(func=_cmd_benchmark)

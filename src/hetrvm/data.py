@@ -160,6 +160,8 @@ class SynthSpec:
             raise DataError(f"unknown generator {self.generator!r}")
         if self.n < 3:
             raise DataError("need n >= 3")
+        if not (np.isfinite(self.sigma) and self.sigma > 0):
+            raise DataError("sigma must be positive and finite")
 
 
 def synth(spec: SynthSpec):

@@ -22,7 +22,12 @@ The weight posterior, the evidence log N(y | 0, Phi A^-1 Phi^T + R) and
 the pruning rule defined here are the only copies in the package: the EP
 trainer uses them as they are, and the constant-noise RVM uses them with
 R = sigma2 I.  The evidence is evaluated through the m x m weight
-precision (Woodbury), never the N x N covariance.
+precision (Woodbury), never the N x N covariance, and so is the bound's
+gradient: it needs C^-1 y and diag(C^-1) only, and no N x N inverse of C
+or K is formed.  The N x N work left per bound evaluation is the q(g)
+block (the Cholesky factor of I + Lam^1/2 K Lam^1/2 and Sigma from it).
+Within one outer iteration every distinct point is evaluated once, and
+the precision update forms the Gram matrix Phi^T R^-1 Phi once per call.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .data import Dataset, Standardization, standardize
 from .kernels import (GpNoisePrior, KernelSpec, build_design_matrix,
                       gp_covariance, _sqdist)
 from .model import HrvmModel
-from .numerics import chol_factor, gauss_kl
+from .numerics import FactorizationError, chol_factor, gauss_kl
 
 __all__ = [
     "VIConfig",
@@ -147,12 +152,47 @@ def expected_loglik(y, w, Phi, mu, Sigma) -> float:
     return float(ll - 0.25 * tr)
 
 
-def _weight_precision(Phi_a, alpha, r, y):
-    """Cholesky factor of H = diag(alpha) + Phi^T R^-1 Phi, and
-    b = Phi^T R^-1 y, for R = diag(r)."""
+def _gram(Phi_a, r, y):
+    """The Gram step: R^-1 Phi, G = Phi^T R^-1 Phi and b = Phi^T R^-1 y
+    for R = diag(r).  They depend on the noise only, so every precision
+    vector tried at one r reuses them."""
     Phir = Phi_a / r[:, None]
-    H = np.diag(alpha) + Phi_a.T @ Phir
-    return chol_factor(H, "weight precision"), Phir.T @ y
+    return Phir, Phi_a.T @ Phir, Phir.T @ y
+
+
+def _factor(G, alpha):
+    """The factor step: the Cholesky factor L of the weight precision
+    H = diag(alpha) + G (None for an empty active set)."""
+    if alpha.size == 0:
+        return None
+    return chol_factor(np.diag(alpha) + G, "weight precision")
+
+
+def _posterior(L, b):
+    """Sigma_w = H^-1 and mu_w = H^-1 b from the factor of H."""
+    if L is None:
+        return np.zeros(0), np.zeros((0, 0))
+    Sigma_w = sla.cho_solve((L, True), np.eye(L.shape[0]), check_finite=False)
+    Sigma_w = 0.5 * (Sigma_w + Sigma_w.T)
+    mu_w = sla.cho_solve((L, True), b, check_finite=False)
+    return mu_w, Sigma_w
+
+
+def _evidence(L, b, alpha, r, y):
+    """log N(y | 0, C) with C = Phi diag(1/alpha) Phi^T + diag(r), by
+    Woodbury on the m x m weight precision H = L L^T (Tipping & Faul,
+    2003): log|C| = sum log r + log|H| - sum log alpha and
+    y^T C^-1 y = y^T R^-1 y - v^T v, with v = L^-1 b.
+
+    Returns (log evidence, v)."""
+    logdet = np.sum(np.log(r))
+    quad = y @ (y / r)
+    v = np.zeros(0)
+    if L is not None:
+        v = sla.solve_triangular(L, b, lower=True, check_finite=False)
+        logdet += 2.0 * np.sum(np.log(np.diag(L))) - np.sum(np.log(alpha))
+        quad -= v @ v
+    return float(-0.5 * (y.size * np.log(2 * np.pi) + logdet + quad)), v
 
 
 def weight_posterior(Phi_a, alpha, r, y):
@@ -164,28 +204,14 @@ def weight_posterior(Phi_a, alpha, r, y):
     alpha = np.asarray(alpha, dtype=float).ravel()
     r = np.asarray(r, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
-    if alpha.size == 0:
-        return np.zeros(0), np.zeros((0, 0))
-    L, b = _weight_precision(Phi_a, alpha, r, y)
-    Sigma_w = sla.cho_solve((L, True), np.eye(alpha.size), check_finite=False)
-    Sigma_w = 0.5 * (Sigma_w + Sigma_w.T)
-    mu_w = sla.cho_solve((L, True), b, check_finite=False)
-    return mu_w, Sigma_w
+    _, G, b = _gram(Phi_a, r, y)
+    return _posterior(_factor(G, alpha), b)
 
 
 def _log_evidence(Phi_a, alpha, r, y):
-    """log N(y | 0, C) with C = Phi diag(1/alpha) Phi^T + diag(r), by
-    Woodbury on the m x m weight precision H (Tipping & Faul, 2003):
-    log|C| = sum log r + log|H| - sum log alpha and
-    y^T C^-1 y = y^T R^-1 y - b^T H^-1 b, with b = Phi^T R^-1 y."""
-    logdet = np.sum(np.log(r))
-    quad = y @ (y / r)
-    if alpha.size:
-        L, b = _weight_precision(Phi_a, alpha, r, y)
-        v = sla.solve_triangular(L, b, lower=True, check_finite=False)
-        logdet += 2.0 * np.sum(np.log(np.diag(L))) - np.sum(np.log(alpha))
-        quad -= v @ v
-    return float(-0.5 * (y.size * np.log(2 * np.pi) + logdet + quad))
+    """log N(y | 0, Phi diag(1/alpha) Phi^T + diag(r)); see _evidence."""
+    _, G, b = _gram(Phi_a, r, y)
+    return _evidence(_factor(G, alpha), b, alpha, r, y)[0]
 
 
 def reduced_to_moments(lam, K, mu0):
@@ -258,35 +284,34 @@ def _bound_value_grad(x, D2, Phi_a, alpha, y):
     expo = np.clip(mu - 0.5 * sdiag, -700.0, 700.0)
     r = np.exp(expo)
 
-    Cp = (Phi_a / alpha[None, :]) @ Phi_a.T + np.diag(r)
-    Lc = chol_factor(0.5 * (Cp + Cp.T), "collapsed covariance")
-    beta = sla.cho_solve((Lc, True), y, check_finite=False)
-    logdet_Cp = 2.0 * np.sum(np.log(np.diag(Lc)))
-    f1 = -0.5 * (n * np.log(2 * np.pi) + logdet_Cp + y @ beta)
+    # evidence, beta = C^-1 y and diag(C^-1) through the m x m weight
+    # precision: C^-1 = R^-1 - W^T W with W = L^-1 Phi^T R^-1
+    Phir, G, b = _gram(Phi_a, r, y)
+    L = _factor(G, alpha)
+    f1, vb = _evidence(L, b, alpha, r, y)
+    W = sla.solve_triangular(L, Phir.T, lower=True, check_finite=False)
+    beta = y / r - W.T @ vb
+    cinv_diag = 1.0 / r - np.sum(W**2, axis=0)
 
     logdet_B = 2.0 * np.sum(np.log(np.diag(LB)))
     kl = 0.5 * (logdet_B - float(lam @ sdiag) + float(v @ Kv))
     fval = f1 - 0.25 * float(np.sum(sdiag)) - kl
 
     # gradient pieces
-    eye = np.eye(n)
-    Cinv = sla.cho_solve((Lc, True), eye, check_finite=False)
-    d = 0.5 * (beta**2 - np.diag(Cinv))
+    d = 0.5 * (beta**2 - cinv_diag)
     u = d * r
-    LK = chol_factor(K, "noise covariance")
-    Kinv = sla.cho_solve((LK, True), eye, check_finite=False)
 
     fs = -0.5 * u - 0.25 + 0.5 * lam          # diag of dF/dSigma
     g_lam = K @ u + ((-fs)[:, None] * Sigma**2).sum(axis=0) - Kv
     g_eta = g_lam * lam * (1.0 - 2.0 * lam)
     g_mu0 = float(np.sum(u))
 
-    S = eye - Sigma * lam[None, :]            # Sigma K^-1
+    # K^-1 Sigma K^-1 - K^-1 = Lam Sigma Lam - Lam, as Sigma^-1 = K^-1 + Lam
+    S = np.eye(n) - Sigma * lam[None, :]      # Sigma K^-1
     M = (np.outer(u, v)
          + S.T @ (fs[:, None] * S)
-         + 0.5 * Kinv @ Sigma @ Kinv
-         - 0.5 * np.outer(v, v)
-         - 0.5 * Kinv)
+         + 0.5 * (lam[:, None] * Sigma * lam[None, :] - np.diag(lam))
+         - 0.5 * np.outer(v, v))
     g_log_sv = float(np.sum(M * K))
     ell = np.exp(log_ell)
     dK_dlog_ell = np.exp(log_sv) * C * (D2 / ell**2)
@@ -317,11 +342,17 @@ def update_alpha(alpha, Phi_a, r, y, max_inner: int = 30):
     """Effective-degrees fixed point for the weight precisions,
     alpha_j <- (1 - alpha_j Sigma_w_jj) / mu_w_j^2, iterated with a
     safeguard: a step is geometrically backed off toward the previous
-    precisions until the collapsed evidence does not decrease."""
+    precisions until the collapsed evidence does not decrease.
+
+    r is fixed here, so the Gram matrix is formed once per call, and the
+    factor that scored an accepted step gives the next step's posterior:
+    one Cholesky factorization per evidence evaluation."""
     alpha = np.asarray(alpha, dtype=float).copy()
-    ev = _log_evidence(Phi_a, alpha, r, y)
+    _, G, b = _gram(Phi_a, r, y)
+    L = _factor(G, alpha)
+    ev, _ = _evidence(L, b, alpha, r, y)
     for _ in range(max_inner):
-        mu_w, Sigma_w = weight_posterior(Phi_a, alpha, r, y)
+        mu_w, Sigma_w = _posterior(L, b)
         gamma = np.clip(1.0 - alpha * np.diag(Sigma_w), 1e-12, 1.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             proposal = gamma / mu_w**2
@@ -331,7 +362,8 @@ def update_alpha(alpha, Phi_a, r, y, max_inner: int = 30):
         trial = proposal
         accepted = False
         for _ in range(8):
-            ev_new = _log_evidence(Phi_a, trial, r, y)
+            L_new = _factor(G, trial)
+            ev_new, _ = _evidence(L_new, b, trial, r, y)
             if ev_new >= ev - 1e-10:
                 accepted = True
                 break
@@ -339,7 +371,7 @@ def update_alpha(alpha, Phi_a, r, y, max_inner: int = 30):
         if not accepted:
             break
         change = float(np.max(np.abs(np.log(trial) - np.log(alpha))))
-        alpha, ev = trial, ev_new
+        alpha, ev, L = trial, ev_new, L_new
         if change < 1e-3:
             break
     return alpha, ev
@@ -418,7 +450,6 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
         n_iter = it + 1
         Phi_a = Phi[:, active]
         r = noise_diag(mu, Sigma)
-        mu_w, Sigma_w = weight_posterior(Phi_a, alpha, r, y)
 
         if clamp is None:
             x0 = np.concatenate([_eta_from_lam(lam), [log_ell, log_sv, mu0]])
@@ -428,11 +459,26 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
             if not config.learn_mu0:
                 free[n + 2] = False
 
+            # (f, g) of every point this iteration has evaluated: the
+            # stages, their L-BFGS runs and the acceptance test below share
+            # them.  The start point must evaluate; a trial point where
+            # the bound breaks down reads -inf, so the line search backs off.
+            memo = {x0.tobytes(): _bound_value_grad(x0, D2, Phi_a, alpha, y)}
+
+            def bound(x):
+                key = x.tobytes()
+                if key not in memo:
+                    try:
+                        memo[key] = _bound_value_grad(x, D2, Phi_a, alpha, y)
+                    except (FactorizationError, FloatingPointError):
+                        memo[key] = (-np.inf, np.zeros(x.size))
+                return memo[key]
+
             def stage(x_start, free_mask, budget):
                 def negf(xfree):
                     x = x_start.copy()
                     x[free_mask] = xfree
-                    f, g = _bound_value_grad(x, D2, Phi_a, alpha, y)
+                    f, g = bound(x)
                     return -f, -g[free_mask]
                 f_start = negf(x_start[free_mask])[0]
                 res = minimize(negf, x_start[free_mask], jac=True,
@@ -465,9 +511,7 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
                 if stalled_once:
                     status = "stalled"
                 stalled_once = True
-            f0, _ = _bound_value_grad(x0, D2, Phi_a, alpha, y)
-            f1v, _ = _bound_value_grad(x1, D2, Phi_a, alpha, y)
-            if f1v >= f0:
+            if bound(x1)[0] >= bound(x0)[0]:
                 eta = x1[:n]
                 lam = np.clip(0.5 * _sigmoid(eta), 1e-12, 0.5 - 1e-12)
                 log_ell, log_sv, mu0 = x1[n], x1[n + 1], x1[n + 2]

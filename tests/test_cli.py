@@ -129,6 +129,33 @@ class TestExitCodes:
                     str(tmp_path / "bench.tsv"), option, value]) == 2
         assert not (tmp_path / "bench.tsv").exists()
 
+    @pytest.mark.parametrize("option, value", [
+        ("--methods", "foo"), ("--methods", ","), ("--seeds", "0"),
+        ("--seeds", "-3"), ("--lengthscale", "-1"), ("--lengthscale", "nan"),
+        ("--degree", "-2")])
+    def test_invalid_benchmark_setting_is_usage_error(self, tmp_path, option,
+                                                      value):
+        report = tmp_path / "bench.tsv"
+        assert run(["benchmark", "--n", "10", "--seeds", "1",
+                    "--methods", "rvm", "--report", str(report),
+                    option, value]) == 2
+        assert not report.exists()
+
+    @pytest.mark.parametrize("option, value", [
+        ("--lengthscale", "-1"), ("--lengthscale", "nan"), ("--degree", "-2")])
+    def test_invalid_kernel_setting_is_usage_error(self, train_csv, tmp_path,
+                                                   option, value):
+        out = tmp_path / "m.json"
+        assert run(["train", "--method", "rvm", "--data", str(train_csv),
+                    "--out", str(out), option, value]) == 2
+        assert not out.exists()
+
+    def test_negative_sigma_is_usage_error(self, tmp_path):
+        out = tmp_path / "d.csv"
+        assert run(["synth", "--generator", "const_noise", "--sigma", "-1",
+                    "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_data_error_missing_file(self, tmp_path):
         assert run(["train", "--method", "vi",
                     "--data", str(tmp_path / "absent.csv"),

@@ -127,3 +127,8 @@ class TestSynth:
     def test_minimum_n(self):
         with pytest.raises(DataError):
             SynthSpec(n=2)
+
+    @pytest.mark.parametrize("sigma", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_invalid_sigma(self, sigma):
+        with pytest.raises(DataError):
+            SynthSpec(generator="const_noise", sigma=sigma)

@@ -1,14 +1,21 @@
+import json
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy.stats import multivariate_normal
 
+import hetrvm.ep
 import hetrvm.vi
 from hetrvm.data import Dataset, SynthSpec, synth
-from hetrvm.kernels import (GpNoisePrior, KernelSpec, build_design_matrix,
-                            gp_covariance)
+from hetrvm.ep import fit_ep
+from hetrvm.kernels import (GpNoisePrior, KernelSpec, _sqdist,
+                            build_design_matrix, gp_covariance)
 from hetrvm.numerics import gauss_hermite, grad_check
-from hetrvm.vi import (VIConfig, VariationalState, _log_evidence,
-                       bound_gradients, collapsed_bound, expected_loglik, fit_vi, noise_diag,
+from hetrvm.serialize import model_to_dict
+from hetrvm.vi import (VIConfig, VariationalState, _bound_value_grad,
+                       _log_evidence, _noise_cov, _sigmoid, bound_gradients,
+                       collapsed_bound, expected_loglik, fit_vi, noise_diag,
                        prune_basis, reduced_to_moments, update_alpha,
                        weight_posterior)
 
@@ -249,7 +256,199 @@ class TestBoundGradients:
             assert grad_check(f, g, x) < 1e-4
 
 
+    def test_against_finite_differences_n12(self):
+        rng = np.random.default_rng(12)
+        X = rng.uniform(0, 1, (12, 1))
+        Phi = build_design_matrix(X, KernelSpec(lengthscale=0.3)).values
+        y = 2.0 * np.sin(2 * np.pi * X[:, 0]) + 0.3 * rng.normal(size=12)
+        active = [0, 2, 3, 5, 7, 8, 11, 12]
+        alpha = rng.uniform(0.2, 3.0, len(active))
+
+        def unpack(x):
+            return make_state(X, eta=x[:12], log_ell=float(x[12]),
+                              log_sv=float(x[13]), mu0=float(x[14]),
+                              alpha=alpha, active=active)
+
+        f = lambda x: collapsed_bound(unpack(x), Phi, y)
+        g = lambda x: bound_gradients(unpack(x), Phi, y)
+        for _ in range(3):
+            x = np.concatenate([rng.normal(size=12) * 2.0,
+                                rng.uniform(-1.5, 0.0, 1),
+                                rng.uniform(-0.5, 0.5, 1),
+                                rng.normal(size=1)])
+            assert grad_check(f, g, x) < 1e-4
+
+
+def _dense_bound_value_grad(x, D2, Phi_a, alpha, y):
+    """The bound and its gradient with explicit N x N inverses of the
+    collapsed covariance C and of K: the dense form the Woodbury one in
+    hetrvm.vi replaced."""
+    n = y.size
+    log_ell, log_sv, mu0 = x[n], x[n + 1], x[n + 2]
+    lam = np.clip(0.5 * _sigmoid(x[:n]), 1e-12, 0.5 - 1e-12)
+    K, C = _noise_cov(D2, log_ell, log_sv)
+    root = np.sqrt(lam)
+    LB = np.linalg.cholesky(np.eye(n) + root[:, None] * K * root[None, :])
+    V = sla.solve_triangular(LB, root[:, None] * K, lower=True)
+    Sigma = K - V.T @ V
+    Sigma = 0.5 * (Sigma + Sigma.T)
+    sdiag = np.diag(Sigma)
+    v = lam - 0.5
+    Kv = K @ v
+    r = np.exp(np.clip(Kv + mu0 - 0.5 * sdiag, -700.0, 700.0))
+
+    Cp = (Phi_a / alpha[None, :]) @ Phi_a.T + np.diag(r)
+    Lc = np.linalg.cholesky(0.5 * (Cp + Cp.T))
+    beta = sla.cho_solve((Lc, True), y)
+    f1 = -0.5 * (n * np.log(2 * np.pi) + 2.0 * np.sum(np.log(np.diag(Lc)))
+                 + y @ beta)
+    kl = 0.5 * (2.0 * np.sum(np.log(np.diag(LB))) - lam @ sdiag + v @ Kv)
+    fval = f1 - 0.25 * np.sum(sdiag) - kl
+
+    eye = np.eye(n)
+    Cinv = sla.cho_solve((Lc, True), eye)
+    u = 0.5 * (beta**2 - np.diag(Cinv)) * r
+    Kinv = np.linalg.inv(K)
+    fs = -0.5 * u - 0.25 + 0.5 * lam
+    g_lam = K @ u + ((-fs)[:, None] * Sigma**2).sum(axis=0) - Kv
+    S = eye - Sigma * lam[None, :]
+    M = (np.outer(u, v) + S.T @ (fs[:, None] * S)
+         + 0.5 * Kinv @ Sigma @ Kinv - 0.5 * np.outer(v, v) - 0.5 * Kinv)
+    dK_dlog_ell = np.exp(log_sv) * C * (D2 / np.exp(log_ell) ** 2)
+    grad = np.concatenate([g_lam * lam * (1.0 - 2.0 * lam),
+                           [np.sum(M * dK_dlog_ell), np.sum(M * K),
+                            np.sum(u)]])
+    return fval, grad
+
+
+def _wide_noise_case(m, seed, n=40):
+    """Packed point x whose effective noise r spans 1e-6 to 1e3, with m
+    of the N+1 basis columns at precisions from e^-3 to e^3 and targets
+    drawn from the model at that noise."""
+    rng = np.random.default_rng(seed)
+    X = np.linspace(0.0, 1.0, n)[:, None]
+    D2 = _sqdist(X, X)
+    Phi = build_design_matrix(X, KernelSpec(lengthscale=0.3)).values
+    Phi_a = Phi[:, np.sort(rng.choice(n + 1, m, replace=False))]
+    alpha = np.exp(rng.uniform(-3, 3, m))
+    x = np.concatenate([np.linspace(-6, 6, n),
+                        [np.log(0.2), 1.05, np.log(1e3) + 0.9]])
+    K, _ = _noise_cov(D2, x[n], x[n + 1])
+    mu, Sigma = reduced_to_moments(0.5 * _sigmoid(x[:n]), K, x[n + 2])
+    r = noise_diag(mu, Sigma)
+    y = (Phi_a @ (rng.normal(size=m) / np.sqrt(alpha))
+         + np.sqrt(r) * rng.normal(size=n))
+    return x, D2, Phi_a, alpha, y, r
+
+
+class TestBoundAgainstDenseInverses:
+    """The Woodbury bound and gradient against the explicit C^-1 / K^-1
+    formulas, with the noise spanning nine decades and m > N, m < N and
+    m = 1."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("m", [41, 10, 1])
+    def test_matches_dense_form(self, m, seed):
+        x, D2, Phi_a, alpha, y, r = _wide_noise_case(m, seed)
+        assert r.min() <= 1e-6 and r.max() >= 1e3
+        f, g = _bound_value_grad(x, D2, Phi_a, alpha, y)
+        f_ref, g_ref = _dense_bound_value_grad(x, D2, Phi_a, alpha, y)
+        assert f == pytest.approx(f_ref, rel=1e-9)
+        err = np.abs(g - g_ref) / np.maximum(1.0, np.abs(g_ref))
+        assert np.max(err) < 1e-7
+
+
+def _update_alpha_reference(alpha, Phi_a, r, y, max_inner=30):
+    """The precision update as first written: a fresh Gram matrix and
+    Cholesky factor for every posterior and every evidence."""
+    def factor(a):
+        Phir = Phi_a / r[:, None]
+        L = sla.cholesky(np.diag(a) + Phi_a.T @ Phir, lower=True,
+                         check_finite=False)
+        return L, Phir.T @ y
+
+    def evidence(a):
+        L, b = factor(a)
+        v = sla.solve_triangular(L, b, lower=True, check_finite=False)
+        logdet = np.sum(np.log(r))
+        logdet += 2.0 * np.sum(np.log(np.diag(L))) - np.sum(np.log(a))
+        quad = y @ (y / r) - v @ v
+        return float(-0.5 * (y.size * np.log(2 * np.pi) + logdet + quad))
+
+    alpha = np.asarray(alpha, dtype=float).copy()
+    ev = evidence(alpha)
+    for _ in range(max_inner):
+        L, b = factor(alpha)
+        Sigma_w = sla.cho_solve((L, True), np.eye(alpha.size),
+                                check_finite=False)
+        Sigma_w = 0.5 * (Sigma_w + Sigma_w.T)
+        mu_w = sla.cho_solve((L, True), b, check_finite=False)
+        gamma = np.clip(1.0 - alpha * np.diag(Sigma_w), 1e-12, 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            proposal = gamma / mu_w**2
+        proposal = np.where(np.isfinite(proposal) & (proposal > 0),
+                            proposal, 1e14)
+        trial = np.clip(proposal, 1e-12, 1e14)
+        accepted = False
+        for _ in range(8):
+            ev_new = evidence(trial)
+            if ev_new >= ev - 1e-10:
+                accepted = True
+                break
+            trial = np.sqrt(trial * alpha)
+        if not accepted:
+            break
+        change = float(np.max(np.abs(np.log(trial) - np.log(alpha))))
+        alpha, ev = trial, ev_new
+        if change < 1e-3:
+            break
+    return alpha, ev
+
+
 class TestUpdateAlpha:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_reference_loop(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(8, 40))
+        m = int(rng.integers(1, n + 2))
+        Phi = rng.normal(size=(n, m))
+        y = Phi[:, 0] + 0.3 * rng.normal(size=n)
+        r = np.exp(rng.normal(size=n))
+        a0 = np.exp(rng.normal(size=m))
+        a, ev = update_alpha(a0, Phi, r, y)
+        a_ref, ev_ref = _update_alpha_reference(a0, Phi, r, y)
+        assert np.array_equal(a, a_ref)
+        assert ev == ev_ref
+
+    def test_one_factorization_per_evidence(self, monkeypatch):
+        calls = {"chol": 0, "evidence": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(hetrvm.vi, "chol_factor",
+                            counted("chol", hetrvm.vi.chol_factor))
+        monkeypatch.setattr(hetrvm.vi, "_evidence",
+                            counted("evidence", hetrvm.vi._evidence))
+        rng = np.random.default_rng(13)
+        Phi = rng.normal(size=(20, 6))
+        y = Phi[:, 0] + 0.3 * rng.normal(size=20)
+        update_alpha(np.ones(6), Phi, np.exp(rng.normal(size=20)), y)
+        assert calls["evidence"] > 2
+        assert calls["chol"] == calls["evidence"]
+
+    def test_ep_model_unchanged_by_shared_factor(self, monkeypatch):
+        data, _ = synth(SynthSpec(generator="goldberg_sine", n=60, seed=1))
+        kernel = KernelSpec(lengthscale=0.3)
+        shared = fit_ep(data, kernel)
+        monkeypatch.setattr(hetrvm.ep, "update_alpha", _update_alpha_reference)
+        fresh = fit_ep(data, kernel)
+        assert (json.dumps(model_to_dict(shared), sort_keys=True)
+                == json.dumps(model_to_dict(fresh), sort_keys=True))
+
     def test_single_basis_matches_grid(self):
         rng = np.random.default_rng(8)
         phi = rng.normal(size=7)[:, None]
@@ -376,6 +575,41 @@ class TestFitVi:
         assert model.mu_w.shape == (m,)
         assert model.Sigma_w.shape == (m, m)
         assert model.g_mu.shape == (30,)
+
+    def test_each_point_evaluated_once_per_outer_iteration(self, monkeypatch):
+        seen = [set()]
+        repeats = []
+        bound = hetrvm.vi._bound_value_grad
+        alpha_step = hetrvm.vi.update_alpha
+
+        def counted_bound(x, *args):
+            key = x.tobytes()
+            if key in seen[-1]:
+                repeats.append(key)
+            seen[-1].add(key)
+            return bound(x, *args)
+
+        def next_iteration(*args, **kwargs):
+            seen.append(set())   # ends the outer iteration's L-BFGS work
+            return alpha_step(*args, **kwargs)
+
+        monkeypatch.setattr(hetrvm.vi, "_bound_value_grad", counted_bound)
+        monkeypatch.setattr(hetrvm.vi, "update_alpha", next_iteration)
+        data, _ = synth(SynthSpec(generator="goldberg_sine", n=40, seed=0))
+        model = fit_vi(data, KernelSpec(lengthscale=0.3), VIConfig(max_iter=8))
+        assert len(seen) == model.n_iter + 1
+        assert all(seen[:-1])
+        assert not repeats
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fits_n150_where_trial_points_break_down(self, seed):
+        # on these draws an L-BFGS trial point in the first iteration
+        # drives the effective noise to the exp(-700) clip, where the
+        # bound cannot be evaluated; the line search must back off
+        data, _ = synth(SynthSpec(generator="goldberg_sine", n=150, seed=seed))
+        model = fit_vi(data, KernelSpec(lengthscale=0.3))
+        assert model.status == "converged"
+        assert np.all(np.isfinite(model.training_log))
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):
