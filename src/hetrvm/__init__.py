@@ -3,16 +3,28 @@
 A relevance vector machine whose noise variance is exp(g(x)) for a
 latent Gaussian process g, trained either by a collapsed variational
 bound or by expectation propagation, with a homoscedastic RVM baseline.
+
+The package exports the user-facing API; the trainers' building blocks
+stay importable from their own modules.
 """
 
 from .data import Dataset, DataError, Standardization, SynthSpec, load_csv, standardize, synth
 from .ep import EpConfig, fit_ep
-from .kernels import DesignMatrix, GpNoisePrior, KernelSpec, build_design_matrix, gp_covariance, kernel_eval
+from .kernels import KernelSpec
 from .model import HrvmModel
-from .numerics import FactorizationError, Quadrature, gauss_hermite, gauss_kl, grad_check, lognormal_mean, psd_solve_logdet
+from .numerics import FactorizationError
 from .predict import PredictiveDist, nlpd, predict, rmse, rvm_predictive_dist
-from .rvm import RvmConfig, RvmModel, fit_rvm, rvm_predict, sparsity_quality
+from .rvm import RvmConfig, RvmModel, fit_rvm, rvm_predict
 from .serialize import SchemaError, load_model, save_model
-from .vi import VIConfig, VariationalState, collapsed_bound, bound_gradients, expected_loglik, fit_vi, noise_diag, reduced_to_moments, update_alpha, weight_posterior
+from .vi import VIConfig, fit_vi
+
+__all__ = [
+    "Dataset", "DataError", "Standardization", "SynthSpec", "load_csv",
+    "standardize", "synth", "KernelSpec", "RvmConfig", "VIConfig",
+    "EpConfig", "fit_rvm", "fit_vi", "fit_ep", "HrvmModel", "RvmModel",
+    "PredictiveDist", "predict", "rvm_predict", "rvm_predictive_dist",
+    "nlpd", "rmse", "save_model", "load_model", "SchemaError",
+    "FactorizationError",
+]
 
 __version__ = "0.1.0"

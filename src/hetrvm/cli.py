@@ -38,7 +38,7 @@ def _fit(method, data, kernel, args):
     if method == "vi":
         return fit_vi(data, kernel, VIConfig(
             max_iter=args.max_iter, tol=args.tol,
-            alpha_threshold=args.alpha_threshold, seed=args.seed))
+            alpha_threshold=args.alpha_threshold))
     if method == "ep":
         return fit_ep(data, kernel, EpConfig(
             max_passes=args.max_iter, tol=args.tol,
@@ -172,6 +172,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    return value
+
+
 def _tol(text: str) -> float:
     value = float(text)
     if not (np.isfinite(value) and value >= 0.0):
@@ -215,7 +222,7 @@ def _add_common_model_opts(p):
     p.add_argument("--tol", type=_tol, default=1e-6)
     p.add_argument("--alpha-threshold", type=_alpha_threshold, default=1e12)
     p.add_argument("--damping", type=_damping, default=0.8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
 
 def _add_data_opts(p):
@@ -234,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generator", default="goldberg_sine",
                    choices=["goldberg_sine", "linear_het", "const_noise"])
     p.add_argument("--n", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--sigma", type=_positive_finite, default=0.3)
     p.add_argument("--out", required=True)
     p.add_argument("--noise-out", default=None)

@@ -8,6 +8,8 @@ from typing import Optional
 
 import numpy as np
 
+from .numerics import _check_int
+
 __all__ = [
     "DataError",
     "Standardization",
@@ -158,8 +160,8 @@ class SynthSpec:
     def __post_init__(self):
         if self.generator not in ("goldberg_sine", "linear_het", "const_noise"):
             raise DataError(f"unknown generator {self.generator!r}")
-        if self.n < 3:
-            raise DataError("need n >= 3")
+        _check_int(self.n, "n", 3, DataError)
+        _check_int(self.seed, "seed", 0, DataError)
         if not (np.isfinite(self.sigma) and self.sigma > 0):
             raise DataError("sigma must be positive and finite")
 

@@ -17,7 +17,7 @@ The noise-GP hyperparameters stay at their initialization under EP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict
 from typing import List, Optional
 
 import numpy as np
@@ -27,7 +27,7 @@ from .data import Dataset
 from .kernels import KernelSpec, build_design_matrix
 from . import numerics
 from .model import HrvmModel
-from .numerics import FactorizationError, chol_factor, gauss_hermite
+from .numerics import FactorizationError, _check_int, chol_factor, gauss_hermite
 from .vi import (_JITTER_FRAC, _check_loop, _setup, _standardized,
                  noise_diag, prune_basis, update_alpha, weight_posterior)
 
@@ -59,6 +59,8 @@ class EpConfig:
             raise ValueError("damping must lie in (0, 1]")
         _check_loop(self.max_passes, self.tol, self.alpha_threshold,
                     "max_passes")
+        _check_int(self.seed, "seed", 0)
+        _check_int(self.quad_order, "quad_order", 1)
         # called through the module: perfbench traces hetrvm.ep.gauss_hermite
         # as one call per site visit
         numerics.gauss_hermite(self.quad_order)
@@ -68,15 +70,14 @@ class EpConfig:
 class EpState:
     """Site natural parameters (precision / precision-times-mean / log
     normalizer; precision 0 with mean-parameter 0 encodes a flat site)
-    plus the implied posterior moments of g."""
+    plus the implied posterior moments of g.  A skipped cavity or a
+    rejected update leaves every field as it was."""
 
     site_prec: np.ndarray
     site_nu: np.ndarray
     site_logz: np.ndarray
     post_mu: np.ndarray
     post_Sigma: np.ndarray
-    skipped: List[int] = field(default_factory=list)
-    rejected: List[int] = field(default_factory=list)
 
 
 def cavity(state: EpState, n: int):
@@ -153,8 +154,8 @@ def site_update(state: EpState, n: int, cav, tilted, damping: float):
     """Divide the tilted approximation by the cavity ``cav`` (the
     (cav_mu, cav_var) that :func:`cavity` returned for site n), damp on
     natural parameters, and refresh the posterior by a rank-one update.
-    An update that would break positive-definiteness is rejected (logged)
-    and the state left unchanged."""
+    An update that would break positive-definiteness is rejected: the
+    state is returned unchanged."""
     if not (0.0 <= damping <= 1.0):
         raise ValueError("damping must lie in [0, 1]")
     cav_mu, cav_var = cav
@@ -169,7 +170,6 @@ def site_update(state: EpState, n: int, cav, tilted, damping: float):
     s_nn = float(state.post_Sigma[n, n])
     denom = 1.0 + d_prec * s_nn
     if denom <= 1e-12:
-        state.rejected.append(n)
         return state
 
     s_col = state.post_Sigma[:, n].copy()
@@ -266,7 +266,6 @@ def fit_ep(data: Dataset, kernel: Optional[KernelSpec] = None,
         for idx in rng.permutation(n):
             cav = cavity(state, int(idx))
             if cav is None:
-                state.skipped.append(int(idx))
                 continue
             tilt = tilted_moments(cav[0], cav[1], float(m_hat[idx]),
                                   config.quad_order)

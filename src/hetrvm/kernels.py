@@ -8,15 +8,16 @@ latent log-variance process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
+
+from .numerics import _check_int
 
 __all__ = [
     "KernelSpec",
     "DesignMatrix",
     "GpNoisePrior",
-    "kernel_eval",
     "kernel_matrix",
     "build_design_matrix",
     "design_matrix_at",
@@ -47,26 +48,21 @@ class KernelSpec:
             raise ValueError(f"unknown kernel family {self.family!r}")
         if not (np.isfinite(self.lengthscale) and self.lengthscale > 0):
             raise ValueError("lengthscale must be positive and finite")
-        if int(self.degree) < 1:
-            raise ValueError("degree must be >= 1")
+        _check_int(self.degree, "degree", 1)
         if not (np.isfinite(self.signal_variance) and self.signal_variance > 0):
             raise ValueError("signal_variance must be positive and finite")
-
-    def with_params(self, **kw) -> "KernelSpec":
-        return replace(self, **kw)
 
 
 @dataclass(frozen=True)
 class DesignMatrix:
     """Basis-function evaluations at the training inputs.
 
-    ``values`` is N x M; column 0 is the bias column when
-    ``kernel.include_bias``, the remaining columns are the kernel centred
-    at each row of ``centers`` (the training inputs, in order).
+    ``values`` is N x M; column 0 is the bias column when the kernel
+    includes a bias, the remaining columns are the kernel centred at each
+    row of ``centers`` (the training inputs, in order).
     """
 
     values: np.ndarray
-    kernel: KernelSpec
     centers: np.ndarray
 
     @property
@@ -86,17 +82,6 @@ class GpNoisePrior:
     def __post_init__(self):
         if not (np.isfinite(self.jitter) and self.jitter > 0):
             raise ValueError("jitter must be positive and finite")
-
-
-def kernel_eval(kernel: KernelSpec, x, x2) -> float:
-    """Evaluate the (unscaled) kernel between two single input vectors."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-    if x.shape != x2.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {x2.shape}")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(x2))):
-        raise ValueError("non-finite kernel input")
-    return float(kernel_matrix(kernel, x[None, :], x2[None, :])[0, 0])
 
 
 def kernel_matrix(kernel: KernelSpec, X, X2=None) -> np.ndarray:
@@ -130,7 +115,7 @@ def build_design_matrix(X, kernel: KernelSpec) -> DesignMatrix:
         values = np.hstack([np.ones((X.shape[0], 1)), K])
     else:
         values = K
-    return DesignMatrix(values=values, kernel=kernel, centers=X.copy())
+    return DesignMatrix(values=values, centers=X.copy())
 
 
 def design_matrix_at(Xstar, kernel: KernelSpec, centers,

@@ -1,6 +1,6 @@
 """Shared numerical kernels.
 
-Positive-definite solves with log-determinants, Gaussian KL divergence,
+Cholesky factors of positive-definite matrices, Gaussian KL divergence,
 Gauss-Hermite quadrature against the standard normal weight, log-normal
 moments, and a finite-difference gradient checker.  All heavier routines
 route through Cholesky factorizations; nothing here forms an explicit
@@ -9,6 +9,7 @@ inverse.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -18,7 +19,6 @@ import scipy.linalg as sla
 __all__ = [
     "FactorizationError",
     "Quadrature",
-    "psd_solve_logdet",
     "chol_factor",
     "gauss_kl",
     "gauss_hermite",
@@ -45,6 +45,15 @@ class Quadrature:
 
     nodes: np.ndarray
     weights: np.ndarray
+
+
+def _check_int(value, name, minimum, error=ValueError):
+    """Reject a count, order or seed that is not an integer (a bool
+    included) or is below ``minimum``, raising ``error``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer")
+    if value < minimum:
+        raise error(f"{name} must be at least {minimum}")
 
 
 def chol_factor(A, name: str = "matrix"):
@@ -74,15 +83,6 @@ def _failing_pivot(exc) -> int:
         if tok.isdigit():
             return int(tok)
     return -1
-
-
-def psd_solve_logdet(Amat, B):
-    """Solve A X = B for symmetric PD A and return (X, log|A|)."""
-    L = chol_factor(Amat, "A")
-    B = np.asarray(B, dtype=float)
-    x = sla.cho_solve((L, True), B, check_finite=False)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    return x, logdet
 
 
 def gauss_kl(mu_q, Sigma_q, mu_p, Sigma_p) -> float:

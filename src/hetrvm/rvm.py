@@ -18,8 +18,8 @@ import scipy.linalg as sla
 from .data import Dataset, Standardization
 from .kernels import DesignMatrix, KernelSpec, build_design_matrix, design_matrix_at
 from .numerics import chol_factor
-from .vi import (_check_loop, _log_evidence, _standardized, prune_basis,
-                 weight_posterior)
+from .vi import (_check_loop, _evidence, _factor, _gram, _posterior,
+                 _standardized, prune_basis, weight_posterior)
 
 __all__ = ["RvmConfig", "RvmModel", "sparsity_quality", "fit_rvm", "rvm_predict"]
 
@@ -89,6 +89,14 @@ def sparsity_quality(Phi: np.ndarray, y, active, alpha, sigma2, j):
     return s, q
 
 
+def _rvm_state(Phi_a, alpha, r, y):
+    """Log evidence, mu_w and Sigma_w at one (active set, alpha, r), from
+    one factorization of the weight precision."""
+    _, G, b = _gram(Phi_a, r, y)
+    L = _factor(G, alpha)
+    return (_evidence(L, b, alpha, r, y)[0],) + _posterior(L, b)
+
+
 def fit_rvm(data: Dataset, kernel: Optional[KernelSpec] = None,
             config: Optional[RvmConfig] = None) -> RvmModel:
     """Fit by greedy maximization of the marginal likelihood: at each step
@@ -119,14 +127,14 @@ def fit_rvm(data: Dataset, kernel: Optional[KernelSpec] = None,
     active: List[int] = [j0]
     alpha = np.array([a0], dtype=float)
     r = np.full(n, sigma2)
+    Phi_a = Phi[:, active]
+    ev, mu_w, Sigma_w = _rvm_state(Phi_a, alpha, r, y)
 
     log: List[float] = []
     status = "max_iter"
     n_iter = 0
     for it in range(config.max_iter):
         n_iter = it + 1
-        Phi_a = Phi[:, active]
-        mu_w, Sigma_w = weight_posterior(Phi_a, alpha, r, y)
         S, Q = _all_SQ(Phi, Phi_a, Sigma_w, sigma2, y)
 
         in_model = np.zeros(M, dtype=bool)
@@ -173,30 +181,32 @@ def fit_rvm(data: Dataset, kernel: Optional[KernelSpec] = None,
                 active.pop(k)
                 alpha = np.delete(alpha, k)
                 max_log_change = np.inf
+            Phi_a = Phi[:, active]
+            ev, mu_w, Sigma_w = _rvm_state(Phi_a, alpha, r, y)
 
-        # noise re-estimate, accepted only when it does not lower the evidence
-        Phi_a = Phi[:, active]
-        mu_w, Sigma_w = weight_posterior(Phi_a, alpha, r, y)
+        # noise re-estimate, accepted only when it does not lower the
+        # evidence; the accepted state's posterior starts the next iteration
         gamma = 1.0 - alpha * np.diag(Sigma_w)
         dof = n - float(np.sum(gamma))
         resid = y - Phi_a @ mu_w
         if dof > 1e-8:
             sigma2_new = float(resid @ resid) / dof
             if sigma2_new > 1e-12:
-                L_old = _log_evidence(Phi_a, alpha, r, y)
                 r_new = np.full(n, sigma2_new)
-                L_new = _log_evidence(Phi_a, alpha, r_new, y)
-                if L_new >= L_old - 1e-10:
+                trial = _rvm_state(Phi_a, alpha, r_new, y)
+                if trial[0] >= ev - 1e-10:
                     sigma2, r = sigma2_new, r_new
+                    ev, mu_w, Sigma_w = trial
 
-        log.append(_log_evidence(Phi_a, alpha, r, y))
+        log.append(ev)
         if best_gain <= 1e-12 or (max_log_change < config.tol):
             status = "converged"
             break
 
     # threshold pruning (alpha -> infinity basis carry no weight)
-    active, alpha, _ = prune_basis(active, alpha, config.alpha_threshold)
-    mu_w, Sigma_w = weight_posterior(Phi[:, active], alpha, r, y)
+    active, alpha, pruned = prune_basis(active, alpha, config.alpha_threshold)
+    if pruned:
+        mu_w, Sigma_w = weight_posterior(Phi[:, active], alpha, r, y)
     return RvmModel(kernel=kernel, centers=design.centers,
                     active_indices=list(active), alpha=alpha,
                     sigma2=sigma2, mu_w=mu_w, Sigma_w=Sigma_w,
@@ -204,8 +214,7 @@ def fit_rvm(data: Dataset, kernel: Optional[KernelSpec] = None,
                     status=status, n_iter=n_iter)
 
 
-def _degenerate_model(design: DesignMatrix, record, kernel,
-                      sigma2=None, log=None, status="degenerate", n_iter=0):
+def _degenerate_model(design: DesignMatrix, record, kernel):
     """Bias-only (or empty) fallback for targets with no structure."""
     if kernel.include_bias:
         active = [0]
@@ -219,9 +228,8 @@ def _degenerate_model(design: DesignMatrix, record, kernel,
         Sigma_w = np.zeros((0, 0))
     return RvmModel(kernel=kernel, centers=design.centers,
                     active_indices=active, alpha=alpha,
-                    sigma2=float(sigma2 if sigma2 is not None else 1.0),
-                    mu_w=mu_w, Sigma_w=Sigma_w, standardization=record,
-                    training_log=list(log or []), status=status, n_iter=n_iter)
+                    sigma2=1.0, mu_w=mu_w, Sigma_w=Sigma_w,
+                    standardization=record, status="degenerate")
 
 
 def rvm_predict(model: RvmModel, Xstar):

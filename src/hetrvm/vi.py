@@ -32,7 +32,7 @@ the precision update forms the Gram matrix Phi^T R^-1 Phi once per call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict
 from typing import List, Optional
 
 import numpy as np
@@ -40,10 +40,9 @@ import scipy.linalg as sla
 from scipy.optimize import minimize
 
 from .data import Dataset, Standardization, standardize
-from .kernels import (GpNoisePrior, KernelSpec, build_design_matrix,
-                      gp_covariance, _sqdist)
+from .kernels import KernelSpec, build_design_matrix, _sqdist
 from .model import HrvmModel
-from .numerics import FactorizationError, chol_factor, gauss_kl
+from .numerics import FactorizationError, _check_int, chol_factor, gauss_kl
 
 __all__ = [
     "VIConfig",
@@ -66,8 +65,7 @@ _JITTER_FRAC = 1e-6  # diagonal jitter on K as a fraction of signal variance
 def _check_loop(max_iter, tol, alpha_threshold, max_iter_name="max_iter"):
     """Reject trainer settings that would end a fit before it learns
     anything or make it prune on a meaningless threshold."""
-    if not (max_iter >= 1):
-        raise ValueError(f"{max_iter_name} must be at least 1")
+    _check_int(max_iter, max_iter_name, 1)
     if not (tol >= 0.0):
         raise ValueError("tol must be nonnegative")
     if not (alpha_threshold > 0.0):
@@ -80,16 +78,12 @@ class VIConfig:
     tol: float = 1e-6
     alpha_threshold: float = 1e12
     inner_maxiter: int = 40      # L-BFGS iterations per outer step
-    seed: int = 0                # provenance only; the VI path is deterministic
-    learn_theta: bool = True
-    learn_mu0: bool = True
     clamp_g: Optional[float] = None  # fix q(g) to a point mass (diagnostics)
     standardize: bool = True
 
     def __post_init__(self):
         _check_loop(self.max_iter, self.tol, self.alpha_threshold)
-        if not (self.inner_maxiter >= 1):
-            raise ValueError("inner_maxiter must be at least 1")
+        _check_int(self.inner_maxiter, "inner_maxiter", 1)
 
 
 @dataclass
@@ -106,12 +100,6 @@ class VariationalState:
     log_ell: float               # log lengthscale of the noise GP
     log_sv: float                # log signal variance of the noise GP
     K: np.ndarray                # cached noise-GP covariance at X
-
-    def prior(self) -> GpNoisePrior:
-        sv = float(np.exp(self.log_sv))
-        kern = KernelSpec(family="rbf", lengthscale=float(np.exp(self.log_ell)),
-                          include_bias=False, signal_variance=sv)
-        return GpNoisePrior(mu0=self.mu0, kernel=kern, jitter=_JITTER_FRAC * sv)
 
 
 def _noise_cov(D2, log_ell, log_sv):
@@ -141,7 +129,7 @@ def expected_loglik(y, w, Phi, mu, Sigma) -> float:
     """E_{g ~ N(mu, Sigma)} log p(y | w, g) where the per-point noise
     variance is exp(g_n).  Equals log N(y | Phi w, R) - tr(Sigma)/4."""
     y = np.asarray(y, dtype=float).ravel()
-    Phi = np.asarray(getattr(Phi, "values", Phi), dtype=float)
+    Phi = np.asarray(Phi, dtype=float)
     f = Phi @ np.asarray(w, dtype=float).ravel()
     r = noise_diag(mu, Sigma)
     Sigma = np.asarray(Sigma, dtype=float)
@@ -234,7 +222,7 @@ def reduced_to_moments(lam, K, mu0):
 
 def collapsed_bound(state: VariationalState, Phi, y) -> float:
     """Evidence lower bound at the state's q(g) moments and precisions."""
-    Phi = np.asarray(getattr(Phi, "values", Phi), dtype=float)
+    Phi = np.asarray(Phi, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     Phi_a = Phi[:, state.active_indices]
     r = noise_diag(state.mu, state.Sigma)
@@ -325,7 +313,7 @@ def bound_gradients(state: VariationalState, Phi, y):
     """Analytic gradient of the bound in the packed coordinates
     (eta = unconstrained reduced parameters, log lengthscale,
     log signal variance, mu0), evaluated at the state."""
-    Phi = np.asarray(getattr(Phi, "values", Phi), dtype=float)
+    Phi = np.asarray(Phi, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     Phi_a = Phi[:, state.active_indices]
     D2 = _sqdist(state.X, state.X)
@@ -419,9 +407,11 @@ def _setup(work: Dataset, design):
 
 def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
            config: Optional[VIConfig] = None) -> HrvmModel:
-    """Train by alternating: exact weight posterior, L-BFGS ascent of the
-    bound over (reduced q(g) parameters, noise-GP hyperparameters, mu0),
-    safeguarded precision updates, then pruning."""
+    """Train by alternating: L-BFGS ascent of the bound, first over the
+    reduced q(g) parameters and mu0 with the noise-GP hyperparameters
+    (log_ell, log_sv) held, then over all of them jointly; safeguarded
+    precision updates; then pruning.  With ``config.clamp_g`` set, q(g)
+    stays a point mass and only the precisions and pruning run."""
     kernel = kernel or KernelSpec()
     config = config or VIConfig()
     work, record = _standardized(data, config.standardize)
@@ -453,11 +443,6 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
 
         if clamp is None:
             x0 = np.concatenate([_eta_from_lam(lam), [log_ell, log_sv, mu0]])
-            free = np.ones(x0.size, dtype=bool)
-            if not config.learn_theta:
-                free[n] = free[n + 1] = False
-            if not config.learn_mu0:
-                free[n + 2] = False
 
             # (f, g) of every point this iteration has evaluated: the
             # stages, their L-BFGS runs and the acceptance test below share
@@ -499,14 +484,14 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
                 out[free_mask] = res.x
                 return out, ok
 
-            # reduced parameters (and mu0) first, hyperparameters jointly after:
-            # moving theta before q(g) adapts collapses the noise process
+            # reduced parameters (and mu0) first, everything jointly after:
+            # moving (log_ell, log_sv) before q(g) adapts collapses the
+            # noise process
+            free = np.ones(x0.size, dtype=bool)
             free_q = free.copy()
             free_q[n] = free_q[n + 1] = False
             x1, ok1 = stage(x0, free_q, config.inner_maxiter)
-            ok2 = True
-            if free[n] or free[n + 1]:
-                x1, ok2 = stage(x1, free, config.inner_maxiter)
+            x1, ok2 = stage(x1, free, config.inner_maxiter)
             if not (ok1 and ok2):
                 if stalled_once:
                     status = "stalled"
@@ -519,15 +504,13 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
             mu, Sigma = reduced_to_moments(lam, K, mu0)
             r = noise_diag(mu, Sigma)
 
-        alpha, _ = update_alpha(alpha, Phi_a, r, y)
-
-        state = VariationalState(X=X, mu=mu, Sigma=Sigma, lam=lam,
-                                 alpha=alpha, active_indices=list(active),
-                                 mu0=mu0, log_ell=log_ell, log_sv=log_sv, K=K)
+        alpha, fval = update_alpha(alpha, Phi_a, r, y)
         if clamp is None:
+            state = VariationalState(X=X, mu=mu, Sigma=Sigma, lam=lam,
+                                     alpha=alpha, active_indices=list(active),
+                                     mu0=mu0, log_ell=log_ell, log_sv=log_sv,
+                                     K=K)
             fval = collapsed_bound(state, Phi, y)
-        else:
-            fval = _log_evidence(Phi[:, active], alpha, r, y)
         training_log.append(fval)
 
         kept, kept_alpha, pruned = prune_basis(active, alpha,

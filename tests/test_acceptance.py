@@ -352,7 +352,7 @@ def test_criterion_9_determinism_and_persistence(tmp_path):
     ok = True
     notes = []
     for name, fit in (("vi", lambda: fit_vi(data, GOLDBERG_KERNEL,
-                                            VIConfig(seed=7))),
+                                            VIConfig())),
                       ("ep", lambda: fit_ep(data, GOLDBERG_KERNEL,
                                             EpConfig(seed=7)))):
         m1, m2 = fit(), fit()

@@ -117,7 +117,7 @@ class TestExitCodes:
         ("--max-iter", "0"), ("--max-iter", "-2"), ("--max-iter", "1.5"),
         ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"),
         ("--alpha-threshold", "0"), ("--alpha-threshold", "-1"),
-        ("--alpha-threshold", "nan")])
+        ("--alpha-threshold", "nan"), ("--seed", "-3"), ("--seed", "1.5")])
     def test_invalid_fit_setting_is_usage_error(self, train_csv, tmp_path,
                                                 method, option, value):
         out = tmp_path / "m.json"
@@ -148,6 +148,12 @@ class TestExitCodes:
         out = tmp_path / "m.json"
         assert run(["train", "--method", "rvm", "--data", str(train_csv),
                     "--out", str(out), option, value]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", "1.5"])
+    def test_invalid_synth_seed_is_usage_error(self, tmp_path, seed):
+        out = tmp_path / "d.csv"
+        assert run(["synth", "--seed", seed, "--out", str(out)]) == 2
         assert not out.exists()
 
     def test_negative_sigma_is_usage_error(self, tmp_path):

@@ -128,6 +128,16 @@ class TestSynth:
         with pytest.raises(DataError):
             SynthSpec(n=2)
 
+    @pytest.mark.parametrize("n", [20.5, 3.0])
+    def test_non_integer_n(self, n):
+        with pytest.raises(DataError):
+            SynthSpec(n=n)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_invalid_seed(self, seed):
+        with pytest.raises(DataError):
+            SynthSpec(seed=seed)
+
     @pytest.mark.parametrize("sigma", [-1.0, 0.0, float("nan"), float("inf")])
     def test_invalid_sigma(self, sigma):
         with pytest.raises(DataError):

@@ -235,7 +235,10 @@ class TestFitEp:
         dict(damping=0.0), dict(damping=-0.1), dict(damping=1.5),
         dict(damping=float("nan")), dict(max_passes=0), dict(tol=-1.0),
         dict(tol=float("nan")), dict(quad_order=0), dict(quad_order=129),
-        dict(alpha_threshold=0.0), dict(alpha_threshold=float("nan"))])
+        dict(alpha_threshold=0.0), dict(alpha_threshold=float("nan")),
+        dict(max_passes=1.5), dict(max_passes=True), dict(quad_order=8.7),
+        dict(quad_order=True), dict(seed=-1), dict(seed=1.5),
+        dict(seed=True)])
     def test_invalid_config_rejected_before_setup(self, monkeypatch, bad):
         def no_setup(*args, **kwargs):
             raise AssertionError("config must be checked before setup")

@@ -1,20 +1,30 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from hetrvm.numerics import (FactorizationError, chol_factor, gauss_hermite,
-                             gauss_kl, grad_check, lognormal_mean,
-                             psd_solve_logdet)
+                             gauss_kl, grad_check, lognormal_mean)
+
+
+def _solve_logdet(A, b):
+    """Solve A x = b and return (x, log|A|) from chol_factor's factor, the
+    way the trainers use it."""
+    L = chol_factor(A, "A")
+    x = sla.cho_solve((L, True), np.asarray(b, dtype=float))
+    return x, 2.0 * float(np.sum(np.log(np.diag(L))))
 
 
 class TestPsdSolve:
+    """Positive-definite solves and log-determinants through chol_factor."""
+
     def test_identity(self):
-        x, ld = psd_solve_logdet(np.eye(3), np.arange(3.0))
+        x, ld = _solve_logdet(np.eye(3), np.arange(3.0))
         np.testing.assert_allclose(x, [0.0, 1.0, 2.0], atol=1e-15)
         assert ld == 0.0
 
     def test_diagonal_logdet(self):
         A = np.diag([2.0, 5.0])
-        x, ld = psd_solve_logdet(A, np.array([4.0, 10.0]))
+        x, ld = _solve_logdet(A, np.array([4.0, 10.0]))
         np.testing.assert_allclose(x, [2.0, 2.0], atol=1e-14)
         assert ld == pytest.approx(np.log(10.0), abs=1e-12)
 
@@ -23,24 +33,24 @@ class TestPsdSolve:
         M = rng.normal(size=(6, 6))
         A = M @ M.T + 6 * np.eye(6)
         b = rng.normal(size=6)
-        x, ld = psd_solve_logdet(A, b)
+        x, ld = _solve_logdet(A, b)
         np.testing.assert_allclose(A @ x, b, atol=1e-10)
         assert ld == pytest.approx(np.linalg.slogdet(A)[1], rel=1e-12)
 
     def test_non_pd_raises_with_pivot(self):
         A = np.diag([1.0, -1.0, 2.0])
         with pytest.raises(FactorizationError) as exc:
-            psd_solve_logdet(A, np.zeros(3))
+            chol_factor(A)
         assert exc.value.pivot == 2
 
     def test_asymmetric_rejected(self):
         A = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(ValueError):
-            psd_solve_logdet(A, np.zeros(2))
+            chol_factor(A)
 
     def test_near_singular_still_factors(self):
         A = np.diag([1.0, 1e-13])
-        x, _ = psd_solve_logdet(A, np.array([1.0, 1e-13]))
+        x, _ = _solve_logdet(A, np.array([1.0, 1e-13]))
         np.testing.assert_allclose(x, [1.0, 1.0], rtol=1e-6)
 
 

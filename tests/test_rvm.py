@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import hetrvm.rvm
+import hetrvm.vi
 from hetrvm.data import Dataset, SynthSpec, synth
 from hetrvm.kernels import KernelSpec, build_design_matrix
 from hetrvm.rvm import RvmConfig, fit_rvm, rvm_predict, sparsity_quality
@@ -113,7 +114,8 @@ class TestFitRvm:
     @pytest.mark.parametrize("bad", [
         dict(max_iter=0), dict(max_iter=-3), dict(tol=-1.0),
         dict(tol=float("nan")), dict(alpha_threshold=0.0),
-        dict(alpha_threshold=-1.0), dict(alpha_threshold=float("nan"))])
+        dict(alpha_threshold=-1.0), dict(alpha_threshold=float("nan")),
+        dict(max_iter=1.5), dict(max_iter=True)])
     def test_invalid_config_rejected_before_setup(self, monkeypatch, bad):
         def no_setup(*args, **kwargs):
             raise AssertionError("config must be checked before setup")
@@ -122,6 +124,25 @@ class TestFitRvm:
         data, _ = synth(SynthSpec(n=10, seed=0))
         with pytest.raises(ValueError):
             fit_rvm(data, KernelSpec(lengthscale=0.3), RvmConfig(**bad))
+
+    def test_one_factorization_per_state(self, monkeypatch):
+        """An iteration factors the weight precision at most twice: once
+        for the state after its basis action, once to score the noise
+        re-estimate (whose posterior is kept when it is accepted)."""
+        real = hetrvm.vi._factor
+        calls = []
+
+        def counting(G, alpha):
+            calls.append(alpha.size)
+            return real(G, alpha)
+
+        for module in (hetrvm.vi, hetrvm.rvm):
+            monkeypatch.setattr(module, "_factor", counting, raising=False)
+        data, _ = synth(SynthSpec(generator="goldberg_sine", n=60, seed=0))
+        model = fit_rvm(data, KernelSpec(lengthscale=0.3))
+        assert model.n_iter >= 10
+        # plus the start state and the refit after a final pruning
+        assert len(calls) <= 2 * model.n_iter + 2
 
     def test_sparse_on_structured_data(self):
         data, _ = synth(SynthSpec(generator="goldberg_sine", n=60, seed=0))

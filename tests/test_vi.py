@@ -8,10 +8,11 @@ from scipy.stats import multivariate_normal
 import hetrvm.ep
 import hetrvm.vi
 from hetrvm.data import Dataset, SynthSpec, synth
-from hetrvm.ep import fit_ep
+from hetrvm.ep import EpConfig, fit_ep
 from hetrvm.kernels import (GpNoisePrior, KernelSpec, _sqdist,
                             build_design_matrix, gp_covariance)
 from hetrvm.numerics import gauss_hermite, grad_check
+from hetrvm.rvm import RvmConfig
 from hetrvm.serialize import model_to_dict
 from hetrvm.vi import (VIConfig, VariationalState, _bound_value_grad,
                        _log_evidence, _noise_cov, _sigmoid, bound_gradients,
@@ -615,11 +616,20 @@ class TestFitVi:
         with pytest.raises(ValueError):
             fit_vi(Dataset(np.array([[0.0], [1.0]]), np.array([0.0, 1.0])))
 
+    def test_numpy_integer_settings_accepted(self):
+        assert RvmConfig(max_iter=np.int64(3)).max_iter == 3
+        assert VIConfig(max_iter=np.int32(3),
+                        inner_maxiter=np.int64(5)).inner_maxiter == 5
+        cfg = EpConfig(max_passes=np.int64(3), seed=np.int64(2),
+                       quad_order=np.int32(8))
+        assert (cfg.seed, cfg.quad_order) == (2, 8)
+
     @pytest.mark.parametrize("bad", [
         dict(max_iter=0), dict(max_iter=-3), dict(tol=-1.0),
         dict(tol=float("nan")), dict(alpha_threshold=0.0),
         dict(alpha_threshold=-1.0), dict(alpha_threshold=float("nan")),
-        dict(inner_maxiter=0)])
+        dict(inner_maxiter=0), dict(max_iter=1.5), dict(max_iter=True),
+        dict(inner_maxiter=2.5), dict(inner_maxiter=True)])
     def test_invalid_config_rejected_before_setup(self, monkeypatch, bad):
         def no_setup(*args, **kwargs):
             raise AssertionError("config must be checked before setup")
