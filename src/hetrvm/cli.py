@@ -42,8 +42,7 @@ def _fit(method, data, kernel, args):
     if method == "ep":
         return fit_ep(data, kernel, EpConfig(
             max_passes=args.max_iter, tol=args.tol,
-            alpha_threshold=args.alpha_threshold, damping=args.damping,
-            seed=args.seed))
+            alpha_threshold=args.alpha_threshold, damping=args.damping))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -165,18 +164,18 @@ def _damping(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is less than 1")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{text!r} is less than {low}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
 
 
-def _seed(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is negative")
-    return value
+_positive_int, _seed, _sample_size = (_int_at_least(k) for k in (1, 0, 3))
 
 
 def _tol(text: str) -> float:
@@ -222,7 +221,6 @@ def _add_common_model_opts(p):
     p.add_argument("--tol", type=_tol, default=1e-6)
     p.add_argument("--alpha-threshold", type=_alpha_threshold, default=1e12)
     p.add_argument("--damping", type=_damping, default=0.8)
-    p.add_argument("--seed", type=_seed, default=0)
 
 
 def _add_data_opts(p):
@@ -240,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic dataset CSV")
     p.add_argument("--generator", default="goldberg_sine",
                    choices=["goldberg_sine", "linear_het", "const_noise"])
-    p.add_argument("--n", type=int, default=100)
+    p.add_argument("--n", type=_sample_size, default=100)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--sigma", type=_positive_finite, default=0.3)
     p.add_argument("--out", required=True)
@@ -271,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compare methods over seeds on synthetic data")
     p.add_argument("--generator", default="goldberg_sine",
                    choices=["goldberg_sine", "linear_het", "const_noise"])
-    p.add_argument("--n", type=int, default=100)
+    p.add_argument("--n", type=_sample_size, default=100)
     p.add_argument("--seeds", type=_positive_int, default=5)
     p.add_argument("--sigma", type=_positive_finite, default=0.3)
     p.add_argument("--methods", type=_methods, default="rvm,vi,ep")

@@ -7,10 +7,12 @@ the expected likelihood factor
     t_n(g_n) = exp( -g_n/2 - m_n exp(-g_n)/2 - log(2 pi)/2 ),
 
 where m_n = E[(y_n - f_n)^2] under the current weight posterior.  Sites
-are refined by the usual cavity / tilted-moment-matching cycle with
-damping on natural parameters; tilted moments come from Gauss-Hermite
-quadrature over the cavity.  Between passes the weight posterior and
-precisions are refreshed exactly as in the variational trainer.
+are refined in parallel passes (Minka 2001; Cseke & Heskes, JMLR 2011):
+every cavity is taken from the current marginals, all tilted moments
+come from one Gauss-Hermite grid over the cavities, every site is damped
+on natural parameters, and q(g) is refreshed once.  Between passes the
+weight posterior and precisions are refreshed exactly as in the
+variational trainer.
 
 The noise-GP hyperparameters stay at their initialization under EP.
 """
@@ -48,7 +50,6 @@ class EpConfig:
     damping: float = 0.8
     tol: float = 1e-6
     alpha_threshold: float = 1e12
-    seed: int = 0
     quad_order: int = 32
     standardize: bool = True
 
@@ -59,10 +60,9 @@ class EpConfig:
             raise ValueError("damping must lie in (0, 1]")
         _check_loop(self.max_passes, self.tol, self.alpha_threshold,
                     "max_passes")
-        _check_int(self.seed, "seed", 0)
         _check_int(self.quad_order, "quad_order", 1)
         # called through the module: perfbench traces hetrvm.ep.gauss_hermite
-        # as one call per site visit
+        # as one call per pass
         numerics.gauss_hermite(self.quad_order)
 
 
@@ -70,8 +70,8 @@ class EpConfig:
 class EpState:
     """Site natural parameters (precision / precision-times-mean / log
     normalizer; precision 0 with mean-parameter 0 encodes a flat site)
-    plus the implied posterior moments of g.  A skipped cavity or a
-    rejected update leaves every field as it was."""
+    plus the implied posterior moments of g.  A site whose cavity is
+    skipped keeps its three site fields as they were."""
 
     site_prec: np.ndarray
     site_nu: np.ndarray
@@ -80,19 +80,20 @@ class EpState:
     post_Sigma: np.ndarray
 
 
-def cavity(state: EpState, n: int):
-    """Remove site n from its marginal posterior by precision subtraction.
+def cavity(state: EpState):
+    """Remove every site from its marginal posterior by precision
+    subtraction.
 
-    Returns (cav_mu, cav_var), or None when the deletion would leave a
-    non-positive variance (the site is then skipped this pass).
+    Returns (cav_mu, cav_var, ok).  ``ok`` is False where the deletion
+    would leave a non-positive variance; those sites are skipped this
+    pass and their cavity entries are placeholders.
     """
-    var_n = float(state.post_Sigma[n, n])
-    cav_prec = 1.0 / var_n - float(state.site_prec[n])
-    if cav_prec <= 1e-12:
-        return None
-    cav_var = 1.0 / cav_prec
-    cav_mu = cav_var * (float(state.post_mu[n]) / var_n - float(state.site_nu[n]))
-    return cav_mu, cav_var
+    var = np.diag(state.post_Sigma)
+    cav_prec = 1.0 / var - state.site_prec
+    ok = cav_prec > 1e-12
+    cav_var = 1.0 / np.where(ok, cav_prec, 1.0)
+    cav_mu = cav_var * (state.post_mu / var - state.site_nu)
+    return cav_mu, cav_var, ok
 
 
 def _log_target(g, m_hat):
@@ -100,92 +101,83 @@ def _log_target(g, m_hat):
         - 0.5 * np.log(2 * np.pi)
 
 
-def tilted_moments(cav_mu: float, cav_var: float, m_hat: float,
-                   quad_order: int = 32):
-    """Log-normalizer, mean and variance of the tilted density
-    cavity(g) * t(g) by Gauss-Hermite quadrature over the cavity.
+def tilted_moments(cav_mu, cav_var, m_hat, quad_order: int = 32):
+    """Log-normalizer, mean and variance of each tilted density
+    cavity(g) * t(g), by Gauss-Hermite quadrature over the cavity.
 
-    If the straight evaluation degenerates, the nodes are recentred at
+    The arguments broadcast against each other, and one (sites x
+    ``quad_order``) grid is integrated with a max-shift per row.  The
+    rows whose straight evaluation degenerates are recentred at
     log(m_hat) (the mode region of the factor) with an importance
-    correction, and the integral is retried once.
+    correction back to the cavity.
     """
-    if cav_var <= 0:
+    cav_mu, cav_var, m_hat = (np.asarray(a, dtype=float)[..., None]
+                              for a in (cav_mu, cav_var, m_hat))
+    if np.any(cav_var <= 0):
         raise ValueError("cavity variance must be positive")
-    if m_hat < 0:
+    if np.any(m_hat < 0):
         raise ValueError("expected squared residual must be nonnegative")
     quad = gauss_hermite(quad_order)
-    sd = np.sqrt(cav_var)
 
-    g = cav_mu + sd * quad.nodes
-    logv = _log_target(g, m_hat)
-    out = _weighted_moments(g, logv, quad.weights)
-    if out is not None:
-        return out
+    def moments(centre):
+        # nodes around ``centre``, importance-corrected back to the cavity
+        g = centre + np.sqrt(cav_var) * quad.nodes
+        logv = (_log_target(g, m_hat)
+                + 0.5 * ((g - centre) ** 2 - (g - cav_mu) ** 2) / cav_var)
+        return _weighted_moments(g, logv, quad.weights)
 
-    # recentre at the factor's mass and importance-correct back to the cavity
-    g0 = np.log(max(m_hat, 1e-300))
-    g = g0 + sd * quad.nodes
-    logv = (_log_target(g, m_hat)
-            - 0.5 * (g - cav_mu) ** 2 / cav_var
-            + 0.5 * (g - g0) ** 2 / cav_var)
-    out = _weighted_moments(g, logv, quad.weights)
-    if out is None:
-        raise FloatingPointError(
-            f"tilted-moment quadrature failed (m_hat={m_hat!r})")
-    return out
+    *out, ok = moments(cav_mu)
+    if not np.all(ok):
+        log_m = np.log(np.maximum(m_hat, 1e-300))
+        *out, ok = moments(np.where(ok[..., None], cav_mu, log_m))
+        if not np.all(ok):
+            raise FloatingPointError("tilted-moment quadrature failed "
+                                     f"(m_hat={m_hat[..., 0][~ok]!r})")
+    return tuple(out)
 
 
 def _weighted_moments(g, logv, weights):
-    shift = float(np.max(logv))
-    if not np.isfinite(shift):
-        return None
-    w = weights * np.exp(logv - shift)
-    z = float(np.sum(w))
-    if not (np.isfinite(z) and z > 0):
-        return None
-    mean = float(np.sum(w * g) / z)
-    var = float(np.sum(w * (g - mean) ** 2) / z)
-    if not (np.isfinite(var) and var > 0):
-        return None
-    return np.log(z) + shift, mean, var
+    """Log-sum, mean and variance of the nodes ``g`` under the weights
+    ``weights * exp(logv)``, max-shifted, along the last axis; ``ok``
+    marks the rows where all three are finite and the variance
+    positive."""
+    shift = np.max(logv, axis=-1)
+    ok = np.isfinite(shift)
+    w = weights * np.exp(logv - np.where(ok, shift, 0.0)[..., None])
+    z = np.sum(w, axis=-1)
+    ok &= np.isfinite(z) & (z > 0)
+    z = np.where(ok, z, 1.0)
+    mean = np.sum(w * g, axis=-1) / z
+    var = np.sum(w * (g - mean[..., None]) ** 2, axis=-1) / z
+    ok &= np.isfinite(var) & (var > 0)
+    return np.log(z) + shift, mean, var, ok
 
 
-def site_update(state: EpState, n: int, cav, tilted, damping: float):
-    """Divide the tilted approximation by the cavity ``cav`` (the
-    (cav_mu, cav_var) that :func:`cavity` returned for site n), damp on
-    natural parameters, and refresh the posterior by a rank-one update.
-    An update that would break positive-definiteness is rejected: the
-    state is returned unchanged."""
+def site_update(state: EpState, cav, tilted, damping: float):
+    """Divide each tilted approximation by its cavity, damp on natural
+    parameters and set the site normalizers.
+
+    ``cav`` is the (cav_mu, cav_var, ok) that :func:`cavity` returned;
+    ``tilted`` holds the tilted moments of the sites in ``ok``, in order.
+    The sites outside ``ok`` are left unchanged.  The posterior moments
+    are not touched: :func:`ep_posterior` refreshes them.
+    """
     if not (0.0 <= damping <= 1.0):
         raise ValueError("damping must lie in [0, 1]")
-    cav_mu, cav_var = cav
+    cav_mu, cav_var, ok = cav
+    cav_mu, cav_var = cav_mu[ok], cav_var[ok]
     logz_t, mean_t, var_t = tilted
 
     target_prec = 1.0 / var_t - 1.0 / cav_var
     target_nu = mean_t / var_t - cav_mu / cav_var
-    new_prec = state.site_prec[n] + damping * (target_prec - state.site_prec[n])
-    new_nu = state.site_nu[n] + damping * (target_nu - state.site_nu[n])
-
-    d_prec = new_prec - state.site_prec[n]
-    s_nn = float(state.post_Sigma[n, n])
-    denom = 1.0 + d_prec * s_nn
-    if denom <= 1e-12:
-        return state
-
-    s_col = state.post_Sigma[:, n].copy()
-    d_nu = new_nu - state.site_nu[n]
-    state.post_Sigma -= np.outer(s_col, s_col) * (d_prec / denom)
-    state.post_mu += s_col * ((d_nu - d_prec * float(state.post_mu[n])) / denom)
-    state.site_prec[n] = new_prec
-    state.site_nu[n] = new_nu
-    if target_prec > 0:
-        tvar = 1.0 / target_prec
-        tmu = target_nu * tvar
-        state.site_logz[n] = (logz_t
-                              + 0.5 * np.log(2 * np.pi * (cav_var + tvar))
-                              + 0.5 * (cav_mu - tmu) ** 2 / (cav_var + tvar))
-    else:
-        state.site_logz[n] = np.nan
+    state.site_prec[ok] += damping * (target_prec - state.site_prec[ok])
+    state.site_nu[ok] += damping * (target_nu - state.site_nu[ok])
+    pos = target_prec > 0
+    tvar = 1.0 / np.where(pos, target_prec, 1.0)
+    s = cav_var + tvar
+    state.site_logz[ok] = np.where(
+        pos, logz_t + 0.5 * np.log(2 * np.pi * s)
+        + 0.5 * (cav_mu - target_nu * tvar) ** 2 / s, np.nan)
     return state
 
 
@@ -199,12 +191,12 @@ def ep_posterior(K, mu0, site_prec, site_nu, site_logz=None):
     n = site_prec.size
     A = np.eye(n) + K * site_prec[None, :]
     try:
-        Sigma = np.linalg.solve(A, K)
+        X = np.linalg.solve(A, np.column_stack([K, K @ site_nu + mu0]))
     except np.linalg.LinAlgError as exc:
         raise FactorizationError("combined precision is singular") from exc
-    Sigma = 0.5 * (Sigma + Sigma.T)
-    mu = np.linalg.solve(A, K @ site_nu + mu0)
-    chol_factor(Sigma, "EP posterior covariance")  # PD check
+    Sigma = 0.5 * (X[:, :n] + X[:, :n].T)
+    mu = X[:, n]
+    L = chol_factor(Sigma, "EP posterior covariance")  # PD check
 
     logz = np.nan
     active = (site_prec != 0) | (site_nu != 0)
@@ -214,7 +206,7 @@ def ep_posterior(K, mu0, site_prec, site_nu, site_logz=None):
         Kinv_one = sla.cho_solve((LK, True), ones, check_finite=False)
         h = site_nu + mu0 * Kinv_one
         logdet_K = 2.0 * np.sum(np.log(np.diag(LK)))
-        sign, logdet_Sigma = np.linalg.slogdet(Sigma)
+        logdet_Sigma = 2.0 * np.sum(np.log(np.diag(L)))
         c_prior = 0.5 * (mu0**2 * float(ones @ Kinv_one)
                          + n * np.log(2 * np.pi) + logdet_K)
         prec_a = site_prec[active]
@@ -230,9 +222,14 @@ def ep_posterior(K, mu0, site_prec, site_nu, site_logz=None):
 
 def fit_ep(data: Dataset, kernel: Optional[KernelSpec] = None,
            config: Optional[EpConfig] = None) -> HrvmModel:
-    """Alternate exact weight-posterior refreshes with EP passes over the
-    log-variance sites (random order, seeded), plus the safeguarded
-    precision update and pruning shared with the variational trainer."""
+    """Alternate exact weight-posterior refreshes with parallel EP passes
+    over the log-variance sites, plus the safeguarded precision update
+    and pruning shared with the variational trainer.
+
+    Each pass takes every cavity from the current marginals, matches all
+    tilted moments on one quadrature grid, damps every site and refreshes
+    q(g) once.  Five consecutive rises of the largest site change halve
+    the damping once; five more end the fit as ``oscillating``."""
     kernel = kernel or KernelSpec()
     config = config or EpConfig()
     work, record = _standardized(data, config.standardize)
@@ -245,7 +242,6 @@ def fit_ep(data: Dataset, kernel: Optional[KernelSpec] = None,
                     site_logz=np.zeros(n),
                     post_mu=np.full(n, mu0), post_Sigma=K.copy())
 
-    rng = np.random.default_rng(config.seed)
     training_log: List[float] = []
     status = "max_passes"
     damping = config.damping
@@ -263,14 +259,11 @@ def fit_ep(data: Dataset, kernel: Optional[KernelSpec] = None,
 
         prev_prec = state.site_prec.copy()
         prev_nu = state.site_nu.copy()
-        for idx in rng.permutation(n):
-            cav = cavity(state, int(idx))
-            if cav is None:
-                continue
-            tilt = tilted_moments(cav[0], cav[1], float(m_hat[idx]),
-                                  config.quad_order)
-            site_update(state, int(idx), cav, tilt, damping)
-
+        cav = cavity(state)
+        cav_mu, cav_var, ok = cav
+        tilt = tilted_moments(cav_mu[ok], cav_var[ok], m_hat[ok],
+                              config.quad_order)
+        site_update(state, cav, tilt, damping)
         state.post_mu, state.post_Sigma, logz = ep_posterior(
             K, mu0, state.site_prec, state.site_nu, state.site_logz)
 

@@ -237,12 +237,11 @@ def _ep_converge(K, mu0, m_hat, passes=400, damping=0.8):
                  post_Sigma=np.asarray(K, dtype=float).copy())
     for _ in range(passes):
         prev = st.site_prec.copy(), st.site_nu.copy()
-        for i in range(n):
-            cav = cavity(st, i)
-            if cav is None:
-                continue
-            tilt = tilted_moments(cav[0], cav[1], float(m_hat[i]), 64)
-            site_update(st, i, cav, tilt, damping)
+        cav = cavity(st)
+        cav_mu, cav_var, ok = cav
+        tilt = tilted_moments(cav_mu[ok], cav_var[ok],
+                              np.asarray(m_hat, dtype=float)[ok], 64)
+        site_update(st, cav, tilt, damping)
         st.post_mu, st.post_Sigma, _ = ep_posterior(K, mu0, st.site_prec,
                                                     st.site_nu, st.site_logz)
         change = max(np.max(np.abs(st.site_prec - prev[0])),
@@ -354,7 +353,7 @@ def test_criterion_9_determinism_and_persistence(tmp_path):
     for name, fit in (("vi", lambda: fit_vi(data, GOLDBERG_KERNEL,
                                             VIConfig())),
                       ("ep", lambda: fit_ep(data, GOLDBERG_KERNEL,
-                                            EpConfig(seed=7)))):
+                                            EpConfig()))):
         m1, m2 = fit(), fit()
         p1, p2 = tmp_path / f"{name}1.json", tmp_path / f"{name}2.json"
         save_model(m1, p1)

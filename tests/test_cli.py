@@ -45,7 +45,7 @@ class TestTrain:
     def test_byte_identical_reruns(self, train_csv, tmp_path):
         m1, m2 = tmp_path / "m1.json", tmp_path / "m2.json"
         args = ["train", "--method", "vi", "--data", str(train_csv),
-                "--lengthscale", "0.3", "--max-iter", "15", "--seed", "7"]
+                "--lengthscale", "0.3", "--max-iter", "15"]
         assert run(args + ["--out", str(m1)]) == 0
         assert run(args + ["--out", str(m2)]) == 0
         assert m1.read_bytes() == m2.read_bytes()
@@ -117,7 +117,7 @@ class TestExitCodes:
         ("--max-iter", "0"), ("--max-iter", "-2"), ("--max-iter", "1.5"),
         ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"),
         ("--alpha-threshold", "0"), ("--alpha-threshold", "-1"),
-        ("--alpha-threshold", "nan"), ("--seed", "-3"), ("--seed", "1.5")])
+        ("--alpha-threshold", "nan")])
     def test_invalid_fit_setting_is_usage_error(self, train_csv, tmp_path,
                                                 method, option, value):
         out = tmp_path / "m.json"
@@ -155,6 +155,26 @@ class TestExitCodes:
         out = tmp_path / "d.csv"
         assert run(["synth", "--seed", seed, "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("n", ["2", "0", "-1"])
+    def test_too_few_points_is_usage_error(self, tmp_path, n):
+        out = tmp_path / "d.csv"
+        assert run(["synth", "--n", n, "--out", str(out)]) == 2
+        assert not out.exists()
+        report = tmp_path / "bench.tsv"
+        assert run(["benchmark", "--n", n, "--seeds", "1", "--methods",
+                    "rvm", "--report", str(report)]) == 2
+        assert not report.exists()
+
+    def test_seed_is_not_a_fit_option(self, train_csv, tmp_path):
+        # a fit has no random state: only synth takes --seed
+        out, report = tmp_path / "m.json", tmp_path / "bench.tsv"
+        assert run(["train", "--method", "ep", "--data", str(train_csv),
+                    "--out", str(out), "--seed", "0"]) == 2
+        assert not out.exists()
+        assert run(["benchmark", "--n", "10", "--seeds", "1", "--methods",
+                    "ep", "--report", str(report), "--seed", "0"]) == 2
+        assert not report.exists()
 
     def test_negative_sigma_is_usage_error(self, tmp_path):
         out = tmp_path / "d.csv"

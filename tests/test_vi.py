@@ -620,9 +620,8 @@ class TestFitVi:
         assert RvmConfig(max_iter=np.int64(3)).max_iter == 3
         assert VIConfig(max_iter=np.int32(3),
                         inner_maxiter=np.int64(5)).inner_maxiter == 5
-        cfg = EpConfig(max_passes=np.int64(3), seed=np.int64(2),
-                       quad_order=np.int32(8))
-        assert (cfg.seed, cfg.quad_order) == (2, 8)
+        cfg = EpConfig(max_passes=np.int64(3), quad_order=np.int32(8))
+        assert (cfg.max_passes, cfg.quad_order) == (3, 8)
 
     @pytest.mark.parametrize("bad", [
         dict(max_iter=0), dict(max_iter=-3), dict(tol=-1.0),
