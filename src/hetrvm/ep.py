@@ -14,7 +14,9 @@ on natural parameters, and q(g) is refreshed once.  Between passes the
 weight posterior and precisions are refreshed exactly as in the
 variational trainer.
 
-The noise-GP hyperparameters stay at their initialization under EP.
+The noise-GP hyperparameters stay at their initialization under EP, so
+the prior covariance K is factored once per fit, for the prior terms of
+the marginal-likelihood estimate.
 """
 
 from __future__ import annotations
@@ -23,13 +25,13 @@ from dataclasses import dataclass, asdict
 from typing import List, Optional
 
 import numpy as np
-import scipy.linalg as sla
 
 from .data import Dataset
 from .kernels import KernelSpec, build_design_matrix
 from . import numerics
 from .model import HrvmModel
-from .numerics import FactorizationError, _check_int, chol_factor, gauss_hermite
+from .numerics import (FactorizationError, _check_int, chol_factor,
+                       chol_solve, gauss_hermite)
 from .vi import (_JITTER_FRAC, _check_loop, _setup, _standardized,
                  noise_diag, prune_basis, update_alpha, weight_posterior)
 
@@ -181,10 +183,23 @@ def site_update(state: EpState, cav, tilted, damping: float):
     return state
 
 
-def ep_posterior(K, mu0, site_prec, site_nu, site_logz=None):
+def _prior_terms(K):
+    """K^-1 1, 1^T K^-1 1 and log|K|: what the EP normalizer needs of the
+    prior covariance K."""
+    LK = chol_factor(K, "noise covariance")
+    ones = np.full(K.shape[0], 1.0)
+    Kinv_one = chol_solve(LK, ones)
+    logdet_K = 2.0 * np.sum(np.log(np.diag(LK)))
+    return Kinv_one, float(ones @ Kinv_one), logdet_K
+
+
+def ep_posterior(K, mu0, site_prec, site_nu, site_logz=None, prior=None):
     """Posterior moments of g given the prior N(mu0 1, K) and the current
     Gaussian sites, plus the EP marginal-likelihood estimate (nan when a
-    negative site variance makes the normalizer assembly undefined)."""
+    negative site variance makes the normalizer assembly undefined).
+
+    ``prior`` is ``_prior_terms(K)``; a caller whose K stays fixed passes
+    it rather than have every call factor K again."""
     K = np.asarray(K, dtype=float)
     site_prec = np.asarray(site_prec, dtype=float).ravel()
     site_nu = np.asarray(site_nu, dtype=float).ravel()
@@ -201,13 +216,11 @@ def ep_posterior(K, mu0, site_prec, site_nu, site_logz=None):
     logz = np.nan
     active = (site_prec != 0) | (site_nu != 0)
     if site_logz is not None and np.all(site_prec[active] > 0):
-        LK = chol_factor(K, "noise covariance")
-        ones = np.full(n, 1.0)
-        Kinv_one = sla.cho_solve((LK, True), ones, check_finite=False)
+        Kinv_one, quad_one, logdet_K = (_prior_terms(K) if prior is None
+                                        else prior)
         h = site_nu + mu0 * Kinv_one
-        logdet_K = 2.0 * np.sum(np.log(np.diag(LK)))
         logdet_Sigma = 2.0 * np.sum(np.log(np.diag(L)))
-        c_prior = 0.5 * (mu0**2 * float(ones @ Kinv_one)
+        c_prior = 0.5 * (mu0**2 * quad_one
                          + n * np.log(2 * np.pi) + logdet_K)
         prec_a = site_prec[active]
         nu_a = site_nu[active]
@@ -238,6 +251,8 @@ def fit_ep(data: Dataset, kernel: Optional[KernelSpec] = None,
     Phi = design.values
     y, n = work.y, work.n
 
+    # K stays fixed under EP, so the normalizer's prior terms do too
+    prior = _prior_terms(K)
     state = EpState(site_prec=np.zeros(n), site_nu=np.zeros(n),
                     site_logz=np.zeros(n),
                     post_mu=np.full(n, mu0), post_Sigma=K.copy())
@@ -265,7 +280,8 @@ def fit_ep(data: Dataset, kernel: Optional[KernelSpec] = None,
                               config.quad_order)
         site_update(state, cav, tilt, damping)
         state.post_mu, state.post_Sigma, logz = ep_posterior(
-            K, mu0, state.site_prec, state.site_nu, state.site_logz)
+            K, mu0, state.site_prec, state.site_nu, state.site_logz,
+            prior=prior)
 
         r = noise_diag(state.post_mu, state.post_Sigma)
         alpha, _ = update_alpha(alpha, Phi_a, r, y)

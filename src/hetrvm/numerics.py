@@ -1,25 +1,37 @@
 """Shared numerical kernels.
 
-Cholesky factors of positive-definite matrices, Gaussian KL divergence,
-Gauss-Hermite quadrature against the standard normal weight, log-normal
-moments, and a finite-difference gradient checker.  All heavier routines
-route through Cholesky factorizations; nothing here forms an explicit
-inverse.
+Cholesky factors of positive-definite matrices and solves with them,
+Gaussian KL divergence, Gauss-Hermite quadrature against the standard
+normal weight, log-normal moments, and a finite-difference gradient
+checker.  All heavier routines route through Cholesky factorizations;
+nothing here forms an explicit inverse.
+
+The factorization and the two solves call the LAPACK routines that
+``scipy.linalg.cholesky``, ``cho_solve`` and ``solve_triangular`` call
+(``dpotrf``, ``dpotrs``, ``dtrtrs``), with the same arguments, so they
+return the same bits.  The trainers factor m x m weight precisions, m
+around 10, thousands of times per fit, and at that size the wrappers'
+argument handling costs several times the factorization.
+:func:`chol_factor` is the only factorization entry point; the trainers
+call it through their own module's name for it.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 __all__ = [
     "FactorizationError",
     "Quadrature",
     "chol_factor",
+    "chol_solve",
+    "lower_solve",
     "gauss_kl",
     "gauss_hermite",
     "lognormal_mean",
@@ -59,30 +71,50 @@ def _check_int(value, name, minimum, error=ValueError):
 def chol_factor(A, name: str = "matrix"):
     """Lower Cholesky factor of a symmetric PD matrix.
 
-    Symmetry is required within 1e-10 (relative to the largest entry);
-    non-PD input raises :class:`FactorizationError` with the failing pivot.
+    Symmetry is required within 1e-10 (relative to the largest entry).
+    A non-finite entry raises :class:`FactorizationError` (pivot -1), and
+    so does non-PD input, with the failing pivot.  The factor is
+    Fortran-ordered with a zero upper triangle.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"{name} must be square")
-    scale = max(1.0, float(np.max(np.abs(A))) if A.size else 1.0)
-    if np.max(np.abs(A - A.T)) > 1e-10 * scale:
+    if A.size == 0:
+        return np.empty((0, 0))
+    peak = float(np.abs(A).max())
+    if not math.isfinite(peak):
+        raise FactorizationError(f"{name} has a non-finite entry")
+    if np.abs(A - A.T).max() > 1e-10 * max(1.0, peak):
         raise ValueError(f"{name} is not symmetric within tolerance")
-    try:
-        return sla.cholesky(A, lower=True, check_finite=False)
-    except sla.LinAlgError as exc:
-        pivot = _failing_pivot(exc)
+    L, info = dpotrf(A, lower=1)
+    if info:
         raise FactorizationError(
-            f"{name} is not positive definite (pivot {pivot})", pivot
-        ) from exc
+            f"{name} is not positive definite (pivot {info})", info)
+    return L
 
 
-def _failing_pivot(exc) -> int:
-    msg = str(exc)
-    for tok in msg.replace("-", " ").split():
-        if tok.isdigit():
-            return int(tok)
-    return -1
+def chol_solve(L, b):
+    """Solve (L L^T) x = b for a vector or matrix b, given the lower
+    factor L from :func:`chol_factor`."""
+    if b.size == 0:
+        return np.empty(b.shape)
+    return dpotrs(L, b, lower=1)[0]
+
+
+def lower_solve(L, b):
+    """Solve L x = b for lower-triangular L with a nonzero diagonal.  A
+    factor that is not Fortran-ordered is passed to LAPACK as its
+    transpose, an upper triangle solved transposed, which is what
+    ``scipy.linalg.solve_triangular`` does."""
+    if b.size == 0:
+        return np.empty(b.shape)
+    if L.flags.f_contiguous:
+        x, info = dtrtrs(L, b, lower=1)
+    else:
+        x, info = dtrtrs(L.T, b, lower=0, trans=1)
+    if info:
+        raise FactorizationError(f"zero on the diagonal (pivot {info})", info)
+    return x
 
 
 def gauss_kl(mu_q, Sigma_q, mu_p, Sigma_p) -> float:
@@ -99,10 +131,10 @@ def gauss_kl(mu_q, Sigma_q, mu_p, Sigma_p) -> float:
     logdet_q = 2.0 * np.sum(np.log(np.diag(Lq)))
     logdet_p = 2.0 * np.sum(np.log(np.diag(Lp)))
     # tr(Sigma_p^-1 Sigma_q) = || Lp^-1 Lq ||_F^2
-    M = sla.solve_triangular(Lp, Lq, lower=True, check_finite=False)
+    M = lower_solve(Lp, Lq)
     trace = float(np.sum(M**2))
     d = mu_p - mu_q
-    v = sla.solve_triangular(Lp, d, lower=True, check_finite=False)
+    v = lower_solve(Lp, d)
     quad = float(v @ v)
     kl = 0.5 * (trace + quad - n + logdet_p - logdet_q)
     if kl < -1e-10:

@@ -10,12 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .kernels import (GpNoisePrior, cross_covariance, design_matrix_at,
                       gp_covariance)
 from .model import HrvmModel
-from .numerics import chol_factor, gauss_hermite, lognormal_mean
+from .numerics import chol_factor, chol_solve, gauss_hermite, lognormal_mean
 from .rvm import RvmModel, rvm_predict
 
 __all__ = ["PredictiveDist", "predict", "rvm_predictive_dist", "nlpd", "rmse"]
@@ -55,8 +54,7 @@ def _noise_readout(model: HrvmModel) -> _NoiseReadout:
             prior = model.noise_prior()
             L = chol_factor(gp_covariance(model.centers, prior),
                             "noise covariance")
-            a = sla.cho_solve((L, True), model.g_mu - model.noise_mu0,
-                              check_finite=False)
+            a = chol_solve(L, model.g_mu - model.noise_mu0)
             L.flags.writeable = False
             a.flags.writeable = False
             readout = _NoiseReadout(prior, L, a)
@@ -99,7 +97,7 @@ def predict(model: HrvmModel, Xstar) -> PredictiveDist:
     prior, L = readout.prior, readout.L
     ks = cross_covariance(Xs, model.centers, prior)      # n* x N
     kss = prior.kernel.signal_variance + prior.jitter
-    W = sla.cho_solve((L, True), ks.T, check_finite=False)   # K^-1 ks^T
+    W = chol_solve(L, ks.T)                              # K^-1 ks^T
     g_mean = model.noise_mu0 + ks @ readout.a
     reduce_term = np.sum(ks * W.T, axis=1)
     add_term = np.sum(W * (model.g_Sigma @ W), axis=0)

@@ -13,11 +13,10 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
-import scipy.linalg as sla
 
 from .data import Dataset, Standardization
 from .kernels import DesignMatrix, KernelSpec, build_design_matrix, design_matrix_at
-from .numerics import chol_factor
+from .numerics import chol_factor, chol_solve
 from .vi import (_check_loop, _evidence, _factor, _gram, _posterior,
                  _standardized, prune_basis, weight_posterior)
 
@@ -83,7 +82,7 @@ def sparsity_quality(Phi: np.ndarray, y, active, alpha, sigma2, j):
         C += np.outer(phi, phi) / a
     L = chol_factor(C, "C")
     phi_j = Phi[:, j]
-    u = sla.cho_solve((L, True), phi_j, check_finite=False)
+    u = chol_solve(L, phi_j)
     s = float(phi_j @ u)
     q = float(u @ y)
     return s, q

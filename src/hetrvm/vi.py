@@ -26,8 +26,13 @@ precision (Woodbury), never the N x N covariance, and so is the bound's
 gradient: it needs C^-1 y and diag(C^-1) only, and no N x N inverse of C
 or K is formed.  The N x N work left per bound evaluation is the q(g)
 block (the Cholesky factor of I + Lam^1/2 K Lam^1/2 and Sigma from it).
-Within one outer iteration every distinct point is evaluated once, and
-the precision update forms the Gram matrix Phi^T R^-1 Phi once per call.
+Within one outer iteration every distinct point is evaluated once.  The
+first L-BFGS stage holds (log_ell, log_sv) fixed, so its evaluations skip
+the O(N^3) block of their gradient; the joint stage completes it at the
+one point where the first stage ended.  The precision update forms the
+Gram matrix Phi^T R^-1 Phi, the noise terms of the evidence and the
+identity right-hand side once per call, and then costs one m x m
+factorization and three solves with it per step.
 """
 
 from __future__ import annotations
@@ -36,13 +41,13 @@ from dataclasses import dataclass, asdict
 from typing import List, Optional
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.optimize import minimize
 
 from .data import Dataset, Standardization, standardize
 from .kernels import KernelSpec, build_design_matrix, _sqdist
 from .model import HrvmModel
-from .numerics import FactorizationError, _check_int, chol_factor, gauss_kl
+from .numerics import (FactorizationError, _check_int, chol_factor,
+                       chol_solve, gauss_kl, lower_solve)
 
 __all__ = [
     "VIConfig",
@@ -60,6 +65,7 @@ __all__ = [
 
 _ALPHA_MIN, _ALPHA_MAX = 1e-12, 1e14
 _JITTER_FRAC = 1e-6  # diagonal jitter on K as a fraction of signal variance
+_LOG_2PI = np.log(2 * np.pi)
 
 
 def _check_loop(max_iter, tol, alpha_threshold, max_iter_name="max_iter"):
@@ -160,27 +166,32 @@ def _posterior(L, b):
     """Sigma_w = H^-1 and mu_w = H^-1 b from the factor of H."""
     if L is None:
         return np.zeros(0), np.zeros((0, 0))
-    Sigma_w = sla.cho_solve((L, True), np.eye(L.shape[0]), check_finite=False)
+    Sigma_w = chol_solve(L, np.eye(L.shape[0]))
     Sigma_w = 0.5 * (Sigma_w + Sigma_w.T)
-    mu_w = sla.cho_solve((L, True), b, check_finite=False)
+    mu_w = chol_solve(L, b)
     return mu_w, Sigma_w
 
 
-def _evidence(L, b, alpha, r, y):
+def _noise_terms(r, y):
+    """sum log r and y^T R^-1 y: the noise-only part of the evidence."""
+    return np.sum(np.log(r)), y @ (y / r)
+
+
+def _evidence(L, b, alpha, r, y, noise=None):
     """log N(y | 0, C) with C = Phi diag(1/alpha) Phi^T + diag(r), by
     Woodbury on the m x m weight precision H = L L^T (Tipping & Faul,
     2003): log|C| = sum log r + log|H| - sum log alpha and
-    y^T C^-1 y = y^T R^-1 y - v^T v, with v = L^-1 b.
+    y^T C^-1 y = y^T R^-1 y - v^T v, with v = L^-1 b.  ``noise`` is
+    :func:`_noise_terms` (r, y) when the caller already has it.
 
     Returns (log evidence, v)."""
-    logdet = np.sum(np.log(r))
-    quad = y @ (y / r)
+    logdet, quad = _noise_terms(r, y) if noise is None else noise
     v = np.zeros(0)
     if L is not None:
-        v = sla.solve_triangular(L, b, lower=True, check_finite=False)
-        logdet += 2.0 * np.sum(np.log(np.diag(L))) - np.sum(np.log(alpha))
+        v = lower_solve(L, b)
+        logdet += 2.0 * np.log(L.diagonal()).sum() - np.log(alpha).sum()
         quad -= v @ v
-    return float(-0.5 * (y.size * np.log(2 * np.pi) + logdet + quad)), v
+    return float(-0.5 * (y.size * _LOG_2PI + logdet + quad)), v
 
 
 def weight_posterior(Phi_a, alpha, r, y):
@@ -208,16 +219,20 @@ def reduced_to_moments(lam, K, mu0):
     lam = np.asarray(lam, dtype=float).ravel()
     if np.any(lam <= 0.0) or np.any(lam >= 0.5):
         raise ValueError("reduced parameters must lie in (0, 1/2)")
-    n = lam.size
-    root = np.sqrt(lam)
-    B = np.eye(n) + root[:, None] * K * root[None, :]
-    LB = chol_factor(B, "reduced system")
-    V = sla.solve_triangular(LB, root[:, None] * K, lower=True,
-                             check_finite=False)
-    Sigma = K - V.T @ V
-    Sigma = 0.5 * (Sigma + Sigma.T)
+    Sigma, _ = _reduced_cov(lam, K)
     mu = K @ (lam - 0.5) + mu0
     return mu, Sigma
+
+
+def _reduced_cov(lam, K):
+    """Sigma = (K^-1 + diag(lam))^-1 = K - K Lam^1/2 B^-1 Lam^1/2 K and
+    the Cholesky factor of B = I + Lam^1/2 K Lam^1/2."""
+    root = np.sqrt(lam)
+    B = np.eye(lam.size) + root[:, None] * K * root[None, :]
+    LB = chol_factor(B, "reduced system")
+    V = lower_solve(LB, root[:, None] * K)
+    Sigma = K - V.T @ V
+    return 0.5 * (Sigma + Sigma.T), LB
 
 
 def collapsed_bound(state: VariationalState, Phi, y) -> float:
@@ -247,23 +262,21 @@ def _eta_from_lam(lam):
     return np.log(s) - np.log1p(-s)
 
 
-def _bound_value_grad(x, D2, Phi_a, alpha, y):
+def _bound_value_grad(x, D2, Phi_a, alpha, y, hyper=True):
     """Bound and its analytic gradient in the packed variables
-    x = [eta (N), log_ell, log_sv, mu0] with lam = sigmoid(eta)/2."""
+    x = [eta (N), log_ell, log_sv, mu0] with lam = sigmoid(eta)/2.
+
+    With ``hyper`` False the (log_ell, log_sv) entries are left nan, which
+    skips their O(N^3) block, and a third value is returned: a function
+    of no arguments that returns the complete gradient.  The value and
+    the other entries are the same bits either way."""
     n = y.size
     eta = x[:n]
     log_ell, log_sv, mu0 = x[n], x[n + 1], x[n + 2]
     lam = 0.5 * _sigmoid(eta)
     lam = np.clip(lam, 1e-12, 0.5 - 1e-12)
     K, C = _noise_cov(D2, log_ell, log_sv)
-
-    root = np.sqrt(lam)
-    B = np.eye(n) + root[:, None] * K * root[None, :]
-    LB = chol_factor(B, "reduced system")
-    V = sla.solve_triangular(LB, root[:, None] * K, lower=True,
-                             check_finite=False)
-    Sigma = K - V.T @ V
-    Sigma = 0.5 * (Sigma + Sigma.T)
+    Sigma, LB = _reduced_cov(lam, K)
     sdiag = np.diag(Sigma)
     v = lam - 0.5
     Kv = K @ v
@@ -277,7 +290,7 @@ def _bound_value_grad(x, D2, Phi_a, alpha, y):
     Phir, G, b = _gram(Phi_a, r, y)
     L = _factor(G, alpha)
     f1, vb = _evidence(L, b, alpha, r, y)
-    W = sla.solve_triangular(L, Phir.T, lower=True, check_finite=False)
+    W = lower_solve(L, Phir.T)
     beta = y / r - W.T @ vb
     cinv_diag = 1.0 / r - np.sum(W**2, axis=0)
 
@@ -293,7 +306,29 @@ def _bound_value_grad(x, D2, Phi_a, alpha, y):
     g_lam = K @ u + ((-fs)[:, None] * Sigma**2).sum(axis=0) - Kv
     g_eta = g_lam * lam * (1.0 - 2.0 * lam)
     g_mu0 = float(np.sum(u))
+    grad = np.concatenate([g_eta, [np.nan, np.nan, g_mu0]])
 
+    if hyper:
+        grad[n:n + 2] = _hyper_grad(D2, log_ell, log_sv, K, C,
+                                    Sigma, lam, u, v, fs)
+        return fval, grad
+
+    def complete():
+        # the N x N pieces are recomputed, to the same bits, rather than
+        # kept: a stage keeps the completion of every point it evaluates
+        K, C = _noise_cov(D2, log_ell, log_sv)
+        full = grad.copy()
+        full[n:n + 2] = _hyper_grad(D2, log_ell, log_sv, K, C,
+                                    _reduced_cov(lam, K)[0], lam, u, v, fs)
+        return full
+
+    return fval, grad, complete
+
+
+def _hyper_grad(D2, log_ell, log_sv, K, C, Sigma, lam, u, v, fs):
+    """The bound's (log_ell, log_sv) gradient entries from the pieces
+    of its q(g) gradient."""
+    n = lam.size
     # K^-1 Sigma K^-1 - K^-1 = Lam Sigma Lam - Lam, as Sigma^-1 = K^-1 + Lam
     S = np.eye(n) - Sigma * lam[None, :]      # Sigma K^-1
     M = (np.outer(u, v)
@@ -304,9 +339,7 @@ def _bound_value_grad(x, D2, Phi_a, alpha, y):
     ell = np.exp(log_ell)
     dK_dlog_ell = np.exp(log_sv) * C * (D2 / ell**2)
     g_log_ell = float(np.sum(M * dK_dlog_ell))
-
-    grad = np.concatenate([g_eta, [g_log_ell, g_log_sv, g_mu0]])
-    return fval, grad
+    return g_log_ell, g_log_sv
 
 
 def bound_gradients(state: VariationalState, Phi, y):
@@ -332,33 +365,38 @@ def update_alpha(alpha, Phi_a, r, y, max_inner: int = 30):
     safeguard: a step is geometrically backed off toward the previous
     precisions until the collapsed evidence does not decrease.
 
-    r is fixed here, so the Gram matrix is formed once per call, and the
-    factor that scored an accepted step gives the next step's posterior:
-    one Cholesky factorization per evidence evaluation."""
+    r is fixed here, so the Gram matrix and the noise terms of the
+    evidence are formed once per call, and the factor that scored an
+    accepted step gives the next step's posterior: one Cholesky
+    factorization per evidence evaluation."""
     alpha = np.asarray(alpha, dtype=float).copy()
     _, G, b = _gram(Phi_a, r, y)
+    noise = _noise_terms(r, y)
+    eye = np.eye(alpha.size)
     L = _factor(G, alpha)
-    ev, _ = _evidence(L, b, alpha, r, y)
+    ev, _ = _evidence(L, b, alpha, r, y, noise)
     for _ in range(max_inner):
-        mu_w, Sigma_w = _posterior(L, b)
-        gamma = np.clip(1.0 - alpha * np.diag(Sigma_w), 1e-12, 1.0)
+        # mu_w and diag(Sigma_w) from the factor: _posterior's symmetrized
+        # Sigma_w has the same diagonal, and the step needs no more of it
+        mu_w = chol_solve(L, b)
+        gamma = (1.0 - alpha * chol_solve(L, eye).diagonal()).clip(1e-12, 1.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             proposal = gamma / mu_w**2
         proposal = np.where(np.isfinite(proposal) & (proposal > 0),
                             proposal, _ALPHA_MAX)
-        proposal = np.clip(proposal, _ALPHA_MIN, _ALPHA_MAX)
+        proposal = proposal.clip(_ALPHA_MIN, _ALPHA_MAX)
         trial = proposal
         accepted = False
         for _ in range(8):
             L_new = _factor(G, trial)
-            ev_new, _ = _evidence(L_new, b, trial, r, y)
+            ev_new, _ = _evidence(L_new, b, trial, r, y, noise)
             if ev_new >= ev - 1e-10:
                 accepted = True
                 break
             trial = np.sqrt(trial * alpha)  # back off in log space
         if not accepted:
             break
-        change = float(np.max(np.abs(np.log(trial) - np.log(alpha))))
+        change = float(np.abs(np.log(trial) - np.log(alpha)).max())
         alpha, ev, L = trial, ev_new, L_new
         if change < 1e-3:
             break
@@ -446,24 +484,32 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
 
             # (f, g) of every point this iteration has evaluated: the
             # stages, their L-BFGS runs and the acceptance test below share
-            # them.  The start point must evaluate; a trial point where
-            # the bound breaks down reads -inf, so the line search backs off.
-            memo = {x0.tobytes(): _bound_value_grad(x0, D2, Phi_a, alpha, y)}
+            # them.  The q-stage's gradients lack the (log_ell, log_sv)
+            # entries and carry the function that completes them.  The
+            # start point must evaluate; a trial point where the bound
+            # breaks down reads -inf, so the line search backs off.
+            memo = {x0.tobytes(): _bound_value_grad(x0, D2, Phi_a, alpha, y,
+                                                    False)}
 
-            def bound(x):
+            def bound(x, hyper=True):
                 key = x.tobytes()
                 if key not in memo:
                     try:
-                        memo[key] = _bound_value_grad(x, D2, Phi_a, alpha, y)
+                        memo[key] = _bound_value_grad(x, D2, Phi_a, alpha, y,
+                                                      hyper)
                     except (FactorizationError, FloatingPointError):
                         memo[key] = (-np.inf, np.zeros(x.size))
-                return memo[key]
+                f, g, *complete = memo[key]
+                if hyper and complete:
+                    g = complete[0]()
+                    memo[key] = (f, g)
+                return f, g
 
-            def stage(x_start, free_mask, budget):
+            def stage(x_start, free_mask, budget, hyper):
                 def negf(xfree):
                     x = x_start.copy()
                     x[free_mask] = xfree
-                    f, g = bound(x)
+                    f, g = bound(x, hyper)
                     return -f, -g[free_mask]
                 f_start = negf(x_start[free_mask])[0]
                 res = minimize(negf, x_start[free_mask], jac=True,
@@ -490,13 +536,19 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
             free = np.ones(x0.size, dtype=bool)
             free_q = free.copy()
             free_q[n] = free_q[n + 1] = False
-            x1, ok1 = stage(x0, free_q, config.inner_maxiter)
-            x1, ok2 = stage(x1, free, config.inner_maxiter)
+            x1, ok1 = stage(x0, free_q, config.inner_maxiter, False)
+            # the joint stage starts from x1's completed gradient; every
+            # other incomplete gradient is dropped with its pieces
+            f0 = bound(x0, False)[0]
+            bound(x1)
+            for key in [k for k, e in memo.items() if len(e) == 3]:
+                del memo[key]
+            x1, ok2 = stage(x1, free, config.inner_maxiter, True)
             if not (ok1 and ok2):
                 if stalled_once:
                     status = "stalled"
                 stalled_once = True
-            if bound(x1)[0] >= bound(x0)[0]:
+            if bound(x1)[0] >= f0:
                 eta = x1[:n]
                 lam = np.clip(0.5 * _sigmoid(eta), 1e-12, 0.5 - 1e-12)
                 log_ell, log_sv, mu0 = x1[n], x1[n + 1], x1[n + 2]

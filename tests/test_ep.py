@@ -13,6 +13,9 @@ from hetrvm.numerics import Quadrature
 from hetrvm.predict import predict
 from hetrvm.serialize import model_to_dict
 
+# np.trapezoid is new in numpy 2.0; pyproject.toml accepts numpy 1.24
+trapezoid = getattr(np, "trapezoid", None) or np.trapz
+
 
 def fresh_state(K, mu0=0.0):
     n = K.shape[0]
@@ -72,9 +75,9 @@ class TestTiltedMoments:
                 - 0.5 * g - 0.5 * m_hat * np.exp(-g)
                 - 0.5 * np.log(2 * np.pi))
         v = np.exp(logv - logv.max())
-        z = np.trapezoid(v, g)
-        mean = np.trapezoid(v * g, g) / z
-        var = np.trapezoid(v * (g - mean) ** 2, g) / z
+        z = trapezoid(v, g)
+        mean = trapezoid(v * g, g) / z
+        var = trapezoid(v * (g - mean) ** 2, g) / z
         return np.log(z) + logv.max(), mean, var
 
     def test_tight_cavity_pins_mean(self):
@@ -293,6 +296,27 @@ class TestFitEp:
         rebuilt = fit_ep(data, KernelSpec(lengthscale=0.3))
         assert (json.dumps(model_to_dict(cached), sort_keys=True)
                 == json.dumps(model_to_dict(rebuilt), sort_keys=True))
+
+    def test_prior_terms_once_per_fit_change_no_number(self, monkeypatch):
+        # oracle: the same fit with K factored again on every pass
+        data, _ = synth(SynthSpec(generator="goldberg_sine", n=100, seed=0))
+        terms = hetrvm.ep._prior_terms
+        calls = []
+
+        def counted(K):
+            calls.append(K.shape)
+            return terms(K)
+
+        monkeypatch.setattr(hetrvm.ep, "_prior_terms", counted)
+        once = fit_ep(data, KernelSpec(lengthscale=0.3))
+        assert calls == [(100, 100)]
+        posterior = hetrvm.ep.ep_posterior
+        monkeypatch.setattr(hetrvm.ep, "ep_posterior",
+                            lambda *args, prior: posterior(*args))
+        every_pass = fit_ep(data, KernelSpec(lengthscale=0.3))
+        assert len(calls) > 2
+        assert (json.dumps(model_to_dict(once), sort_keys=True)
+                == json.dumps(model_to_dict(every_pass), sort_keys=True))
 
     @settings(derandomize=True, max_examples=25, deadline=None)
     @given(generator=hst.sampled_from(["goldberg_sine", "linear_het",

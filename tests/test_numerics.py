@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from hetrvm.numerics import (FactorizationError, chol_factor, gauss_hermite,
-                             gauss_kl, grad_check, lognormal_mean)
+from hetrvm.numerics import (FactorizationError, chol_factor, chol_solve,
+                             gauss_hermite, gauss_kl, grad_check,
+                             lognormal_mean, lower_solve)
 
 
 def _solve_logdet(A, b):
@@ -164,3 +167,94 @@ def test_chol_factor_matches_numpy():
     A = M @ M.T + 5 * np.eye(5)
     np.testing.assert_allclose(chol_factor(A), np.linalg.cholesky(A),
                                atol=1e-10)
+
+
+def _laid_out(A, layout):
+    """A copy of A that is C-ordered, Fortran-ordered, or a strided view
+    into a larger array (neither)."""
+    A = np.asarray(A, dtype=float)
+    if layout == "C":
+        return np.ascontiguousarray(A)
+    if layout == "F":
+        return np.asfortranarray(A)
+    big = np.full(tuple(2 * d for d in A.shape), np.nan)
+    view = big[(slice(None, None, 2),) * A.ndim]
+    view[...] = A
+    return view
+
+
+def _spd(n, seed):
+    rng = np.random.default_rng(seed)
+    M = rng.normal(size=(n, n))
+    return M @ M.T + n * np.eye(n)
+
+
+class TestDirectLapack:
+    """chol_factor, chol_solve and lower_solve call LAPACK directly and
+    must return the bits scipy.linalg's wrappers return."""
+
+    SIZES = [0, 1, 7, 31, 101]
+    LAYOUTS = ["C", "F", "strided"]
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("n", SIZES)
+    def test_factor_equals_scipy(self, n, layout):
+        A = _laid_out(_spd(n, n), layout)
+        want = sla.cholesky(A, lower=True, check_finite=False)
+        got = chol_factor(A)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("rhs", ["vector", "matrix"])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("n", SIZES)
+    def test_solves_equal_scipy(self, n, layout, rhs):
+        rng = np.random.default_rng(n + 1)
+        L = _laid_out(sla.cholesky(_spd(n, n), lower=True), layout)
+        b = _laid_out(rng.normal(size=(n,) if rhs == "vector" else (n, 3)),
+                      layout)
+        want = sla.cho_solve((L, True), b, check_finite=False)
+        got = chol_solve(L, b)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        want = sla.solve_triangular(L, b, lower=True, check_finite=False)
+        got = lower_solve(L, b)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n, bad", [(3, 1), (7, 5), (31, 31)])
+    def test_pivot_matches_scipy_message(self, n, bad):
+        A = _spd(n, n)
+        A[bad - 1, bad - 1] = -1e6   # leading minor ``bad`` fails first
+        with pytest.raises(sla.LinAlgError) as ref:
+            sla.cholesky(A, lower=True, check_finite=False)
+        with pytest.raises(FactorizationError) as exc:
+            chol_factor(A)
+        assert exc.value.pivot == bad
+        assert str(ref.value).startswith(f"{bad}-th leading minor")
+
+    def test_singular_triangle_raises(self):
+        with pytest.raises(FactorizationError):
+            lower_solve(np.diag([1.0, 0.0, 2.0]), np.ones(3))
+
+
+class TestNonFiniteInput:
+    """A non-finite entry anywhere raises, without a warning, rather than
+    returning a NaN factor or the factor of another matrix."""
+
+    @staticmethod
+    def _case(name):
+        A = np.eye(3)
+        if name == "nan_diagonal":
+            A[1, 1] = np.nan
+        elif name == "nan_upper":
+            A[0, 2] = np.nan
+        else:
+            A[0, 2] = A[2, 0] = np.inf
+        return A
+
+    @pytest.mark.parametrize("name", ["nan_diagonal", "nan_upper",
+                                      "inf_off_diagonal"])
+    def test_raises_without_warning(self, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FactorizationError):
+                chol_factor(self._case(name))

@@ -359,6 +359,23 @@ class TestBoundAgainstDenseInverses:
         assert np.max(err) < 1e-7
 
 
+class TestQOnlyBound:
+    """The q-stage's evaluation skips the (log_ell, log_sv) block; what it
+    does return, and the completed gradient, are the full call's bits."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("m", [41, 10, 1])
+    def test_matches_full_call(self, m, seed):
+        x, D2, Phi_a, alpha, y, _ = _wide_noise_case(m, seed)
+        n = y.size
+        f, g = _bound_value_grad(x, D2, Phi_a, alpha, y)
+        f_q, g_q, complete = _bound_value_grad(x, D2, Phi_a, alpha, y, False)
+        assert f_q == f
+        assert np.array_equal(g_q[:n], g[:n]) and g_q[n + 2] == g[n + 2]
+        assert np.all(np.isnan(g_q[n:n + 2]))
+        assert np.array_equal(complete(), g)
+
+
 def _update_alpha_reference(alpha, Phi_a, r, y, max_inner=30):
     """The precision update as first written: a fresh Gram matrix and
     Cholesky factor for every posterior and every evidence."""
@@ -553,6 +570,27 @@ class TestFitVi:
         mu_ref = np.linalg.solve(H, Phi_a.T @ data.y / s2)
         np.testing.assert_allclose(model.mu_w, mu_ref, atol=1e-10)
         np.testing.assert_allclose(model.Sigma_w, np.linalg.inv(H), atol=1e-10)
+
+    def test_q_stage_gradient_changes_no_number(self, monkeypatch):
+        # oracle: the same fit with the q-stage computing full gradients
+        data, _ = synth(SynthSpec(generator="goldberg_sine", n=60, seed=1))
+        kernel = KernelSpec(lengthscale=0.3)
+        bound = hetrvm.vi._bound_value_grad
+        q_only = []
+
+        def counted(x, D2, Phi_a, alpha, y, hyper=True):
+            q_only.append(not hyper)
+            return bound(x, D2, Phi_a, alpha, y, hyper)
+
+        monkeypatch.setattr(hetrvm.vi, "_bound_value_grad", counted)
+        lean = fit_vi(data, kernel)
+        assert any(q_only)
+        monkeypatch.setattr(hetrvm.vi, "_bound_value_grad",
+                            lambda x, D2, Phi_a, alpha, y, hyper=True:
+                            bound(x, D2, Phi_a, alpha, y))
+        full = fit_vi(data, kernel)
+        assert (json.dumps(model_to_dict(lean), sort_keys=True)
+                == json.dumps(model_to_dict(full), sort_keys=True))
 
     def test_learns_heteroscedastic_ramp(self):
         data, _ = synth(SynthSpec(generator="goldberg_sine", n=80, seed=3))
