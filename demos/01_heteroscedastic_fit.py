@@ -8,7 +8,7 @@ to average that ramp away; the variational model recovers it.
 import numpy as np
 
 from hetrvm import (KernelSpec, SynthSpec, fit_rvm, fit_vi, nlpd, predict,
-                    rmse, rvm_predictive_dist, synth)
+                    rmse, synth)
 
 train, true_sd = synth(SynthSpec(generator="goldberg_sine", n=100, seed=1))
 test, _ = synth(SynthSpec(generator="goldberg_sine", n=100, seed=10_001))
@@ -20,10 +20,11 @@ rvm = fit_rvm(train, kernel)
 print(f"variational fit: status={vi.status}, iterations={vi.n_iter}, "
       f"active basis {len(vi.active_indices)}/101")
 print(f"baseline fit:    status={rvm.status}, "
-      f"active basis {len(rvm.active_indices)}/101")
+      f"active basis {len(rvm.active_indices)}/101, one noise sd "
+      f"{np.exp(rvm.noise_mu0 / 2) * rvm.standardization.y_scale:.2f}")
 
 vi_pred = predict(vi, test.X)
-rvm_pred = rvm_predictive_dist(rvm, test.X)
+rvm_pred = predict(rvm, test.X)
 print(f"\nheld-out RMSE   vi={rmse(vi_pred.latent_mean, test.y):.4f}  "
       f"rvm={rmse(rvm_pred.latent_mean, test.y):.4f}")
 print(f"held-out NLPD   vi={nlpd(vi_pred, test.y):.4f}  "

@@ -7,7 +7,7 @@ and their weights are pruned, leaving a handful of relevance vectors.
 
 import numpy as np
 
-from hetrvm import Dataset, KernelSpec, fit_rvm, rvm_predict
+from hetrvm import Dataset, KernelSpec, fit_rvm, predict
 
 rng = np.random.default_rng(1)
 X = np.sort(rng.uniform(0, 1, 80))[:, None]
@@ -16,7 +16,8 @@ y = np.sin(2 * np.pi * X[:, 0]) + 0.1 * rng.standard_normal(80)
 model = fit_rvm(Dataset(X, y), KernelSpec(lengthscale=0.2))
 
 print(f"kept {len(model.active_indices)} of 81 candidate basis functions")
-sd_orig = float(np.sqrt(model.sigma2)) * model.standardization.y_scale
+# the RVM's log-noise is the constant noise_mu0 = log sigma2
+sd_orig = float(np.exp(model.noise_mu0 / 2)) * model.standardization.y_scale
 print(f"noise sd estimate: {sd_orig:.3f} (true 0.1)")
 
 print("\nrelevance vectors (column 0 is the bias):")
@@ -30,5 +31,5 @@ print(f"\nmarginal log-likelihood climbed {log[0]:.2f} -> {log[-1]:.2f} "
       f"over {len(log)} accepted steps (monotone: "
       f"{bool(np.all(np.diff(log) >= -1e-8))})")
 
-mean, _ = rvm_predict(model, X)
+mean = predict(model, X).latent_mean
 print(f"training RMSE: {float(np.sqrt(np.mean((mean - y) ** 2))):.4f}")

@@ -17,8 +17,10 @@ from .data import DataError, Dataset, SynthSpec, load_csv, synth
 from .ep import EpConfig, fit_ep
 from .kernels import KernelSpec
 from .numerics import FactorizationError
-from .predict import nlpd, predict, rmse, rvm_predictive_dist
-from .rvm import RvmConfig, RvmModel, fit_rvm
+from .predict import nlpd, predict, rmse
+# kept for perfbench's tracer until ROADMAP item 2
+from .predict import rvm_predictive_dist  # noqa: F401
+from .rvm import RvmConfig, fit_rvm
 from .serialize import SchemaError, load_model, save_model
 from .vi import VIConfig, fit_vi
 
@@ -44,12 +46,6 @@ def _fit(method, data, kernel, args):
             max_passes=args.max_iter, tol=args.tol,
             alpha_threshold=args.alpha_threshold, damping=args.damping))
     raise ValueError(f"unknown method {method!r}")
-
-
-def _predictive(model, X):
-    if isinstance(model, RvmModel):
-        return rvm_predictive_dist(model, X)
-    return predict(model, X)
 
 
 def _resolved(args) -> dict:
@@ -89,7 +85,7 @@ def _cmd_predict(args):
     model = load_model(args.model)
     data = load_csv(args.data, has_header=not args.no_header,
                     target_column=args.target)
-    pred = _predictive(model, data.X)
+    pred = predict(model, data.X)
     header = ["x" + str(i) for i in range(data.q)]
     header += ["y_true", "pred_mean", "pred_sd_total", "pred_sd_latent",
                "noise_sd"]
@@ -112,7 +108,7 @@ def _cmd_evaluate(args):
     model = load_model(args.model)
     data = load_csv(args.data, has_header=not args.no_header,
                     target_column=args.target)
-    pred = _predictive(model, data.X)
+    pred = predict(model, data.X)
     lines = [
         "format_version=1",
         "config=" + json.dumps(_resolved(args), sort_keys=True),
@@ -140,7 +136,7 @@ def _cmd_benchmark(args):
                                   seed=seed + 10_000, sigma=args.sigma))
         for method in methods:
             model = _fit(method, train, _kernel_from_args(args), args)
-            pred = _predictive(model, test.X)
+            pred = predict(model, test.X)
             rows.append((method, seed, rmse(pred.latent_mean, test.y),
                          nlpd(pred, test.y), len(model.active_indices)))
     out_lines = ["format_version=1",

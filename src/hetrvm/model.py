@@ -1,4 +1,4 @@
-"""Trained heteroscedastic-model artifact shared by the VI and EP trainers."""
+"""Trained-model artifact shared by the RVM, VI and EP trainers."""
 
 from __future__ import annotations
 
@@ -23,12 +23,17 @@ class HrvmModel:
     inputs, all in standardized units.  ``standardization`` maps back to
     the original units at prediction time.
 
+    An RVM (method "rvm") is the same model with the log-noise clamped at
+    ``noise_mu0`` = log sigma2: ``g_mu`` constant and ``g_Sigma`` zero, the
+    form a ``VIConfig.clamp_g`` fit also takes.  A clamped model's
+    noise-GP hyperparameters are unused.
+
     Treat a fitted model as read-only: its first ``predict`` factors the
     noise-GP covariance at ``centers`` and keeps the result, so later
     edits to the fields would not reach the predictions.
     """
 
-    method: str                  # "vi" or "ep"
+    method: str                  # "rvm", "vi" or "ep"
     kernel: KernelSpec
     centers: np.ndarray          # training inputs, standardized units
     active_indices: List[int]

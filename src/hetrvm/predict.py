@@ -14,10 +14,9 @@ import numpy as np
 from .kernels import (GpNoisePrior, cross_covariance, design_matrix_at,
                       gp_covariance)
 from .model import HrvmModel
-from .numerics import chol_factor, chol_solve, gauss_hermite, lognormal_mean
-from .rvm import RvmModel, rvm_predict
+from .numerics import chol_factor, chol_solve, gauss_hermite
 
-__all__ = ["PredictiveDist", "predict", "rvm_predictive_dist", "nlpd", "rmse"]
+__all__ = ["PredictiveDist", "predict", "nlpd", "rmse"]
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,7 @@ def predict(model: HrvmModel, Xstar) -> PredictiveDist:
 
     readout = _noise_readout(model)
     if readout.prior is None:
-        # degenerate (clamped) posterior: the noise is a known constant
+        # clamped posterior (every RVM): the noise is a known constant
         g_mean = np.full(Xs.shape[0], float(model.g_mu[0]))
         g_var = np.zeros(Xs.shape[0])
         return _assemble(record, latent_mean, latent_var, g_mean, g_var)
@@ -111,22 +110,14 @@ def _assemble(record, latent_mean, latent_var, g_mean, g_var) -> PredictiveDist:
     scale2 = record.y_scale**2
     latent_var = latent_var * scale2
     g_mean = g_mean + np.log(scale2)
-    total_var = latent_var + lognormal_mean(g_mean, g_var)
+    # the log-normal mean E[exp(g)]; g_var >= 0 by construction
+    total_var = latent_var + np.exp(g_mean + 0.5 * g_var)
     return PredictiveDist(latent_mean=latent_mean, latent_var=latent_var,
                           g_mean=g_mean, g_var=g_var, total_var=total_var)
 
 
-def rvm_predictive_dist(model: RvmModel, Xstar) -> PredictiveDist:
-    """Homoscedastic predictive cast into the shared container
-    (deterministic log-variance, so NLPD reduces to the Gaussian form)."""
-    mean, var = rvm_predict(model, Xstar)
-    sigma2 = model.sigma2 * model.standardization.y_scale**2
-    n = mean.size
-    return PredictiveDist(latent_mean=mean,
-                          latent_var=np.maximum(var - sigma2, 0.0),
-                          g_mean=np.full(n, np.log(sigma2)),
-                          g_var=np.zeros(n),
-                          total_var=var)
+# kept for perfbench's tracer until ROADMAP item 2
+rvm_predictive_dist = predict
 
 
 def nlpd(pred: PredictiveDist, y, quad_order: int = 32) -> float:

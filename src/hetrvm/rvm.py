@@ -5,22 +5,27 @@ columns of the design matrix).
 The weight posterior, the marginal likelihood and the final pruning step
 are the heteroscedastic trainers' (:mod:`hetrvm.vi`) with the constant
 noise r = sigma2; only the add / re-estimate / delete statistics are
-specific to this module."""
+specific to this module.  The fit is an :class:`HrvmModel` whose
+log-noise process is clamped at log sigma2, the form a clamped
+variational fit takes, so it predicts and saves as the others do."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import List, Optional
 
 import numpy as np
 
-from .data import Dataset, Standardization
-from .kernels import DesignMatrix, KernelSpec, build_design_matrix, design_matrix_at
+from .data import Dataset
+from .kernels import KernelSpec, build_design_matrix
+# kept for perfbench's tracer until ROADMAP item 2
+from .kernels import design_matrix_at  # noqa: F401
+from .model import HrvmModel
 from .numerics import chol_factor, chol_solve
-from .vi import (_check_loop, _evidence, _factor, _gram, _posterior,
-                 _standardized, prune_basis, weight_posterior)
+from .vi import (_JITTER_FRAC, _check_loop, _evidence, _factor, _gram,
+                 _posterior, _standardized, prune_basis, weight_posterior)
 
-__all__ = ["RvmConfig", "RvmModel", "sparsity_quality", "fit_rvm", "rvm_predict"]
+__all__ = ["RvmConfig", "sparsity_quality", "fit_rvm"]
 
 
 @dataclass(frozen=True)
@@ -32,23 +37,6 @@ class RvmConfig:
 
     def __post_init__(self):
         _check_loop(self.max_iter, self.tol, self.alpha_threshold)
-
-
-@dataclass
-class RvmModel:
-    """Trained homoscedastic RVM over a kernel basis."""
-
-    kernel: KernelSpec
-    centers: np.ndarray          # training inputs (standardized units)
-    active_indices: List[int]    # columns of the full design matrix
-    alpha: np.ndarray
-    sigma2: float                # noise variance, standardized units
-    mu_w: np.ndarray
-    Sigma_w: np.ndarray
-    standardization: Standardization
-    training_log: List[float] = field(default_factory=list)
-    status: str = "converged"
-    n_iter: int = 0
 
 
 def _all_SQ(Phi, Phi_a, Sigma_w, sigma2, y):
@@ -88,6 +76,16 @@ def sparsity_quality(Phi: np.ndarray, y, active, alpha, sigma2, j):
     return s, q
 
 
+def _clamped_noise(n, sigma2):
+    """The noise fields of an ``HrvmModel`` over n training inputs whose
+    log-noise is clamped at log sigma2.  The noise-GP hyperparameters are
+    neutral values that ``predict`` never reads for such a model."""
+    log_s2 = float(np.log(sigma2))
+    return dict(noise_mu0=log_s2, noise_lengthscale=1.0,
+                noise_signal_variance=1.0, noise_jitter=_JITTER_FRAC,
+                g_mu=np.full(n, log_s2), g_Sigma=np.zeros((n, n)))
+
+
 def _rvm_state(Phi_a, alpha, r, y):
     """Log evidence, mu_w and Sigma_w at one (active set, alpha, r), from
     one factorization of the weight precision."""
@@ -97,11 +95,12 @@ def _rvm_state(Phi_a, alpha, r, y):
 
 
 def fit_rvm(data: Dataset, kernel: Optional[KernelSpec] = None,
-            config: Optional[RvmConfig] = None) -> RvmModel:
+            config: Optional[RvmConfig] = None) -> HrvmModel:
     """Fit by greedy maximization of the marginal likelihood: at each step
     take the single add / re-estimate / delete action with the largest
     likelihood gain; re-estimate sigma2 whenever that does not decrease
-    the likelihood."""
+    the likelihood.  Returns an ``HrvmModel`` with method "rvm" and the
+    log-noise clamped at log sigma2 (standardized units)."""
     kernel = kernel or KernelSpec()
     config = config or RvmConfig()
     work, record = _standardized(data, config.standardize)
@@ -111,9 +110,19 @@ def fit_rvm(data: Dataset, kernel: Optional[KernelSpec] = None,
     Phi = design.values
     M = Phi.shape[1]
 
+    def model(active, alpha, mu_w, Sigma_w, sigma2, **fit):
+        return HrvmModel(method="rvm", kernel=kernel, centers=design.centers,
+                         active_indices=list(active), alpha=alpha,
+                         mu_w=mu_w, Sigma_w=Sigma_w, standardization=record,
+                         config=asdict(config), **_clamped_noise(n, sigma2),
+                         **fit)
+
     var_y = float(np.var(y))
     if var_y <= 0.0:
-        return _degenerate_model(design, record, kernel)
+        # no structure to fit: bias only (or empty) at unit noise
+        k = int(kernel.include_bias)
+        return model(list(range(k)), np.full(k, 1e6), np.zeros(k),
+                     np.full((k, k), 1e-6), 1.0, status="degenerate")
     sigma2 = 0.1 * var_y
 
     # start from the basis with the largest normalized projection
@@ -206,41 +215,5 @@ def fit_rvm(data: Dataset, kernel: Optional[KernelSpec] = None,
     active, alpha, pruned = prune_basis(active, alpha, config.alpha_threshold)
     if pruned:
         mu_w, Sigma_w = weight_posterior(Phi[:, active], alpha, r, y)
-    return RvmModel(kernel=kernel, centers=design.centers,
-                    active_indices=list(active), alpha=alpha,
-                    sigma2=sigma2, mu_w=mu_w, Sigma_w=Sigma_w,
-                    standardization=record, training_log=log,
-                    status=status, n_iter=n_iter)
-
-
-def _degenerate_model(design: DesignMatrix, record, kernel):
-    """Bias-only (or empty) fallback for targets with no structure."""
-    if kernel.include_bias:
-        active = [0]
-        alpha = np.array([1e6])
-        mu_w = np.zeros(1)
-        Sigma_w = np.array([[1e-6]])
-    else:
-        active = []
-        alpha = np.zeros(0)
-        mu_w = np.zeros(0)
-        Sigma_w = np.zeros((0, 0))
-    return RvmModel(kernel=kernel, centers=design.centers,
-                    active_indices=active, alpha=alpha,
-                    sigma2=1.0, mu_w=mu_w, Sigma_w=Sigma_w,
-                    standardization=record, status="degenerate")
-
-
-def rvm_predict(model: RvmModel, Xstar):
-    """Predictive mean and variance (original units) at new inputs."""
-    record = model.standardization
-    Xs = record.apply_x(Xstar)
-    Phi_s = design_matrix_at(Xs, model.kernel, model.centers,
-                             model.active_indices)
-    if model.mu_w.size:
-        mean = Phi_s @ model.mu_w
-        var = model.sigma2 + np.sum((Phi_s @ model.Sigma_w) * Phi_s, axis=1)
-    else:
-        mean = np.zeros(Xs.shape[0])
-        var = np.full(Xs.shape[0], model.sigma2)
-    return record.invert_y(mean), var * record.y_scale**2
+    return model(active, alpha, mu_w, Sigma_w, sigma2, training_log=log,
+                 status=status, n_iter=n_iter)

@@ -3,7 +3,11 @@
 Numbers are written with Python's shortest round-trip float encoding, so
 a save / load cycle reproduces predictions to the last bit.  The format
 is self-describing: a version field, the model kind, and every field
-needed to rebuild the model.
+needed to rebuild the model.  Files are compact JSON with sorted keys.
+
+Every model is written as kind "hetrvm".  Format-1 files of kind "rvm",
+written before the RVM became an ``HrvmModel``, still load, as the
+clamped ``HrvmModel`` that ``fit_rvm`` now returns.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import numpy as np
 from .data import Standardization
 from .kernels import KernelSpec
 from .model import HrvmModel
-from .rvm import RvmModel
+from .rvm import _clamped_noise
 
 __all__ = ["FORMAT_VERSION", "SchemaError", "save_model", "load_model",
            "model_to_dict", "model_from_dict"]
@@ -56,50 +60,94 @@ def _std_from_dict(d):
                            y_scale=float(d["y_scale"]))
 
 
-def model_to_dict(model) -> dict:
-    if isinstance(model, HrvmModel):
-        body = {
-            "model_kind": "hetrvm",
-            "method": model.method,
-            "kernel": _kernel_to_dict(model.kernel),
-            "centers": _arr(model.centers),
-            "active_indices": list(map(int, model.active_indices)),
-            "alpha": _arr(model.alpha),
-            "mu_w": _arr(model.mu_w),
-            "Sigma_w": _arr(model.Sigma_w),
-            "noise_mu0": model.noise_mu0,
-            "noise_lengthscale": model.noise_lengthscale,
-            "noise_signal_variance": model.noise_signal_variance,
-            "noise_jitter": model.noise_jitter,
-            "g_mu": _arr(model.g_mu),
-            "g_Sigma": _arr(model.g_Sigma),
-            "standardization": _std_to_dict(model.standardization),
-            "training_log": [float(v) for v in model.training_log],
-            "status": model.status,
-            "n_iter": int(model.n_iter),
-            "config": model.config,
-        }
-    elif isinstance(model, RvmModel):
-        body = {
-            "model_kind": "rvm",
-            "kernel": _kernel_to_dict(model.kernel),
-            "centers": _arr(model.centers),
-            "active_indices": list(map(int, model.active_indices)),
-            "alpha": _arr(model.alpha),
-            "sigma2": model.sigma2,
-            "mu_w": _arr(model.mu_w),
-            "Sigma_w": _arr(model.Sigma_w),
-            "standardization": _std_to_dict(model.standardization),
-            "training_log": [float(v) for v in model.training_log],
-            "status": model.status,
-            "n_iter": int(model.n_iter),
-        }
-    else:
+def model_to_dict(model: HrvmModel) -> dict:
+    if not isinstance(model, HrvmModel):
         raise TypeError(f"cannot serialize {type(model).__name__}")
-    return {"format_version": FORMAT_VERSION, **body}
+    return {
+        "format_version": FORMAT_VERSION,
+        "model_kind": "hetrvm",
+        "method": model.method,
+        "kernel": _kernel_to_dict(model.kernel),
+        "centers": _arr(model.centers),
+        "active_indices": list(map(int, model.active_indices)),
+        "alpha": _arr(model.alpha),
+        "mu_w": _arr(model.mu_w),
+        "Sigma_w": _arr(model.Sigma_w),
+        "noise_mu0": model.noise_mu0,
+        "noise_lengthscale": model.noise_lengthscale,
+        "noise_signal_variance": model.noise_signal_variance,
+        "noise_jitter": model.noise_jitter,
+        "g_mu": _arr(model.g_mu),
+        "g_Sigma": _arr(model.g_Sigma),
+        "standardization": _std_to_dict(model.standardization),
+        "training_log": [float(v) for v in model.training_log],
+        "status": model.status,
+        "n_iter": int(model.n_iter),
+        "config": model.config,
+    }
 
 
-def model_from_dict(doc: dict):
+def _from_rvm(doc: dict) -> dict:
+    """A format-1 "rvm" document as the "hetrvm" one of the same model."""
+    sigma2 = float(doc["sigma2"])
+    if not (np.isfinite(sigma2) and sigma2 > 0.0):
+        raise SchemaError(f"sigma2 {sigma2!r} is not positive and finite")
+    return {**doc, "method": "rvm", "config": {},
+            **_clamped_noise(len(doc["centers"]), sigma2)}
+
+
+def _array(doc: dict, key: str, *shape: int) -> np.ndarray:
+    """``doc[key]`` as a float array of the given shape."""
+    a = np.asarray(doc[key], dtype=float)
+    if a.size == 0 and 0 in shape:
+        a = a.reshape(shape)  # an empty matrix is written as []
+    if a.shape != shape:
+        raise SchemaError(f"{key} has shape {a.shape}, expected {shape}")
+    return a
+
+
+def _model(doc: dict) -> HrvmModel:
+    """The model of a "hetrvm" document, whose sizes must agree: N rows
+    of ``centers``, m distinct ``active_indices`` in [0, n_basis), and
+    the weight and noise posteriors sized m and N."""
+    kernel = _kernel_from_dict(doc["kernel"])
+    centers = np.asarray(doc["centers"], dtype=float)
+    if centers.ndim != 2:
+        raise SchemaError(f"centers has shape {centers.shape}, expected "
+                          "(points, inputs)")
+    n = centers.shape[0]
+    n_basis = n + int(kernel.include_bias)
+    active = doc["active_indices"]
+    if not (all(type(i) is int and 0 <= i < n_basis for i in active)
+            and len(set(active)) == len(active)):
+        raise SchemaError("active_indices must be distinct integers in "
+                          f"[0, {n_basis})")
+    m = len(active)
+    return HrvmModel(
+        method=doc["method"],
+        kernel=kernel,
+        centers=centers,
+        active_indices=list(active),
+        alpha=_array(doc, "alpha", m),
+        mu_w=_array(doc, "mu_w", m),
+        Sigma_w=_array(doc, "Sigma_w", m, m),
+        noise_mu0=float(doc["noise_mu0"]),
+        noise_lengthscale=float(doc["noise_lengthscale"]),
+        noise_signal_variance=float(doc["noise_signal_variance"]),
+        noise_jitter=float(doc["noise_jitter"]),
+        g_mu=_array(doc, "g_mu", n),
+        g_Sigma=_array(doc, "g_Sigma", n, n),
+        standardization=_std_from_dict(doc["standardization"]),
+        training_log=[float(v) for v in doc["training_log"]],
+        status=doc["status"],
+        n_iter=int(doc["n_iter"]),
+        config=doc.get("config", {}),
+    )
+
+
+def model_from_dict(doc: dict) -> HrvmModel:
+    """The model of a saved document.  A document that breaks the schema,
+    or whose index and array sizes disagree, raises ``SchemaError``."""
     if not isinstance(doc, dict):
         raise SchemaError("model document must be a JSON object")
     version = doc.get("format_version")
@@ -107,54 +155,19 @@ def model_from_dict(doc: dict):
         raise SchemaError(f"unsupported format_version {version!r} "
                           f"(expected {FORMAT_VERSION})")
     kind = doc.get("model_kind")
+    if kind not in ("hetrvm", "rvm"):
+        raise SchemaError(f"unknown model_kind {kind!r}")
     try:
-        if kind == "hetrvm":
-            m = doc["mu_w"]
-            return HrvmModel(
-                method=doc["method"],
-                kernel=_kernel_from_dict(doc["kernel"]),
-                centers=np.asarray(doc["centers"], dtype=float),
-                active_indices=[int(i) for i in doc["active_indices"]],
-                alpha=np.asarray(doc["alpha"], dtype=float),
-                mu_w=np.asarray(m, dtype=float),
-                Sigma_w=np.asarray(doc["Sigma_w"], dtype=float).reshape(
-                    len(m), len(m)),
-                noise_mu0=float(doc["noise_mu0"]),
-                noise_lengthscale=float(doc["noise_lengthscale"]),
-                noise_signal_variance=float(doc["noise_signal_variance"]),
-                noise_jitter=float(doc["noise_jitter"]),
-                g_mu=np.asarray(doc["g_mu"], dtype=float),
-                g_Sigma=np.asarray(doc["g_Sigma"], dtype=float),
-                standardization=_std_from_dict(doc["standardization"]),
-                training_log=[float(v) for v in doc["training_log"]],
-                status=doc["status"],
-                n_iter=int(doc["n_iter"]),
-                config=doc.get("config", {}),
-            )
-        if kind == "rvm":
-            m = doc["mu_w"]
-            return RvmModel(
-                kernel=_kernel_from_dict(doc["kernel"]),
-                centers=np.asarray(doc["centers"], dtype=float),
-                active_indices=[int(i) for i in doc["active_indices"]],
-                alpha=np.asarray(doc["alpha"], dtype=float),
-                sigma2=float(doc["sigma2"]),
-                mu_w=np.asarray(m, dtype=float),
-                Sigma_w=np.asarray(doc["Sigma_w"], dtype=float).reshape(
-                    len(m), len(m)),
-                standardization=_std_from_dict(doc["standardization"]),
-                training_log=[float(v) for v in doc["training_log"]],
-                status=doc["status"],
-                n_iter=int(doc["n_iter"]),
-            )
+        return _model(_from_rvm(doc) if kind == "rvm" else doc)
+    except SchemaError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed model document: {exc}") from exc
-    raise SchemaError(f"unknown model_kind {kind!r}")
 
 
 def save_model(model, path) -> None:
     doc = model_to_dict(model)
-    text = json.dumps(doc, sort_keys=True, indent=1)
+    text = json.dumps(doc, sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
         fh.write("\n")

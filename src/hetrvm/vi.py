@@ -456,7 +456,7 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
     design = build_design_matrix(work.X, kernel)
     active, alpha, D2, log_ell, log_sv, mu0, K = _setup(work, design)
     Phi = design.values
-    X, y, n = work.X, work.y, work.n
+    y, n = work.y, work.n
     lam = np.full(n, 0.25)
 
     clamp = config.clamp_g
@@ -556,13 +556,12 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
             mu, Sigma = reduced_to_moments(lam, K, mu0)
             r = noise_diag(mu, Sigma)
 
+        # the evidence at the new precisions is update_alpha's; the bound
+        # adds collapsed_bound's q(g) terms, in the same order
         alpha, fval = update_alpha(alpha, Phi_a, r, y)
         if clamp is None:
-            state = VariationalState(X=X, mu=mu, Sigma=Sigma, lam=lam,
-                                     alpha=alpha, active_indices=list(active),
-                                     mu0=mu0, log_ell=log_ell, log_sv=log_sv,
-                                     K=K)
-            fval = collapsed_bound(state, Phi, y)
+            fval = (fval - 0.25 * float(np.trace(Sigma))
+                    - gauss_kl(mu, Sigma, np.full(n, mu0), K))
         training_log.append(fval)
 
         kept, kept_alpha, pruned = prune_basis(active, alpha,

@@ -20,7 +20,7 @@ from hetrvm.ep import EpConfig, EpState, cavity, ep_posterior, fit_ep, \
 from hetrvm.kernels import GpNoisePrior, KernelSpec, build_design_matrix, \
     gp_covariance
 from hetrvm.numerics import gauss_hermite, grad_check
-from hetrvm.predict import nlpd, predict, rvm_predictive_dist
+from hetrvm.predict import nlpd, predict
 from hetrvm.rvm import fit_rvm
 from hetrvm.serialize import load_model, model_to_dict, save_model
 from hetrvm.vi import VIConfig, VariationalState, bound_gradients, \
@@ -331,13 +331,13 @@ def test_criterion_8_heteroscedastic_advantage(goldberg_fits, const_fits):
     wins = 0
     for _, test, vi, rvm in goldberg_fits:
         if nlpd(predict(vi, test.X), test.y) < \
-                nlpd(rvm_predictive_dist(rvm, test.X), test.y):
+                nlpd(predict(rvm, test.X), test.y):
             wins += 1
     close = 0
     diffs = []
     for _, test, vi, rvm in const_fits:
         d = nlpd(predict(vi, test.X), test.y) \
-            - nlpd(rvm_predictive_dist(rvm, test.X), test.y)
+            - nlpd(predict(rvm, test.X), test.y)
         diffs.append(d)
         if abs(d) <= 0.05:
             close += 1

@@ -8,8 +8,7 @@ PUBLIC = [
     "standardize", "synth",
     "KernelSpec", "RvmConfig", "VIConfig", "EpConfig",
     "fit_rvm", "fit_vi", "fit_ep",
-    "HrvmModel", "RvmModel", "PredictiveDist", "predict", "rvm_predict",
-    "rvm_predictive_dist", "nlpd", "rmse",
+    "HrvmModel", "PredictiveDist", "predict", "nlpd", "rmse",
     "save_model", "load_model", "SchemaError", "FactorizationError",
 ]
 

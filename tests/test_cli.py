@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,14 @@ def vi_model(train_csv, tmp_path_factory):
                 "--out", str(path), "--lengthscale", "0.3",
                 "--max-iter", "20"])
     assert code == 0
+    return path
+
+
+@pytest.fixture(scope="module")
+def rvm_model(train_csv, tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli_model") / "rvm.json"
+    assert run(["train", "--method", "rvm", "--data", str(train_csv),
+                "--out", str(path), "--lengthscale", "0.3"]) == 0
     return path
 
 
@@ -72,6 +82,16 @@ class TestPredictEvaluate:
         assert len(lines) == 32
         row = [float(v) for v in lines[2].split("\t")]
         assert np.all(np.isfinite(row))
+
+    def test_rvm_model_predicts(self, rvm_model, train_csv, tmp_path):
+        out = tmp_path / "pred.tsv"
+        assert run(["predict", "--model", str(rvm_model),
+                    "--data", str(train_csv), "--out", str(out)]) == 0
+        rows = [[float(v) for v in line.split("\t")]
+                for line in out.read_text().splitlines()[2:]]
+        assert len(rows) == 30
+        noise_sd = {row[-1] for row in rows}
+        assert len(noise_sd) == 1 and noise_sd.pop() > 0
 
     def test_evaluate_report(self, vi_model, train_csv, tmp_path):
         report = tmp_path / "report.txt"
@@ -206,3 +226,37 @@ class TestExitCodes:
         data.write_text("x,y\n0,1\n1,2\n2,3\n")
         assert run(["predict", "--model", str(bogus), "--data", str(data),
                     "--out", str(tmp_path / "p.tsv")]) == 3
+
+
+def _set_index(value):
+    def mutate(doc):
+        doc["active_indices"][0] = value
+    return mutate
+
+
+def _drop_last(key):
+    def mutate(doc):
+        doc[key] = doc[key][:-1]
+    return mutate
+
+
+@pytest.mark.parametrize("method, mutate", [
+    pytest.param("rvm", _set_index(999), id="rvm-index-past-n_basis"),
+    pytest.param("rvm", _set_index(-1), id="rvm-index-negative"),
+    pytest.param("rvm", _drop_last("alpha"), id="rvm-alpha-short"),
+    pytest.param("vi", _drop_last("g_mu"), id="vi-g_mu-short"),
+    pytest.param("vi", _drop_last("centers"), id="vi-centers-short"),
+])
+def test_inconsistent_model_file_is_data_error(request, train_csv, tmp_path,
+                                               capsys, method, mutate):
+    """A model file whose sizes disagree is a data error (exit 3) at
+    load time, not a traceback, a silently different NLPD or a numeric
+    failure."""
+    model = request.getfixturevalue(f"{method}_model")
+    doc = json.loads(model.read_text())
+    mutate(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["evaluate", "--model", str(bad),
+                "--data", str(train_csv)]) == 3
+    assert "data error" in capsys.readouterr().err

@@ -10,9 +10,8 @@ from hetrvm.ep import fit_ep
 from hetrvm.kernels import (KernelSpec, cross_covariance, design_matrix_at,
                             gp_covariance)
 from hetrvm.numerics import gauss_hermite, lognormal_mean
-from hetrvm.predict import (PredictiveDist, nlpd, predict, rmse,
-                            rvm_predictive_dist)
-from hetrvm.rvm import fit_rvm, rvm_predict
+from hetrvm.predict import PredictiveDist, nlpd, predict, rmse
+from hetrvm.rvm import fit_rvm
 from hetrvm.serialize import model_from_dict, model_to_dict
 from hetrvm.vi import VIConfig, fit_vi
 
@@ -175,7 +174,7 @@ class TestVectorizedNlpd:
     def test_all_deterministic(self):
         data, _ = synth(SynthSpec(n=40, seed=4))
         model = fit_rvm(data, KernelSpec(lengthscale=0.3))
-        d = rvm_predictive_dist(model, data.X)
+        d = predict(model, data.X)
         assert np.all(d.g_var == 0.0)
         assert nlpd(d, data.y) == pytest.approx(loop_nlpd(d, data.y),
                                                 rel=1e-12)
@@ -319,9 +318,9 @@ class TestNonFiniteInput:
         data, _ = synth(SynthSpec(generator="const_noise", n=30, seed=3))
         model = fit_rvm(data, KernelSpec(lengthscale=0.4))
         with pytest.raises(ValueError, match="non-finite"):
-            rvm_predictive_dist(model, [[bad]])
+            predict(model, [[bad]])
         with pytest.raises(ValueError, match="non-finite"):
-            rvm_predictive_dist(model, [[0.5], [bad]])
+            predict(model, [[0.5], [bad]])
 
 
 class TestPredict:
@@ -363,12 +362,25 @@ class TestPredict:
         assert np.all(pred.total_var > pred.latent_var)
 
 
+def rvm_predict(model, X):
+    """The homoscedastic RVM predictive in original units, from the
+    weight posterior and sigma2 = exp(noise_mu0): mean phi^T mu_w and
+    variance sigma2 + phi^T Sigma_w phi."""
+    record = model.standardization
+    Phi = design_matrix_at(record.apply_x(X), model.kernel, model.centers,
+                           model.active_indices)
+    sigma2 = np.exp(model.noise_mu0)
+    var = sigma2 + np.sum((Phi @ model.Sigma_w) * Phi, axis=1)
+    return record.invert_y(Phi @ model.mu_w), var * record.y_scale**2
+
+
 class TestRvmPredictiveDist:
     def test_consistent_with_rvm_predict(self):
         data, _ = synth(SynthSpec(generator="const_noise", n=40, seed=3))
         model = fit_rvm(data, KernelSpec(lengthscale=0.4))
+        assert model.method == "rvm"
         mean, var = rvm_predict(model, data.X)
-        dist = rvm_predictive_dist(model, data.X)
+        dist = predict(model, data.X)
         np.testing.assert_allclose(dist.latent_mean, mean, atol=1e-12)
         np.testing.assert_allclose(dist.total_var, var, atol=1e-12)
         np.testing.assert_allclose(dist.g_var, 0.0, atol=1e-15)
@@ -376,5 +388,5 @@ class TestRvmPredictiveDist:
     def test_nlpd_finite(self):
         data, _ = synth(SynthSpec(n=40, seed=4))
         model = fit_rvm(data, KernelSpec(lengthscale=0.3))
-        dist = rvm_predictive_dist(model, data.X)
+        dist = predict(model, data.X)
         assert np.isfinite(nlpd(dist, data.y))

@@ -5,7 +5,8 @@ import hetrvm.rvm
 import hetrvm.vi
 from hetrvm.data import Dataset, SynthSpec, synth
 from hetrvm.kernels import KernelSpec, build_design_matrix
-from hetrvm.rvm import RvmConfig, fit_rvm, rvm_predict, sparsity_quality
+from hetrvm.predict import predict
+from hetrvm.rvm import RvmConfig, fit_rvm, sparsity_quality
 
 
 class TestSparsityQuality:
@@ -149,7 +150,7 @@ class TestFitRvm:
         model = fit_rvm(data, KernelSpec(lengthscale=0.3))
         assert 0 < len(model.active_indices) < 61
         assert np.all(model.alpha > 0)
-        assert model.sigma2 > 0
+        assert np.exp(model.noise_mu0) > 0
 
 
 class TestRvmPredict:
@@ -157,13 +158,15 @@ class TestRvmPredict:
         X = np.linspace(0, 1, 20)[:, None]
         y = np.sin(2 * np.pi * X[:, 0])
         model = fit_rvm(Dataset(X, y), KernelSpec(lengthscale=0.25))
-        mean, var = rvm_predict(model, X)
+        pred = predict(model, X)
+        mean, var = pred.latent_mean, pred.total_var
         assert np.max(np.abs(mean - y)) < 0.1
         assert np.all(var >= 0)
 
     def test_variance_at_least_noise(self):
         data, _ = synth(SynthSpec(n=40, seed=3))
         model = fit_rvm(data, KernelSpec(lengthscale=0.3))
-        _, var = rvm_predict(model, data.X)
-        sigma2_orig = model.sigma2 * model.standardization.y_scale**2
+        var = predict(model, data.X).total_var
+        sigma2_orig = (np.exp(model.noise_mu0)
+                       * model.standardization.y_scale**2)
         assert np.all(var >= sigma2_orig - 1e-12)

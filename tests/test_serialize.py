@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from hetrvm.data import SynthSpec, synth
 from hetrvm.ep import EpConfig, fit_ep
 from hetrvm.kernels import KernelSpec
-from hetrvm.predict import predict, rvm_predictive_dist
+from hetrvm.model import HrvmModel
+from hetrvm.predict import nlpd, predict
 from hetrvm.rvm import fit_rvm
 from hetrvm.serialize import (SchemaError, load_model, model_from_dict,
                               model_to_dict, save_model)
@@ -32,12 +34,9 @@ def test_round_trip_predictions_bit_identical(fitted, tmp_path, method):
     path = tmp_path / f"{method}.json"
     save_model(model, path)
     loaded = load_model(path)
-    if method == "rvm":
-        before = rvm_predictive_dist(model, data.X)
-        after = rvm_predictive_dist(loaded, data.X)
-    else:
-        before = predict(model, data.X)
-        after = predict(loaded, data.X)
+    assert loaded.method == method
+    before = predict(model, data.X)
+    after = predict(loaded, data.X)
     assert np.array_equal(before.latent_mean, after.latent_mean)
     assert np.array_equal(before.total_var, after.total_var)
     assert np.array_equal(before.g_mean, after.g_mean)
@@ -93,3 +92,100 @@ def test_fields_preserved_exactly(fitted, tmp_path):
     assert model.training_log == loaded.training_log
     assert model.active_indices == loaded.active_indices
     assert model.kernel == loaded.kernel
+
+
+def _drop_last(key):
+    def mutate(doc):
+        doc[key] = doc[key][:-1]
+    return mutate
+
+
+def _set_index(position, value):
+    def mutate(doc):
+        doc["active_indices"][position] = value
+    return mutate
+
+
+def _shrink_weights(doc):
+    # mu_w and Sigma_w agree with each other, not with the active set
+    doc["mu_w"] = doc["mu_w"][:-1]
+    doc["Sigma_w"] = [row[:-1] for row in doc["Sigma_w"][:-1]]
+
+
+def _flatten(key):
+    def mutate(doc):
+        doc[key] = [v for row in doc[key] for v in row]
+    return mutate
+
+
+def _repeat_index(doc):
+    doc["active_indices"][1] = doc["active_indices"][0]
+
+
+@pytest.mark.parametrize("mutate", [
+    pytest.param(_set_index(0, 999), id="index-past-n_basis"),
+    pytest.param(_set_index(0, -1), id="index-negative"),
+    pytest.param(_set_index(0, 2.5), id="index-not-integer"),
+    pytest.param(_repeat_index, id="index-repeated"),
+    pytest.param(_drop_last("alpha"), id="alpha-short"),
+    pytest.param(_shrink_weights, id="mu_w-short"),
+    pytest.param(_flatten("Sigma_w"), id="Sigma_w-flat"),
+    pytest.param(_drop_last("g_mu"), id="g_mu-short"),
+    pytest.param(_drop_last("g_Sigma"), id="g_Sigma-short"),
+    pytest.param(_drop_last("centers"), id="centers-short"),
+    pytest.param(_flatten("centers"), id="centers-flat"),
+])
+def test_inconsistent_document_rejected(fitted, mutate):
+    """A document whose index and array sizes disagree fails to load,
+    rather than loading and then predicting from wrapped or truncated
+    arrays (or failing later as a numeric error)."""
+    doc = model_to_dict(fitted["vi"])
+    assert len(doc["active_indices"]) >= 2
+    mutate(doc)
+    with pytest.raises(SchemaError):
+        model_from_dict(doc)
+
+
+LEGACY = Path(__file__).resolve().parent / "data"
+
+
+def test_legacy_rvm_document_loads_as_clamped_model():
+    """A format-1 "rvm" file, as the package wrote them before the RVM
+    became an HrvmModel, loads as the clamped model and predicts what
+    the old RVM predictive did (stored beside it, on held-out points)."""
+    model = load_model(LEGACY / "legacy_rvm_format1.json")
+    doc = json.loads((LEGACY / "legacy_rvm_format1.json").read_text())
+    expected = json.loads(
+        (LEGACY / "legacy_rvm_format1_pred.json").read_text())
+    assert doc["model_kind"] == "rvm"
+    assert isinstance(model, HrvmModel) and model.method == "rvm"
+    assert model.active_indices == doc["active_indices"]
+    assert np.exp(model.noise_mu0) == pytest.approx(doc["sigma2"], rel=1e-15)
+    n = len(doc["centers"])
+    assert np.array_equal(model.g_Sigma, np.zeros((n, n)))
+    assert np.all(model.g_mu == model.noise_mu0)
+
+    X = np.asarray(expected["X"])
+    pred = predict(model, X)
+    for name in ("latent_mean", "latent_var", "g_mean", "g_var",
+                 "total_var"):
+        np.testing.assert_allclose(getattr(pred, name), expected[name],
+                                   rtol=1e-12, atol=0, err_msg=name)
+    assert nlpd(pred, expected["y"]) == pytest.approx(expected["nlpd"],
+                                                      rel=1e-12)
+
+
+def test_legacy_rvm_document_needs_positive_sigma2():
+    doc = json.loads((LEGACY / "legacy_rvm_format1.json").read_text())
+    doc["sigma2"] = 0.0
+    with pytest.raises(SchemaError, match="sigma2"):
+        model_from_dict(doc)
+
+
+def test_model_files_are_compact_json(fitted, tmp_path):
+    path = tmp_path / "m.json"
+    save_model(fitted["rvm"], path)
+    text = path.read_text()
+    assert text.count("\n") == 1 and text.endswith("\n")
+    assert text == json.dumps(model_to_dict(fitted["rvm"]),
+                              sort_keys=True) + "\n"
