@@ -55,6 +55,13 @@ class HrvmModel:
     _noise_readout: object = field(default=None, init=False, repr=False,
                                    compare=False)
 
+    @property
+    def noise_clamped(self) -> bool:
+        """Whether the log-noise posterior is a point mass at one constant
+        (every RVM, and every ``VIConfig.clamp_g`` fit): ``g_Sigma`` all
+        zero and ``g_mu`` constant."""
+        return bool(np.all(self.g_Sigma == 0.0) and np.ptp(self.g_mu) == 0.0)
+
     def noise_prior(self) -> GpNoisePrior:
         kern = KernelSpec(family="rbf",
                           lengthscale=self.noise_lengthscale,

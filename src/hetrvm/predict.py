@@ -47,7 +47,7 @@ def _noise_readout(model: HrvmModel) -> _NoiseReadout:
     """The model's noise-GP readout, built on its first call and kept on
     the model."""
     if model._noise_readout is None:
-        if np.all(model.g_Sigma == 0.0) and np.ptp(model.g_mu) == 0.0:
+        if model.noise_clamped:
             readout = _NoiseReadout(None, None, None)
         else:
             prior = model.noise_prior()

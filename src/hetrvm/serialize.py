@@ -5,9 +5,19 @@ a save / load cycle reproduces predictions to the last bit.  The format
 is self-describing: a version field, the model kind, and every field
 needed to rebuild the model.  Files are compact JSON with sorted keys.
 
-Every model is written as kind "hetrvm".  Format-1 files of kind "rvm",
-written before the RVM became an ``HrvmModel``, still load, as the
-clamped ``HrvmModel`` that ``fit_rvm`` now returns.
+Every model is written as kind "hetrvm".  A clamped model (every RVM,
+and every ``VIConfig.clamp_g`` fit) writes its log-noise as the one
+number ``g_const``, which format 2 added; any other model writes the
+arrays ``g_mu`` (N) and ``g_Sigma`` (N x N).  The reader rebuilds a
+clamped model's arrays exactly, so its predictions survive a save /
+load to the bit.  A document carries the oldest version that reads it:
+2 for the compact form, 1 for the arrays, so VI and EP files are the
+same bytes as before and still load in format-1 readers.
+
+Format-1 files still load.  Their "hetrvm" documents always carry the
+two arrays, and their "rvm" documents, written before the RVM became an
+``HrvmModel``, load as the clamped ``HrvmModel`` that ``fit_rvm`` now
+returns.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from .rvm import _clamped_noise
 __all__ = ["FORMAT_VERSION", "SchemaError", "save_model", "load_model",
            "model_to_dict", "model_from_dict"]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class SchemaError(ValueError):
@@ -64,7 +74,7 @@ def model_to_dict(model: HrvmModel) -> dict:
     if not isinstance(model, HrvmModel):
         raise TypeError(f"cannot serialize {type(model).__name__}")
     return {
-        "format_version": FORMAT_VERSION,
+        **_noise_to_dict(model),
         "model_kind": "hetrvm",
         "method": model.method,
         "kernel": _kernel_to_dict(model.kernel),
@@ -77,14 +87,21 @@ def model_to_dict(model: HrvmModel) -> dict:
         "noise_lengthscale": model.noise_lengthscale,
         "noise_signal_variance": model.noise_signal_variance,
         "noise_jitter": model.noise_jitter,
-        "g_mu": _arr(model.g_mu),
-        "g_Sigma": _arr(model.g_Sigma),
         "standardization": _std_to_dict(model.standardization),
         "training_log": [float(v) for v in model.training_log],
         "status": model.status,
         "n_iter": int(model.n_iter),
         "config": model.config,
     }
+
+
+def _noise_to_dict(model: HrvmModel) -> dict:
+    """The log-noise fields and the format version they need."""
+    if model.noise_clamped:
+        return {"format_version": FORMAT_VERSION,
+                "g_const": float(model.g_mu[0])}
+    return {"format_version": 1, "g_mu": _arr(model.g_mu),
+            "g_Sigma": _arr(model.g_Sigma)}
 
 
 def _from_rvm(doc: dict) -> dict:
@@ -106,6 +123,21 @@ def _array(doc: dict, key: str, *shape: int) -> np.ndarray:
     return a
 
 
+def _noise_from_dict(doc: dict, n: int):
+    """``g_mu`` and ``g_Sigma`` over n centers, from exactly one of the
+    two forms ``_noise_to_dict`` writes."""
+    if ("g_const" in doc) == ("g_mu" in doc or "g_Sigma" in doc):
+        raise SchemaError("the log-noise needs either g_const or g_mu and "
+                          "g_Sigma, not both or neither")
+    if "g_const" not in doc:
+        return _array(doc, "g_mu", n), _array(doc, "g_Sigma", n, n)
+    const = doc["g_const"]
+    if (isinstance(const, bool) or not isinstance(const, (int, float))
+            or not np.isfinite(const)):
+        raise SchemaError(f"g_const {const!r} is not a finite number")
+    return np.full(n, float(const)), np.zeros((n, n))
+
+
 def _model(doc: dict) -> HrvmModel:
     """The model of a "hetrvm" document, whose sizes must agree: N rows
     of ``centers``, m distinct ``active_indices`` in [0, n_basis), and
@@ -123,6 +155,7 @@ def _model(doc: dict) -> HrvmModel:
         raise SchemaError("active_indices must be distinct integers in "
                           f"[0, {n_basis})")
     m = len(active)
+    g_mu, g_Sigma = _noise_from_dict(doc, n)
     return HrvmModel(
         method=doc["method"],
         kernel=kernel,
@@ -135,8 +168,8 @@ def _model(doc: dict) -> HrvmModel:
         noise_lengthscale=float(doc["noise_lengthscale"]),
         noise_signal_variance=float(doc["noise_signal_variance"]),
         noise_jitter=float(doc["noise_jitter"]),
-        g_mu=_array(doc, "g_mu", n),
-        g_Sigma=_array(doc, "g_Sigma", n, n),
+        g_mu=g_mu,
+        g_Sigma=g_Sigma,
         standardization=_std_from_dict(doc["standardization"]),
         training_log=[float(v) for v in doc["training_log"]],
         status=doc["status"],
@@ -151,9 +184,9 @@ def model_from_dict(doc: dict) -> HrvmModel:
     if not isinstance(doc, dict):
         raise SchemaError("model document must be a JSON object")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version not in (1, FORMAT_VERSION):
         raise SchemaError(f"unsupported format_version {version!r} "
-                          f"(expected {FORMAT_VERSION})")
+                          f"(expected 1 or {FORMAT_VERSION})")
     kind = doc.get("model_kind")
     if kind not in ("hetrvm", "rvm"):
         raise SchemaError(f"unknown model_kind {kind!r}")

@@ -33,6 +33,12 @@ one point where the first stage ended.  The precision update forms the
 Gram matrix Phi^T R^-1 Phi, the noise terms of the evidence and the
 identity right-hand side once per call, and then costs one m x m
 factorization and three solves with it per step.
+
+L-BFGS is ``scipy.optimize.minimize``, reached through this module's
+``minimize``, which imports the optimizer on its first call.  Loading
+this module, and with it the package and its CLI, does not import
+``scipy.optimize``: it is about a third of the package's start-up time,
+and only ``fit_vi`` needs it, so the first VI fit in a process pays it.
 """
 
 from __future__ import annotations
@@ -41,7 +47,6 @@ from dataclasses import dataclass, asdict
 from typing import List, Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .data import Dataset, Standardization, standardize
 from .kernels import KernelSpec, build_design_matrix, _sqdist
@@ -66,6 +71,13 @@ __all__ = [
 _ALPHA_MIN, _ALPHA_MAX = 1e-12, 1e14
 _JITTER_FRAC = 1e-6  # diagonal jitter on K as a fraction of signal variance
 _LOG_2PI = np.log(2 * np.pi)
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first call (see the
+    module docstring)."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
 
 
 def _check_loop(max_iter, tol, alpha_threshold, max_iter_name="max_iter"):

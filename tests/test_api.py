@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import hetrvm
@@ -24,3 +27,19 @@ def test_all_is_the_documented_public_api():
     for name in PUBLIC:
         assert f"`{name}`" in section, name
         assert namespace[name] is getattr(hetrvm, name)
+
+
+def test_import_leaves_optimizer_unloaded():
+    """Importing the package and its CLI does not import scipy.optimize:
+    only ``fit_vi`` needs it, and it is a third of the start-up time."""
+    src = str(Path(hetrvm.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, hetrvm, hetrvm.cli; print(hetrvm.__file__); "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('scipy.optimize')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    where, loaded = out.stdout.splitlines()
+    assert Path(where).resolve() == Path(hetrvm.__file__).resolve()
+    assert loaded == "[]"

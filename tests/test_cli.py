@@ -240,12 +240,26 @@ def _drop_last(key):
     return mutate
 
 
+def _drop(key):
+    def mutate(doc):
+        del doc[key]
+    return mutate
+
+
+def _set(key, value):
+    def mutate(doc):
+        doc[key] = value
+    return mutate
+
+
 @pytest.mark.parametrize("method, mutate", [
     pytest.param("rvm", _set_index(999), id="rvm-index-past-n_basis"),
     pytest.param("rvm", _set_index(-1), id="rvm-index-negative"),
     pytest.param("rvm", _drop_last("alpha"), id="rvm-alpha-short"),
     pytest.param("vi", _drop_last("g_mu"), id="vi-g_mu-short"),
     pytest.param("vi", _drop_last("centers"), id="vi-centers-short"),
+    pytest.param("rvm", _drop("g_const"), id="rvm-g_const-missing"),
+    pytest.param("rvm", _set("g_const", float("nan")), id="rvm-g_const-nan"),
 ])
 def test_inconsistent_model_file_is_data_error(request, train_csv, tmp_path,
                                                capsys, method, mutate):

@@ -67,6 +67,16 @@ def test_unknown_version_rejected(fitted, tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("version", [3, True, 1.0, "1", None])
+def test_version_is_a_known_integer(fitted, version):
+    """The version decides which fields a document may carry, so only
+    the integers 1 and 2 are versions (``True == 1`` in Python)."""
+    doc = model_to_dict(fitted["vi"])
+    doc["format_version"] = version
+    with pytest.raises(SchemaError, match="version"):
+        model_from_dict(doc)
+
+
 def test_missing_field_names_problem(fitted):
     doc = model_to_dict(fitted["rvm"])
     del doc["alpha"]
@@ -122,6 +132,21 @@ def _repeat_index(doc):
     doc["active_indices"][1] = doc["active_indices"][0]
 
 
+def _both_noise_forms(doc):
+    doc["g_const"] = doc["g_mu"][0]
+
+
+def _no_noise_form(doc):
+    del doc["g_mu"], doc["g_Sigma"]
+
+
+def _noise_const(value):
+    def mutate(doc):
+        del doc["g_mu"], doc["g_Sigma"]
+        doc["g_const"] = value
+    return mutate
+
+
 @pytest.mark.parametrize("mutate", [
     pytest.param(_set_index(0, 999), id="index-past-n_basis"),
     pytest.param(_set_index(0, -1), id="index-negative"),
@@ -134,6 +159,14 @@ def _repeat_index(doc):
     pytest.param(_drop_last("g_Sigma"), id="g_Sigma-short"),
     pytest.param(_drop_last("centers"), id="centers-short"),
     pytest.param(_flatten("centers"), id="centers-flat"),
+    pytest.param(_both_noise_forms, id="noise-both-forms"),
+    pytest.param(_no_noise_form, id="noise-neither-form"),
+    pytest.param(_noise_const(float("nan")), id="g_const-nan"),
+    pytest.param(_noise_const(float("inf")), id="g_const-inf"),
+    pytest.param(_noise_const(-float("inf")), id="g_const-minus-inf"),
+    pytest.param(_noise_const("0.5"), id="g_const-string"),
+    pytest.param(_noise_const(True), id="g_const-bool"),
+    pytest.param(_noise_const([0.5]), id="g_const-list"),
 ])
 def test_inconsistent_document_rejected(fitted, mutate):
     """A document whose index and array sizes disagree fails to load,
@@ -189,3 +222,70 @@ def test_model_files_are_compact_json(fitted, tmp_path):
     assert text.count("\n") == 1 and text.endswith("\n")
     assert text == json.dumps(model_to_dict(fitted["rvm"]),
                               sort_keys=True) + "\n"
+
+
+@pytest.fixture(scope="module")
+def clamped_vi(fitted):
+    return fit_vi(fitted["data"], KernelSpec(lengthscale=0.3),
+                  VIConfig(max_iter=5, clamp_g=-1.5))
+
+
+PRED_FIELDS = ("latent_mean", "latent_var", "g_mean", "g_var", "total_var")
+
+
+@pytest.mark.parametrize("name", ["rvm", "clamped_vi"])
+def test_clamped_noise_written_as_one_number(fitted, clamped_vi, name):
+    """A clamped model writes its log-noise as ``g_const`` instead of the
+    N x N zero block, and loads back with the same arrays to the bit."""
+    model = clamped_vi if name == "clamped_vi" else fitted[name]
+    assert model.noise_clamped
+    doc = model_to_dict(model)
+    assert doc["format_version"] == 2
+    assert "g_mu" not in doc and "g_Sigma" not in doc
+    assert doc["g_const"] == model.g_mu[0]
+    loaded = model_from_dict(json.loads(json.dumps(doc)))
+    assert np.array_equal(loaded.g_mu, model.g_mu)
+    assert np.array_equal(loaded.g_Sigma, model.g_Sigma)
+    assert loaded.g_mu.dtype == loaded.g_Sigma.dtype == np.float64
+    X = fitted["data"].X
+    before, after = predict(model, X), predict(loaded, X)
+    for field in PRED_FIELDS:
+        assert np.array_equal(getattr(before, field), getattr(after, field))
+    assert model_to_dict(loaded) == doc
+
+
+@pytest.mark.parametrize("method", ["vi", "ep"])
+def test_posterior_noise_keeps_its_arrays(fitted, method):
+    model = fitted[method]
+    assert not model.noise_clamped
+    doc = model_to_dict(model)
+    # the oldest format that reads the document: format-1 readers load it
+    assert doc["format_version"] == 1
+    assert "g_const" not in doc
+    assert doc["g_mu"] == model.g_mu.tolist()
+    assert doc["g_Sigma"] == model.g_Sigma.tolist()
+
+
+def test_legacy_hetrvm_rvm_file_loads_and_predicts():
+    """A format-1 "hetrvm" RVM file, written with its N x N zero block
+    before the compact form existed, loads clamped, predicts what it
+    predicted when written, and is re-saved in the compact form."""
+    model = load_model(LEGACY / "legacy_hetrvm_format1.json")
+    doc = json.loads((LEGACY / "legacy_hetrvm_format1.json").read_text())
+    expected = json.loads(
+        (LEGACY / "legacy_hetrvm_format1_pred.json").read_text())
+    assert doc["format_version"] == 1 and doc["model_kind"] == "hetrvm"
+    assert model.method == "rvm" and model.noise_clamped
+    assert np.array_equal(model.g_Sigma, np.asarray(doc["g_Sigma"]))
+    pred = predict(model, np.asarray(expected["X"]))
+    for name in PRED_FIELDS:
+        np.testing.assert_allclose(getattr(pred, name), expected[name],
+                                   rtol=1e-12, atol=0, err_msg=name)
+    assert nlpd(pred, expected["y"]) == pytest.approx(expected["nlpd"],
+                                                      rel=1e-12)
+    resaved = model_to_dict(model)
+    assert resaved["g_const"] == doc["g_mu"][0]
+    assert {k: v for k, v in resaved.items()
+            if k not in ("format_version", "g_const")} == {
+        k: v for k, v in doc.items()
+        if k not in ("format_version", "g_mu", "g_Sigma")}

@@ -675,3 +675,22 @@ class TestFitVi:
         data, _ = synth(SynthSpec(n=10, seed=0))
         with pytest.raises(ValueError):
             fit_vi(data, KernelSpec(lengthscale=0.3), VIConfig(**bad))
+
+
+def test_fit_vi_reaches_lbfgs_through_module_minimize(monkeypatch):
+    """``fit_vi`` calls L-BFGS through the module-level ``minimize``,
+    which imports scipy.optimize on first use, so a wrapper bound there
+    sees every optimizer call."""
+    calls = []
+    forward = hetrvm.vi.minimize
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["method"])
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(hetrvm.vi, "minimize", counting)
+    data, _ = synth(SynthSpec(generator="goldberg_sine", n=20, seed=0))
+    model = fit_vi(data, KernelSpec(lengthscale=0.3), VIConfig(max_iter=3))
+    assert calls and set(calls) == {"L-BFGS-B"}
+    # two L-BFGS stages per outer iteration, plus any retries
+    assert len(calls) >= 2 * model.n_iter
