@@ -16,7 +16,12 @@ so the bound is maximized over lam (through an unconstrained sigmoid
 transform), the log-variance GP hyperparameters and mu0 by L-BFGS, with
 analytic gradients.  Weight precisions follow the usual effective-degrees
 fixed point, safeguarded so the bound never decreases, and basis columns
-whose precision diverges are pruned permanently.
+whose precision diverges are pruned permanently.  A column whose
+evidence-optimal precision is infinite (q^2 <= s, Tipping & Faul, 2003)
+at two consecutive steps of one update is sent there at once, to the
+precision clamp, instead of creeping toward it: one reading can be a
+transient while the other precisions move, so the update waits for a
+second.
 
 The weight posterior, the evidence log N(y | 0, Phi A^-1 Phi^T + R) and
 the pruning rule defined here are the only copies in the package: the EP
@@ -32,7 +37,8 @@ the O(N^3) block of their gradient; the joint stage completes it at the
 one point where the first stage ended.  The precision update forms the
 Gram matrix Phi^T R^-1 Phi, the noise terms of the evidence and the
 identity right-hand side once per call, and then costs one m x m
-factorization and three solves with it per step.
+factorization and three solves with it per step; the sparsity and quality
+of every column come from that step's posterior in O(m^2).
 
 L-BFGS is ``scipy.optimize.minimize``, reached through this module's
 ``minimize``, which imports the optimizer on its first call.  Loading
@@ -371,11 +377,34 @@ def bound_gradients(state: VariationalState, Phi, y):
     return grad
 
 
+def _sparsity_quality(G, Sigma_w, mu_w):
+    """Every active column's sparsity and quality (s_j, q_j) under noise
+    diag(r): s_j = phi_j^T C_-j^-1 phi_j and q_j = phi_j^T C_-j^-1 y,
+    with column j left out of C (Tipping & Faul, 2003).
+
+    With j kept in, S_j = alpha_j (Sigma_w G)_jj, Q_j = alpha_j mu_w_j
+    and alpha_j - S_j = alpha_j^2 Sigma_w_jj, so s = alpha S / (alpha - S)
+    and q = alpha Q / (alpha - S) reduce to the ratios below.  They
+    subtract nothing, where S = diag(G) - diag(G Sigma_w G) followed by
+    alpha - S loses up to a few parts in 1e6 on a relevant column."""
+    d = Sigma_w.diagonal()
+    return np.sum(Sigma_w * G, axis=1) / d, mu_w / d
+
+
 def update_alpha(alpha, Phi_a, r, y, max_inner: int = 30):
     """Effective-degrees fixed point for the weight precisions,
     alpha_j <- (1 - alpha_j Sigma_w_jj) / mu_w_j^2, iterated with a
     safeguard: a step is geometrically backed off toward the previous
     precisions until the collapsed evidence does not decrease.
+
+    A column whose evidence-optimal precision is infinite (q_j^2 <= s_j,
+    Tipping & Faul, 2003) at this step and at the previous step of the
+    call is proposed _ALPHA_MAX instead, above the default pruning
+    threshold, so the trainers prune it after the call.  The fixed point
+    would only creep toward it, a few percent per step, and keep the
+    change above the stop.  One reading is not enough: a column can read
+    q^2 <= s for one step while the other precisions move under it, and
+    jumping at the first reading costs EP more passes.
 
     r is fixed here, so the Gram matrix and the noise terms of the
     evidence are formed once per call, and the factor that scored an
@@ -387,15 +416,17 @@ def update_alpha(alpha, Phi_a, r, y, max_inner: int = 30):
     eye = np.eye(alpha.size)
     L = _factor(G, alpha)
     ev, _ = _evidence(L, b, alpha, r, y, noise)
+    dead = np.zeros(alpha.size, dtype=bool)
     for _ in range(max_inner):
-        # mu_w and diag(Sigma_w) from the factor: _posterior's symmetrized
-        # Sigma_w has the same diagonal, and the step needs no more of it
         mu_w = chol_solve(L, b)
-        gamma = (1.0 - alpha * chol_solve(L, eye).diagonal()).clip(1e-12, 1.0)
+        Sigma_w = chol_solve(L, eye)
+        gamma = (1.0 - alpha * Sigma_w.diagonal()).clip(1e-12, 1.0)
+        s, q = _sparsity_quality(G, Sigma_w, mu_w)
+        was_dead, dead = dead, q**2 <= s
         with np.errstate(divide="ignore", invalid="ignore"):
             proposal = gamma / mu_w**2
-        proposal = np.where(np.isfinite(proposal) & (proposal > 0),
-                            proposal, _ALPHA_MAX)
+        proposal = np.where(np.isfinite(proposal) & (proposal > 0)
+                            & ~(dead & was_dead), proposal, _ALPHA_MAX)
         proposal = proposal.clip(_ALPHA_MIN, _ALPHA_MAX)
         trial = proposal
         accepted = False

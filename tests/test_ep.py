@@ -318,6 +318,16 @@ class TestFitEp:
         assert (json.dumps(model_to_dict(once), sort_keys=True)
                 == json.dumps(model_to_dict(every_pass), sort_keys=True))
 
+    @pytest.mark.parametrize("generator,seed", [("goldberg_sine", 1),
+                                                ("linear_het", 0)])
+    def test_converges_where_creeping_precisions_oscillated(self, generator,
+                                                            seed):
+        # both ended "oscillating" (passes 37 and 51) while update_alpha
+        # let a precision with an infinite optimum creep toward it
+        data, _ = synth(SynthSpec(generator=generator, n=100, seed=seed))
+        model = fit_ep(data, KernelSpec(lengthscale=0.3))
+        assert model.status == "converged"
+
     @settings(derandomize=True, max_examples=25, deadline=None)
     @given(generator=hst.sampled_from(["goldberg_sine", "linear_het",
                                        "const_noise"]),

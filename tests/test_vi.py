@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings, strategies as hst
 from scipy.stats import multivariate_normal
 
 import hetrvm.ep
@@ -11,11 +12,12 @@ from hetrvm.data import Dataset, SynthSpec, synth
 from hetrvm.ep import EpConfig, fit_ep
 from hetrvm.kernels import (GpNoisePrior, KernelSpec, _sqdist,
                             build_design_matrix, gp_covariance)
-from hetrvm.numerics import gauss_hermite, grad_check
+from hetrvm.numerics import chol_solve, gauss_hermite, grad_check
 from hetrvm.rvm import RvmConfig
 from hetrvm.serialize import model_to_dict
-from hetrvm.vi import (VIConfig, VariationalState, _bound_value_grad,
-                       _log_evidence, _noise_cov, _sigmoid, bound_gradients,
+from hetrvm.vi import (_ALPHA_MAX, VIConfig, VariationalState,
+                       _bound_value_grad, _factor, _gram, _log_evidence,
+                       _noise_cov, _sigmoid, _sparsity_quality, bound_gradients,
                        collapsed_bound, expected_loglik, fit_vi, noise_diag,
                        prune_basis, reduced_to_moments, update_alpha,
                        weight_posterior)
@@ -377,13 +379,18 @@ class TestQOnlyBound:
 
 
 def _update_alpha_reference(alpha, Phi_a, r, y, max_inner=30):
-    """The precision update as first written: a fresh Gram matrix and
-    Cholesky factor for every posterior and every evidence."""
-    def factor(a):
+    """The precision update as first written, with the jump to the
+    largest precision for a column that reads q^2 <= s at two
+    consecutive steps: a fresh Gram matrix and Cholesky factor for every
+    posterior and every evidence."""
+    def gram():
         Phir = Phi_a / r[:, None]
-        L = sla.cholesky(np.diag(a) + Phi_a.T @ Phir, lower=True,
-                         check_finite=False)
-        return L, Phir.T @ y
+        return Phi_a.T @ Phir, Phir.T @ y
+
+    def factor(a):
+        G, b = gram()
+        L = sla.cholesky(np.diag(a) + G, lower=True, check_finite=False)
+        return L, b
 
     def evidence(a):
         L, b = factor(a)
@@ -395,6 +402,7 @@ def _update_alpha_reference(alpha, Phi_a, r, y, max_inner=30):
 
     alpha = np.asarray(alpha, dtype=float).copy()
     ev = evidence(alpha)
+    dead_before = np.zeros(alpha.size, dtype=bool)
     for _ in range(max_inner):
         L, b = factor(alpha)
         Sigma_w = sla.cho_solve((L, True), np.eye(alpha.size),
@@ -402,9 +410,15 @@ def _update_alpha_reference(alpha, Phi_a, r, y, max_inner=30):
         Sigma_w = 0.5 * (Sigma_w + Sigma_w.T)
         mu_w = sla.cho_solve((L, True), b, check_finite=False)
         gamma = np.clip(1.0 - alpha * np.diag(Sigma_w), 1e-12, 1.0)
+        G, _ = gram()
+        s = np.diag(Sigma_w @ G) / np.diag(Sigma_w)
+        q = mu_w / np.diag(Sigma_w)
+        dead = q**2 <= s
         with np.errstate(divide="ignore", invalid="ignore"):
             proposal = gamma / mu_w**2
-        proposal = np.where(np.isfinite(proposal) & (proposal > 0),
+        jump = dead & dead_before
+        dead_before = dead
+        proposal = np.where(np.isfinite(proposal) & (proposal > 0) & ~jump,
                             proposal, 1e14)
         trial = np.clip(proposal, 1e-12, 1e14)
         accepted = False
@@ -423,6 +437,18 @@ def _update_alpha_reference(alpha, Phi_a, r, y, max_inner=30):
     return alpha, ev
 
 
+def _dense_sparsity_quality(Phi_a, alpha, r, y, j):
+    """(s_j, q_j) from a dense Cholesky of C_-j = diag(r) +
+    sum_{i != j} phi_i phi_i^T / alpha_i, as rvm.sparsity_quality does
+    for constant noise."""
+    C = np.diag(r)
+    for i in range(alpha.size):
+        if i != j:
+            C = C + np.outer(Phi_a[:, i], Phi_a[:, i]) / alpha[i]
+    u = sla.cho_solve(sla.cho_factor(C, lower=True), Phi_a[:, j])
+    return Phi_a[:, j] @ u, u @ y
+
+
 class TestUpdateAlpha:
     @pytest.mark.parametrize("seed", range(6))
     def test_equals_reference_loop(self, seed):
@@ -437,6 +463,27 @@ class TestUpdateAlpha:
         a_ref, ev_ref = _update_alpha_reference(a0, Phi, r, y)
         assert np.array_equal(a, a_ref)
         assert ev == ev_ref
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sparsity_quality_matches_dense_oracle(self, seed):
+        # the (s, q) the jump test reads, from the posterior update_alpha
+        # builds, at precisions over the whole clamp range and noise
+        # spanning six decades
+        rng = np.random.default_rng(200 + seed)
+        n = int(rng.integers(8, 40))
+        m = int(rng.integers(1, n + 2))
+        Phi = rng.normal(size=(n, m))
+        y = Phi[:, 0] + 0.3 * rng.normal(size=n)
+        r = 10.0 ** rng.uniform(-3.0, 3.0, size=n)
+        alpha = 10.0 ** rng.uniform(-2.0, 14.0, size=m)
+        _, G, b = _gram(Phi, r, y)
+        L = _factor(G, alpha)
+        s, q = _sparsity_quality(G, chol_solve(L, np.eye(m)),
+                                 chol_solve(L, b))
+        dense = np.array([_dense_sparsity_quality(Phi, alpha, r, y, j)
+                          for j in range(m)])
+        np.testing.assert_allclose(s, dense[:, 0], rtol=1e-8, atol=0)
+        np.testing.assert_allclose(q, dense[:, 1], rtol=1e-8, atol=0)
 
     def test_one_factorization_per_evidence(self, monkeypatch):
         calls = {"chol": 0, "evidence": 0}
@@ -513,6 +560,41 @@ class TestUpdateAlpha:
             alpha, _ = update_alpha(alpha, Phi, r, y)
         assert alpha[0] < 1e3
         assert alpha[1] > 1e6
+
+    def test_irrelevant_basis_jumps_in_one_call(self):
+        # the problem above: q^2 <= s holds for the junk column from the
+        # first step, so one call sends it to the clamp
+        rng = np.random.default_rng(10)
+        phi_good = rng.normal(size=20)
+        y = 2.0 * phi_good + 0.1 * rng.normal(size=20)
+        phi_junk = rng.normal(size=20)
+        B = np.column_stack([phi_good, y])
+        phi_junk -= B @ np.linalg.lstsq(B, phi_junk, rcond=None)[0]
+        Phi = np.column_stack([phi_good, phi_junk])
+        alpha, _ = update_alpha(np.ones(2), Phi, np.full(20, 0.01), y)
+        assert alpha[0] < 1e3
+        assert alpha[1] == _ALPHA_MAX
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(n=hst.integers(3, 40), data=hst.data(),
+           seed=hst.integers(0, 2**32 - 1),
+           log_r=hst.tuples(hst.floats(-8.0, 4.0), hst.floats(-8.0, 4.0)),
+           log10_scale=hst.floats(-3.0, 3.0))
+    def test_precisions_in_range_and_evidence_never_falls(
+            self, n, data, seed, log_r, log10_scale):
+        m = data.draw(hst.integers(1, n + 1), label="m")
+        rng = np.random.default_rng(seed)
+        Phi = rng.normal(size=(n, m))
+        y = (Phi[:, 0] + 0.3 * rng.normal(size=n)) * 10.0**log10_scale
+        r = np.exp(rng.uniform(*sorted(log_r), size=n))
+        a0 = np.exp(rng.normal(size=m))
+        ev0 = _log_evidence(Phi, a0, r, y)
+        alpha, ev = update_alpha(a0, Phi, r, y)
+        assert np.all(np.isfinite(alpha))
+        assert np.all((alpha >= 1e-12) & (alpha <= 1e14))
+        assert ev >= ev0 - 1e-10
+        assert ev == pytest.approx(_log_evidence(Phi, alpha, r, y),
+                                   rel=1e-9, abs=0)
 
 
 class TestPruneBasis:
