@@ -1,22 +1,28 @@
 """Command-line interface: train / predict / evaluate / synth / benchmark.
 
-Exit codes: 0 ok, 2 usage error, 3 data error, 4 numeric failure.  Every
-artifact embeds the resolved configuration for provenance, and identical
-(config, seed, inputs) produce identical outputs.
+Exit codes: 0 ok, 2 usage error, 3 data error, 4 numeric failure.  The
+parser only reads numbers; the library's own specs and configs
+(``KernelSpec``, ``RvmConfig``, ``VIConfig``, ``EpConfig``, ``SynthSpec``)
+decide which values are valid.  They are built from the options before
+any file is read or written, so a setting they reject is a usage error
+with the library's message.  Every artifact embeds the resolved
+configuration for provenance, and identical (config, seed, inputs)
+produce identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 import numpy as np
 
-from .data import DataError, Dataset, SynthSpec, load_csv, synth
+from .data import DataError, SynthSpec, load_csv, synth
 from .ep import EpConfig, fit_ep
 from .kernels import KernelSpec
-from .numerics import FactorizationError
+from .numerics import _check_int
 from .predict import nlpd, predict, rmse
 # kept for perfbench's tracer until ROADMAP item 2
 from .predict import rvm_predictive_dist  # noqa: F401
@@ -27,35 +33,48 @@ from .vi import VIConfig, fit_vi
 __all__ = ["main", "run"]
 
 
-def _kernel_from_args(args) -> KernelSpec:
-    return KernelSpec(family=args.kernel, lengthscale=args.lengthscale,
-                      degree=args.degree, include_bias=not args.no_bias)
+def _settings(args) -> dict:
+    """The library objects the options describe.  Their constructors
+    raise ValueError (DataError for ``SynthSpec``) on an invalid value.
+    Every fitting command builds all three configs, so a setting one
+    method ignores is still checked."""
+    s = {}
+    if args.command in ("synth", "benchmark"):
+        s["synth"] = SynthSpec(generator=args.generator, n=args.n,
+                               seed=getattr(args, "seed", 0),
+                               sigma=args.sigma)
+    if args.command in ("train", "benchmark"):
+        s["kernel"] = KernelSpec(family=args.kernel,
+                                 lengthscale=args.lengthscale,
+                                 degree=args.degree,
+                                 include_bias=not args.no_bias)
+        loop = dict(tol=args.tol, alpha_threshold=args.alpha_threshold)
+        s["rvm"] = RvmConfig(max_iter=args.max_iter, **loop)
+        s["vi"] = VIConfig(max_iter=args.max_iter, **loop)
+        s["ep"] = EpConfig(max_passes=args.max_iter, damping=args.damping,
+                           **loop)
+    if args.command == "benchmark":
+        _check_int(args.seeds, "seeds", 1)
+        s["methods"] = [m.strip() for m in args.methods.split(",")
+                        if m.strip()]
+        if not s["methods"] or not set(s["methods"]) <= {"rvm", "vi", "ep"}:
+            raise ValueError(f"methods {args.methods!r} is not a "
+                             "comma-separated list of rvm, vi, ep")
+    return s
 
 
-def _fit(method, data, kernel, args):
-    if method == "rvm":
-        return fit_rvm(data, kernel, RvmConfig(
-            max_iter=args.max_iter, tol=args.tol,
-            alpha_threshold=args.alpha_threshold))
-    if method == "vi":
-        return fit_vi(data, kernel, VIConfig(
-            max_iter=args.max_iter, tol=args.tol,
-            alpha_threshold=args.alpha_threshold))
-    if method == "ep":
-        return fit_ep(data, kernel, EpConfig(
-            max_passes=args.max_iter, tol=args.tol,
-            alpha_threshold=args.alpha_threshold, damping=args.damping))
-    raise ValueError(f"unknown method {method!r}")
+def _fit(method, data, s):
+    # the names are looked up at call time: perfbench's tracer rebinds them
+    fit = {"rvm": fit_rvm, "vi": fit_vi, "ep": fit_ep}[method]
+    return fit(data, s["kernel"], s[method])
 
 
 def _resolved(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k != "func"}
 
 
-def _cmd_synth(args):
-    spec = SynthSpec(generator=args.generator, n=args.n, seed=args.seed,
-                     sigma=args.sigma)
-    data, sd = synth(spec)
+def _cmd_synth(args, s):
+    data, sd = synth(s["synth"])
     with open(args.out, "w", encoding="utf-8") as fh:
         cols = [f"x{i}" for i in range(data.q)]
         fh.write(",".join(cols + ["y"]) + "\n")
@@ -70,10 +89,10 @@ def _cmd_synth(args):
     return 0
 
 
-def _cmd_train(args):
+def _cmd_train(args, s):
     data = load_csv(args.data, has_header=not args.no_header,
                     target_column=args.target)
-    model = _fit(args.method, data, _kernel_from_args(args), args)
+    model = _fit(args.method, data, s)
     save_model(model, args.out)
     if args.verbose:
         print(f"trained method={args.method} status={model.status} "
@@ -81,7 +100,7 @@ def _cmd_train(args):
     return 0
 
 
-def _cmd_predict(args):
+def _cmd_predict(args, s):
     model = load_model(args.model)
     data = load_csv(args.data, has_header=not args.no_header,
                     target_column=args.target)
@@ -104,7 +123,7 @@ def _cmd_predict(args):
     return 0
 
 
-def _cmd_evaluate(args):
+def _cmd_evaluate(args, s):
     model = load_model(args.model)
     data = load_csv(args.data, has_header=not args.no_header,
                     target_column=args.target)
@@ -126,16 +145,13 @@ def _cmd_evaluate(args):
     return 0
 
 
-def _cmd_benchmark(args):
-    methods = _method_names(args.methods)
+def _cmd_benchmark(args, s):
     rows = []
     for seed in range(args.seeds):
-        train, _ = synth(SynthSpec(generator=args.generator, n=args.n,
-                                   seed=seed, sigma=args.sigma))
-        test, _ = synth(SynthSpec(generator=args.generator, n=args.n,
-                                  seed=seed + 10_000, sigma=args.sigma))
-        for method in methods:
-            model = _fit(method, train, _kernel_from_args(args), args)
+        train, _ = synth(dataclasses.replace(s["synth"], seed=seed))
+        test, _ = synth(dataclasses.replace(s["synth"], seed=seed + 10_000))
+        for method in s["methods"]:
+            model = _fit(method, train, s)
             pred = predict(model, test.X)
             rows.append((method, seed, rmse(pred.latent_mean, test.y),
                          nlpd(pred, test.y), len(model.active_indices)))
@@ -153,70 +169,16 @@ def _cmd_benchmark(args):
     return 0
 
 
-def _damping(text: str) -> float:
-    value = float(text)
-    if not (0.0 < value <= 1.0):
-        raise argparse.ArgumentTypeError(f"{text!r} is not in (0, 1]")
-    return value
-
-
-def _int_at_least(low: int):
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"{text!r} is less than {low}")
-        return value
-
-    parse.__name__ = "int"  # argparse names the type in its messages
-    return parse
-
-
-_positive_int, _seed, _sample_size = (_int_at_least(k) for k in (1, 0, 3))
-
-
-def _tol(text: str) -> float:
-    value = float(text)
-    if not (np.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"{text!r} is not finite and >= 0")
-    return value
-
-
-def _alpha_threshold(text: str) -> float:
-    value = float(text)
-    if not (value > 0.0):
-        raise argparse.ArgumentTypeError(f"{text!r} is not positive")
-    return value
-
-
-def _positive_finite(text: str) -> float:
-    value = float(text)
-    if not (np.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"{text!r} is not finite and > 0")
-    return value
-
-
-def _method_names(text: str):
-    return [m.strip() for m in text.split(",") if m.strip()]
-
-
-def _methods(text: str) -> str:
-    names = _method_names(text)
-    if not names or any(m not in ("rvm", "vi", "ep") for m in names):
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a comma-separated list of rvm, vi, ep")
-    return text
-
-
 def _add_common_model_opts(p):
     p.add_argument("--kernel", default="rbf",
                    choices=["rbf", "linear", "polynomial"])
-    p.add_argument("--lengthscale", type=_positive_finite, default=1.0)
-    p.add_argument("--degree", type=_positive_int, default=3)
+    p.add_argument("--lengthscale", type=float, default=1.0)
+    p.add_argument("--degree", type=int, default=3)
     p.add_argument("--no-bias", action="store_true")
-    p.add_argument("--max-iter", type=_positive_int, default=200)
-    p.add_argument("--tol", type=_tol, default=1e-6)
-    p.add_argument("--alpha-threshold", type=_alpha_threshold, default=1e12)
-    p.add_argument("--damping", type=_damping, default=0.8)
+    p.add_argument("--max-iter", type=int, default=200)
+    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--alpha-threshold", type=float, default=1e12)
+    p.add_argument("--damping", type=float, default=0.8)
 
 
 def _add_data_opts(p):
@@ -234,9 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic dataset CSV")
     p.add_argument("--generator", default="goldberg_sine",
                    choices=["goldberg_sine", "linear_het", "const_noise"])
-    p.add_argument("--n", type=_sample_size, default=100)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--sigma", type=_positive_finite, default=0.3)
+    p.add_argument("--n", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--sigma", type=float, default=0.3)
     p.add_argument("--out", required=True)
     p.add_argument("--noise-out", default=None)
     p.set_defaults(func=_cmd_synth)
@@ -265,10 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compare methods over seeds on synthetic data")
     p.add_argument("--generator", default="goldberg_sine",
                    choices=["goldberg_sine", "linear_het", "const_noise"])
-    p.add_argument("--n", type=_sample_size, default=100)
-    p.add_argument("--seeds", type=_positive_int, default=5)
-    p.add_argument("--sigma", type=_positive_finite, default=0.3)
-    p.add_argument("--methods", type=_methods, default="rvm,vi,ep")
+    p.add_argument("--n", type=int, default=100)
+    p.add_argument("--seeds", type=int, default=5)
+    p.add_argument("--sigma", type=float, default=0.3)
+    p.add_argument("--methods", default="rvm,vi,ep")
     p.add_argument("--report", default=None)
     _add_common_model_opts(p)
     p.set_defaults(func=_cmd_benchmark)
@@ -282,12 +244,16 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        settings = _settings(args)
+    except ValueError as exc:  # DataError included
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        return args.func(args, settings)
     except (DataError, SchemaError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except (FactorizationError, FloatingPointError, np.linalg.LinAlgError,
-            ValueError) as exc:
+    except (FloatingPointError, ValueError) as exc:  # FactorizationError too
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
 

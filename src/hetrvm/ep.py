@@ -14,9 +14,13 @@ on natural parameters, and q(g) is refreshed once.  Between passes the
 weight posterior and precisions are refreshed exactly as in the
 variational trainer.
 
-The noise-GP hyperparameters stay at their initialization under EP, so
-the prior covariance K is factored once per fit, for the prior terms of
-the marginal-likelihood estimate.
+q(g) comes from the variational trainer's reduced-covariance routine:
+with the site precisions in place of its diagonal parameters,
+Sigma = (K^-1 + diag(site_prec))^-1 takes one Cholesky factor of
+B = I + T^1/2 K T^1/2 (Rasmussen & Williams 2006, sec. 3.6).  The
+noise-GP hyperparameters stay at their initialization under EP, so the
+prior covariance K is factored once per fit, for the prior terms of the
+marginal-likelihood estimate.
 """
 
 from __future__ import annotations
@@ -32,8 +36,9 @@ from . import numerics
 from .model import HrvmModel
 from .numerics import (FactorizationError, _check_int, chol_factor,
                        chol_solve, gauss_hermite)
-from .vi import (_JITTER_FRAC, _check_loop, _setup, _standardized,
-                 noise_diag, prune_basis, update_alpha, weight_posterior)
+from .vi import (_JITTER_FRAC, _check_loop, _reduced_cov, _setup,
+                 _standardized, noise_diag, prune_basis, update_alpha,
+                 weight_posterior)
 
 __all__ = [
     "EpConfig",
@@ -170,7 +175,10 @@ def site_update(state: EpState, cav, tilted, damping: float):
     cav_mu, cav_var = cav_mu[ok], cav_var[ok]
     logz_t, mean_t, var_t = tilted
 
-    target_prec = 1.0 / var_t - 1.0 / cav_var
+    # t(g) is log-concave, so no tilted variance exceeds its cavity
+    # variance and the target precision is nonnegative; the clamp drops
+    # quadrature rounding below zero (about -1e-12 where m_hat is 0)
+    target_prec = np.maximum(1.0 / var_t - 1.0 / cav_var, 0.0)
     target_nu = mean_t / var_t - cav_mu / cav_var
     state.site_prec[ok] += damping * (target_prec - state.site_prec[ok])
     state.site_nu[ok] += damping * (target_nu - state.site_nu[ok])
@@ -196,22 +204,22 @@ def _prior_terms(K):
 def ep_posterior(K, mu0, site_prec, site_nu, site_logz=None, prior=None):
     """Posterior moments of g given the prior N(mu0 1, K) and the current
     Gaussian sites, plus the EP marginal-likelihood estimate (nan when a
-    negative site variance makes the normalizer assembly undefined).
+    flat-precision site with a nonzero mean parameter makes the
+    normalizer assembly undefined).
 
-    ``prior`` is ``_prior_terms(K)``; a caller whose K stays fixed passes
-    it rather than have every call factor K again."""
+    Sigma = (K^-1 + diag(site_prec))^-1 comes from ``vi._reduced_cov``
+    and mu = mu0 + Sigma (site_nu - mu0 site_prec).  A negative site
+    precision raises :class:`FactorizationError`.  ``prior`` is
+    ``_prior_terms(K)``; a caller whose K stays fixed passes it rather
+    than have every call factor K again."""
     K = np.asarray(K, dtype=float)
     site_prec = np.asarray(site_prec, dtype=float).ravel()
     site_nu = np.asarray(site_nu, dtype=float).ravel()
     n = site_prec.size
-    A = np.eye(n) + K * site_prec[None, :]
-    try:
-        X = np.linalg.solve(A, np.column_stack([K, K @ site_nu + mu0]))
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError("combined precision is singular") from exc
-    Sigma = 0.5 * (X[:, :n] + X[:, :n].T)
-    mu = X[:, n]
-    L = chol_factor(Sigma, "EP posterior covariance")  # PD check
+    if np.any(site_prec < 0):
+        raise FactorizationError("a site precision is negative")
+    Sigma, LB = _reduced_cov(site_prec, K)
+    mu = mu0 + Sigma @ (site_nu - mu0 * site_prec)
 
     logz = np.nan
     active = (site_prec != 0) | (site_nu != 0)
@@ -219,7 +227,8 @@ def ep_posterior(K, mu0, site_prec, site_nu, site_logz=None, prior=None):
         Kinv_one, quad_one, logdet_K = (_prior_terms(K) if prior is None
                                         else prior)
         h = site_nu + mu0 * Kinv_one
-        logdet_Sigma = 2.0 * np.sum(np.log(np.diag(L)))
+        # |Sigma| = |K| / |B|
+        logdet_Sigma = logdet_K - 2.0 * np.sum(np.log(np.diag(LB)))
         c_prior = 0.5 * (mu0**2 * quad_one
                          + n * np.log(2 * np.pi) + logdet_K)
         prec_a = site_prec[active]

@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 _FAMILIES = ("rbf", "linear", "polynomial")
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 @dataclass(frozen=True)
@@ -46,8 +47,12 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
-        if not (np.isfinite(self.lengthscale) and self.lengthscale > 0):
-            raise ValueError("lengthscale must be positive and finite")
+        # the rbf kernel divides by lengthscale**2, which must neither
+        # overflow nor underflow to zero
+        ls = self.lengthscale
+        if not (ls > 0 and _TINY <= ls * ls < np.inf):
+            raise ValueError("lengthscale must be positive and finite, "
+                             "and so must its square")
         _check_int(self.degree, "degree", 1)
         if not (np.isfinite(self.signal_variance) and self.signal_variance > 0):
             raise ValueError("signal_variance must be positive and finite")

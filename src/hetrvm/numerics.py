@@ -12,8 +12,9 @@ The factorization and the two solves call the LAPACK routines that
 return the same bits.  The trainers factor m x m weight precisions, m
 around 10, thousands of times per fit, and at that size the wrappers'
 argument handling costs several times the factorization.
-:func:`chol_factor` is the only factorization entry point; the trainers
-call it through their own module's name for it.
+:func:`chol_factor` is the only factorization entry point, and no module
+of the package calls ``np.linalg``; the trainers call it through their
+own module's name for it.
 """
 
 from __future__ import annotations

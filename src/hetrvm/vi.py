@@ -90,8 +90,8 @@ def _check_loop(max_iter, tol, alpha_threshold, max_iter_name="max_iter"):
     """Reject trainer settings that would end a fit before it learns
     anything or make it prune on a meaningless threshold."""
     _check_int(max_iter, max_iter_name, 1)
-    if not (tol >= 0.0):
-        raise ValueError("tol must be nonnegative")
+    if not (0.0 <= tol < np.inf):
+        raise ValueError("tol must be finite and nonnegative")
     if not (alpha_threshold > 0.0):
         raise ValueError("alpha_threshold must be positive")
 

@@ -4,6 +4,11 @@ import numpy as np
 import pytest
 
 from hetrvm.cli import run
+from hetrvm.data import SynthSpec
+from hetrvm.ep import EpConfig
+from hetrvm.kernels import KernelSpec
+from hetrvm.rvm import RvmConfig
+from hetrvm.vi import VIConfig
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +231,68 @@ class TestExitCodes:
         data.write_text("x,y\n0,1\n1,2\n2,3\n")
         assert run(["predict", "--model", str(bogus), "--data", str(data),
                     "--out", str(tmp_path / "p.tsv")]) == 3
+
+
+# option -> (argparse type, the library objects the CLI builds from it)
+_TRAIN_OPTIONS = {
+    "--max-iter": (int, lambda v: (RvmConfig(max_iter=v), VIConfig(max_iter=v),
+                                   EpConfig(max_passes=v))),
+    "--tol": (float, lambda v: (RvmConfig(tol=v), VIConfig(tol=v),
+                                EpConfig(tol=v))),
+    "--alpha-threshold": (float, lambda v: (
+        RvmConfig(alpha_threshold=v), VIConfig(alpha_threshold=v),
+        EpConfig(alpha_threshold=v))),
+    "--damping": (float, lambda v: EpConfig(damping=v)),
+    "--lengthscale": (float, lambda v: KernelSpec(lengthscale=v)),
+    "--degree": (int, lambda v: KernelSpec(degree=v)),
+}
+_SYNTH_OPTIONS = {
+    "--n": (int, lambda v: SynthSpec(n=v)),
+    "--seed": (int, lambda v: SynthSpec(seed=v)),
+    "--sigma": (float, lambda v: SynthSpec(sigma=v)),
+}
+_PROBES = ["0", "-1", "1.5", "1e-300", "1e300", "nan", "inf", "-inf"]
+
+
+def _library_rejects(parse, build, text):
+    try:
+        build(parse(text))
+    except ValueError:  # DataError included
+        return True
+    return False
+
+
+class TestCliMatchesLibrary:
+    """The CLI rejects a setting (exit 2, no file) exactly when argparse
+    cannot read it as a number or the library object built from it
+    raises, so the two cannot drift apart."""
+
+    @pytest.mark.parametrize("value", _PROBES)
+    @pytest.mark.parametrize("option", sorted(_TRAIN_OPTIONS))
+    def test_train(self, train_csv, tmp_path, option, value):
+        out = tmp_path / "m.json"
+        argv = ["train", "--method", "ep", "--data", str(train_csv),
+                "--out", str(out), "--lengthscale", "0.3",
+                f"{option}={value}"]
+        if option != "--max-iter":
+            argv += ["--max-iter", "1"]
+        code = run(argv)
+        if _library_rejects(*_TRAIN_OPTIONS[option], value):
+            assert code == 2
+            assert not out.exists()
+        else:
+            assert code != 2
+
+    @pytest.mark.parametrize("value", _PROBES)
+    @pytest.mark.parametrize("option", sorted(_SYNTH_OPTIONS))
+    def test_synth(self, tmp_path, option, value):
+        out = tmp_path / "d.csv"
+        code = run(["synth", "--out", str(out), f"{option}={value}"])
+        if _library_rejects(*_SYNTH_OPTIONS[option], value):
+            assert code == 2
+            assert not out.exists()
+        else:
+            assert code != 2
 
 
 def _set_index(value):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hetrvm.data import Dataset, SynthSpec, synth
 from hetrvm.ep import (EpConfig, EpState, cavity, ep_posterior, fit_ep,
                        site_update, tilted_moments)
 from hetrvm.kernels import KernelSpec
-from hetrvm.numerics import Quadrature
+from hetrvm.numerics import FactorizationError, Quadrature
 from hetrvm.predict import predict
 from hetrvm.serialize import model_to_dict
 
@@ -187,6 +188,20 @@ class TestSiteUpdate:
         assert np.all(st.site_nu[1:] != nu[1:])
         assert np.all(st.site_logz[1:] != logz[1:])
 
+    def test_zero_residual_keeps_precisions_nonnegative(self):
+        # at m_hat = 0 the factor is exp(-g/2) up to a constant, so every
+        # tilted variance equals its cavity variance; quadrature rounding
+        # must not leave a negative site precision
+        rng = np.random.default_rng(0)
+        n = 200
+        cav_mu = rng.normal(0.0, 2.0, n)
+        cav_var = rng.uniform(0.05, 5.0, n)
+        st = fresh_state(np.eye(n))
+        tilt = tilted_moments(cav_mu, cav_var, np.zeros(n))
+        site_update(st, (cav_mu, cav_var, np.ones(n, bool)), tilt, 1.0)
+        assert np.all(st.site_prec >= 0)
+        np.testing.assert_allclose(st.site_nu, -0.5, atol=1e-9)
+
     def test_moment_matching_at_fixed_point(self):
         # schedule-free EP fixed point: at every site the tilted moments of
         # the cavity equal the marginal of q(g)
@@ -252,6 +267,14 @@ class TestEpPosterior:
         assert logz == pytest.approx(want, abs=1e-10)
         want_Sigma = np.linalg.inv(np.linalg.inv(K) + np.diag(prec))
         np.testing.assert_allclose(Sigma, want_Sigma, atol=1e-10)
+
+
+    def test_negative_site_precision_raises(self):
+        K = np.array([[1.0, 0.2], [0.2, 0.8]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FactorizationError):
+                ep_posterior(K, 0.0, np.array([1.0, -1e-12]), np.zeros(2))
 
 
 class TestFitEp:
@@ -356,7 +379,7 @@ class TestFitEp:
         dict(tol=float("nan")), dict(quad_order=0), dict(quad_order=129),
         dict(alpha_threshold=0.0), dict(alpha_threshold=float("nan")),
         dict(max_passes=1.5), dict(max_passes=True), dict(quad_order=8.7),
-        dict(quad_order=True)])
+        dict(quad_order=True), dict(tol=float("inf"))])
     def test_invalid_config_rejected_before_setup(self, monkeypatch, bad):
         def no_setup(*args, **kwargs):
             raise AssertionError("config must be checked before setup")

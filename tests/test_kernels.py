@@ -52,8 +52,11 @@ class TestKernelEval:
             _k(KernelSpec(), [1.0], [1.0, 2.0])
 
     def test_invalid_spec(self):
-        with pytest.raises(ValueError):
-            KernelSpec(lengthscale=-1.0)
+        for lengthscale in (-1.0, 1e-300, 1e300):
+            # 1e300 squared overflows; 1e-300 squared underflows to zero,
+            # and the rbf's 0/0 on the diagonal would be nan
+            with pytest.raises(ValueError):
+                KernelSpec(lengthscale=lengthscale)
         with pytest.raises(ValueError):
             KernelSpec(family="matern")
         for degree in (0, 2.5, True):

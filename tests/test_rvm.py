@@ -116,7 +116,7 @@ class TestFitRvm:
         dict(max_iter=0), dict(max_iter=-3), dict(tol=-1.0),
         dict(tol=float("nan")), dict(alpha_threshold=0.0),
         dict(alpha_threshold=-1.0), dict(alpha_threshold=float("nan")),
-        dict(max_iter=1.5), dict(max_iter=True)])
+        dict(max_iter=1.5), dict(max_iter=True), dict(tol=float("inf"))])
     def test_invalid_config_rejected_before_setup(self, monkeypatch, bad):
         def no_setup(*args, **kwargs):
             raise AssertionError("config must be checked before setup")

@@ -748,7 +748,8 @@ class TestFitVi:
         dict(tol=float("nan")), dict(alpha_threshold=0.0),
         dict(alpha_threshold=-1.0), dict(alpha_threshold=float("nan")),
         dict(inner_maxiter=0), dict(max_iter=1.5), dict(max_iter=True),
-        dict(inner_maxiter=2.5), dict(inner_maxiter=True)])
+        dict(inner_maxiter=2.5), dict(inner_maxiter=True),
+        dict(tol=float("inf"))])
     def test_invalid_config_rejected_before_setup(self, monkeypatch, bad):
         def no_setup(*args, **kwargs):
             raise AssertionError("config must be checked before setup")
