@@ -73,6 +73,26 @@ def _resolved(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k != "func"}
 
 
+def _data(args):
+    # the module's load_csv, looked up at call time: perfbench traces it
+    return load_csv(args.data, has_header=not args.no_header,
+                    target_column=args.target)
+
+
+def _report(args, lines) -> int:
+    """Write the report (a header, then ``lines``) to ``--report``, or to
+    stdout without it."""
+    head = ["format_version=1",
+            "config=" + json.dumps(_resolved(args), sort_keys=True)]
+    text = "\n".join(head + lines) + "\n"
+    if args.report:
+        with open(args.report, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
 def _cmd_synth(args, s):
     data, sd = synth(s["synth"])
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -90,8 +110,7 @@ def _cmd_synth(args, s):
 
 
 def _cmd_train(args, s):
-    data = load_csv(args.data, has_header=not args.no_header,
-                    target_column=args.target)
+    data = _data(args)
     model = _fit(args.method, data, s)
     save_model(model, args.out)
     if args.verbose:
@@ -102,8 +121,7 @@ def _cmd_train(args, s):
 
 def _cmd_predict(args, s):
     model = load_model(args.model)
-    data = load_csv(args.data, has_header=not args.no_header,
-                    target_column=args.target)
+    data = _data(args)
     pred = predict(model, data.X)
     header = ["x" + str(i) for i in range(data.q)]
     header += ["y_true", "pred_mean", "pred_sd_total", "pred_sd_latent",
@@ -125,48 +143,28 @@ def _cmd_predict(args, s):
 
 def _cmd_evaluate(args, s):
     model = load_model(args.model)
-    data = load_csv(args.data, has_header=not args.no_header,
-                    target_column=args.target)
+    data = _data(args)
     pred = predict(model, data.X)
-    lines = [
-        "format_version=1",
-        "config=" + json.dumps(_resolved(args), sort_keys=True),
+    return _report(args, [
         f"rmse={rmse(pred.latent_mean, data.y)!r}",
         f"nlpd={nlpd(pred, data.y)!r}",
         f"active_basis={len(model.active_indices)}",
         f"status={model.status}",
-    ]
-    text = "\n".join(lines) + "\n"
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    ])
 
 
 def _cmd_benchmark(args, s):
-    rows = []
+    rows = ["method\tseed\trmse\tnlpd\tactive_basis"]
     for seed in range(args.seeds):
         train, _ = synth(dataclasses.replace(s["synth"], seed=seed))
         test, _ = synth(dataclasses.replace(s["synth"], seed=seed + 10_000))
         for method in s["methods"]:
             model = _fit(method, train, s)
             pred = predict(model, test.X)
-            rows.append((method, seed, rmse(pred.latent_mean, test.y),
-                         nlpd(pred, test.y), len(model.active_indices)))
-    out_lines = ["format_version=1",
-                 "config=" + json.dumps(_resolved(args), sort_keys=True),
-                 "method\tseed\trmse\tnlpd\tactive_basis"]
-    for method, seed, r, nl, nb in rows:
-        out_lines.append(f"{method}\t{seed}\t{r!r}\t{nl!r}\t{nb}")
-    text = "\n".join(out_lines) + "\n"
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+            rows.append(f"{method}\t{seed}\t"
+                        f"{rmse(pred.latent_mean, test.y)!r}\t"
+                        f"{nlpd(pred, test.y)!r}\t{len(model.active_indices)}")
+    return _report(args, rows)
 
 
 def _add_common_model_opts(p):

@@ -81,16 +81,22 @@ class Dataset:
         return self.X.shape[1]
 
 
+def _location_scale(v):
+    """Mean and population sd along axis 0.  A constant column gets its
+    own value and scale 1, so it maps to exactly 0: a round-off sd would
+    blow a tiny change of its input up to many standard deviations."""
+    const = np.ptp(v, axis=0) == 0
+    scale = v.std(axis=0)
+    return (np.where(const, v[0], v.mean(axis=0)),
+            np.where(const | ~(scale > 0), 1.0, scale))
+
+
 def standardize(data: Dataset):
     """Map each X column and y to zero mean / unit standard deviation
-    (population sd, denominator N).  Zero-variance columns keep scale 1."""
-    x_mean = data.X.mean(axis=0)
-    x_scale = data.X.std(axis=0)
-    x_scale = np.where(x_scale > 0, x_scale, 1.0)
-    y_mean = float(data.y.mean())
-    y_scale = float(data.y.std())
-    if y_scale <= 0:
-        y_scale = 1.0
+    (population sd, denominator N).  A constant column or target keeps
+    scale 1 and is centred at its value (see _location_scale)."""
+    x_mean, x_scale = _location_scale(data.X)
+    y_mean, y_scale = map(float, _location_scale(data.y))
     record = Standardization(x_mean, x_scale, y_mean, y_scale)
     out = Dataset(record.apply_x(data.X), record.apply_y(data.y), record)
     return out, record

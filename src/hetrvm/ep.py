@@ -36,7 +36,7 @@ from . import numerics
 from .model import HrvmModel
 from .numerics import (FactorizationError, _check_int, chol_factor,
                        chol_solve, gauss_hermite)
-from .vi import (_JITTER_FRAC, _check_loop, _reduced_cov, _setup,
+from .vi import (_check_loop, _finish, _gp_noise, _reduced_cov, _setup,
                  _standardized, noise_diag, prune_basis, update_alpha,
                  weight_posterior)
 
@@ -272,11 +272,9 @@ def fit_ep(data: Dataset, kernel: Optional[KernelSpec] = None,
     halved = False
     prev_change = np.inf
     osc = 0
-    n_pass = 0
-    for _ in range(config.max_passes):
-        n_pass += 1
+    r = noise_diag(state.post_mu, state.post_Sigma)  # kept current below
+    for n_pass in range(1, config.max_passes + 1):
         Phi_a = Phi[:, active]
-        r = noise_diag(state.post_mu, state.post_Sigma)
         mu_w, Sigma_w = weight_posterior(Phi_a, alpha, r, y)
         resid = y - Phi_a @ mu_w
         m_hat = resid**2 + np.sum((Phi_a @ Sigma_w) * Phi_a, axis=1)
@@ -316,18 +314,8 @@ def fit_ep(data: Dataset, kernel: Optional[KernelSpec] = None,
             osc = 0
         prev_change = change
 
-    Phi_a = Phi[:, active]
-    r = noise_diag(state.post_mu, state.post_Sigma)
-    mu_w, Sigma_w = weight_posterior(Phi_a, alpha, r, y)
-    sv = float(np.exp(log_sv))
-    return HrvmModel(method="ep", kernel=kernel, centers=design.centers,
-                     active_indices=list(active), alpha=alpha,
-                     mu_w=mu_w, Sigma_w=Sigma_w,
-                     noise_mu0=mu0,
-                     noise_lengthscale=float(np.exp(log_ell)),
-                     noise_signal_variance=sv,
-                     noise_jitter=_JITTER_FRAC * sv,
-                     g_mu=state.post_mu, g_Sigma=state.post_Sigma,
-                     standardization=record,
-                     training_log=training_log, status=status,
-                     n_iter=n_pass, config=asdict(config))
+    return _finish("ep", kernel, design, record, active, alpha, r, y,
+                   _gp_noise(mu0, log_ell, log_sv, state.post_mu,
+                             state.post_Sigma),
+                   training_log=training_log, status=status, n_iter=n_pass,
+                   config=asdict(config))

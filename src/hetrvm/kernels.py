@@ -115,12 +115,7 @@ def build_design_matrix(X, kernel: KernelSpec) -> DesignMatrix:
     """Basis matrix with one kernel column per training input, plus an
     optional leading bias column of ones."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    K = kernel_matrix(kernel, X, X)
-    if kernel.include_bias:
-        values = np.hstack([np.ones((X.shape[0], 1)), K])
-    else:
-        values = K
-    return DesignMatrix(values=values, centers=X.copy())
+    return DesignMatrix(design_matrix_at(X, kernel, X), X.copy())
 
 
 def design_matrix_at(Xstar, kernel: KernelSpec, centers,
@@ -134,12 +129,10 @@ def design_matrix_at(Xstar, kernel: KernelSpec, centers,
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     K = kernel_matrix(kernel, Xstar, centers)
     if kernel.include_bias:
-        full = np.hstack([np.ones((Xstar.shape[0], 1)), K])
-    else:
-        full = K
+        K = np.hstack([np.ones((Xstar.shape[0], 1)), K])
     if active_columns is None:
-        return full
-    return full[:, np.asarray(active_columns, dtype=int)]
+        return K
+    return K[:, np.asarray(active_columns, dtype=int)]
 
 
 def gp_covariance(X, prior: GpNoisePrior) -> np.ndarray:

@@ -1,13 +1,20 @@
 """Homoscedastic relevance vector machine with fast marginal-likelihood
-basis selection (sequential add / re-estimate / delete on the candidate
-columns of the design matrix).
+basis selection (Tipping & Faul, 2003): sequential add / re-estimate /
+delete on the candidate columns of the design matrix.
 
-The weight posterior, the marginal likelihood and the final pruning step
-are the heteroscedastic trainers' (:mod:`hetrvm.vi`) with the constant
-noise r = sigma2; only the add / re-estimate / delete statistics are
-specific to this module.  The fit is an :class:`HrvmModel` whose
-log-noise process is clamped at log sigma2, the form a clamped
-variational fit takes, so it predicts and saves as the others do."""
+The weight fit, the model finish, the pruning step and the sparsity and
+quality (s, q) of the columns in the model are the heteroscedastic
+trainers' (:mod:`hetrvm.vi`) with the constant noise r = sigma2.  This
+module adds (s, q) for the columns outside the model and one gain rule:
+a column's share of the log evidence at precision a is
+
+    l(a) = (q^2 / (a + s) - log(1 + s / a)) / 2,   l(inf) = 0,
+
+so an add (from a = inf), a re-estimate to a = s^2 / (q^2 - s) and a
+delete (to a = inf) each gain l(a_new) - l(a_old).  The fit is an
+:class:`HrvmModel` whose log-noise process is clamped at log sigma2, the
+form a clamped variational fit takes, so it predicts and saves as the
+others do."""
 
 from __future__ import annotations
 
@@ -22,8 +29,8 @@ from .kernels import KernelSpec, build_design_matrix
 from .kernels import design_matrix_at  # noqa: F401
 from .model import HrvmModel
 from .numerics import chol_factor, chol_solve
-from .vi import (_JITTER_FRAC, _check_loop, _evidence, _factor, _gram,
-                 _posterior, _standardized, prune_basis, weight_posterior)
+from .vi import (_check_loop, _finish, _gp_noise, _sparsity_quality,
+                 _standardized, _weight_fit, prune_basis)
 
 __all__ = ["RvmConfig", "sparsity_quality", "fit_rvm"]
 
@@ -39,17 +46,30 @@ class RvmConfig:
         _check_loop(self.max_iter, self.tol, self.alpha_threshold)
 
 
-def _all_SQ(Phi, Phi_a, Sigma_w, sigma2, y):
-    """S_j = phi_j^T C^-1 phi_j and Q_j = phi_j^T C^-1 y for every column,
-    via the Woodbury identity on the active set."""
-    G = Phi.T @ Phi_a                       # M x m
-    S = np.sum(Phi * Phi, axis=0) / sigma2
-    Q = Phi.T @ y / sigma2
-    if Phi_a.shape[1] > 0:
-        GS = G @ Sigma_w
-        S = S - np.sum(GS * G, axis=1) / sigma2**2
-        Q = Q - GS @ (Phi_a.T @ y) / sigma2**2
-    return S, Q
+def _all_sq(Phi, active, mu_w, Sigma_w, sigma2, y):
+    """Every column's (s_j, q_j) under noise sigma2, with column j left
+    out of C.  Outside the model s = phi^T C^-1 phi by Woodbury on the
+    active set and q = phi^T C^-1 y = phi^T (y - Phi_a mu_w) / sigma2; the
+    columns in it take :func:`hetrvm.vi._sparsity_quality`."""
+    Phi_a = Phi[:, active]
+    G = Phi.T @ Phi_a / sigma2              # M x m
+    s = np.sum(Phi * Phi, axis=0) / sigma2 - np.sum((G @ Sigma_w) * G, axis=1)
+    q = Phi.T @ (y - Phi_a @ mu_w) / sigma2
+    s[active], q[active] = _sparsity_quality(G[active], Sigma_w, mu_w)
+    return s, q
+
+
+def _actions(s, q, a_old):
+    """Each column's evidence-optimal precision a_new (inf: out of the
+    model) and its gain l(a_new) - l(a_old), -inf where not finite."""
+    def ell(a):
+        return 0.5 * (q**2 / (a + s) - np.log1p(s / a))
+
+    theta = q**2 - s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_new = np.where(theta > 0, s**2 / theta, np.inf)
+        gain = ell(a_new) - ell(a_old)
+    return a_new, np.where(np.isfinite(gain), gain, -np.inf)
 
 
 def sparsity_quality(Phi: np.ndarray, y, active, alpha, sigma2, j):
@@ -81,17 +101,7 @@ def _clamped_noise(n, sigma2):
     log-noise is clamped at log sigma2.  The noise-GP hyperparameters are
     neutral values that ``predict`` never reads for such a model."""
     log_s2 = float(np.log(sigma2))
-    return dict(noise_mu0=log_s2, noise_lengthscale=1.0,
-                noise_signal_variance=1.0, noise_jitter=_JITTER_FRAC,
-                g_mu=np.full(n, log_s2), g_Sigma=np.zeros((n, n)))
-
-
-def _rvm_state(Phi_a, alpha, r, y):
-    """Log evidence, mu_w and Sigma_w at one (active set, alpha, r), from
-    one factorization of the weight precision."""
-    _, G, b = _gram(Phi_a, r, y)
-    L = _factor(G, alpha)
-    return (_evidence(L, b, alpha, r, y)[0],) + _posterior(L, b)
+    return _gp_noise(log_s2, 0.0, 0.0, np.full(n, log_s2), np.zeros((n, n)))
 
 
 def fit_rvm(data: Dataset, kernel: Optional[KernelSpec] = None,
@@ -104,25 +114,20 @@ def fit_rvm(data: Dataset, kernel: Optional[KernelSpec] = None,
     kernel = kernel or KernelSpec()
     config = config or RvmConfig()
     work, record = _standardized(data, config.standardize)
-    y = work.y
-    n = y.size
+    y, n = work.y, work.n
     design = build_design_matrix(work.X, kernel)
     Phi = design.values
-    M = Phi.shape[1]
-
-    def model(active, alpha, mu_w, Sigma_w, sigma2, **fit):
-        return HrvmModel(method="rvm", kernel=kernel, centers=design.centers,
-                         active_indices=list(active), alpha=alpha,
-                         mu_w=mu_w, Sigma_w=Sigma_w, standardization=record,
-                         config=asdict(config), **_clamped_noise(n, sigma2),
-                         **fit)
 
     var_y = float(np.var(y))
-    if var_y <= 0.0:
-        # no structure to fit: bias only (or empty) at unit noise
+    if var_y <= 0.0 or np.ptp(y) == 0.0:
+        # no structure to fit: the bias weight (if any) is the constant
+        # target, at unit noise
         k = int(kernel.include_bias)
-        return model(list(range(k)), np.full(k, 1e6), np.zeros(k),
-                     np.full((k, k), 1e-6), 1.0, status="degenerate")
+        return HrvmModel(method="rvm", kernel=kernel, centers=design.centers,
+                         active_indices=list(range(k)), alpha=np.full(k, 1e6),
+                         mu_w=np.full(k, y[0]), Sigma_w=np.full((k, k), 1e-6),
+                         standardization=record, status="degenerate",
+                         config=asdict(config), **_clamped_noise(n, 1.0))
     sigma2 = 0.1 * var_y
 
     # start from the basis with the largest normalized projection
@@ -136,61 +141,30 @@ def fit_rvm(data: Dataset, kernel: Optional[KernelSpec] = None,
     alpha = np.array([a0], dtype=float)
     r = np.full(n, sigma2)
     Phi_a = Phi[:, active]
-    ev, mu_w, Sigma_w = _rvm_state(Phi_a, alpha, r, y)
+    ev, mu_w, Sigma_w = _weight_fit(Phi_a, alpha, r, y)
 
     log: List[float] = []
     status = "max_iter"
-    n_iter = 0
-    for it in range(config.max_iter):
-        n_iter = it + 1
-        S, Q = _all_SQ(Phi, Phi_a, Sigma_w, sigma2, y)
-
-        in_model = np.zeros(M, dtype=bool)
-        in_model[active] = True
-        alpha_full = np.full(M, np.inf)
-        alpha_full[active] = alpha
-        denom = np.where(in_model, alpha_full - S, 1.0)
-        s = np.where(in_model, alpha_full * S / denom, S)
-        q = np.where(in_model, alpha_full * Q / denom, Q)
-        theta = q**2 - s
-
-        delta = np.full(M, -np.inf)
-        add = (theta > 0) & ~in_model
-        rec = (theta > 0) & in_model
-        dele = (theta <= 0) & in_model
-        with np.errstate(divide="ignore", invalid="ignore"):
-            delta[add] = 0.5 * ((Q[add] ** 2 - S[add]) / S[add]
-                                + np.log(S[add] / Q[add] ** 2))
-            if np.any(rec):
-                a_new = s[rec] ** 2 / theta[rec]
-                d_inv = 1.0 / a_new - 1.0 / alpha_full[rec]
-                delta[rec] = 0.5 * (Q[rec] ** 2 / (S[rec] + 1.0 / d_inv)
-                                    - np.log1p(S[rec] * d_inv))
-            if np.any(dele):
-                delta[dele] = 0.5 * (Q[dele] ** 2 / (S[dele] - alpha_full[dele])
-                                     - np.log1p(-S[dele] / alpha_full[dele]))
-        delta[~np.isfinite(delta)] = -np.inf
-
-        jbest = int(np.argmax(delta))
-        best_gain = delta[jbest]
+    for n_iter in range(1, config.max_iter + 1):
+        s, q = _all_sq(Phi, active, mu_w, Sigma_w, sigma2, y)
+        a_old = np.full(Phi.shape[1], np.inf)
+        a_old[active] = alpha
+        a_new, gain = _actions(s, q, a_old)
+        j = int(np.argmax(gain))
+        best_gain = gain[j]
         max_log_change = 0.0
         if best_gain > 1e-12:
-            if add[jbest]:
-                active.append(jbest)
-                alpha = np.append(alpha, s[jbest] ** 2 / theta[jbest])
-                max_log_change = np.inf
-            elif rec[jbest]:
-                k = active.index(jbest)
-                a_new = s[jbest] ** 2 / theta[jbest]
-                max_log_change = abs(np.log(a_new) - np.log(alpha[k]))
-                alpha[k] = a_new
-            else:  # delete
-                k = active.index(jbest)
-                active.pop(k)
-                alpha = np.delete(alpha, k)
-                max_log_change = np.inf
+            max_log_change = abs(np.log(a_new[j]) - np.log(a_old[j]))
+            if np.isinf(a_old[j]):  # add
+                active.append(j)
+                alpha = np.append(alpha, a_new[j])
+            elif np.isinf(a_new[j]):  # delete
+                alpha = np.delete(alpha, active.index(j))
+                active.remove(j)
+            else:  # re-estimate
+                alpha[active.index(j)] = a_new[j]
             Phi_a = Phi[:, active]
-            ev, mu_w, Sigma_w = _rvm_state(Phi_a, alpha, r, y)
+            ev, mu_w, Sigma_w = _weight_fit(Phi_a, alpha, r, y)
 
         # noise re-estimate, accepted only when it does not lower the
         # evidence; the accepted state's posterior starts the next iteration
@@ -201,7 +175,7 @@ def fit_rvm(data: Dataset, kernel: Optional[KernelSpec] = None,
             sigma2_new = float(resid @ resid) / dof
             if sigma2_new > 1e-12:
                 r_new = np.full(n, sigma2_new)
-                trial = _rvm_state(Phi_a, alpha, r_new, y)
+                trial = _weight_fit(Phi_a, alpha, r_new, y)
                 if trial[0] >= ev - 1e-10:
                     sigma2, r = sigma2_new, r_new
                     ev, mu_w, Sigma_w = trial
@@ -212,8 +186,7 @@ def fit_rvm(data: Dataset, kernel: Optional[KernelSpec] = None,
             break
 
     # threshold pruning (alpha -> infinity basis carry no weight)
-    active, alpha, pruned = prune_basis(active, alpha, config.alpha_threshold)
-    if pruned:
-        mu_w, Sigma_w = weight_posterior(Phi[:, active], alpha, r, y)
-    return model(active, alpha, mu_w, Sigma_w, sigma2, training_log=log,
-                 status=status, n_iter=n_iter)
+    active, alpha, _ = prune_basis(active, alpha, config.alpha_threshold)
+    return _finish("rvm", kernel, design, record, active, alpha, r, y,
+                   _clamped_noise(n, sigma2), training_log=log, status=status,
+                   n_iter=n_iter, config=asdict(config))

@@ -23,22 +23,22 @@ precision clamp, instead of creeping toward it: one reading can be a
 transient while the other precisions move, so the update waits for a
 second.
 
-The weight posterior, the evidence log N(y | 0, Phi A^-1 Phi^T + R) and
-the pruning rule defined here are the only copies in the package: the EP
-trainer uses them as they are, and the constant-noise RVM uses them with
-R = sigma2 I.  The evidence is evaluated through the m x m weight
-precision (Woodbury), never the N x N covariance, and so is the bound's
-gradient: it needs C^-1 y and diag(C^-1) only, and no N x N inverse of C
-or K is formed.  The N x N work left per bound evaluation is the q(g)
-block (the Cholesky factor of I + Lam^1/2 K Lam^1/2 and Sigma from it).
-Within one outer iteration every distinct point is evaluated once.  The
-first L-BFGS stage holds (log_ell, log_sv) fixed, so its evaluations skip
-the O(N^3) block of their gradient; the joint stage completes it at the
-one point where the first stage ended.  The precision update forms the
-Gram matrix Phi^T R^-1 Phi, the noise terms of the evidence and the
-identity right-hand side once per call, and then costs one m x m
-factorization and three solves with it per step; the sparsity and quality
-of every column come from that step's posterior in O(m^2).
+One weight fit (the posterior and the evidence log N(y | 0, Phi A^-1
+Phi^T + R) from one factorization), one sparsity/quality rule, one
+pruning rule and one model finish: every trainer uses these, EP as they
+are and the RVM with R = sigma2 I.  The evidence is evaluated through the
+m x m weight precision (Woodbury), never the N x N covariance, and so is
+the bound's gradient: it needs C^-1 y and diag(C^-1) only, and no N x N
+inverse of C or K is formed.  The N x N work left per bound evaluation is
+the q(g) block (the Cholesky factor of I + Lam^1/2 K Lam^1/2 and Sigma
+from it).  Within one outer iteration every distinct point is evaluated
+once.  The first L-BFGS stage holds (log_ell, log_sv) fixed, so its
+evaluations skip the O(N^3) block of their gradient; the joint stage
+completes it at the one point where the first stage ended.  The precision
+update forms the Gram matrix Phi^T R^-1 Phi, the noise terms of the
+evidence and the identity right-hand side once per call, and then costs
+one m x m factorization and three solves with it per step; the sparsity
+and quality of every column come from that step's posterior in O(m^2).
 
 L-BFGS is ``scipy.optimize.minimize``, reached through this module's
 ``minimize``, which imports the optimizer on its first call.  Loading
@@ -212,23 +212,22 @@ def _evidence(L, b, alpha, r, y, noise=None):
     return float(-0.5 * (y.size * _LOG_2PI + logdet + quad)), v
 
 
+def _weight_fit(Phi_a, alpha, r, y):
+    """log N(y | 0, Phi diag(1/alpha) Phi^T + diag(r)) (see _evidence),
+    mu_w and Sigma_w at one (active set, alpha, r), from one factorization
+    of the weight precision."""
+    _, G, b = _gram(Phi_a, r, y)
+    L = _factor(G, alpha)
+    return (_evidence(L, b, alpha, r, y)[0],) + _posterior(L, b)
+
+
 def weight_posterior(Phi_a, alpha, r, y):
     """Exact maximizing Gaussian over the weights for effective noise r:
     Sigma_w = (diag(alpha) + Phi^T diag(1/r) Phi)^-1,
     mu_w = Sigma_w Phi^T diag(1/r) y.  Constant r = sigma2 gives the
     homoscedastic RVM posterior."""
-    Phi_a = np.asarray(Phi_a, dtype=float)
-    alpha = np.asarray(alpha, dtype=float).ravel()
-    r = np.asarray(r, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    _, G, b = _gram(Phi_a, r, y)
-    return _posterior(_factor(G, alpha), b)
-
-
-def _log_evidence(Phi_a, alpha, r, y):
-    """log N(y | 0, Phi diag(1/alpha) Phi^T + diag(r)); see _evidence."""
-    _, G, b = _gram(Phi_a, r, y)
-    return _evidence(_factor(G, alpha), b, alpha, r, y)[0]
+    alpha, r, y = (np.asarray(v, dtype=float).ravel() for v in (alpha, r, y))
+    return _weight_fit(np.asarray(Phi_a, dtype=float), alpha, r, y)[1:]
 
 
 def reduced_to_moments(lam, K, mu0):
@@ -259,7 +258,7 @@ def collapsed_bound(state: VariationalState, Phi, y) -> float:
     y = np.asarray(y, dtype=float).ravel()
     Phi_a = Phi[:, state.active_indices]
     r = noise_diag(state.mu, state.Sigma)
-    f1 = _log_evidence(Phi_a, state.alpha, r, y)
+    f1 = _weight_fit(Phi_a, state.alpha, r, y)[0]
     kl = gauss_kl(state.mu, state.Sigma,
                   np.full(y.size, state.mu0), state.K)
     return f1 - 0.25 * float(np.trace(state.Sigma)) - kl
@@ -486,6 +485,28 @@ def _setup(work: Dataset, design):
     return active, alpha, D2, log_ell, log_sv, mu0, K
 
 
+def _gp_noise(mu0, log_ell, log_sv, mu, Sigma):
+    """The log-noise fields of an ``HrvmModel``: the noise-GP prior at
+    (mu0, log lengthscale, log signal variance) and q(g) = N(mu, Sigma)
+    at the training inputs."""
+    sv = float(np.exp(log_sv))
+    return dict(noise_mu0=float(mu0),
+                noise_lengthscale=float(np.exp(log_ell)),
+                noise_signal_variance=sv, noise_jitter=_JITTER_FRAC * sv,
+                g_mu=mu, g_Sigma=Sigma)
+
+
+def _finish(method, kernel, design, record, active, alpha, r, y, noise,
+            **fit):
+    """The model the trainers return: the weight posterior refit at the
+    final active set, precisions and effective noise r, the noise fields
+    ``noise`` (:func:`_gp_noise`) and the record ``fit`` of the run."""
+    mu_w, Sigma_w = weight_posterior(design.values[:, active], alpha, r, y)
+    return HrvmModel(method=method, kernel=kernel, centers=design.centers,
+                     active_indices=list(active), alpha=alpha, mu_w=mu_w,
+                     Sigma_w=Sigma_w, standardization=record, **noise, **fit)
+
+
 def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
            config: Optional[VIConfig] = None) -> HrvmModel:
     """Train by alternating: L-BFGS ascent of the bound, first over the
@@ -508,9 +529,10 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
     else:
         mu = np.full(n, float(clamp))
         Sigma = np.zeros((n, n))
+    r = noise_diag(mu, Sigma)  # kept current with q(g) below
 
     training_log: List[float] = []
-    prune_flags: List[bool] = []
+    prune_iterations: List[int] = []
     prune_shifts: List[float] = []
     status = "max_iter"
     n_iter = 0
@@ -520,7 +542,6 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
     for it in range(config.max_iter):
         n_iter = it + 1
         Phi_a = Phi[:, active]
-        r = noise_diag(mu, Sigma)
 
         if clamp is None:
             x0 = np.concatenate([_eta_from_lam(lam), [log_ell, log_sv, mu0]])
@@ -609,8 +630,8 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
 
         kept, kept_alpha, pruned = prune_basis(active, alpha,
                                                config.alpha_threshold)
-        prune_flags.append(pruned)
         if pruned:
+            prune_iterations.append(it)
             mw_b, _ = weight_posterior(Phi[:, active], alpha, r, y)
             mw_a, _ = weight_posterior(Phi[:, kept], kept_alpha, r, y)
             shift = float(np.sqrt(np.mean(
@@ -626,21 +647,9 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
             break
         f_prev = fval
 
-    Phi_a = Phi[:, active]
-    r = noise_diag(mu, Sigma)
-    mu_w, Sigma_w = weight_posterior(Phi_a, alpha, r, y)
-    sv = float(np.exp(log_sv))
-    cfg = asdict(config)
-    cfg["prune_iterations"] = [i for i, p in enumerate(prune_flags) if p]
-    cfg["prune_shifts"] = prune_shifts
-    return HrvmModel(method="vi", kernel=kernel, centers=design.centers,
-                     active_indices=list(active), alpha=alpha,
-                     mu_w=mu_w, Sigma_w=Sigma_w,
-                     noise_mu0=float(mu0),
-                     noise_lengthscale=float(np.exp(log_ell)),
-                     noise_signal_variance=sv,
-                     noise_jitter=_JITTER_FRAC * sv,
-                     g_mu=mu, g_Sigma=Sigma,
-                     standardization=record,
-                     training_log=training_log, status=status,
-                     n_iter=n_iter, config=cfg)
+    cfg = dict(asdict(config), prune_iterations=prune_iterations,
+               prune_shifts=prune_shifts)
+    return _finish("vi", kernel, design, record, active, alpha, r, y,
+                   _gp_noise(mu0, log_ell, log_sv, mu, Sigma),
+                   training_log=training_log, status=status, n_iter=n_iter,
+                   config=cfg)

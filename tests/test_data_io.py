@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from hetrvm.data import DataError, Dataset, SynthSpec, load_csv, synth
+from hetrvm.data import (DataError, Dataset, SynthSpec, load_csv, standardize,
+                         synth)
+from hetrvm.kernels import KernelSpec
+from hetrvm.predict import predict
+from hetrvm.rvm import fit_rvm
 
 
 class TestDataset:
@@ -19,6 +23,50 @@ class TestDataset:
         d = Dataset(np.array([[1.0], [2.0]]), [3.0, 4.0])
         assert d.X.shape == (2, 1)
         assert d.n == 2 and d.q == 1
+
+
+class TestStandardize:
+    @staticmethod
+    def _data(column, y=None):
+        rng = np.random.default_rng(0)
+        x1 = np.linspace(-1.0, 1.0, 30)
+        if y is None:
+            y = np.sin(3.0 * x1) + 0.1 * rng.normal(size=30)
+        return Dataset(np.column_stack([x1, column]), y)
+
+    @pytest.mark.parametrize("c", [0.1, 0.5, -7.3, 1e6])
+    def test_constant_column_maps_to_zero(self, c):
+        # the computed sd of a constant 0.1 column is round-off (4.2e-17
+        # at N=30), not 0
+        work, record = standardize(self._data(np.full(30, c)))
+        assert record.x_scale[1] == 1.0 and record.x_mean[1] == c
+        assert np.all(work.X[:, 1] == 0.0)
+
+    def test_constant_target_maps_to_zero(self):
+        work, record = standardize(self._data(np.zeros(30), np.full(30, 0.1)))
+        assert record.y_scale == 1.0 and record.y_mean == 0.1
+        assert np.all(work.y == 0.0)
+
+    def test_varying_data_keeps_its_bits(self):
+        data = self._data(np.linspace(0.0, 5.0, 30) ** 2)
+        work, record = standardize(data)
+        assert np.array_equal(record.x_mean, data.X.mean(axis=0))
+        assert np.array_equal(record.x_scale, data.X.std(axis=0))
+        assert record.y_mean == data.y.mean()
+        assert record.y_scale == data.y.std()
+        want = (data.X - record.x_mean) / record.x_scale
+        assert np.array_equal(work.X, want)
+
+    def test_tiny_shift_of_constant_input_keeps_predictions(self):
+        # a test input 1e-6 off a constant training column is close to it,
+        # not many round-off standard deviations away
+        data = self._data(np.full(30, 0.1))
+        model = fit_rvm(data, KernelSpec(lengthscale=0.5))
+        Xt = np.array([[-0.5, 0.1], [0.0, 0.1], [0.5, 0.1]])
+        at = predict(model, Xt).latent_mean
+        shifted = predict(model, Xt + [0.0, 1e-6]).latent_mean
+        np.testing.assert_allclose(shifted, at, rtol=0, atol=1e-6)
+        assert np.ptp(at) > 1.0
 
 
 class TestLoadCsv:

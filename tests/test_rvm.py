@@ -6,7 +6,10 @@ import hetrvm.vi
 from hetrvm.data import Dataset, SynthSpec, synth
 from hetrvm.kernels import KernelSpec, build_design_matrix
 from hetrvm.predict import predict
-from hetrvm.rvm import RvmConfig, fit_rvm, sparsity_quality
+from hetrvm.rvm import (RvmConfig, _actions, _all_sq, fit_rvm,
+                        sparsity_quality)
+from hetrvm.serialize import load_model, save_model
+from hetrvm.vi import _weight_fit, weight_posterior
 
 
 class TestSparsityQuality:
@@ -45,6 +48,78 @@ class TestSparsityQuality:
         s_wo, q_wo = sparsity_quality(Phi, y, [1], [1.0], 1.0, 0)
         assert s_with == pytest.approx(s_wo, rel=1e-12)
         assert q_with == pytest.approx(q_wo, rel=1e-12)
+
+
+def _rvm_problem(seed):
+    """A random RBF design, active set (possibly empty, in random order),
+    precisions over six decades and noise over three."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 40))
+    X = rng.uniform(0.0, 1.0, (n, 1))
+    kernel = KernelSpec(lengthscale=float(rng.uniform(0.05, 0.5)))
+    Phi = build_design_matrix(X, kernel).values
+    m = int(rng.integers(0, min(Phi.shape[1], 8) + 1))
+    active = [int(j) for j in rng.choice(Phi.shape[1], m, replace=False)]
+    alpha = 10.0 ** rng.uniform(-3.0, 3.0, m)
+    sigma2 = 10.0 ** rng.uniform(-3.0, 0.0)
+    y = np.sin(6.0 * X[:, 0]) + np.sqrt(sigma2) * rng.normal(size=n)
+    return Phi, y, active, alpha, sigma2
+
+
+def _dense_sq(Phi, y, active, alpha, sigma2):
+    return np.array([sparsity_quality(Phi, y, active, alpha, sigma2, j)
+                     for j in range(Phi.shape[1])]).T
+
+
+class TestAllSq:
+    """fit_rvm's (s, q) of every column, in and out of the model, against
+    the dense C_-j of sparsity_quality."""
+
+    @pytest.mark.parametrize("seeds", [range(0, 100), range(100, 200)])
+    def test_matches_dense_oracle(self, seeds):
+        empty = 0
+        for seed in seeds:
+            Phi, y, active, alpha, sigma2 = _rvm_problem(seed)
+            empty += not active
+            mu_w, Sigma_w = weight_posterior(Phi[:, active], alpha,
+                                             np.full(y.size, sigma2), y)
+            s, q = _all_sq(Phi, active, mu_w, Sigma_w, sigma2, y)
+            sd, qd = _dense_sq(Phi, y, active, alpha, sigma2)
+            np.testing.assert_array_less(
+                np.abs(q - qd), 1e-7 * (np.abs(qd) + np.sqrt(sd)))
+            # in the model nothing is subtracted (converting from
+            # S = phi^T C^-1 phi errs by up to 32% on these problems);
+            # outside it Woodbury subtracts from phi^T phi / sigma2
+            inside = np.isin(np.arange(s.size), active)
+            bound = np.where(inside, 1e-7 * sd,
+                             1e-9 * np.sum(Phi**2, axis=0) / sigma2)
+            np.testing.assert_array_less(np.abs(s - sd), bound)
+        assert empty > 0
+
+
+class TestActions:
+    """Each action's gain l(a_new) - l(a_old) is the change of the log
+    evidence after that add, re-estimate or delete."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_gain_is_evidence_change(self, seed):
+        Phi, y, active, alpha, sigma2 = _rvm_problem(seed)
+        r = np.full(y.size, sigma2)
+        ev = _weight_fit(Phi[:, active], alpha, r, y)[0]
+        a_old = np.full(Phi.shape[1], np.inf)
+        a_old[active] = alpha
+        a_new, gain = _actions(*_dense_sq(Phi, y, active, alpha, sigma2),
+                               a_old)
+        for j in range(Phi.shape[1]):
+            if a_new[j] == a_old[j]:  # out of the model, and staying out
+                assert gain[j] == 0.0
+                continue
+            act = [i for i in active if i != j]
+            act += [j] if np.isfinite(a_new[j]) else []
+            new = np.array([a_new[i] if i == j else a_old[i] for i in act])
+            want = _weight_fit(Phi[:, act], new, r, y)[0] - ev
+            assert gain[j] == pytest.approx(want, rel=0,
+                                            abs=2e-9 * max(1.0, abs(ev)))
 
 
 class TestAlphaGridOracle:
@@ -111,6 +186,34 @@ class TestFitRvm:
         X = np.linspace(0, 1, 10)[:, None]
         model = fit_rvm(Dataset(X, np.full(10, 5.0)), KernelSpec())
         assert set(model.active_indices) <= {0}
+
+    @pytest.mark.parametrize("standardize", [True, False])
+    @pytest.mark.parametrize("c", [3.5, 0.1])
+    def test_degenerate_predicts_the_constant(self, tmp_path, standardize, c):
+        # unstandardized, the computed variance of y = 0.1 is round-off,
+        # not 0
+        X = np.linspace(0, 1, 30)[:, None]
+        model = fit_rvm(Dataset(X, np.full(30, c)),
+                        KernelSpec(lengthscale=0.5),
+                        RvmConfig(standardize=standardize))
+        assert model.status == "degenerate" and model.active_indices == [0]
+        Xt = np.array([[-0.3], [0.4], [2.0]])
+        np.testing.assert_allclose(predict(model, Xt).latent_mean, c,
+                                   rtol=1e-12)
+        save_model(model, tmp_path / "m.json")
+        loaded = load_model(tmp_path / "m.json")
+        assert loaded.status == "degenerate" and loaded.active_indices == [0]
+        for field in ("latent_mean", "total_var"):
+            assert np.array_equal(getattr(predict(loaded, Xt), field),
+                                  getattr(predict(model, Xt), field))
+
+    def test_degenerate_without_bias_is_empty(self):
+        X = np.linspace(0, 1, 10)[:, None]
+        model = fit_rvm(Dataset(X, np.full(10, 2.0)),
+                        KernelSpec(include_bias=False),
+                        RvmConfig(standardize=False))
+        assert model.status == "degenerate" and model.active_indices == []
+        assert np.all(predict(model, X).latent_mean == 0.0)
 
     @pytest.mark.parametrize("bad", [
         dict(max_iter=0), dict(max_iter=-3), dict(tol=-1.0),

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hetrvm.numerics import chol_solve, gauss_hermite, grad_check
 from hetrvm.rvm import RvmConfig
 from hetrvm.serialize import model_to_dict
 from hetrvm.vi import (_ALPHA_MAX, VIConfig, VariationalState,
-                       _bound_value_grad, _factor, _gram, _log_evidence,
+                       _bound_value_grad, _factor, _gram, _weight_fit,
                        _noise_cov, _sigmoid, _sparsity_quality, bound_gradients,
                        collapsed_bound, expected_loglik, fit_vi, noise_diag,
                        prune_basis, reduced_to_moments, update_alpha,
@@ -151,8 +152,8 @@ class TestOneEvidence:
         Phi, alpha, r, y = _evidence_case(n, m, hetero, seed=n + m)
         C = (Phi / alpha) @ Phi.T + np.diag(r)
         want = multivariate_normal(np.zeros(n), C).logpdf(y)
-        assert _log_evidence(Phi, alpha, r, y) == pytest.approx(want,
-                                                                abs=1e-9)
+        ev = _weight_fit(Phi, alpha, r, y)[0]
+        assert ev == pytest.approx(want, abs=1e-9)
 
     def test_constant_noise_posterior_more_columns_than_points(self):
         # m < N is TestWeightPosterior.test_constant_noise_matches_sigma2_form
@@ -588,12 +589,12 @@ class TestUpdateAlpha:
         y = (Phi[:, 0] + 0.3 * rng.normal(size=n)) * 10.0**log10_scale
         r = np.exp(rng.uniform(*sorted(log_r), size=n))
         a0 = np.exp(rng.normal(size=m))
-        ev0 = _log_evidence(Phi, a0, r, y)
+        ev0 = _weight_fit(Phi, a0, r, y)[0]
         alpha, ev = update_alpha(a0, Phi, r, y)
         assert np.all(np.isfinite(alpha))
         assert np.all((alpha >= 1e-12) & (alpha <= 1e14))
         assert ev >= ev0 - 1e-10
-        assert ev == pytest.approx(_log_evidence(Phi, alpha, r, y),
+        assert ev == pytest.approx(_weight_fit(Phi, alpha, r, y)[0],
                                    rel=1e-9, abs=0)
 
 
@@ -673,6 +674,26 @@ class TestFitVi:
         full = fit_vi(data, kernel)
         assert (json.dumps(model_to_dict(lean), sort_keys=True)
                 == json.dumps(model_to_dict(full), sort_keys=True))
+
+    def test_stalled_optimizer_retries_then_ends_stalled(self, monkeypatch):
+        # an optimizer that fails without progress: each stage retries once
+        # with a longer line search, and the second stalled iteration ends
+        # the fit
+        calls = []
+
+        def no_progress(fun, x0, jac, method, options):
+            calls.append(options)
+            return SimpleNamespace(success=False, fun=fun(x0)[0], x=x0.copy(),
+                                   nfev=1)
+
+        monkeypatch.setattr(hetrvm.vi, "minimize", no_progress)
+        data, _ = synth(SynthSpec(generator="goldberg_sine", n=30, seed=0))
+        model = fit_vi(data, KernelSpec(lengthscale=0.3),
+                       VIConfig(inner_maxiter=40))
+        assert model.status == "stalled" and model.n_iter == 2
+        assert [c["maxls"] for c in calls] == [40, 60] * 4
+        assert [c["maxiter"] for c in calls] == [40, 20] * 4
+        assert len(model.training_log) == 2
 
     def test_learns_heteroscedastic_ramp(self):
         data, _ = synth(SynthSpec(generator="goldberg_sine", n=80, seed=3))
