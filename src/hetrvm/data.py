@@ -81,22 +81,29 @@ class Dataset:
         return self.X.shape[1]
 
 
-def _location_scale(v):
+def _location_scale(v, name):
     """Mean and population sd along axis 0.  A constant column gets its
     own value and scale 1, so it maps to exactly 0: a round-off sd would
-    blow a tiny change of its input up to many standard deviations."""
-    const = np.ptp(v, axis=0) == 0
-    scale = v.std(axis=0)
-    return (np.where(const, v[0], v.mean(axis=0)),
-            np.where(const | ~(scale > 0), 1.0, scale))
+    blow a tiny change of its input up to many standard deviations.  A
+    mean or sd that overflows raises ``DataError``: ``name`` formatted
+    with the column's index."""
+    with np.errstate(over="ignore"):
+        const = np.ptp(v, axis=0) == 0
+        loc = np.where(const, v[0], v.mean(axis=0))
+        scale = np.where(const, 1.0, v.std(axis=0))
+    bad = np.flatnonzero(~(np.isfinite(loc) & np.isfinite(scale)))
+    if bad.size:
+        raise DataError(name.format(bad[0]) + " has a mean or standard "
+                        "deviation that overflows")
+    return loc, np.where(scale > 0, scale, 1.0)
 
 
 def standardize(data: Dataset):
     """Map each X column and y to zero mean / unit standard deviation
     (population sd, denominator N).  A constant column or target keeps
     scale 1 and is centred at its value (see _location_scale)."""
-    x_mean, x_scale = _location_scale(data.X)
-    y_mean, y_scale = map(float, _location_scale(data.y))
+    x_mean, x_scale = _location_scale(data.X, "input column {}")
+    y_mean, y_scale = map(float, _location_scale(data.y, "the target"))
     record = Standardization(x_mean, x_scale, y_mean, y_scale)
     out = Dataset(record.apply_x(data.X), record.apply_y(data.y), record)
     return out, record

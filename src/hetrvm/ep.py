@@ -32,17 +32,15 @@ import numpy as np
 
 from .data import Dataset
 from .kernels import KernelSpec, build_design_matrix
-from . import numerics
 from .model import HrvmModel
-from .numerics import (FactorizationError, _check_int, chol_factor,
-                       chol_solve, gauss_hermite)
-from .vi import (_check_loop, _finish, _gp_noise, _reduced_cov, _setup,
-                 _standardized, noise_diag, prune_basis, update_alpha,
-                 weight_posterior)
+from .numerics import (FactorizationError, chol_factor, chol_solve,
+                       gauss_hermite)
+from .vi import (_check_loop, _constant, _degenerate, _finish, _gp_noise,
+                 _reduced_cov, _setup, _standardized, noise_diag,
+                 prune_basis, update_alpha, weight_posterior)
 
 __all__ = [
     "EpConfig",
-    "EpState",
     "cavity",
     "tilted_moments",
     "site_update",
@@ -57,7 +55,6 @@ class EpConfig:
     damping: float = 0.8
     tol: float = 1e-6
     alpha_threshold: float = 1e12
-    quad_order: int = 32
     standardize: bool = True
 
     def __post_init__(self):
@@ -67,39 +64,21 @@ class EpConfig:
             raise ValueError("damping must lie in (0, 1]")
         _check_loop(self.max_passes, self.tol, self.alpha_threshold,
                     "max_passes")
-        _check_int(self.quad_order, "quad_order", 1)
-        # called through the module: perfbench traces hetrvm.ep.gauss_hermite
-        # as one call per pass
-        numerics.gauss_hermite(self.quad_order)
 
 
-@dataclass
-class EpState:
-    """Site natural parameters (precision / precision-times-mean / log
-    normalizer; precision 0 with mean-parameter 0 encodes a flat site)
-    plus the implied posterior moments of g.  A site whose cavity is
-    skipped keeps its three site fields as they were."""
-
-    site_prec: np.ndarray
-    site_nu: np.ndarray
-    site_logz: np.ndarray
-    post_mu: np.ndarray
-    post_Sigma: np.ndarray
-
-
-def cavity(state: EpState):
-    """Remove every site from its marginal posterior by precision
-    subtraction.
+def cavity(post_mu, post_Sigma, site_prec, site_nu):
+    """Remove every site (precision, precision-times-mean; both 0 is a
+    flat site) from its marginal of q(g) = N(post_mu, post_Sigma).
 
     Returns (cav_mu, cav_var, ok).  ``ok`` is False where the deletion
     would leave a non-positive variance; those sites are skipped this
     pass and their cavity entries are placeholders.
     """
-    var = np.diag(state.post_Sigma)
-    cav_prec = 1.0 / var - state.site_prec
+    var = np.diag(post_Sigma)
+    cav_prec = 1.0 / var - site_prec
     ok = cav_prec > 1e-12
     cav_var = 1.0 / np.where(ok, cav_prec, 1.0)
-    cav_mu = cav_var * (state.post_mu / var - state.site_nu)
+    cav_mu = cav_var * (post_mu / var - site_nu)
     return cav_mu, cav_var, ok
 
 
@@ -160,14 +139,15 @@ def _weighted_moments(g, logv, weights):
     return np.log(z) + shift, mean, var, ok
 
 
-def site_update(state: EpState, cav, tilted, damping: float):
+def site_update(site_prec, site_nu, site_logz, cav, tilted, damping: float):
     """Divide each tilted approximation by its cavity, damp on natural
     parameters and set the site normalizers.
 
     ``cav`` is the (cav_mu, cav_var, ok) that :func:`cavity` returned;
     ``tilted`` holds the tilted moments of the sites in ``ok``, in order.
-    The sites outside ``ok`` are left unchanged.  The posterior moments
-    are not touched: :func:`ep_posterior` refreshes them.
+    Returns new site arrays (precision, precision-times-mean, log
+    normalizer), with the sites outside ``ok`` as they were.
+    :func:`ep_posterior` refreshes q(g) from them.
     """
     if not (0.0 <= damping <= 1.0):
         raise ValueError("damping must lie in [0, 1]")
@@ -180,15 +160,16 @@ def site_update(state: EpState, cav, tilted, damping: float):
     # quadrature rounding below zero (about -1e-12 where m_hat is 0)
     target_prec = np.maximum(1.0 / var_t - 1.0 / cav_var, 0.0)
     target_nu = mean_t / var_t - cav_mu / cav_var
-    state.site_prec[ok] += damping * (target_prec - state.site_prec[ok])
-    state.site_nu[ok] += damping * (target_nu - state.site_nu[ok])
+    prec, nu, logz = site_prec.copy(), site_nu.copy(), site_logz.copy()
+    prec[ok] += damping * (target_prec - prec[ok])
+    nu[ok] += damping * (target_nu - nu[ok])
     pos = target_prec > 0
     tvar = 1.0 / np.where(pos, target_prec, 1.0)
     s = cav_var + tvar
-    state.site_logz[ok] = np.where(
+    logz[ok] = np.where(
         pos, logz_t + 0.5 * np.log(2 * np.pi * s)
         + 0.5 * (cav_mu - target_nu * tvar) ** 2 / s, np.nan)
-    return state
+    return prec, nu, logz
 
 
 def _prior_terms(K):
@@ -255,16 +236,17 @@ def fit_ep(data: Dataset, kernel: Optional[KernelSpec] = None,
     kernel = kernel or KernelSpec()
     config = config or EpConfig()
     work, record = _standardized(data, config.standardize)
-    design = build_design_matrix(work.X, kernel)
-    active, alpha, _, log_ell, log_sv, mu0, K = _setup(work, design)
-    Phi = design.values
+    Phi = build_design_matrix(work.X, kernel)
+    active, alpha, _, log_ell, log_sv, mu0, K = _setup(work, Phi)
+    if _constant(work.y):
+        return _degenerate("ep", kernel, work, record, config)
     y, n = work.y, work.n
 
     # K stays fixed under EP, so the normalizer's prior terms do too
     prior = _prior_terms(K)
-    state = EpState(site_prec=np.zeros(n), site_nu=np.zeros(n),
-                    site_logz=np.zeros(n),
-                    post_mu=np.full(n, mu0), post_Sigma=K.copy())
+    # flat sites, and q(g) at the prior
+    site_prec, site_nu, site_logz = np.zeros((3, n))
+    post_mu, post_Sigma = np.full(n, mu0), K
 
     training_log: List[float] = []
     status = "max_passes"
@@ -272,50 +254,41 @@ def fit_ep(data: Dataset, kernel: Optional[KernelSpec] = None,
     halved = False
     prev_change = np.inf
     osc = 0
-    r = noise_diag(state.post_mu, state.post_Sigma)  # kept current below
+    r = noise_diag(post_mu, post_Sigma)  # kept current below
     for n_pass in range(1, config.max_passes + 1):
         Phi_a = Phi[:, active]
         mu_w, Sigma_w = weight_posterior(Phi_a, alpha, r, y)
         resid = y - Phi_a @ mu_w
         m_hat = resid**2 + np.sum((Phi_a @ Sigma_w) * Phi_a, axis=1)
 
-        prev_prec = state.site_prec.copy()
-        prev_nu = state.site_nu.copy()
-        cav = cavity(state)
+        cav = cavity(post_mu, post_Sigma, site_prec, site_nu)
         cav_mu, cav_var, ok = cav
-        tilt = tilted_moments(cav_mu[ok], cav_var[ok], m_hat[ok],
-                              config.quad_order)
-        site_update(state, cav, tilt, damping)
-        state.post_mu, state.post_Sigma, logz = ep_posterior(
-            K, mu0, state.site_prec, state.site_nu, state.site_logz,
-            prior=prior)
+        tilt = tilted_moments(cav_mu[ok], cav_var[ok], m_hat[ok])
+        prec, nu, site_logz = site_update(site_prec, site_nu, site_logz,
+                                          cav, tilt, damping)
+        change = float(max(np.max(np.abs(prec - site_prec)),
+                           np.max(np.abs(nu - site_nu))))
+        site_prec, site_nu = prec, nu
+        post_mu, post_Sigma, logz = ep_posterior(
+            K, mu0, site_prec, site_nu, site_logz, prior=prior)
 
-        r = noise_diag(state.post_mu, state.post_Sigma)
+        r = noise_diag(post_mu, post_Sigma)
         alpha, _ = update_alpha(alpha, Phi_a, r, y)
         active, alpha, _ = prune_basis(active, alpha, config.alpha_threshold)
         training_log.append(logz)
 
-        change = float(max(np.max(np.abs(state.site_prec - prev_prec)),
-                           np.max(np.abs(state.site_nu - prev_nu))))
         if change < config.tol:
             status = "converged"
             break
-        if change > prev_change:
-            osc += 1
-            if osc >= 5:
-                if not halved:
-                    damping *= 0.5
-                    halved = True
-                    osc = 0
-                else:
-                    status = "oscillating"
-                    break
-        else:
-            osc = 0
+        osc = osc + 1 if change > prev_change else 0
         prev_change = change
+        if osc >= 5:
+            if halved:
+                status = "oscillating"
+                break
+            damping, halved, osc = 0.5 * damping, True, 0
 
-    return _finish("ep", kernel, design, record, active, alpha, r, y,
-                   _gp_noise(mu0, log_ell, log_sv, state.post_mu,
-                             state.post_Sigma),
+    return _finish("ep", kernel, work, Phi, record, active, alpha, r,
+                   _gp_noise(mu0, log_ell, log_sv, post_mu, post_Sigma),
                    training_log=training_log, status=status, n_iter=n_pass,
                    config=asdict(config))

@@ -1,9 +1,9 @@
 """Kernel functions, design matrices and GP covariance construction.
 
-Everything here is a pure function of its arguments.  Kernels are described
-by an immutable :class:`KernelSpec`; the same spec type serves both the
-regression basis (columns of the design matrix) and the covariance of the
-latent log-variance process.
+Everything here is a pure function of its arguments and returns plain
+arrays.  Kernels are described by an immutable :class:`KernelSpec`; the
+same spec type serves both the regression basis (columns of the design
+matrix) and the covariance of the latent log-variance process.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .numerics import _check_int
 
 __all__ = [
     "KernelSpec",
-    "DesignMatrix",
     "GpNoisePrior",
     "kernel_matrix",
     "build_design_matrix",
@@ -59,23 +58,6 @@ class KernelSpec:
 
 
 @dataclass(frozen=True)
-class DesignMatrix:
-    """Basis-function evaluations at the training inputs.
-
-    ``values`` is N x M; column 0 is the bias column when the kernel
-    includes a bias, the remaining columns are the kernel centred at each
-    row of ``centers`` (the training inputs, in order).
-    """
-
-    values: np.ndarray
-    centers: np.ndarray
-
-    @property
-    def n_basis(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True)
 class GpNoisePrior:
     """Prior for the latent log-variance process: constant mean ``mu0``
     and covariance ``signal_variance * k(x, x') + jitter`` on the diagonal."""
@@ -111,11 +93,12 @@ def _sqdist(X, X2):
     return np.maximum(n2a + n2b - 2.0 * X @ X2.T, 0.0)
 
 
-def build_design_matrix(X, kernel: KernelSpec) -> DesignMatrix:
-    """Basis matrix with one kernel column per training input, plus an
-    optional leading bias column of ones."""
+def build_design_matrix(X, kernel: KernelSpec) -> np.ndarray:
+    """The N x M basis matrix at the training inputs X: column 0 is a
+    bias column of ones when the kernel includes a bias, and the other
+    columns are the kernel centred at each row of X, in order."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    return DesignMatrix(design_matrix_at(X, kernel, X), X.copy())
+    return design_matrix_at(X, kernel, X)
 
 
 def design_matrix_at(Xstar, kernel: KernelSpec, centers,

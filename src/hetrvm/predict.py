@@ -78,13 +78,10 @@ def predict(model: HrvmModel, Xstar) -> PredictiveDist:
     Xs = record.apply_x(Xstar)
     Phi_s = design_matrix_at(Xs, model.kernel, model.centers,
                              model.active_indices)
-    if model.mu_w.size:
-        latent_mean = Phi_s @ model.mu_w
-        latent_var = np.maximum(
-            np.sum((Phi_s @ model.Sigma_w) * Phi_s, axis=1), 0.0)
-    else:
-        latent_mean = np.zeros(Xs.shape[0])
-        latent_var = np.zeros(Xs.shape[0])
+    # an empty active set reads 0 from both
+    latent_mean = Phi_s @ model.mu_w
+    latent_var = np.maximum(
+        np.sum((Phi_s @ model.Sigma_w) * Phi_s, axis=1), 0.0)
 
     readout = _noise_readout(model)
     if readout.prior is None:

@@ -29,8 +29,9 @@ from .kernels import KernelSpec, build_design_matrix
 from .kernels import design_matrix_at  # noqa: F401
 from .model import HrvmModel
 from .numerics import chol_factor, chol_solve
-from .vi import (_check_loop, _finish, _gp_noise, _sparsity_quality,
-                 _standardized, _weight_fit, prune_basis)
+from .vi import (_check_loop, _clamped_noise, _constant, _degenerate,
+                 _finish, _sparsity_quality, _standardized, _weight_fit,
+                 prune_basis)
 
 __all__ = ["RvmConfig", "sparsity_quality", "fit_rvm"]
 
@@ -96,14 +97,6 @@ def sparsity_quality(Phi: np.ndarray, y, active, alpha, sigma2, j):
     return s, q
 
 
-def _clamped_noise(n, sigma2):
-    """The noise fields of an ``HrvmModel`` over n training inputs whose
-    log-noise is clamped at log sigma2.  The noise-GP hyperparameters are
-    neutral values that ``predict`` never reads for such a model."""
-    log_s2 = float(np.log(sigma2))
-    return _gp_noise(log_s2, 0.0, 0.0, np.full(n, log_s2), np.zeros((n, n)))
-
-
 def fit_rvm(data: Dataset, kernel: Optional[KernelSpec] = None,
             config: Optional[RvmConfig] = None) -> HrvmModel:
     """Fit by greedy maximization of the marginal likelihood: at each step
@@ -114,21 +107,11 @@ def fit_rvm(data: Dataset, kernel: Optional[KernelSpec] = None,
     kernel = kernel or KernelSpec()
     config = config or RvmConfig()
     work, record = _standardized(data, config.standardize)
+    if _constant(work.y):
+        return _degenerate("rvm", kernel, work, record, config)
     y, n = work.y, work.n
-    design = build_design_matrix(work.X, kernel)
-    Phi = design.values
-
-    var_y = float(np.var(y))
-    if var_y <= 0.0 or np.ptp(y) == 0.0:
-        # no structure to fit: the bias weight (if any) is the constant
-        # target, at unit noise
-        k = int(kernel.include_bias)
-        return HrvmModel(method="rvm", kernel=kernel, centers=design.centers,
-                         active_indices=list(range(k)), alpha=np.full(k, 1e6),
-                         mu_w=np.full(k, y[0]), Sigma_w=np.full((k, k), 1e-6),
-                         standardization=record, status="degenerate",
-                         config=asdict(config), **_clamped_noise(n, 1.0))
-    sigma2 = 0.1 * var_y
+    Phi = build_design_matrix(work.X, kernel)
+    sigma2 = 0.1 * float(np.var(y))
 
     # start from the basis with the largest normalized projection
     proj = (Phi.T @ y) ** 2 / np.maximum(np.sum(Phi * Phi, axis=0), 1e-300)
@@ -187,6 +170,6 @@ def fit_rvm(data: Dataset, kernel: Optional[KernelSpec] = None,
 
     # threshold pruning (alpha -> infinity basis carry no weight)
     active, alpha, _ = prune_basis(active, alpha, config.alpha_threshold)
-    return _finish("rvm", kernel, design, record, active, alpha, r, y,
+    return _finish("rvm", kernel, work, Phi, record, active, alpha, r,
                    _clamped_noise(n, sigma2), training_log=log, status=status,
                    n_iter=n_iter, config=asdict(config))

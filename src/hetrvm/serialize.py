@@ -29,7 +29,7 @@ import numpy as np
 from .data import Standardization
 from .kernels import KernelSpec
 from .model import HrvmModel
-from .rvm import _clamped_noise
+from .vi import _clamped_noise
 
 __all__ = ["FORMAT_VERSION", "SchemaError", "save_model", "load_model",
            "model_to_dict", "model_from_dict"]

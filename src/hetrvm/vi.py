@@ -77,6 +77,7 @@ __all__ = [
 _ALPHA_MIN, _ALPHA_MAX = 1e-12, 1e14
 _JITTER_FRAC = 1e-6  # diagonal jitter on K as a fraction of signal variance
 _LOG_2PI = np.log(2 * np.pi)
+_INNER_MAXITER = 40  # L-BFGS iterations per stage of an outer step
 
 
 def minimize(*args, **kwargs):
@@ -101,13 +102,11 @@ class VIConfig:
     max_iter: int = 200
     tol: float = 1e-6
     alpha_threshold: float = 1e12
-    inner_maxiter: int = 40      # L-BFGS iterations per outer step
     clamp_g: Optional[float] = None  # fix q(g) to a point mass (diagnostics)
     standardize: bool = True
 
     def __post_init__(self):
         _check_loop(self.max_iter, self.tol, self.alpha_threshold)
-        _check_int(self.inner_maxiter, "inner_maxiter", 1)
 
 
 @dataclass
@@ -464,8 +463,8 @@ def _standardized(data: Dataset, standardize_data: bool):
     return data, Standardization.identity(data.q)
 
 
-def _setup(work: Dataset, design):
-    """Starting point shared by fit_vi and fit_ep: every basis column
+def _setup(work: Dataset, Phi):
+    """Starting point shared by fit_vi and fit_ep: every column of Phi
     active at unit precision, and the noise GP at the median-distance
     lengthscale, unit signal variance and mu0 = log(0.1 var y).
 
@@ -473,7 +472,7 @@ def _setup(work: Dataset, design):
     n = work.n
     if n < 3:
         raise ValueError("need at least 3 points")
-    active = list(range(design.n_basis))
+    active = list(range(Phi.shape[1]))
     alpha = np.ones(len(active))
     D2 = _sqdist(work.X, work.X)
     off = D2[np.triu_indices(n, k=1)]
@@ -496,15 +495,41 @@ def _gp_noise(mu0, log_ell, log_sv, mu, Sigma):
                 g_mu=mu, g_Sigma=Sigma)
 
 
-def _finish(method, kernel, design, record, active, alpha, r, y, noise,
+def _clamped_noise(n, sigma2):
+    """The noise fields of an ``HrvmModel`` over n training inputs whose
+    log-noise is clamped at log sigma2.  The noise-GP hyperparameters are
+    neutral values that ``predict`` never reads for such a model."""
+    log_s2 = float(np.log(sigma2))
+    return _gp_noise(log_s2, 0.0, 0.0, np.full(n, log_s2), np.zeros((n, n)))
+
+
+def _finish(method, kernel, work, Phi, record, active, alpha, r, noise,
             **fit):
     """The model the trainers return: the weight posterior refit at the
     final active set, precisions and effective noise r, the noise fields
-    ``noise`` (:func:`_gp_noise`) and the record ``fit`` of the run."""
-    mu_w, Sigma_w = weight_posterior(design.values[:, active], alpha, r, y)
-    return HrvmModel(method=method, kernel=kernel, centers=design.centers,
+    ``noise`` (:func:`_gp_noise`), the record ``fit`` of the run, and a
+    copy of the training inputs ``work.X`` (Phi's centres)."""
+    mu_w, Sigma_w = weight_posterior(Phi[:, active], alpha, r, work.y)
+    return HrvmModel(method=method, kernel=kernel, centers=work.X.copy(),
                      active_indices=list(active), alpha=alpha, mu_w=mu_w,
                      Sigma_w=Sigma_w, standardization=record, **noise, **fit)
+
+
+def _constant(y):
+    """Whether the target has no spread, or a variance that underflows."""
+    return float(np.var(y)) <= 0.0 or np.ptp(y) == 0.0
+
+
+def _degenerate(method, kernel, work, record, config):
+    """Every trainer's model of a :func:`_constant` target: the bias
+    weight (if any) is the constant, at unit noise.  Fitted, such a target
+    makes the VI weight precision singular and drives EP's noise to 0."""
+    k = int(kernel.include_bias)
+    return HrvmModel(method=method, kernel=kernel, centers=work.X.copy(),
+                     active_indices=list(range(k)), alpha=np.full(k, 1e6),
+                     mu_w=np.full(k, work.y[0]), Sigma_w=np.full((k, k), 1e-6),
+                     standardization=record, status="degenerate",
+                     config=asdict(config), **_clamped_noise(work.n, 1.0))
 
 
 def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
@@ -517,9 +542,10 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
     kernel = kernel or KernelSpec()
     config = config or VIConfig()
     work, record = _standardized(data, config.standardize)
-    design = build_design_matrix(work.X, kernel)
-    active, alpha, D2, log_ell, log_sv, mu0, K = _setup(work, design)
-    Phi = design.values
+    Phi = build_design_matrix(work.X, kernel)
+    active, alpha, D2, log_ell, log_sv, mu0, K = _setup(work, Phi)
+    if _constant(work.y):
+        return _degenerate("vi", kernel, work, record, config)
     y, n = work.y, work.n
     lam = np.full(n, 0.25)
 
@@ -535,12 +561,10 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
     prune_iterations: List[int] = []
     prune_shifts: List[float] = []
     status = "max_iter"
-    n_iter = 0
     f_prev = -np.inf
     stalled_once = False
 
     for it in range(config.max_iter):
-        n_iter = it + 1
         Phi_a = Phi[:, active]
 
         if clamp is None:
@@ -600,14 +624,14 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
             free = np.ones(x0.size, dtype=bool)
             free_q = free.copy()
             free_q[n] = free_q[n + 1] = False
-            x1, ok1 = stage(x0, free_q, config.inner_maxiter, False)
+            x1, ok1 = stage(x0, free_q, _INNER_MAXITER, False)
             # the joint stage starts from x1's completed gradient; every
             # other incomplete gradient is dropped with its pieces
             f0 = bound(x0, False)[0]
             bound(x1)
             for key in [k for k, e in memo.items() if len(e) == 3]:
                 del memo[key]
-            x1, ok2 = stage(x1, free, config.inner_maxiter, True)
+            x1, ok2 = stage(x1, free, _INNER_MAXITER, True)
             if not (ok1 and ok2):
                 if stalled_once:
                     status = "stalled"
@@ -649,7 +673,7 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
 
     cfg = dict(asdict(config), prune_iterations=prune_iterations,
                prune_shifts=prune_shifts)
-    return _finish("vi", kernel, design, record, active, alpha, r, y,
+    return _finish("vi", kernel, work, Phi, record, active, alpha, r,
                    _gp_noise(mu0, log_ell, log_sv, mu, Sigma),
-                   training_log=training_log, status=status, n_iter=n_iter,
+                   training_log=training_log, status=status, n_iter=it + 1,
                    config=cfg)

@@ -15,7 +15,7 @@ import pytest
 from scipy.stats import multivariate_normal
 
 from hetrvm.data import SynthSpec, synth
-from hetrvm.ep import EpConfig, EpState, cavity, ep_posterior, fit_ep, \
+from hetrvm.ep import EpConfig, cavity, ep_posterior, fit_ep, \
     site_update, tilted_moments
 from hetrvm.kernels import GpNoisePrior, KernelSpec, build_design_matrix, \
     gp_covariance
@@ -125,7 +125,7 @@ def test_criterion_2_clamped_g_equivalence():
     c = np.log(0.09)
     model = fit_vi(data, CONST_KERNEL,
                    VIConfig(clamp_g=c, max_iter=60, standardize=False))
-    Phi = build_design_matrix(data.X, model.kernel).values
+    Phi = build_design_matrix(data.X, model.kernel)
     Phi_a = Phi[:, model.active_indices]
     s2 = np.exp(c)
     H = np.diag(model.alpha) + Phi_a.T @ Phi_a / s2
@@ -148,7 +148,7 @@ def test_criterion_3_bound_validity():
     for trial in range(5):
         n = int(rng.integers(4, 9))
         X = rng.uniform(0, 1, (n, 1))
-        Phi = build_design_matrix(X, KernelSpec()).values
+        Phi = build_design_matrix(X, KernelSpec())
         y = rng.normal(size=n)
         alpha = rng.uniform(0.3, 3.0, Phi.shape[1])
         st = make_state(X, eta=rng.normal(size=n),
@@ -214,7 +214,7 @@ def test_criterion_5_gradient_correctness():
     for _ in range(50):
         n = int(rng.integers(3, 7))
         X = rng.uniform(0, 1, (n, 1))
-        Phi = build_design_matrix(X, KernelSpec()).values
+        Phi = build_design_matrix(X, KernelSpec())
         y = rng.normal(size=n)
         alpha = rng.uniform(0.2, 3.0, Phi.shape[1])
         active = list(range(Phi.shape[1]))
@@ -234,24 +234,24 @@ def test_criterion_5_gradient_correctness():
 
 
 def _ep_converge(K, mu0, m_hat, passes=400, damping=0.8):
+    """Parallel EP passes to a fixed point; returns q(g) = (mu, Sigma)."""
     n = len(m_hat)
-    st = EpState(site_prec=np.zeros(n), site_nu=np.zeros(n),
-                 site_logz=np.zeros(n), post_mu=np.full(n, mu0),
-                 post_Sigma=np.asarray(K, dtype=float).copy())
+    prec, nu, logz = np.zeros(n), np.zeros(n), np.zeros(n)
+    mu, Sigma = np.full(n, mu0), np.asarray(K, dtype=float).copy()
     for _ in range(passes):
-        prev = st.site_prec.copy(), st.site_nu.copy()
-        cav = cavity(st)
+        cav = cavity(mu, Sigma, prec, nu)
         cav_mu, cav_var, ok = cav
         tilt = tilted_moments(cav_mu[ok], cav_var[ok],
                               np.asarray(m_hat, dtype=float)[ok], 64)
-        site_update(st, cav, tilt, damping)
-        st.post_mu, st.post_Sigma, _ = ep_posterior(K, mu0, st.site_prec,
-                                                    st.site_nu, st.site_logz)
-        change = max(np.max(np.abs(st.site_prec - prev[0])),
-                     np.max(np.abs(st.site_nu - prev[1])))
+        new_prec, new_nu, logz = site_update(prec, nu, logz, cav, tilt,
+                                             damping)
+        change = max(np.max(np.abs(new_prec - prec)),
+                     np.max(np.abs(new_nu - nu)))
+        prec, nu = new_prec, new_nu
+        mu, Sigma, _ = ep_posterior(K, mu0, prec, nu, logz)
         if change < 1e-12:
             break
-    return st
+    return mu, Sigma
 
 
 def test_criterion_6_ep_exactness_and_accuracy():
@@ -279,7 +279,7 @@ def test_criterion_6_ep_exactness_and_accuracy():
 
     # part B1: N=1 against a dense grid
     k1, mu0_1, m1 = 1.5, -0.4, 1.7
-    st = _ep_converge(np.array([[k1]]), mu0_1, [m1])
+    mu1, Sigma1 = _ep_converge(np.array([[k1]]), mu0_1, [m1])
     g = np.linspace(mu0_1 - 16 * np.sqrt(k1), mu0_1 + 16 * np.sqrt(k1),
                     400_001)
     logv = (-0.5 * (g - mu0_1) ** 2 / k1 - 0.5 * g
@@ -288,13 +288,13 @@ def test_criterion_6_ep_exactness_and_accuracy():
     z = trapezoid(w, g)
     mean1 = trapezoid(w * g, g) / z
     var1 = trapezoid(w * (g - mean1) ** 2, g) / z
-    err1 = max(abs(st.post_mu[0] - mean1), abs(st.post_Sigma[0, 0] - var1))
+    err1 = max(abs(mu1[0] - mean1), abs(Sigma1[0, 0] - var1))
 
     # part B2: N=2 with a correlated prior against a dense 2-D grid
     K2 = np.array([[1.0, 0.6], [0.6, 1.3]])
     mu0_2 = 0.2
     m2 = np.array([0.5, 2.5])
-    st2 = _ep_converge(K2, mu0_2, m2)
+    mu2, Sigma2 = _ep_converge(K2, mu0_2, m2)
     lo = mu0_2 - 10 * np.sqrt(K2.diagonal().max())
     hi = mu0_2 + 10 * np.sqrt(K2.diagonal().max())
     axis = np.linspace(lo, hi, 900)
@@ -309,8 +309,8 @@ def test_criterion_6_ep_exactness_and_accuracy():
     mean2 = pts.T @ w / z
     d = pts - mean2
     var2 = np.array([(w * d[:, 0] ** 2).sum(), (w * d[:, 1] ** 2).sum()]) / z
-    err2 = max(float(np.max(np.abs(st2.post_mu - mean2))),
-               float(np.max(np.abs(np.diag(st2.post_Sigma) - var2))))
+    err2 = max(float(np.max(np.abs(mu2 - mean2))),
+               float(np.max(np.abs(np.diag(Sigma2) - var2))))
 
     verdict(6, "EP exactness and accuracy",
             err_gauss < 1e-10 and err1 < 1e-2 and err2 < 1e-2,

@@ -218,6 +218,13 @@ class TestExitCodes:
         assert run(["train", "--method", "rvm", "--data", str(bad),
                     "--out", str(tmp_path / "m.json")]) == 3
 
+    def test_data_error_overflowing_column(self, tmp_path):
+        bad = tmp_path / "big.csv"
+        bad.write_text("x,y\n1e300,0\n-1e300,1\n5e299,2\n0,3\n2e299,4\n")
+        assert run(["train", "--method", "rvm", "--data", str(bad),
+                    "--out", str(tmp_path / "m.json")]) == 3
+        assert not (tmp_path / "m.json").exists()
+
     def test_numeric_error_too_few_points(self, tmp_path):
         tiny = tmp_path / "tiny.csv"
         tiny.write_text("x,y\n0,1\n1,2\n")

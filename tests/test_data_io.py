@@ -34,7 +34,7 @@ class TestStandardize:
             y = np.sin(3.0 * x1) + 0.1 * rng.normal(size=30)
         return Dataset(np.column_stack([x1, column]), y)
 
-    @pytest.mark.parametrize("c", [0.1, 0.5, -7.3, 1e6])
+    @pytest.mark.parametrize("c", [0.1, 0.5, -7.3, 1e6, 1e308])
     def test_constant_column_maps_to_zero(self, c):
         # the computed sd of a constant 0.1 column is round-off (4.2e-17
         # at N=30), not 0
@@ -56,6 +56,15 @@ class TestStandardize:
         assert record.y_scale == data.y.std()
         want = (data.X - record.x_mean) / record.x_scale
         assert np.array_equal(work.X, want)
+
+    def test_overflowing_scale_raises(self):
+        # the sd of this column overflows; it used to become inf, which
+        # standardized every input to 0
+        column = np.resize([1e300, -1e300, 5e299, 0.0, 2e299], 30)
+        with pytest.raises(DataError, match="input column 1"):
+            standardize(self._data(column))
+        with pytest.raises(DataError, match="target"):
+            standardize(self._data(np.zeros(30), column))
 
     def test_tiny_shift_of_constant_input_keeps_predictions(self):
         # a test input 1e-6 off a constant training column is close to it,

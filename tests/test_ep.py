@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as hst
 
 import hetrvm.ep
 from hetrvm.data import Dataset, SynthSpec, synth
-from hetrvm.ep import (EpConfig, EpState, cavity, ep_posterior, fit_ep,
-                       site_update, tilted_moments)
+from hetrvm.ep import (EpConfig, cavity, ep_posterior, fit_ep, site_update,
+                       tilted_moments)
 from hetrvm.kernels import KernelSpec
 from hetrvm.numerics import FactorizationError, Quadrature
 from hetrvm.predict import predict
@@ -18,26 +18,22 @@ from hetrvm.serialize import model_to_dict
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
-def fresh_state(K, mu0=0.0):
-    n = K.shape[0]
-    return EpState(site_prec=np.zeros(n), site_nu=np.zeros(n),
-                   site_logz=np.zeros(n), post_mu=np.full(n, float(mu0)),
-                   post_Sigma=np.asarray(K, dtype=float).copy())
+def flat_sites(n):
+    """n flat sites: precision, precision-times-mean, log normalizer."""
+    return np.zeros(n), np.zeros(n), np.zeros(n)
 
 
 class TestCavity:
     def test_flat_site_returns_marginal(self):
-        st = fresh_state(np.array([[2.0]]), mu0=0.5)
-        cav_mu, cav_var, ok = cavity(st)
+        cav_mu, cav_var, ok = cavity(np.array([0.5]), np.array([[2.0]]),
+                                     *flat_sites(1)[:2])
         assert (cav_mu[0], cav_var[0]) == pytest.approx((0.5, 2.0))
         assert ok[0]
 
     def test_precision_subtraction(self):
         # prior N(0,1) x site N(0,1) -> posterior N(0, 1/2); cavity = prior
-        st = EpState(site_prec=np.array([1.0]), site_nu=np.array([0.0]),
-                     site_logz=np.zeros(1), post_mu=np.zeros(1),
-                     post_Sigma=np.array([[0.5]]))
-        cav_mu, cav_var, _ = cavity(st)
+        cav_mu, cav_var, _ = cavity(np.zeros(1), np.array([[0.5]]),
+                                    np.array([1.0]), np.array([0.0]))
         assert cav_mu[0] == pytest.approx(0.0, abs=1e-14)
         assert cav_var[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -46,9 +42,7 @@ class TestCavity:
         prec = np.array([0.7, 1.4])
         nu = np.array([0.2, -0.5])
         mu, Sigma, _ = ep_posterior(K, 0.1, prec, nu)
-        st = EpState(site_prec=prec.copy(), site_nu=nu.copy(),
-                     site_logz=np.zeros(2), post_mu=mu, post_Sigma=Sigma)
-        cav_mu, cav_var, ok = cavity(st)
+        cav_mu, cav_var, ok = cavity(mu, Sigma, prec, nu)
         assert np.all(ok)
         for n in range(2):
             # re-multiplying the site must recover the marginal moments
@@ -58,10 +52,9 @@ class TestCavity:
             assert post_mu_n == pytest.approx(mu[n], abs=1e-12)
 
     def test_negative_cavity_skipped(self):
-        st = EpState(site_prec=np.array([3.0, 0.5]), site_nu=np.zeros(2),
-                     site_logz=np.zeros(2), post_mu=np.zeros(2),
-                     post_Sigma=np.eye(2))  # 1/1 - 3 < 0; 1/1 - 0.5 > 0
-        _, cav_var, ok = cavity(st)
+        # 1/1 - 3 < 0; 1/1 - 0.5 > 0
+        _, cav_var, ok = cavity(np.zeros(2), np.eye(2), np.array([3.0, 0.5]),
+                                np.zeros(2))
         assert ok.tolist() == [False, True]
         assert cav_var[1] == pytest.approx(2.0)
 
@@ -131,14 +124,16 @@ class TestTiltedMoments:
 
 class TestSiteUpdate:
     def test_zero_damping_noop(self):
-        st = fresh_state(np.eye(1))
-        before = (st.site_prec.copy(), st.site_nu.copy(),
-                  st.post_mu.copy(), st.post_Sigma.copy())
-        site_update(st, cavity(st), (0.0, 0.5, 0.5), 0.0)
-        assert np.array_equal(st.site_prec, before[0])
-        assert np.array_equal(st.site_nu, before[1])
-        np.testing.assert_allclose(st.post_mu, before[2], atol=1e-15)
-        np.testing.assert_allclose(st.post_Sigma, before[3], atol=1e-15)
+        prec, nu, logz = flat_sites(1)
+        mu, Sigma = np.zeros(1), np.eye(1)
+        before = (prec.copy(), nu.copy(), mu.copy(), Sigma.copy())
+        new_prec, new_nu, _ = site_update(prec, nu, logz,
+                                          cavity(mu, Sigma, prec, nu),
+                                          (0.0, 0.5, 0.5), 0.0)
+        assert np.array_equal(new_prec, before[0])
+        assert np.array_equal(new_nu, before[1])
+        np.testing.assert_allclose(mu, before[2], atol=1e-15)
+        np.testing.assert_allclose(Sigma, before[3], atol=1e-15)
 
     def test_gaussian_factor_exact_fixed_point(self):
         # prior N(0,1), likelihood factor N(g | 1, 1): tilted = N(1/2, 1/2),
@@ -146,25 +141,26 @@ class TestSiteUpdate:
         # factor exactly as the site, with site normalizer 0, and the
         # refresh gives the exact posterior.
         K = np.eye(1)
-        st = fresh_state(K)
+        prec, nu, logz = flat_sites(1)
         logz_t = -0.5 * np.log(2 * np.pi * 2.0) - 0.25
-        site_update(st, cavity(st), (logz_t, 0.5, 0.5), 1.0)
-        assert st.site_prec[0] == pytest.approx(1.0, abs=1e-12)
-        assert st.site_nu[0] == pytest.approx(1.0, abs=1e-12)
-        assert st.site_logz[0] == pytest.approx(0.0, abs=1e-12)
-        st.post_mu, st.post_Sigma, _ = ep_posterior(K, 0.0, st.site_prec,
-                                                    st.site_nu)
-        assert st.post_mu[0] == pytest.approx(0.5, abs=1e-12)
-        assert st.post_Sigma[0, 0] == pytest.approx(0.5, abs=1e-12)
+        prec, nu, logz = site_update(prec, nu, logz,
+                                     cavity(np.zeros(1), K, prec, nu),
+                                     (logz_t, 0.5, 0.5), 1.0)
+        assert prec[0] == pytest.approx(1.0, abs=1e-12)
+        assert nu[0] == pytest.approx(1.0, abs=1e-12)
+        assert logz[0] == pytest.approx(0.0, abs=1e-12)
+        mu, Sigma, _ = ep_posterior(K, 0.0, prec, nu)
+        assert mu[0] == pytest.approx(0.5, abs=1e-12)
+        assert Sigma[0, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_damped_blend_is_linear_in_naturals(self):
-        st1 = fresh_state(np.eye(1))
-        st2 = fresh_state(np.eye(1))
+        sites = flat_sites(1)
+        cav = cavity(np.zeros(1), np.eye(1), *sites[:2])
         tilt = (0.0, 0.5, 0.5)
-        site_update(st1, cavity(st1), tilt, 1.0)
-        site_update(st2, cavity(st2), tilt, 0.25)
-        assert st2.site_prec[0] == pytest.approx(0.25 * st1.site_prec[0])
-        assert st2.site_nu[0] == pytest.approx(0.25 * st1.site_nu[0])
+        prec1, nu1, _ = site_update(*sites, cav, tilt, 1.0)
+        prec2, nu2, _ = site_update(*sites, cav, tilt, 0.25)
+        assert prec2[0] == pytest.approx(0.25 * prec1[0])
+        assert nu2[0] == pytest.approx(0.25 * nu1[0])
 
     def test_skipped_site_unchanged_others_move(self):
         K = np.array([[1.0, 0.4, 0.1], [0.4, 1.5, 0.3], [0.1, 0.3, 0.8]])
@@ -175,18 +171,21 @@ class TestSiteUpdate:
         # site 0's precision exceeds its marginal precision: its cavity
         # variance would be negative
         prec[0] = 1.0 / Sigma[0, 0] + 1.0
-        st = EpState(site_prec=prec.copy(), site_nu=nu.copy(),
-                     site_logz=logz.copy(), post_mu=mu, post_Sigma=Sigma)
-        cav = cavity(st)
+        cav = cavity(mu, Sigma, prec, nu)
         cav_mu, cav_var, ok = cav
         assert ok.tolist() == [False, True, True]
         tilt = tilted_moments(cav_mu[ok], cav_var[ok], np.array([0.4, 2.0]))
-        site_update(st, cav, tilt, 0.8)
-        assert (st.site_prec[0], st.site_nu[0], st.site_logz[0]) == (
+        before = prec.copy(), nu.copy(), logz.copy()
+        new_prec, new_nu, new_logz = site_update(prec, nu, logz, cav, tilt,
+                                                 0.8)
+        assert (new_prec[0], new_nu[0], new_logz[0]) == (
             prec[0], nu[0], logz[0])
-        assert np.all(st.site_prec[1:] != prec[1:])
-        assert np.all(st.site_nu[1:] != nu[1:])
-        assert np.all(st.site_logz[1:] != logz[1:])
+        assert np.all(new_prec[1:] != prec[1:])
+        assert np.all(new_nu[1:] != nu[1:])
+        assert np.all(new_logz[1:] != logz[1:])
+        # the update returns new arrays and leaves its arguments alone
+        for arg, old in zip((prec, nu, logz), before):
+            assert np.array_equal(arg, old)
 
     def test_zero_residual_keeps_precisions_nonnegative(self):
         # at m_hat = 0 the factor is exp(-g/2) up to a constant, so every
@@ -196,11 +195,12 @@ class TestSiteUpdate:
         n = 200
         cav_mu = rng.normal(0.0, 2.0, n)
         cav_var = rng.uniform(0.05, 5.0, n)
-        st = fresh_state(np.eye(n))
         tilt = tilted_moments(cav_mu, cav_var, np.zeros(n))
-        site_update(st, (cav_mu, cav_var, np.ones(n, bool)), tilt, 1.0)
-        assert np.all(st.site_prec >= 0)
-        np.testing.assert_allclose(st.site_nu, -0.5, atol=1e-9)
+        prec, nu, _ = site_update(*flat_sites(n),
+                                  (cav_mu, cav_var, np.ones(n, bool)), tilt,
+                                  1.0)
+        assert np.all(prec >= 0)
+        np.testing.assert_allclose(nu, -0.5, atol=1e-9)
 
     def test_moment_matching_at_fixed_point(self):
         # schedule-free EP fixed point: at every site the tilted moments of
@@ -211,25 +211,26 @@ class TestSiteUpdate:
             + 1e-6 * np.eye(6)
         mu0 = -0.3
         m_hat = rng.uniform(0.05, 3.0, size=6)
-        st = fresh_state(K, mu0)
+        prec, nu, logz = flat_sites(6)
+        mu, Sigma = np.full(6, mu0), K
         for _ in range(1000):
-            prev = st.site_prec.copy(), st.site_nu.copy()
-            cav = cavity(st)
+            cav = cavity(mu, Sigma, prec, nu)
             cav_mu, cav_var, ok = cav
             tilt = tilted_moments(cav_mu[ok], cav_var[ok], m_hat[ok], 64)
-            site_update(st, cav, tilt, 0.8)
-            st.post_mu, st.post_Sigma, _ = ep_posterior(
-                K, mu0, st.site_prec, st.site_nu)
-            change = max(np.max(np.abs(st.site_prec - prev[0])),
-                         np.max(np.abs(st.site_nu - prev[1])))
+            new_prec, new_nu, logz = site_update(prec, nu, logz, cav, tilt,
+                                                 0.8)
+            change = max(np.max(np.abs(new_prec - prec)),
+                         np.max(np.abs(new_nu - nu)))
+            prec, nu = new_prec, new_nu
+            mu, Sigma, _ = ep_posterior(K, mu0, prec, nu)
             if change < 1e-12:
                 break
         assert change < 1e-12
-        cav_mu, cav_var, ok = cavity(st)
+        cav_mu, cav_var, ok = cavity(mu, Sigma, prec, nu)
         assert np.all(ok)
         _, mean_t, var_t = tilted_moments(cav_mu, cav_var, m_hat, 64)
-        np.testing.assert_allclose(mean_t, st.post_mu, rtol=0, atol=1e-8)
-        np.testing.assert_allclose(var_t, np.diag(st.post_Sigma), rtol=0,
+        np.testing.assert_allclose(mean_t, mu, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(var_t, np.diag(Sigma), rtol=0,
                                    atol=1e-8)
 
 
@@ -376,10 +377,10 @@ class TestFitEp:
     @pytest.mark.parametrize("bad", [
         dict(damping=0.0), dict(damping=-0.1), dict(damping=1.5),
         dict(damping=float("nan")), dict(max_passes=0), dict(tol=-1.0),
-        dict(tol=float("nan")), dict(quad_order=0), dict(quad_order=129),
+        dict(tol=float("nan")), dict(max_passes=-3),
         dict(alpha_threshold=0.0), dict(alpha_threshold=float("nan")),
-        dict(max_passes=1.5), dict(max_passes=True), dict(quad_order=8.7),
-        dict(quad_order=True), dict(tol=float("inf"))])
+        dict(max_passes=1.5), dict(max_passes=True),
+        dict(alpha_threshold=-1.0), dict(tol=float("inf"))])
     def test_invalid_config_rejected_before_setup(self, monkeypatch, bad):
         def no_setup(*args, **kwargs):
             raise AssertionError("config must be checked before setup")

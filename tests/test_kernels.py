@@ -67,32 +67,32 @@ class TestKernelEval:
 class TestDesignMatrix:
     def test_single_point_with_bias(self):
         d = build_design_matrix(np.array([[0.5]]), KernelSpec())
-        np.testing.assert_array_equal(d.values, [[1.0, 1.0]])
+        np.testing.assert_array_equal(d, [[1.0, 1.0]])
 
     def test_two_points_no_bias(self):
         k = KernelSpec(include_bias=False)
         d = build_design_matrix(np.array([[0.0], [1.0]]), k)
         e = np.exp(-0.5)
-        np.testing.assert_allclose(d.values, [[1.0, e], [e, 1.0]], atol=1e-15)
+        np.testing.assert_allclose(d, [[1.0, e], [e, 1.0]], atol=1e-15)
 
     def test_linear_is_gram(self):
         rng = np.random.default_rng(2)
         X = rng.normal(size=(5, 3))
         k = KernelSpec(family="linear", include_bias=False)
         d = build_design_matrix(X, k)
-        np.testing.assert_allclose(d.values, X @ X.T, atol=1e-12)
+        np.testing.assert_allclose(d, X @ X.T, atol=1e-12)
 
     def test_column_count(self):
         X = np.arange(4.0)[:, None]
-        assert build_design_matrix(X, KernelSpec()).n_basis == 5
-        assert build_design_matrix(X, KernelSpec(include_bias=False)).n_basis == 4
+        assert build_design_matrix(X, KernelSpec()).shape[1] == 5
+        assert build_design_matrix(X, KernelSpec(include_bias=False)).shape[1] == 4
 
     def test_bitwise_reproducible(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(6, 2))
         k = KernelSpec(lengthscale=0.8)
-        a = build_design_matrix(X, k).values
-        b = build_design_matrix(X.copy(), k).values
+        a = build_design_matrix(X, k)
+        b = build_design_matrix(X.copy(), k)
         assert np.array_equal(a, b)
 
 

@@ -57,7 +57,7 @@ def _rvm_problem(seed):
     n = int(rng.integers(5, 40))
     X = rng.uniform(0.0, 1.0, (n, 1))
     kernel = KernelSpec(lengthscale=float(rng.uniform(0.05, 0.5)))
-    Phi = build_design_matrix(X, kernel).values
+    Phi = build_design_matrix(X, kernel)
     m = int(rng.integers(0, min(Phi.shape[1], 8) + 1))
     active = [int(j) for j in rng.choice(Phi.shape[1], m, replace=False)]
     alpha = 10.0 ** rng.uniform(-3.0, 3.0, m)
@@ -150,7 +150,7 @@ class TestFitRvm:
         rng = np.random.default_rng(3)
         X = np.linspace(0, 1, 30)[:, None]
         kernel = KernelSpec(lengthscale=0.2)
-        Phi = build_design_matrix(X, kernel).values
+        Phi = build_design_matrix(X, kernel)
         y = 3.0 * Phi[:, 7] + 1e-4 * rng.normal(size=30)
         model = fit_rvm(Dataset(X, y), kernel,
                         RvmConfig(standardize=False))

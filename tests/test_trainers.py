@@ -1,0 +1,69 @@
+"""Behaviour that fit_rvm, fit_vi and fit_ep share."""
+
+import numpy as np
+import pytest
+
+from hetrvm.data import Dataset, SynthSpec, synth
+from hetrvm.ep import EpConfig, fit_ep
+from hetrvm.kernels import KernelSpec
+from hetrvm.predict import predict
+from hetrvm.rvm import RvmConfig, fit_rvm
+from hetrvm.serialize import load_model, save_model
+from hetrvm.vi import VIConfig, fit_vi
+
+TRAINERS = {"rvm": (fit_rvm, RvmConfig), "vi": (fit_vi, VIConfig),
+            "ep": (fit_ep, EpConfig)}
+FIELDS = ("latent_mean", "latent_var", "g_mean", "g_var", "total_var")
+
+
+@pytest.mark.parametrize("standardize", [True, False])
+@pytest.mark.parametrize("c", [0.1, 3.5])
+@pytest.mark.parametrize("method", ["rvm", "vi", "ep"])
+def test_constant_target_is_degenerate(tmp_path, method, c, standardize):
+    # VI used to raise FactorizationError here, and EP to end "converged"
+    # with a noise variance of about 5e-16
+    fit, config = TRAINERS[method]
+    data = Dataset(np.linspace(-1.0, 1.0, 30)[:, None], np.full(30, c))
+    kernel = KernelSpec(lengthscale=0.5)
+    model = fit(data, kernel, config(standardize=standardize))
+    rvm = fit_rvm(data, kernel, RvmConfig(standardize=standardize))
+    assert model.method == method
+    assert model.status == "degenerate" and model.active_indices == [0]
+    Xt = np.array([[-0.3], [0.4], [2.0]])
+    pred = predict(model, Xt)
+    np.testing.assert_allclose(pred.latent_mean, c, rtol=1e-12)
+    assert np.array_equal(pred.total_var, predict(rvm, Xt).total_var)
+    save_model(model, tmp_path / "m.json")
+    loaded = load_model(tmp_path / "m.json")
+    assert (loaded.method, loaded.status, loaded.active_indices) == (
+        method, "degenerate", [0])
+    for field in FIELDS:
+        assert np.array_equal(getattr(predict(loaded, Xt), field),
+                              getattr(pred, field))
+
+
+@pytest.mark.parametrize("fit", [fit_vi, fit_ep])
+def test_constant_target_still_needs_three_points(fit):
+    with pytest.raises(ValueError, match="at least 3 points"):
+        fit(Dataset(np.array([[0.0], [1.0]]), np.array([2.0, 2.0])))
+
+
+@pytest.mark.parametrize("method", ["rvm", "vi", "ep"])
+def test_model_does_not_alias_the_inputs(method):
+    # unstandardized float64 2-D inputs reach the trainer as the caller's
+    # own array, so the model must keep a copy
+    fit, config = TRAINERS[method]
+    train, _ = synth(SynthSpec(n=30, seed=0))
+    X = train.X.copy()
+    data = Dataset(X, train.y)
+    assert np.shares_memory(data.X, X)
+    model = fit(data, KernelSpec(lengthscale=0.3),
+                config(standardize=False))
+    centers = model.centers.copy()
+    Xt = np.linspace(0.0, 1.0, 7)[:, None]
+    before = predict(model, Xt)
+    X[:] = 123.0
+    assert np.array_equal(model.centers, centers)
+    after = predict(model, Xt)
+    for field in FIELDS:
+        assert np.array_equal(getattr(after, field), getattr(before, field))

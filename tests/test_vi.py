@@ -203,7 +203,7 @@ class TestCollapsedBound:
         # independent evaluation with explicit inverses and scipy logpdf
         rng = np.random.default_rng(5)
         X = rng.uniform(0, 1, (3, 1))
-        Phi = build_design_matrix(X, KernelSpec()).values
+        Phi = build_design_matrix(X, KernelSpec())
         y = rng.normal(size=3)
         st = make_state(X, eta=rng.normal(size=3), log_ell=-0.3, log_sv=0.2,
                         mu0=-0.5, alpha=[1.0, 0.5, 2.0, 1.5],
@@ -224,7 +224,7 @@ class TestCollapsedBound:
     def test_kl_term_zero_at_prior(self):
         rng = np.random.default_rng(6)
         X = rng.uniform(0, 1, (3, 1))
-        Phi = build_design_matrix(X, KernelSpec()).values
+        Phi = build_design_matrix(X, KernelSpec())
         y = rng.normal(size=3)
         st = make_state(X, eta=np.zeros(3), log_ell=0.0, log_sv=0.0,
                         mu0=0.0, alpha=np.ones(4), active=[0, 1, 2, 3])
@@ -242,7 +242,7 @@ class TestBoundGradients:
     def test_against_finite_differences(self):
         rng = np.random.default_rng(7)
         X = rng.uniform(0, 1, (4, 1))
-        Phi = build_design_matrix(X, KernelSpec()).values
+        Phi = build_design_matrix(X, KernelSpec())
         y = rng.normal(size=4)
         alpha = rng.uniform(0.2, 3.0, 5)
 
@@ -263,7 +263,7 @@ class TestBoundGradients:
     def test_against_finite_differences_n12(self):
         rng = np.random.default_rng(12)
         X = rng.uniform(0, 1, (12, 1))
-        Phi = build_design_matrix(X, KernelSpec(lengthscale=0.3)).values
+        Phi = build_design_matrix(X, KernelSpec(lengthscale=0.3))
         y = 2.0 * np.sin(2 * np.pi * X[:, 0]) + 0.3 * rng.normal(size=12)
         active = [0, 2, 3, 5, 7, 8, 11, 12]
         alpha = rng.uniform(0.2, 3.0, len(active))
@@ -332,7 +332,7 @@ def _wide_noise_case(m, seed, n=40):
     rng = np.random.default_rng(seed)
     X = np.linspace(0.0, 1.0, n)[:, None]
     D2 = _sqdist(X, X)
-    Phi = build_design_matrix(X, KernelSpec(lengthscale=0.3)).values
+    Phi = build_design_matrix(X, KernelSpec(lengthscale=0.3))
     Phi_a = Phi[:, np.sort(rng.choice(n + 1, m, replace=False))]
     alpha = np.exp(rng.uniform(-3, 3, m))
     x = np.concatenate([np.linspace(-6, 6, n),
@@ -646,7 +646,7 @@ class TestFitVi:
         c = np.log(0.3**2)
         model = fit_vi(data, KernelSpec(lengthscale=0.5),
                        VIConfig(clamp_g=c, max_iter=60, standardize=False))
-        Phi = build_design_matrix(data.X, model.kernel).values
+        Phi = build_design_matrix(data.X, model.kernel)
         Phi_a = Phi[:, model.active_indices]
         s2 = np.exp(c)
         H = np.diag(model.alpha) + Phi_a.T @ Phi_a / s2
@@ -688,8 +688,7 @@ class TestFitVi:
 
         monkeypatch.setattr(hetrvm.vi, "minimize", no_progress)
         data, _ = synth(SynthSpec(generator="goldberg_sine", n=30, seed=0))
-        model = fit_vi(data, KernelSpec(lengthscale=0.3),
-                       VIConfig(inner_maxiter=40))
+        model = fit_vi(data, KernelSpec(lengthscale=0.3))
         assert model.status == "stalled" and model.n_iter == 2
         assert [c["maxls"] for c in calls] == [40, 60] * 4
         assert [c["maxiter"] for c in calls] == [40, 20] * 4
@@ -759,18 +758,16 @@ class TestFitVi:
 
     def test_numpy_integer_settings_accepted(self):
         assert RvmConfig(max_iter=np.int64(3)).max_iter == 3
-        assert VIConfig(max_iter=np.int32(3),
-                        inner_maxiter=np.int64(5)).inner_maxiter == 5
-        cfg = EpConfig(max_passes=np.int64(3), quad_order=np.int32(8))
-        assert (cfg.max_passes, cfg.quad_order) == (3, 8)
+        assert VIConfig(max_iter=np.int32(3)).max_iter == 3
+        assert EpConfig(max_passes=np.int64(3)).max_passes == 3
+        kernel = KernelSpec(family="polynomial", degree=np.int32(2))
+        assert kernel.degree == 2
 
     @pytest.mark.parametrize("bad", [
         dict(max_iter=0), dict(max_iter=-3), dict(tol=-1.0),
         dict(tol=float("nan")), dict(alpha_threshold=0.0),
         dict(alpha_threshold=-1.0), dict(alpha_threshold=float("nan")),
-        dict(inner_maxiter=0), dict(max_iter=1.5), dict(max_iter=True),
-        dict(inner_maxiter=2.5), dict(inner_maxiter=True),
-        dict(tol=float("inf"))])
+        dict(max_iter=1.5), dict(max_iter=True), dict(tol=float("inf"))])
     def test_invalid_config_rejected_before_setup(self, monkeypatch, bad):
         def no_setup(*args, **kwargs):
             raise AssertionError("config must be checked before setup")
