@@ -21,7 +21,12 @@ evidence-optimal precision is infinite (q^2 <= s, Tipping & Faul, 2003)
 at two consecutive steps of one update is sent there at once, to the
 precision clamp, instead of creeping toward it: one reading can be a
 transient while the other precisions move, so the update waits for a
-second.
+second.  Within ``fit_vi`` the update also stops after the first step
+that gains less evidence than the fit's ``tol`` asks of the bound, whose
+q(g) terms do not depend on the precisions: a few precisions can creep
+along a nearly flat evidence ridge for all 30 steps, gaining 1e-6 to
+1e-4 nats a step, and so keep the bound moving just above the fit's own
+stop.
 
 One weight fit (the posterior and the evidence log N(y | 0, Phi A^-1
 Phi^T + R) from one factorization), one sparsity/quality rule, one
@@ -389,7 +394,8 @@ def _sparsity_quality(G, Sigma_w, mu_w):
     return np.sum(Sigma_w * G, axis=1) / d, mu_w / d
 
 
-def update_alpha(alpha, Phi_a, r, y, max_inner: int = 30):
+def update_alpha(alpha, Phi_a, r, y, max_inner: int = 30,
+                 tol: Optional[float] = None):
     """Effective-degrees fixed point for the weight precisions,
     alpha_j <- (1 - alpha_j Sigma_w_jj) / mu_w_j^2, iterated with a
     safeguard: a step is geometrically backed off toward the previous
@@ -403,6 +409,17 @@ def update_alpha(alpha, Phi_a, r, y, max_inner: int = 30):
     change above the stop.  One reading is not enough: a column can read
     q^2 <= s for one step while the other precisions move under it, and
     jumping at the first reading costs EP more passes.
+
+    With ``tol`` given, the call also returns after the first accepted
+    step whose gain ev_new - ev is below tol (1 + |ev|): the test
+    ``fit_vi`` applies to the bound, which changes with the precisions by
+    exactly this gain.  Without it, a few precisions can creep along a
+    nearly flat ridge for all ``max_inner`` steps.  ``fit_vi`` passes its
+    ``tol``; EP passes none, so its steps are unchanged.  On the
+    benchmark's N=100 draws (one BLAS thread) the stop takes VI from 35
+    to 15 outer iterations and halves its Cholesky factorizations, at a
+    cost in sparsity: 8.2 active columns on average over 30 fits,
+    against 5.8, for a mean held-out NLPD of 0.6576 against 0.6553.
 
     r is fixed here, so the Gram matrix and the noise terms of the
     evidence are formed once per call, and the factor that scored an
@@ -438,8 +455,9 @@ def update_alpha(alpha, Phi_a, r, y, max_inner: int = 30):
         if not accepted:
             break
         change = float(np.abs(np.log(trial) - np.log(alpha)).max())
+        flat = tol is not None and ev_new - ev < tol * (1.0 + abs(ev))
         alpha, ev, L = trial, ev_new, L_new
-        if change < 1e-3:
+        if change < 1e-3 or flat:
             break
     return alpha, ev
 
@@ -646,7 +664,7 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
 
         # the evidence at the new precisions is update_alpha's; the bound
         # adds collapsed_bound's q(g) terms, in the same order
-        alpha, fval = update_alpha(alpha, Phi_a, r, y)
+        alpha, fval = update_alpha(alpha, Phi_a, r, y, tol=config.tol)
         if clamp is None:
             fval = (fval - 0.25 * float(np.trace(Sigma))
                     - gauss_kl(mu, Sigma, np.full(n, mu0), K))

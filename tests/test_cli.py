@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hetrvm
 from hetrvm.cli import run
-from hetrvm.data import SynthSpec
+from hetrvm.data import SynthSpec, load_csv
 from hetrvm.ep import EpConfig
 from hetrvm.kernels import KernelSpec
 from hetrvm.rvm import RvmConfig
@@ -54,6 +59,20 @@ class TestSynth:
         run(["synth", "--n", "15", "--seed", "3", "--out", str(a)])
         run(["synth", "--n", "15", "--seed", "3", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_module_form_runs_the_cli(self, tmp_path):
+        # `python -m hetrvm.cli ...` is the console script without an
+        # installed entry point: it runs the command, not just the import
+        src = str(Path(hetrvm.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src,
+                                             os.environ.get("PYTHONPATH")]))
+        out = tmp_path / "x.csv"
+        done = subprocess.run([sys.executable, "-m", "hetrvm.cli", "synth",
+                               "--n", "10", "--out", str(out)],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert done.returncode == 0, done.stderr
+        assert load_csv(out).n == 10
 
 
 class TestTrain:

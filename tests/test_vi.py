@@ -450,20 +450,68 @@ def _dense_sparsity_quality(Phi_a, alpha, r, y, j):
     return Phi_a[:, j] @ u, u @ y
 
 
+def _alpha_problem(seed):
+    """A random (alpha, Phi, r, y) for the precision update."""
+    rng = np.random.default_rng(100 + seed)
+    n = int(rng.integers(8, 40))
+    m = int(rng.integers(1, n + 2))
+    Phi = rng.normal(size=(n, m))
+    y = Phi[:, 0] + 0.3 * rng.normal(size=n)
+    r = np.exp(rng.normal(size=n))
+    return np.exp(rng.normal(size=m)), Phi, r, y
+
+
+def _counted_update(monkeypatch, a0, Phi, r, y, **kwargs):
+    """update_alpha's result and its number of Cholesky factorizations."""
+    calls = [0]
+    chol = hetrvm.vi.chol_factor
+
+    def counted(*args):
+        calls[0] += 1
+        return chol(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hetrvm.vi, "chol_factor", counted)
+        out = update_alpha(a0, Phi, r, y, **kwargs)
+    return out, calls[0]
+
+
 class TestUpdateAlpha:
     @pytest.mark.parametrize("seed", range(6))
     def test_equals_reference_loop(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        n = int(rng.integers(8, 40))
-        m = int(rng.integers(1, n + 2))
-        Phi = rng.normal(size=(n, m))
-        y = Phi[:, 0] + 0.3 * rng.normal(size=n)
-        r = np.exp(rng.normal(size=n))
-        a0 = np.exp(rng.normal(size=m))
-        a, ev = update_alpha(a0, Phi, r, y)
+        # without a tolerance the steps are the ones the reference takes
+        a0, Phi, r, y = _alpha_problem(seed)
         a_ref, ev_ref = _update_alpha_reference(a0, Phi, r, y)
-        assert np.array_equal(a, a_ref)
-        assert ev == ev_ref
+        for a, ev in (update_alpha(a0, Phi, r, y),
+                      update_alpha(a0, Phi, r, y, tol=None)):
+            assert np.array_equal(a, a_ref)
+            assert ev == ev_ref
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-4])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_tol_stops_after_first_flat_step(self, monkeypatch, seed, tol):
+        # hand replay: the call without a tolerance, cut after k steps, for
+        # k = 1, 2, ... until the k-th step gains less than tol (1 + |ev|)
+        a0, Phi, r, y = _alpha_problem(seed)
+        (a, ev), calls = _counted_update(monkeypatch, a0, Phi, r, y, tol=tol)
+        ev0 = ev_prev = _weight_fit(Phi, a0, r, y)[0]
+        for k in range(1, 31):
+            (a_k, ev_k), calls_k = _counted_update(monkeypatch, a0, Phi, r, y,
+                                                   max_inner=k)
+            if ev_k - ev_prev < tol * (1.0 + abs(ev_prev)):
+                break
+            ev_prev = ev_k
+        assert np.array_equal(a, a_k) and ev == ev_k
+        assert calls == calls_k
+        assert ev >= ev0 - 1e-10
+
+    def test_tol_shortens_a_creeping_call(self, monkeypatch):
+        # this problem's precisions creep for 30 steps without a tolerance
+        a0, Phi, r, y = _alpha_problem(10)
+        (_, ev_full), full = _counted_update(monkeypatch, a0, Phi, r, y)
+        (_, ev), short = _counted_update(monkeypatch, a0, Phi, r, y, tol=1e-6)
+        assert full == 31 and short < full
+        assert abs(ev - ev_full) < 1e-4
 
     @pytest.mark.parametrize("seed", range(6))
     def test_sparsity_quality_matches_dense_oracle(self, seed):
@@ -751,6 +799,54 @@ class TestFitVi:
         model = fit_vi(data, KernelSpec(lengthscale=0.3))
         assert model.status == "converged"
         assert np.all(np.isfinite(model.training_log))
+
+    def test_trial_point_breakdown_backs_off(self, monkeypatch):
+        # the path above, made certain: the first trial point of the first
+        # iteration cannot be evaluated, and the fit still converges
+        bound = hetrvm.vi._bound_value_grad
+        calls = [0]
+
+        def breaks_once(*args):
+            calls[0] += 1
+            if calls[0] == 2:  # the first call is the start point
+                raise hetrvm.vi.FactorizationError("trial point", 1)
+            return bound(*args)
+
+        monkeypatch.setattr(hetrvm.vi, "_bound_value_grad", breaks_once)
+        data, _ = synth(SynthSpec(generator="goldberg_sine", n=40, seed=0))
+        model = fit_vi(data, KernelSpec(lengthscale=0.3))
+        assert calls[0] > 2
+        assert model.status == "converged"
+        assert np.all(np.isfinite(model.training_log))
+
+    @pytest.mark.parametrize("tol", [1e-5, 1e-7])
+    def test_passes_its_tol_to_update_alpha(self, monkeypatch, tol):
+        seen = []
+        step = hetrvm.vi.update_alpha
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("tol"))
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(hetrvm.vi, "update_alpha", spy)
+        data, _ = synth(SynthSpec(generator="goldberg_sine", n=30, seed=0))
+        model = fit_vi(data, KernelSpec(lengthscale=0.3),
+                       VIConfig(tol=tol, max_iter=3))
+        assert len(seen) == model.n_iter
+        assert seen == [tol] * len(seen)
+
+    def test_ep_steps_alpha_without_tol(self, monkeypatch):
+        seen = []
+        step = hetrvm.ep.update_alpha
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(hetrvm.ep, "update_alpha", spy)
+        data, _ = synth(SynthSpec(generator="goldberg_sine", n=30, seed=0))
+        fit_ep(data, KernelSpec(lengthscale=0.3), EpConfig(max_passes=3))
+        assert seen and all(kwargs == {} for kwargs in seen)
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):

@@ -7,10 +7,11 @@ Fits every method with its library defaults on each generator's draw
 of the benchmark (0.3 for ``goldberg_sine`` and ``linear_het``, 1.0 for
 ``const_noise``), and scores it on 2,000 held-out points drawn with seed
 ``10000 + seed``.  Prints one line per method: how many fits ended in each
-status, the mean held-out NLPD and the total fit seconds.  A fit that
-raises counts under ``error`` and is left out of the mean.  ``--root``
-imports ``hetrvm`` from another checkout, so two commits can be compared
-on the same machine.
+status, the mean held-out NLPD, the mean active-basis count, the mean
+``n_iter`` and the total fit seconds.  A fit that raises counts under
+``error`` and is left out of the means.  ``--root`` imports ``hetrvm``
+from another checkout, so two commits can be compared on the same
+machine.
 """
 
 import argparse
@@ -42,6 +43,8 @@ def main(argv=None):
     fit = {"rvm": fit_rvm, "vi": fit_vi, "ep": fit_ep}
     statuses = {m: Counter() for m in fit}
     scores = {m: [] for m in fit}
+    active = {m: [] for m in fit}
+    iters = {m: [] for m in fit}
     seconds = dict.fromkeys(fit, 0.0)
     for generator, lengthscale in GENERATORS:
         kernel = KernelSpec(lengthscale=lengthscale)
@@ -61,12 +64,18 @@ def main(argv=None):
                     seconds[method] += time.perf_counter() - start
                 statuses[method][model.status] += 1
                 scores[method].append(nlpd(predict(model, test.X), test.y))
+                active[method].append(len(model.active_indices))
+                iters[method].append(model.n_iter)
 
     for method in fit:
         counts = " ".join(f"{k}={v}" for k, v in sorted(statuses[method].items()))
-        done = scores[method]
-        mean = f"{sum(done) / len(done):.4f}" if done else "nan"
-        print(f"{method}\t{counts}\tnlpd={mean}\tseconds={seconds[method]:.2f}")
+        done = len(scores[method])
+        means = "\t".join(
+            f"{name}={sum(v[method]) / done:.{digits}f}" if done
+            else f"{name}=nan"
+            for name, v, digits in (("nlpd", scores, 4), ("active", active, 1),
+                                    ("n_iter", iters, 1)))
+        print(f"{method}\t{counts}\t{means}\tseconds={seconds[method]:.2f}")
 
 
 if __name__ == "__main__":
