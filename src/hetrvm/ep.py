@@ -18,9 +18,9 @@ q(g) comes from the variational trainer's reduced-covariance routine:
 with the site precisions in place of its diagonal parameters,
 Sigma = (K^-1 + diag(site_prec))^-1 takes one Cholesky factor of
 B = I + T^1/2 K T^1/2 (Rasmussen & Williams 2006, sec. 3.6).  The
-noise-GP hyperparameters stay at their initialization under EP, so the
-prior covariance K is factored once per fit, for the prior terms of the
-marginal-likelihood estimate.
+noise-GP hyperparameters stay at their initialization, as under VI, so
+the prior covariance K is factored once per fit, for the prior terms of
+the marginal-likelihood estimate.
 """
 
 from __future__ import annotations

@@ -13,10 +13,19 @@ lam in (0, 1/2):
     Sigma = (K^-1 + diag(lam))^-1,   mu = K (lam - 1/2) + mu0 1,
 
 so the bound is maximized over lam (through an unconstrained sigmoid
-transform), the log-variance GP hyperparameters and mu0 by L-BFGS, with
-analytic gradients.  Weight precisions follow the usual effective-degrees
-fixed point, safeguarded so the bound never decreases, and basis columns
-whose precision diverges are pruned permanently.  A column whose
+transform) and mu0 by L-BFGS, with analytic gradients.  The noise GP's
+lengthscale and signal variance (log_ell, log_sv) are held at their
+start, as under EP, so K is built once per fit and both trainers fit one
+noise model.  Learning them by the bound (type-II maximum likelihood)
+collapsed q(g) to a constant noise on 5 of 20 heteroscedastic N=100
+draws of ``tools/status_sweep.py`` (signal variance below 1e-7), at a
+cost of up to 0.2 nats of held-out NLPD against EP (Rasmussen &
+Williams, 2006, sec. 5.4).  The bound's (log_ell, log_sv) gradient is
+still computed, for ``bound_gradients``.
+
+Weight precisions follow the usual effective-degrees fixed point,
+safeguarded so the bound never decreases, and basis columns whose
+precision diverges are pruned permanently.  A column whose
 evidence-optimal precision is infinite (q^2 <= s, Tipping & Faul, 2003)
 at two consecutive steps of one update is sent there at once, to the
 precision clamp, instead of creeping toward it: one reading can be a
@@ -36,10 +45,9 @@ m x m weight precision (Woodbury), never the N x N covariance, and so is
 the bound's gradient: it needs C^-1 y and diag(C^-1) only, and no N x N
 inverse of C or K is formed.  The N x N work left per bound evaluation is
 the q(g) block (the Cholesky factor of I + Lam^1/2 K Lam^1/2 and Sigma
-from it).  Within one outer iteration every distinct point is evaluated
-once.  The first L-BFGS stage holds (log_ell, log_sv) fixed, so its
-evaluations skip the O(N^3) block of their gradient; the joint stage
-completes it at the one point where the first stage ended.  The precision
+from it); ``fit_vi``'s evaluations skip the O(N^3) block of the
+(log_ell, log_sv) gradient.  Within one outer iteration every distinct
+point is evaluated once.  The precision
 update forms the Gram matrix Phi^T R^-1 Phi, the noise terms of the
 evidence and the identity right-hand side once per call, and then costs
 one m x m factorization and three solves with it per step; the sparsity
@@ -283,20 +291,23 @@ def _eta_from_lam(lam):
     return np.log(s) - np.log1p(-s)
 
 
-def _bound_value_grad(x, D2, Phi_a, alpha, y, hyper=True):
+def _bound_value_grad(x, D2, Phi_a, alpha, y, K=None):
     """Bound and its analytic gradient in the packed variables
     x = [eta (N), log_ell, log_sv, mu0] with lam = sigmoid(eta)/2.
 
-    With ``hyper`` False the (log_ell, log_sv) entries are left nan, which
-    skips their O(N^3) block, and a third value is returned: a function
-    of no arguments that returns the complete gradient.  The value and
-    the other entries are the same bits either way."""
+    ``K`` is the noise-GP covariance at x's (log_ell, log_sv), when the
+    caller holds them fixed and has built it: it is then not rebuilt from
+    D2, and the (log_ell, log_sv) entries are left nan, which skips their
+    O(N^3) block.  The value and the other entries are the same bits
+    either way."""
     n = y.size
     eta = x[:n]
     log_ell, log_sv, mu0 = x[n], x[n + 1], x[n + 2]
     lam = 0.5 * _sigmoid(eta)
     lam = np.clip(lam, 1e-12, 0.5 - 1e-12)
-    K, C = _noise_cov(D2, log_ell, log_sv)
+    hyper = K is None
+    if hyper:
+        K, C = _noise_cov(D2, log_ell, log_sv)
     Sigma, LB = _reduced_cov(lam, K)
     sdiag = np.diag(Sigma)
     v = lam - 0.5
@@ -328,22 +339,10 @@ def _bound_value_grad(x, D2, Phi_a, alpha, y, hyper=True):
     g_eta = g_lam * lam * (1.0 - 2.0 * lam)
     g_mu0 = float(np.sum(u))
     grad = np.concatenate([g_eta, [np.nan, np.nan, g_mu0]])
-
     if hyper:
         grad[n:n + 2] = _hyper_grad(D2, log_ell, log_sv, K, C,
                                     Sigma, lam, u, v, fs)
-        return fval, grad
-
-    def complete():
-        # the N x N pieces are recomputed, to the same bits, rather than
-        # kept: a stage keeps the completion of every point it evaluates
-        K, C = _noise_cov(D2, log_ell, log_sv)
-        full = grad.copy()
-        full[n:n + 2] = _hyper_grad(D2, log_ell, log_sv, K, C,
-                                    _reduced_cov(lam, K)[0], lam, u, v, fs)
-        return full
-
-    return fval, grad, complete
+    return fval, grad
 
 
 def _hyper_grad(D2, log_ell, log_sv, K, C, Sigma, lam, u, v, fs):
@@ -399,7 +398,9 @@ def update_alpha(alpha, Phi_a, r, y, max_inner: int = 30,
     """Effective-degrees fixed point for the weight precisions,
     alpha_j <- (1 - alpha_j Sigma_w_jj) / mu_w_j^2, iterated with a
     safeguard: a step is geometrically backed off toward the previous
-    precisions until the collapsed evidence does not decrease.
+    precisions until the collapsed evidence does not decrease.  A trial
+    whose weight precision does not factor is backed off the same way;
+    the start precisions must factor, or the call raises.
 
     A column whose evidence-optimal precision is infinite (q_j^2 <= s_j,
     Tipping & Faul, 2003) at this step and at the previous step of the
@@ -415,11 +416,11 @@ def update_alpha(alpha, Phi_a, r, y, max_inner: int = 30,
     ``fit_vi`` applies to the bound, which changes with the precisions by
     exactly this gain.  Without it, a few precisions can creep along a
     nearly flat ridge for all ``max_inner`` steps.  ``fit_vi`` passes its
-    ``tol``; EP passes none, so its steps are unchanged.  On the
-    benchmark's N=100 draws (one BLAS thread) the stop takes VI from 35
-    to 15 outer iterations and halves its Cholesky factorizations, at a
-    cost in sparsity: 8.2 active columns on average over 30 fits,
-    against 5.8, for a mean held-out NLPD of 0.6576 against 0.6553.
+    ``tol``; EP passes none, so its steps are unchanged.  Over the 30
+    N=100 draws of ``tools/status_sweep.py`` (one BLAS thread) the stop
+    takes VI from 10.0 to 4.8 outer iterations on average, at a cost in
+    sparsity: 7.7 active columns on average, against 5.6, for a mean
+    held-out NLPD of 0.6381 against 0.6371.
 
     r is fixed here, so the Gram matrix and the noise terms of the
     evidence are formed once per call, and the factor that scored an
@@ -446,8 +447,12 @@ def update_alpha(alpha, Phi_a, r, y, max_inner: int = 30,
         trial = proposal
         accepted = False
         for _ in range(8):
-            L_new = _factor(G, trial)
-            ev_new, _ = _evidence(L_new, b, trial, r, y, noise)
+            try:
+                L_new = _factor(G, trial)
+            except FactorizationError:  # scored as a loss of evidence
+                ev_new = -np.inf
+            else:
+                ev_new, _ = _evidence(L_new, b, trial, r, y, noise)
             if ev_new >= ev - 1e-10:
                 accepted = True
                 break
@@ -552,11 +557,12 @@ def _degenerate(method, kernel, work, record, config):
 
 def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
            config: Optional[VIConfig] = None) -> HrvmModel:
-    """Train by alternating: L-BFGS ascent of the bound, first over the
-    reduced q(g) parameters and mu0 with the noise-GP hyperparameters
-    (log_ell, log_sv) held, then over all of them jointly; safeguarded
-    precision updates; then pruning.  With ``config.clamp_g`` set, q(g)
-    stays a point mass and only the precisions and pruning run."""
+    """Train by alternating: one L-BFGS ascent of the bound over the
+    reduced q(g) parameters and mu0, retried once with a longer line
+    search if it stalls, with the noise-GP hyperparameters (log_ell,
+    log_sv) held at ``_setup``'s values; safeguarded precision updates;
+    then pruning.  With ``config.clamp_g`` set, q(g) stays a point mass
+    and only the precisions and pruning run."""
     kernel = kernel or KernelSpec()
     config = config or VIConfig()
     work, record = _standardized(data, config.standardize)
@@ -581,6 +587,8 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
     status = "max_iter"
     f_prev = -np.inf
     stalled_once = False
+    # L-BFGS moves eta and mu0; (log_ell, log_sv) hold _setup's values
+    free = np.r_[0:n, n + 2]
 
     for it in range(config.max_iter):
         Phi_a = Phi[:, active]
@@ -588,77 +596,47 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
         if clamp is None:
             x0 = np.concatenate([_eta_from_lam(lam), [log_ell, log_sv, mu0]])
 
-            # (f, g) of every point this iteration has evaluated: the
-            # stages, their L-BFGS runs and the acceptance test below share
-            # them.  The q-stage's gradients lack the (log_ell, log_sv)
-            # entries and carry the function that completes them.  The
+            # (f, g) of every point this iteration has evaluated: L-BFGS,
+            # its retry and the acceptance test below share them.  The
             # start point must evaluate; a trial point where the bound
             # breaks down reads -inf, so the line search backs off.
             memo = {x0.tobytes(): _bound_value_grad(x0, D2, Phi_a, alpha, y,
-                                                    False)}
+                                                    K)}
 
-            def bound(x, hyper=True):
+            def negf(xq):
+                x = x0.copy()
+                x[free] = xq
                 key = x.tobytes()
                 if key not in memo:
                     try:
                         memo[key] = _bound_value_grad(x, D2, Phi_a, alpha, y,
-                                                      hyper)
+                                                      K)
                     except (FactorizationError, FloatingPointError):
                         memo[key] = (-np.inf, np.zeros(x.size))
-                f, g, *complete = memo[key]
-                if hyper and complete:
-                    g = complete[0]()
-                    memo[key] = (f, g)
-                return f, g
+                f, g = memo[key]
+                return -f, -g[free]
 
-            def stage(x_start, free_mask, budget, hyper):
-                def negf(xfree):
-                    x = x_start.copy()
-                    x[free_mask] = xfree
-                    f, g = bound(x, hyper)
-                    return -f, -g[free_mask]
-                f_start = negf(x_start[free_mask])[0]
-                res = minimize(negf, x_start[free_mask], jac=True,
-                               method="L-BFGS-B",
-                               options={"maxiter": budget, "maxls": 40})
-                # a line-search abort counts as a failure only when the
-                # stage also made no progress from its starting point
-                ok = res.success or res.fun < f_start - 1e-12
-                if not ok:
-                    res2 = minimize(negf, x_start[free_mask], jac=True,
-                                    method="L-BFGS-B",
-                                    options={"maxiter": max(budget // 2, 2),
-                                             "maxls": 60})
-                    if res2.fun < res.fun:
-                        res = res2
-                    ok = res.success or res.fun < f_start - 1e-12
-                out = x_start.copy()
-                out[free_mask] = res.x
-                return out, ok
-
-            # reduced parameters (and mu0) first, everything jointly after:
-            # moving (log_ell, log_sv) before q(g) adapts collapses the
-            # noise process
-            free = np.ones(x0.size, dtype=bool)
-            free_q = free.copy()
-            free_q[n] = free_q[n + 1] = False
-            x1, ok1 = stage(x0, free_q, _INNER_MAXITER, False)
-            # the joint stage starts from x1's completed gradient; every
-            # other incomplete gradient is dropped with its pieces
-            f0 = bound(x0, False)[0]
-            bound(x1)
-            for key in [k for k, e in memo.items() if len(e) == 3]:
-                del memo[key]
-            x1, ok2 = stage(x1, free, _INNER_MAXITER, True)
-            if not (ok1 and ok2):
+            f0 = memo[x0.tobytes()][0]
+            res = minimize(negf, x0[free], jac=True, method="L-BFGS-B",
+                           options={"maxiter": _INNER_MAXITER, "maxls": 40})
+            # a line-search abort counts as a failure only when the run
+            # also made no progress from its starting point; it is retried
+            # once with a longer line search
+            ok = res.success or res.fun < -f0 - 1e-12
+            if not ok:
+                res2 = minimize(negf, x0[free], jac=True, method="L-BFGS-B",
+                                options={"maxiter": _INNER_MAXITER // 2,
+                                         "maxls": 60})
+                if res2.fun < res.fun:
+                    res = res2
+                ok = res.success or res.fun < -f0 - 1e-12
+            if not ok:
                 if stalled_once:
                     status = "stalled"
                 stalled_once = True
-            if bound(x1)[0] >= f0:
-                eta = x1[:n]
-                lam = np.clip(0.5 * _sigmoid(eta), 1e-12, 0.5 - 1e-12)
-                log_ell, log_sv, mu0 = x1[n], x1[n + 1], x1[n + 2]
-                K, _ = _noise_cov(D2, log_ell, log_sv)
+            if -negf(res.x)[0] >= f0:
+                lam = np.clip(0.5 * _sigmoid(res.x[:n]), 1e-12, 0.5 - 1e-12)
+                mu0 = float(res.x[n])
             mu, Sigma = reduced_to_moments(lam, K, mu0)
             r = noise_diag(mu, Sigma)
 

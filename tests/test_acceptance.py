@@ -1,4 +1,4 @@
-"""Acceptance suite: ten verdicts, one per release criterion.
+"""Acceptance suite: eleven verdicts, one per release criterion.
 
 Each test prints a single PASS/FAIL line (written straight to the real
 stdout so it survives pytest's capture) and then asserts.  Oracles are
@@ -384,3 +384,31 @@ def test_criterion_10_runtime():
     t_ep = time.perf_counter() - t0
     verdict(10, "desk-scale runtime", t_vi < 30.0 and t_ep < 60.0,
             f"vi {t_vi:.1f}s (<30s), ep {t_ep:.1f}s (<60s)")
+
+
+# the draws on which VI's noise GP used to collapse to constant noise when
+# it learned its lengthscale and signal variance (signal variance < 1e-7)
+COLLAPSE_DRAWS = (("goldberg_sine", 0), ("goldberg_sine", 4),
+                  ("goldberg_sine", 8), ("linear_het", 4), ("linear_het", 8))
+
+
+def test_criterion_11_noise_gp_does_not_collapse():
+    """VI holds the noise-GP hyperparameters where EP holds them, and on
+    the draws where learning them collapsed q(g) to constant noise its
+    held-out NLPD stays within 0.05 nats of EP's."""
+    gaps = []
+    held = True
+    for generator, seed in COLLAPSE_DRAWS:
+        train, _ = synth(SynthSpec(generator=generator, n=100, seed=seed))
+        test, _ = synth(SynthSpec(generator=generator, n=2000,
+                                  seed=seed + 10_000))
+        vi = fit_vi(train, GOLDBERG_KERNEL)
+        ep = fit_ep(train, GOLDBERG_KERNEL)
+        held = (held and vi.noise_lengthscale == ep.noise_lengthscale
+                and vi.noise_signal_variance == 1.0)
+        gaps.append(nlpd(predict(vi, test.X), test.y)
+                    - nlpd(predict(ep, test.X), test.y))
+    verdict(11, "noise GP does not collapse",
+            held and max(gaps) <= 0.05,
+            f"hyperparameters held={held}; VI - EP NLPD "
+            f"{', '.join(f'{g:+.3f}' for g in gaps)} (<= 0.05)")

@@ -8,10 +8,11 @@ of the benchmark (0.3 for ``goldberg_sine`` and ``linear_het``, 1.0 for
 ``const_noise``), and scores it on 2,000 held-out points drawn with seed
 ``10000 + seed``.  Prints one line per method: how many fits ended in each
 status, the mean held-out NLPD, the mean active-basis count, the mean
-``n_iter`` and the total fit seconds.  A fit that raises counts under
-``error`` and is left out of the means.  ``--root`` imports ``hetrvm``
-from another checkout, so two commits can be compared on the same
-machine.
+``n_iter``, the draw with the highest NLPD
+(``worst=<generator>/<seed>:<nlpd>``, which shows an outlier a mean hides)
+and the total fit seconds.  A fit that raises counts under ``error`` and
+is left out of the means.  ``--root`` imports ``hetrvm`` from another
+checkout, so two commits can be compared on the same machine.
 """
 
 import argparse
@@ -43,6 +44,7 @@ def main(argv=None):
     fit = {"rvm": fit_rvm, "vi": fit_vi, "ep": fit_ep}
     statuses = {m: Counter() for m in fit}
     scores = {m: [] for m in fit}
+    worst = dict.fromkeys(fit, (float("-inf"), "none"))
     active = {m: [] for m in fit}
     iters = {m: [] for m in fit}
     seconds = dict.fromkeys(fit, 0.0)
@@ -63,7 +65,10 @@ def main(argv=None):
                 finally:
                     seconds[method] += time.perf_counter() - start
                 statuses[method][model.status] += 1
-                scores[method].append(nlpd(predict(model, test.X), test.y))
+                score = nlpd(predict(model, test.X), test.y)
+                scores[method].append(score)
+                worst[method] = max(worst[method],
+                                    (score, f"{generator}/{seed}"))
                 active[method].append(len(model.active_indices))
                 iters[method].append(model.n_iter)
 
@@ -75,7 +80,9 @@ def main(argv=None):
             else f"{name}=nan"
             for name, v, digits in (("nlpd", scores, 4), ("active", active, 1),
                                     ("n_iter", iters, 1)))
-        print(f"{method}\t{counts}\t{means}\tseconds={seconds[method]:.2f}")
+        score, draw = worst[method]
+        print(f"{method}\t{counts}\t{means}\tworst={draw}:{score:.4f}"
+              f"\tseconds={seconds[method]:.2f}")
 
 
 if __name__ == "__main__":
