@@ -1,8 +1,9 @@
 """Sparse basis selection in the constant-noise relevance vector machine.
 
-The trainer greedily adds, re-estimates, and deletes kernel basis
-functions to maximize the marginal likelihood; most precisions diverge
-and their weights are pruned, leaving a handful of relevance vectors.
+Starting from no basis functions, the trainer greedily adds,
+re-estimates, and deletes kernel basis functions to maximize the marginal
+likelihood, alternating with a re-estimate of the noise; most columns are
+never added, leaving a handful of relevance vectors.
 """
 
 import numpy as np
@@ -28,7 +29,7 @@ for idx, a, w in zip(model.active_indices, model.alpha, model.mu_w):
 
 log = model.training_log
 print(f"\nmarginal log-likelihood climbed {log[0]:.2f} -> {log[-1]:.2f} "
-      f"over {len(log)} accepted steps (monotone: "
+      f"over {len(log)} alternations (monotone: "
       f"{bool(np.all(np.diff(log) >= -1e-8))})")
 
 mean = predict(model, X).latent_mean

@@ -11,8 +11,8 @@ are refined in parallel passes (Minka 2001; Cseke & Heskes, JMLR 2011):
 every cavity is taken from the current marginals, all tilted moments
 come from one Gauss-Hermite grid over the cavities, every site is damped
 on natural parameters, and q(g) is refreshed once.  Between passes the
-weight posterior and precisions are refreshed exactly as in the
-variational trainer.
+weight posterior and the basis are refreshed exactly as in the
+variational trainer, by Tipping & Faul's selection at the new noise.
 
 q(g) comes from the variational trainer's reduced-covariance routine:
 with the site precisions in place of its diagonal parameters,
@@ -226,8 +226,10 @@ def ep_posterior(K, mu0, site_prec, site_nu, site_logz=None, prior=None):
 def fit_ep(data: Dataset, kernel: Optional[KernelSpec] = None,
            config: Optional[EpConfig] = None) -> HrvmModel:
     """Alternate exact weight-posterior refreshes with parallel EP passes
-    over the log-variance sites, plus the safeguarded precision update
-    and pruning shared with the variational trainer.
+    over the log-variance sites, plus the basis selection
+    (``update_alpha``, stopped at ``config.tol``) and pruning shared with
+    the variational trainer.  The basis is first selected once at the
+    prior's noise, so no pass fits y with an empty basis.
 
     Each pass takes every cavity from the current marginals, matches all
     tilted moments on one quadrature grid, damps every site and refreshes
@@ -237,7 +239,7 @@ def fit_ep(data: Dataset, kernel: Optional[KernelSpec] = None,
     config = config or EpConfig()
     work, record = _standardized(data, config.standardize)
     Phi = build_design_matrix(work.X, kernel)
-    active, alpha, _, log_ell, log_sv, mu0, K = _setup(work, Phi)
+    active, alpha, _, log_ell, log_sv, mu0, K = _setup(work)
     if _constant(work.y):
         return _degenerate("ep", kernel, work, record, config)
     y, n = work.y, work.n
@@ -255,6 +257,7 @@ def fit_ep(data: Dataset, kernel: Optional[KernelSpec] = None,
     prev_change = np.inf
     osc = 0
     r = noise_diag(post_mu, post_Sigma)  # kept current below
+    active, alpha, _ = update_alpha(active, alpha, Phi, r, y, config.tol)
     for n_pass in range(1, config.max_passes + 1):
         Phi_a = Phi[:, active]
         mu_w, Sigma_w = weight_posterior(Phi_a, alpha, r, y)
@@ -273,7 +276,7 @@ def fit_ep(data: Dataset, kernel: Optional[KernelSpec] = None,
             K, mu0, site_prec, site_nu, site_logz, prior=prior)
 
         r = noise_diag(post_mu, post_Sigma)
-        alpha, _ = update_alpha(alpha, Phi_a, r, y)
+        active, alpha, _ = update_alpha(active, alpha, Phi, r, y, config.tol)
         active, alpha, _ = prune_basis(active, alpha, config.alpha_threshold)
         training_log.append(logz)
 

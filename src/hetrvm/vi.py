@@ -23,35 +23,24 @@ cost of up to 0.2 nats of held-out NLPD against EP (Rasmussen &
 Williams, 2006, sec. 5.4).  The bound's (log_ell, log_sv) gradient is
 still computed, for ``bound_gradients``.
 
-Weight precisions follow the usual effective-degrees fixed point,
-safeguarded so the bound never decreases, and basis columns whose
-precision diverges are pruned permanently.  A column whose
-evidence-optimal precision is infinite (q^2 <= s, Tipping & Faul, 2003)
-at two consecutive steps of one update is sent there at once, to the
-precision clamp, instead of creeping toward it: one reading can be a
-transient while the other precisions move, so the update waits for a
-second.  Within ``fit_vi`` the update also stops after the first step
-that gains less evidence than the fit's ``tol`` asks of the bound, whose
-q(g) terms do not depend on the precisions: a few precisions can creep
-along a nearly flat evidence ridge for all 30 steps, gaining 1e-6 to
-1e-4 nats a step, and so keep the bound moving just above the fit's own
-stop.
+The heteroscedastic RVM is the RVM with sigma2 I replaced by R, so at a
+fixed q(g) the precisions maximize the same evidence the RVM's do:
+``update_alpha`` is Tipping & Faul's (2003) sequential add / re-estimate
+/ delete under diag(r), from the empty basis.  The bound's q(g) terms do
+not depend on the precisions, so every action raises the bound by its
+evidence gain.
 
-One weight fit (the posterior and the evidence log N(y | 0, Phi A^-1
-Phi^T + R) from one factorization), one sparsity/quality rule, one
-pruning rule and one model finish: every trainer uses these, EP as they
-are and the RVM with R = sigma2 I.  The evidence is evaluated through the
-m x m weight precision (Woodbury), never the N x N covariance, and so is
-the bound's gradient: it needs C^-1 y and diag(C^-1) only, and no N x N
+One basis selection, one weight fit (the posterior and the evidence
+log N(y | 0, Phi A^-1 Phi^T + R) from one factorization), one pruning
+rule and one model finish: every trainer uses these, EP as they are and
+the RVM with R = sigma2 I.  The evidence is evaluated through the m x m
+weight precision (Woodbury), never the N x N covariance, and so is the
+bound's gradient: it needs C^-1 y and diag(C^-1) only, and no N x N
 inverse of C or K is formed.  The N x N work left per bound evaluation is
 the q(g) block (the Cholesky factor of I + Lam^1/2 K Lam^1/2 and Sigma
 from it); ``fit_vi``'s evaluations skip the O(N^3) block of the
 (log_ell, log_sv) gradient.  Within one outer iteration every distinct
-point is evaluated once.  The precision
-update forms the Gram matrix Phi^T R^-1 Phi, the noise terms of the
-evidence and the identity right-hand side once per call, and then costs
-one m x m factorization and three solves with it per step; the sparsity
-and quality of every column come from that step's posterior in O(m^2).
+point is evaluated once.
 
 L-BFGS is ``scipy.optimize.minimize``, reached through this module's
 ``minimize``, which imports the optimizer on its first call.  Loading
@@ -87,7 +76,6 @@ __all__ = [
     "fit_vi",
 ]
 
-_ALPHA_MIN, _ALPHA_MAX = 1e-12, 1e14
 _JITTER_FRAC = 1e-6  # diagonal jitter on K as a fraction of signal variance
 _LOG_2PI = np.log(2 * np.pi)
 _INNER_MAXITER = 40  # L-BFGS iterations per stage of an outer step
@@ -393,78 +381,79 @@ def _sparsity_quality(G, Sigma_w, mu_w):
     return np.sum(Sigma_w * G, axis=1) / d, mu_w / d
 
 
-def update_alpha(alpha, Phi_a, r, y, max_inner: int = 30,
-                 tol: Optional[float] = None):
-    """Effective-degrees fixed point for the weight precisions,
-    alpha_j <- (1 - alpha_j Sigma_w_jj) / mu_w_j^2, iterated with a
-    safeguard: a step is geometrically backed off toward the previous
-    precisions until the collapsed evidence does not decrease.  A trial
-    whose weight precision does not factor is backed off the same way;
-    the start precisions must factor, or the call raises.
+def _all_sq(G, d, c, active, L):
+    """Every column's (s_j, q_j) under noise diag(r), with column j left
+    out of C, from G = Phi^T R^-1 Phi_a, d = diag(Phi^T R^-1 Phi),
+    c = Phi^T R^-1 y and the factor L of the weight precision H.
 
-    A column whose evidence-optimal precision is infinite (q_j^2 <= s_j,
-    Tipping & Faul, 2003) at this step and at the previous step of the
-    call is proposed _ALPHA_MAX instead, above the default pruning
-    threshold, so the trainers prune it after the call.  The fixed point
-    would only creep toward it, a few percent per step, and keep the
-    change above the stop.  One reading is not enough: a column can read
-    q^2 <= s for one step while the other precisions move under it, and
-    jumping at the first reading costs EP more passes.
+    Outside the model s = d - |L^-1 G^T|^2 (Woodbury through L, not the
+    explicit Sigma_w, whose subtraction lost up to 2.5e-6 relative on a
+    column nearly in the active span) and q = c - G mu_w; the columns in
+    it take :func:`_sparsity_quality`."""
+    mu_w, Sigma_w = _posterior(L, c[active])
+    s = d.copy()
+    if L is not None:
+        s -= np.sum(lower_solve(L, G.T) ** 2, axis=0)
+    q = c - G @ mu_w
+    s[active], q[active] = _sparsity_quality(G[active], Sigma_w, mu_w)
+    return s, q
 
-    With ``tol`` given, the call also returns after the first accepted
-    step whose gain ev_new - ev is below tol (1 + |ev|): the test
-    ``fit_vi`` applies to the bound, which changes with the precisions by
-    exactly this gain.  Without it, a few precisions can creep along a
-    nearly flat ridge for all ``max_inner`` steps.  ``fit_vi`` passes its
-    ``tol``; EP passes none, so its steps are unchanged.  Over the 30
-    N=100 draws of ``tools/status_sweep.py`` (one BLAS thread) the stop
-    takes VI from 10.0 to 4.8 outer iterations on average, at a cost in
-    sparsity: 7.7 active columns on average, against 5.6, for a mean
-    held-out NLPD of 0.6381 against 0.6371.
 
-    r is fixed here, so the Gram matrix and the noise terms of the
-    evidence are formed once per call, and the factor that scored an
-    accepted step gives the next step's posterior: one Cholesky
-    factorization per evidence evaluation."""
-    alpha = np.asarray(alpha, dtype=float).copy()
-    _, G, b = _gram(Phi_a, r, y)
+def _actions(s, q, a_old):
+    """Each column's evidence-optimal precision a_new (inf: out of the
+    model) and its gain l(a_new) - l(a_old), -inf where not finite."""
+    def ell(a):
+        return 0.5 * (q**2 / (a + s) - np.log1p(s / a))
+
+    theta = q**2 - s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_new = np.where(theta > 0, s**2 / theta, np.inf)
+        gain = ell(a_new) - ell(a_old)
+    return a_new, np.where(np.isfinite(gain), gain, -np.inf)
+
+
+def update_alpha(active, alpha, Phi, r, y, tol: float):
+    """Tipping & Faul's (2003) basis selection at a fixed noise diag(r):
+    take the single add, re-estimate or delete over the columns of Phi
+    with the largest evidence gain, refit, and repeat until the best gain
+    is at most max(tol (1 + |ev|), 1e-12).  ``active`` indexes Phi's
+    columns and may be empty; ``alpha`` holds their precisions.
+
+    A column's share of the log evidence at precision a is
+    l(a) = (q^2 / (a + s) - log(1 + s / a)) / 2, l(inf) = 0, with (s, q)
+    its sparsity and quality (:func:`_all_sq`), so each action gains
+    exactly l(a_new) - l(a_old) and the evidence never falls.  From the
+    empty set the first add is the column with the largest
+    (phi^T R^-1 y)^2 / phi^T R^-1 phi.
+
+    R^-1 Phi, diag(Phi^T R^-1 Phi), Phi^T R^-1 y and the noise terms of
+    the evidence are formed once per call; each state then costs one
+    m x m factorization, which scores it and gives every column's (s, q).
+    Start precisions that do not factor raise
+    :class:`FactorizationError`.  Returns (active, alpha, log evidence)."""
+    active, alpha = list(active), np.asarray(alpha, dtype=float).copy()
+    Phir = Phi / r[:, None]
+    d = np.sum(Phi * Phir, axis=0)
+    c = Phir.T @ y
     noise = _noise_terms(r, y)
-    eye = np.eye(alpha.size)
-    L = _factor(G, alpha)
-    ev, _ = _evidence(L, b, alpha, r, y, noise)
-    dead = np.zeros(alpha.size, dtype=bool)
-    for _ in range(max_inner):
-        mu_w = chol_solve(L, b)
-        Sigma_w = chol_solve(L, eye)
-        gamma = (1.0 - alpha * Sigma_w.diagonal()).clip(1e-12, 1.0)
-        s, q = _sparsity_quality(G, Sigma_w, mu_w)
-        was_dead, dead = dead, q**2 <= s
-        with np.errstate(divide="ignore", invalid="ignore"):
-            proposal = gamma / mu_w**2
-        proposal = np.where(np.isfinite(proposal) & (proposal > 0)
-                            & ~(dead & was_dead), proposal, _ALPHA_MAX)
-        proposal = proposal.clip(_ALPHA_MIN, _ALPHA_MAX)
-        trial = proposal
-        accepted = False
-        for _ in range(8):
-            try:
-                L_new = _factor(G, trial)
-            except FactorizationError:  # scored as a loss of evidence
-                ev_new = -np.inf
-            else:
-                ev_new, _ = _evidence(L_new, b, trial, r, y, noise)
-            if ev_new >= ev - 1e-10:
-                accepted = True
-                break
-            trial = np.sqrt(trial * alpha)  # back off in log space
-        if not accepted:
-            break
-        change = float(np.abs(np.log(trial) - np.log(alpha)).max())
-        flat = tol is not None and ev_new - ev < tol * (1.0 + abs(ev))
-        alpha, ev, L = trial, ev_new, L_new
-        if change < 1e-3 or flat:
-            break
-    return alpha, ev
+    while True:
+        G = Phi.T @ Phir[:, active]
+        L = _factor(G[active], alpha)
+        ev, _ = _evidence(L, c[active], alpha, r, y, noise)
+        a_old = np.full(Phi.shape[1], np.inf)
+        a_old[active] = alpha
+        a_new, gain = _actions(*_all_sq(G, d, c, active, L), a_old)
+        j = int(np.argmax(gain))
+        if gain[j] <= max(tol * (1.0 + abs(ev)), 1e-12):
+            return active, alpha, ev
+        if np.isinf(a_old[j]):  # add
+            active.append(j)
+            alpha = np.append(alpha, a_new[j])
+        elif np.isinf(a_new[j]):  # delete
+            alpha = np.delete(alpha, active.index(j))
+            active.remove(j)
+        else:  # re-estimate
+            alpha[active.index(j)] = a_new[j]
 
 
 def prune_basis(active, alpha, threshold: float):
@@ -486,17 +475,16 @@ def _standardized(data: Dataset, standardize_data: bool):
     return data, Standardization.identity(data.q)
 
 
-def _setup(work: Dataset, Phi):
-    """Starting point shared by fit_vi and fit_ep: every column of Phi
-    active at unit precision, and the noise GP at the median-distance
-    lengthscale, unit signal variance and mu0 = log(0.1 var y).
+def _setup(work: Dataset):
+    """Starting point shared by fit_vi and fit_ep: the empty basis, and
+    the noise GP at the median-distance lengthscale, unit signal variance
+    and mu0 = log(0.1 var y).
 
     Returns (active, alpha, D2, log_ell, log_sv, mu0, K)."""
     n = work.n
     if n < 3:
         raise ValueError("need at least 3 points")
-    active = list(range(Phi.shape[1]))
-    alpha = np.ones(len(active))
+    active, alpha = [], np.zeros(0)
     D2 = _sqdist(work.X, work.X)
     off = D2[np.triu_indices(n, k=1)]
     ell0 = float(np.sqrt(np.median(off[off > 0]))) if np.any(off > 0) else 1.0
@@ -560,18 +548,27 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
     """Train by alternating: one L-BFGS ascent of the bound over the
     reduced q(g) parameters and mu0, retried once with a longer line
     search if it stalls, with the noise-GP hyperparameters (log_ell,
-    log_sv) held at ``_setup``'s values; safeguarded precision updates;
-    then pruning.  With ``config.clamp_g`` set, q(g) stays a point mass
-    and only the precisions and pruning run."""
+    log_sv) held at ``_setup``'s values; Tipping & Faul's basis selection
+    at the new noise (``update_alpha``, stopped at ``config.tol``); then
+    pruning.  The basis is first selected once at the start q(g), so
+    q(g) never fits y with an empty basis.  With ``config.clamp_g`` set,
+    q(g) stays a point mass and only the basis selection and pruning
+    run.
+
+    q(g) starts at lam = 1/2 - 1/(4 K 1), which puts the start log-noise
+    near mu0 - 1/4 at every N: a constant lam makes it fall as the rows
+    of K grow with N, and at the small noise of a constant lam = 1/4 the
+    basis selection overfits (the weight precision stopped factoring at
+    N=200)."""
     kernel = kernel or KernelSpec()
     config = config or VIConfig()
     work, record = _standardized(data, config.standardize)
     Phi = build_design_matrix(work.X, kernel)
-    active, alpha, D2, log_ell, log_sv, mu0, K = _setup(work, Phi)
+    active, alpha, D2, log_ell, log_sv, mu0, K = _setup(work)
     if _constant(work.y):
         return _degenerate("vi", kernel, work, record, config)
     y, n = work.y, work.n
-    lam = np.full(n, 0.25)
+    lam = 0.5 - 0.25 / K.sum(axis=1)
 
     clamp = config.clamp_g
     if clamp is None:
@@ -580,6 +577,7 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
         mu = np.full(n, float(clamp))
         Sigma = np.zeros((n, n))
     r = noise_diag(mu, Sigma)  # kept current with q(g) below
+    active, alpha, _ = update_alpha(active, alpha, Phi, r, y, config.tol)
 
     training_log: List[float] = []
     prune_iterations: List[int] = []
@@ -642,20 +640,21 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
 
         # the evidence at the new precisions is update_alpha's; the bound
         # adds collapsed_bound's q(g) terms, in the same order
-        alpha, fval = update_alpha(alpha, Phi_a, r, y, tol=config.tol)
+        selected, alpha, fval = update_alpha(active, alpha, Phi, r, y,
+                                             config.tol)
         if clamp is None:
             fval = (fval - 0.25 * float(np.trace(Sigma))
                     - gauss_kl(mu, Sigma, np.full(n, mu0), K))
         training_log.append(fval)
 
-        kept, kept_alpha, pruned = prune_basis(active, alpha,
+        kept, kept_alpha, pruned = prune_basis(selected, alpha,
                                                config.alpha_threshold)
         if pruned:
             prune_iterations.append(it)
-            mw_b, _ = weight_posterior(Phi[:, active], alpha, r, y)
+            mw_b, _ = weight_posterior(Phi[:, selected], alpha, r, y)
             mw_a, _ = weight_posterior(Phi[:, kept], kept_alpha, r, y)
             shift = float(np.sqrt(np.mean(
-                (Phi[:, active] @ mw_b - Phi[:, kept] @ mw_a) ** 2)))
+                (Phi[:, selected] @ mw_b - Phi[:, kept] @ mw_a) ** 2)))
             prune_shifts.append(shift)
         active, alpha = kept, kept_alpha
 

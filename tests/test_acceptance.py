@@ -1,4 +1,4 @@
-"""Acceptance suite: eleven verdicts, one per release criterion.
+"""Acceptance suite: twelve verdicts, one per release criterion.
 
 Each test prints a single PASS/FAIL line (written straight to the real
 stdout so it survives pytest's capture) and then asserts.  Oracles are
@@ -412,3 +412,30 @@ def test_criterion_11_noise_gp_does_not_collapse():
             held and max(gaps) <= 0.05,
             f"hyperparameters held={held}; VI - EP NLPD "
             f"{', '.join(f'{g:+.3f}' for g in gaps)} (<= 0.05)")
+
+
+def test_criterion_12_fits_beyond_n100():
+    """Every trainer converges on goldberg_sine at N = 200 and 400 (seeds
+    0-2), and on every such draw VI and EP beat the RVM's held-out NLPD."""
+    notes = []
+    ok = True
+    for n in (200, 400):
+        for seed in range(3):
+            train, _ = synth(SynthSpec(generator="goldberg_sine", n=n,
+                                       seed=seed))
+            test, _ = synth(SynthSpec(generator="goldberg_sine", n=2000,
+                                      seed=seed + 10_000))
+            try:
+                models = [fit(train, GOLDBERG_KERNEL)
+                          for fit in (fit_rvm, fit_vi, fit_ep)]
+            except (ValueError, ArithmeticError) as exc:
+                ok = False
+                notes.append(f"N={n}/{seed}: {type(exc).__name__}")
+                continue
+            rvm, vi, ep = (nlpd(predict(m, test.X), test.y) for m in models)
+            ok = (ok and all(m.status == "converged" for m in models)
+                  and vi < rvm and ep < rvm)
+            notes.append(f"N={n}/{seed}: "
+                         + "/".join(m.status[:4] for m in models)
+                         + f" rvm {rvm:.3f} vi {vi:.3f} ep {ep:.3f}")
+    verdict(12, "fits beyond N=100", ok, "; ".join(notes))

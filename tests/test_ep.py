@@ -346,8 +346,9 @@ class TestFitEp:
                                                 ("linear_het", 0)])
     def test_converges_where_creeping_precisions_oscillated(self, generator,
                                                             seed):
-        # both ended "oscillating" (passes 37 and 51) while update_alpha
-        # let a precision with an infinite optimum creep toward it
+        # both ended "oscillating" (passes 37 and 51) while a fixed-point
+        # precision update let a precision with an infinite optimum creep
+        # toward it
         data, _ = synth(SynthSpec(generator=generator, n=100, seed=seed))
         model = fit_ep(data, KernelSpec(lengthscale=0.3))
         assert model.status == "converged"

@@ -1,15 +1,16 @@
+import mpmath
 import numpy as np
 import pytest
+from test_vi import _all_sq_at, _dense_sparsity_quality
 
 import hetrvm.rvm
 import hetrvm.vi
 from hetrvm.data import Dataset, SynthSpec, synth
 from hetrvm.kernels import KernelSpec, build_design_matrix
 from hetrvm.predict import predict
-from hetrvm.rvm import (RvmConfig, _actions, _all_sq, fit_rvm,
-                        sparsity_quality)
+from hetrvm.rvm import RvmConfig, fit_rvm, sparsity_quality
 from hetrvm.serialize import load_model, save_model
-from hetrvm.vi import _weight_fit, weight_posterior
+from hetrvm.vi import _actions, _weight_fit
 
 
 class TestSparsityQuality:
@@ -52,7 +53,8 @@ class TestSparsityQuality:
 
 def _rvm_problem(seed):
     """A random RBF design, active set (possibly empty, in random order),
-    precisions over six decades and noise over three."""
+    precisions over six decades, a constant noise sigma2 over three and a
+    diagonal noise r that spreads it over two more."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(5, 40))
     X = rng.uniform(0.0, 1.0, (n, 1))
@@ -63,38 +65,60 @@ def _rvm_problem(seed):
     alpha = 10.0 ** rng.uniform(-3.0, 3.0, m)
     sigma2 = 10.0 ** rng.uniform(-3.0, 0.0)
     y = np.sin(6.0 * X[:, 0]) + np.sqrt(sigma2) * rng.normal(size=n)
-    return Phi, y, active, alpha, sigma2
+    r = sigma2 * 10.0 ** rng.uniform(-1.0, 1.0, n)
+    return Phi, y, active, alpha, sigma2, r
 
 
-def _dense_sq(Phi, y, active, alpha, sigma2):
-    return np.array([sparsity_quality(Phi, y, active, alpha, sigma2, j)
-                     for j in range(Phi.shape[1])]).T
+def _dense_sq(Phi, y, active, alpha, r):
+    """Every column's (s, q) from a dense C_-j at noise diag(r); a column
+    outside the model is appended to the active ones and left out."""
+    out = []
+    for j in range(Phi.shape[1]):
+        cols, a = (active, alpha) if j in active else (active + [j],
+                                                       np.append(alpha, 1.0))
+        out.append(_dense_sparsity_quality(Phi[:, cols], a, r, y,
+                                           cols.index(j)))
+    return np.array(out).T
 
 
 class TestAllSq:
-    """fit_rvm's (s, q) of every column, in and out of the model, against
-    the dense C_-j of sparsity_quality."""
+    """The basis selection's (s, q) of every column, in and out of the
+    model, against a dense C_-j at a diagonal noise."""
 
     @pytest.mark.parametrize("seeds", [range(0, 100), range(100, 200)])
     def test_matches_dense_oracle(self, seeds):
         empty = 0
         for seed in seeds:
-            Phi, y, active, alpha, sigma2 = _rvm_problem(seed)
+            Phi, y, active, alpha, _, r = _rvm_problem(seed)
             empty += not active
-            mu_w, Sigma_w = weight_posterior(Phi[:, active], alpha,
-                                             np.full(y.size, sigma2), y)
-            s, q = _all_sq(Phi, active, mu_w, Sigma_w, sigma2, y)
-            sd, qd = _dense_sq(Phi, y, active, alpha, sigma2)
+            s, q = _all_sq_at(Phi, y, active, alpha, r)
+            sd, qd = _dense_sq(Phi, y, active, alpha, r)
             np.testing.assert_array_less(
                 np.abs(q - qd), 1e-7 * (np.abs(qd) + np.sqrt(sd)))
             # in the model nothing is subtracted (converting from
             # S = phi^T C^-1 phi errs by up to 32% on these problems);
-            # outside it Woodbury subtracts from phi^T phi / sigma2
+            # outside it Woodbury subtracts from phi^T R^-1 phi
             inside = np.isin(np.arange(s.size), active)
             bound = np.where(inside, 1e-7 * sd,
-                             1e-9 * np.sum(Phi**2, axis=0) / sigma2)
+                             1e-9 * np.sum(Phi**2 / r[:, None], axis=0))
             np.testing.assert_array_less(np.abs(s - sd), bound)
         assert empty > 0
+
+    @pytest.mark.parametrize("seed", [1, 10, 17])
+    def test_out_of_model_s_matches_mpmath(self, seed):
+        # a column nearly in the active span: through the explicit Sigma_w
+        # the Woodbury subtraction was off by up to 2.5e-6 relative here
+        Phi, y, active, alpha, sigma2, _ = _rvm_problem(seed)
+        s, _ = _all_sq_at(Phi, y, active, alpha, np.full(y.size, sigma2))
+        with mpmath.workdps(50):
+            P = mpmath.matrix(Phi.tolist())
+            C = sigma2 * mpmath.eye(y.size)
+            for j, a in zip(active, alpha):
+                C += P[:, j] * P[:, j].T / a
+            Cinv = mpmath.inverse(C)
+            for j in set(range(Phi.shape[1])) - set(active):
+                want = (P[:, j].T * Cinv * P[:, j])[0]
+                assert abs(s[j] - want) < 1e-8 * want, j
 
 
 class TestActions:
@@ -103,13 +127,11 @@ class TestActions:
 
     @pytest.mark.parametrize("seed", range(40))
     def test_gain_is_evidence_change(self, seed):
-        Phi, y, active, alpha, sigma2 = _rvm_problem(seed)
-        r = np.full(y.size, sigma2)
+        Phi, y, active, alpha, _, r = _rvm_problem(seed)
         ev = _weight_fit(Phi[:, active], alpha, r, y)[0]
         a_old = np.full(Phi.shape[1], np.inf)
         a_old[active] = alpha
-        a_new, gain = _actions(*_dense_sq(Phi, y, active, alpha, sigma2),
-                               a_old)
+        a_new, gain = _actions(*_dense_sq(Phi, y, active, alpha, r), a_old)
         for j in range(Phi.shape[1]):
             if a_new[j] == a_old[j]:  # out of the model, and staying out
                 assert gain[j] == 0.0
@@ -230,23 +252,34 @@ class TestFitRvm:
             fit_rvm(data, KernelSpec(lengthscale=0.3), RvmConfig(**bad))
 
     def test_one_factorization_per_state(self, monkeypatch):
-        """An iteration factors the weight precision at most twice: once
-        for the state after its basis action, once to score the noise
-        re-estimate (whose posterior is kept when it is accepted)."""
-        real = hetrvm.vi._factor
-        calls = []
+        """The basis selection factors each state it visits once, and
+        each alternation factors at most twice more: once for the state
+        the selection ended at, once to score the noise re-estimate."""
+        real, select = hetrvm.vi._factor, hetrvm.rvm.update_alpha
+        states, selecting, calls = [], [False], [0]
 
         def counting(G, alpha):
-            calls.append(alpha.size)
+            states.append((selecting[0], G.tobytes() + alpha.tobytes()))
             return real(G, alpha)
 
-        for module in (hetrvm.vi, hetrvm.rvm):
-            monkeypatch.setattr(module, "_factor", counting, raising=False)
+        def counted_select(*args):
+            calls[0] += 1
+            selecting[0] = True
+            try:
+                return select(*args)
+            finally:
+                selecting[0] = False
+
+        monkeypatch.setattr(hetrvm.vi, "_factor", counting)
+        monkeypatch.setattr(hetrvm.rvm, "update_alpha", counted_select)
         data, _ = synth(SynthSpec(generator="goldberg_sine", n=60, seed=0))
         model = fit_rvm(data, KernelSpec(lengthscale=0.3))
-        assert model.n_iter >= 10
-        # plus the start state and the refit after a final pruning
-        assert len(calls) <= 2 * model.n_iter + 2
+        within = [key for inside, key in states if inside]
+        assert len(set(within)) == len(within)
+        # each call factors its start state, then one state per action
+        assert len(within) - calls[0] >= 10
+        # plus the refit after a final pruning
+        assert len(states) - len(within) <= 2 * model.n_iter + 1
 
     def test_sparse_on_structured_data(self):
         data, _ = synth(SynthSpec(generator="goldberg_sine", n=60, seed=0))

@@ -1,5 +1,6 @@
-import json
 from types import SimpleNamespace
+
+import json
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hetrvm.kernels import (GpNoisePrior, KernelSpec, _sqdist,
 from hetrvm.numerics import chol_solve, gauss_hermite, grad_check
 from hetrvm.rvm import RvmConfig
 from hetrvm.serialize import model_to_dict
-from hetrvm.vi import (_ALPHA_MAX, VIConfig, VariationalState,
+from hetrvm.vi import (VIConfig, VariationalState, _all_sq,
                        _bound_value_grad, _factor, _gram, _weight_fit,
                        _noise_cov, _sigmoid, _sparsity_quality, bound_gradients,
                        collapsed_bound, expected_loglik, fit_vi, noise_diag,
@@ -380,65 +381,6 @@ class TestQOnlyBound:
         assert np.all(np.isnan(g_q[n:n + 2]))
 
 
-def _update_alpha_reference(alpha, Phi_a, r, y, max_inner=30):
-    """The precision update as first written, with the jump to the
-    largest precision for a column that reads q^2 <= s at two
-    consecutive steps: a fresh Gram matrix and Cholesky factor for every
-    posterior and every evidence."""
-    def gram():
-        Phir = Phi_a / r[:, None]
-        return Phi_a.T @ Phir, Phir.T @ y
-
-    def factor(a):
-        G, b = gram()
-        L = sla.cholesky(np.diag(a) + G, lower=True, check_finite=False)
-        return L, b
-
-    def evidence(a):
-        L, b = factor(a)
-        v = sla.solve_triangular(L, b, lower=True, check_finite=False)
-        logdet = np.sum(np.log(r))
-        logdet += 2.0 * np.sum(np.log(np.diag(L))) - np.sum(np.log(a))
-        quad = y @ (y / r) - v @ v
-        return float(-0.5 * (y.size * np.log(2 * np.pi) + logdet + quad))
-
-    alpha = np.asarray(alpha, dtype=float).copy()
-    ev = evidence(alpha)
-    dead_before = np.zeros(alpha.size, dtype=bool)
-    for _ in range(max_inner):
-        L, b = factor(alpha)
-        Sigma_w = sla.cho_solve((L, True), np.eye(alpha.size),
-                                check_finite=False)
-        Sigma_w = 0.5 * (Sigma_w + Sigma_w.T)
-        mu_w = sla.cho_solve((L, True), b, check_finite=False)
-        gamma = np.clip(1.0 - alpha * np.diag(Sigma_w), 1e-12, 1.0)
-        G, _ = gram()
-        s = np.diag(Sigma_w @ G) / np.diag(Sigma_w)
-        q = mu_w / np.diag(Sigma_w)
-        dead = q**2 <= s
-        with np.errstate(divide="ignore", invalid="ignore"):
-            proposal = gamma / mu_w**2
-        jump = dead & dead_before
-        dead_before = dead
-        proposal = np.where(np.isfinite(proposal) & (proposal > 0) & ~jump,
-                            proposal, 1e14)
-        trial = np.clip(proposal, 1e-12, 1e14)
-        accepted = False
-        for _ in range(8):
-            ev_new = evidence(trial)
-            if ev_new >= ev - 1e-10:
-                accepted = True
-                break
-            trial = np.sqrt(trial * alpha)
-        if not accepted:
-            break
-        change = float(np.max(np.abs(np.log(trial) - np.log(alpha))))
-        alpha, ev = trial, ev_new
-        if change < 1e-3:
-            break
-    return alpha, ev
-
-
 def _dense_sparsity_quality(Phi_a, alpha, r, y, j):
     """(s_j, q_j) from a dense Cholesky of C_-j = diag(r) +
     sum_{i != j} phi_i phi_i^T / alpha_i, as rvm.sparsity_quality does
@@ -449,6 +391,83 @@ def _dense_sparsity_quality(Phi_a, alpha, r, y, j):
             C = C + np.outer(Phi_a[:, i], Phi_a[:, i]) / alpha[i]
     u = sla.cho_solve(sla.cho_factor(C, lower=True), Phi_a[:, j])
     return Phi_a[:, j] @ u, u @ y
+
+
+def _all_sq_at(Phi, y, active, alpha, r):
+    """vi._all_sq's (s, q) of every column at noise diag(r), from the
+    inputs update_alpha forms."""
+    Phir = Phi / r[:, None]
+    G = Phi.T @ Phir[:, active]
+    L = _factor(G[active], alpha)
+    return _all_sq(G, np.sum(Phi * Phir, axis=0), Phir.T @ y, active, L)
+
+
+def _update_alpha_reference(active, alpha, Phi, r, y, tol):
+    """Tipping & Faul's selection written out densely: every column's
+    (s, q) from its own C_-j, each candidate's gain from l(a), and the
+    evidence from the N x N covariance."""
+    def evidence(active, alpha):
+        C = np.diag(r) + (Phi[:, active] / alpha) @ Phi[:, active].T
+        return multivariate_normal.logpdf(y, mean=np.zeros(y.size), cov=C)
+
+    def ell(a, s, q):
+        return 0.0 if np.isinf(a) else 0.5 * (q**2 / (a + s)
+                                              - np.log(1.0 + s / a))
+
+    active, alpha = list(active), np.asarray(alpha, dtype=float).copy()
+    while True:
+        ev = evidence(active, alpha)
+        best = (-np.inf, None, None)
+        for j in range(Phi.shape[1]):
+            cols = active if j in active else active + [j]
+            a = alpha if j in active else np.append(alpha, 1.0)
+            s, q = _dense_sparsity_quality(Phi[:, cols], a, r, y,
+                                           cols.index(j))
+            a_old = alpha[active.index(j)] if j in active else np.inf
+            a_new = s**2 / (q**2 - s) if q**2 > s else np.inf
+            if a_new != a_old:
+                best = max(best, (ell(a_new, s, q) - ell(a_old, s, q), j,
+                                  a_new))
+        gain, j, a_new = best
+        if gain <= max(tol * (1.0 + abs(ev)), 1e-12):
+            return active, alpha, ev
+        if j not in active:
+            active, alpha = active + [j], np.append(alpha, a_new)
+        elif np.isinf(a_new):
+            alpha = np.delete(alpha, active.index(j))
+            active.remove(j)
+        else:
+            alpha[active.index(j)] = a_new
+
+
+def _replay(active, alpha, Phi, r, y, tol):
+    """update_alpha by hand from its parts, with every R^-1 Phi, Gram
+    block and evidence formed afresh for each state: take the best action
+    while it gains more than tol (1 + |ev|), checking that each raises
+    the evidence by its gain.  Returns (active, alpha, ev, steps)."""
+    act, a = list(active), np.asarray(alpha, dtype=float).copy()
+    ev = _weight_fit(Phi[:, act], a, r, y)[0]
+    steps = 0
+    while True:
+        a_old = np.full(Phi.shape[1], np.inf)
+        a_old[act] = a
+        a_new, gain = hetrvm.vi._actions(*_all_sq_at(Phi, y, act, a, r),
+                                         a_old)
+        j = int(np.argmax(gain))
+        if gain[j] <= max(tol * (1.0 + abs(ev)), 1e-12):
+            return act, a, ev, steps
+        if j not in act:
+            act, a = act + [j], np.append(a, a_new[j])
+        elif np.isinf(a_new[j]):
+            a = np.delete(a, act.index(j))
+            act.remove(j)
+        else:
+            a[act.index(j)] = a_new[j]
+        ev_next = _weight_fit(Phi[:, act], a, r, y)[0]
+        assert ev_next - ev == pytest.approx(gain[j],
+                                             abs=1e-9 * (1.0 + abs(ev)))
+        assert ev_next > ev
+        ev, steps = ev_next, steps + 1
 
 
 def _alpha_problem(seed):
@@ -462,7 +481,7 @@ def _alpha_problem(seed):
     return np.exp(rng.normal(size=m)), Phi, r, y
 
 
-def _counted_update(monkeypatch, a0, Phi, r, y, **kwargs):
+def _counted_update(monkeypatch, *args):
     """update_alpha's result and its number of Cholesky factorizations."""
     calls = [0]
     chol = hetrvm.vi.chol_factor
@@ -473,52 +492,67 @@ def _counted_update(monkeypatch, a0, Phi, r, y, **kwargs):
 
     with monkeypatch.context() as patch:
         patch.setattr(hetrvm.vi, "chol_factor", counted)
-        out = update_alpha(a0, Phi, r, y, **kwargs)
+        out = update_alpha(*args)
     return out, calls[0]
+
+
+def _junk_problem():
+    """A relevant column and a junk one orthogonal to the span of y and
+    the relevant column, so the junk column's optimal precision is
+    infinite."""
+    rng = np.random.default_rng(10)
+    phi_good = rng.normal(size=20)
+    y = 2.0 * phi_good + 0.1 * rng.normal(size=20)
+    phi_junk = rng.normal(size=20)
+    B = np.column_stack([phi_good, y])
+    phi_junk -= B @ np.linalg.lstsq(B, phi_junk, rcond=None)[0]
+    return np.column_stack([phi_good, phi_junk]), np.full(20, 0.01), y
 
 
 class TestUpdateAlpha:
     @pytest.mark.parametrize("seed", range(6))
     def test_equals_reference_loop(self, seed):
-        # without a tolerance the steps are the ones the reference takes
+        # from the empty set and from every column at the problem's
+        # precisions, the same actions as the dense reference
         a0, Phi, r, y = _alpha_problem(seed)
-        a_ref, ev_ref = _update_alpha_reference(a0, Phi, r, y)
-        for a, ev in (update_alpha(a0, Phi, r, y),
-                      update_alpha(a0, Phi, r, y, tol=None)):
-            assert np.array_equal(a, a_ref)
-            assert ev == ev_ref
+        for start in (([], np.zeros(0)), (list(range(a0.size)), a0)):
+            active, alpha, ev = update_alpha(*start, Phi, r, y, 1e-6)
+            ref_active, ref_alpha, ref_ev = _update_alpha_reference(
+                *start, Phi, r, y, 1e-6)
+            assert active == ref_active
+            np.testing.assert_allclose(alpha, ref_alpha, rtol=1e-7)
+            assert ev == pytest.approx(ref_ev, rel=1e-9)
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-4])
     @pytest.mark.parametrize("seed", range(12))
     def test_tol_stops_after_first_flat_step(self, monkeypatch, seed, tol):
-        # hand replay: the call without a tolerance, cut after k steps, for
-        # k = 1, 2, ... until the k-th step gains less than tol (1 + |ev|)
+        # hand replay at fixed r: the same actions, the same stop, and one
+        # factorization per state
         a0, Phi, r, y = _alpha_problem(seed)
-        (a, ev), calls = _counted_update(monkeypatch, a0, Phi, r, y, tol=tol)
-        ev0 = ev_prev = _weight_fit(Phi, a0, r, y)[0]
-        for k in range(1, 31):
-            (a_k, ev_k), calls_k = _counted_update(monkeypatch, a0, Phi, r, y,
-                                                   max_inner=k)
-            if ev_k - ev_prev < tol * (1.0 + abs(ev_prev)):
-                break
-            ev_prev = ev_k
-        assert np.array_equal(a, a_k) and ev == ev_k
-        assert calls == calls_k
-        assert ev >= ev0 - 1e-10
+        start = list(range(a0.size))
+        (active, alpha, ev), calls = _counted_update(
+            monkeypatch, start, a0, Phi, r, y, tol)
+        act, a, ev_k, steps = _replay(start, a0, Phi, r, y, tol)
+        assert active == act and np.array_equal(alpha, a) and steps > 0
+        assert ev == pytest.approx(ev_k, rel=1e-12)
+        assert calls == steps + 1
 
     def test_tol_shortens_a_creeping_call(self, monkeypatch):
-        # this problem's precisions creep for 30 steps without a tolerance
+        # re-estimates keep gaining a little down to the 1e-12 floor
         a0, Phi, r, y = _alpha_problem(10)
-        (_, ev_full), full = _counted_update(monkeypatch, a0, Phi, r, y)
-        (_, ev), short = _counted_update(monkeypatch, a0, Phi, r, y, tol=1e-6)
-        assert full == 31 and short < full
+        start = list(range(a0.size))
+        (_, _, ev_full), full = _counted_update(monkeypatch, start, a0, Phi,
+                                                r, y, 0.0)
+        (_, _, ev), short = _counted_update(monkeypatch, start, a0, Phi, r, y,
+                                            1e-6)
+        assert short < full
         assert abs(ev - ev_full) < 1e-4
 
     @pytest.mark.parametrize("seed", range(6))
     def test_sparsity_quality_matches_dense_oracle(self, seed):
-        # the (s, q) the jump test reads, from the posterior update_alpha
-        # builds, at precisions over the whole clamp range and noise
-        # spanning six decades
+        # the in-model (s, q) the actions read, from the posterior
+        # update_alpha builds, at precisions over sixteen decades and
+        # noise spanning six
         rng = np.random.default_rng(200 + seed)
         n = int(rng.integers(8, 40))
         m = int(rng.integers(1, n + 2))
@@ -551,25 +585,68 @@ class TestUpdateAlpha:
         rng = np.random.default_rng(13)
         Phi = rng.normal(size=(20, 6))
         y = Phi[:, 0] + 0.3 * rng.normal(size=20)
-        update_alpha(np.ones(6), Phi, np.exp(rng.normal(size=20)), y)
+        update_alpha(list(range(6)), np.ones(6), Phi,
+                     np.exp(rng.normal(size=20)), y, 1e-6)
         assert calls["evidence"] > 2
         assert calls["chol"] == calls["evidence"]
 
     def test_ep_model_unchanged_by_shared_factor(self, monkeypatch):
+        # forming R^-1 Phi, its diagonal and Phi^T R^-1 y once per call
+        # changes no bit of the model against the fresh replay
         data, _ = synth(SynthSpec(generator="goldberg_sine", n=60, seed=1))
         kernel = KernelSpec(lengthscale=0.3)
         shared = fit_ep(data, kernel)
-        monkeypatch.setattr(hetrvm.ep, "update_alpha", _update_alpha_reference)
+        monkeypatch.setattr(hetrvm.ep, "update_alpha",
+                            lambda *args: _replay(*args)[:3])
         fresh = fit_ep(data, kernel)
         assert (json.dumps(model_to_dict(shared), sort_keys=True)
                 == json.dumps(model_to_dict(fresh), sort_keys=True))
+
+    def test_empty_start_adds_the_best_projection(self, monkeypatch):
+        # at r = sigma2 1 the first add's gain grows with q^2 / s, which is
+        # proportional to (phi^T y)^2 / |phi|^2: the column with the largest
+        # normalized projection, at a0 = s^2 / (q^2 - s)
+        data, _ = synth(SynthSpec(generator="goldberg_sine", n=60, seed=0))
+        Phi = build_design_matrix(data.X, KernelSpec(lengthscale=0.3))
+        y = data.y - data.y.mean()
+        sigma2 = 0.1 * float(np.var(y))
+        proj = (Phi.T @ y) ** 2 / np.maximum(np.sum(Phi * Phi, axis=0), 1e-300)
+        j0 = int(np.argmax(proj))
+        s0, q0 = Phi[:, j0] @ Phi[:, j0] / sigma2, Phi[:, j0] @ y / sigma2
+        seen = []
+        actions = hetrvm.vi._actions
+
+        def spy(s, q, a_old):
+            seen.append(a_old.copy())
+            return actions(s, q, a_old)
+
+        monkeypatch.setattr(hetrvm.vi, "_actions", spy)
+        update_alpha([], np.zeros(0), Phi, np.full(y.size, sigma2), y, 1e-6)
+        assert np.all(np.isinf(seen[0]))
+        assert np.flatnonzero(np.isfinite(seen[1])).tolist() == [j0]
+        assert seen[1][j0] == pytest.approx(s0**2 / (q0**2 - s0), rel=1e-12)
+
+    def test_pure_noise_ends_empty(self):
+        # y^T R^-1 y < 1 bounds every q^2 / s below 1 (Cauchy-Schwarz): the
+        # noise explains y, every column is deleted and none is added
+        rng = np.random.default_rng(14)
+        Phi = rng.normal(size=(30, 8))
+        y = rng.normal(size=30)
+        r = np.full(30, 2.0 * float(y @ y))
+        active, alpha, ev = update_alpha(list(range(8)), np.ones(8), Phi, r,
+                                         y, 1e-6)
+        assert active == [] and alpha.size == 0
+        assert ev == pytest.approx(
+            multivariate_normal.logpdf(y, mean=np.zeros(30), cov=np.diag(r)),
+            rel=1e-12)
 
     def test_single_basis_matches_grid(self):
         rng = np.random.default_rng(8)
         phi = rng.normal(size=7)[:, None]
         y = 1.5 * phi[:, 0] + 0.4 * rng.normal(size=7)
         r = np.ones(7)
-        alpha, _ = update_alpha(np.array([1.0]), phi, r, y, max_inner=200)
+        active, alpha, _ = update_alpha([0], np.array([1.0]), phi, r, y, 0.0)
+        assert active == [0]
 
         def ev(a):
             C = np.outer(phi[:, 0], phi[:, 0]) / a + np.eye(7)
@@ -587,34 +664,13 @@ class TestUpdateAlpha:
         r = np.exp(rng.normal(size=10) * 0.3)
         a0 = np.ones(4)
 
-        def ev(a):
-            C = Phi @ np.diag(1.0 / a) @ Phi.T + np.diag(r)
+        def ev(active, a):
+            C = Phi[:, active] @ np.diag(1.0 / a) @ Phi[:, active].T \
+                + np.diag(r)
             return multivariate_normal.logpdf(y, mean=np.zeros(10), cov=C)
 
-        a1, _ = update_alpha(a0, Phi, r, y)
-        assert ev(a1) >= ev(a0) - 1e-8
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_trial_that_cannot_factor_backs_off(self, monkeypatch, seed):
-        # a trial whose weight precision does not factor is scored like
-        # one that lowers the evidence: the step backs off toward the
-        # accepted precisions instead of ending the fit
-        a0, Phi, r, y = _alpha_problem(seed)
-        ev0 = _weight_fit(Phi, a0, r, y)[0]
-        factor = hetrvm.vi._factor
-        calls = [0]
-
-        def fails_once(G, alpha):
-            calls[0] += 1
-            if calls[0] == 2:  # the first call factors the start precisions
-                raise hetrvm.vi.FactorizationError("trial precision", 1)
-            return factor(G, alpha)
-
-        monkeypatch.setattr(hetrvm.vi, "_factor", fails_once)
-        alpha, ev = update_alpha(a0, Phi, r, y)
-        assert calls[0] > 2
-        assert np.all(np.isfinite(alpha))
-        assert ev >= ev0 - 1e-10
+        active, a1, _ = update_alpha(list(range(4)), a0, Phi, r, y, 1e-6)
+        assert ev(active, a1) >= ev(list(range(4)), a0) - 1e-8
 
     def test_start_that_cannot_factor_raises(self, monkeypatch):
         def fails(G, alpha):
@@ -623,38 +679,24 @@ class TestUpdateAlpha:
         monkeypatch.setattr(hetrvm.vi, "_factor", fails)
         a0, Phi, r, y = _alpha_problem(0)
         with pytest.raises(hetrvm.vi.FactorizationError):
-            update_alpha(a0, Phi, r, y)
+            update_alpha(list(range(a0.size)), a0, Phi, r, y, 1e-6)
 
     def test_irrelevant_basis_diverges(self):
-        rng = np.random.default_rng(10)
-        phi_good = rng.normal(size=20)
-        y = 2.0 * phi_good + 0.1 * rng.normal(size=20)
-        phi_junk = rng.normal(size=20)
-        # make the junk basis exactly useless: orthogonal to the span of
-        # y and the relevant column, so its optimal precision is infinite
-        B = np.column_stack([phi_good, y])
-        phi_junk -= B @ np.linalg.lstsq(B, phi_junk, rcond=None)[0]
-        Phi = np.column_stack([phi_good, phi_junk])
-        alpha = np.ones(2)
-        r = np.full(20, 0.01)
+        # repeated calls at one r keep the junk column out
+        Phi, r, y = _junk_problem()
+        active, alpha = [0, 1], np.ones(2)
         for _ in range(200):
-            alpha, _ = update_alpha(alpha, Phi, r, y)
+            active, alpha, _ = update_alpha(active, alpha, Phi, r, y, 1e-6)
+        assert active == [0]
         assert alpha[0] < 1e3
-        assert alpha[1] > 1e6
 
     def test_irrelevant_basis_jumps_in_one_call(self):
-        # the problem above: q^2 <= s holds for the junk column from the
-        # first step, so one call sends it to the clamp
-        rng = np.random.default_rng(10)
-        phi_good = rng.normal(size=20)
-        y = 2.0 * phi_good + 0.1 * rng.normal(size=20)
-        phi_junk = rng.normal(size=20)
-        B = np.column_stack([phi_good, y])
-        phi_junk -= B @ np.linalg.lstsq(B, phi_junk, rcond=None)[0]
-        Phi = np.column_stack([phi_good, phi_junk])
-        alpha, _ = update_alpha(np.ones(2), Phi, np.full(20, 0.01), y)
+        # q^2 <= s holds for the junk column from the start, so one call
+        # deletes it
+        Phi, r, y = _junk_problem()
+        active, alpha, _ = update_alpha([0, 1], np.ones(2), Phi, r, y, 1e-6)
+        assert active == [0]
         assert alpha[0] < 1e3
-        assert alpha[1] == _ALPHA_MAX
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(n=hst.integers(3, 40), data=hst.data(),
@@ -670,12 +712,12 @@ class TestUpdateAlpha:
         r = np.exp(rng.uniform(*sorted(log_r), size=n))
         a0 = np.exp(rng.normal(size=m))
         ev0 = _weight_fit(Phi, a0, r, y)[0]
-        alpha, ev = update_alpha(a0, Phi, r, y)
-        assert np.all(np.isfinite(alpha))
-        assert np.all((alpha >= 1e-12) & (alpha <= 1e14))
+        active, alpha, ev = update_alpha(list(range(m)), a0, Phi, r, y, 1e-6)
+        assert len(set(active)) == len(active) == alpha.size
+        assert np.all(np.isfinite(alpha) & (alpha > 0))
         assert ev >= ev0 - 1e-10
-        assert ev == pytest.approx(_weight_fit(Phi, alpha, r, y)[0],
-                                   rel=1e-9, abs=0)
+        assert ev == pytest.approx(_weight_fit(Phi[:, active], alpha, r,
+                                               y)[0], rel=1e-9, abs=0)
 
 
 class TestPruneBasis:
@@ -797,8 +839,9 @@ class TestFitVi:
         monkeypatch.setattr(hetrvm.vi, "update_alpha", next_iteration)
         data, _ = synth(SynthSpec(generator="goldberg_sine", n=40, seed=0))
         model = fit_vi(data, KernelSpec(lengthscale=0.3), VIConfig(max_iter=8))
-        assert len(seen) == model.n_iter + 1
-        assert all(seen[:-1])
+        # the basis is selected once before the first outer iteration
+        assert len(seen) == model.n_iter + 2
+        assert not seen[0] and all(seen[1:-1])
         assert not repeats
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -833,29 +876,33 @@ class TestFitVi:
         seen = []
         step = hetrvm.vi.update_alpha
 
-        def spy(*args, **kwargs):
-            seen.append(kwargs.get("tol"))
-            return step(*args, **kwargs)
+        def spy(active, alpha, Phi, r, y, tol):
+            seen.append(tol)
+            return step(active, alpha, Phi, r, y, tol)
 
         monkeypatch.setattr(hetrvm.vi, "update_alpha", spy)
         data, _ = synth(SynthSpec(generator="goldberg_sine", n=30, seed=0))
         model = fit_vi(data, KernelSpec(lengthscale=0.3),
                        VIConfig(tol=tol, max_iter=3))
-        assert len(seen) == model.n_iter
+        # once before the first outer iteration, then once in each
+        assert len(seen) == model.n_iter + 1
         assert seen == [tol] * len(seen)
 
-    def test_ep_steps_alpha_without_tol(self, monkeypatch):
+    def test_ep_passes_its_tol_to_update_alpha(self, monkeypatch):
+        tol = 1e-5
         seen = []
         step = hetrvm.ep.update_alpha
 
-        def spy(*args, **kwargs):
-            seen.append(kwargs)
-            return step(*args, **kwargs)
+        def spy(active, alpha, Phi, r, y, tol):
+            seen.append(tol)
+            return step(active, alpha, Phi, r, y, tol)
 
         monkeypatch.setattr(hetrvm.ep, "update_alpha", spy)
         data, _ = synth(SynthSpec(generator="goldberg_sine", n=30, seed=0))
-        fit_ep(data, KernelSpec(lengthscale=0.3), EpConfig(max_passes=3))
-        assert seen and all(kwargs == {} for kwargs in seen)
+        model = fit_ep(data, KernelSpec(lengthscale=0.3),
+                       EpConfig(tol=tol, max_passes=3))
+        assert len(seen) == model.n_iter + 1
+        assert seen == [tol] * len(seen)
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):
