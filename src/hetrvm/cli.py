@@ -24,7 +24,7 @@ from .ep import EpConfig, fit_ep
 from .kernels import KernelSpec
 from .numerics import _check_int
 from .predict import nlpd, predict, rmse
-# kept for perfbench's tracer until ROADMAP item 2
+# kept for perfbench's tracer until ROADMAP item 3
 from .predict import rvm_predictive_dist  # noqa: F401
 from .rvm import RvmConfig, fit_rvm
 from .serialize import SchemaError, load_model, save_model
@@ -48,11 +48,10 @@ def _settings(args) -> dict:
                                  lengthscale=args.lengthscale,
                                  degree=args.degree,
                                  include_bias=not args.no_bias)
-        loop = dict(tol=args.tol, alpha_threshold=args.alpha_threshold)
-        s["rvm"] = RvmConfig(max_iter=args.max_iter, **loop)
-        s["vi"] = VIConfig(max_iter=args.max_iter, **loop)
+        s["rvm"] = RvmConfig(max_iter=args.max_iter, tol=args.tol)
+        s["vi"] = VIConfig(max_iter=args.max_iter, tol=args.tol)
         s["ep"] = EpConfig(max_passes=args.max_iter, damping=args.damping,
-                           **loop)
+                           tol=args.tol)
     if args.command == "benchmark":
         _check_int(args.seeds, "seeds", 1)
         s["methods"] = [m.strip() for m in args.methods.split(",")
@@ -175,7 +174,6 @@ def _add_common_model_opts(p):
     p.add_argument("--no-bias", action="store_true")
     p.add_argument("--max-iter", type=int, default=200)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--alpha-threshold", type=float, default=1e12)
     p.add_argument("--damping", type=float, default=0.8)
 
 

@@ -37,7 +37,7 @@ from .numerics import (FactorizationError, chol_factor, chol_solve,
                        gauss_hermite)
 from .vi import (_check_loop, _constant, _degenerate, _finish, _gp_noise,
                  _reduced_cov, _setup, _standardized, noise_diag,
-                 prune_basis, update_alpha, weight_posterior)
+                 update_alpha, weight_posterior)
 
 __all__ = [
     "EpConfig",
@@ -54,7 +54,6 @@ class EpConfig:
     max_passes: int = 100
     damping: float = 0.8
     tol: float = 1e-6
-    alpha_threshold: float = 1e12
     standardize: bool = True
 
     def __post_init__(self):
@@ -62,8 +61,7 @@ class EpConfig:
         # after one pass
         if not (0.0 < self.damping <= 1.0):
             raise ValueError("damping must lie in (0, 1]")
-        _check_loop(self.max_passes, self.tol, self.alpha_threshold,
-                    "max_passes")
+        _check_loop(self.max_passes, self.tol, "max_passes")
 
 
 def cavity(post_mu, post_Sigma, site_prec, site_nu):
@@ -226,9 +224,9 @@ def ep_posterior(K, mu0, site_prec, site_nu, site_logz=None, prior=None):
 def fit_ep(data: Dataset, kernel: Optional[KernelSpec] = None,
            config: Optional[EpConfig] = None) -> HrvmModel:
     """Alternate exact weight-posterior refreshes with parallel EP passes
-    over the log-variance sites, plus the basis selection
-    (``update_alpha``, stopped at ``config.tol``) and pruning shared with
-    the variational trainer.  The basis is first selected once at the
+    over the log-variance sites, plus the basis selection shared with the
+    variational trainer (``update_alpha``, stopped at ``config.tol``),
+    whose deletes prune the basis.  The basis is first selected once at the
     prior's noise, so no pass fits y with an empty basis.
 
     Each pass takes every cavity from the current marginals, matches all
@@ -277,7 +275,6 @@ def fit_ep(data: Dataset, kernel: Optional[KernelSpec] = None,
 
         r = noise_diag(post_mu, post_Sigma)
         active, alpha, _ = update_alpha(active, alpha, Phi, r, y, config.tol)
-        active, alpha, _ = prune_basis(active, alpha, config.alpha_threshold)
         training_log.append(logz)
 
         if change < config.tol:

@@ -113,7 +113,7 @@ def _assemble(record, latent_mean, latent_var, g_mean, g_var) -> PredictiveDist:
                           g_mean=g_mean, g_var=g_var, total_var=total_var)
 
 
-# kept for perfbench's tracer until ROADMAP item 2
+# kept for perfbench's tracer until ROADMAP item 3
 rvm_predictive_dist = predict
 
 

@@ -2,12 +2,13 @@
 basis selection (Tipping & Faul, 2003): sequential add / re-estimate /
 delete on the candidate columns of the design matrix.
 
-The basis selection, the weight fit, the model finish and the pruning
-step are the heteroscedastic trainers' (:mod:`hetrvm.vi`) with the
-constant noise r = sigma2; this module adds the sigma2 re-estimate and a
-dense (s, q) reference.  The fit is an :class:`HrvmModel` whose
-log-noise process is clamped at log sigma2, the form a clamped
-variational fit takes, so it predicts and saves as the others do."""
+The basis selection, whose deletes are the only pruning, the weight fit
+and the model finish are the heteroscedastic trainers' (:mod:`hetrvm.vi`)
+with the constant noise r = sigma2; this module adds the sigma2
+re-estimate and a dense (s, q) reference.  The fit is an
+:class:`HrvmModel` whose log-noise process is clamped at log sigma2, the
+form a clamped variational fit takes, so it predicts and saves as the
+others do."""
 
 from __future__ import annotations
 
@@ -18,13 +19,12 @@ import numpy as np
 
 from .data import Dataset
 from .kernels import KernelSpec, build_design_matrix
-# kept for perfbench's tracer until ROADMAP item 2
+# kept for perfbench's tracer until ROADMAP item 3
 from .kernels import design_matrix_at  # noqa: F401
 from .model import HrvmModel
 from .numerics import chol_factor, chol_solve
 from .vi import (_check_loop, _clamped_noise, _constant, _degenerate,
-                 _finish, _standardized, _weight_fit, prune_basis,
-                 update_alpha)
+                 _finish, _standardized, _weight_fit, update_alpha)
 
 __all__ = ["RvmConfig", "sparsity_quality", "fit_rvm"]
 
@@ -33,11 +33,10 @@ __all__ = ["RvmConfig", "sparsity_quality", "fit_rvm"]
 class RvmConfig:
     max_iter: int = 500
     tol: float = 1e-6
-    alpha_threshold: float = 1e12
     standardize: bool = True
 
     def __post_init__(self):
-        _check_loop(self.max_iter, self.tol, self.alpha_threshold)
+        _check_loop(self.max_iter, self.tol)
 
 
 def sparsity_quality(Phi: np.ndarray, y, active, alpha, sigma2, j):
@@ -111,8 +110,6 @@ def fit_rvm(data: Dataset, kernel: Optional[KernelSpec] = None,
             status = "converged"
             break
 
-    # threshold pruning (alpha -> infinity basis carry no weight)
-    active, alpha, _ = prune_basis(active, alpha, config.alpha_threshold)
     return _finish("rvm", kernel, work, Phi, record, active, alpha,
                    np.full(n, sigma2), _clamped_noise(n, sigma2),
                    training_log=log, status=status, n_iter=n_iter,

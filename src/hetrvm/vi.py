@@ -30,17 +30,17 @@ fixed q(g) the precisions maximize the same evidence the RVM's do:
 not depend on the precisions, so every action raises the bound by its
 evidence gain.
 
-One basis selection, one weight fit (the posterior and the evidence
-log N(y | 0, Phi A^-1 Phi^T + R) from one factorization), one pruning
-rule and one model finish: every trainer uses these, EP as they are and
-the RVM with R = sigma2 I.  The evidence is evaluated through the m x m
-weight precision (Woodbury), never the N x N covariance, and so is the
-bound's gradient: it needs C^-1 y and diag(C^-1) only, and no N x N
-inverse of C or K is formed.  The N x N work left per bound evaluation is
-the q(g) block (the Cholesky factor of I + Lam^1/2 K Lam^1/2 and Sigma
-from it); ``fit_vi``'s evaluations skip the O(N^3) block of the
-(log_ell, log_sv) gradient.  Within one outer iteration every distinct
-point is evaluated once.
+One basis selection, whose deletes are the only pruning rule, one weight
+fit (the posterior and the evidence log N(y | 0, Phi A^-1 Phi^T + R)
+from one factorization) and one model finish: every trainer uses these,
+EP as they are and the RVM with R = sigma2 I.  The evidence is evaluated
+through the m x m weight precision (Woodbury), never the N x N
+covariance, and so is the bound's gradient: it needs C^-1 y and
+diag(C^-1) only, and no N x N inverse of C or K is formed.  The N x N
+work left per bound evaluation is the q(g) block (the Cholesky factor of
+I + Lam^1/2 K Lam^1/2 and Sigma from it); ``fit_vi``'s evaluations skip
+the O(N^3) block of the (log_ell, log_sv) gradient.  Within one outer
+iteration every distinct point is evaluated once.
 
 L-BFGS is ``scipy.optimize.minimize``, reached through this module's
 ``minimize``, which imports the optimizer on its first call.  Loading
@@ -72,13 +72,12 @@ __all__ = [
     "collapsed_bound",
     "bound_gradients",
     "update_alpha",
-    "prune_basis",
     "fit_vi",
 ]
 
 _JITTER_FRAC = 1e-6  # diagonal jitter on K as a fraction of signal variance
 _LOG_2PI = np.log(2 * np.pi)
-_INNER_MAXITER = 40  # L-BFGS iterations per stage of an outer step
+_INNER_MAXITER = 40  # L-BFGS iterations per outer step
 
 
 def minimize(*args, **kwargs):
@@ -88,26 +87,25 @@ def minimize(*args, **kwargs):
     return scipy_minimize(*args, **kwargs)
 
 
-def _check_loop(max_iter, tol, alpha_threshold, max_iter_name="max_iter"):
+def _check_loop(max_iter, tol, max_iter_name="max_iter"):
     """Reject trainer settings that would end a fit before it learns
-    anything or make it prune on a meaningless threshold."""
+    anything."""
     _check_int(max_iter, max_iter_name, 1)
     if not (0.0 <= tol < np.inf):
         raise ValueError("tol must be finite and nonnegative")
-    if not (alpha_threshold > 0.0):
-        raise ValueError("alpha_threshold must be positive")
 
 
 @dataclass(frozen=True)
 class VIConfig:
     max_iter: int = 200
     tol: float = 1e-6
-    alpha_threshold: float = 1e12
     clamp_g: Optional[float] = None  # fix q(g) to a point mass (diagnostics)
     standardize: bool = True
 
     def __post_init__(self):
-        _check_loop(self.max_iter, self.tol, self.alpha_threshold)
+        _check_loop(self.max_iter, self.tol)
+        if self.clamp_g is not None and not np.isfinite(self.clamp_g):
+            raise ValueError("clamp_g must be finite")
 
 
 @dataclass
@@ -456,18 +454,6 @@ def update_alpha(active, alpha, Phi, r, y, tol: float):
             alpha[active.index(j)] = a_new[j]
 
 
-def prune_basis(active, alpha, threshold: float):
-    """Drop the basis columns whose precision exceeds the threshold; if
-    every column would go, keep the smallest-precision one.  An empty set
-    stays empty.  Returns (active, alpha, pruned)."""
-    keep = alpha <= threshold
-    if np.all(keep):
-        return active, alpha, False
-    if not np.any(keep):
-        keep[int(np.argmin(alpha))] = True
-    return [a for a, k in zip(active, keep) if k], alpha[keep], True
-
-
 def _standardized(data: Dataset, standardize_data: bool):
     """The working data and the record that maps predictions back."""
     if standardize_data:
@@ -546,14 +532,14 @@ def _degenerate(method, kernel, work, record, config):
 def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
            config: Optional[VIConfig] = None) -> HrvmModel:
     """Train by alternating: one L-BFGS ascent of the bound over the
-    reduced q(g) parameters and mu0, retried once with a longer line
-    search if it stalls, with the noise-GP hyperparameters (log_ell,
-    log_sv) held at ``_setup``'s values; Tipping & Faul's basis selection
-    at the new noise (``update_alpha``, stopped at ``config.tol``); then
-    pruning.  The basis is first selected once at the start q(g), so
-    q(g) never fits y with an empty basis.  With ``config.clamp_g`` set,
-    q(g) stays a point mass and only the basis selection and pruning
-    run.
+    reduced q(g) parameters and mu0, with the noise-GP hyperparameters
+    (log_ell, log_sv) held at ``_setup``'s values; then Tipping & Faul's
+    basis selection at the new noise (``update_alpha``, stopped at
+    ``config.tol``), whose deletes prune the basis.  The basis is first
+    selected once at the start q(g), so q(g) never fits y with an empty
+    basis.  With ``config.clamp_g`` set, q(g) stays a point mass and only
+    the basis selection runs.  The second ascent that fails without
+    progress ends the fit as ``stalled``.
 
     q(g) starts at lam = 1/2 - 1/(4 K 1), which puts the start log-noise
     near mu0 - 1/4 at every N: a constant lam makes it fall as the rows
@@ -580,8 +566,6 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
     active, alpha, _ = update_alpha(active, alpha, Phi, r, y, config.tol)
 
     training_log: List[float] = []
-    prune_iterations: List[int] = []
-    prune_shifts: List[float] = []
     status = "max_iter"
     f_prev = -np.inf
     stalled_once = False
@@ -594,10 +578,10 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
         if clamp is None:
             x0 = np.concatenate([_eta_from_lam(lam), [log_ell, log_sv, mu0]])
 
-            # (f, g) of every point this iteration has evaluated: L-BFGS,
-            # its retry and the acceptance test below share them.  The
-            # start point must evaluate; a trial point where the bound
-            # breaks down reads -inf, so the line search backs off.
+            # (f, g) of every point this iteration has evaluated: L-BFGS
+            # and the acceptance test below share them.  The start point
+            # must evaluate; a trial point where the bound breaks down
+            # reads -inf, so the line search backs off.
             memo = {x0.tobytes(): _bound_value_grad(x0, D2, Phi_a, alpha, y,
                                                     K)}
 
@@ -618,17 +602,8 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
             res = minimize(negf, x0[free], jac=True, method="L-BFGS-B",
                            options={"maxiter": _INNER_MAXITER, "maxls": 40})
             # a line-search abort counts as a failure only when the run
-            # also made no progress from its starting point; it is retried
-            # once with a longer line search
-            ok = res.success or res.fun < -f0 - 1e-12
-            if not ok:
-                res2 = minimize(negf, x0[free], jac=True, method="L-BFGS-B",
-                                options={"maxiter": _INNER_MAXITER // 2,
-                                         "maxls": 60})
-                if res2.fun < res.fun:
-                    res = res2
-                ok = res.success or res.fun < -f0 - 1e-12
-            if not ok:
+            # also made no progress from its starting point
+            if not (res.success or res.fun < -f0 - 1e-12):
                 if stalled_once:
                     status = "stalled"
                 stalled_once = True
@@ -640,35 +615,21 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
 
         # the evidence at the new precisions is update_alpha's; the bound
         # adds collapsed_bound's q(g) terms, in the same order
-        selected, alpha, fval = update_alpha(active, alpha, Phi, r, y,
-                                             config.tol)
+        active, alpha, fval = update_alpha(active, alpha, Phi, r, y,
+                                           config.tol)
         if clamp is None:
             fval = (fval - 0.25 * float(np.trace(Sigma))
                     - gauss_kl(mu, Sigma, np.full(n, mu0), K))
         training_log.append(fval)
 
-        kept, kept_alpha, pruned = prune_basis(selected, alpha,
-                                               config.alpha_threshold)
-        if pruned:
-            prune_iterations.append(it)
-            mw_b, _ = weight_posterior(Phi[:, selected], alpha, r, y)
-            mw_a, _ = weight_posterior(Phi[:, kept], kept_alpha, r, y)
-            shift = float(np.sqrt(np.mean(
-                (Phi[:, selected] @ mw_b - Phi[:, kept] @ mw_a) ** 2)))
-            prune_shifts.append(shift)
-        active, alpha = kept, kept_alpha
-
         if status == "stalled":
             break
-        if (not pruned and it > 0
-                and abs(fval - f_prev) < config.tol * (1.0 + abs(fval))):
+        if it > 0 and abs(fval - f_prev) < config.tol * (1.0 + abs(fval)):
             status = "converged"
             break
         f_prev = fval
 
-    cfg = dict(asdict(config), prune_iterations=prune_iterations,
-               prune_shifts=prune_shifts)
     return _finish("vi", kernel, work, Phi, record, active, alpha, r,
                    _gp_noise(mu0, log_ell, log_sv, mu, Sigma),
                    training_log=training_log, status=status, n_iter=it + 1,
-                   config=cfg)
+                   config=asdict(config))

@@ -187,23 +187,15 @@ def test_criterion_3_bound_validity():
             f"slack (logZ+3SE-F) {', '.join(details)}; {elapsed:.1f}s")
 
 
-def test_criterion_4_bound_monotonicity_and_prune_shift(goldberg_fits):
-    """Training bound non-decreasing between non-prune iterations; every
-    prune event moves the training fit by < 1e-6 RMS."""
+def test_criterion_4_bound_monotonicity(goldberg_fits):
+    """Training bound non-decreasing at every iteration."""
     worst_drop = -np.inf
-    worst_shift = 0.0
     for _, _, vi, _ in goldberg_fits:
         log = vi.training_log
-        prunes = set(vi.config["prune_iterations"])
         for i in range(1, len(log)):
-            if (i - 1) not in prunes:
-                worst_drop = max(worst_drop, log[i - 1] - log[i])
-        shifts = vi.config["prune_shifts"]
-        if shifts:
-            worst_shift = max(worst_shift, max(shifts))
-    verdict(4, "bound monotonicity and prune shifts",
-            worst_drop < 1e-8 and worst_shift < 1e-6,
-            f"worst drop {worst_drop:.2e}, worst prune shift {worst_shift:.2e}")
+            worst_drop = max(worst_drop, log[i - 1] - log[i])
+    verdict(4, "bound monotonicity", worst_drop < 1e-8,
+            f"worst drop {worst_drop:.2e}")
 
 
 def test_criterion_5_gradient_correctness():

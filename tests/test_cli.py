@@ -159,9 +159,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("method", ["rvm", "vi", "ep"])
     @pytest.mark.parametrize("option, value", [
         ("--max-iter", "0"), ("--max-iter", "-2"), ("--max-iter", "1.5"),
-        ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"),
-        ("--alpha-threshold", "0"), ("--alpha-threshold", "-1"),
-        ("--alpha-threshold", "nan")])
+        ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf")])
     def test_invalid_fit_setting_is_usage_error(self, train_csv, tmp_path,
                                                 method, option, value):
         out = tmp_path / "m.json"
@@ -211,14 +209,18 @@ class TestExitCodes:
         assert not report.exists()
 
     def test_seed_is_not_a_fit_option(self, train_csv, tmp_path):
-        # a fit has no random state: only synth takes --seed
+        # a fit has no random state: only synth takes --seed.  Nor has it
+        # a precision threshold: the basis selection's deletes are its
+        # only pruning
         out, report = tmp_path / "m.json", tmp_path / "bench.tsv"
-        assert run(["train", "--method", "ep", "--data", str(train_csv),
-                    "--out", str(out), "--seed", "0"]) == 2
-        assert not out.exists()
-        assert run(["benchmark", "--n", "10", "--seeds", "1", "--methods",
-                    "ep", "--report", str(report), "--seed", "0"]) == 2
-        assert not report.exists()
+        for option in (["--seed", "0"], ["--alpha-threshold", "1e12"]):
+            assert run(["train", "--method", "ep", "--data", str(train_csv),
+                        "--out", str(out), *option]) == 2
+            assert not out.exists()
+            assert run(["benchmark", "--n", "10", "--seeds", "1",
+                        "--methods", "ep", "--report", str(report),
+                        *option]) == 2
+            assert not report.exists()
 
     def test_negative_sigma_is_usage_error(self, tmp_path):
         out = tmp_path / "d.csv"
@@ -265,9 +267,6 @@ _TRAIN_OPTIONS = {
                                    EpConfig(max_passes=v))),
     "--tol": (float, lambda v: (RvmConfig(tol=v), VIConfig(tol=v),
                                 EpConfig(tol=v))),
-    "--alpha-threshold": (float, lambda v: (
-        RvmConfig(alpha_threshold=v), VIConfig(alpha_threshold=v),
-        EpConfig(alpha_threshold=v))),
     "--damping": (float, lambda v: EpConfig(damping=v)),
     "--lengthscale": (float, lambda v: KernelSpec(lengthscale=v)),
     "--degree": (int, lambda v: KernelSpec(degree=v)),

@@ -379,9 +379,9 @@ class TestFitEp:
         dict(damping=0.0), dict(damping=-0.1), dict(damping=1.5),
         dict(damping=float("nan")), dict(max_passes=0), dict(tol=-1.0),
         dict(tol=float("nan")), dict(max_passes=-3),
-        dict(alpha_threshold=0.0), dict(alpha_threshold=float("nan")),
-        dict(max_passes=1.5), dict(max_passes=True),
-        dict(alpha_threshold=-1.0), dict(tol=float("inf"))])
+        dict(max_passes=1.5), dict(max_passes=True), dict(tol=float("inf")),
+        dict(damping=float("inf")), dict(tol=-float("inf")),
+        dict(max_passes=float("inf"))])
     def test_invalid_config_rejected_before_setup(self, monkeypatch, bad):
         def no_setup(*args, **kwargs):
             raise AssertionError("config must be checked before setup")

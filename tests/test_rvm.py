@@ -239,9 +239,9 @@ class TestFitRvm:
 
     @pytest.mark.parametrize("bad", [
         dict(max_iter=0), dict(max_iter=-3), dict(tol=-1.0),
-        dict(tol=float("nan")), dict(alpha_threshold=0.0),
-        dict(alpha_threshold=-1.0), dict(alpha_threshold=float("nan")),
-        dict(max_iter=1.5), dict(max_iter=True), dict(tol=float("inf"))])
+        dict(tol=float("nan")), dict(max_iter=1.5), dict(max_iter=True),
+        dict(tol=float("inf")), dict(tol=-float("inf")),
+        dict(max_iter=float("inf")), dict(max_iter="3")])
     def test_invalid_config_rejected_before_setup(self, monkeypatch, bad):
         def no_setup(*args, **kwargs):
             raise AssertionError("config must be checked before setup")

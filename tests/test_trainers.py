@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from hetrvm.data import Dataset, SynthSpec, synth
 from hetrvm.ep import EpConfig, fit_ep
@@ -14,6 +15,10 @@ from hetrvm.vi import VIConfig, fit_vi
 TRAINERS = {"rvm": (fit_rvm, RvmConfig), "vi": (fit_vi, VIConfig),
             "ep": (fit_ep, EpConfig)}
 FIELDS = ("latent_mean", "latent_var", "g_mean", "g_var", "total_var")
+# every status a trainer can end a fit in
+STATUSES = {"rvm": {"converged", "max_iter", "degenerate"},
+            "vi": {"converged", "max_iter", "stalled", "degenerate"},
+            "ep": {"converged", "max_passes", "oscillating", "degenerate"}}
 
 
 @pytest.mark.parametrize("standardize", [True, False])
@@ -67,3 +72,23 @@ def test_model_does_not_alias_the_inputs(method):
     after = predict(model, Xt)
     for field in FIELDS:
         assert np.array_equal(getattr(after, field), getattr(before, field))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(generator=hst.sampled_from(["goldberg_sine", "linear_het",
+                                   "const_noise"]),
+       n=hst.integers(3, 150), seed=hst.integers(0, 10_000),
+       lengthscale=hst.floats(0.05, 3.0), log10_scale=hst.floats(-3.0, 3.0))
+def test_every_fit_ends_in_a_named_status(generator, n, seed, lengthscale,
+                                          log10_scale):
+    # whatever the data, no trainer raises: each ends in one of its
+    # statuses with a finite log and a finite, positive, distinct basis
+    data, _ = synth(SynthSpec(generator=generator, n=n, seed=seed))
+    data = Dataset(data.X, data.y * 10.0**log10_scale)
+    kernel = KernelSpec(lengthscale=lengthscale)
+    for method, (fit, _) in TRAINERS.items():
+        model = fit(data, kernel)
+        assert model.status in STATUSES[method]
+        assert np.all(np.isfinite(model.training_log))
+        assert np.all(np.isfinite(model.alpha) & (model.alpha > 0))
+        assert len(set(model.active_indices)) == len(model.active_indices)

@@ -5,10 +5,15 @@
 Imports ``hetrvm`` and ``perfbench/workloads.py`` from the checkout at
 ``--root`` (default: this one) and fits what ``train_n100`` and
 ``predict_serve`` fit under each seed, plus the ``hetrvm train`` models of
-``cli_workflow``, which no seed moves.  A line is ``workload seed method
-dataset digest``, the digest taken over the sorted-key JSON of
-``model_to_dict`` (the saved file for the CLI).  A change that claims
-bit-identical models is checked by diffing the output of two checkouts.
+``cli_workflow``, which no seed moves.  Each fit prints two lines.  The
+first is ``workload seed method dataset digest``, the digest taken over
+the sorted-key JSON of ``model_to_dict`` (the saved file for the CLI).
+The second, ``workload seed method dataset -config digest``, is taken
+over the same document without its ``config`` entry (for the CLI, the
+saved file loaded and dumped again), so a change that only adds or drops
+config keys still shows its fitted numbers unchanged.  A change that
+claims bit-identical models is checked by diffing the output of two
+checkouts.
 """
 
 import argparse
@@ -27,6 +32,15 @@ def _digest(text):
     return hashlib.sha256(text).hexdigest()
 
 
+def _show(workload, seed, method, name, text):
+    """The two lines of one fit, from its saved JSON text."""
+    print(workload, seed, method, name, _digest(text.encode()))
+    doc = json.loads(text)
+    del doc["config"]
+    print(workload, seed, method, name, "-config",
+          _digest(json.dumps(doc, sort_keys=True).encode()))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", type=Path,
@@ -41,8 +55,8 @@ def main(argv=None):
     from hetrvm.serialize import model_to_dict
 
     def show(workload, seed, method, name, model):
-        text = json.dumps(model_to_dict(model), sort_keys=True)
-        print(workload, seed, method, name, _digest(text.encode()))
+        _show(workload, seed, method, name,
+              json.dumps(model_to_dict(model), sort_keys=True))
 
     sizes = w.Sizes()
     for seed in args.seeds:
@@ -71,8 +85,8 @@ def main(argv=None):
             out = Path(tmp) / f"{method}.json"
             cli_run(["train", "--method", method, "--data", train, "--out",
                      str(out), "--lengthscale", "0.3"])
-            print("cli_workflow", "-", method, "goldberg_sine",
-                  _digest(out.read_bytes()))
+            _show("cli_workflow", "-", method, "goldberg_sine",
+                  out.read_text())
 
 
 if __name__ == "__main__":

@@ -11,11 +11,13 @@ status, the mean held-out NLPD, the mean active-basis count, the mean
 ``n_iter``, each generator's draw with the highest NLPD
 (``worst=<generator>/<seed>:<nlpd>,...``, which shows an outlier a mean
 hides; NLPD sits on a different scale for each generator, so one worst
-draw over all of them would always be a ``goldberg_sine`` one) and the
-total fit seconds.  A fit that raises counts under ``error`` and is left
-out of the means, and the script then exits 1.  ``--root`` imports
-``hetrvm`` from another checkout, so two commits can be compared on the
-same machine.
+draw over all of them would always be a ``goldberg_sine`` one), the
+largest final weight precision of any fit (``max_alpha=``, which shows
+how far the fits stay from a precision at which a column carries no
+weight) and the total fit seconds.  A fit that raises counts under
+``error`` and is left out of the means, and the script then exits 1.
+``--root`` imports ``hetrvm`` from another checkout, so two commits can
+be compared on the same machine.
 """
 
 import argparse
@@ -51,6 +53,7 @@ def main(argv=None):
              for m in fit}
     active = {m: [] for m in fit}
     iters = {m: [] for m in fit}
+    top_alpha = {m: [] for m in fit}  # each fit's largest precision
     seconds = dict.fromkeys(fit, 0.0)
     for generator, lengthscale in GENERATORS:
         kernel = KernelSpec(lengthscale=lengthscale)
@@ -75,6 +78,8 @@ def main(argv=None):
                     worst[method][generator], (score, f"{generator}/{seed}"))
                 active[method].append(len(model.active_indices))
                 iters[method].append(model.n_iter)
+                if model.alpha.size:
+                    top_alpha[method].append(float(model.alpha.max()))
 
     for method in fit:
         counts = " ".join(f"{k}={v}" for k, v in sorted(statuses[method].items()))
@@ -86,7 +91,9 @@ def main(argv=None):
                                     ("n_iter", iters, 1)))
         worst_draws = ",".join(f"{draw}:{score:.4f}"
                                for score, draw in worst[method].values())
+        alpha = max(top_alpha[method], default=float("nan"))
         print(f"{method}\t{counts}\t{means}\tworst={worst_draws}"
+              f"\tmax_alpha={alpha:.3g}"
               f"\tseconds={seconds[method]:.2f}")
     return int(any(statuses[m]["error"] for m in fit))
 
