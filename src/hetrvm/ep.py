@@ -237,10 +237,10 @@ def fit_ep(data: Dataset, kernel: Optional[KernelSpec] = None,
     config = config or EpConfig()
     work, record = _standardized(data, config.standardize)
     Phi = build_design_matrix(work.X, kernel)
-    active, alpha, _, log_ell, log_sv, mu0, K = _setup(work)
+    active, alpha, noise_prior, K = _setup(work)
     if _constant(work.y):
         return _degenerate("ep", kernel, work, record, config)
-    y, n = work.y, work.n
+    y, n, mu0 = work.y, work.n, noise_prior.mu0
 
     # K stays fixed under EP, so the normalizer's prior terms do too
     prior = _prior_terms(K)
@@ -289,6 +289,6 @@ def fit_ep(data: Dataset, kernel: Optional[KernelSpec] = None,
             damping, halved, osc = 0.5 * damping, True, 0
 
     return _finish("ep", kernel, work, Phi, record, active, alpha, r,
-                   _gp_noise(mu0, log_ell, log_sv, post_mu, post_Sigma),
+                   _gp_noise(noise_prior, post_mu, post_Sigma),
                    training_log=training_log, status=status, n_iter=n_pass,
                    config=asdict(config))

@@ -2,9 +2,9 @@
 
 Cholesky factors of positive-definite matrices and solves with them,
 Gaussian KL divergence, Gauss-Hermite quadrature against the standard
-normal weight, log-normal moments, and a finite-difference gradient
-checker.  All heavier routines route through Cholesky factorizations;
-nothing here forms an explicit inverse.
+normal weight, and a finite-difference gradient checker.  All heavier
+routines route through Cholesky factorizations; nothing here forms an
+explicit inverse.
 
 The factorization and the two solves call the LAPACK routines that
 ``scipy.linalg.cholesky``, ``cho_solve`` and ``solve_triangular`` call
@@ -35,7 +35,6 @@ __all__ = [
     "lower_solve",
     "gauss_kl",
     "gauss_hermite",
-    "lognormal_mean",
     "grad_check",
 ]
 
@@ -164,16 +163,6 @@ def _gauss_hermite_rule(n: int) -> Quadrature:
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return Quadrature(nodes=nodes, weights=weights)
-
-
-def lognormal_mean(mu, var):
-    """Mean of exp(Z) for Z ~ N(mu, var): exp(mu + var / 2)."""
-    mu = np.asarray(mu, dtype=float)
-    var = np.asarray(var, dtype=float)
-    if np.any(var < 0):
-        raise ValueError("variance must be nonnegative")
-    out = np.exp(mu + 0.5 * var)
-    return float(out) if out.ndim == 0 else out
 
 
 def grad_check(f, grad, x) -> float:

@@ -5,10 +5,9 @@ delete on the candidate columns of the design matrix.
 The basis selection, whose deletes are the only pruning, the weight fit
 and the model finish are the heteroscedastic trainers' (:mod:`hetrvm.vi`)
 with the constant noise r = sigma2; this module adds the sigma2
-re-estimate and a dense (s, q) reference.  The fit is an
-:class:`HrvmModel` whose log-noise process is clamped at log sigma2, the
-form a clamped variational fit takes, so it predicts and saves as the
-others do."""
+re-estimate.  The fit is an :class:`HrvmModel` whose log-noise process
+is clamped at log sigma2, the form a clamped variational fit takes, so
+it predicts and saves as the others do."""
 
 from __future__ import annotations
 
@@ -19,14 +18,14 @@ import numpy as np
 
 from .data import Dataset
 from .kernels import KernelSpec, build_design_matrix
+from .model import HrvmModel
 # kept for perfbench's tracer until ROADMAP item 3
 from .kernels import design_matrix_at  # noqa: F401
-from .model import HrvmModel
-from .numerics import chol_factor, chol_solve
+from .numerics import chol_factor  # noqa: F401
 from .vi import (_check_loop, _clamped_noise, _constant, _degenerate,
                  _finish, _standardized, _weight_fit, update_alpha)
 
-__all__ = ["RvmConfig", "sparsity_quality", "fit_rvm"]
+__all__ = ["RvmConfig", "fit_rvm"]
 
 
 @dataclass(frozen=True)
@@ -37,30 +36,6 @@ class RvmConfig:
 
     def __post_init__(self):
         _check_loop(self.max_iter, self.tol)
-
-
-def sparsity_quality(Phi: np.ndarray, y, active, alpha, sigma2, j):
-    """(s_j, q_j) with basis j excluded from the model covariance.
-
-    Direct dense computation of C_{-j} = sigma2 I + sum_{i != j}
-    phi_i phi_i^T / alpha_i; intended as the reference path (the trainer
-    uses an equivalent Woodbury form, ``vi._all_sq``).
-    """
-    Phi = np.asarray(Phi, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    n = y.size
-    C = sigma2 * np.eye(n)
-    for idx, a in zip(active, alpha):
-        if idx == j:
-            continue
-        phi = Phi[:, idx]
-        C += np.outer(phi, phi) / a
-    L = chol_factor(C, "C")
-    phi_j = Phi[:, j]
-    u = chol_solve(L, phi_j)
-    s = float(phi_j @ u)
-    q = float(u @ y)
-    return s, q
 
 
 def fit_rvm(data: Dataset, kernel: Optional[KernelSpec] = None,

@@ -14,14 +14,14 @@ lam in (0, 1/2):
 
 so the bound is maximized over lam (through an unconstrained sigmoid
 transform) and mu0 by L-BFGS, with analytic gradients.  The noise GP's
-lengthscale and signal variance (log_ell, log_sv) are held at their
-start, as under EP, so K is built once per fit and both trainers fit one
-noise model.  Learning them by the bound (type-II maximum likelihood)
-collapsed q(g) to a constant noise on 5 of 20 heteroscedastic N=100
-draws of ``tools/status_sweep.py`` (signal variance below 1e-7), at a
-cost of up to 0.2 nats of held-out NLPD against EP (Rasmussen &
-Williams, 2006, sec. 5.4).  The bound's (log_ell, log_sv) gradient is
-still computed, for ``bound_gradients``.
+lengthscale and signal variance are held at their start, as under EP:
+the prior covariance K is an input of the bound, built once per fit by
+``kernels.gp_covariance``, the builder ``predict`` uses, so both trainers
+fit one noise model.  Learning them by the bound (type-II maximum
+likelihood) collapsed q(g) to a constant noise on 5 of 20 heteroscedastic
+N=100 draws of ``tools/status_sweep.py`` (signal variance below 1e-7), at
+a cost of up to 0.2 nats of held-out NLPD against EP (Rasmussen &
+Williams, 2006, sec. 5.4).
 
 The heteroscedastic RVM is the RVM with sigma2 I replaced by R, so at a
 fixed q(g) the precisions maximize the same evidence the RVM's do:
@@ -38,9 +38,8 @@ through the m x m weight precision (Woodbury), never the N x N
 covariance, and so is the bound's gradient: it needs C^-1 y and
 diag(C^-1) only, and no N x N inverse of C or K is formed.  The N x N
 work left per bound evaluation is the q(g) block (the Cholesky factor of
-I + Lam^1/2 K Lam^1/2 and Sigma from it); ``fit_vi``'s evaluations skip
-the O(N^3) block of the (log_ell, log_sv) gradient.  Within one outer
-iteration every distinct point is evaluated once.
+I + Lam^1/2 K Lam^1/2 and Sigma from it).  Within one outer iteration
+every distinct point is evaluated once.
 
 L-BFGS is ``scipy.optimize.minimize``, reached through this module's
 ``minimize``, which imports the optimizer on its first call.  Loading
@@ -51,13 +50,14 @@ and only ``fit_vi`` needs it, so the first VI fit in a process pays it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 from typing import List, Optional
 
 import numpy as np
 
 from .data import Dataset, Standardization, standardize
-from .kernels import KernelSpec, build_design_matrix, _sqdist
+from .kernels import (GpNoisePrior, KernelSpec, build_design_matrix,
+                      gp_covariance, _sqdist)
 from .model import HrvmModel
 from .numerics import (FactorizationError, _check_int, chol_factor,
                        chol_solve, gauss_kl, lower_solve)
@@ -75,7 +75,6 @@ __all__ = [
     "fit_vi",
 ]
 
-_JITTER_FRAC = 1e-6  # diagonal jitter on K as a fraction of signal variance
 _LOG_2PI = np.log(2 * np.pi)
 _INNER_MAXITER = 40  # L-BFGS iterations per outer step
 
@@ -110,27 +109,15 @@ class VIConfig:
 
 @dataclass
 class VariationalState:
-    """Everything the bound depends on, at the training inputs X."""
+    """Everything the bound depends on, at the training inputs."""
 
-    X: np.ndarray
     mu: np.ndarray
     Sigma: np.ndarray
     lam: np.ndarray              # diagonal reduced parameter, in (0, 1/2)
     alpha: np.ndarray
     active_indices: List[int]
     mu0: float
-    log_ell: float               # log lengthscale of the noise GP
-    log_sv: float                # log signal variance of the noise GP
-    K: np.ndarray                # cached noise-GP covariance at X
-
-
-def _noise_cov(D2, log_ell, log_sv):
-    """K = sv * (rbf(D2; ell) + jitter I) and the unscaled correlation."""
-    ell = np.exp(log_ell)
-    sv = np.exp(log_sv)
-    C = np.exp(-0.5 * D2 / ell**2)
-    K = sv * (C + _JITTER_FRAC * np.eye(D2.shape[0]))
-    return K, C
+    K: np.ndarray                # noise-GP prior covariance at the inputs
 
 
 def noise_diag(mu, Sigma):
@@ -277,23 +264,14 @@ def _eta_from_lam(lam):
     return np.log(s) - np.log1p(-s)
 
 
-def _bound_value_grad(x, D2, Phi_a, alpha, y, K=None):
+def _bound_value_grad(x, K, Phi_a, alpha, y):
     """Bound and its analytic gradient in the packed variables
-    x = [eta (N), log_ell, log_sv, mu0] with lam = sigmoid(eta)/2.
-
-    ``K`` is the noise-GP covariance at x's (log_ell, log_sv), when the
-    caller holds them fixed and has built it: it is then not rebuilt from
-    D2, and the (log_ell, log_sv) entries are left nan, which skips their
-    O(N^3) block.  The value and the other entries are the same bits
-    either way."""
+    x = [eta (N), mu0] with lam = sigmoid(eta)/2, under the noise-GP
+    prior covariance K."""
     n = y.size
-    eta = x[:n]
-    log_ell, log_sv, mu0 = x[n], x[n + 1], x[n + 2]
+    eta, mu0 = x[:n], x[n]
     lam = 0.5 * _sigmoid(eta)
     lam = np.clip(lam, 1e-12, 0.5 - 1e-12)
-    hyper = K is None
-    if hyper:
-        K, C = _noise_cov(D2, log_ell, log_sv)
     Sigma, LB = _reduced_cov(lam, K)
     sdiag = np.diag(Sigma)
     v = lam - 0.5
@@ -323,42 +301,18 @@ def _bound_value_grad(x, D2, Phi_a, alpha, y, K=None):
     fs = -0.5 * u - 0.25 + 0.5 * lam          # diag of dF/dSigma
     g_lam = K @ u + ((-fs)[:, None] * Sigma**2).sum(axis=0) - Kv
     g_eta = g_lam * lam * (1.0 - 2.0 * lam)
-    g_mu0 = float(np.sum(u))
-    grad = np.concatenate([g_eta, [np.nan, np.nan, g_mu0]])
-    if hyper:
-        grad[n:n + 2] = _hyper_grad(D2, log_ell, log_sv, K, C,
-                                    Sigma, lam, u, v, fs)
-    return fval, grad
-
-
-def _hyper_grad(D2, log_ell, log_sv, K, C, Sigma, lam, u, v, fs):
-    """The bound's (log_ell, log_sv) gradient entries from the pieces
-    of its q(g) gradient."""
-    n = lam.size
-    # K^-1 Sigma K^-1 - K^-1 = Lam Sigma Lam - Lam, as Sigma^-1 = K^-1 + Lam
-    S = np.eye(n) - Sigma * lam[None, :]      # Sigma K^-1
-    M = (np.outer(u, v)
-         + S.T @ (fs[:, None] * S)
-         + 0.5 * (lam[:, None] * Sigma * lam[None, :] - np.diag(lam))
-         - 0.5 * np.outer(v, v))
-    g_log_sv = float(np.sum(M * K))
-    ell = np.exp(log_ell)
-    dK_dlog_ell = np.exp(log_sv) * C * (D2 / ell**2)
-    g_log_ell = float(np.sum(M * dK_dlog_ell))
-    return g_log_ell, g_log_sv
+    return fval, np.append(g_eta, np.sum(u))
 
 
 def bound_gradients(state: VariationalState, Phi, y):
     """Analytic gradient of the bound in the packed coordinates
-    (eta = unconstrained reduced parameters, log lengthscale,
-    log signal variance, mu0), evaluated at the state."""
+    [eta (the unconstrained reduced parameters), mu0], evaluated at the
+    state under its prior covariance ``state.K``."""
     Phi = np.asarray(Phi, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     Phi_a = Phi[:, state.active_indices]
-    D2 = _sqdist(state.X, state.X)
-    x = np.concatenate([_eta_from_lam(state.lam),
-                        [state.log_ell, state.log_sv, state.mu0]])
-    _, grad = _bound_value_grad(x, D2, Phi_a, state.alpha, y)
+    x = np.append(_eta_from_lam(state.lam), state.mu0)
+    _, grad = _bound_value_grad(x, state.K, Phi_a, state.alpha, y)
     if not np.all(np.isfinite(grad)):
         bad = int(np.argmax(~np.isfinite(grad)))
         raise FloatingPointError(f"non-finite bound gradient at coordinate {bad}")
@@ -463,33 +417,29 @@ def _standardized(data: Dataset, standardize_data: bool):
 
 def _setup(work: Dataset):
     """Starting point shared by fit_vi and fit_ep: the empty basis, and
-    the noise GP at the median-distance lengthscale, unit signal variance
-    and mu0 = log(0.1 var y).
+    the noise-GP prior at the median-distance lengthscale, unit signal
+    variance, jitter 1e-6 and mu0 = log(0.1 var y), with its covariance
+    K at the training inputs.
 
-    Returns (active, alpha, D2, log_ell, log_sv, mu0, K)."""
+    Returns (active, alpha, prior, K)."""
     n = work.n
     if n < 3:
         raise ValueError("need at least 3 points")
-    active, alpha = [], np.zeros(0)
     D2 = _sqdist(work.X, work.X)
     off = D2[np.triu_indices(n, k=1)]
     ell0 = float(np.sqrt(np.median(off[off > 0]))) if np.any(off > 0) else 1.0
-    log_ell = float(np.log(ell0))
-    log_sv = 0.0
     mu0 = float(np.log(0.1 * max(float(np.var(work.y)), 1e-12)))
-    K, _ = _noise_cov(D2, log_ell, log_sv)
-    return active, alpha, D2, log_ell, log_sv, mu0, K
+    prior = GpNoisePrior(mu0, KernelSpec(lengthscale=ell0, include_bias=False))
+    return [], np.zeros(0), prior, gp_covariance(work.X, prior)
 
 
-def _gp_noise(mu0, log_ell, log_sv, mu, Sigma):
-    """The log-noise fields of an ``HrvmModel``: the noise-GP prior at
-    (mu0, log lengthscale, log signal variance) and q(g) = N(mu, Sigma)
-    at the training inputs."""
-    sv = float(np.exp(log_sv))
-    return dict(noise_mu0=float(mu0),
-                noise_lengthscale=float(np.exp(log_ell)),
-                noise_signal_variance=sv, noise_jitter=_JITTER_FRAC * sv,
-                g_mu=mu, g_Sigma=Sigma)
+def _gp_noise(prior: GpNoisePrior, mu, Sigma):
+    """The log-noise fields of an ``HrvmModel``: the noise-GP prior and
+    q(g) = N(mu, Sigma) at the training inputs."""
+    return dict(noise_mu0=prior.mu0,
+                noise_lengthscale=prior.kernel.lengthscale,
+                noise_signal_variance=prior.kernel.signal_variance,
+                noise_jitter=prior.jitter, g_mu=mu, g_Sigma=Sigma)
 
 
 def _clamped_noise(n, sigma2):
@@ -497,7 +447,8 @@ def _clamped_noise(n, sigma2):
     log-noise is clamped at log sigma2.  The noise-GP hyperparameters are
     neutral values that ``predict`` never reads for such a model."""
     log_s2 = float(np.log(sigma2))
-    return _gp_noise(log_s2, 0.0, 0.0, np.full(n, log_s2), np.zeros((n, n)))
+    return _gp_noise(GpNoisePrior(log_s2, KernelSpec(include_bias=False)),
+                     np.full(n, log_s2), np.zeros((n, n)))
 
 
 def _finish(method, kernel, work, Phi, record, active, alpha, r, noise,
@@ -532,12 +483,12 @@ def _degenerate(method, kernel, work, record, config):
 def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
            config: Optional[VIConfig] = None) -> HrvmModel:
     """Train by alternating: one L-BFGS ascent of the bound over the
-    reduced q(g) parameters and mu0, with the noise-GP hyperparameters
-    (log_ell, log_sv) held at ``_setup``'s values; then Tipping & Faul's
-    basis selection at the new noise (``update_alpha``, stopped at
-    ``config.tol``), whose deletes prune the basis.  The basis is first
-    selected once at the start q(g), so q(g) never fits y with an empty
-    basis.  With ``config.clamp_g`` set, q(g) stays a point mass and only
+    reduced q(g) parameters and mu0, under the noise-GP prior covariance
+    K that ``_setup`` builds once (its lengthscale and signal variance
+    are held); then Tipping & Faul's basis selection at the new noise
+    (``update_alpha``, stopped at ``config.tol``), whose deletes prune
+    the basis.  The basis is first selected once at the start q(g), so
+    q(g) never fits y with an empty basis.  With ``config.clamp_g`` set, q(g) stays a point mass and only
     the basis selection runs.  The second ascent that fails without
     progress ends the fit as ``stalled``.
 
@@ -550,10 +501,10 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
     config = config or VIConfig()
     work, record = _standardized(data, config.standardize)
     Phi = build_design_matrix(work.X, kernel)
-    active, alpha, D2, log_ell, log_sv, mu0, K = _setup(work)
+    active, alpha, prior, K = _setup(work)
     if _constant(work.y):
         return _degenerate("vi", kernel, work, record, config)
-    y, n = work.y, work.n
+    y, n, mu0 = work.y, work.n, prior.mu0
     lam = 0.5 - 0.25 / K.sum(axis=1)
 
     clamp = config.clamp_g
@@ -569,37 +520,31 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
     status = "max_iter"
     f_prev = -np.inf
     stalled_once = False
-    # L-BFGS moves eta and mu0; (log_ell, log_sv) hold _setup's values
-    free = np.r_[0:n, n + 2]
 
     for it in range(config.max_iter):
         Phi_a = Phi[:, active]
 
         if clamp is None:
-            x0 = np.concatenate([_eta_from_lam(lam), [log_ell, log_sv, mu0]])
+            x0 = np.append(_eta_from_lam(lam), mu0)
 
             # (f, g) of every point this iteration has evaluated: L-BFGS
             # and the acceptance test below share them.  The start point
             # must evaluate; a trial point where the bound breaks down
             # reads -inf, so the line search backs off.
-            memo = {x0.tobytes(): _bound_value_grad(x0, D2, Phi_a, alpha, y,
-                                                    K)}
+            memo = {x0.tobytes(): _bound_value_grad(x0, K, Phi_a, alpha, y)}
 
-            def negf(xq):
-                x = x0.copy()
-                x[free] = xq
+            def negf(x):
                 key = x.tobytes()
                 if key not in memo:
                     try:
-                        memo[key] = _bound_value_grad(x, D2, Phi_a, alpha, y,
-                                                      K)
+                        memo[key] = _bound_value_grad(x, K, Phi_a, alpha, y)
                     except (FactorizationError, FloatingPointError):
                         memo[key] = (-np.inf, np.zeros(x.size))
                 f, g = memo[key]
-                return -f, -g[free]
+                return -f, -g
 
             f0 = memo[x0.tobytes()][0]
-            res = minimize(negf, x0[free], jac=True, method="L-BFGS-B",
+            res = minimize(negf, x0, jac=True, method="L-BFGS-B",
                            options={"maxiter": _INNER_MAXITER, "maxls": 40})
             # a line-search abort counts as a failure only when the run
             # also made no progress from its starting point
@@ -630,6 +575,6 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
         f_prev = fval
 
     return _finish("vi", kernel, work, Phi, record, active, alpha, r,
-                   _gp_noise(mu0, log_ell, log_sv, mu, Sigma),
+                   _gp_noise(replace(prior, mu0=mu0), mu, Sigma),
                    training_log=training_log, status=status, n_iter=it + 1,
                    config=asdict(config))

@@ -45,6 +45,8 @@ def verdict(num, name, ok, detail=""):
 
 
 def make_state(X, eta, log_ell, log_sv, mu0, alpha, active):
+    """A VariationalState whose prior covariance K is built at X from
+    (log_ell, log_sv); the two are not stored in the state."""
     sv = float(np.exp(log_sv))
     prior = GpNoisePrior(
         mu0=mu0,
@@ -54,10 +56,9 @@ def make_state(X, eta, log_ell, log_sv, mu0, alpha, active):
     K = gp_covariance(X, prior)
     lam = 0.5 / (1.0 + np.exp(-np.asarray(eta, dtype=float)))
     mu, Sigma = reduced_to_moments(lam, K, mu0)
-    return VariationalState(X=X, mu=mu, Sigma=Sigma, lam=lam,
+    return VariationalState(mu=mu, Sigma=Sigma, lam=lam,
                             alpha=np.asarray(alpha, dtype=float),
-                            active_indices=list(active), mu0=mu0,
-                            log_ell=log_ell, log_sv=log_sv, K=K)
+                            active_indices=list(active), mu0=mu0, K=K)
 
 
 @pytest.fixture(scope="module")
@@ -199,8 +200,10 @@ def test_criterion_4_bound_monotonicity(goldberg_fits):
 
 
 def test_criterion_5_gradient_correctness():
-    """Analytic bound gradients match central differences to 1e-4 on 50
-    random interior states, N <= 6."""
+    """Analytic bound gradients in (eta, mu0) match central differences
+    to 1e-4 on 50 random interior states, N <= 6.  The noise-GP
+    hyperparameters (random per state) are inputs of the bound, through
+    its prior covariance K, not variables of it."""
     rng = np.random.default_rng(2)
     worst = 0.0
     for _ in range(50):
@@ -210,14 +213,14 @@ def test_criterion_5_gradient_correctness():
         y = rng.normal(size=n)
         alpha = rng.uniform(0.2, 3.0, Phi.shape[1])
         active = list(range(Phi.shape[1]))
+        eta = rng.normal(size=n)
+        log_ell, log_sv = rng.uniform(-0.5, 0.5, 2)
 
         def unpack(x):
-            return make_state(X, eta=x[:n], log_ell=float(x[n]),
-                              log_sv=float(x[n + 1]), mu0=float(x[n + 2]),
-                              alpha=alpha, active=active)
+            return make_state(X, eta=x[:n], log_ell=log_ell, log_sv=log_sv,
+                              mu0=float(x[n]), alpha=alpha, active=active)
 
-        x = np.concatenate([rng.normal(size=n), rng.uniform(-0.5, 0.5, 2),
-                            rng.normal(size=1) * 0.5])
+        x = np.append(eta, rng.normal(size=1) * 0.5)
         err = grad_check(lambda v: collapsed_bound(unpack(v), Phi, y),
                          lambda v: bound_gradients(unpack(v), Phi, y), x)
         worst = max(worst, err)

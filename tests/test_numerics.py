@@ -5,8 +5,7 @@ import pytest
 import scipy.linalg as sla
 
 from hetrvm.numerics import (FactorizationError, chol_factor, chol_solve,
-                             gauss_hermite, gauss_kl, grad_check,
-                             lognormal_mean, lower_solve)
+                             gauss_hermite, gauss_kl, grad_check, lower_solve)
 
 
 def _solve_logdet(A, b):
@@ -124,22 +123,6 @@ class TestGaussHermite:
         with pytest.raises(ValueError):
             q.weights *= 2.0
         assert gauss_hermite(32).weights.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-class TestLognormalMean:
-    def test_scalar(self):
-        assert lognormal_mean(0.0, 1.0) == pytest.approx(np.exp(0.5))
-
-    def test_zero_variance(self):
-        assert lognormal_mean(2.0, 0.0) == pytest.approx(np.exp(2.0))
-
-    def test_vectorized(self):
-        out = lognormal_mean(np.array([0.0, 1.0]), np.array([0.0, 2.0]))
-        np.testing.assert_allclose(out, [1.0, np.exp(2.0)], rtol=1e-12)
-
-    def test_negative_variance_rejected(self):
-        with pytest.raises(ValueError):
-            lognormal_mean(0.0, -0.1)
 
 
 class TestGradCheck:

@@ -9,7 +9,7 @@ from hetrvm.data import SynthSpec, synth
 from hetrvm.ep import fit_ep
 from hetrvm.kernels import (KernelSpec, cross_covariance, design_matrix_at,
                             gp_covariance)
-from hetrvm.numerics import gauss_hermite, lognormal_mean
+from hetrvm.numerics import gauss_hermite
 from hetrvm.predict import PredictiveDist, nlpd, predict, rmse
 from hetrvm.rvm import fit_rvm
 from hetrvm.serialize import model_from_dict, model_to_dict
@@ -235,7 +235,7 @@ def dense_predict(model, Xstar):
     g_mean = g_mean + np.log(scale2)
     return PredictiveDist(latent_mean=record.invert_y(latent_mean),
                           latent_var=latent_var, g_mean=g_mean, g_var=g_var,
-                          total_var=latent_var + lognormal_mean(g_mean, g_var))
+                          total_var=latent_var + np.exp(g_mean + 0.5 * g_var))
 
 
 class TestNoiseReadout:

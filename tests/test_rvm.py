@@ -8,9 +8,19 @@ import hetrvm.vi
 from hetrvm.data import Dataset, SynthSpec, synth
 from hetrvm.kernels import KernelSpec, build_design_matrix
 from hetrvm.predict import predict
-from hetrvm.rvm import RvmConfig, fit_rvm, sparsity_quality
+from hetrvm.rvm import RvmConfig, fit_rvm
 from hetrvm.serialize import load_model, save_model
 from hetrvm.vi import _actions, _weight_fit
+
+
+def sparsity_quality(Phi, y, active, alpha, sigma2, j):
+    """Column j's (s_j, q_j) from the basis selection's ``vi._all_sq``
+    at the constant noise r = sigma2 1, with j left out of C."""
+    Phi = np.asarray(Phi, dtype=float)
+    s, q = _all_sq_at(Phi, np.asarray(y, dtype=float), list(active),
+                      np.asarray(alpha, dtype=float),
+                      np.full(Phi.shape[0], float(sigma2)))
+    return s[j], q[j]
 
 
 class TestSparsityQuality:

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
+import hetrvm.ep
+import hetrvm.vi
 from hetrvm.data import Dataset, SynthSpec, synth
 from hetrvm.ep import EpConfig, fit_ep
-from hetrvm.kernels import KernelSpec
+from hetrvm.kernels import KernelSpec, gp_covariance
 from hetrvm.predict import predict
 from hetrvm.rvm import RvmConfig, fit_rvm
 from hetrvm.serialize import load_model, save_model
@@ -74,6 +76,28 @@ def test_model_does_not_alias_the_inputs(method):
         assert np.array_equal(getattr(after, field), getattr(before, field))
 
 
+@pytest.mark.parametrize("module, fit", [(hetrvm.vi, fit_vi),
+                                         (hetrvm.ep, fit_ep)])
+def test_training_and_prediction_share_one_noise_prior(monkeypatch, module,
+                                                       fit):
+    # the prior covariance the fit trains under is, to the bit, the one
+    # predict rebuilds from the model's noise prior
+    built = []
+    setup = hetrvm.vi._setup
+
+    def spy(work):
+        active, alpha, prior, K = setup(work)
+        built.append(K)
+        return active, alpha, prior, K
+
+    monkeypatch.setattr(module, "_setup", spy)
+    data, _ = synth(SynthSpec(generator="goldberg_sine", n=60, seed=0))
+    model = fit(data, KernelSpec(lengthscale=0.3))
+    (K,) = built
+    assert np.array_equal(gp_covariance(model.centers, model.noise_prior()),
+                          K)
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(generator=hst.sampled_from(["goldberg_sine", "linear_het",
                                    "const_noise"]),
@@ -82,13 +106,20 @@ def test_model_does_not_alias_the_inputs(method):
 def test_every_fit_ends_in_a_named_status(generator, n, seed, lengthscale,
                                           log10_scale):
     # whatever the data, no trainer raises: each ends in one of its
-    # statuses with a finite log and a finite, positive, distinct basis
+    # statuses with a finite log and a finite, positive, distinct basis;
+    # VI and EP hold one noise-GP prior
     data, _ = synth(SynthSpec(generator=generator, n=n, seed=seed))
     data = Dataset(data.X, data.y * 10.0**log10_scale)
     kernel = KernelSpec(lengthscale=lengthscale)
+    models = {}
     for method, (fit, _) in TRAINERS.items():
-        model = fit(data, kernel)
+        model = models[method] = fit(data, kernel)
         assert model.status in STATUSES[method]
         assert np.all(np.isfinite(model.training_log))
         assert np.all(np.isfinite(model.alpha) & (model.alpha > 0))
         assert len(set(model.active_indices)) == len(model.active_indices)
+    vi, ep = models["vi"], models["ep"]
+    assert vi.noise_lengthscale == ep.noise_lengthscale
+    for model in (vi, ep):
+        assert model.noise_signal_variance == 1.0
+        assert model.noise_jitter == 1e-6

@@ -12,33 +12,38 @@ import hetrvm.ep
 import hetrvm.vi
 from hetrvm.data import Dataset, SynthSpec, synth
 from hetrvm.ep import EpConfig, fit_ep
-from hetrvm.kernels import (GpNoisePrior, KernelSpec, _sqdist,
-                            build_design_matrix, gp_covariance)
+from hetrvm.kernels import (GpNoisePrior, KernelSpec, build_design_matrix,
+                            gp_covariance)
 from hetrvm.numerics import chol_solve, gauss_hermite, grad_check
 from hetrvm.rvm import RvmConfig
 from hetrvm.serialize import model_to_dict
 from hetrvm.vi import (VIConfig, VariationalState, _all_sq,
                        _bound_value_grad, _factor, _gram, _weight_fit,
-                       _noise_cov, _sigmoid, _sparsity_quality, bound_gradients,
+                       _sigmoid, _sparsity_quality, bound_gradients,
                        collapsed_bound, expected_loglik, fit_vi, noise_diag,
                        reduced_to_moments, update_alpha, weight_posterior)
 
 
-def make_state(X, eta, log_ell, log_sv, mu0, alpha, active):
-    """Build a consistent VariationalState from unconstrained parameters."""
+def noise_cov(X, log_ell, log_sv):
+    """The noise-GP prior covariance at X for a log lengthscale and a log
+    signal variance, with jitter 1e-6 of the signal variance."""
     sv = float(np.exp(log_sv))
-    prior = GpNoisePrior(
-        mu0=mu0,
+    return gp_covariance(X, GpNoisePrior(
+        mu0=0.0,
         kernel=KernelSpec(family="rbf", lengthscale=float(np.exp(log_ell)),
                           include_bias=False, signal_variance=sv),
-        jitter=1e-6 * sv)
-    K = gp_covariance(X, prior)
+        jitter=1e-6 * sv))
+
+
+def make_state(X, eta, log_ell, log_sv, mu0, alpha, active):
+    """Build a consistent VariationalState from unconstrained parameters;
+    (log_ell, log_sv) fix the prior covariance K and are not stored."""
+    K = noise_cov(X, log_ell, log_sv)
     lam = 0.5 / (1.0 + np.exp(-np.asarray(eta, dtype=float)))
     mu, Sigma = reduced_to_moments(lam, K, mu0)
-    return VariationalState(X=X, mu=mu, Sigma=Sigma, lam=lam,
+    return VariationalState(mu=mu, Sigma=Sigma, lam=lam,
                             alpha=np.asarray(alpha, dtype=float),
-                            active_indices=list(active), mu0=mu0,
-                            log_ell=log_ell, log_sv=log_sv, K=K)
+                            active_indices=list(active), mu0=mu0, K=K)
 
 
 class TestNoiseDiag:
@@ -239,26 +244,28 @@ class TestCollapsedBound:
 
 
 class TestBoundGradients:
+    """The (eta, mu0) gradient against central differences, at random
+    noise-GP hyperparameters that fix K for each state."""
+
     def test_against_finite_differences(self):
         rng = np.random.default_rng(7)
         X = rng.uniform(0, 1, (4, 1))
         Phi = build_design_matrix(X, KernelSpec())
         y = rng.normal(size=4)
         alpha = rng.uniform(0.2, 3.0, 5)
-
-        def unpack(x):
-            return make_state(X, eta=x[:4], log_ell=float(x[4]),
-                              log_sv=float(x[5]), mu0=float(x[6]),
-                              alpha=alpha, active=[0, 1, 2, 3, 4])
-
-        f = lambda x: collapsed_bound(unpack(x), Phi, y)
-        g = lambda x: bound_gradients(unpack(x), Phi, y)
         for _ in range(5):
-            x = np.concatenate([rng.normal(size=4),
-                                rng.uniform(-0.5, 0.5, 2),
-                                rng.normal(size=1)])
-            assert grad_check(f, g, x) < 1e-4
+            eta = rng.normal(size=4)
+            log_ell, log_sv = rng.uniform(-0.5, 0.5, 2)
 
+            def unpack(x):
+                return make_state(X, eta=x[:4], log_ell=log_ell,
+                                  log_sv=log_sv, mu0=float(x[4]),
+                                  alpha=alpha, active=[0, 1, 2, 3, 4])
+
+            f = lambda x: collapsed_bound(unpack(x), Phi, y)
+            g = lambda x: bound_gradients(unpack(x), Phi, y)
+            x = np.append(eta, rng.normal(size=1))
+            assert grad_check(f, g, x) < 1e-4
 
     def test_against_finite_differences_n12(self):
         rng = np.random.default_rng(12)
@@ -267,30 +274,29 @@ class TestBoundGradients:
         y = 2.0 * np.sin(2 * np.pi * X[:, 0]) + 0.3 * rng.normal(size=12)
         active = [0, 2, 3, 5, 7, 8, 11, 12]
         alpha = rng.uniform(0.2, 3.0, len(active))
-
-        def unpack(x):
-            return make_state(X, eta=x[:12], log_ell=float(x[12]),
-                              log_sv=float(x[13]), mu0=float(x[14]),
-                              alpha=alpha, active=active)
-
-        f = lambda x: collapsed_bound(unpack(x), Phi, y)
-        g = lambda x: bound_gradients(unpack(x), Phi, y)
         for _ in range(3):
-            x = np.concatenate([rng.normal(size=12) * 2.0,
-                                rng.uniform(-1.5, 0.0, 1),
-                                rng.uniform(-0.5, 0.5, 1),
-                                rng.normal(size=1)])
+            eta = rng.normal(size=12) * 2.0
+            log_ell = float(rng.uniform(-1.5, 0.0))
+            log_sv = float(rng.uniform(-0.5, 0.5))
+
+            def unpack(x):
+                return make_state(X, eta=x[:12], log_ell=log_ell,
+                                  log_sv=log_sv, mu0=float(x[12]),
+                                  alpha=alpha, active=active)
+
+            f = lambda x: collapsed_bound(unpack(x), Phi, y)
+            g = lambda x: bound_gradients(unpack(x), Phi, y)
+            x = np.append(eta, rng.normal(size=1))
             assert grad_check(f, g, x) < 1e-4
 
 
-def _dense_bound_value_grad(x, D2, Phi_a, alpha, y):
-    """The bound and its gradient with explicit N x N inverses of the
-    collapsed covariance C and of K: the dense form the Woodbury one in
-    hetrvm.vi replaced."""
+def _dense_bound_value_grad(x, K, Phi_a, alpha, y):
+    """The bound and its gradient in [eta, mu0] with an explicit N x N
+    inverse of the collapsed covariance C: the dense form the Woodbury
+    one in hetrvm.vi replaced."""
     n = y.size
-    log_ell, log_sv, mu0 = x[n], x[n + 1], x[n + 2]
+    mu0 = x[n]
     lam = np.clip(0.5 * _sigmoid(x[:n]), 1e-12, 0.5 - 1e-12)
-    K, C = _noise_cov(D2, log_ell, log_sv)
     root = np.sqrt(lam)
     LB = np.linalg.cholesky(np.eye(n) + root[:, None] * K * root[None, :])
     V = sla.solve_triangular(LB, root[:, None] * K, lower=True)
@@ -309,81 +315,52 @@ def _dense_bound_value_grad(x, D2, Phi_a, alpha, y):
     kl = 0.5 * (2.0 * np.sum(np.log(np.diag(LB))) - lam @ sdiag + v @ Kv)
     fval = f1 - 0.25 * np.sum(sdiag) - kl
 
-    eye = np.eye(n)
-    Cinv = sla.cho_solve((Lc, True), eye)
+    Cinv = sla.cho_solve((Lc, True), np.eye(n))
     u = 0.5 * (beta**2 - np.diag(Cinv)) * r
-    Kinv = np.linalg.inv(K)
     fs = -0.5 * u - 0.25 + 0.5 * lam
     g_lam = K @ u + ((-fs)[:, None] * Sigma**2).sum(axis=0) - Kv
-    S = eye - Sigma * lam[None, :]
-    M = (np.outer(u, v) + S.T @ (fs[:, None] * S)
-         + 0.5 * Kinv @ Sigma @ Kinv - 0.5 * np.outer(v, v) - 0.5 * Kinv)
-    dK_dlog_ell = np.exp(log_sv) * C * (D2 / np.exp(log_ell) ** 2)
-    grad = np.concatenate([g_lam * lam * (1.0 - 2.0 * lam),
-                           [np.sum(M * dK_dlog_ell), np.sum(M * K),
-                            np.sum(u)]])
+    grad = np.append(g_lam * lam * (1.0 - 2.0 * lam), np.sum(u))
     return fval, grad
 
 
 def _wide_noise_case(m, seed, n=40):
-    """Packed point x whose effective noise r spans 1e-6 to 1e3, with m
-    of the N+1 basis columns at precisions from e^-3 to e^3 and targets
-    drawn from the model at that noise."""
+    """Packed point x = [eta, mu0] and prior covariance K whose effective
+    noise r spans 1e-6 to 1e3, with m of the N+1 basis columns at
+    precisions from e^-3 to e^3 and targets drawn from the model at that
+    noise."""
     rng = np.random.default_rng(seed)
     X = np.linspace(0.0, 1.0, n)[:, None]
-    D2 = _sqdist(X, X)
     Phi = build_design_matrix(X, KernelSpec(lengthscale=0.3))
     Phi_a = Phi[:, np.sort(rng.choice(n + 1, m, replace=False))]
     alpha = np.exp(rng.uniform(-3, 3, m))
-    x = np.concatenate([np.linspace(-6, 6, n),
-                        [np.log(0.2), 1.05, np.log(1e3) + 0.9]])
-    K, _ = _noise_cov(D2, x[n], x[n + 1])
-    mu, Sigma = reduced_to_moments(0.5 * _sigmoid(x[:n]), K, x[n + 2])
+    x = np.append(np.linspace(-6, 6, n), np.log(1e3) + 0.9)
+    K = noise_cov(X, np.log(0.2), 1.05)
+    mu, Sigma = reduced_to_moments(0.5 * _sigmoid(x[:n]), K, x[n])
     r = noise_diag(mu, Sigma)
     y = (Phi_a @ (rng.normal(size=m) / np.sqrt(alpha))
          + np.sqrt(r) * rng.normal(size=n))
-    return x, D2, Phi_a, alpha, y, r
+    return x, K, Phi_a, alpha, y, r
 
 
 class TestBoundAgainstDenseInverses:
-    """The Woodbury bound and gradient against the explicit C^-1 / K^-1
-    formulas, with the noise spanning nine decades and m > N, m < N and
-    m = 1."""
+    """The Woodbury bound and gradient against the explicit C^-1 formula,
+    with the noise spanning nine decades and m > N, m < N and m = 1."""
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("m", [41, 10, 1])
     def test_matches_dense_form(self, m, seed):
-        x, D2, Phi_a, alpha, y, r = _wide_noise_case(m, seed)
+        x, K, Phi_a, alpha, y, r = _wide_noise_case(m, seed)
         assert r.min() <= 1e-6 and r.max() >= 1e3
-        f, g = _bound_value_grad(x, D2, Phi_a, alpha, y)
-        f_ref, g_ref = _dense_bound_value_grad(x, D2, Phi_a, alpha, y)
+        f, g = _bound_value_grad(x, K, Phi_a, alpha, y)
+        f_ref, g_ref = _dense_bound_value_grad(x, K, Phi_a, alpha, y)
         assert f == pytest.approx(f_ref, rel=1e-9)
         err = np.abs(g - g_ref) / np.maximum(1.0, np.abs(g_ref))
         assert np.max(err) < 1e-7
 
 
-class TestQOnlyBound:
-    """``fit_vi`` holds (log_ell, log_sv) and passes the K it built once;
-    that evaluation returns the full call's value and q(g)/mu0 gradient
-    entries, to the bit, and leaves the held entries nan."""
-
-    @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("m", [41, 10, 1])
-    def test_matches_full_call(self, m, seed):
-        x, D2, Phi_a, alpha, y, _ = _wide_noise_case(m, seed)
-        n = y.size
-        f, g = _bound_value_grad(x, D2, Phi_a, alpha, y)
-        K, _ = _noise_cov(D2, x[n], x[n + 1])
-        f_q, g_q = _bound_value_grad(x, D2, Phi_a, alpha, y, K)
-        assert f_q == f
-        assert np.array_equal(g_q[:n], g[:n]) and g_q[n + 2] == g[n + 2]
-        assert np.all(np.isnan(g_q[n:n + 2]))
-
-
 def _dense_sparsity_quality(Phi_a, alpha, r, y, j):
     """(s_j, q_j) from a dense Cholesky of C_-j = diag(r) +
-    sum_{i != j} phi_i phi_i^T / alpha_i, as rvm.sparsity_quality does
-    for constant noise."""
+    sum_{i != j} phi_i phi_i^T / alpha_i."""
     C = np.diag(r)
     for i in range(alpha.size):
         if i != j:
