@@ -3,8 +3,7 @@ heteroscedastic generators."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,12 +52,10 @@ class Standardization:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Inputs X (N x Q) and targets y (N), plus the standardization that
-    produced them (None for raw data)."""
+    """Inputs X (N x Q) and targets y (N)."""
 
     X: np.ndarray
     y: np.ndarray
-    standardization: Optional[Standardization] = field(default=None)
 
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.X, dtype=float))
@@ -101,12 +98,13 @@ def _location_scale(v, name):
 def standardize(data: Dataset):
     """Map each X column and y to zero mean / unit standard deviation
     (population sd, denominator N).  A constant column or target keeps
-    scale 1 and is centred at its value (see _location_scale)."""
+    scale 1 and is centred at its value (see _location_scale).  Returns
+    the standardized dataset and the :class:`Standardization` that maps
+    back."""
     x_mean, x_scale = _location_scale(data.X, "input column {}")
     y_mean, y_scale = map(float, _location_scale(data.y, "the target"))
     record = Standardization(x_mean, x_scale, y_mean, y_scale)
-    out = Dataset(record.apply_x(data.X), record.apply_y(data.y), record)
-    return out, record
+    return Dataset(record.apply_x(data.X), record.apply_y(data.y)), record
 
 
 def load_csv(path, has_header: bool = True, target_column=None) -> Dataset:

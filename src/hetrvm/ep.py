@@ -11,8 +11,9 @@ are refined in parallel passes (Minka 2001; Cseke & Heskes, JMLR 2011):
 every cavity is taken from the current marginals, all tilted moments
 come from one Gauss-Hermite grid over the cavities, every site is damped
 on natural parameters, and q(g) is refreshed once.  Between passes the
-weight posterior and the basis are refreshed exactly as in the
-variational trainer, by Tipping & Faul's selection at the new noise.
+basis and the weight posterior are refreshed exactly as in the
+variational trainer, by Tipping & Faul's selection at the new noise;
+the next pass reads m_n from the posterior the selection returns.
 
 q(g) comes from the variational trainer's reduced-covariance routine:
 with the site precisions in place of its diagonal parameters,
@@ -37,7 +38,9 @@ from .numerics import (FactorizationError, chol_factor, chol_solve,
                        gauss_hermite)
 from .vi import (_check_loop, _constant, _degenerate, _finish, _gp_noise,
                  _reduced_cov, _setup, _standardized, noise_diag,
-                 update_alpha, weight_posterior)
+                 update_alpha)
+# kept for perfbench's tracer until ROADMAP item 3
+from .vi import weight_posterior  # noqa: F401
 
 __all__ = [
     "EpConfig",
@@ -255,10 +258,11 @@ def fit_ep(data: Dataset, kernel: Optional[KernelSpec] = None,
     prev_change = np.inf
     osc = 0
     r = noise_diag(post_mu, post_Sigma)  # kept current below
-    active, alpha, _ = update_alpha(active, alpha, Phi, r, y, config.tol)
+    active, alpha, _, posterior = update_alpha(active, alpha, Phi, r, y,
+                                               config.tol)
     for n_pass in range(1, config.max_passes + 1):
         Phi_a = Phi[:, active]
-        mu_w, Sigma_w = weight_posterior(Phi_a, alpha, r, y)
+        mu_w, Sigma_w = posterior
         resid = y - Phi_a @ mu_w
         m_hat = resid**2 + np.sum((Phi_a @ Sigma_w) * Phi_a, axis=1)
 
@@ -274,7 +278,8 @@ def fit_ep(data: Dataset, kernel: Optional[KernelSpec] = None,
             K, mu0, site_prec, site_nu, site_logz, prior=prior)
 
         r = noise_diag(post_mu, post_Sigma)
-        active, alpha, _ = update_alpha(active, alpha, Phi, r, y, config.tol)
+        active, alpha, _, posterior = update_alpha(active, alpha, Phi, r, y,
+                                                   config.tol)
         training_log.append(logz)
 
         if change < config.tol:
@@ -288,7 +293,7 @@ def fit_ep(data: Dataset, kernel: Optional[KernelSpec] = None,
                 break
             damping, halved, osc = 0.5 * damping, True, 0
 
-    return _finish("ep", kernel, work, Phi, record, active, alpha, r,
+    return _finish("ep", kernel, work, record, active, alpha, posterior,
                    _gp_noise(noise_prior, post_mu, post_Sigma),
                    training_log=training_log, status=status, n_iter=n_pass,
                    config=asdict(config))

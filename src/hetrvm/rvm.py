@@ -62,9 +62,11 @@ def fit_rvm(data: Dataset, kernel: Optional[KernelSpec] = None,
     status = "max_iter"
     for n_iter in range(1, config.max_iter + 1):
         r = np.full(n, sigma2)
-        active, alpha, ev = update_alpha(active, alpha, Phi, r, y, config.tol)
+        active, alpha, ev, _ = update_alpha(active, alpha, Phi, r, y,
+                                            config.tol)
         Phi_a = Phi[:, active]
         _, mu_w, Sigma_w = _weight_fit(Phi_a, alpha, r, y)
+        posterior = mu_w, Sigma_w  # the model's, unless the trial wins
 
         # noise re-estimate, accepted only when it does not lower the
         # evidence
@@ -74,10 +76,11 @@ def fit_rvm(data: Dataset, kernel: Optional[KernelSpec] = None,
         if dof > 1e-8:
             sigma2_new = float(resid @ resid) / dof
             if sigma2_new > 1e-12:
-                trial = _weight_fit(Phi_a, alpha, np.full(n, sigma2_new), y)[0]
+                trial, *fit = _weight_fit(Phi_a, alpha,
+                                          np.full(n, sigma2_new), y)
                 if trial >= ev - 1e-10:
                     moved = abs(np.log(sigma2_new / sigma2))
-                    sigma2, ev = sigma2_new, trial
+                    sigma2, ev, posterior = sigma2_new, trial, fit
 
         gain = ev - log[-1] if log else np.inf
         log.append(ev)
@@ -85,7 +88,7 @@ def fit_rvm(data: Dataset, kernel: Optional[KernelSpec] = None,
             status = "converged"
             break
 
-    return _finish("rvm", kernel, work, Phi, record, active, alpha,
-                   np.full(n, sigma2), _clamped_noise(n, sigma2),
+    return _finish("rvm", kernel, work, record, active, alpha, posterior,
+                   _clamped_noise(n, sigma2),
                    training_log=log, status=status, n_iter=n_iter,
                    config=asdict(config))

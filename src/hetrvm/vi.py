@@ -33,13 +33,16 @@ evidence gain.
 One basis selection, whose deletes are the only pruning rule, one weight
 fit (the posterior and the evidence log N(y | 0, Phi A^-1 Phi^T + R)
 from one factorization) and one model finish: every trainer uses these,
-EP as they are and the RVM with R = sigma2 I.  The evidence is evaluated
-through the m x m weight precision (Woodbury), never the N x N
-covariance, and so is the bound's gradient: it needs C^-1 y and
-diag(C^-1) only, and no N x N inverse of C or K is formed.  The N x N
-work left per bound evaluation is the q(g) block (the Cholesky factor of
-I + Lam^1/2 K Lam^1/2 and Sigma from it).  Within one outer iteration
-every distinct point is evaluated once.
+EP as they are and the RVM with R = sigma2 I; a model keeps the weight
+posterior its trainer last fitted.  The evidence is evaluated through
+the m x m weight precision (Woodbury), never the N x N covariance, and
+so is the bound's gradient: it needs C^-1 y and diag(C^-1) only, and no
+N x N inverse of C or K is formed.  The N x N work left per bound
+evaluation is one q(g) routine, ``_q_point``: from one Cholesky factor
+of I + Lam^1/2 K Lam^1/2 it gives q(g), the effective noise and the
+bound's q(g) terms, to L-BFGS and to ``training_log`` alike.  Only
+``collapsed_bound``, the dense oracle of the tests, factors K and Sigma.
+Within one outer iteration every distinct point is evaluated once.
 
 L-BFGS is ``scipy.optimize.minimize``, reached through this module's
 ``minimize``, which imports the optimizer on its first call.  Loading
@@ -55,7 +58,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .data import Dataset, Standardization, standardize
+from .data import DataError, Dataset, Standardization, standardize
 from .kernels import (GpNoisePrior, KernelSpec, build_design_matrix,
                       gp_covariance, _sqdist)
 from .model import HrvmModel
@@ -68,9 +71,7 @@ __all__ = [
     "noise_diag",
     "expected_loglik",
     "weight_posterior",
-    "reduced_to_moments",
     "collapsed_bound",
-    "bound_gradients",
     "update_alpha",
     "fit_vi",
 ]
@@ -113,7 +114,6 @@ class VariationalState:
 
     mu: np.ndarray
     Sigma: np.ndarray
-    lam: np.ndarray              # diagonal reduced parameter, in (0, 1/2)
     alpha: np.ndarray
     active_indices: List[int]
     mu0: float
@@ -215,17 +215,6 @@ def weight_posterior(Phi_a, alpha, r, y):
     return _weight_fit(np.asarray(Phi_a, dtype=float), alpha, r, y)[1:]
 
 
-def reduced_to_moments(lam, K, mu0):
-    """Moments of q(g) from the diagonal reduced parameterization:
-    Sigma = (K^-1 + diag(lam))^-1, mu = K (lam - 1/2) + mu0 1."""
-    lam = np.asarray(lam, dtype=float).ravel()
-    if np.any(lam <= 0.0) or np.any(lam >= 0.5):
-        raise ValueError("reduced parameters must lie in (0, 1/2)")
-    Sigma, _ = _reduced_cov(lam, K)
-    mu = K @ (lam - 0.5) + mu0
-    return mu, Sigma
-
-
 def _reduced_cov(lam, K):
     """Sigma = (K^-1 + diag(lam))^-1 = K - K Lam^1/2 B^-1 Lam^1/2 K and
     the Cholesky factor of B = I + Lam^1/2 K Lam^1/2."""
@@ -235,6 +224,25 @@ def _reduced_cov(lam, K):
     V = lower_solve(LB, root[:, None] * K)
     Sigma = K - V.T @ V
     return 0.5 * (Sigma + Sigma.T), LB
+
+
+def _q_point(lam, mu0, K):
+    """q(g) at reduced parameters lam in (0, 1/2) and prior mean mu0, from
+    one factor of B = I + Lam^1/2 K Lam^1/2: Sigma = (K^-1 + diag(lam))^-1,
+    mu = K v + mu0 with v = lam - 1/2, K v, the effective noise
+    r = exp(mu - diag(Sigma)/2) (exponent clipped at +-700) and the
+    bound's q(g) terms trq = tr(Sigma)/4 and
+    kl = KL(q || N(mu0 1, K)) = (log|B| - lam^T diag(Sigma) + v^T K v)/2.
+    Returns (mu, Sigma, Kv, r, trq, kl)."""
+    Sigma, LB = _reduced_cov(lam, K)
+    sdiag = np.diag(Sigma)
+    v = lam - 0.5
+    Kv = K @ v
+    mu = Kv + mu0
+    r = np.exp(np.clip(mu - 0.5 * sdiag, -700.0, 700.0))
+    logdet_B = 2.0 * np.sum(np.log(np.diag(LB)))
+    kl = 0.5 * (logdet_B - float(lam @ sdiag) + float(v @ Kv))
+    return mu, Sigma, Kv, r, 0.25 * float(np.sum(sdiag)), float(kl)
 
 
 def collapsed_bound(state: VariationalState, Phi, y) -> float:
@@ -269,17 +277,8 @@ def _bound_value_grad(x, K, Phi_a, alpha, y):
     x = [eta (N), mu0] with lam = sigmoid(eta)/2, under the noise-GP
     prior covariance K."""
     n = y.size
-    eta, mu0 = x[:n], x[n]
-    lam = 0.5 * _sigmoid(eta)
-    lam = np.clip(lam, 1e-12, 0.5 - 1e-12)
-    Sigma, LB = _reduced_cov(lam, K)
-    sdiag = np.diag(Sigma)
-    v = lam - 0.5
-    Kv = K @ v
-    mu = Kv + mu0
-
-    expo = np.clip(mu - 0.5 * sdiag, -700.0, 700.0)
-    r = np.exp(expo)
+    lam = np.clip(0.5 * _sigmoid(x[:n]), 1e-12, 0.5 - 1e-12)
+    _, Sigma, Kv, r, trq, kl = _q_point(lam, x[n], K)
 
     # evidence, beta = C^-1 y and diag(C^-1) through the m x m weight
     # precision: C^-1 = R^-1 - W^T W with W = L^-1 Phi^T R^-1
@@ -289,10 +288,7 @@ def _bound_value_grad(x, K, Phi_a, alpha, y):
     W = lower_solve(L, Phir.T)
     beta = y / r - W.T @ vb
     cinv_diag = 1.0 / r - np.sum(W**2, axis=0)
-
-    logdet_B = 2.0 * np.sum(np.log(np.diag(LB)))
-    kl = 0.5 * (logdet_B - float(lam @ sdiag) + float(v @ Kv))
-    fval = f1 - 0.25 * float(np.sum(sdiag)) - kl
+    fval = f1 - trq - kl
 
     # gradient pieces
     d = 0.5 * (beta**2 - cinv_diag)
@@ -302,21 +298,6 @@ def _bound_value_grad(x, K, Phi_a, alpha, y):
     g_lam = K @ u + ((-fs)[:, None] * Sigma**2).sum(axis=0) - Kv
     g_eta = g_lam * lam * (1.0 - 2.0 * lam)
     return fval, np.append(g_eta, np.sum(u))
-
-
-def bound_gradients(state: VariationalState, Phi, y):
-    """Analytic gradient of the bound in the packed coordinates
-    [eta (the unconstrained reduced parameters), mu0], evaluated at the
-    state under its prior covariance ``state.K``."""
-    Phi = np.asarray(Phi, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    Phi_a = Phi[:, state.active_indices]
-    x = np.append(_eta_from_lam(state.lam), state.mu0)
-    _, grad = _bound_value_grad(x, state.K, Phi_a, state.alpha, y)
-    if not np.all(np.isfinite(grad)):
-        bad = int(np.argmax(~np.isfinite(grad)))
-        raise FloatingPointError(f"non-finite bound gradient at coordinate {bad}")
-    return grad
 
 
 def _sparsity_quality(G, Sigma_w, mu_w):
@@ -333,16 +314,17 @@ def _sparsity_quality(G, Sigma_w, mu_w):
     return np.sum(Sigma_w * G, axis=1) / d, mu_w / d
 
 
-def _all_sq(G, d, c, active, L):
+def _all_sq(G, d, c, active, L, posterior):
     """Every column's (s_j, q_j) under noise diag(r), with column j left
     out of C, from G = Phi^T R^-1 Phi_a, d = diag(Phi^T R^-1 Phi),
-    c = Phi^T R^-1 y and the factor L of the weight precision H.
+    c = Phi^T R^-1 y, the factor L of the weight precision H and the
+    weight posterior (mu_w, Sigma_w) from it.
 
     Outside the model s = d - |L^-1 G^T|^2 (Woodbury through L, not the
     explicit Sigma_w, whose subtraction lost up to 2.5e-6 relative on a
     column nearly in the active span) and q = c - G mu_w; the columns in
     it take :func:`_sparsity_quality`."""
-    mu_w, Sigma_w = _posterior(L, c[active])
+    mu_w, Sigma_w = posterior
     s = d.copy()
     if L is not None:
         s -= np.sum(lower_solve(L, G.T) ** 2, axis=0)
@@ -382,7 +364,9 @@ def update_alpha(active, alpha, Phi, r, y, tol: float):
     the evidence are formed once per call; each state then costs one
     m x m factorization, which scores it and gives every column's (s, q).
     Start precisions that do not factor raise
-    :class:`FactorizationError`.  Returns (active, alpha, log evidence)."""
+    :class:`FactorizationError`.  Returns (active, alpha, log evidence,
+    (mu_w, Sigma_w)): the state the selection stops at, its evidence and
+    its weight posterior, so no caller factors that state again."""
     active, alpha = list(active), np.asarray(alpha, dtype=float).copy()
     Phir = Phi / r[:, None]
     d = np.sum(Phi * Phir, axis=0)
@@ -392,12 +376,14 @@ def update_alpha(active, alpha, Phi, r, y, tol: float):
         G = Phi.T @ Phir[:, active]
         L = _factor(G[active], alpha)
         ev, _ = _evidence(L, c[active], alpha, r, y, noise)
+        posterior = _posterior(L, c[active])
         a_old = np.full(Phi.shape[1], np.inf)
         a_old[active] = alpha
-        a_new, gain = _actions(*_all_sq(G, d, c, active, L), a_old)
+        a_new, gain = _actions(*_all_sq(G, d, c, active, L, posterior),
+                               a_old)
         j = int(np.argmax(gain))
         if gain[j] <= max(tol * (1.0 + abs(ev)), 1e-12):
-            return active, alpha, ev
+            return active, alpha, ev, posterior
         if np.isinf(a_old[j]):  # add
             active.append(j)
             alpha = np.append(alpha, a_new[j])
@@ -419,17 +405,21 @@ def _setup(work: Dataset):
     """Starting point shared by fit_vi and fit_ep: the empty basis, and
     the noise-GP prior at the median-distance lengthscale, unit signal
     variance, jitter 1e-6 and mu0 = log(0.1 var y), with its covariance
-    K at the training inputs.
-
-    Returns (active, alpha, prior, K)."""
+    K at the training inputs.  Returns (active, alpha, prior, K)."""
     n = work.n
     if n < 3:
         raise ValueError("need at least 3 points")
     D2 = _sqdist(work.X, work.X)
     off = D2[np.triu_indices(n, k=1)]
     ell0 = float(np.sqrt(np.median(off[off > 0]))) if np.any(off > 0) else 1.0
+    try:
+        kernel = KernelSpec(lengthscale=ell0, include_bias=False)
+    except ValueError as exc:  # its square leaves the float range
+        raise DataError(f"the noise GP's lengthscale, the median input "
+                        f"distance {ell0:.3g}, is out of range; rescale "
+                        "the inputs") from exc
     mu0 = float(np.log(0.1 * max(float(np.var(work.y)), 1e-12)))
-    prior = GpNoisePrior(mu0, KernelSpec(lengthscale=ell0, include_bias=False))
+    prior = GpNoisePrior(mu0, kernel)
     return [], np.zeros(0), prior, gp_covariance(work.X, prior)
 
 
@@ -451,13 +441,13 @@ def _clamped_noise(n, sigma2):
                      np.full(n, log_s2), np.zeros((n, n)))
 
 
-def _finish(method, kernel, work, Phi, record, active, alpha, r, noise,
+def _finish(method, kernel, work, record, active, alpha, posterior, noise,
             **fit):
-    """The model the trainers return: the weight posterior refit at the
-    final active set, precisions and effective noise r, the noise fields
-    ``noise`` (:func:`_gp_noise`), the record ``fit`` of the run, and a
-    copy of the training inputs ``work.X`` (Phi's centres)."""
-    mu_w, Sigma_w = weight_posterior(Phi[:, active], alpha, r, work.y)
+    """The model the trainers return: the final active set, precisions
+    and weight posterior (mu_w, Sigma_w), the noise fields ``noise``
+    (:func:`_gp_noise`), the record ``fit`` of the run, and a copy of the
+    training inputs ``work.X`` (the basis centres)."""
+    mu_w, Sigma_w = posterior
     return HrvmModel(method=method, kernel=kernel, centers=work.X.copy(),
                      active_indices=list(active), alpha=alpha, mu_w=mu_w,
                      Sigma_w=Sigma_w, standardization=record, **noise, **fit)
@@ -488,9 +478,11 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
     are held); then Tipping & Faul's basis selection at the new noise
     (``update_alpha``, stopped at ``config.tol``), whose deletes prune
     the basis.  The basis is first selected once at the start q(g), so
-    q(g) never fits y with an empty basis.  With ``config.clamp_g`` set, q(g) stays a point mass and only
-    the basis selection runs.  The second ascent that fails without
-    progress ends the fit as ``stalled``.
+    q(g) never fits y with an empty basis.  With ``config.clamp_g`` set,
+    q(g) stays a point mass and only the basis selection runs.  The
+    second ascent that fails without progress ends the fit as
+    ``stalled``.  ``training_log`` holds the bound L-BFGS maximizes, at
+    the end of each outer iteration.
 
     q(g) starts at lam = 1/2 - 1/(4 K 1), which puts the start log-noise
     near mu0 - 1/4 at every N: a constant lam makes it fall as the rows
@@ -508,13 +500,13 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
     lam = 0.5 - 0.25 / K.sum(axis=1)
 
     clamp = config.clamp_g
-    if clamp is None:
-        mu, Sigma = reduced_to_moments(lam, K, mu0)
-    else:
-        mu = np.full(n, float(clamp))
-        Sigma = np.zeros((n, n))
-    r = noise_diag(mu, Sigma)  # kept current with q(g) below
-    active, alpha, _ = update_alpha(active, alpha, Phi, r, y, config.tol)
+    if clamp is None:  # q(g), r and its bound terms, kept current below
+        mu, Sigma, _, r, trq, kl = _q_point(lam, mu0, K)
+    else:  # a point mass, whose bound terms are 0
+        mu, Sigma = np.full(n, float(clamp)), np.zeros((n, n))
+        r, trq, kl = noise_diag(mu, Sigma), 0.0, 0.0
+    active, alpha, _, posterior = update_alpha(active, alpha, Phi, r, y,
+                                               config.tol)
 
     training_log: List[float] = []
     status = "max_iter"
@@ -555,16 +547,13 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
             if -negf(res.x)[0] >= f0:
                 lam = np.clip(0.5 * _sigmoid(res.x[:n]), 1e-12, 0.5 - 1e-12)
                 mu0 = float(res.x[n])
-            mu, Sigma = reduced_to_moments(lam, K, mu0)
-            r = noise_diag(mu, Sigma)
+            mu, Sigma, _, r, trq, kl = _q_point(lam, mu0, K)
 
         # the evidence at the new precisions is update_alpha's; the bound
-        # adds collapsed_bound's q(g) terms, in the same order
-        active, alpha, fval = update_alpha(active, alpha, Phi, r, y,
-                                           config.tol)
-        if clamp is None:
-            fval = (fval - 0.25 * float(np.trace(Sigma))
-                    - gauss_kl(mu, Sigma, np.full(n, mu0), K))
+        # subtracts the q(g) terms in _bound_value_grad's order
+        active, alpha, ev, posterior = update_alpha(active, alpha, Phi, r,
+                                                    y, config.tol)
+        fval = ev - trq - kl
         training_log.append(fval)
 
         if status == "stalled":
@@ -574,7 +563,7 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
             break
         f_prev = fval
 
-    return _finish("vi", kernel, work, Phi, record, active, alpha, r,
+    return _finish("vi", kernel, work, record, active, alpha, posterior,
                    _gp_noise(replace(prior, mu0=mu0), mu, Sigma),
                    training_log=training_log, status=status, n_iter=it + 1,
                    config=asdict(config))

@@ -23,9 +23,8 @@ from hetrvm.numerics import gauss_hermite, grad_check
 from hetrvm.predict import nlpd, predict
 from hetrvm.rvm import fit_rvm
 from hetrvm.serialize import load_model, model_to_dict, save_model
-from hetrvm.vi import VIConfig, VariationalState, bound_gradients, \
-    collapsed_bound, expected_loglik, fit_vi, reduced_to_moments, \
-    weight_posterior
+from hetrvm.vi import VIConfig, VariationalState, _bound_value_grad, \
+    _q_point, collapsed_bound, expected_loglik, fit_vi
 
 # np.trapezoid is new in numpy 2.0; pyproject.toml accepts numpy 1.24
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -55,8 +54,8 @@ def make_state(X, eta, log_ell, log_sv, mu0, alpha, active):
         jitter=1e-6 * sv)
     K = gp_covariance(X, prior)
     lam = 0.5 / (1.0 + np.exp(-np.asarray(eta, dtype=float)))
-    mu, Sigma = reduced_to_moments(lam, K, mu0)
-    return VariationalState(mu=mu, Sigma=Sigma, lam=lam,
+    mu, Sigma = _q_point(lam, mu0, K)[:2]
+    return VariationalState(mu=mu, Sigma=Sigma,
                             alpha=np.asarray(alpha, dtype=float),
                             active_indices=list(active), mu0=mu0, K=K)
 
@@ -200,10 +199,11 @@ def test_criterion_4_bound_monotonicity(goldberg_fits):
 
 
 def test_criterion_5_gradient_correctness():
-    """Analytic bound gradients in (eta, mu0) match central differences
-    to 1e-4 on 50 random interior states, N <= 6.  The noise-GP
-    hyperparameters (random per state) are inputs of the bound, through
-    its prior covariance K, not variables of it."""
+    """The analytic bound gradient in (eta, mu0) that L-BFGS reads
+    matches central differences of the dense bound to 1e-4 on 50 random
+    interior states, N <= 6.  The noise-GP hyperparameters (random per
+    state) are inputs of the bound, through its prior covariance K, not
+    variables of it."""
     rng = np.random.default_rng(2)
     worst = 0.0
     for _ in range(50):
@@ -221,8 +221,10 @@ def test_criterion_5_gradient_correctness():
                               mu0=float(x[n]), alpha=alpha, active=active)
 
         x = np.append(eta, rng.normal(size=1) * 0.5)
+        K = unpack(x).K  # fixed by (log_ell, log_sv), not by x
         err = grad_check(lambda v: collapsed_bound(unpack(v), Phi, y),
-                         lambda v: bound_gradients(unpack(v), Phi, y), x)
+                         lambda v: _bound_value_grad(v, K, Phi, alpha, y)[1],
+                         x)
         worst = max(worst, err)
     verdict(5, "gradient correctness", worst < 1e-4,
             f"max relative error {worst:.2e} over 50 states")

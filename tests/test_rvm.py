@@ -288,8 +288,8 @@ class TestFitRvm:
         assert len(set(within)) == len(within)
         # each call factors its start state, then one state per action
         assert len(within) - calls[0] >= 10
-        # plus the refit after a final pruning
-        assert len(states) - len(within) <= 2 * model.n_iter + 1
+        # and the model keeps the posterior of its last fit, unrefitted
+        assert len(states) - len(within) <= 2 * model.n_iter
 
     def test_sparse_on_structured_data(self):
         data, _ = synth(SynthSpec(generator="goldberg_sine", n=60, seed=0))

@@ -6,13 +6,14 @@ from hypothesis import given, settings, strategies as hst
 
 import hetrvm.ep
 import hetrvm.vi
-from hetrvm.data import Dataset, SynthSpec, synth
+from hetrvm.data import DataError, Dataset, SynthSpec, synth
 from hetrvm.ep import EpConfig, fit_ep
-from hetrvm.kernels import KernelSpec, gp_covariance
+from hetrvm.kernels import KernelSpec, build_design_matrix, gp_covariance
 from hetrvm.predict import predict
 from hetrvm.rvm import RvmConfig, fit_rvm
 from hetrvm.serialize import load_model, save_model
-from hetrvm.vi import VIConfig, fit_vi
+from hetrvm.vi import (VIConfig, VariationalState, collapsed_bound, fit_vi,
+                       noise_diag, weight_posterior)
 
 TRAINERS = {"rvm": (fit_rvm, RvmConfig), "vi": (fit_vi, VIConfig),
             "ep": (fit_ep, EpConfig)}
@@ -96,6 +97,68 @@ def test_training_and_prediction_share_one_noise_prior(monkeypatch, module,
     (K,) = built
     assert np.array_equal(gp_covariance(model.centers, model.noise_prior()),
                           K)
+
+
+def _training_arrays(model, data):
+    """The design matrix and target a model was fitted to, in its
+    standardized units."""
+    Phi = build_design_matrix(model.centers, model.kernel)
+    return Phi, model.standardization.apply_y(data.y)
+
+
+@pytest.mark.parametrize("generator", ["goldberg_sine", "linear_het",
+                                       "const_noise"])
+@pytest.mark.parametrize("method", ["rvm", "vi", "ep"])
+def test_model_keeps_the_posterior_of_its_final_state(method, generator):
+    # the trainer hands the model the weight posterior it last fitted,
+    # without a refit: it is the one of the final basis, precisions and
+    # noise
+    fit, _ = TRAINERS[method]
+    data, _ = synth(SynthSpec(generator=generator, n=60, seed=0))
+    model = fit(data, KernelSpec(lengthscale=0.3))
+    assert model.status == "converged" and model.active_indices
+    Phi, y = _training_arrays(model, data)
+    r = noise_diag(model.g_mu, model.g_Sigma)
+    mu_w, Sigma_w = weight_posterior(Phi[:, model.active_indices],
+                                     model.alpha, r, y)
+    np.testing.assert_allclose(model.mu_w, mu_w, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(model.Sigma_w, Sigma_w, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("generator", ["goldberg_sine", "linear_het",
+                                       "const_noise"])
+def test_vi_logs_the_bound_at_its_final_state(generator):
+    # the last logged bound, from the reduced-system factor L-BFGS uses,
+    # is the dense collapsed bound at the state the model returns
+    data, _ = synth(SynthSpec(generator=generator, n=60, seed=0))
+    model = fit_vi(data, KernelSpec(lengthscale=0.3))
+    assert model.status == "converged"
+    Phi, y = _training_arrays(model, data)
+    state = VariationalState(
+        mu=model.g_mu, Sigma=model.g_Sigma, alpha=model.alpha,
+        active_indices=model.active_indices, mu0=model.noise_mu0,
+        K=gp_covariance(model.centers, model.noise_prior()))
+    assert model.training_log[-1] == pytest.approx(
+        collapsed_bound(state, Phi, y), rel=1e-9, abs=0)
+
+
+def _finely_spaced(spacing):
+    """20 unstandardized inputs ``spacing`` apart, with a sine target."""
+    X = spacing * np.arange(20.0)[:, None]
+    return Dataset(X, np.sin(np.arange(20.0)))
+
+
+@pytest.mark.parametrize("fit, config", [(fit_vi, VIConfig),
+                                         (fit_ep, EpConfig)])
+def test_noise_lengthscale_out_of_range_is_a_data_error(fit, config):
+    # the noise GP's lengthscale is the median input distance, which the
+    # caller never sets: at a spacing of 1e-160 its square underflows
+    with pytest.raises(DataError, match="noise GP's lengthscale"):
+        fit(_finely_spaced(1e-160), KernelSpec(),
+            config(standardize=False))
+    model = fit(_finely_spaced(1e-150), KernelSpec(),
+                config(standardize=False))
+    assert model.status == "converged"
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)

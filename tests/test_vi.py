@@ -18,10 +18,10 @@ from hetrvm.numerics import chol_solve, gauss_hermite, grad_check
 from hetrvm.rvm import RvmConfig
 from hetrvm.serialize import model_to_dict
 from hetrvm.vi import (VIConfig, VariationalState, _all_sq,
-                       _bound_value_grad, _factor, _gram, _weight_fit,
-                       _sigmoid, _sparsity_quality, bound_gradients,
+                       _bound_value_grad, _factor, _gram, _posterior,
+                       _q_point, _weight_fit, _sigmoid, _sparsity_quality,
                        collapsed_bound, expected_loglik, fit_vi, noise_diag,
-                       reduced_to_moments, update_alpha, weight_posterior)
+                       update_alpha, weight_posterior)
 
 
 def noise_cov(X, log_ell, log_sv):
@@ -40,8 +40,8 @@ def make_state(X, eta, log_ell, log_sv, mu0, alpha, active):
     (log_ell, log_sv) fix the prior covariance K and are not stored."""
     K = noise_cov(X, log_ell, log_sv)
     lam = 0.5 / (1.0 + np.exp(-np.asarray(eta, dtype=float)))
-    mu, Sigma = reduced_to_moments(lam, K, mu0)
-    return VariationalState(mu=mu, Sigma=Sigma, lam=lam,
+    mu, Sigma = _q_point(lam, mu0, K)[:2]
+    return VariationalState(mu=mu, Sigma=Sigma,
                             alpha=np.asarray(alpha, dtype=float),
                             active_indices=list(active), mu0=mu0, K=K)
 
@@ -176,14 +176,16 @@ class TestOneEvidence:
 
 
 class TestReducedToMoments:
+    """The moments _q_point gives the reduced parameters."""
+
     def test_identity_prior_quarter(self):
-        mu, Sigma = reduced_to_moments(np.full(2, 0.25), np.eye(2), 0.0)
+        mu, Sigma = _q_point(np.full(2, 0.25), 0.0, np.eye(2))[:2]
         np.testing.assert_allclose(Sigma, 0.8 * np.eye(2), atol=1e-12)
         np.testing.assert_allclose(mu, [-0.25, -0.25], atol=1e-12)
 
     def test_half_limit_mean_is_mu0(self):
         lam = np.full(3, 0.5 - 1e-12)
-        mu, _ = reduced_to_moments(lam, 2.0 * np.eye(3) + 0.5, 1.3)
+        mu = _q_point(lam, 1.3, 2.0 * np.eye(3) + 0.5)[0]
         np.testing.assert_allclose(mu, 1.3, atol=1e-9)
 
     def test_matches_direct_inverse(self):
@@ -191,16 +193,10 @@ class TestReducedToMoments:
         A = rng.normal(size=(4, 4)) * 0.4
         K = A @ A.T + np.eye(4)
         lam = rng.uniform(0.05, 0.45, 4)
-        mu, Sigma = reduced_to_moments(lam, K, 0.7)
+        mu, Sigma = _q_point(lam, 0.7, K)[:2]
         want = np.linalg.inv(np.linalg.inv(K) + np.diag(lam))
         np.testing.assert_allclose(Sigma, want, atol=1e-10)
         np.testing.assert_allclose(mu, K @ (lam - 0.5) + 0.7, atol=1e-12)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            reduced_to_moments(np.array([0.6]), np.eye(1), 0.0)
-        with pytest.raises(ValueError):
-            reduced_to_moments(np.array([0.0]), np.eye(1), 0.0)
 
 
 class TestCollapsedBound:
@@ -244,8 +240,9 @@ class TestCollapsedBound:
 
 
 class TestBoundGradients:
-    """The (eta, mu0) gradient against central differences, at random
-    noise-GP hyperparameters that fix K for each state."""
+    """The (eta, mu0) gradient L-BFGS reads, _bound_value_grad's, against
+    central differences of collapsed_bound, at random noise-GP
+    hyperparameters that fix K for each state."""
 
     def test_against_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -262,8 +259,9 @@ class TestBoundGradients:
                                   log_sv=log_sv, mu0=float(x[4]),
                                   alpha=alpha, active=[0, 1, 2, 3, 4])
 
+            K = noise_cov(X, log_ell, log_sv)
             f = lambda x: collapsed_bound(unpack(x), Phi, y)
-            g = lambda x: bound_gradients(unpack(x), Phi, y)
+            g = lambda x: _bound_value_grad(x, K, Phi, alpha, y)[1]
             x = np.append(eta, rng.normal(size=1))
             assert grad_check(f, g, x) < 1e-4
 
@@ -284,8 +282,10 @@ class TestBoundGradients:
                                   log_sv=log_sv, mu0=float(x[12]),
                                   alpha=alpha, active=active)
 
+            K = noise_cov(X, log_ell, log_sv)
             f = lambda x: collapsed_bound(unpack(x), Phi, y)
-            g = lambda x: bound_gradients(unpack(x), Phi, y)
+            g = lambda x: _bound_value_grad(x, K, Phi[:, active], alpha,
+                                            y)[1]
             x = np.append(eta, rng.normal(size=1))
             assert grad_check(f, g, x) < 1e-4
 
@@ -335,7 +335,7 @@ def _wide_noise_case(m, seed, n=40):
     alpha = np.exp(rng.uniform(-3, 3, m))
     x = np.append(np.linspace(-6, 6, n), np.log(1e3) + 0.9)
     K = noise_cov(X, np.log(0.2), 1.05)
-    mu, Sigma = reduced_to_moments(0.5 * _sigmoid(x[:n]), K, x[n])
+    mu, Sigma = _q_point(0.5 * _sigmoid(x[:n]), x[n], K)[:2]
     r = noise_diag(mu, Sigma)
     y = (Phi_a @ (rng.normal(size=m) / np.sqrt(alpha))
          + np.sqrt(r) * rng.normal(size=n))
@@ -369,13 +369,21 @@ def _dense_sparsity_quality(Phi_a, alpha, r, y, j):
     return Phi_a[:, j] @ u, u @ y
 
 
-def _all_sq_at(Phi, y, active, alpha, r):
-    """vi._all_sq's (s, q) of every column at noise diag(r), from the
-    inputs update_alpha forms."""
+def _selection_inputs(Phi, y, active, alpha, r):
+    """What update_alpha forms at one state, at noise diag(r), formed
+    afresh: the arguments of vi._all_sq, the weight posterior last."""
     Phir = Phi / r[:, None]
     G = Phi.T @ Phir[:, active]
+    c = Phir.T @ y
     L = _factor(G[active], alpha)
-    return _all_sq(G, np.sum(Phi * Phir, axis=0), Phir.T @ y, active, L)
+    return (G, np.sum(Phi * Phir, axis=0), c, active, L,
+            _posterior(L, c[active]))
+
+
+def _all_sq_at(Phi, y, active, alpha, r):
+    """vi._all_sq's (s, q) of every column at noise diag(r), from the
+    inputs update_alpha forms, its weight posterior included."""
+    return _all_sq(*_selection_inputs(Phi, y, active, alpha, r))
 
 
 def _update_alpha_reference(active, alpha, Phi, r, y, tol):
@@ -420,7 +428,8 @@ def _replay(active, alpha, Phi, r, y, tol):
     """update_alpha by hand from its parts, with every R^-1 Phi, Gram
     block and evidence formed afresh for each state: take the best action
     while it gains more than tol (1 + |ev|), checking that each raises
-    the evidence by its gain.  Returns (active, alpha, ev, steps)."""
+    the evidence by its gain.  Returns (active, alpha, ev, the weight
+    posterior of the last state, steps)."""
     act, a = list(active), np.asarray(alpha, dtype=float).copy()
     ev = _weight_fit(Phi[:, act], a, r, y)[0]
     steps = 0
@@ -431,7 +440,8 @@ def _replay(active, alpha, Phi, r, y, tol):
                                          a_old)
         j = int(np.argmax(gain))
         if gain[j] <= max(tol * (1.0 + abs(ev)), 1e-12):
-            return act, a, ev, steps
+            return (act, a, ev,
+                    _selection_inputs(Phi, y, act, a, r)[-1], steps)
         if j not in act:
             act, a = act + [j], np.append(a, a_new[j])
         elif np.isinf(a_new[j]):
@@ -492,7 +502,7 @@ class TestUpdateAlpha:
         # precisions, the same actions as the dense reference
         a0, Phi, r, y = _alpha_problem(seed)
         for start in (([], np.zeros(0)), (list(range(a0.size)), a0)):
-            active, alpha, ev = update_alpha(*start, Phi, r, y, 1e-6)
+            active, alpha, ev, _ = update_alpha(*start, Phi, r, y, 1e-6)
             ref_active, ref_alpha, ref_ev = _update_alpha_reference(
                 *start, Phi, r, y, 1e-6)
             assert active == ref_active
@@ -506,21 +516,23 @@ class TestUpdateAlpha:
         # factorization per state
         a0, Phi, r, y = _alpha_problem(seed)
         start = list(range(a0.size))
-        (active, alpha, ev), calls = _counted_update(
+        (active, alpha, ev, post), calls = _counted_update(
             monkeypatch, start, a0, Phi, r, y, tol)
-        act, a, ev_k, steps = _replay(start, a0, Phi, r, y, tol)
+        act, a, ev_k, post_k, steps = _replay(start, a0, Phi, r, y, tol)
         assert active == act and np.array_equal(alpha, a) and steps > 0
         assert ev == pytest.approx(ev_k, rel=1e-12)
+        # the posterior returned is the stop state's, from its one factor
+        assert all(np.array_equal(p, q) for p, q in zip(post, post_k))
         assert calls == steps + 1
 
     def test_tol_shortens_a_creeping_call(self, monkeypatch):
         # re-estimates keep gaining a little down to the 1e-12 floor
         a0, Phi, r, y = _alpha_problem(10)
         start = list(range(a0.size))
-        (_, _, ev_full), full = _counted_update(monkeypatch, start, a0, Phi,
-                                                r, y, 0.0)
-        (_, _, ev), short = _counted_update(monkeypatch, start, a0, Phi, r, y,
-                                            1e-6)
+        (_, _, ev_full, _), full = _counted_update(monkeypatch, start, a0,
+                                                   Phi, r, y, 0.0)
+        (_, _, ev, _), short = _counted_update(monkeypatch, start, a0, Phi, r,
+                                               y, 1e-6)
         assert short < full
         assert abs(ev - ev_full) < 1e-4
 
@@ -573,7 +585,7 @@ class TestUpdateAlpha:
         kernel = KernelSpec(lengthscale=0.3)
         shared = fit_ep(data, kernel)
         monkeypatch.setattr(hetrvm.ep, "update_alpha",
-                            lambda *args: _replay(*args)[:3])
+                            lambda *args: _replay(*args)[:4])
         fresh = fit_ep(data, kernel)
         assert (json.dumps(model_to_dict(shared), sort_keys=True)
                 == json.dumps(model_to_dict(fresh), sort_keys=True))
@@ -609,8 +621,8 @@ class TestUpdateAlpha:
         Phi = rng.normal(size=(30, 8))
         y = rng.normal(size=30)
         r = np.full(30, 2.0 * float(y @ y))
-        active, alpha, ev = update_alpha(list(range(8)), np.ones(8), Phi, r,
-                                         y, 1e-6)
+        active, alpha, ev, _ = update_alpha(list(range(8)), np.ones(8), Phi,
+                                            r, y, 1e-6)
         assert active == [] and alpha.size == 0
         assert ev == pytest.approx(
             multivariate_normal.logpdf(y, mean=np.zeros(30), cov=np.diag(r)),
@@ -621,7 +633,8 @@ class TestUpdateAlpha:
         phi = rng.normal(size=7)[:, None]
         y = 1.5 * phi[:, 0] + 0.4 * rng.normal(size=7)
         r = np.ones(7)
-        active, alpha, _ = update_alpha([0], np.array([1.0]), phi, r, y, 0.0)
+        active, alpha, *_ = update_alpha([0], np.array([1.0]), phi, r, y,
+                                         0.0)
         assert active == [0]
 
         def ev(a):
@@ -645,7 +658,7 @@ class TestUpdateAlpha:
                 + np.diag(r)
             return multivariate_normal.logpdf(y, mean=np.zeros(10), cov=C)
 
-        active, a1, _ = update_alpha(list(range(4)), a0, Phi, r, y, 1e-6)
+        active, a1, *_ = update_alpha(list(range(4)), a0, Phi, r, y, 1e-6)
         assert ev(active, a1) >= ev(list(range(4)), a0) - 1e-8
 
     def test_start_that_cannot_factor_raises(self, monkeypatch):
@@ -662,7 +675,7 @@ class TestUpdateAlpha:
         Phi, r, y = _junk_problem()
         active, alpha = [0, 1], np.ones(2)
         for _ in range(200):
-            active, alpha, _ = update_alpha(active, alpha, Phi, r, y, 1e-6)
+            active, alpha, *_ = update_alpha(active, alpha, Phi, r, y, 1e-6)
         assert active == [0]
         assert alpha[0] < 1e3
 
@@ -670,7 +683,7 @@ class TestUpdateAlpha:
         # q^2 <= s holds for the junk column from the start, so one call
         # deletes it
         Phi, r, y = _junk_problem()
-        active, alpha, _ = update_alpha([0, 1], np.ones(2), Phi, r, y, 1e-6)
+        active, alpha, *_ = update_alpha([0, 1], np.ones(2), Phi, r, y, 1e-6)
         assert active == [0]
         assert alpha[0] < 1e3
 
@@ -688,12 +701,18 @@ class TestUpdateAlpha:
         r = np.exp(rng.uniform(*sorted(log_r), size=n))
         a0 = np.exp(rng.normal(size=m))
         ev0 = _weight_fit(Phi, a0, r, y)[0]
-        active, alpha, ev = update_alpha(list(range(m)), a0, Phi, r, y, 1e-6)
+        active, alpha, ev, (mu_w, Sigma_w) = update_alpha(
+            list(range(m)), a0, Phi, r, y, 1e-6)
         assert len(set(active)) == len(active) == alpha.size
         assert np.all(np.isfinite(alpha) & (alpha > 0))
         assert ev >= ev0 - 1e-10
-        assert ev == pytest.approx(_weight_fit(Phi[:, active], alpha, r,
-                                               y)[0], rel=1e-9, abs=0)
+        ev_ref, *post_ref = _weight_fit(Phi[:, active], alpha, r, y)
+        assert ev == pytest.approx(ev_ref, rel=1e-9, abs=0)
+        # the posterior returned is the one of the state returned
+        for got, want in zip((mu_w, Sigma_w), post_ref):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-9 * np.max(
+                np.abs(want), initial=0.0)
 
 
 class TestFitVi:
