@@ -25,11 +25,13 @@ print(f"ep: {ep.n_iter} passes, status={ep.status}, "
 print(f"\nheld-out NLPD  vi={nlpd(predict(vi, test.X), test.y):.4f}  "
       f"ep={nlpd(predict(ep, test.X), test.y):.4f}")
 
-# the two posteriors over g should agree on the broad noise profile
+# the two posteriors over g (the log noise variance, in the units of y^2)
+# should agree on the broad noise profile
 order = np.argsort(train.X[:, 0])
 lo, hi = order[:20], order[-20:]
 for name, model in (("vi", vi), ("ep", ep)):
-    low = float(np.mean(model.g_mu[lo]))
-    high = float(np.mean(model.g_mu[hi]))
+    g_mean = predict(model, train.X).g_mean
+    low = float(np.mean(g_mean[lo]))
+    high = float(np.mean(g_mean[hi]))
     print(f"{name}: mean posterior g at small x {low:+.2f}, "
           f"at large x {high:+.2f}  (rise {high - low:+.2f})")

@@ -21,7 +21,7 @@ Sigma = (K^-1 + diag(site_prec))^-1 takes one Cholesky factor of
 B = I + T^1/2 K T^1/2 (Rasmussen & Williams 2006, sec. 3.6).  The
 noise-GP hyperparameters stay at their initialization, as under VI, so
 the prior covariance K is factored once per fit, for the prior terms of
-the marginal-likelihood estimate.
+the marginal-likelihood estimate.  The model keeps q(g) in site form.
 """
 
 from __future__ import annotations
@@ -293,7 +293,11 @@ def fit_ep(data: Dataset, kernel: Optional[KernelSpec] = None,
                 break
             damping, halved, osc = 0.5 * damping, True, 0
 
+    # q(g)'s mean is mu0 + K a, a = (I + T K)^-1 nu_t through B's factor
+    root, nu_t = np.sqrt(site_prec), site_nu - mu0 * site_prec
+    LB = _reduced_cov(site_prec, K)[1]
+    coef = nu_t - root * chol_solve(LB, root * (K @ nu_t))
     return _finish("ep", kernel, work, record, active, alpha, posterior,
-                   _gp_noise(noise_prior, post_mu, post_Sigma),
+                   _gp_noise(noise_prior, site_prec, coef),
                    training_log=training_log, status=status, n_iter=n_pass,
                    config=asdict(config))

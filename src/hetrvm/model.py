@@ -23,14 +23,15 @@ class HrvmModel:
     inputs, all in standardized units.  ``standardization`` maps back to
     the original units at prediction time.
 
-    An RVM (method "rvm") is the same model with the log-noise clamped at
-    ``noise_mu0`` = log sigma2: ``g_mu`` constant and ``g_Sigma`` zero, the
-    form a ``VIConfig.clamp_g`` fit also takes.  A clamped model's
-    noise-GP hyperparameters are unused.
+    The log-noise posterior at the N centers is kept in site form,
+    q(g) = N(noise_mu0 + K g_coef, (K^-1 + diag(g_prec))^-1) with K the
+    noise-GP covariance.  A clamped model (every RVM, and every degenerate
+    fit) stores no sites: its log-noise is the constant ``noise_mu0`` =
+    log sigma2, and its noise-GP hyperparameters are unused.
 
     Treat a fitted model as read-only: its first ``predict`` factors the
-    noise-GP covariance at ``centers`` and keeps the result, so later
-    edits to the fields would not reach the predictions.
+    noise-GP system at ``centers`` and keeps the result, so later
+    edits to the fields may not reach the predictions.
     """
 
     method: str                  # "rvm", "vi" or "ep"
@@ -44,8 +45,8 @@ class HrvmModel:
     noise_lengthscale: float
     noise_signal_variance: float
     noise_jitter: float
-    g_mu: np.ndarray             # posterior mean of log-variance at centers
-    g_Sigma: np.ndarray          # posterior covariance of the same
+    g_prec: np.ndarray           # site precisions tau at centers (N or 0)
+    g_coef: np.ndarray           # mean coefficients a at centers (N or 0)
     standardization: Standardization
     training_log: List[float] = field(default_factory=list)
     status: str = "converged"
@@ -57,10 +58,8 @@ class HrvmModel:
 
     @property
     def noise_clamped(self) -> bool:
-        """Whether the log-noise posterior is a point mass at one constant
-        (every RVM, and every ``VIConfig.clamp_g`` fit): ``g_Sigma`` all
-        zero and ``g_mu`` constant."""
-        return bool(np.all(self.g_Sigma == 0.0) and np.ptp(self.g_mu) == 0.0)
+        """Whether the log-noise is the constant ``noise_mu0``."""
+        return self.g_prec.size == 0
 
     def noise_prior(self) -> GpNoisePrior:
         kern = KernelSpec(family="rbf",

@@ -14,7 +14,7 @@ import numpy as np
 from .kernels import (GpNoisePrior, cross_covariance, design_matrix_at,
                       gp_covariance)
 from .model import HrvmModel
-from .numerics import chol_factor, chol_solve, gauss_hermite
+from .numerics import chol_factor, gauss_hermite, lower_solve
 
 __all__ = ["PredictiveDist", "predict", "nlpd", "rmse"]
 
@@ -33,14 +33,14 @@ class PredictiveDist:
 
 @dataclass(frozen=True)
 class _NoiseReadout:
-    """The model-only part of the log-noise predictive: the prior, the
-    Cholesky factor ``L`` of its covariance at the centers, and
-    ``a = K^-1 (g_mu - mu0)``.  ``L`` and ``a`` are read-only; all three
-    are None for a clamped posterior, whose noise is a known constant."""
+    """The model-only part of the log-noise predictive: the prior, ``root``
+    = T^1/2 and the Cholesky factor ``L`` of B = I + T^1/2 K T^1/2.  Both
+    arrays are read-only; all three are None for a clamped posterior,
+    whose noise is a known constant."""
 
     prior: GpNoisePrior | None
+    root: np.ndarray | None
     L: np.ndarray | None
-    a: np.ndarray | None
 
 
 def _noise_readout(model: HrvmModel) -> _NoiseReadout:
@@ -51,12 +51,12 @@ def _noise_readout(model: HrvmModel) -> _NoiseReadout:
             readout = _NoiseReadout(None, None, None)
         else:
             prior = model.noise_prior()
-            L = chol_factor(gp_covariance(model.centers, prior),
-                            "noise covariance")
-            a = chol_solve(L, model.g_mu - model.noise_mu0)
-            L.flags.writeable = False
-            a.flags.writeable = False
-            readout = _NoiseReadout(prior, L, a)
+            root = np.sqrt(model.g_prec)
+            K = gp_covariance(model.centers, prior)
+            L = chol_factor(np.eye(root.size) + root[:, None] * K * root,
+                            "noise system")
+            root.flags.writeable = L.flags.writeable = False
+            readout = _NoiseReadout(prior, root, L)
         model._noise_readout = readout
     return model._noise_readout
 
@@ -65,14 +65,14 @@ def predict(model: HrvmModel, Xstar) -> PredictiveDist:
     """Predictive moments at new inputs.
 
     The latent part comes from the weight posterior; the log-variance
-    process is conditioned on its training-time posterior by standard GP
-    algebra, and the expected noise variance enters the total as the
-    log-normal mean exp(g_mean + g_var / 2).
+    process from its site form (Rasmussen & Williams 2006, Alg. 3.2),
+    g_mean = mu0 + k*^T a and g_var = k** - |L^-1 T^1/2 k*|^2.  The
+    expected noise variance enters the total as the log-normal mean
+    exp(g_mean + g_var / 2).
 
-    The first call on a model factors the noise-GP covariance at the
-    training inputs and keeps the factor on the model, so later calls
-    only do per-point work.  Treat a fitted model as read-only.
-    Non-finite inputs raise ``ValueError``.
+    The first call factors B at the training inputs and keeps the factor
+    on the model, so later calls only do per-point work.  Treat a fitted
+    model as read-only.  Non-finite inputs raise ``ValueError``.
     """
     record = model.standardization
     Xs = record.apply_x(Xstar)
@@ -86,18 +86,16 @@ def predict(model: HrvmModel, Xstar) -> PredictiveDist:
     readout = _noise_readout(model)
     if readout.prior is None:
         # clamped posterior (every RVM): the noise is a known constant
-        g_mean = np.full(Xs.shape[0], float(model.g_mu[0]))
+        g_mean = np.full(Xs.shape[0], float(model.noise_mu0))
         g_var = np.zeros(Xs.shape[0])
         return _assemble(record, latent_mean, latent_var, g_mean, g_var)
 
-    prior, L = readout.prior, readout.L
+    prior = readout.prior
     ks = cross_covariance(Xs, model.centers, prior)      # n* x N
     kss = prior.kernel.signal_variance + prior.jitter
-    W = chol_solve(L, ks.T)                              # K^-1 ks^T
-    g_mean = model.noise_mu0 + ks @ readout.a
-    reduce_term = np.sum(ks * W.T, axis=1)
-    add_term = np.sum(W * (model.g_Sigma @ W), axis=0)
-    g_var = np.maximum(kss - reduce_term + add_term, 0.0)
+    V = lower_solve(readout.L, readout.root[:, None] * ks.T)
+    g_mean = model.noise_mu0 + ks @ model.g_coef
+    g_var = np.maximum(kss - np.sum(V**2, axis=0), 0.0)
 
     return _assemble(record, latent_mean, latent_var, g_mean, g_var)
 

@@ -6,8 +6,8 @@ The basis selection, whose deletes are the only pruning, the weight fit
 and the model finish are the heteroscedastic trainers' (:mod:`hetrvm.vi`)
 with the constant noise r = sigma2; this module adds the sigma2
 re-estimate.  The fit is an :class:`HrvmModel` whose log-noise process
-is clamped at log sigma2, the form a clamped variational fit takes, so
-it predicts and saves as the others do."""
+is clamped at log sigma2, the form a degenerate fit also takes, so it
+predicts and saves as the others do."""
 
 from __future__ import annotations
 
@@ -89,6 +89,6 @@ def fit_rvm(data: Dataset, kernel: Optional[KernelSpec] = None,
             break
 
     return _finish("rvm", kernel, work, record, active, alpha, posterior,
-                   _clamped_noise(n, sigma2),
+                   _clamped_noise(sigma2),
                    training_log=log, status=status, n_iter=n_iter,
                    config=asdict(config))

@@ -5,36 +5,37 @@ a save / load cycle reproduces predictions to the last bit.  The format
 is self-describing: a version field, the model kind, and every field
 needed to rebuild the model.  Files are compact JSON with sorted keys.
 
-Every model is written as kind "hetrvm".  A clamped model (every RVM,
-and every ``VIConfig.clamp_g`` fit) writes its log-noise as the one
-number ``g_const``, which format 2 added; any other model writes the
-arrays ``g_mu`` (N) and ``g_Sigma`` (N x N).  The reader rebuilds a
-clamped model's arrays exactly, so its predictions survive a save /
-load to the bit.  A document carries the oldest version that reads it:
-2 for the compact form, 1 for the arrays, so VI and EP files are the
-same bytes as before and still load in format-1 readers.
+Every model is written as kind "hetrvm", with the oldest format version
+that reads it.  A clamped model (every RVM, and every degenerate fit)
+writes its log-noise as the one number ``g_const`` (format 2), so RVM
+files keep their bytes; a VI or EP model writes q(g) in site form, the
+N-vectors ``g_prec`` and ``g_coef`` (format 3, see ``HrvmModel``).
 
-Format-1 files still load.  Their "hetrvm" documents always carry the
-two arrays, and their "rvm" documents, written before the RVM became an
-``HrvmModel``, load as the clamped ``HrvmModel`` that ``fit_rvm`` now
-returns.
+Older files still load.  Format-1 "hetrvm" documents carry q(g) as
+``g_mu`` and the N x N ``g_Sigma``, which are clamped or converted to
+site form (:func:`_noise_from_dict`).  Format-1 "rvm" documents,
+written before the RVM became an ``HrvmModel``, load as the clamped
+``HrvmModel`` that ``fit_rvm`` now returns.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 
 from .data import Standardization
-from .kernels import KernelSpec
+from .kernels import KernelSpec, gp_covariance
 from .model import HrvmModel
+from .numerics import chol_factor, chol_solve
 from .vi import _clamped_noise
 
 __all__ = ["FORMAT_VERSION", "SchemaError", "save_model", "load_model",
            "model_to_dict", "model_from_dict"]
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+_NOISE_FORMS = (("g_const",), ("g_prec", "g_coef"), ("g_mu", "g_Sigma"))
 
 
 class SchemaError(ValueError):
@@ -98,10 +99,9 @@ def model_to_dict(model: HrvmModel) -> dict:
 def _noise_to_dict(model: HrvmModel) -> dict:
     """The log-noise fields and the format version they need."""
     if model.noise_clamped:
-        return {"format_version": FORMAT_VERSION,
-                "g_const": float(model.g_mu[0])}
-    return {"format_version": 1, "g_mu": _arr(model.g_mu),
-            "g_Sigma": _arr(model.g_Sigma)}
+        return {"format_version": 2, "g_const": float(model.noise_mu0)}
+    return {"format_version": FORMAT_VERSION, "g_prec": _arr(model.g_prec),
+            "g_coef": _arr(model.g_coef)}
 
 
 def _from_rvm(doc: dict) -> dict:
@@ -109,8 +109,10 @@ def _from_rvm(doc: dict) -> dict:
     sigma2 = float(doc["sigma2"])
     if not (np.isfinite(sigma2) and sigma2 > 0.0):
         raise SchemaError(f"sigma2 {sigma2!r} is not positive and finite")
-    return {**doc, "method": "rvm", "config": {},
-            **_clamped_noise(len(doc["centers"]), sigma2)}
+    noise = _clamped_noise(sigma2)
+    del noise["g_prec"], noise["g_coef"]
+    return {**doc, "method": "rvm", "config": {}, **noise,
+            "g_const": noise["noise_mu0"]}
 
 
 def _array(doc: dict, key: str, *shape: int) -> np.ndarray:
@@ -123,19 +125,39 @@ def _array(doc: dict, key: str, *shape: int) -> np.ndarray:
     return a
 
 
-def _noise_from_dict(doc: dict, n: int):
-    """``g_mu`` and ``g_Sigma`` over n centers, from exactly one of the
-    two forms ``_noise_to_dict`` writes."""
-    if ("g_const" in doc) == ("g_mu" in doc or "g_Sigma" in doc):
-        raise SchemaError("the log-noise needs either g_const or g_mu and "
-                          "g_Sigma, not both or neither")
-    if "g_const" not in doc:
-        return _array(doc, "g_mu", n), _array(doc, "g_Sigma", n, n)
-    const = doc["g_const"]
-    if (isinstance(const, bool) or not isinstance(const, (int, float))
-            or not np.isfinite(const)):
-        raise SchemaError(f"g_const {const!r} is not a finite number")
-    return np.full(n, float(const)), np.zeros((n, n))
+def _noise_from_dict(doc: dict, model: HrvmModel) -> dict:
+    """``noise_mu0``, ``g_prec`` and ``g_coef`` over the model's N centers,
+    from the document's one log-noise form.  Format 1's q(g) = N(g_mu,
+    g_Sigma) loads clamped when it is a point mass; otherwise
+    a = K^-1 (g_mu - mu0), and tau_j is the least-squares solution of
+    column j of Sigma (K^-1 + diag tau) = I, clipped at 0."""
+    if sum(any(k in doc for k in form) for form in _NOISE_FORMS) != 1:
+        raise SchemaError("the log-noise needs exactly one of g_const, "
+                          "g_prec and g_coef, or g_mu and g_Sigma")
+    n, mu0, none = model.centers.shape[0], model.noise_mu0, np.zeros(0)
+    if "g_const" in doc:
+        const = doc["g_const"]
+        if (isinstance(const, bool) or not isinstance(const, (int, float))
+                or not np.isfinite(const)):
+            raise SchemaError(f"g_const {const!r} is not a finite number")
+        return dict(noise_mu0=float(const), g_prec=none, g_coef=none)
+    if "g_prec" in doc:
+        prec, coef = _array(doc, "g_prec", n), _array(doc, "g_coef", n)
+    else:
+        mu, Sigma = _array(doc, "g_mu", n), _array(doc, "g_Sigma", n, n)
+        if not np.any(Sigma) and np.ptp(mu) == 0.0:
+            return dict(noise_mu0=float(mu[0]), g_prec=none, g_coef=none)
+        L = chol_factor(gp_covariance(model.centers, model.noise_prior()),
+                        "noise covariance")
+        resid = np.eye(n) - chol_solve(L, Sigma).T   # I - Sigma K^-1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            prec = np.maximum(np.sum(Sigma * resid, axis=0)
+                              / np.sum(Sigma**2, axis=0), 0.0)
+        coef = chol_solve(L, mu - mu0)
+    if not np.all(np.isfinite(coef) & np.isfinite(prec) & (prec >= 0.0)):
+        raise SchemaError("g_prec must be finite and nonnegative, and "
+                          "g_coef finite")
+    return dict(noise_mu0=mu0, g_prec=prec, g_coef=coef)
 
 
 def _model(doc: dict) -> HrvmModel:
@@ -155,8 +177,7 @@ def _model(doc: dict) -> HrvmModel:
         raise SchemaError("active_indices must be distinct integers in "
                           f"[0, {n_basis})")
     m = len(active)
-    g_mu, g_Sigma = _noise_from_dict(doc, n)
-    return HrvmModel(
+    model = HrvmModel(
         method=doc["method"],
         kernel=kernel,
         centers=centers,
@@ -168,14 +189,15 @@ def _model(doc: dict) -> HrvmModel:
         noise_lengthscale=float(doc["noise_lengthscale"]),
         noise_signal_variance=float(doc["noise_signal_variance"]),
         noise_jitter=float(doc["noise_jitter"]),
-        g_mu=g_mu,
-        g_Sigma=g_Sigma,
+        g_prec=np.zeros(0),
+        g_coef=np.zeros(0),
         standardization=_std_from_dict(doc["standardization"]),
         training_log=[float(v) for v in doc["training_log"]],
         status=doc["status"],
         n_iter=int(doc["n_iter"]),
         config=doc.get("config", {}),
     )
+    return replace(model, **_noise_from_dict(doc, model))
 
 
 def model_from_dict(doc: dict) -> HrvmModel:
@@ -184,9 +206,9 @@ def model_from_dict(doc: dict) -> HrvmModel:
     if not isinstance(doc, dict):
         raise SchemaError("model document must be a JSON object")
     version = doc.get("format_version")
-    if type(version) is not int or version not in (1, FORMAT_VERSION):
+    if type(version) is not int or not 1 <= version <= FORMAT_VERSION:
         raise SchemaError(f"unsupported format_version {version!r} "
-                          f"(expected 1 or {FORMAT_VERSION})")
+                          f"(expected 1 to {FORMAT_VERSION})")
     kind = doc.get("model_kind")
     if kind not in ("hetrvm", "rvm"):
         raise SchemaError(f"unknown model_kind {kind!r}")

@@ -99,13 +99,10 @@ def _check_loop(max_iter, tol, max_iter_name="max_iter"):
 class VIConfig:
     max_iter: int = 200
     tol: float = 1e-6
-    clamp_g: Optional[float] = None  # fix q(g) to a point mass (diagnostics)
     standardize: bool = True
 
     def __post_init__(self):
         _check_loop(self.max_iter, self.tol)
-        if self.clamp_g is not None and not np.isfinite(self.clamp_g):
-            raise ValueError("clamp_g must be finite")
 
 
 @dataclass
@@ -405,16 +402,17 @@ def _setup(work: Dataset):
     """Starting point shared by fit_vi and fit_ep: the empty basis, and
     the noise-GP prior at the median-distance lengthscale, unit signal
     variance, jitter 1e-6 and mu0 = log(0.1 var y), with its covariance
-    K at the training inputs.  Returns (active, alpha, prior, K)."""
+    K at the training inputs.  Returns (active, alpha, prior, K); inputs
+    whose squared distances are all 0 (or underflow) raise DataError."""
     n = work.n
     if n < 3:
         raise ValueError("need at least 3 points")
     D2 = _sqdist(work.X, work.X)
     off = D2[np.triu_indices(n, k=1)]
-    ell0 = float(np.sqrt(np.median(off[off > 0]))) if np.any(off > 0) else 1.0
+    ell0 = float(np.sqrt(np.median(off[off > 0]))) if np.any(off > 0) else 0.0
     try:
         kernel = KernelSpec(lengthscale=ell0, include_bias=False)
-    except ValueError as exc:  # its square leaves the float range
+    except ValueError as exc:  # 0, or its square leaves the float range
         raise DataError(f"the noise GP's lengthscale, the median input "
                         f"distance {ell0:.3g}, is out of range; rescale "
                         "the inputs") from exc
@@ -423,22 +421,23 @@ def _setup(work: Dataset):
     return [], np.zeros(0), prior, gp_covariance(work.X, prior)
 
 
-def _gp_noise(prior: GpNoisePrior, mu, Sigma):
+def _gp_noise(prior: GpNoisePrior, prec, coef):
     """The log-noise fields of an ``HrvmModel``: the noise-GP prior and
-    q(g) = N(mu, Sigma) at the training inputs."""
+    q(g) = N(mu0 + K coef, (K^-1 + diag(prec))^-1) at the training
+    inputs."""
     return dict(noise_mu0=prior.mu0,
                 noise_lengthscale=prior.kernel.lengthscale,
                 noise_signal_variance=prior.kernel.signal_variance,
-                noise_jitter=prior.jitter, g_mu=mu, g_Sigma=Sigma)
+                noise_jitter=prior.jitter, g_prec=prec, g_coef=coef)
 
 
-def _clamped_noise(n, sigma2):
-    """The noise fields of an ``HrvmModel`` over n training inputs whose
-    log-noise is clamped at log sigma2.  The noise-GP hyperparameters are
-    neutral values that ``predict`` never reads for such a model."""
-    log_s2 = float(np.log(sigma2))
-    return _gp_noise(GpNoisePrior(log_s2, KernelSpec(include_bias=False)),
-                     np.full(n, log_s2), np.zeros((n, n)))
+def _clamped_noise(sigma2):
+    """The noise fields of an ``HrvmModel`` whose log-noise is clamped at
+    log sigma2: no sites.  The noise-GP hyperparameters are neutral
+    values that ``predict`` never reads for such a model."""
+    return _gp_noise(GpNoisePrior(float(np.log(sigma2)),
+                                  KernelSpec(include_bias=False)),
+                     np.zeros(0), np.zeros(0))
 
 
 def _finish(method, kernel, work, record, active, alpha, posterior, noise,
@@ -467,7 +466,7 @@ def _degenerate(method, kernel, work, record, config):
                      active_indices=list(range(k)), alpha=np.full(k, 1e6),
                      mu_w=np.full(k, work.y[0]), Sigma_w=np.full((k, k), 1e-6),
                      standardization=record, status="degenerate",
-                     config=asdict(config), **_clamped_noise(work.n, 1.0))
+                     config=asdict(config), **_clamped_noise(1.0))
 
 
 def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
@@ -478,9 +477,7 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
     are held); then Tipping & Faul's basis selection at the new noise
     (``update_alpha``, stopped at ``config.tol``), whose deletes prune
     the basis.  The basis is first selected once at the start q(g), so
-    q(g) never fits y with an empty basis.  With ``config.clamp_g`` set,
-    q(g) stays a point mass and only the basis selection runs.  The
-    second ascent that fails without progress ends the fit as
+    q(g) never fits y with an empty basis.  The second ascent that fails without progress ends the fit as
     ``stalled``.  ``training_log`` holds the bound L-BFGS maximizes, at
     the end of each outer iteration.
 
@@ -498,13 +495,7 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
         return _degenerate("vi", kernel, work, record, config)
     y, n, mu0 = work.y, work.n, prior.mu0
     lam = 0.5 - 0.25 / K.sum(axis=1)
-
-    clamp = config.clamp_g
-    if clamp is None:  # q(g), r and its bound terms, kept current below
-        mu, Sigma, _, r, trq, kl = _q_point(lam, mu0, K)
-    else:  # a point mass, whose bound terms are 0
-        mu, Sigma = np.full(n, float(clamp)), np.zeros((n, n))
-        r, trq, kl = noise_diag(mu, Sigma), 0.0, 0.0
+    *_, r, trq, kl = _q_point(lam, mu0, K)  # kept current below
     active, alpha, _, posterior = update_alpha(active, alpha, Phi, r, y,
                                                config.tol)
 
@@ -515,39 +506,37 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
 
     for it in range(config.max_iter):
         Phi_a = Phi[:, active]
+        x0 = np.append(_eta_from_lam(lam), mu0)
 
-        if clamp is None:
-            x0 = np.append(_eta_from_lam(lam), mu0)
+        # (f, g) of every point this iteration has evaluated: L-BFGS
+        # and the acceptance test below share them.  The start point
+        # must evaluate; a trial point where the bound breaks down
+        # reads -inf, so the line search backs off.
+        memo = {x0.tobytes(): _bound_value_grad(x0, K, Phi_a, alpha, y)}
 
-            # (f, g) of every point this iteration has evaluated: L-BFGS
-            # and the acceptance test below share them.  The start point
-            # must evaluate; a trial point where the bound breaks down
-            # reads -inf, so the line search backs off.
-            memo = {x0.tobytes(): _bound_value_grad(x0, K, Phi_a, alpha, y)}
+        def negf(x):
+            key = x.tobytes()
+            if key not in memo:
+                try:
+                    memo[key] = _bound_value_grad(x, K, Phi_a, alpha, y)
+                except (FactorizationError, FloatingPointError):
+                    memo[key] = (-np.inf, np.zeros(x.size))
+            f, g = memo[key]
+            return -f, -g
 
-            def negf(x):
-                key = x.tobytes()
-                if key not in memo:
-                    try:
-                        memo[key] = _bound_value_grad(x, K, Phi_a, alpha, y)
-                    except (FactorizationError, FloatingPointError):
-                        memo[key] = (-np.inf, np.zeros(x.size))
-                f, g = memo[key]
-                return -f, -g
-
-            f0 = memo[x0.tobytes()][0]
-            res = minimize(negf, x0, jac=True, method="L-BFGS-B",
-                           options={"maxiter": _INNER_MAXITER, "maxls": 40})
-            # a line-search abort counts as a failure only when the run
-            # also made no progress from its starting point
-            if not (res.success or res.fun < -f0 - 1e-12):
-                if stalled_once:
-                    status = "stalled"
-                stalled_once = True
-            if -negf(res.x)[0] >= f0:
-                lam = np.clip(0.5 * _sigmoid(res.x[:n]), 1e-12, 0.5 - 1e-12)
-                mu0 = float(res.x[n])
-            mu, Sigma, _, r, trq, kl = _q_point(lam, mu0, K)
+        f0 = memo[x0.tobytes()][0]
+        res = minimize(negf, x0, jac=True, method="L-BFGS-B",
+                       options={"maxiter": _INNER_MAXITER, "maxls": 40})
+        # a line-search abort counts as a failure only when the run
+        # also made no progress from its starting point
+        if not (res.success or res.fun < -f0 - 1e-12):
+            if stalled_once:
+                status = "stalled"
+            stalled_once = True
+        if -negf(res.x)[0] >= f0:
+            lam = np.clip(0.5 * _sigmoid(res.x[:n]), 1e-12, 0.5 - 1e-12)
+            mu0 = float(res.x[n])
+        *_, r, trq, kl = _q_point(lam, mu0, K)
 
         # the evidence at the new precisions is update_alpha's; the bound
         # subtracts the q(g) terms in _bound_value_grad's order
@@ -564,6 +553,6 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
         f_prev = fval
 
     return _finish("vi", kernel, work, record, active, alpha, posterior,
-                   _gp_noise(replace(prior, mu0=mu0), mu, Sigma),
+                   _gp_noise(replace(prior, mu0=mu0), lam, lam - 0.5),
                    training_log=training_log, status=status, n_iter=it + 1,
                    config=asdict(config))

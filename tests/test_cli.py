@@ -344,11 +344,33 @@ def _set(key, value):
     return mutate
 
 
+def _set_first(key, value):
+    def mutate(doc):
+        doc[key][0] = value
+    return mutate
+
+
+def _format1_drop_last(key):
+    """A format-1 log-noise (flat g_mu, unit g_Sigma) with ``key`` one
+    row short."""
+    def mutate(doc):
+        n = len(doc.pop("g_prec"))
+        del doc["g_coef"]
+        doc.update(format_version=1, g_mu=[0.0] * n,
+                   g_Sigma=np.eye(n).tolist())
+        doc[key] = doc[key][:-1]
+    return mutate
+
+
 @pytest.mark.parametrize("method, mutate", [
     pytest.param("rvm", _set_index(999), id="rvm-index-past-n_basis"),
     pytest.param("rvm", _set_index(-1), id="rvm-index-negative"),
     pytest.param("rvm", _drop_last("alpha"), id="rvm-alpha-short"),
-    pytest.param("vi", _drop_last("g_mu"), id="vi-g_mu-short"),
+    pytest.param("vi", _format1_drop_last("g_mu"), id="vi-g_mu-short"),
+    pytest.param("vi", _drop_last("g_prec"), id="vi-g_prec-short"),
+    pytest.param("vi", _set_first("g_prec", -1.0), id="vi-g_prec-negative"),
+    pytest.param("vi", _set_first("g_coef", float("nan")), id="vi-g_coef-nan"),
+    pytest.param("vi", _set("g_const", 0.0), id="vi-two-noise-forms"),
     pytest.param("vi", _drop_last("centers"), id="vi-centers-short"),
     pytest.param("rvm", _drop("g_const"), id="rvm-g_const-missing"),
     pytest.param("rvm", _set("g_const", float("nan")), id="rvm-g_const-nan"),

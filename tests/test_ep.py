@@ -1,6 +1,7 @@
 import json
 import warnings
 
+import conftest
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
@@ -284,28 +285,33 @@ class TestFitEp:
         cfg = EpConfig(max_passes=20)
         m1 = fit_ep(data, KernelSpec(lengthscale=0.3), cfg)
         m2 = fit_ep(data, KernelSpec(lengthscale=0.3), cfg)
-        assert np.array_equal(m1.g_mu, m2.g_mu)
+        assert np.array_equal(m1.g_prec, m2.g_prec)
+        assert np.array_equal(m1.g_coef, m2.g_coef)
         assert m1.training_log == m2.training_log
 
     def test_learns_heteroscedastic_ramp(self):
         data, _ = synth(SynthSpec(generator="goldberg_sine", n=60, seed=1))
         model = fit_ep(data, KernelSpec(lengthscale=0.3))
         x = data.X[:, 0]
-        assert model.g_mu[x > 0.7].mean() > model.g_mu[x < 0.3].mean()
+        g_mu = conftest.dense_noise(model)[0]
+        assert g_mu[x > 0.7].mean() > g_mu[x < 0.3].mean()
 
     def test_constant_noise_stays_flat(self):
         data, _ = synth(SynthSpec(generator="const_noise", n=50, seed=2))
         model = fit_ep(data, KernelSpec(lengthscale=0.5))
-        assert np.exp(model.g_mu.max() - model.g_mu.min()) < 3.0
+        g_mu = conftest.dense_noise(model)[0]
+        assert np.exp(g_mu.max() - g_mu.min()) < 3.0
 
     def test_posterior_consistent_with_sites(self):
         data, _ = synth(SynthSpec(n=30, seed=3))
         model = fit_ep(data, KernelSpec(lengthscale=0.3),
                        EpConfig(max_passes=15))
         assert model.status in ("converged", "max_passes", "oscillating")
-        assert model.g_Sigma.shape == (30, 30)
-        np.testing.assert_allclose(model.g_Sigma, model.g_Sigma.T, atol=1e-12)
-        assert np.all(np.linalg.eigvalsh(model.g_Sigma) > 0)
+        assert model.g_prec.shape == model.g_coef.shape == (30,)
+        assert np.all(model.g_prec >= 0)
+        g_Sigma = conftest.dense_noise(model)[1]
+        assert g_Sigma.shape == (30, 30)
+        assert np.all(np.linalg.eigvalsh(g_Sigma) > 0)
 
     def test_cached_rule_changes_no_number(self, monkeypatch):
         # oracle: the same fit with the rule rebuilt on every call
@@ -367,9 +373,11 @@ class TestFitEp:
         data = Dataset(data.X, data.y * 10.0**log10_scale)
         model = fit_ep(data, KernelSpec(lengthscale=lengthscale))
         assert model.status in ("converged", "oscillating", "max_passes")
-        assert np.all(np.isfinite(model.g_mu))
-        assert np.array_equal(model.g_Sigma, model.g_Sigma.T)
-        assert np.all(np.linalg.eigvalsh(model.g_Sigma) > 0)
+        assert np.all(np.isfinite(model.g_coef))
+        assert np.all(np.isfinite(model.g_prec) & (model.g_prec >= 0))
+        g_mu, g_Sigma = conftest.dense_noise(model)
+        assert np.all(np.isfinite(g_mu))
+        assert np.all(np.linalg.eigvalsh(g_Sigma) > 0)
         pred = predict(model, data.X)
         for field in (pred.latent_mean, pred.latent_var, pred.total_var,
                       pred.g_mean, pred.g_var):

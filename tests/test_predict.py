@@ -1,17 +1,18 @@
 import json
 from importlib import import_module
 
+import conftest
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from hetrvm.data import SynthSpec, synth
+from hetrvm.data import Dataset, SynthSpec, synth
 from hetrvm.ep import fit_ep
 from hetrvm.kernels import (KernelSpec, cross_covariance, design_matrix_at,
                             gp_covariance)
 from hetrvm.numerics import gauss_hermite
 from hetrvm.predict import PredictiveDist, nlpd, predict, rmse
-from hetrvm.rvm import fit_rvm
+from hetrvm.rvm import RvmConfig, fit_rvm
 from hetrvm.serialize import model_from_dict, model_to_dict
 from hetrvm.vi import VIConfig, fit_vi
 
@@ -210,8 +211,11 @@ def fresh(model):
 
 
 def dense_predict(model, Xstar):
-    """The noise-GP conditioning rebuilt from scratch on every call: the
-    dense covariance at the centers, its factor and both solves."""
+    """The noise-GP conditioning rebuilt from scratch on every call from
+    the dense q(g) = N(g_mu, g_Sigma) at the centers: the covariance K,
+    its factor and both solves, g_mean = mu0 + k*^T K^-1 (g_mu - mu0) and
+    g_var = k** - k*^T K^-1 k* + k*^T K^-1 g_Sigma K^-1 k*."""
+    g_mu, g_Sigma = conftest.dense_noise(model)
     record = model.standardization
     Xs = record.apply_x(Xstar)
     Phi_s = design_matrix_at(Xs, model.kernel, model.centers,
@@ -226,9 +230,9 @@ def dense_predict(model, Xstar):
     kss = prior.kernel.signal_variance + prior.jitter
     W = sla.cho_solve((L, True), ks.T, check_finite=False)
     g_mean = model.noise_mu0 + ks @ sla.cho_solve(
-        (L, True), model.g_mu - model.noise_mu0, check_finite=False)
+        (L, True), g_mu - model.noise_mu0, check_finite=False)
     reduce_term = np.sum(ks * W.T, axis=1)
-    add_term = np.sum(W * (model.g_Sigma @ W), axis=0)
+    add_term = np.sum(W * (g_Sigma @ W), axis=0)
     g_var = np.maximum(kss - reduce_term + add_term, 0.0)
     scale2 = record.y_scale**2
     latent_var = latent_var * scale2
@@ -243,13 +247,20 @@ class TestNoiseReadout:
 
     @pytest.mark.parametrize("which", ["vi_model", "ep_model"])
     def test_matches_dense_oracle(self, which, request):
+        # the latent fields share their code with the oracle; the noise
+        # fields come from the site form against the dense moments
         data, model = request.getfixturevalue(which)
         model = fresh(model)
         grid = np.linspace(-0.2, 1.2, 37)[:, None]
         for X in (data.X, grid, grid[5:6], data.X, grid[:1]):
             got, want = predict(model, X), dense_predict(model, X)
-            for f in FIELDS:
+            for f in ("latent_mean", "latent_var"):
                 assert np.array_equal(getattr(got, f), getattr(want, f)), f
+            np.testing.assert_allclose(got.g_mean, want.g_mean, rtol=0,
+                                       atol=1e-12)
+            for f in ("g_var", "total_var"):
+                np.testing.assert_allclose(getattr(got, f), getattr(want, f),
+                                           rtol=1e-10, atol=0, err_msg=f)
 
     def test_factor_once_per_model(self, vi_model, monkeypatch):
         data, model = vi_model
@@ -275,7 +286,7 @@ class TestNoiseReadout:
         model = fresh(model)
         predict(model, data.X[:1])
         readout = model._noise_readout
-        for arr in (readout.L, readout.a):
+        for arr in (readout.root, readout.L):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
@@ -289,9 +300,9 @@ class TestNoiseReadout:
 
     def test_clamped_model_skips_factor(self, monkeypatch):
         data, _ = synth(SynthSpec(generator="const_noise", n=25, seed=1))
-        c = np.log(0.09)
-        model = fit_vi(data, KernelSpec(lengthscale=0.5),
-                       VIConfig(clamp_g=c, max_iter=40, standardize=False))
+        model = fit_rvm(data, KernelSpec(lengthscale=0.5),
+                        RvmConfig(standardize=False))
+        c = model.noise_mu0
 
         def refuse(*args, **kwargs):
             raise AssertionError("clamped model factored the noise GP")
@@ -345,10 +356,14 @@ class TestPredict:
         assert noise[1] > noise[0]  # noisier at large x
 
     def test_clamped_model_constant_noise(self):
+        # a constant target: VI returns the degenerate model, clamped at
+        # unit noise
         data, _ = synth(SynthSpec(generator="const_noise", n=25, seed=1))
-        c = np.log(0.09)
+        data = Dataset(data.X, np.full(data.n, 0.3))
+        c = 0.0
         model = fit_vi(data, KernelSpec(lengthscale=0.5),
-                       VIConfig(clamp_g=c, max_iter=40, standardize=False))
+                       VIConfig(max_iter=40, standardize=False))
+        assert model.status == "degenerate" and model.noise_clamped
         pred = predict(model, np.array([[0.3], [5.0]]))
         noise = pred.total_var - pred.latent_var
         np.testing.assert_allclose(noise, np.exp(c), rtol=1e-10)

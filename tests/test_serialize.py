@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hetrvm.data import SynthSpec, synth
+from hetrvm.data import Dataset, SynthSpec, synth
 from hetrvm.ep import EpConfig, fit_ep
 from hetrvm.kernels import KernelSpec
 from hetrvm.model import HrvmModel
@@ -67,10 +67,10 @@ def test_unknown_version_rejected(fitted, tmp_path):
         load_model(path)
 
 
-@pytest.mark.parametrize("version", [3, True, 1.0, "1", None])
+@pytest.mark.parametrize("version", [4, True, 1.0, "1", None])
 def test_version_is_a_known_integer(fitted, version):
     """The version decides which fields a document may carry, so only
-    the integers 1 and 2 are versions (``True == 1`` in Python)."""
+    the integers 1 to 3 are versions (``True == 1`` in Python)."""
     doc = model_to_dict(fitted["vi"])
     doc["format_version"] = version
     with pytest.raises(SchemaError, match="version"):
@@ -98,7 +98,8 @@ def test_fields_preserved_exactly(fitted, tmp_path):
     loaded = load_model(path)
     assert np.array_equal(model.mu_w, loaded.mu_w)
     assert np.array_equal(model.Sigma_w, loaded.Sigma_w)
-    assert np.array_equal(model.g_mu, loaded.g_mu)
+    assert np.array_equal(model.g_prec, loaded.g_prec)
+    assert np.array_equal(model.g_coef, loaded.g_coef)
     assert model.training_log == loaded.training_log
     assert model.active_indices == loaded.active_indices
     assert model.kernel == loaded.kernel
@@ -133,18 +134,51 @@ def _repeat_index(doc):
 
 
 def _both_noise_forms(doc):
-    doc["g_const"] = doc["g_mu"][0]
+    doc["g_const"] = doc["noise_mu0"]
 
 
 def _no_noise_form(doc):
-    del doc["g_mu"], doc["g_Sigma"]
+    del doc["g_prec"], doc["g_coef"]
 
 
 def _noise_const(value):
     def mutate(doc):
-        del doc["g_mu"], doc["g_Sigma"]
+        del doc["g_prec"], doc["g_coef"]
         doc["g_const"] = value
     return mutate
+
+
+def _set_first(key, value):
+    def mutate(doc):
+        doc[key][0] = value
+    return mutate
+
+
+def _drop(key):
+    def mutate(doc):
+        del doc[key]
+    return mutate
+
+
+def _as_format1(doc):
+    """The document with a format-1 log-noise: a flat g_mu and a unit
+    g_Sigma in place of the site form."""
+    n = len(doc.pop("g_prec"))
+    del doc["g_coef"]
+    doc["format_version"] = 1
+    doc["g_mu"] = [doc["noise_mu0"]] * n
+    doc["g_Sigma"] = np.eye(n).tolist()
+
+
+def _format1_drop_last(key):
+    def mutate(doc):
+        _as_format1(doc)
+        doc[key] = doc[key][:-1]
+    return mutate
+
+
+def _site_and_format1(doc):
+    doc["g_mu"] = [doc["noise_mu0"]] * len(doc["g_prec"])
 
 
 @pytest.mark.parametrize("mutate", [
@@ -155,12 +189,21 @@ def _noise_const(value):
     pytest.param(_drop_last("alpha"), id="alpha-short"),
     pytest.param(_shrink_weights, id="mu_w-short"),
     pytest.param(_flatten("Sigma_w"), id="Sigma_w-flat"),
-    pytest.param(_drop_last("g_mu"), id="g_mu-short"),
-    pytest.param(_drop_last("g_Sigma"), id="g_Sigma-short"),
+    pytest.param(_format1_drop_last("g_mu"), id="g_mu-short"),
+    pytest.param(_format1_drop_last("g_Sigma"), id="g_Sigma-short"),
+    pytest.param(_drop_last("g_prec"), id="g_prec-short"),
+    pytest.param(_drop_last("g_coef"), id="g_coef-short"),
+    pytest.param(_set_first("g_prec", -1e-3), id="g_prec-negative"),
+    pytest.param(_set_first("g_prec", float("nan")), id="g_prec-nan"),
+    pytest.param(_set_first("g_prec", float("inf")), id="g_prec-inf"),
+    pytest.param(_set_first("g_coef", float("nan")), id="g_coef-nan"),
+    pytest.param(_set_first("g_coef", -float("inf")), id="g_coef-minus-inf"),
+    pytest.param(_drop("g_coef"), id="g_coef-missing"),
     pytest.param(_drop_last("centers"), id="centers-short"),
     pytest.param(_flatten("centers"), id="centers-flat"),
     pytest.param(_both_noise_forms, id="noise-both-forms"),
     pytest.param(_no_noise_form, id="noise-neither-form"),
+    pytest.param(_site_and_format1, id="noise-site-and-format1-forms"),
     pytest.param(_noise_const(float("nan")), id="g_const-nan"),
     pytest.param(_noise_const(float("inf")), id="g_const-inf"),
     pytest.param(_noise_const(-float("inf")), id="g_const-minus-inf"),
@@ -194,9 +237,8 @@ def test_legacy_rvm_document_loads_as_clamped_model():
     assert isinstance(model, HrvmModel) and model.method == "rvm"
     assert model.active_indices == doc["active_indices"]
     assert np.exp(model.noise_mu0) == pytest.approx(doc["sigma2"], rel=1e-15)
-    n = len(doc["centers"])
-    assert np.array_equal(model.g_Sigma, np.zeros((n, n)))
-    assert np.all(model.g_mu == model.noise_mu0)
+    assert model.noise_clamped
+    assert model.g_prec.size == model.g_coef.size == 0
 
     X = np.asarray(expected["X"])
     pred = predict(model, X)
@@ -226,8 +268,10 @@ def test_model_files_are_compact_json(fitted, tmp_path):
 
 @pytest.fixture(scope="module")
 def clamped_vi(fitted):
-    return fit_vi(fitted["data"], KernelSpec(lengthscale=0.3),
-                  VIConfig(max_iter=5, clamp_g=-1.5))
+    # a constant target: the degenerate VI model, clamped at unit noise
+    data = fitted["data"]
+    return fit_vi(Dataset(data.X, np.full(data.n, -1.5)),
+                  KernelSpec(lengthscale=0.3), VIConfig(max_iter=5))
 
 
 PRED_FIELDS = ("latent_mean", "latent_var", "g_mean", "g_var", "total_var")
@@ -235,18 +279,19 @@ PRED_FIELDS = ("latent_mean", "latent_var", "g_mean", "g_var", "total_var")
 
 @pytest.mark.parametrize("name", ["rvm", "clamped_vi"])
 def test_clamped_noise_written_as_one_number(fitted, clamped_vi, name):
-    """A clamped model writes its log-noise as ``g_const`` instead of the
-    N x N zero block, and loads back with the same arrays to the bit."""
+    """A clamped model writes its log-noise as the one number ``g_const``,
+    and loads back with the same fields to the bit."""
     model = clamped_vi if name == "clamped_vi" else fitted[name]
     assert model.noise_clamped
     doc = model_to_dict(model)
     assert doc["format_version"] == 2
-    assert "g_mu" not in doc and "g_Sigma" not in doc
-    assert doc["g_const"] == model.g_mu[0]
+    assert not {"g_mu", "g_Sigma", "g_prec", "g_coef"} & set(doc)
+    assert doc["g_const"] == model.noise_mu0
     loaded = model_from_dict(json.loads(json.dumps(doc)))
-    assert np.array_equal(loaded.g_mu, model.g_mu)
-    assert np.array_equal(loaded.g_Sigma, model.g_Sigma)
-    assert loaded.g_mu.dtype == loaded.g_Sigma.dtype == np.float64
+    assert loaded.noise_mu0 == model.noise_mu0
+    assert np.array_equal(loaded.g_prec, model.g_prec)
+    assert np.array_equal(loaded.g_coef, model.g_coef)
+    assert loaded.g_prec.dtype == loaded.g_coef.dtype == np.float64
     X = fitted["data"].X
     before, after = predict(model, X), predict(loaded, X)
     for field in PRED_FIELDS:
@@ -256,14 +301,16 @@ def test_clamped_noise_written_as_one_number(fitted, clamped_vi, name):
 
 @pytest.mark.parametrize("method", ["vi", "ep"])
 def test_posterior_noise_keeps_its_arrays(fitted, method):
+    # q(g) in site form: two N-vectors, which format 3 added
     model = fitted[method]
     assert not model.noise_clamped
     doc = model_to_dict(model)
-    # the oldest format that reads the document: format-1 readers load it
-    assert doc["format_version"] == 1
-    assert "g_const" not in doc
-    assert doc["g_mu"] == model.g_mu.tolist()
-    assert doc["g_Sigma"] == model.g_Sigma.tolist()
+    assert doc["format_version"] == 3
+    assert not {"g_const", "g_mu", "g_Sigma"} & set(doc)
+    n = len(doc["centers"])
+    assert len(doc["g_prec"]) == len(doc["g_coef"]) == n
+    assert doc["g_prec"] == model.g_prec.tolist()
+    assert doc["g_coef"] == model.g_coef.tolist()
 
 
 def test_legacy_hetrvm_rvm_file_loads_and_predicts():
@@ -276,7 +323,8 @@ def test_legacy_hetrvm_rvm_file_loads_and_predicts():
         (LEGACY / "legacy_hetrvm_format1_pred.json").read_text())
     assert doc["format_version"] == 1 and doc["model_kind"] == "hetrvm"
     assert model.method == "rvm" and model.noise_clamped
-    assert np.array_equal(model.g_Sigma, np.asarray(doc["g_Sigma"]))
+    assert not np.any(doc["g_Sigma"])
+    assert model.noise_mu0 == doc["g_mu"][0]
     pred = predict(model, np.asarray(expected["X"]))
     for name in PRED_FIELDS:
         np.testing.assert_allclose(getattr(pred, name), expected[name],
@@ -289,3 +337,28 @@ def test_legacy_hetrvm_rvm_file_loads_and_predicts():
             if k not in ("format_version", "g_const")} == {
         k: v for k, v in doc.items()
         if k not in ("format_version", "g_mu", "g_Sigma")}
+
+
+@pytest.mark.parametrize("method", ["vi", "ep"])
+def test_legacy_posterior_file_converts_to_sites(method):
+    """A format-1 VI or EP file, which stored q(g) as g_mu and the N x N
+    g_Sigma, loads in site form and predicts what it predicted when
+    written: the weight part to the bit, the log-noise to round-off."""
+    model = load_model(LEGACY / f"legacy_{method}_format1.json")
+    doc = json.loads((LEGACY / f"legacy_{method}_format1.json").read_text())
+    expected = json.loads(
+        (LEGACY / f"legacy_{method}_format1_pred.json").read_text())
+    assert doc["format_version"] == 1 and "g_Sigma" in doc
+    assert model.method == method and not model.noise_clamped
+    n = len(doc["centers"])
+    assert model.g_prec.shape == model.g_coef.shape == (n,)
+    pred = predict(model, np.asarray(expected["X"]))
+    for name in ("latent_mean", "latent_var"):
+        assert np.array_equal(getattr(pred, name), expected[name]), name
+    np.testing.assert_allclose(pred.g_mean, expected["g_mean"], rtol=0,
+                               atol=1e-12)
+    for name in ("g_var", "total_var"):
+        np.testing.assert_allclose(getattr(pred, name), expected[name],
+                                   rtol=1e-9, atol=0, err_msg=name)
+    resaved = model_to_dict(model)
+    assert resaved["format_version"] == 3 and "g_Sigma" not in resaved

@@ -1,5 +1,6 @@
 """Behaviour that fit_rvm, fit_vi and fit_ep share."""
 
+import conftest
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
@@ -118,7 +119,7 @@ def test_model_keeps_the_posterior_of_its_final_state(method, generator):
     model = fit(data, KernelSpec(lengthscale=0.3))
     assert model.status == "converged" and model.active_indices
     Phi, y = _training_arrays(model, data)
-    r = noise_diag(model.g_mu, model.g_Sigma)
+    r = noise_diag(*conftest.dense_noise(model))
     mu_w, Sigma_w = weight_posterior(Phi[:, model.active_indices],
                                      model.alpha, r, y)
     np.testing.assert_allclose(model.mu_w, mu_w, rtol=1e-10, atol=0)
@@ -134,8 +135,9 @@ def test_vi_logs_the_bound_at_its_final_state(generator):
     model = fit_vi(data, KernelSpec(lengthscale=0.3))
     assert model.status == "converged"
     Phi, y = _training_arrays(model, data)
+    g_mu, g_Sigma = conftest.dense_noise(model)
     state = VariationalState(
-        mu=model.g_mu, Sigma=model.g_Sigma, alpha=model.alpha,
+        mu=g_mu, Sigma=g_Sigma, alpha=model.alpha,
         active_indices=model.active_indices, mu0=model.noise_mu0,
         K=gp_covariance(model.centers, model.noise_prior()))
     assert model.training_log[-1] == pytest.approx(
@@ -152,10 +154,12 @@ def _finely_spaced(spacing):
                                          (fit_ep, EpConfig)])
 def test_noise_lengthscale_out_of_range_is_a_data_error(fit, config):
     # the noise GP's lengthscale is the median input distance, which the
-    # caller never sets: at a spacing of 1e-160 its square underflows
-    with pytest.raises(DataError, match="noise GP's lengthscale"):
-        fit(_finely_spaced(1e-160), KernelSpec(),
-            config(standardize=False))
+    # caller never sets: at a spacing of 1e-160 its square underflows,
+    # and at 1e-170 every squared distance does
+    for spacing in (1e-160, 1e-170):
+        with pytest.raises(DataError, match="noise GP's lengthscale"):
+            fit(_finely_spaced(spacing), KernelSpec(),
+                config(standardize=False))
     model = fit(_finely_spaced(1e-150), KernelSpec(),
                 config(standardize=False))
     assert model.status == "converged"

@@ -2,6 +2,7 @@ from types import SimpleNamespace
 
 import json
 
+import conftest
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -722,7 +723,8 @@ class TestFitVi:
         m1 = fit_vi(data, KernelSpec(lengthscale=0.3), cfg)
         m2 = fit_vi(data, KernelSpec(lengthscale=0.3), cfg)
         assert m1.training_log == m2.training_log
-        assert np.array_equal(m1.g_mu, m2.g_mu)
+        assert np.array_equal(m1.g_prec, m2.g_prec)
+        assert np.array_equal(m1.g_coef, m2.g_coef)
 
     def test_bound_monotone(self):
         data, _ = synth(SynthSpec(generator="goldberg_sine", n=50, seed=1))
@@ -732,17 +734,20 @@ class TestFitVi:
             assert log[i] >= log[i - 1] - 1e-8
 
     def test_clamped_matches_constant_noise_posterior(self):
+        # q(g) clamped at a point mass c leaves only the basis selection
+        # at the constant noise e^c, from the empty basis
         data, _ = synth(SynthSpec(generator="const_noise", n=25, seed=2))
         c = np.log(0.3**2)
-        model = fit_vi(data, KernelSpec(lengthscale=0.5),
-                       VIConfig(clamp_g=c, max_iter=60, standardize=False))
-        Phi = build_design_matrix(data.X, model.kernel)
-        Phi_a = Phi[:, model.active_indices]
+        Phi = build_design_matrix(data.X, KernelSpec(lengthscale=0.5))
+        r = np.full(data.n, np.exp(c))
+        active, alpha, _, (mu_w, Sigma_w) = update_alpha(
+            [], np.zeros(0), Phi, r, data.y, VIConfig().tol)
+        Phi_a = Phi[:, active]
         s2 = np.exp(c)
-        H = np.diag(model.alpha) + Phi_a.T @ Phi_a / s2
+        H = np.diag(alpha) + Phi_a.T @ Phi_a / s2
         mu_ref = np.linalg.solve(H, Phi_a.T @ data.y / s2)
-        np.testing.assert_allclose(model.mu_w, mu_ref, atol=1e-10)
-        np.testing.assert_allclose(model.Sigma_w, np.linalg.inv(H), atol=1e-10)
+        np.testing.assert_allclose(mu_w, mu_ref, atol=1e-10)
+        np.testing.assert_allclose(Sigma_w, np.linalg.inv(H), atol=1e-10)
 
     def test_stalled_optimizer_retries_then_ends_stalled(self, monkeypatch):
         # an optimizer that fails without progress: the fit retries it at
@@ -767,14 +772,16 @@ class TestFitVi:
         data, _ = synth(SynthSpec(generator="goldberg_sine", n=80, seed=3))
         model = fit_vi(data, KernelSpec(lengthscale=0.3))
         x = data.X[:, 0]
-        lo = model.g_mu[x < 0.3].mean()
-        hi = model.g_mu[x > 0.7].mean()
+        g_mu = conftest.dense_noise(model)[0]
+        lo = g_mu[x < 0.3].mean()
+        hi = g_mu[x > 0.7].mean()
         assert hi > lo  # inferred log-variance rises with x
 
     def test_constant_noise_stays_flat(self):
         data, _ = synth(SynthSpec(generator="const_noise", n=60, seed=4))
         model = fit_vi(data, KernelSpec(lengthscale=0.5))
-        ratio = np.exp(model.g_mu.max() - model.g_mu.min())
+        g_mu = conftest.dense_noise(model)[0]
+        ratio = np.exp(g_mu.max() - g_mu.min())
         assert ratio < 3.0
 
     def test_status_and_shapes(self):
@@ -784,7 +791,10 @@ class TestFitVi:
         m = len(model.active_indices)
         assert model.mu_w.shape == (m,)
         assert model.Sigma_w.shape == (m, m)
-        assert model.g_mu.shape == (30,)
+        # q(g) is stored as lam and lam - 1/2
+        assert model.g_prec.shape == model.g_coef.shape == (30,)
+        assert np.all((model.g_prec > 0) & (model.g_prec < 0.5))
+        assert np.array_equal(model.g_coef, model.g_prec - 0.5)
 
     def test_each_point_evaluated_once_per_outer_iteration(self, monkeypatch):
         seen = [set()]
@@ -886,8 +896,7 @@ class TestFitVi:
     @pytest.mark.parametrize("bad", [
         dict(max_iter=0), dict(max_iter=-3), dict(tol=-1.0),
         dict(tol=float("nan")), dict(max_iter=1.5), dict(max_iter=True),
-        dict(tol=float("inf")), dict(clamp_g=float("nan")),
-        dict(clamp_g=float("inf")), dict(clamp_g=-float("inf"))])
+        dict(tol=float("inf"))])
     def test_invalid_config_rejected_before_setup(self, monkeypatch, bad):
         def no_setup(*args, **kwargs):
             raise AssertionError("config must be checked before setup")
