@@ -15,12 +15,16 @@ basis and the weight posterior are refreshed exactly as in the
 variational trainer, by Tipping & Faul's selection at the new noise;
 the next pass reads m_n from the posterior the selection returns.
 
-q(g) comes from the variational trainer's reduced-covariance routine:
-with the site precisions in place of its diagonal parameters,
-Sigma = (K^-1 + diag(site_prec))^-1 takes one Cholesky factor of
-B = I + T^1/2 K T^1/2 (Rasmussen & Williams 2006, sec. 3.6).  The
+q(g) comes from the variational trainer's q(g) routine, ``vi._q_cov``,
+with the site precisions in place of its diagonal parameters.  The
 noise-GP hyperparameters stay at their initialization, as under VI, so
-the prior covariance K is factored once per fit, for the prior terms of
+``vi._setup`` splits the prior covariance once per fit into its jitter
+and a part of rank r, K = j I + F F^T, and each refresh of
+Sigma = (K^-1 + diag(site_prec))^-1 factors only an r x r matrix
+(Woodbury on B = I + T^1/2 K T^1/2; Rasmussen & Williams 2006, sec.
+3.6).  A pass reads only the marginal variances diag(Sigma) and the mean
+mu = mu0 + Sigma (site_nu - mu0 site_prec), so no N x N matrix is formed
+in the loop.  K itself is factored once per fit, for the prior terms of
 the marginal-likelihood estimate.  The model keeps q(g) in site form.
 """
 
@@ -37,8 +41,7 @@ from .model import HrvmModel
 from .numerics import (FactorizationError, chol_factor, chol_solve,
                        gauss_hermite)
 from .vi import (_check_loop, _constant, _degenerate, _finish, _gp_noise,
-                 _reduced_cov, _setup, _standardized, noise_diag,
-                 update_alpha)
+                 _q_cov, _setup, _standardized, noise_diag, update_alpha)
 # kept for perfbench's tracer until ROADMAP item 3
 from .vi import weight_posterior  # noqa: F401
 
@@ -67,19 +70,19 @@ class EpConfig:
         _check_loop(self.max_passes, self.tol, "max_passes")
 
 
-def cavity(post_mu, post_Sigma, site_prec, site_nu):
+def cavity(post_mu, post_var, site_prec, site_nu):
     """Remove every site (precision, precision-times-mean; both 0 is a
-    flat site) from its marginal of q(g) = N(post_mu, post_Sigma).
+    flat site) from its marginal N(post_mu_n, post_var_n) of q(g): only
+    the marginal variances of q(g) enter, not its covariance.
 
     Returns (cav_mu, cav_var, ok).  ``ok`` is False where the deletion
     would leave a non-positive variance; those sites are skipped this
     pass and their cavity entries are placeholders.
     """
-    var = np.diag(post_Sigma)
-    cav_prec = 1.0 / var - site_prec
+    cav_prec = 1.0 / post_var - site_prec
     ok = cav_prec > 1e-12
     cav_var = 1.0 / np.where(ok, cav_prec, 1.0)
-    cav_mu = cav_var * (post_mu / var - site_nu)
+    cav_mu = cav_var * (post_mu / post_var - site_nu)
     return cav_mu, cav_var, ok
 
 
@@ -183,34 +186,36 @@ def _prior_terms(K):
     return Kinv_one, float(ones @ Kinv_one), logdet_K
 
 
-def ep_posterior(K, mu0, site_prec, site_nu, site_logz=None, prior=None):
-    """Posterior moments of g given the prior N(mu0 1, K) and the current
-    Gaussian sites, plus the EP marginal-likelihood estimate (nan when a
-    flat-precision site with a nonzero mean parameter makes the
-    normalizer assembly undefined).
+def ep_posterior(cov, mu0, site_prec, site_nu, site_logz=None, prior=None):
+    """Posterior mean and marginal variances of g given the prior
+    N(mu0 1, K) and the current Gaussian sites, plus the EP
+    marginal-likelihood estimate (nan when a flat-precision site with a
+    nonzero mean parameter makes the normalizer assembly undefined).
 
-    Sigma = (K^-1 + diag(site_prec))^-1 comes from ``vi._reduced_cov``
-    and mu = mu0 + Sigma (site_nu - mu0 site_prec).  A negative site
-    precision raises :class:`FactorizationError`.  ``prior`` is
-    ``_prior_terms(K)``; a caller whose K stays fixed passes it rather
-    than have every call factor K again."""
-    K = np.asarray(K, dtype=float)
+    ``cov`` is K with its split K = j I + F F^T (``vi._split_prior``).
+    Sigma = (K^-1 + diag(site_prec))^-1 stays in the factored form of
+    ``vi._q_cov``, which factors an r x r matrix, and only
+    var = diag(Sigma) and mu = mu0 + Sigma (site_nu - mu0 site_prec) are
+    returned.  A negative site precision raises
+    :class:`FactorizationError`.  ``prior`` is ``_prior_terms(cov.K)``; a
+    caller whose K stays fixed passes it rather than have every call
+    factor K again.  Returns (mu, var, logz)."""
     site_prec = np.asarray(site_prec, dtype=float).ravel()
     site_nu = np.asarray(site_nu, dtype=float).ravel()
     n = site_prec.size
     if np.any(site_prec < 0):
         raise FactorizationError("a site precision is negative")
-    Sigma, LB = _reduced_cov(site_prec, K)
-    mu = mu0 + Sigma @ (site_nu - mu0 * site_prec)
+    q = _q_cov(site_prec, cov)
+    mu = mu0 + q.mul(site_nu - mu0 * site_prec)
 
     logz = np.nan
     active = (site_prec != 0) | (site_nu != 0)
     if site_logz is not None and np.all(site_prec[active] > 0):
-        Kinv_one, quad_one, logdet_K = (_prior_terms(K) if prior is None
+        Kinv_one, quad_one, logdet_K = (_prior_terms(cov.K) if prior is None
                                         else prior)
         h = site_nu + mu0 * Kinv_one
         # |Sigma| = |K| / |B|
-        logdet_Sigma = logdet_K - 2.0 * np.sum(np.log(np.diag(LB)))
+        logdet_Sigma = logdet_K - q.logdet_B
         c_prior = 0.5 * (mu0**2 * quad_one
                          + n * np.log(2 * np.pi) + logdet_K)
         prec_a = site_prec[active]
@@ -221,7 +226,7 @@ def ep_posterior(K, mu0, site_prec, site_nu, site_logz=None, prior=None):
                 + 0.5 * float(h @ mu)
                 + 0.5 * (n * np.log(2 * np.pi) + logdet_Sigma)
                 - c_prior - c_sites)
-    return mu, Sigma, logz
+    return mu, q.diag, logz
 
 
 def fit_ep(data: Dataset, kernel: Optional[KernelSpec] = None,
@@ -240,16 +245,16 @@ def fit_ep(data: Dataset, kernel: Optional[KernelSpec] = None,
     config = config or EpConfig()
     work, record = _standardized(data, config.standardize)
     Phi = build_design_matrix(work.X, kernel)
-    active, alpha, noise_prior, K = _setup(work)
+    active, alpha, noise_prior, cov = _setup(work)
     if _constant(work.y):
         return _degenerate("ep", kernel, work, record, config)
     y, n, mu0 = work.y, work.n, noise_prior.mu0
 
     # K stays fixed under EP, so the normalizer's prior terms do too
-    prior = _prior_terms(K)
-    # flat sites, and q(g) at the prior
+    prior = _prior_terms(cov.K)
+    # flat sites, and q(g)'s marginals at the prior
     site_prec, site_nu, site_logz = np.zeros((3, n))
-    post_mu, post_Sigma = np.full(n, mu0), K
+    post_mu, post_var = np.full(n, mu0), np.diag(cov.K)
 
     training_log: List[float] = []
     status = "max_passes"
@@ -257,7 +262,7 @@ def fit_ep(data: Dataset, kernel: Optional[KernelSpec] = None,
     halved = False
     prev_change = np.inf
     osc = 0
-    r = noise_diag(post_mu, post_Sigma)  # kept current below
+    r = noise_diag(post_mu, post_var)  # kept current below
     active, alpha, _, posterior = update_alpha(active, alpha, Phi, r, y,
                                                config.tol)
     for n_pass in range(1, config.max_passes + 1):
@@ -266,7 +271,7 @@ def fit_ep(data: Dataset, kernel: Optional[KernelSpec] = None,
         resid = y - Phi_a @ mu_w
         m_hat = resid**2 + np.sum((Phi_a @ Sigma_w) * Phi_a, axis=1)
 
-        cav = cavity(post_mu, post_Sigma, site_prec, site_nu)
+        cav = cavity(post_mu, post_var, site_prec, site_nu)
         cav_mu, cav_var, ok = cav
         tilt = tilted_moments(cav_mu[ok], cav_var[ok], m_hat[ok])
         prec, nu, site_logz = site_update(site_prec, site_nu, site_logz,
@@ -274,10 +279,10 @@ def fit_ep(data: Dataset, kernel: Optional[KernelSpec] = None,
         change = float(max(np.max(np.abs(prec - site_prec)),
                            np.max(np.abs(nu - site_nu))))
         site_prec, site_nu = prec, nu
-        post_mu, post_Sigma, logz = ep_posterior(
-            K, mu0, site_prec, site_nu, site_logz, prior=prior)
+        post_mu, post_var, logz = ep_posterior(
+            cov, mu0, site_prec, site_nu, site_logz, prior=prior)
 
-        r = noise_diag(post_mu, post_Sigma)
+        r = noise_diag(post_mu, post_var)
         active, alpha, _, posterior = update_alpha(active, alpha, Phi, r, y,
                                                    config.tol)
         training_log.append(logz)
@@ -293,10 +298,9 @@ def fit_ep(data: Dataset, kernel: Optional[KernelSpec] = None,
                 break
             damping, halved, osc = 0.5 * damping, True, 0
 
-    # q(g)'s mean is mu0 + K a, a = (I + T K)^-1 nu_t through B's factor
-    root, nu_t = np.sqrt(site_prec), site_nu - mu0 * site_prec
-    LB = _reduced_cov(site_prec, K)[1]
-    coef = nu_t - root * chol_solve(LB, root * (K @ nu_t))
+    # q(g)'s mean is mu0 + K a, a = (I + T K)^-1 nu_t = nu_t - T Sigma nu_t
+    nu_t = site_nu - mu0 * site_prec
+    coef = nu_t - site_prec * _q_cov(site_prec, cov).mul(nu_t)
     return _finish("ep", kernel, work, record, active, alpha, posterior,
                    _gp_noise(noise_prior, site_prec, coef),
                    training_log=training_log, status=status, n_iter=n_pass,

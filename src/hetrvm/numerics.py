@@ -1,10 +1,9 @@
 """Shared numerical kernels.
 
 Cholesky factors of positive-definite matrices and solves with them,
-Gaussian KL divergence, Gauss-Hermite quadrature against the standard
-normal weight, and a finite-difference gradient checker.  All heavier
-routines route through Cholesky factorizations; nothing here forms an
-explicit inverse.
+Gaussian KL divergence and Gauss-Hermite quadrature against the standard
+normal weight.  All heavier routines route through Cholesky
+factorizations; nothing here forms an explicit inverse.
 
 The factorization and the two solves call the LAPACK routines that
 ``scipy.linalg.cholesky``, ``cho_solve`` and ``solve_triangular`` call
@@ -12,9 +11,10 @@ The factorization and the two solves call the LAPACK routines that
 return the same bits.  The trainers factor m x m weight precisions, m
 around 10, thousands of times per fit, and at that size the wrappers'
 argument handling costs several times the factorization.
-:func:`chol_factor` is the only factorization entry point, and no module
-of the package calls ``np.linalg``; the trainers call it through their
-own module's name for it.
+:func:`chol_factor` is the only Cholesky entry point; the trainers call
+it through their own module's name for it.  The one other decomposition
+in the package is ``vi._split_prior``'s ``np.linalg.eigh`` of the
+noise-GP prior covariance, once per fit.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "lower_solve",
     "gauss_kl",
     "gauss_hermite",
-    "grad_check",
 ]
 
 
@@ -163,23 +162,3 @@ def _gauss_hermite_rule(n: int) -> Quadrature:
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return Quadrature(nodes=nodes, weights=weights)
-
-
-def grad_check(f, grad, x) -> float:
-    """Max relative error between an analytic gradient and central
-    differences with per-coordinate step h_i = 1e-5 * (1 + |x_i|)."""
-    x = np.asarray(x, dtype=float).ravel()
-    g = np.asarray(grad(x), dtype=float).ravel()
-    worst = 0.0
-    for i in range(x.size):
-        h = 1e-5 * (1.0 + abs(x[i]))
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        fp, fm = float(f(xp)), float(f(xm))
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise ValueError(f"non-finite objective at coordinate {i}")
-        num = (fp - fm) / (2.0 * h)
-        err = abs(g[i] - num) / max(1.0, abs(g[i]), abs(num))
-        worst = max(worst, err)
-    return worst

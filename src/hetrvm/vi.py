@@ -37,12 +37,22 @@ EP as they are and the RVM with R = sigma2 I; a model keeps the weight
 posterior its trainer last fitted.  The evidence is evaluated through
 the m x m weight precision (Woodbury), never the N x N covariance, and
 so is the bound's gradient: it needs C^-1 y and diag(C^-1) only, and no
-N x N inverse of C or K is formed.  The N x N work left per bound
-evaluation is one q(g) routine, ``_q_point``: from one Cholesky factor
-of I + Lam^1/2 K Lam^1/2 it gives q(g), the effective noise and the
-bound's q(g) terms, to L-BFGS and to ``training_log`` alike.  Only
-``collapsed_bound``, the dense oracle of the tests, factors K and Sigma.
-Within one outer iteration every distinct point is evaluated once.
+N x N inverse of C or K is formed.
+
+K is held for the whole fit, so ``_setup`` splits it once, by an
+eigendecomposition, into its jitter j and a part of rank r:
+K = j I + F F^T (``_split_prior``; r is 14-15 on the 1-D draws at
+N = 100-800, and r = N where K is full rank, as with 5 inputs).  One
+q(g) routine, ``_q_cov``, then gives Sigma = (K^-1 + diag(lam))^-1 by
+Woodbury on B = I + Lam^1/2 K Lam^1/2 (Rasmussen & Williams 2006, sec.
+3.6), factoring only an r x r matrix: diag(Sigma), Sigma x and log|B|
+in O(N r^2).  ``_q_point`` adds q(g)'s mean, the effective noise and the
+bound's q(g) terms, to L-BFGS and to ``training_log`` alike, and EP
+refreshes q(g) with the same routine.  The one N x N product left per
+bound evaluation is the block Y^T Y of the gradient's (Sigma o Sigma)
+term, O(N^2 r); Sigma itself is never formed.  Only ``collapsed_bound``,
+the dense oracle of the tests, factors K and Sigma.  Within one outer
+iteration every distinct point is evaluated once.
 
 L-BFGS is ``scipy.optimize.minimize``, reached through this module's
 ``minimize``, which imports the optimizer on its first call.  Loading
@@ -54,7 +64,7 @@ and only ``fit_vi`` needs it, so the first VI fit in a process pays it.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -69,7 +79,6 @@ __all__ = [
     "VIConfig",
     "VariationalState",
     "noise_diag",
-    "expected_loglik",
     "weight_posterior",
     "collapsed_bound",
     "update_alpha",
@@ -129,21 +138,6 @@ def noise_diag(mu, Sigma):
         bad = int(np.argmax(~np.isfinite(out)))
         raise FloatingPointError(f"effective noise overflow at index {bad}")
     return out
-
-
-def expected_loglik(y, w, Phi, mu, Sigma) -> float:
-    """E_{g ~ N(mu, Sigma)} log p(y | w, g) where the per-point noise
-    variance is exp(g_n).  Equals log N(y | Phi w, R) - tr(Sigma)/4."""
-    y = np.asarray(y, dtype=float).ravel()
-    Phi = np.asarray(Phi, dtype=float)
-    f = Phi @ np.asarray(w, dtype=float).ravel()
-    r = noise_diag(mu, Sigma)
-    Sigma = np.asarray(Sigma, dtype=float)
-    tr = float(np.sum(np.diag(Sigma))) if Sigma.ndim == 2 else float(np.sum(Sigma))
-    n = y.size
-    ll = -0.5 * (n * np.log(2 * np.pi) + np.sum(np.log(r))
-                 + np.sum((y - f) ** 2 / r))
-    return float(ll - 0.25 * tr)
 
 
 def _gram(Phi_a, r, y):
@@ -212,34 +206,88 @@ def weight_posterior(Phi_a, alpha, r, y):
     return _weight_fit(np.asarray(Phi_a, dtype=float), alpha, r, y)[1:]
 
 
-def _reduced_cov(lam, K):
-    """Sigma = (K^-1 + diag(lam))^-1 = K - K Lam^1/2 B^-1 Lam^1/2 K and
-    the Cholesky factor of B = I + Lam^1/2 K Lam^1/2."""
-    root = np.sqrt(lam)
-    B = np.eye(lam.size) + root[:, None] * K * root[None, :]
-    LB = chol_factor(B, "reduced system")
-    V = lower_solve(LB, root[:, None] * K)
-    Sigma = K - V.T @ V
-    return 0.5 * (Sigma + Sigma.T), LB
+class _PriorCov(NamedTuple):
+    """The noise-GP prior covariance K at the training inputs and its
+    split K = jitter I + F F^T, F of N x r (:func:`_split_prior`)."""
+
+    K: np.ndarray
+    jitter: float
+    F: np.ndarray
+
+    def mv(self, x):
+        """K x through the split, in O(N r)."""
+        return self.jitter * x + self.F @ (self.F.T @ x)
 
 
-def _q_point(lam, mu0, K):
-    """q(g) at reduced parameters lam in (0, 1/2) and prior mean mu0, from
-    one factor of B = I + Lam^1/2 K Lam^1/2: Sigma = (K^-1 + diag(lam))^-1,
-    mu = K v + mu0 with v = lam - 1/2, K v, the effective noise
-    r = exp(mu - diag(Sigma)/2) (exponent clipped at +-700) and the
-    bound's q(g) terms trq = tr(Sigma)/4 and
+def _split_prior(K, jitter):
+    """Split a prior covariance as K = jitter I + F F^T with
+    F = U (w - jitter)^1/2 over the eigenpairs (w, U) of K whose
+    eigenvalue exceeds the jitter by more than N eps max(w), a bound on
+    the eigensolver's own rounding; every other eigenvalue is taken to be
+    the jitter.  One O(N^3) eigendecomposition per fit; a failure raises
+    FactorizationError."""
+    try:
+        w, U = np.linalg.eigh(K)
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationError(f"noise covariance: {exc}") from exc
+    keep = w - jitter > K.shape[0] * np.finfo(float).eps * w[-1]
+    return _PriorCov(K, float(jitter), U[:, keep] * np.sqrt(w[keep] - jitter))
+
+
+class _QCov(NamedTuple):
+    """q(g)'s covariance Sigma = (K^-1 + diag(lam))^-1 in the factored
+    form Sigma = diag(jd) + Y^T Y of :func:`_q_cov`."""
+
+    jd: np.ndarray         # j / d, d = 1 + j lam
+    Y: np.ndarray          # r x N
+    diag: np.ndarray       # diag(Sigma)
+    logdet_B: float        # log|I + Lam^1/2 K Lam^1/2|
+
+    def mul(self, x):
+        """Sigma x, in O(N r)."""
+        return self.jd * x + self.Y.T @ (self.Y @ x)
+
+    def sq_mul(self, w):
+        """(Sigma o Sigma) w, o the elementwise product, from the explicit
+        N x N block Y^T Y: O(N^2 r)."""
+        S = self.Y.T @ self.Y
+        diag_terms = w * self.jd * (self.jd + 2.0 * S.diagonal())
+        S *= S
+        return w @ S + diag_terms
+
+
+def _q_cov(lam, cov):
+    """Sigma = (K^-1 + diag(lam))^-1 for site precisions lam >= 0 under the
+    split prior ``cov`` (K = j I + F F^T), by Woodbury on
+    B = I + Lam^1/2 K Lam^1/2: with d = 1 + j lam and
+    Omega = F^T diag(lam/d) F, Sigma = diag(j/d) + Y^T Y for
+    Y = L^-1 (F/d)^T, L L^T = I + Omega, and
+    log|B| = sum log d + log|I + Omega|.  Only the r x r matrix I + Omega
+    is factored: O(N r^2).  Returns the :class:`_QCov`."""
+    d = 1.0 + cov.jitter * lam
+    G = cov.F * np.sqrt(lam / d)[:, None]
+    L = chol_factor(np.eye(G.shape[1]) + G.T @ G, "reduced system")
+    Y = lower_solve(L, (cov.F / d[:, None]).T)
+    jd = cov.jitter / d
+    return _QCov(jd, Y, jd + np.einsum("ij,ij->j", Y, Y),
+                 float(np.sum(np.log(d)) + 2.0 * np.sum(np.log(L.diagonal()))))
+
+
+def _q_point(lam, mu0, cov):
+    """q(g) at reduced parameters lam in (0, 1/2) and prior mean mu0 under
+    the split prior ``cov``: Sigma = (K^-1 + diag(lam))^-1 as the
+    :class:`_QCov` q of :func:`_q_cov`, mu = K v + mu0 with v = lam - 1/2,
+    K v, the effective noise r = exp(mu - diag(Sigma)/2) (exponent clipped
+    at +-700) and the bound's q(g) terms trq = tr(Sigma)/4 and
     kl = KL(q || N(mu0 1, K)) = (log|B| - lam^T diag(Sigma) + v^T K v)/2.
-    Returns (mu, Sigma, Kv, r, trq, kl)."""
-    Sigma, LB = _reduced_cov(lam, K)
-    sdiag = np.diag(Sigma)
+    Returns (mu, q, Kv, r, trq, kl)."""
+    q = _q_cov(lam, cov)
     v = lam - 0.5
-    Kv = K @ v
+    Kv = cov.mv(v)
     mu = Kv + mu0
-    r = np.exp(np.clip(mu - 0.5 * sdiag, -700.0, 700.0))
-    logdet_B = 2.0 * np.sum(np.log(np.diag(LB)))
-    kl = 0.5 * (logdet_B - float(lam @ sdiag) + float(v @ Kv))
-    return mu, Sigma, Kv, r, 0.25 * float(np.sum(sdiag)), float(kl)
+    r = np.exp(np.clip(mu - 0.5 * q.diag, -700.0, 700.0))
+    kl = 0.5 * (q.logdet_B - float(lam @ q.diag) + float(v @ Kv))
+    return mu, q, Kv, r, 0.25 * float(np.sum(q.diag)), float(kl)
 
 
 def collapsed_bound(state: VariationalState, Phi, y) -> float:
@@ -269,13 +317,13 @@ def _eta_from_lam(lam):
     return np.log(s) - np.log1p(-s)
 
 
-def _bound_value_grad(x, K, Phi_a, alpha, y):
+def _bound_value_grad(x, cov, Phi_a, alpha, y):
     """Bound and its analytic gradient in the packed variables
-    x = [eta (N), mu0] with lam = sigmoid(eta)/2, under the noise-GP
-    prior covariance K."""
+    x = [eta (N), mu0] with lam = sigmoid(eta)/2, under the split noise-GP
+    prior covariance ``cov`` (:func:`_split_prior`)."""
     n = y.size
     lam = np.clip(0.5 * _sigmoid(x[:n]), 1e-12, 0.5 - 1e-12)
-    _, Sigma, Kv, r, trq, kl = _q_point(lam, x[n], K)
+    _, q, Kv, r, trq, kl = _q_point(lam, x[n], cov)
 
     # evidence, beta = C^-1 y and diag(C^-1) through the m x m weight
     # precision: C^-1 = R^-1 - W^T W with W = L^-1 Phi^T R^-1
@@ -292,7 +340,7 @@ def _bound_value_grad(x, K, Phi_a, alpha, y):
     u = d * r
 
     fs = -0.5 * u - 0.25 + 0.5 * lam          # diag of dF/dSigma
-    g_lam = K @ u + ((-fs)[:, None] * Sigma**2).sum(axis=0) - Kv
+    g_lam = cov.mv(u) + q.sq_mul(-fs) - Kv
     g_eta = g_lam * lam * (1.0 - 2.0 * lam)
     return fval, np.append(g_eta, np.sum(u))
 
@@ -402,8 +450,10 @@ def _setup(work: Dataset):
     """Starting point shared by fit_vi and fit_ep: the empty basis, and
     the noise-GP prior at the median-distance lengthscale, unit signal
     variance, jitter 1e-6 and mu0 = log(0.1 var y), with its covariance
-    K at the training inputs.  Returns (active, alpha, prior, K); inputs
-    whose squared distances are all 0 (or underflow) raise DataError."""
+    K at the training inputs, split once as K = jitter I + F F^T
+    (:func:`_split_prior`).  Returns (active, alpha, prior, cov), cov the
+    :class:`_PriorCov`; inputs whose squared distances are all 0 (or
+    underflow) raise DataError."""
     n = work.n
     if n < 3:
         raise ValueError("need at least 3 points")
@@ -418,7 +468,8 @@ def _setup(work: Dataset):
                         "the inputs") from exc
     mu0 = float(np.log(0.1 * max(float(np.var(work.y)), 1e-12)))
     prior = GpNoisePrior(mu0, kernel)
-    return [], np.zeros(0), prior, gp_covariance(work.X, prior)
+    return [], np.zeros(0), prior, _split_prior(gp_covariance(work.X, prior),
+                                                prior.jitter)
 
 
 def _gp_noise(prior: GpNoisePrior, prec, coef):
@@ -473,13 +524,14 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
            config: Optional[VIConfig] = None) -> HrvmModel:
     """Train by alternating: one L-BFGS ascent of the bound over the
     reduced q(g) parameters and mu0, under the noise-GP prior covariance
-    K that ``_setup`` builds once (its lengthscale and signal variance
-    are held); then Tipping & Faul's basis selection at the new noise
-    (``update_alpha``, stopped at ``config.tol``), whose deletes prune
-    the basis.  The basis is first selected once at the start q(g), so
-    q(g) never fits y with an empty basis.  The second ascent that fails without progress ends the fit as
-    ``stalled``.  ``training_log`` holds the bound L-BFGS maximizes, at
-    the end of each outer iteration.
+    K that ``_setup`` builds and splits once (its lengthscale and signal
+    variance are held); then Tipping & Faul's basis selection at the new
+    noise (``update_alpha``, stopped at ``config.tol``), whose deletes
+    prune the basis.  The basis is first selected once at the start q(g),
+    so q(g) never fits y with an empty basis.  The second ascent that
+    fails without progress ends the fit as ``stalled``.  ``training_log``
+    holds the bound L-BFGS maximizes, at the end of each outer
+    iteration.
 
     q(g) starts at lam = 1/2 - 1/(4 K 1), which puts the start log-noise
     near mu0 - 1/4 at every N: a constant lam makes it fall as the rows
@@ -490,12 +542,12 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
     config = config or VIConfig()
     work, record = _standardized(data, config.standardize)
     Phi = build_design_matrix(work.X, kernel)
-    active, alpha, prior, K = _setup(work)
+    active, alpha, prior, cov = _setup(work)
     if _constant(work.y):
         return _degenerate("vi", kernel, work, record, config)
     y, n, mu0 = work.y, work.n, prior.mu0
-    lam = 0.5 - 0.25 / K.sum(axis=1)
-    *_, r, trq, kl = _q_point(lam, mu0, K)  # kept current below
+    lam = 0.5 - 0.25 / cov.K.sum(axis=1)
+    *_, r, trq, kl = _q_point(lam, mu0, cov)  # kept current below
     active, alpha, _, posterior = update_alpha(active, alpha, Phi, r, y,
                                                config.tol)
 
@@ -512,13 +564,13 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
         # and the acceptance test below share them.  The start point
         # must evaluate; a trial point where the bound breaks down
         # reads -inf, so the line search backs off.
-        memo = {x0.tobytes(): _bound_value_grad(x0, K, Phi_a, alpha, y)}
+        memo = {x0.tobytes(): _bound_value_grad(x0, cov, Phi_a, alpha, y)}
 
         def negf(x):
             key = x.tobytes()
             if key not in memo:
                 try:
-                    memo[key] = _bound_value_grad(x, K, Phi_a, alpha, y)
+                    memo[key] = _bound_value_grad(x, cov, Phi_a, alpha, y)
                 except (FactorizationError, FloatingPointError):
                     memo[key] = (-np.inf, np.zeros(x.size))
             f, g = memo[key]
@@ -536,7 +588,7 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
         if -negf(res.x)[0] >= f0:
             lam = np.clip(0.5 * _sigmoid(res.x[:n]), 1e-12, 0.5 - 1e-12)
             mu0 = float(res.x[n])
-        *_, r, trq, kl = _q_point(lam, mu0, K)
+        *_, r, trq, kl = _q_point(lam, mu0, cov)
 
         # the evidence at the new precisions is update_alpha's; the bound
         # subtracts the q(g) terms in _bound_value_grad's order

@@ -40,3 +40,11 @@ def dense_noise(model):
     RK = root[:, None] * K
     Sigma = K - RK.T @ sla.solve(B, RK, assume_a="pos")
     return model.noise_mu0 + K @ model.g_coef, 0.5 * (Sigma + Sigma.T)
+
+
+def dense_sigma(q):
+    """The N x N covariance Sigma = diag(jd) + Y^T Y that a ``vi._QCov``
+    holds in factored form."""
+    import numpy as np
+
+    return np.diag(q.jd) + q.Y.T @ q.Y

@@ -19,12 +19,13 @@ from hetrvm.ep import EpConfig, cavity, ep_posterior, fit_ep, \
     site_update, tilted_moments
 from hetrvm.kernels import GpNoisePrior, KernelSpec, build_design_matrix, \
     gp_covariance
-from hetrvm.numerics import gauss_hermite, grad_check
+from hetrvm.numerics import gauss_hermite
 from hetrvm.predict import nlpd, predict
 from hetrvm.rvm import fit_rvm
 from hetrvm.serialize import load_model, model_to_dict, save_model
 from hetrvm.vi import VIConfig, VariationalState, _bound_value_grad, \
-    _q_point, collapsed_bound, expected_loglik, fit_vi, update_alpha
+    _q_cov, _q_point, _split_prior, collapsed_bound, fit_vi, update_alpha
+from oracles import expected_loglik, grad_check
 
 # np.trapezoid is new in numpy 2.0; pyproject.toml accepts numpy 1.24
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -43,21 +44,27 @@ def verdict(num, name, ok, detail=""):
     assert ok, line
 
 
-def make_state(X, eta, log_ell, log_sv, mu0, alpha, active):
-    """A VariationalState whose prior covariance K is built at X from
-    (log_ell, log_sv); the two are not stored in the state."""
+def noise_split(X, log_ell, log_sv):
+    """The noise-GP prior covariance K built at X from (log_ell, log_sv),
+    split as K = j I + F F^T with j its jitter."""
     sv = float(np.exp(log_sv))
     prior = GpNoisePrior(
-        mu0=mu0,
+        mu0=0.0,
         kernel=KernelSpec(family="rbf", lengthscale=float(np.exp(log_ell)),
                           include_bias=False, signal_variance=sv),
         jitter=1e-6 * sv)
-    K = gp_covariance(X, prior)
+    return _split_prior(gp_covariance(X, prior), prior.jitter)
+
+
+def make_state(X, eta, log_ell, log_sv, mu0, alpha, active):
+    """A VariationalState whose prior covariance K is built at X from
+    (log_ell, log_sv); the two are not stored in the state."""
+    cov = noise_split(X, log_ell, log_sv)
     lam = 0.5 / (1.0 + np.exp(-np.asarray(eta, dtype=float)))
-    mu, Sigma = _q_point(lam, mu0, K)[:2]
-    return VariationalState(mu=mu, Sigma=Sigma,
+    mu, q = _q_point(lam, mu0, cov)[:2]
+    return VariationalState(mu=mu, Sigma=conftest.dense_sigma(q),
                             alpha=np.asarray(alpha, dtype=float),
-                            active_indices=list(active), mu0=mu0, K=K)
+                            active_indices=list(active), mu0=mu0, K=cov.K)
 
 
 @pytest.fixture(scope="module")
@@ -224,9 +231,10 @@ def test_criterion_5_gradient_correctness():
                               mu0=float(x[n]), alpha=alpha, active=active)
 
         x = np.append(eta, rng.normal(size=1) * 0.5)
-        K = unpack(x).K  # fixed by (log_ell, log_sv), not by x
+        cov = noise_split(X, log_ell, log_sv)  # fixed by them, not by x
         err = grad_check(lambda v: collapsed_bound(unpack(v), Phi, y),
-                         lambda v: _bound_value_grad(v, K, Phi, alpha, y)[1],
+                         lambda v: _bound_value_grad(v, cov, Phi, alpha,
+                                                     y)[1],
                          x)
         worst = max(worst, err)
     verdict(5, "gradient correctness", worst < 1e-4,
@@ -234,12 +242,14 @@ def test_criterion_5_gradient_correctness():
 
 
 def _ep_converge(K, mu0, m_hat, passes=400, damping=0.8):
-    """Parallel EP passes to a fixed point; returns q(g) = (mu, Sigma)."""
+    """Parallel EP passes to a fixed point; returns q(g)'s marginals
+    (mu, var)."""
     n = len(m_hat)
     prec, nu, logz = np.zeros(n), np.zeros(n), np.zeros(n)
-    mu, Sigma = np.full(n, mu0), np.asarray(K, dtype=float).copy()
+    cov = _split_prior(np.asarray(K, dtype=float), 0.0)
+    mu, var = np.full(n, mu0), np.diag(cov.K).copy()
     for _ in range(passes):
-        cav = cavity(mu, Sigma, prec, nu)
+        cav = cavity(mu, var, prec, nu)
         cav_mu, cav_var, ok = cav
         tilt = tilted_moments(cav_mu[ok], cav_var[ok],
                               np.asarray(m_hat, dtype=float)[ok], 64)
@@ -248,10 +258,10 @@ def _ep_converge(K, mu0, m_hat, passes=400, damping=0.8):
         change = max(np.max(np.abs(new_prec - prec)),
                      np.max(np.abs(new_nu - nu)))
         prec, nu = new_prec, new_nu
-        mu, Sigma, _ = ep_posterior(K, mu0, prec, nu, logz)
+        mu, var, _ = ep_posterior(cov, mu0, prec, nu, logz)
         if change < 1e-12:
             break
-    return mu, Sigma
+    return mu, var
 
 
 def test_criterion_6_ep_exactness_and_accuracy():
@@ -266,7 +276,10 @@ def test_criterion_6_ep_exactness_and_accuracy():
     logzs = (-0.5 * np.log(2 * np.pi * v)
              + 0.5 * np.log(2 * np.pi / prec) + 0.5 * nu**2 / prec
              - 0.5 * yv**2 / v)
-    mu, Sigma, logz = ep_posterior(K, mu0, prec, nu, logzs)
+    cov = _split_prior(K, 0.0)
+    mu, var, logz = ep_posterior(cov, mu0, prec, nu, logzs)
+    # the full covariance of the q(g) ep_posterior's marginals come from
+    Sigma = conftest.dense_sigma(_q_cov(prec, cov))
     C = K + np.diag(v)
     resid = yv - mu0
     logz_exact = -0.5 * (2 * np.log(2 * np.pi) + np.linalg.slogdet(C)[1]
@@ -275,11 +288,12 @@ def test_criterion_6_ep_exactness_and_accuracy():
     mu_exact = Sigma_exact @ (nu + np.linalg.solve(K, np.full(2, mu0)))
     err_gauss = max(abs(logz - logz_exact),
                     float(np.max(np.abs(Sigma - Sigma_exact))),
+                    float(np.max(np.abs(var - np.diag(Sigma_exact)))),
                     float(np.max(np.abs(mu - mu_exact))))
 
     # part B1: N=1 against a dense grid
     k1, mu0_1, m1 = 1.5, -0.4, 1.7
-    mu1, Sigma1 = _ep_converge(np.array([[k1]]), mu0_1, [m1])
+    mu1, var_ep1 = _ep_converge(np.array([[k1]]), mu0_1, [m1])
     g = np.linspace(mu0_1 - 16 * np.sqrt(k1), mu0_1 + 16 * np.sqrt(k1),
                     400_001)
     logv = (-0.5 * (g - mu0_1) ** 2 / k1 - 0.5 * g
@@ -288,13 +302,13 @@ def test_criterion_6_ep_exactness_and_accuracy():
     z = trapezoid(w, g)
     mean1 = trapezoid(w * g, g) / z
     var1 = trapezoid(w * (g - mean1) ** 2, g) / z
-    err1 = max(abs(mu1[0] - mean1), abs(Sigma1[0, 0] - var1))
+    err1 = max(abs(mu1[0] - mean1), abs(var_ep1[0] - var1))
 
     # part B2: N=2 with a correlated prior against a dense 2-D grid
     K2 = np.array([[1.0, 0.6], [0.6, 1.3]])
     mu0_2 = 0.2
     m2 = np.array([0.5, 2.5])
-    mu2, Sigma2 = _ep_converge(K2, mu0_2, m2)
+    mu2, var_ep2 = _ep_converge(K2, mu0_2, m2)
     lo = mu0_2 - 10 * np.sqrt(K2.diagonal().max())
     hi = mu0_2 + 10 * np.sqrt(K2.diagonal().max())
     axis = np.linspace(lo, hi, 900)
@@ -310,7 +324,7 @@ def test_criterion_6_ep_exactness_and_accuracy():
     d = pts - mean2
     var2 = np.array([(w * d[:, 0] ** 2).sum(), (w * d[:, 1] ** 2).sum()]) / z
     err2 = max(float(np.max(np.abs(mu2 - mean2))),
-               float(np.max(np.abs(np.diag(Sigma2) - var2))))
+               float(np.max(np.abs(var_ep2 - var2))))
 
     verdict(6, "EP exactness and accuracy",
             err_gauss < 1e-10 and err1 < 1e-2 and err2 < 1e-2,
@@ -416,11 +430,12 @@ def test_criterion_11_noise_gp_does_not_collapse():
 
 def test_criterion_12_fits_beyond_n100():
     """Every trainer converges on goldberg_sine at N = 200 and 400 (seeds
-    0-2), and on every such draw VI and EP beat the RVM's held-out NLPD."""
+    0-2) and at N = 800 (seed 0), and on every such draw VI and EP beat
+    the RVM's held-out NLPD."""
     notes = []
     ok = True
-    for n in (200, 400):
-        for seed in range(3):
+    for n, seeds in ((200, range(3)), (400, range(3)), (800, range(1))):
+        for seed in seeds:
             train, _ = synth(SynthSpec(generator="goldberg_sine", n=n,
                                        seed=seed))
             test, _ = synth(SynthSpec(generator="goldberg_sine", n=2000,

@@ -14,6 +14,7 @@ from hetrvm.kernels import KernelSpec
 from hetrvm.numerics import FactorizationError, Quadrature
 from hetrvm.predict import predict
 from hetrvm.serialize import model_to_dict
+from hetrvm.vi import _q_cov, _split_prior
 
 # np.trapezoid is new in numpy 2.0; pyproject.toml accepts numpy 1.24
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -24,16 +25,21 @@ def flat_sites(n):
     return np.zeros(n), np.zeros(n), np.zeros(n)
 
 
+def split(K, jitter=0.0):
+    """A prior covariance in the split form ep_posterior takes."""
+    return _split_prior(np.asarray(K, dtype=float), jitter)
+
+
 class TestCavity:
     def test_flat_site_returns_marginal(self):
-        cav_mu, cav_var, ok = cavity(np.array([0.5]), np.array([[2.0]]),
+        cav_mu, cav_var, ok = cavity(np.array([0.5]), np.array([2.0]),
                                      *flat_sites(1)[:2])
         assert (cav_mu[0], cav_var[0]) == pytest.approx((0.5, 2.0))
         assert ok[0]
 
     def test_precision_subtraction(self):
         # prior N(0,1) x site N(0,1) -> posterior N(0, 1/2); cavity = prior
-        cav_mu, cav_var, _ = cavity(np.zeros(1), np.array([[0.5]]),
+        cav_mu, cav_var, _ = cavity(np.zeros(1), np.array([0.5]),
                                     np.array([1.0]), np.array([0.0]))
         assert cav_mu[0] == pytest.approx(0.0, abs=1e-14)
         assert cav_var[0] == pytest.approx(1.0, abs=1e-12)
@@ -42,19 +48,19 @@ class TestCavity:
         K = np.array([[1.0, 0.3], [0.3, 2.0]])
         prec = np.array([0.7, 1.4])
         nu = np.array([0.2, -0.5])
-        mu, Sigma, _ = ep_posterior(K, 0.1, prec, nu)
-        cav_mu, cav_var, ok = cavity(mu, Sigma, prec, nu)
+        mu, var, _ = ep_posterior(split(K), 0.1, prec, nu)
+        cav_mu, cav_var, ok = cavity(mu, var, prec, nu)
         assert np.all(ok)
         for n in range(2):
             # re-multiplying the site must recover the marginal moments
             post_prec = 1.0 / cav_var[n] + prec[n]
             post_mu_n = (cav_mu[n] / cav_var[n] + nu[n]) / post_prec
-            assert 1.0 / post_prec == pytest.approx(Sigma[n, n], abs=1e-12)
+            assert 1.0 / post_prec == pytest.approx(var[n], abs=1e-12)
             assert post_mu_n == pytest.approx(mu[n], abs=1e-12)
 
     def test_negative_cavity_skipped(self):
         # 1/1 - 3 < 0; 1/1 - 0.5 > 0
-        _, cav_var, ok = cavity(np.zeros(2), np.eye(2), np.array([3.0, 0.5]),
+        _, cav_var, ok = cavity(np.zeros(2), np.ones(2), np.array([3.0, 0.5]),
                                 np.zeros(2))
         assert ok.tolist() == [False, True]
         assert cav_var[1] == pytest.approx(2.0)
@@ -126,15 +132,15 @@ class TestTiltedMoments:
 class TestSiteUpdate:
     def test_zero_damping_noop(self):
         prec, nu, logz = flat_sites(1)
-        mu, Sigma = np.zeros(1), np.eye(1)
-        before = (prec.copy(), nu.copy(), mu.copy(), Sigma.copy())
+        mu, var = np.zeros(1), np.ones(1)
+        before = (prec.copy(), nu.copy(), mu.copy(), var.copy())
         new_prec, new_nu, _ = site_update(prec, nu, logz,
-                                          cavity(mu, Sigma, prec, nu),
+                                          cavity(mu, var, prec, nu),
                                           (0.0, 0.5, 0.5), 0.0)
         assert np.array_equal(new_prec, before[0])
         assert np.array_equal(new_nu, before[1])
         np.testing.assert_allclose(mu, before[2], atol=1e-15)
-        np.testing.assert_allclose(Sigma, before[3], atol=1e-15)
+        np.testing.assert_allclose(var, before[3], atol=1e-15)
 
     def test_gaussian_factor_exact_fixed_point(self):
         # prior N(0,1), likelihood factor N(g | 1, 1): tilted = N(1/2, 1/2),
@@ -145,18 +151,19 @@ class TestSiteUpdate:
         prec, nu, logz = flat_sites(1)
         logz_t = -0.5 * np.log(2 * np.pi * 2.0) - 0.25
         prec, nu, logz = site_update(prec, nu, logz,
-                                     cavity(np.zeros(1), K, prec, nu),
+                                     cavity(np.zeros(1), np.diag(K), prec,
+                                            nu),
                                      (logz_t, 0.5, 0.5), 1.0)
         assert prec[0] == pytest.approx(1.0, abs=1e-12)
         assert nu[0] == pytest.approx(1.0, abs=1e-12)
         assert logz[0] == pytest.approx(0.0, abs=1e-12)
-        mu, Sigma, _ = ep_posterior(K, 0.0, prec, nu)
+        mu, var, _ = ep_posterior(split(K), 0.0, prec, nu)
         assert mu[0] == pytest.approx(0.5, abs=1e-12)
-        assert Sigma[0, 0] == pytest.approx(0.5, abs=1e-12)
+        assert var[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_damped_blend_is_linear_in_naturals(self):
         sites = flat_sites(1)
-        cav = cavity(np.zeros(1), np.eye(1), *sites[:2])
+        cav = cavity(np.zeros(1), np.ones(1), *sites[:2])
         tilt = (0.0, 0.5, 0.5)
         prec1, nu1, _ = site_update(*sites, cav, tilt, 1.0)
         prec2, nu2, _ = site_update(*sites, cav, tilt, 0.25)
@@ -168,11 +175,11 @@ class TestSiteUpdate:
         prec = np.array([0.5, 0.3, 0.2])
         nu = np.array([0.1, -0.2, 0.3])
         logz = np.array([0.1, 0.2, 0.3])
-        mu, Sigma, _ = ep_posterior(K, 0.0, prec, nu)
+        mu, var, _ = ep_posterior(split(K), 0.0, prec, nu)
         # site 0's precision exceeds its marginal precision: its cavity
         # variance would be negative
-        prec[0] = 1.0 / Sigma[0, 0] + 1.0
-        cav = cavity(mu, Sigma, prec, nu)
+        prec[0] = 1.0 / var[0] + 1.0
+        cav = cavity(mu, var, prec, nu)
         cav_mu, cav_var, ok = cav
         assert ok.tolist() == [False, True, True]
         tilt = tilted_moments(cav_mu[ok], cav_var[ok], np.array([0.4, 2.0]))
@@ -213,9 +220,10 @@ class TestSiteUpdate:
         mu0 = -0.3
         m_hat = rng.uniform(0.05, 3.0, size=6)
         prec, nu, logz = flat_sites(6)
-        mu, Sigma = np.full(6, mu0), K
+        cov = split(K, 1e-6)
+        mu, var = np.full(6, mu0), np.diag(K)
         for _ in range(1000):
-            cav = cavity(mu, Sigma, prec, nu)
+            cav = cavity(mu, var, prec, nu)
             cav_mu, cav_var, ok = cav
             tilt = tilted_moments(cav_mu[ok], cav_var[ok], m_hat[ok], 64)
             new_prec, new_nu, logz = site_update(prec, nu, logz, cav, tilt,
@@ -223,29 +231,30 @@ class TestSiteUpdate:
             change = max(np.max(np.abs(new_prec - prec)),
                          np.max(np.abs(new_nu - nu)))
             prec, nu = new_prec, new_nu
-            mu, Sigma, _ = ep_posterior(K, mu0, prec, nu)
+            mu, var, _ = ep_posterior(cov, mu0, prec, nu)
             if change < 1e-12:
                 break
         assert change < 1e-12
-        cav_mu, cav_var, ok = cavity(mu, Sigma, prec, nu)
+        cav_mu, cav_var, ok = cavity(mu, var, prec, nu)
         assert np.all(ok)
         _, mean_t, var_t = tilted_moments(cav_mu, cav_var, m_hat, 64)
         np.testing.assert_allclose(mean_t, mu, rtol=0, atol=1e-8)
-        np.testing.assert_allclose(var_t, np.diag(Sigma), rtol=0,
-                                   atol=1e-8)
+        np.testing.assert_allclose(var_t, var, rtol=0, atol=1e-8)
 
 
 class TestEpPosterior:
     def test_flat_sites_return_prior(self):
         K = np.array([[1.0, 0.2], [0.2, 0.8]])
-        mu, Sigma, _ = ep_posterior(K, 0.7, np.zeros(2), np.zeros(2))
+        mu, var, _ = ep_posterior(split(K), 0.7, np.zeros(2), np.zeros(2))
         np.testing.assert_allclose(mu, 0.7, atol=1e-12)
+        np.testing.assert_allclose(var, np.diag(K), atol=1e-12)
+        Sigma = conftest.dense_sigma(_q_cov(np.zeros(2), split(K)))
         np.testing.assert_allclose(Sigma, K, atol=1e-12)
 
     def test_scalar_combination(self):
-        mu, Sigma, _ = ep_posterior(np.eye(1), 0.0, np.array([1.0]),
-                                    np.array([1.0]))
-        assert Sigma[0, 0] == pytest.approx(0.5, abs=1e-12)
+        mu, var, _ = ep_posterior(split(np.eye(1)), 0.0, np.array([1.0]),
+                                  np.array([1.0]))
+        assert var[0] == pytest.approx(0.5, abs=1e-12)
         assert mu[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_gaussian_toy_logz_exact(self):
@@ -261,13 +270,15 @@ class TestEpPosterior:
         logzs = -0.5 * np.log(2 * np.pi * v) \
             + 0.5 * np.log(2 * np.pi / prec) + 0.5 * nu**2 / prec \
             - 0.5 * y**2 / v
-        mu, Sigma, logz = ep_posterior(K, mu0, prec, nu, logzs)
+        mu, var, logz = ep_posterior(split(K), mu0, prec, nu, logzs)
         C = K + np.diag(v)
         resid = y - mu0
         want = -0.5 * (2 * np.log(2 * np.pi) + np.linalg.slogdet(C)[1]
                        + resid @ np.linalg.solve(C, resid))
         assert logz == pytest.approx(want, abs=1e-10)
         want_Sigma = np.linalg.inv(np.linalg.inv(K) + np.diag(prec))
+        np.testing.assert_allclose(var, np.diag(want_Sigma), atol=1e-10)
+        Sigma = conftest.dense_sigma(_q_cov(prec, split(K)))
         np.testing.assert_allclose(Sigma, want_Sigma, atol=1e-10)
 
 
@@ -276,7 +287,8 @@ class TestEpPosterior:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(FactorizationError):
-                ep_posterior(K, 0.0, np.array([1.0, -1e-12]), np.zeros(2))
+                ep_posterior(split(K), 0.0, np.array([1.0, -1e-12]),
+                             np.zeros(2))
 
 
 class TestFitEp:

@@ -82,15 +82,15 @@ def test_model_does_not_alias_the_inputs(method):
                                          (hetrvm.ep, fit_ep)])
 def test_training_and_prediction_share_one_noise_prior(monkeypatch, module,
                                                        fit):
-    # the prior covariance the fit trains under is, to the bit, the one
-    # predict rebuilds from the model's noise prior
+    # the prior covariance the fit trains under, split once, is to the
+    # bit the one predict rebuilds from the model's noise prior
     built = []
     setup = hetrvm.vi._setup
 
     def spy(work):
-        active, alpha, prior, K = setup(work)
-        built.append(K)
-        return active, alpha, prior, K
+        active, alpha, prior, cov = setup(work)
+        built.append(cov.K)
+        return active, alpha, prior, cov
 
     monkeypatch.setattr(module, "_setup", spy)
     data, _ = synth(SynthSpec(generator="goldberg_sine", n=60, seed=0))

@@ -11,18 +11,19 @@ from scipy.stats import multivariate_normal
 
 import hetrvm.ep
 import hetrvm.vi
-from hetrvm.data import Dataset, SynthSpec, synth
+from hetrvm.data import Dataset, SynthSpec, standardize, synth
 from hetrvm.ep import EpConfig, fit_ep
 from hetrvm.kernels import (GpNoisePrior, KernelSpec, build_design_matrix,
                             gp_covariance)
-from hetrvm.numerics import chol_solve, gauss_hermite, grad_check
+from hetrvm.numerics import chol_solve, gauss_hermite
 from hetrvm.rvm import RvmConfig
 from hetrvm.serialize import model_to_dict
 from hetrvm.vi import (VIConfig, VariationalState, _all_sq,
                        _bound_value_grad, _factor, _gram, _posterior,
-                       _q_point, _weight_fit, _sigmoid, _sparsity_quality,
-                       collapsed_bound, expected_loglik, fit_vi, noise_diag,
-                       update_alpha, weight_posterior)
+                       _q_cov, _q_point, _setup, _split_prior, _weight_fit,
+                       _sigmoid, _sparsity_quality, collapsed_bound, fit_vi,
+                       noise_diag, update_alpha, weight_posterior)
+from oracles import expected_loglik, grad_check, reduced_cov
 
 
 def noise_cov(X, log_ell, log_sv):
@@ -36,15 +37,21 @@ def noise_cov(X, log_ell, log_sv):
         jitter=1e-6 * sv))
 
 
+def noise_split(X, log_ell, log_sv):
+    """noise_cov's K, split as K = j I + F F^T with j its jitter."""
+    return _split_prior(noise_cov(X, log_ell, log_sv),
+                        1e-6 * float(np.exp(log_sv)))
+
+
 def make_state(X, eta, log_ell, log_sv, mu0, alpha, active):
     """Build a consistent VariationalState from unconstrained parameters;
     (log_ell, log_sv) fix the prior covariance K and are not stored."""
-    K = noise_cov(X, log_ell, log_sv)
+    cov = noise_split(X, log_ell, log_sv)
     lam = 0.5 / (1.0 + np.exp(-np.asarray(eta, dtype=float)))
-    mu, Sigma = _q_point(lam, mu0, K)[:2]
-    return VariationalState(mu=mu, Sigma=Sigma,
+    mu, q = _q_point(lam, mu0, cov)[:2]
+    return VariationalState(mu=mu, Sigma=conftest.dense_sigma(q),
                             alpha=np.asarray(alpha, dtype=float),
-                            active_indices=list(active), mu0=mu0, K=K)
+                            active_indices=list(active), mu0=mu0, K=cov.K)
 
 
 class TestNoiseDiag:
@@ -177,16 +184,20 @@ class TestOneEvidence:
 
 
 class TestReducedToMoments:
-    """The moments _q_point gives the reduced parameters."""
+    """The moments _q_point gives the reduced parameters.  Each prior is
+    split at its own jitter: K = I leaves rank 0, 2 I + 0.5 rank 1 and
+    A A^T + I full rank."""
 
     def test_identity_prior_quarter(self):
-        mu, Sigma = _q_point(np.full(2, 0.25), 0.0, np.eye(2))[:2]
-        np.testing.assert_allclose(Sigma, 0.8 * np.eye(2), atol=1e-12)
+        cov = _split_prior(np.eye(2), 1.0)
+        mu, q = _q_point(np.full(2, 0.25), 0.0, cov)[:2]
+        np.testing.assert_allclose(conftest.dense_sigma(q), 0.8 * np.eye(2),
+                                   atol=1e-12)
         np.testing.assert_allclose(mu, [-0.25, -0.25], atol=1e-12)
 
     def test_half_limit_mean_is_mu0(self):
         lam = np.full(3, 0.5 - 1e-12)
-        mu = _q_point(lam, 1.3, 2.0 * np.eye(3) + 0.5)[0]
+        mu = _q_point(lam, 1.3, _split_prior(2.0 * np.eye(3) + 0.5, 2.0))[0]
         np.testing.assert_allclose(mu, 1.3, atol=1e-9)
 
     def test_matches_direct_inverse(self):
@@ -194,9 +205,9 @@ class TestReducedToMoments:
         A = rng.normal(size=(4, 4)) * 0.4
         K = A @ A.T + np.eye(4)
         lam = rng.uniform(0.05, 0.45, 4)
-        mu, Sigma = _q_point(lam, 0.7, K)[:2]
+        mu, q = _q_point(lam, 0.7, _split_prior(K, 1.0))[:2]
         want = np.linalg.inv(np.linalg.inv(K) + np.diag(lam))
-        np.testing.assert_allclose(Sigma, want, atol=1e-10)
+        np.testing.assert_allclose(conftest.dense_sigma(q), want, atol=1e-10)
         np.testing.assert_allclose(mu, K @ (lam - 0.5) + 0.7, atol=1e-12)
 
 
@@ -260,9 +271,9 @@ class TestBoundGradients:
                                   log_sv=log_sv, mu0=float(x[4]),
                                   alpha=alpha, active=[0, 1, 2, 3, 4])
 
-            K = noise_cov(X, log_ell, log_sv)
+            cov = noise_split(X, log_ell, log_sv)
             f = lambda x: collapsed_bound(unpack(x), Phi, y)
-            g = lambda x: _bound_value_grad(x, K, Phi, alpha, y)[1]
+            g = lambda x: _bound_value_grad(x, cov, Phi, alpha, y)[1]
             x = np.append(eta, rng.normal(size=1))
             assert grad_check(f, g, x) < 1e-4
 
@@ -283,9 +294,9 @@ class TestBoundGradients:
                                   log_sv=log_sv, mu0=float(x[12]),
                                   alpha=alpha, active=active)
 
-            K = noise_cov(X, log_ell, log_sv)
+            cov = noise_split(X, log_ell, log_sv)
             f = lambda x: collapsed_bound(unpack(x), Phi, y)
-            g = lambda x: _bound_value_grad(x, K, Phi[:, active], alpha,
+            g = lambda x: _bound_value_grad(x, cov, Phi[:, active], alpha,
                                             y)[1]
             x = np.append(eta, rng.normal(size=1))
             assert grad_check(f, g, x) < 1e-4
@@ -325,22 +336,22 @@ def _dense_bound_value_grad(x, K, Phi_a, alpha, y):
 
 
 def _wide_noise_case(m, seed, n=40):
-    """Packed point x = [eta, mu0] and prior covariance K whose effective
-    noise r spans 1e-6 to 1e3, with m of the N+1 basis columns at
-    precisions from e^-3 to e^3 and targets drawn from the model at that
-    noise."""
+    """Packed point x = [eta, mu0] and split prior covariance ``cov``
+    whose effective noise r spans 1e-6 to 1e3, with m of the N+1 basis
+    columns at precisions from e^-3 to e^3 and targets drawn from the
+    model at that noise."""
     rng = np.random.default_rng(seed)
     X = np.linspace(0.0, 1.0, n)[:, None]
     Phi = build_design_matrix(X, KernelSpec(lengthscale=0.3))
     Phi_a = Phi[:, np.sort(rng.choice(n + 1, m, replace=False))]
     alpha = np.exp(rng.uniform(-3, 3, m))
     x = np.append(np.linspace(-6, 6, n), np.log(1e3) + 0.9)
-    K = noise_cov(X, np.log(0.2), 1.05)
-    mu, Sigma = _q_point(0.5 * _sigmoid(x[:n]), x[n], K)[:2]
-    r = noise_diag(mu, Sigma)
+    cov = noise_split(X, np.log(0.2), 1.05)
+    mu, q = _q_point(0.5 * _sigmoid(x[:n]), x[n], cov)[:2]
+    r = noise_diag(mu, q.diag)
     y = (Phi_a @ (rng.normal(size=m) / np.sqrt(alpha))
          + np.sqrt(r) * rng.normal(size=n))
-    return x, K, Phi_a, alpha, y, r
+    return x, cov, Phi_a, alpha, y, r
 
 
 class TestBoundAgainstDenseInverses:
@@ -350,13 +361,119 @@ class TestBoundAgainstDenseInverses:
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("m", [41, 10, 1])
     def test_matches_dense_form(self, m, seed):
-        x, K, Phi_a, alpha, y, r = _wide_noise_case(m, seed)
+        x, cov, Phi_a, alpha, y, r = _wide_noise_case(m, seed)
         assert r.min() <= 1e-6 and r.max() >= 1e3
-        f, g = _bound_value_grad(x, K, Phi_a, alpha, y)
-        f_ref, g_ref = _dense_bound_value_grad(x, K, Phi_a, alpha, y)
+        f, g = _bound_value_grad(x, cov, Phi_a, alpha, y)
+        f_ref, g_ref = _dense_bound_value_grad(x, cov.K, Phi_a, alpha, y)
         assert f == pytest.approx(f_ref, rel=1e-9)
         err = np.abs(g - g_ref) / np.maximum(1.0, np.abs(g_ref))
         assert np.max(err) < 1e-7
+
+
+def _draw_prior(q, n):
+    """The split noise-GP prior ``_setup`` builds for a standardized draw:
+    goldberg_sine for q = 1, else q inputs on U[0, 1]."""
+    if q == 1:
+        data = synth(SynthSpec(generator="goldberg_sine", n=n, seed=0))[0]
+    else:
+        rng = np.random.default_rng(q)
+        data = Dataset(rng.uniform(0.0, 1.0, (n, q)), rng.normal(size=n))
+    return _setup(standardize(data)[0])[3]
+
+
+def _site_precisions(fill, n):
+    """Site precisions: ``fill`` at every site, or for "planted" values in
+    VI's range (0, 1/2) with 0, 1e-12 and 1e3 at three sites each."""
+    if fill != "planted":
+        return np.full(n, fill)
+    lam = np.random.default_rng(n).uniform(0.0, 0.5, n)
+    lam[:9] = np.repeat([0.0, 1e-12, 1e3], 3)
+    return lam
+
+
+def _assert_matches_dense(q, Sigma, LB):
+    """_q_cov's diag(Sigma), Sigma x, log|B| and (Sigma o Sigma) w against
+    the dense Sigma and factor of B, to relative 1e-10: each product
+    relative to the same product of absolute values (random signs cancel
+    in it), and log|B|, a term of the bound, to max(1, |log|B||)."""
+    n = Sigma.shape[0]
+    rng = np.random.default_rng(0)
+    x, w = rng.normal(size=(2, n))
+    S2 = Sigma * Sigma
+    for got, want, scale in (
+            (q.diag, np.diag(Sigma), np.diag(Sigma)),
+            (q.mul(x), Sigma @ x, np.abs(Sigma) @ np.abs(x)),
+            (q.sq_mul(w), S2 @ w, S2 @ np.abs(w))):
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(scale)
+    logdet_B = 2.0 * np.sum(np.log(np.diag(LB)))
+    assert abs(q.logdet_B - logdet_B) <= 1e-10 * max(1.0, abs(logdet_B))
+
+
+DRAWS = [(1, 60), (1, 400), (5, 60)]
+
+
+class TestSplitPrior:
+    """The split K = j I + F F^T of _setup and the O(N r^2) q(g) routine
+    _q_cov against the dense algebra of tests/oracles.py, at r < N (1-D
+    draws) and r = N (5 inputs)."""
+
+    @pytest.mark.parametrize("q, n", DRAWS)
+    def test_split_rebuilds_prior(self, q, n):
+        cov = _draw_prior(q, n)
+        r = cov.F.shape[1]
+        assert (r < n) if q == 1 else (r == n)
+        assert cov.jitter == 1e-6
+        rebuilt = cov.jitter * np.eye(n) + cov.F @ cov.F.T
+        assert np.max(np.abs(rebuilt - cov.K)) <= 1e-12 * np.max(np.abs(cov.K))
+        x = np.random.default_rng(0).normal(size=n)
+        np.testing.assert_allclose(cov.mv(x), cov.K @ x, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(cov.K @ x)))
+
+    def test_eigensolver_failure_is_a_factorization_error(self):
+        with pytest.raises(hetrvm.vi.FactorizationError):
+            _split_prior(np.full((3, 3), np.nan), 1e-6)
+
+    @pytest.mark.parametrize("fill", ["planted", 0.0, 1e-12, 1e3])
+    @pytest.mark.parametrize("q, n", DRAWS)
+    def test_routine_is_the_woodbury_form_of_its_split(self, q, n, fill):
+        # the algebra alone: the dense Sigma of the K the split holds
+        cov = _draw_prior(q, n)
+        lam = _site_precisions(fill, n)
+        K = cov.jitter * np.eye(n) + cov.F @ cov.F.T
+        _assert_matches_dense(_q_cov(lam, cov),
+                              *reduced_cov(lam, 0.5 * (K + K.T)))
+
+    @pytest.mark.parametrize("q, n", DRAWS)
+    def test_routine_matches_dense_prior(self, q, n):
+        # the split and the algebra together, against the prior as built
+        cov = _draw_prior(q, n)
+        lam = _site_precisions("planted", n)
+        _assert_matches_dense(_q_cov(lam, cov), *reduced_cov(lam, cov.K))
+
+    def test_gradient_at_low_rank_state(self):
+        # criterion 5's check at N = 60, r < N, against the dense bound
+        # at the dense q(g) of the prior as built
+        work = standardize(synth(SynthSpec(generator="goldberg_sine", n=60,
+                                           seed=0))[0])[0]
+        cov = _setup(work)[3]
+        assert cov.F.shape[1] < work.n
+        Phi = build_design_matrix(work.X, KernelSpec(lengthscale=0.3))
+        active = [0, 5, 17, 30, 44, 59]
+        rng = np.random.default_rng(60)
+        alpha = rng.uniform(0.2, 3.0, len(active))
+
+        def unpack(x):
+            lam = 0.5 * _sigmoid(x[:-1])
+            return VariationalState(
+                mu=cov.K @ (lam - 0.5) + x[-1],
+                Sigma=reduced_cov(lam, cov.K)[0], alpha=alpha,
+                active_indices=active, mu0=float(x[-1]), K=cov.K)
+
+        x = np.append(rng.normal(size=work.n), rng.normal())
+        f = lambda v: collapsed_bound(unpack(v), Phi, work.y)
+        g = lambda v: _bound_value_grad(v, cov, Phi[:, active], alpha,
+                                        work.y)[1]
+        assert grad_check(f, g, x) < 1e-4
 
 
 def _dense_sparsity_quality(Phi_a, alpha, r, y, j):
