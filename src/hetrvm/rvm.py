@@ -62,11 +62,10 @@ def fit_rvm(data: Dataset, kernel: Optional[KernelSpec] = None,
     status = "max_iter"
     for n_iter in range(1, config.max_iter + 1):
         r = np.full(n, sigma2)
-        active, alpha, ev, _ = update_alpha(active, alpha, Phi, r, y,
-                                            config.tol)
+        active, alpha, ev, posterior = update_alpha(active, alpha, Phi, r,
+                                                    y, config.tol)
         Phi_a = Phi[:, active]
-        _, mu_w, Sigma_w = _weight_fit(Phi_a, alpha, r, y)
-        posterior = mu_w, Sigma_w  # the model's, unless the trial wins
+        mu_w, Sigma_w = posterior  # the model's, unless the trial wins
 
         # noise re-estimate, accepted only when it does not lower the
         # evidence

@@ -26,9 +26,12 @@ Williams, 2006, sec. 5.4).
 The heteroscedastic RVM is the RVM with sigma2 I replaced by R, so at a
 fixed q(g) the precisions maximize the same evidence the RVM's do:
 ``update_alpha`` is Tipping & Faul's (2003) sequential add / re-estimate
-/ delete under diag(r), from the empty basis.  The bound's q(g) terms do
-not depend on the precisions, so every action raises the bound by its
-evidence gain.
+/ delete under diag(r), from the empty basis.  Between actions it carries
+the weight posterior and every column's sparsity and quality, updated in
+O(M m) per action by their appendix formulas; it factors the m x m
+weight precision at the state it starts from and at each state where it
+may stop.  The bound's q(g) terms do not depend on the precisions, so every
+action raises the bound by its evidence gain.
 
 One basis selection, whose deletes are the only pruning rule, one weight
 fit (the posterior and the evidence log N(y | 0, Phi A^-1 Phi^T + R)
@@ -356,7 +359,7 @@ def _sparsity_quality(G, Sigma_w, mu_w):
     subtract nothing, where S = diag(G) - diag(G Sigma_w G) followed by
     alpha - S loses up to a few parts in 1e6 on a relevant column."""
     d = Sigma_w.diagonal()
-    return np.sum(Sigma_w * G, axis=1) / d, mu_w / d
+    return (Sigma_w * G).sum(axis=1) / d, mu_w / d
 
 
 def _all_sq(G, d, c, active, L, posterior):
@@ -391,12 +394,20 @@ def _actions(s, q, a_old):
     return a_new, np.where(np.isfinite(gain), gain, -np.inf)
 
 
+def _intact(mu_w, Sigma_w, s, q):
+    """Whether an updated selection state can be scored: every value
+    finite (their sum is, unless one is not or the sum overflows, which
+    rescores as well) and every weight variance positive."""
+    total = s.sum() + q.sum() + mu_w.sum() + Sigma_w.sum()
+    return bool(np.isfinite(total) and (Sigma_w.diagonal() > 0.0).all())
+
+
 def update_alpha(active, alpha, Phi, r, y, tol: float):
     """Tipping & Faul's (2003) basis selection at a fixed noise diag(r):
     take the single add, re-estimate or delete over the columns of Phi
-    with the largest evidence gain, refit, and repeat until the best gain
-    is at most max(tol (1 + |ev|), 1e-12).  ``active`` indexes Phi's
-    columns and may be empty; ``alpha`` holds their precisions.
+    with the largest evidence gain, and repeat until the best gain is at
+    most max(tol (1 + |ev|), 1e-12).  ``active`` indexes Phi's columns and
+    may be empty; ``alpha`` holds their precisions.
 
     A column's share of the log evidence at precision a is
     l(a) = (q^2 / (a + s) - log(1 + s / a)) / 2, l(inf) = 0, with (s, q)
@@ -406,37 +417,105 @@ def update_alpha(active, alpha, Phi, r, y, tol: float):
     (phi^T R^-1 y)^2 / phi^T R^-1 phi.
 
     R^-1 Phi, diag(Phi^T R^-1 Phi), Phi^T R^-1 y and the noise terms of
-    the evidence are formed once per call; each state then costs one
-    m x m factorization, which scores it and gives every column's (s, q).
-    Start precisions that do not factor raise
-    :class:`FactorizationError`.  Returns (active, alpha, log evidence,
-    (mu_w, Sigma_w)): the state the selection stops at, its evidence and
-    its weight posterior, so no caller factors that state again."""
+    the evidence are formed once per call.  Between actions the call
+    carries G = Phi^T R^-1 Phi_a, the weight posterior (mu_w, Sigma_w) and
+    every column's (s, q), and each action updates them by Tipping &
+    Faul's appendix formulas in O(M m): a re-estimate is a rank-one
+    update of Sigma_w with kappa = 1 / (Sigma_kk + 1 / (a_new - a_old)), a
+    delete the same with a_new = inf and then drops row and column k, and
+    an add forms one Gram column Phi^T R^-1 phi_j and borders Sigma_w.
+    Where a precision falls far enough for that sum to cancel, kappa's
+    denominator is taken as Sigma_kk (a_new + s) / (a_new - a_old), its
+    value at Sigma_kk = 1 / (a_old + s): over start precisions spread
+    across 50 decades the basis and the evidence (to 1e-9 relative) then
+    stay those of a selection that factors every state.  The evidence
+    grows by each action's gain; the in-model (s, q) come from
+    :func:`_sparsity_quality` on the carried posterior.
+
+    A state is scored from scratch, by one m x m factorization of the
+    weight precision, at the start, where an update leaves a value that
+    is not finite or a posterior variance that is not positive
+    (:func:`_intact`), and where the best gain of an updated state falls
+    to the stop threshold: the stop is decided on freshly factored
+    (s, q), and the evidence and posterior returned come from that
+    factor, not from the updates.  Start
+    precisions that do not factor raise :class:`FactorizationError`.
+    Returns (active, alpha, log evidence, (mu_w, Sigma_w)): the state the
+    selection stops at, its evidence and its weight posterior, equal to
+    :func:`_weight_fit`'s of that state, so no caller factors it again."""
     active, alpha = list(active), np.asarray(alpha, dtype=float).copy()
     Phir = Phi / r[:, None]
     d = np.sum(Phi * Phir, axis=0)
     c = Phir.T @ y
     noise = _noise_terms(r, y)
+    a_old = np.full(Phi.shape[1], np.inf)
+    a_old[active] = alpha
+    scratch = True  # this state is scored from scratch
     while True:
-        G = Phi.T @ Phir[:, active]
-        L = _factor(G[active], alpha)
-        ev, _ = _evidence(L, c[active], alpha, r, y, noise)
-        posterior = _posterior(L, c[active])
-        a_old = np.full(Phi.shape[1], np.inf)
-        a_old[active] = alpha
-        a_new, gain = _actions(*_all_sq(G, d, c, active, L, posterior),
-                               a_old)
-        j = int(np.argmax(gain))
+        if scratch:
+            Phir_a, H, b = _gram(Phi[:, active], r, y)
+            G = Phi.T @ Phir_a
+            L = _factor(H, alpha)
+            ev, _ = _evidence(L, b, alpha, r, y, noise)
+            mu_w, Sigma_w = _posterior(L, b)
+            s, q = _all_sq(G, d, c, active, L, (mu_w, Sigma_w))
+        else:
+            s[active], q[active] = _sparsity_quality(G[active], Sigma_w, mu_w)
+        a_new, gain = _actions(s, q, a_old)
+        j = int(gain.argmax())
         if gain[j] <= max(tol * (1.0 + abs(ev)), 1e-12):
-            return active, alpha, ev, posterior
-        if np.isinf(a_old[j]):  # add
-            active.append(j)
-            alpha = np.append(alpha, a_new[j])
-        elif np.isinf(a_new[j]):  # delete
-            alpha = np.delete(alpha, active.index(j))
-            active.remove(j)
-        else:  # re-estimate
-            alpha[active.index(j)] = a_new[j]
+            if scratch:
+                return active, alpha, ev, (mu_w, Sigma_w)
+            scratch = True
+            continue
+        ev += gain[j]
+        # a value that overflows or is not a number here fails _intact
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            if np.isinf(a_old[j]):  # add: border Sigma_w with column j
+                m = alpha.size
+                Sg = Sigma_w @ G[j]
+                sjj = 1.0 / (a_new[j] + s[j])
+                mj = sjj * q[j]
+                col = Phi.T @ Phir[:, j]
+                e = col - G @ Sg
+                bordered = np.empty((m + 1, m + 1))
+                bordered[:m, :m] = Sigma_w + sjj * np.outer(Sg, Sg)
+                bordered[:m, m] = bordered[m, :m] = -sjj * Sg
+                bordered[m, m] = sjj
+                Sigma_w, mu_w = bordered, np.append(mu_w - mj * Sg, mj)
+                s -= sjj * e**2
+                q -= mj * e
+                G = np.column_stack([G, col])
+                active.append(j)
+                alpha = np.append(alpha, a_new[j])
+            else:  # re-estimate, or delete at a_new = inf
+                k = active.index(j)
+                sj, qj = s[j], q[j]
+                Sk = Sigma_w[:, k].copy()
+                # kappa = 1 / (Sigma_kk + 1 / (a_new - a_old)), the sum in
+                # its form free of cancellation where it falls below
+                # Sigma_kk / 2
+                den = Sk[k] + 1.0 / (a_new[j] - alpha[k])
+                if abs(den) < 0.5 * Sk[k]:
+                    den = Sk[k] * (a_new[j] + sj) / (a_new[j] - alpha[k])
+                kappa = 1.0 / den
+                z = G @ Sk
+                s += kappa * z**2
+                q += kappa * mu_w[k] * z
+                mu_w = mu_w - kappa * mu_w[k] * Sk
+                Sigma_w = Sigma_w - kappa * np.outer(Sk, Sk)
+                if np.isinf(a_new[j]):
+                    # out of the model, column j keeps the (s, q) it was
+                    # scored with, which already left it out of C
+                    s[j], q[j] = sj, qj
+                    Sigma_w = np.delete(np.delete(Sigma_w, k, 0), k, 1)
+                    mu_w, G = np.delete(mu_w, k), np.delete(G, k, 1)
+                    alpha = np.delete(alpha, k)
+                    active.remove(j)
+                else:
+                    alpha[k] = a_new[j]
+        a_old[j] = a_new[j]
+        scratch = not _intact(mu_w, Sigma_w, s, q)
 
 
 def _standardized(data: Dataset, standardize_data: bool):

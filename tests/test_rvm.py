@@ -1,7 +1,7 @@
 import mpmath
 import numpy as np
 import pytest
-from test_vi import _all_sq_at, _dense_sparsity_quality
+from test_vi import SelectionLog, _all_sq_at, _dense_sparsity_quality
 
 import hetrvm.rvm
 import hetrvm.vi
@@ -262,23 +262,28 @@ class TestFitRvm:
             fit_rvm(data, KernelSpec(lengthscale=0.3), RvmConfig(**bad))
 
     def test_one_factorization_per_state(self, monkeypatch):
-        """The basis selection factors each state it visits once, and
-        each alternation factors at most twice more: once for the state
-        the selection ended at, once to score the noise re-estimate."""
+        """The basis selection factors the state it starts at and the
+        state it stops at, however many actions it takes, plus any state
+        its guard rescored; each alternation factors once more, to score
+        the noise re-estimate, as the model keeps the posterior the
+        selection returned."""
         real, select = hetrvm.vi._factor, hetrvm.rvm.update_alpha
-        states, selecting, calls = [], [False], [0]
+        states, selecting, per_call = [], [False], []
+        log = SelectionLog(monkeypatch)
 
         def counting(G, alpha):
             states.append((selecting[0], G.tobytes() + alpha.tobytes()))
             return real(G, alpha)
 
         def counted_select(*args):
-            calls[0] += 1
             selecting[0] = True
+            before = (len(states), log.guard)
             try:
                 return select(*args)
             finally:
                 selecting[0] = False
+                per_call.append((len(states) - before[0],
+                                 log.guard - before[1]))
 
         monkeypatch.setattr(hetrvm.vi, "_factor", counting)
         monkeypatch.setattr(hetrvm.rvm, "update_alpha", counted_select)
@@ -286,10 +291,11 @@ class TestFitRvm:
         model = fit_rvm(data, KernelSpec(lengthscale=0.3))
         within = [key for inside, key in states if inside]
         assert len(set(within)) == len(within)
-        # each call factors its start state, then one state per action
-        assert len(within) - calls[0] >= 10
+        assert all(factors <= 2 + guard for factors, guard in per_call)
+        # the selection takes many actions all the same
+        assert len(log.trail) >= 10
         # and the model keeps the posterior of its last fit, unrefitted
-        assert len(states) - len(within) <= 2 * model.n_iter
+        assert len(states) - len(within) <= model.n_iter
 
     def test_sparse_on_structured_data(self):
         data, _ = synth(SynthSpec(generator="goldberg_sine", n=60, seed=0))

@@ -1,7 +1,5 @@
 from types import SimpleNamespace
 
-import json
-
 import conftest
 import numpy as np
 import pytest
@@ -10,14 +8,15 @@ from hypothesis import given, settings, strategies as hst
 from scipy.stats import multivariate_normal
 
 import hetrvm.ep
+import hetrvm.rvm
 import hetrvm.vi
 from hetrvm.data import Dataset, SynthSpec, standardize, synth
 from hetrvm.ep import EpConfig, fit_ep
 from hetrvm.kernels import (GpNoisePrior, KernelSpec, build_design_matrix,
                             gp_covariance)
 from hetrvm.numerics import chol_solve, gauss_hermite
-from hetrvm.rvm import RvmConfig
-from hetrvm.serialize import model_to_dict
+from hetrvm.predict import nlpd, predict
+from hetrvm.rvm import RvmConfig, fit_rvm
 from hetrvm.vi import (VIConfig, VariationalState, _all_sq,
                        _bound_value_grad, _factor, _gram, _posterior,
                        _q_cov, _q_point, _setup, _split_prior, _weight_fit,
@@ -585,19 +584,59 @@ def _alpha_problem(seed):
     return np.exp(rng.normal(size=m)), Phi, r, y
 
 
-def _counted_update(monkeypatch, *args):
-    """update_alpha's result and its number of Cholesky factorizations."""
-    calls = [0]
-    chol = hetrvm.vi.chol_factor
+class SelectionLog:
+    """What update_alpha does, counted by spies on hetrvm.vi installed
+    through ``patch``: Cholesky factorizations (``chol``), guard refreshes
+    (``guard``, updated states that ``vi._intact`` rejected), scored states
+    (``scored``, calls of ``vi._actions``) and the actions taken
+    (:attr:`trail`)."""
 
-    def counted(*args):
-        calls[0] += 1
-        return chol(*args)
+    def __init__(self, patch):
+        self.chol = self.guard = 0
+        self.seen = []
+        chol, actions = hetrvm.vi.chol_factor, hetrvm.vi._actions
+        intact = hetrvm.vi._intact
 
+        def counted_chol(*args):
+            self.chol += 1
+            return chol(*args)
+
+        def seen_actions(s, q, a_old):
+            self.seen.append(a_old.copy())
+            return actions(s, q, a_old)
+
+        def counted_intact(*args):
+            ok = intact(*args)
+            self.guard += not ok
+            return ok
+
+        patch.setattr(hetrvm.vi, "chol_factor", counted_chol)
+        patch.setattr(hetrvm.vi, "_actions", seen_actions)
+        patch.setattr(hetrvm.vi, "_intact", counted_intact)
+
+    @property
+    def scored(self):
+        return len(self.seen)
+
+    @property
+    def trail(self):
+        """The column of each action, read off the precisions of
+        consecutive scored states: a state scored twice, once updated and
+        once from scratch, counts once."""
+        out = []
+        for before, after in zip(self.seen, self.seen[1:]):
+            changed = np.flatnonzero(before != after).tolist()
+            assert len(changed) <= 1
+            out += changed
+        return out
+
+
+def _logged(monkeypatch, select, *args):
+    """select(*args) (update_alpha or _replay) and its SelectionLog."""
     with monkeypatch.context() as patch:
-        patch.setattr(hetrvm.vi, "chol_factor", counted)
-        out = update_alpha(*args)
-    return out, calls[0]
+        log = SelectionLog(patch)
+        out = select(*args)
+    return out, log
 
 
 def _junk_problem():
@@ -630,28 +669,35 @@ class TestUpdateAlpha:
     @pytest.mark.parametrize("tol", [1e-6, 1e-4])
     @pytest.mark.parametrize("seed", range(12))
     def test_tol_stops_after_first_flat_step(self, monkeypatch, seed, tol):
-        # hand replay at fixed r: the same actions, the same stop, and one
-        # factorization per state
+        # hand replay at fixed r: the same actions and the same stop, and
+        # factorizations that do not grow with the actions: the start
+        # state, the stop state and any state the guard rescored
         a0, Phi, r, y = _alpha_problem(seed)
         start = list(range(a0.size))
-        (active, alpha, ev, post), calls = _counted_update(
-            monkeypatch, start, a0, Phi, r, y, tol)
-        act, a, ev_k, post_k, steps = _replay(start, a0, Phi, r, y, tol)
-        assert active == act and np.array_equal(alpha, a) and steps > 0
+        (active, alpha, ev, post), log = _logged(
+            monkeypatch, update_alpha, start, a0, Phi, r, y, tol)
+        (act, a, ev_k, _, steps), log_k = _logged(
+            monkeypatch, _replay, start, a0, Phi, r, y, tol)
+        assert log.trail == log_k.trail and len(log.trail) == steps > 0
+        assert active == act
+        np.testing.assert_allclose(alpha, a, rtol=1e-9)
         assert ev == pytest.approx(ev_k, rel=1e-12)
-        # the posterior returned is the stop state's, from its one factor
-        assert all(np.array_equal(p, q) for p, q in zip(post, post_k))
-        assert calls == steps + 1
+        # the evidence and posterior returned are the stop state's, from
+        # its own factor
+        ev_w, *post_w = _weight_fit(Phi[:, active], alpha, r, y)
+        assert ev == ev_w
+        assert all(np.array_equal(p, q) for p, q in zip(post, post_w))
+        assert log.chol <= 2 + log.guard
 
     def test_tol_shortens_a_creeping_call(self, monkeypatch):
         # re-estimates keep gaining a little down to the 1e-12 floor
         a0, Phi, r, y = _alpha_problem(10)
         start = list(range(a0.size))
-        (_, _, ev_full, _), full = _counted_update(monkeypatch, start, a0,
-                                                   Phi, r, y, 0.0)
-        (_, _, ev, _), short = _counted_update(monkeypatch, start, a0, Phi, r,
-                                               y, 1e-6)
-        assert short < full
+        (_, _, ev_full, _), full = _logged(monkeypatch, update_alpha, start,
+                                           a0, Phi, r, y, 0.0)
+        (_, _, ev, _), short = _logged(monkeypatch, update_alpha, start, a0,
+                                       Phi, r, y, 1e-6)
+        assert short.scored < full.scored
         assert abs(ev - ev_full) < 1e-4
 
     @pytest.mark.parametrize("seed", range(6))
@@ -684,6 +730,7 @@ class TestUpdateAlpha:
                 return fn(*args, **kwargs)
             return wrapper
 
+        log = SelectionLog(monkeypatch)
         monkeypatch.setattr(hetrvm.vi, "chol_factor",
                             counted("chol", hetrvm.vi.chol_factor))
         monkeypatch.setattr(hetrvm.vi, "_evidence",
@@ -693,20 +740,29 @@ class TestUpdateAlpha:
         y = Phi[:, 0] + 0.3 * rng.normal(size=20)
         update_alpha(list(range(6)), np.ones(6), Phi,
                      np.exp(rng.normal(size=20)), y, 1e-6)
-        assert calls["evidence"] > 2
-        assert calls["chol"] == calls["evidence"]
+        assert len(log.trail) > 2
+        assert calls["chol"] == calls["evidence"] >= 2
 
-    def test_ep_model_unchanged_by_shared_factor(self, monkeypatch):
-        # forming R^-1 Phi, its diagonal and Phi^T R^-1 y once per call
-        # changes no bit of the model against the fresh replay
+    def test_ep_model_matches_the_fresh_replay(self, monkeypatch):
+        # the updated selection state gives EP the model of a selection
+        # that scores every state from scratch: the same basis, status and
+        # passes, and the same numbers to rounding
         data, _ = synth(SynthSpec(generator="goldberg_sine", n=60, seed=1))
+        test, _ = synth(SynthSpec(generator="goldberg_sine", n=2000,
+                                  seed=10_001))
         kernel = KernelSpec(lengthscale=0.3)
-        shared = fit_ep(data, kernel)
+        updated = fit_ep(data, kernel)
         monkeypatch.setattr(hetrvm.ep, "update_alpha",
                             lambda *args: _replay(*args)[:4])
         fresh = fit_ep(data, kernel)
-        assert (json.dumps(model_to_dict(shared), sort_keys=True)
-                == json.dumps(model_to_dict(fresh), sort_keys=True))
+        assert updated.active_indices == fresh.active_indices
+        assert ((updated.status, updated.n_iter)
+                == (fresh.status, fresh.n_iter))
+        for name in ("alpha", "g_prec", "g_coef"):
+            got, want = getattr(updated, name), getattr(fresh, name)
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+        assert nlpd(predict(updated, test.X), test.y) == pytest.approx(
+            nlpd(predict(fresh, test.X), test.y), rel=0, abs=1e-9)
 
     def test_empty_start_adds_the_best_projection(self, monkeypatch):
         # at r = sigma2 1 the first add's gain grows with q^2 / s, which is
@@ -831,6 +887,92 @@ class TestUpdateAlpha:
             assert got.shape == want.shape
             assert np.max(np.abs(got - want), initial=0.0) <= 1e-9 * np.max(
                 np.abs(want), initial=0.0)
+
+
+    @pytest.mark.parametrize("generator, lengthscale", [
+        ("goldberg_sine", 0.3), ("linear_het", 0.3), ("const_noise", 1.0)])
+    def test_trainer_calls_match_the_fresh_replay(self, monkeypatch,
+                                                  generator, lengthscale):
+        # every selection the three trainers make at N in {100, 200, 400},
+        # replayed from scratch: the same basis and evidence, and the
+        # posterior of the returned state from its own factor
+        calls = []
+
+        def captured(*args):
+            out = update_alpha(*args)
+            calls.append((args, out))
+            return out
+
+        for module in (hetrvm.vi, hetrvm.ep, hetrvm.rvm):
+            monkeypatch.setattr(module, "update_alpha", captured)
+        kernel = KernelSpec(lengthscale=lengthscale)
+        for n in (100, 200, 400):
+            for seed in range(3):
+                data, _ = synth(SynthSpec(generator=generator, n=n,
+                                          seed=seed))
+                for fit in (fit_rvm, fit_vi, fit_ep):
+                    fit(data, kernel)
+        assert len(calls) > 100
+        for (active0, alpha0, Phi, r, y, tol), out in calls:
+            active, alpha, ev, post = out
+            act, _, ev_k, _, _ = _replay(active0, alpha0, Phi, r, y, tol)
+            assert active == act
+            assert ev == pytest.approx(ev_k, rel=1e-9)
+            ev_w, *post_w = _weight_fit(Phi[:, active], alpha, r, y)
+            assert ev == ev_w
+            assert all(np.array_equal(p, q) for p, q in zip(post, post_w))
+
+    @pytest.mark.parametrize("poison", ["s", "q", "mu_w", "Sigma_w"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_broken_update_is_rescored(self, monkeypatch, seed, poison):
+        # an update that leaves a value that is not finite, or a weight
+        # variance that is not positive, is scored again from scratch: the
+        # call returns the reference loop's result, and no nan
+        a0, Phi, r, y = _alpha_problem(seed)
+        intact = hetrvm.vi._intact
+        broken = []
+
+        def break_first(mu_w, Sigma_w, s, q):
+            if not broken:
+                if poison == "Sigma_w":
+                    Sigma_w[0, 0] = 0.0
+                else:
+                    {"s": s, "q": q, "mu_w": mu_w}[poison][0] = np.nan
+                broken.append(intact(mu_w, Sigma_w, s, q))
+                return broken[0]
+            return intact(mu_w, Sigma_w, s, q)
+
+        monkeypatch.setattr(hetrvm.vi, "_intact", break_first)
+        log = SelectionLog(monkeypatch)
+        active, alpha, ev, post = update_alpha([], np.zeros(0), Phi, r, y,
+                                               1e-6)
+        assert broken == [False] and log.guard == 1
+        assert np.isfinite(ev) and all(np.all(np.isfinite(p)) for p in post)
+        ref_active, ref_alpha, ref_ev = _update_alpha_reference(
+            [], np.zeros(0), Phi, r, y, 1e-6)
+        assert active == ref_active
+        np.testing.assert_allclose(alpha, ref_alpha, rtol=1e-7)
+        assert ev == pytest.approx(ref_ev, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_precisions_over_thirty_decades_match_reference(self, seed):
+        # a re-estimate from a precision near 1e30 to one near 1 changes
+        # its weight's variance by thirty decades; kappa written as
+        # 1 / (Sigma_kk + 1 / (a_new - a_old)) cancels to rounding there
+        rng = np.random.default_rng(200 + seed)
+        n = int(rng.integers(8, 40))
+        m = int(rng.integers(1, n + 2))
+        Phi = rng.normal(size=(n, m))
+        y = Phi[:, 0] + 0.3 * rng.normal(size=n)
+        r = 10.0 ** rng.uniform(-3.0, 3.0, size=n)
+        a0 = 10.0 ** rng.uniform(-2.0, 30.0, size=m)
+        active, alpha, ev, _ = update_alpha(list(range(m)), a0, Phi, r, y,
+                                            1e-6)
+        ref_active, ref_alpha, ref_ev = _update_alpha_reference(
+            list(range(m)), a0, Phi, r, y, 1e-6)
+        assert active == ref_active
+        np.testing.assert_allclose(alpha, ref_alpha, rtol=1e-7)
+        assert ev == pytest.approx(ref_ev, rel=1e-9)
 
 
 class TestFitVi:
