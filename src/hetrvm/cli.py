@@ -24,7 +24,7 @@ from .ep import EpConfig, fit_ep
 from .kernels import KernelSpec
 from .numerics import _check_int
 from .predict import nlpd, predict, rmse
-# kept for perfbench's tracer until ROADMAP item 3
+# kept for perfbench's tracer until ROADMAP item 1
 from .predict import rvm_predictive_dist  # noqa: F401
 from .rvm import RvmConfig, fit_rvm
 from .serialize import SchemaError, load_model, save_model
@@ -37,8 +37,17 @@ def _settings(args) -> dict:
     """The library objects the options describe.  Their constructors
     raise ValueError (DataError for ``SynthSpec``) on an invalid value.
     Every fitting command builds all three configs, so a setting one
-    method ignores is still checked."""
+    method ignores is still checked.  With ``--no-header``, ``--target``
+    is a 0-based column index."""
     s = {}
+    if args.command in ("train", "predict", "evaluate"):
+        s["target"] = args.target
+        if args.no_header and args.target is not None:
+            try:
+                s["target"] = int(args.target)
+            except ValueError:
+                raise ValueError(f"--target {args.target!r} is not a column "
+                                 "index, as --no-header needs") from None
     if args.command in ("synth", "benchmark"):
         s["synth"] = SynthSpec(generator=args.generator, n=args.n,
                                seed=getattr(args, "seed", 0),
@@ -72,10 +81,10 @@ def _resolved(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k != "func"}
 
 
-def _data(args):
+def _data(args, s):
     # the module's load_csv, looked up at call time: perfbench traces it
     return load_csv(args.data, has_header=not args.no_header,
-                    target_column=args.target)
+                    target_column=s["target"])
 
 
 def _report(args, lines) -> int:
@@ -109,7 +118,7 @@ def _cmd_synth(args, s):
 
 
 def _cmd_train(args, s):
-    data = _data(args)
+    data = _data(args, s)
     model = _fit(args.method, data, s)
     save_model(model, args.out)
     if args.verbose:
@@ -120,7 +129,7 @@ def _cmd_train(args, s):
 
 def _cmd_predict(args, s):
     model = load_model(args.model)
-    data = _data(args)
+    data = _data(args, s)
     pred = predict(model, data.X)
     header = ["x" + str(i) for i in range(data.q)]
     header += ["y_true", "pred_mean", "pred_sd_total", "pred_sd_latent",
@@ -142,7 +151,7 @@ def _cmd_predict(args, s):
 
 def _cmd_evaluate(args, s):
     model = load_model(args.model)
-    data = _data(args)
+    data = _data(args, s)
     pred = predict(model, data.X)
     return _report(args, [
         f"rmse={rmse(pred.latent_mean, data.y)!r}",

@@ -22,10 +22,11 @@ noise-GP hyperparameters stay at their initialization, as under VI, so
 and a part of rank r, K = j I + F F^T, and each refresh of
 Sigma = (K^-1 + diag(site_prec))^-1 factors only an r x r matrix
 (Woodbury on B = I + T^1/2 K T^1/2; Rasmussen & Williams 2006, sec.
-3.6).  A pass reads only the marginal variances diag(Sigma) and the mean
-mu = mu0 + Sigma (site_nu - mu0 site_prec), so no N x N matrix is formed
-in the loop.  K itself is factored once per fit, for the prior terms of
-the marginal-likelihood estimate.  The model keeps q(g) in site form.
+3.6).  A pass reads only the marginal variances diag(Sigma), the mean
+mu = mu0 + Sigma (site_nu - mu0 site_prec) and log|B|, so no N x N
+matrix is formed or factored: the marginal-likelihood estimate and the
+final site coefficients come from the same refresh.  The model keeps
+q(g) in site form.
 """
 
 from __future__ import annotations
@@ -38,11 +39,11 @@ import numpy as np
 from .data import Dataset
 from .kernels import KernelSpec, build_design_matrix
 from .model import HrvmModel
-from .numerics import (FactorizationError, chol_factor, chol_solve,
-                       gauss_hermite)
+from .numerics import FactorizationError, gauss_hermite
 from .vi import (_check_loop, _constant, _degenerate, _finish, _gp_noise,
                  _q_cov, _setup, _standardized, noise_diag, update_alpha)
-# kept for perfbench's tracer until ROADMAP item 3
+# kept for perfbench's tracer until ROADMAP item 1
+from .numerics import chol_factor  # noqa: F401
 from .vi import weight_posterior  # noqa: F401
 
 __all__ = [
@@ -176,56 +177,39 @@ def site_update(site_prec, site_nu, site_logz, cav, tilted, damping: float):
     return prec, nu, logz
 
 
-def _prior_terms(K):
-    """K^-1 1, 1^T K^-1 1 and log|K|: what the EP normalizer needs of the
-    prior covariance K."""
-    LK = chol_factor(K, "noise covariance")
-    ones = np.full(K.shape[0], 1.0)
-    Kinv_one = chol_solve(LK, ones)
-    logdet_K = 2.0 * np.sum(np.log(np.diag(LK)))
-    return Kinv_one, float(ones @ Kinv_one), logdet_K
-
-
-def ep_posterior(cov, mu0, site_prec, site_nu, site_logz=None, prior=None):
+def ep_posterior(cov, mu0, site_prec, site_nu, site_logz=None):
     """Posterior mean and marginal variances of g given the prior
     N(mu0 1, K) and the current Gaussian sites, plus the EP
     marginal-likelihood estimate (nan when a flat-precision site with a
     nonzero mean parameter makes the normalizer assembly undefined).
 
     ``cov`` is K with its split K = j I + F F^T (``vi._split_prior``).
-    Sigma = (K^-1 + diag(site_prec))^-1 stays in the factored form of
-    ``vi._q_cov``, which factors an r x r matrix, and only
-    var = diag(Sigma) and mu = mu0 + Sigma (site_nu - mu0 site_prec) are
-    returned.  A negative site precision raises
-    :class:`FactorizationError`.  ``prior`` is ``_prior_terms(cov.K)``; a
-    caller whose K stays fixed passes it rather than have every call
-    factor K again.  Returns (mu, var, logz)."""
+    With T = diag(site_prec) and nu_t = site_nu - mu0 site_prec,
+    Sigma = (K^-1 + T)^-1 stays in the r x r factored form of
+    ``vi._q_cov``; only var = diag(Sigma) and mu = mu0 + Sigma nu_t are
+    returned.  The estimate, sum log Z~ + log N(site means | mu0 1,
+    K + T^-1) over the active sites, is written in B = I + T^1/2 K T^1/2
+    alone (Rasmussen & Williams 2006, eq. 3.65): log|K + T^-1| =
+    log|B| - sum log site_prec and (K + T^-1)^-1 = T - T Sigma T.  A
+    negative site precision raises :class:`FactorizationError`.
+    Returns (mu, var, logz)."""
     site_prec = np.asarray(site_prec, dtype=float).ravel()
     site_nu = np.asarray(site_nu, dtype=float).ravel()
-    n = site_prec.size
     if np.any(site_prec < 0):
         raise FactorizationError("a site precision is negative")
     q = _q_cov(site_prec, cov)
-    mu = mu0 + q.mul(site_nu - mu0 * site_prec)
+    nu_t = site_nu - mu0 * site_prec
+    shift = q.mul(nu_t)  # mu - mu0
+    mu = mu0 + shift
 
     logz = np.nan
     active = (site_prec != 0) | (site_nu != 0)
     if site_logz is not None and np.all(site_prec[active] > 0):
-        Kinv_one, quad_one, logdet_K = (_prior_terms(cov.K) if prior is None
-                                        else prior)
-        h = site_nu + mu0 * Kinv_one
-        # |Sigma| = |K| / |B|
-        logdet_Sigma = logdet_K - q.logdet_B
-        c_prior = 0.5 * (mu0**2 * quad_one
-                         + n * np.log(2 * np.pi) + logdet_K)
         prec_a = site_prec[active]
-        nu_a = site_nu[active]
-        c_sites = 0.5 * float(np.sum(nu_a**2 / prec_a
-                                     + np.log(2 * np.pi / prec_a)))
-        logz = (float(np.nansum(site_logz[active]))
-                + 0.5 * float(h @ mu)
-                + 0.5 * (n * np.log(2 * np.pi) + logdet_Sigma)
-                - c_prior - c_sites)
+        c_sites = 0.5 * float(np.sum(np.log(2 * np.pi / prec_a)
+                                     + nu_t[active]**2 / prec_a))
+        logz = (float(np.nansum(site_logz[active])) - c_sites
+                + 0.5 * float(nu_t @ shift) - 0.5 * q.logdet_B)
     return mu, q.diag, logz
 
 
@@ -250,8 +234,6 @@ def fit_ep(data: Dataset, kernel: Optional[KernelSpec] = None,
         return _degenerate("ep", kernel, work, record, config)
     y, n, mu0 = work.y, work.n, noise_prior.mu0
 
-    # K stays fixed under EP, so the normalizer's prior terms do too
-    prior = _prior_terms(cov.K)
     # flat sites, and q(g)'s marginals at the prior
     site_prec, site_nu, site_logz = np.zeros((3, n))
     post_mu, post_var = np.full(n, mu0), np.diag(cov.K)
@@ -279,8 +261,8 @@ def fit_ep(data: Dataset, kernel: Optional[KernelSpec] = None,
         change = float(max(np.max(np.abs(prec - site_prec)),
                            np.max(np.abs(nu - site_nu))))
         site_prec, site_nu = prec, nu
-        post_mu, post_var, logz = ep_posterior(
-            cov, mu0, site_prec, site_nu, site_logz, prior=prior)
+        post_mu, post_var, logz = ep_posterior(cov, mu0, site_prec, site_nu,
+                                               site_logz)
 
         r = noise_diag(post_mu, post_var)
         active, alpha, _, posterior = update_alpha(active, alpha, Phi, r, y,
@@ -299,8 +281,8 @@ def fit_ep(data: Dataset, kernel: Optional[KernelSpec] = None,
             damping, halved, osc = 0.5 * damping, True, 0
 
     # q(g)'s mean is mu0 + K a, a = (I + T K)^-1 nu_t = nu_t - T Sigma nu_t
-    nu_t = site_nu - mu0 * site_prec
-    coef = nu_t - site_prec * _q_cov(site_prec, cov).mul(nu_t)
+    # = site_nu - T mu, from the last pass's refresh
+    coef = site_nu - site_prec * post_mu
     return _finish("ep", kernel, work, record, active, alpha, posterior,
                    _gp_noise(noise_prior, site_prec, coef),
                    training_log=training_log, status=status, n_iter=n_pass,

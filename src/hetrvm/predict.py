@@ -111,7 +111,7 @@ def _assemble(record, latent_mean, latent_var, g_mean, g_var) -> PredictiveDist:
                           g_mean=g_mean, g_var=g_var, total_var=total_var)
 
 
-# kept for perfbench's tracer until ROADMAP item 3
+# kept for perfbench's tracer until ROADMAP item 1
 rvm_predictive_dist = predict
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .data import Dataset
 from .kernels import KernelSpec, build_design_matrix
 from .model import HrvmModel
-# kept for perfbench's tracer until ROADMAP item 3
+# kept for perfbench's tracer until ROADMAP item 1
 from .kernels import design_matrix_at  # noqa: F401
 from .numerics import chol_factor  # noqa: F401
 from .vi import (_check_loop, _clamped_noise, _constant, _degenerate,

@@ -163,7 +163,13 @@ def _noise_from_dict(doc: dict, model: HrvmModel) -> dict:
 def _model(doc: dict) -> HrvmModel:
     """The model of a "hetrvm" document, whose sizes must agree: N rows
     of ``centers``, m distinct ``active_indices`` in [0, n_basis), and
-    the weight and noise posteriors sized m and N."""
+    the weight and noise posteriors sized m and N.  The method must be a
+    trainer's, the status a string, and the noise-GP prior one that
+    ``GpNoisePrior`` and ``KernelSpec`` accept, with a finite mean."""
+    if doc["method"] not in ("rvm", "vi", "ep"):
+        raise SchemaError(f"unknown method {doc['method']!r}")
+    if not isinstance(doc["status"], str):
+        raise SchemaError(f"status {doc['status']!r} is not a string")
     kernel = _kernel_from_dict(doc["kernel"])
     centers = np.asarray(doc["centers"], dtype=float)
     if centers.ndim != 2:
@@ -197,6 +203,9 @@ def _model(doc: dict) -> HrvmModel:
         n_iter=int(doc["n_iter"]),
         config=doc.get("config", {}),
     )
+    model.noise_prior()  # raises ValueError on a malformed prior
+    if not np.isfinite(model.noise_mu0):
+        raise SchemaError(f"noise_mu0 {model.noise_mu0!r} is not finite")
     return replace(model, **_noise_from_dict(doc, model))
 
 

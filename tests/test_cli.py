@@ -26,6 +26,15 @@ def train_csv(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def headerless_csv(train_csv, tmp_path_factory):
+    """``train_csv`` without its header, the target moved to column 0."""
+    path = tmp_path_factory.mktemp("cli") / "headerless.csv"
+    rows = [ln.split(",") for ln in train_csv.read_text().splitlines()[1:]]
+    path.write_text("".join(f"{y},{x}\n" for x, y in rows))
+    return path
+
+
+@pytest.fixture(scope="module")
 def vi_model(train_csv, tmp_path_factory):
     path = tmp_path_factory.mktemp("cli_model") / "vi.json"
     code = run(["train", "--method", "vi", "--data", str(train_csv),
@@ -127,6 +136,40 @@ class TestPredictEvaluate:
         assert np.isfinite(float(kv["rmse"]))
         assert np.isfinite(float(kv["nlpd"]))
         assert int(kv["active_basis"]) < 31
+
+
+class TestHeaderless:
+    """With --no-header, --target N selects the 0-based column N."""
+
+    def test_target_index_selects_column(self, headerless_csv, train_csv,
+                                         tmp_path):
+        # the headerless file holds (y, x): column 0 is the target
+        out = tmp_path / "m.json"
+        assert run(["train", "--method", "rvm", "--data", str(headerless_csv),
+                    "--no-header", "--target", "0", "--out", str(out)]) == 0
+        ref = tmp_path / "ref.json"
+        assert run(["train", "--method", "rvm", "--data", str(train_csv),
+                    "--out", str(ref)]) == 0
+        assert json.loads(out.read_text())["mu_w"] \
+            == json.loads(ref.read_text())["mu_w"]
+
+    def test_predict_and_evaluate_read_target_index(self, headerless_csv,
+                                                    vi_model, train_csv,
+                                                    tmp_path):
+        reports = []
+        for data, opts in ((headerless_csv, ["--no-header", "--target", "0"]),
+                           (train_csv, [])):
+            report = tmp_path / "r.txt"
+            assert run(["evaluate", "--model", str(vi_model),
+                        "--data", str(data), "--report", str(report)]
+                       + opts) == 0
+            reports.append(report.read_text().splitlines()[2:])
+            pred = tmp_path / "p.tsv"
+            assert run(["predict", "--model", str(vi_model),
+                        "--data", str(data), "--out", str(pred)]
+                       + opts) == 0
+            reports.append(pred.read_text().splitlines()[1:])
+        assert reports[0] == reports[2] and reports[1] == reports[3]
 
 
 class TestBenchmark:
@@ -252,6 +295,26 @@ class TestExitCodes:
         assert run(["train", "--method", "vi", "--data", str(tiny),
                     "--out", str(tmp_path / "m.json")]) == 4
 
+    @pytest.mark.parametrize("command", ["train", "predict", "evaluate"])
+    @pytest.mark.parametrize("target", ["x0", "1.0", "last", ""])
+    def test_headerless_target_must_be_an_index(self, vi_model, tmp_path,
+                                                 command, target):
+        # a usage error before any file is read: --data does not exist
+        out = {"train": ["--method", "rvm", "--out", str(tmp_path / "m")],
+               "predict": ["--model", str(vi_model),
+                           "--out", str(tmp_path / "p")],
+               "evaluate": ["--model", str(vi_model)]}[command]
+        assert run([command, "--data", str(tmp_path / "absent.csv"),
+                    "--no-header", "--target", target] + out) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("target", ["2", "-1"])
+    def test_headerless_target_outside_file_is_data_error(
+            self, headerless_csv, tmp_path, target):
+        assert run(["train", "--method", "rvm", "--data",
+                    str(headerless_csv), "--no-header", "--target", target,
+                    "--out", str(tmp_path / "m.json")]) == 3
+
     def test_schema_error_is_data_error(self, tmp_path):
         bogus = tmp_path / "bogus.json"
         bogus.write_text("{\"format_version\": 42}")
@@ -374,6 +437,14 @@ def _format1_drop_last(key):
     pytest.param("vi", _drop_last("centers"), id="vi-centers-short"),
     pytest.param("rvm", _drop("g_const"), id="rvm-g_const-missing"),
     pytest.param("rvm", _set("g_const", float("nan")), id="rvm-g_const-nan"),
+    pytest.param("vi", _set("noise_jitter", -1.0), id="vi-noise_jitter-negative"),
+    pytest.param("vi", _set("noise_lengthscale", 0.0),
+                 id="vi-noise_lengthscale-zero"),
+    pytest.param("vi", _set("noise_signal_variance", float("nan")),
+                 id="vi-noise_signal_variance-nan"),
+    pytest.param("vi", _set("noise_mu0", float("nan")), id="vi-noise_mu0-nan"),
+    pytest.param("vi", _set("method", "banana"), id="vi-method-unknown"),
+    pytest.param("rvm", _set("status", 17), id="rvm-status-not-a-string"),
 ])
 def test_inconsistent_model_file_is_data_error(request, train_csv, tmp_path,
                                                capsys, method, mutate):

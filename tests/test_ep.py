@@ -2,6 +2,7 @@ import json
 import warnings
 
 import conftest
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
@@ -281,6 +282,42 @@ class TestEpPosterior:
         Sigma = conftest.dense_sigma(_q_cov(prec, split(K)))
         np.testing.assert_allclose(Sigma, want_Sigma, atol=1e-10)
 
+    def test_logz_matches_mpmath_on_fitted_state(self, monkeypatch):
+        # oracle: sum log Z~ + log N(site means | mu0 1, K + T^-1) over the
+        # active sites, on the unsplit K in 30 digits, at the last state of
+        # an N=40 fit with two of its sites set flat
+        calls = []
+        posterior = hetrvm.ep.ep_posterior
+
+        def recorded(*args):
+            calls.append(args)
+            return posterior(*args)
+
+        monkeypatch.setattr(hetrvm.ep, "ep_posterior", recorded)
+        data, _ = synth(SynthSpec(generator="goldberg_sine", n=40, seed=0))
+        fit_ep(data, KernelSpec(lengthscale=0.3))
+        cov, mu0, prec, nu, logzs = calls[-1]
+        prec, nu = prec.copy(), nu.copy()
+        prec[[3, 17]] = nu[[3, 17]] = 0.0
+        logz = posterior(cov, mu0, prec, nu, logzs)[2]
+
+        a = np.flatnonzero(prec > 0)
+        assert a.size == 38
+        with mpmath.workdps(30):
+            C = mpmath.matrix(cov.K[np.ix_(a, a)].tolist())
+            d = mpmath.matrix([mpmath.mpf(nu[i]) / mpmath.mpf(prec[i])
+                               - mpmath.mpf(mu0) for i in a])
+            for k, i in enumerate(a):
+                C[k, k] += 1 / mpmath.mpf(prec[i])
+            L = mpmath.cholesky(C)
+            logdet = 2 * mpmath.fsum(mpmath.log(L[k, k])
+                                     for k in range(a.size))
+            quad = (d.T * mpmath.cholesky_solve(C, d))[0]
+            want = (mpmath.fsum(mpmath.mpf(logzs[i]) for i in a
+                                if np.isfinite(logzs[i]))
+                    - 0.5 * (a.size * mpmath.log(2 * mpmath.pi) + logdet
+                             + quad))
+            assert abs(logz - want) < 1e-11 * abs(want)
 
     def test_negative_site_precision_raises(self):
         K = np.array([[1.0, 0.2], [0.2, 0.8]])
@@ -339,26 +376,20 @@ class TestFitEp:
         assert (json.dumps(model_to_dict(cached), sort_keys=True)
                 == json.dumps(model_to_dict(rebuilt), sort_keys=True))
 
-    def test_prior_terms_once_per_fit_change_no_number(self, monkeypatch):
-        # oracle: the same fit with K factored again on every pass
+    def test_ep_factors_no_n_by_n_matrix(self, monkeypatch):
+        # q(g), the normalizer and the site coefficients all come from the
+        # r x r factor of each pass's refresh; K is never factored
         data, _ = synth(SynthSpec(generator="goldberg_sine", n=100, seed=0))
-        terms = hetrvm.ep._prior_terms
-        calls = []
+        shapes = []
+        for module in (hetrvm.vi, hetrvm.ep):
+            def counted(A, *args, _factor=module.chol_factor):
+                shapes.append(A.shape)
+                return _factor(A, *args)
 
-        def counted(K):
-            calls.append(K.shape)
-            return terms(K)
-
-        monkeypatch.setattr(hetrvm.ep, "_prior_terms", counted)
-        once = fit_ep(data, KernelSpec(lengthscale=0.3))
-        assert calls == [(100, 100)]
-        posterior = hetrvm.ep.ep_posterior
-        monkeypatch.setattr(hetrvm.ep, "ep_posterior",
-                            lambda *args, prior: posterior(*args))
-        every_pass = fit_ep(data, KernelSpec(lengthscale=0.3))
-        assert len(calls) > 2
-        assert (json.dumps(model_to_dict(once), sort_keys=True)
-                == json.dumps(model_to_dict(every_pass), sort_keys=True))
+            monkeypatch.setattr(module, "chol_factor", counted)
+        fit_ep(data, KernelSpec(lengthscale=0.3))
+        assert shapes
+        assert max(rows for rows, _ in shapes) < data.n
 
     @pytest.mark.parametrize("generator,seed", [("goldberg_sine", 1),
                                                 ("linear_het", 0)])

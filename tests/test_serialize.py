@@ -148,6 +148,12 @@ def _noise_const(value):
     return mutate
 
 
+def _set(key, value):
+    def mutate(doc):
+        doc[key] = value
+    return mutate
+
+
 def _set_first(key, value):
     def mutate(doc):
         doc[key][0] = value
@@ -210,11 +216,32 @@ def _site_and_format1(doc):
     pytest.param(_noise_const("0.5"), id="g_const-string"),
     pytest.param(_noise_const(True), id="g_const-bool"),
     pytest.param(_noise_const([0.5]), id="g_const-list"),
+    pytest.param(_set("noise_jitter", -1.0), id="noise_jitter-negative"),
+    pytest.param(_set("noise_jitter", 0.0), id="noise_jitter-zero"),
+    pytest.param(_set("noise_jitter", float("inf")), id="noise_jitter-inf"),
+    pytest.param(_set("noise_lengthscale", 0.0), id="noise_lengthscale-zero"),
+    pytest.param(_set("noise_lengthscale", float("nan")),
+                 id="noise_lengthscale-nan"),
+    pytest.param(_set("noise_lengthscale", 1e300),
+                 id="noise_lengthscale-square-overflows"),
+    pytest.param(_set("noise_signal_variance", float("nan")),
+                 id="noise_signal_variance-nan"),
+    pytest.param(_set("noise_signal_variance", 0.0),
+                 id="noise_signal_variance-zero"),
+    pytest.param(_set("noise_mu0", float("nan")), id="noise_mu0-nan"),
+    pytest.param(_set("noise_mu0", -float("inf")), id="noise_mu0-minus-inf"),
+    pytest.param(_set("method", "banana"), id="method-unknown"),
+    pytest.param(_set("method", ["vi"]), id="method-list"),
+    pytest.param(_set("status", 17), id="status-int"),
+    pytest.param(_set("status", None), id="status-null"),
 ])
 def test_inconsistent_document_rejected(fitted, mutate):
-    """A document whose index and array sizes disagree fails to load,
-    rather than loading and then predicting from wrapped or truncated
-    arrays (or failing later as a numeric error)."""
+    """A document whose index and array sizes disagree, whose method no
+    trainer has, whose status is not a string, whose noise-GP mean is not
+    finite or whose noise-GP prior ``GpNoisePrior`` or ``KernelSpec``
+    rejects fails to load, rather
+    than loading and then predicting from wrapped or truncated arrays
+    (or failing later as a numeric error)."""
     doc = model_to_dict(fitted["vi"])
     assert len(doc["active_indices"]) >= 2
     mutate(doc)
