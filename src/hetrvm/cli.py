@@ -137,15 +137,11 @@ def _cmd_predict(args, s):
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("# " + json.dumps(_resolved(args), sort_keys=True) + "\n")
         fh.write("\t".join(header) + "\n")
-        noise_var = pred.total_var - pred.latent_var
-        for i in range(data.n):
-            cells = [repr(float(v)) for v in data.X[i]]
-            cells += [repr(float(data.y[i])),
-                      repr(float(pred.latent_mean[i])),
-                      repr(float(np.sqrt(pred.total_var[i]))),
-                      repr(float(np.sqrt(pred.latent_var[i]))),
-                      repr(float(np.sqrt(noise_var[i])))]
-            fh.write("\t".join(cells) + "\n")
+        columns = [*data.X.T, data.y, pred.latent_mean,
+                   np.sqrt(pred.total_var), np.sqrt(pred.latent_var),
+                   np.sqrt(pred.total_var - pred.latent_var)]
+        for row in zip(*(c.tolist() for c in columns)):
+            fh.write("\t".join(map(repr, row)) + "\n")
     return 0
 
 

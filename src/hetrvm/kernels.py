@@ -78,19 +78,25 @@ def kernel_matrix(kernel: KernelSpec, X, X2=None) -> np.ndarray:
     if X.shape[1] != X2.shape[1]:
         raise ValueError("input dimensionalities differ")
     if kernel.family == "rbf":
-        d2 = _sqdist(X, X2)
-        return np.exp(-0.5 * d2 / kernel.lengthscale**2)
-    if kernel.family == "linear":
-        return X @ X2.T
-    # polynomial
-    return (1.0 + X @ X2.T) ** int(kernel.degree)
+        K = _sqdist(X, X2)
+        K *= -0.5
+        K /= kernel.lengthscale**2
+        return np.exp(K, out=K)
+    K = X @ X2.T
+    if kernel.family == "polynomial":
+        K += 1.0
+        K **= int(kernel.degree)
+    return K
 
 
 def _sqdist(X, X2):
-    """Squared Euclidean distances, clipped at zero against round-off."""
-    n2a = np.sum(X**2, axis=1)[:, None]
-    n2b = np.sum(X2**2, axis=1)[None, :]
-    return np.maximum(n2a + n2b - 2.0 * X @ X2.T, 0.0)
+    """Squared Euclidean distances |x|^2 + |x2|^2 - 2 x.x2, clipped at zero
+    against round-off, computed in place in the returned array."""
+    # np.add.reduce is np.sum without its dispatch, a microsecond per call
+    # that every single-point query pays
+    D = np.add.reduce(X**2, 1)[:, None] + np.add.reduce(X2**2, 1)[None, :]
+    D -= 2.0 * X @ X2.T
+    return np.maximum(D, 0.0, out=D)
 
 
 def build_design_matrix(X, kernel: KernelSpec) -> np.ndarray:
@@ -105,24 +111,36 @@ def design_matrix_at(Xstar, kernel: KernelSpec, centers,
                      active_columns=None) -> np.ndarray:
     """Evaluate the basis at new inputs, restricted to ``active_columns``
     (indices into the full design matrix, bias = column 0 when present).
-    Non-finite inputs raise ``ValueError``."""
+
+    With ``active_columns`` the kernel is evaluated at the listed centres
+    only, and a listed bias reads 1.  The result is Fortran-ordered and
+    equals the full matrix's listed columns, bit for bit with one input
+    dimension (with several, BLAS may sum the cross term in another
+    order).  Non-finite inputs raise ``ValueError``."""
     Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
-    if not np.all(np.isfinite(Xstar)):
+    if not np.isfinite(Xstar).all():
         raise ValueError("non-finite prediction input")
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    K = kernel_matrix(kernel, Xstar, centers)
-    if kernel.include_bias:
-        K = np.hstack([np.ones((Xstar.shape[0], 1)), K])
     if active_columns is None:
+        K = kernel_matrix(kernel, Xstar, centers)
+        if kernel.include_bias:
+            K = np.hstack([np.ones((Xstar.shape[0], 1)), K])
         return K
-    return K[:, np.asarray(active_columns, dtype=int)]
+    cols = np.asarray(active_columns, dtype=int)
+    bias = int(kernel.include_bias)
+    # a bias slot reads index -1, the last centre, and is then overwritten
+    Kt = kernel_matrix(kernel, centers[cols - bias], Xstar)
+    if bias:
+        Kt[cols == 0] = 1.0
+    return Kt.T
 
 
 def gp_covariance(X, prior: GpNoisePrior) -> np.ndarray:
     """Covariance of the log-variance process at the rows of X:
     signal_variance * k + jitter on the diagonal.  Symmetric PD."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    K = prior.kernel.signal_variance * kernel_matrix(prior.kernel, X, X)
+    K = kernel_matrix(prior.kernel, X, X)
+    K *= prior.kernel.signal_variance
     K[np.diag_indices_from(K)] += prior.jitter
     return 0.5 * (K + K.T)
 
@@ -130,4 +148,6 @@ def gp_covariance(X, prior: GpNoisePrior) -> np.ndarray:
 def cross_covariance(Xstar, X, prior: GpNoisePrior) -> np.ndarray:
     """Covariance between the log-variance process at new and training
     inputs (no jitter: off-diagonal blocks only)."""
-    return prior.kernel.signal_variance * kernel_matrix(prior.kernel, Xstar, X)
+    K = kernel_matrix(prior.kernel, Xstar, X)
+    K *= prior.kernel.signal_variance
+    return K

@@ -33,14 +33,14 @@ class PredictiveDist:
 
 @dataclass(frozen=True)
 class _NoiseReadout:
-    """The model-only part of the log-noise predictive: the prior, ``root``
-    = T^1/2 and the Cholesky factor ``L`` of B = I + T^1/2 K T^1/2.  Both
-    arrays are read-only; all three are None for a clamped posterior,
-    whose noise is a known constant."""
+    """The model-only part of the log-noise predictive: the prior and the
+    N x N matrix ``P`` = L^-1 T^1/2, where L is the Cholesky factor of
+    B = I + T^1/2 K T^1/2, so that g_var = k** - |P k*|^2.  ``P`` is
+    read-only; both are None for a clamped posterior, whose noise is a
+    known constant."""
 
     prior: GpNoisePrior | None
-    root: np.ndarray | None
-    L: np.ndarray | None
+    P: np.ndarray | None
 
 
 def _noise_readout(model: HrvmModel) -> _NoiseReadout:
@@ -48,15 +48,16 @@ def _noise_readout(model: HrvmModel) -> _NoiseReadout:
     the model."""
     if model._noise_readout is None:
         if model.noise_clamped:
-            readout = _NoiseReadout(None, None, None)
+            readout = _NoiseReadout(None, None)
         else:
             prior = model.noise_prior()
             root = np.sqrt(model.g_prec)
             K = gp_covariance(model.centers, prior)
             L = chol_factor(np.eye(root.size) + root[:, None] * K * root,
                             "noise system")
-            root.flags.writeable = L.flags.writeable = False
-            readout = _NoiseReadout(prior, root, L)
+            P = lower_solve(L, np.diag(root))
+            P.flags.writeable = False
+            readout = _NoiseReadout(prior, P)
         model._noise_readout = readout
     return model._noise_readout
 
@@ -64,15 +65,17 @@ def _noise_readout(model: HrvmModel) -> _NoiseReadout:
 def predict(model: HrvmModel, Xstar) -> PredictiveDist:
     """Predictive moments at new inputs.
 
-    The latent part comes from the weight posterior; the log-variance
-    process from its site form (Rasmussen & Williams 2006, Alg. 3.2),
+    The latent part comes from the weight posterior, with the basis
+    evaluated at the active centres only; the log-variance process from
+    its site form (Rasmussen & Williams 2006, Alg. 3.2),
     g_mean = mu0 + k*^T a and g_var = k** - |L^-1 T^1/2 k*|^2.  The
     expected noise variance enters the total as the log-normal mean
     exp(g_mean + g_var / 2).
 
-    The first call factors B at the training inputs and keeps the factor
-    on the model, so later calls only do per-point work.  Treat a fitted
-    model as read-only.  Non-finite inputs raise ``ValueError``.
+    The first call factors B at the training inputs and keeps
+    P = L^-1 T^1/2 on the model, so a later batch costs one matrix
+    product P k*^T for its noise variance.  Treat a fitted model as
+    read-only.  Non-finite inputs raise ``ValueError``.
     """
     record = model.standardization
     Xs = record.apply_x(Xstar)
@@ -93,9 +96,9 @@ def predict(model: HrvmModel, Xstar) -> PredictiveDist:
     prior = readout.prior
     ks = cross_covariance(Xs, model.centers, prior)      # n* x N
     kss = prior.kernel.signal_variance + prior.jitter
-    V = lower_solve(readout.L, readout.root[:, None] * ks.T)
+    V = readout.P @ ks.T
     g_mean = model.noise_mu0 + ks @ model.g_coef
-    g_var = np.maximum(kss - np.sum(V**2, axis=0), 0.0)
+    g_var = np.maximum(kss - np.einsum("ij,ij->j", V, V), 0.0)
 
     return _assemble(record, latent_mean, latent_var, g_mean, g_var)
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+import hetrvm.kernels as kernels_module
 from hetrvm.data import Dataset, standardize
 from hetrvm.kernels import (GpNoisePrior, KernelSpec, build_design_matrix,
-                            gp_covariance, kernel_matrix)
+                            design_matrix_at, gp_covariance, kernel_matrix)
 from hetrvm.numerics import chol_factor
 
 
@@ -94,6 +95,80 @@ class TestDesignMatrix:
         a = build_design_matrix(X, k)
         b = build_design_matrix(X.copy(), k)
         assert np.array_equal(a, b)
+
+
+class TestDesignMatrixAtActive:
+    """``active_columns`` evaluates the listed centres only and reads the
+    full matrix's listed columns: bit for bit with one input dimension,
+    where the cross term is a single product, and to the last bits with
+    several, where BLAS may sum it in another order."""
+
+    FAMILIES = [KernelSpec(lengthscale=0.7, include_bias=b, family=f)
+                for f in ("rbf", "linear", "polynomial")
+                for b in (True, False)]
+
+    @staticmethod
+    def _lists(M, bias):
+        """Single columns, the bias first, in the middle and last,
+        unsorted lists, every column, and the empty list."""
+        lists = [[0], [M - 1], [3, 0, 7], [5, 2, 9, 1], [M - 1, 4, 0],
+                 list(range(M)), list(range(M))[::-1], []]
+        if bias:
+            lists += [[0, 2, 5], [2, 0, 5], [2, 5, 0]]
+        return lists
+
+    @pytest.mark.parametrize("q", [1, 3, 5])
+    @pytest.mark.parametrize("kernel", FAMILIES,
+                             ids=lambda k: f"{k.family}-bias{k.include_bias}")
+    def test_equals_full_columns(self, kernel, q):
+        rng = np.random.default_rng(q)
+        centers = rng.normal(size=(12, q))
+        M = 12 + kernel.include_bias
+        # one point takes numpy's vector product paths, many its matrix ones
+        for n in (1, 2, 40):
+            Xstar = rng.normal(size=(n, q))
+            full = design_matrix_at(Xstar, kernel, centers)
+            for cols in self._lists(M, kernel.include_bias):
+                got = design_matrix_at(Xstar, kernel, centers, cols)
+                assert got.shape == (n, len(cols))
+                assert got.flags.f_contiguous, cols
+                if q == 1:
+                    assert np.array_equal(got, full[:, cols]), (n, cols)
+                else:
+                    np.testing.assert_allclose(got, full[:, cols],
+                                               rtol=1e-12, atol=1e-12,
+                                               err_msg=str((n, cols)))
+
+    def test_single_point_is_a_batch_row(self):
+        rng = np.random.default_rng(7)
+        centers, Xstar = rng.normal(size=(9, 1)), rng.normal(size=(30, 1))
+        for kernel in self.FAMILIES:
+            batch = design_matrix_at(Xstar, kernel, centers, [4, 0, 2])
+            for i in (0, 13, 29):
+                one = design_matrix_at(Xstar[i:i + 1], kernel, centers,
+                                       [4, 0, 2])
+                assert np.array_equal(one[0], batch[i])
+
+    def test_empty_list(self):
+        X = np.linspace(0, 1, 6)[:, None]
+        got = design_matrix_at(X, KernelSpec(), X, [])
+        assert got.shape == (6, 0)
+
+    def test_evaluates_listed_centres_only(self, monkeypatch):
+        calls = []
+        real = kernels_module.kernel_matrix
+
+        def recording(kernel, X, X2=None):
+            calls.append((np.shape(X), np.shape(X2)))
+            return real(kernel, X, X2)
+
+        monkeypatch.setattr(kernels_module, "kernel_matrix", recording)
+        X = np.linspace(0, 1, 50)[:, None]
+        design_matrix_at(X[:7], KernelSpec(), X, [0, 11, 30])
+        assert calls == [((3, 1), (7, 1))]
+        calls.clear()
+        design_matrix_at(X[:7], KernelSpec(include_bias=False), X, [11, 30])
+        assert calls == [((2, 1), (7, 1))]
 
 
 class TestGpCovariance:

@@ -273,22 +273,54 @@ class TestNoiseReadout:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(predict_module, "chol_factor", counting)
+        P = None
         for X in (data.X, data.X[:1], data.X[3:9]):
             predict(model, X)
+            P = model._noise_readout.P if P is None else P
+            assert model._noise_readout.P is P
         assert len(calls) == 1
         copy = fresh(model)
         predict(copy, data.X[:1])
         predict(copy, data.X)
         assert len(calls) == 2
+        assert copy._noise_readout.P is not P
+        assert np.array_equal(copy._noise_readout.P, P)
 
     def test_cached_arrays_read_only(self, ep_model):
         data, model = ep_model
         model = fresh(model)
         predict(model, data.X[:1])
-        readout = model._noise_readout
-        for arr in (readout.root, readout.L):
-            with pytest.raises(ValueError):
-                arr[0] = 1.0
+        P = model._noise_readout.P
+        assert P.shape == (data.n, data.n)
+        with pytest.raises(ValueError):
+            P[0, 0] = 1.0
+
+    def test_readout_is_whitened_root(self, ep_model):
+        # P = L^-1 T^1/2 with L L^T = I + T^1/2 K T^1/2, so
+        # P^T P = T^1/2 B^-1 T^1/2 = (K + T^-1)^-1
+        data, model = ep_model
+        model = fresh(model)
+        predict(model, data.X[:1])
+        P = model._noise_readout.P
+        K = gp_covariance(model.centers, model.noise_prior())
+        want = np.linalg.inv(K + np.diag(1.0 / model.g_prec))
+        np.testing.assert_allclose(P.T @ P, want, rtol=1e-8,
+                                   atol=1e-8 * np.max(np.abs(want)))
+        assert np.array_equal(P, np.tril(P))
+
+    @pytest.mark.parametrize("which", ["vi_model", "ep_model"])
+    def test_single_point_matches_batch(self, which, request):
+        # the check the predict_serve benchmark makes on every query
+        data, model = request.getfixturevalue(which)
+        model = fresh(model)
+        X = np.concatenate([data.X, np.linspace(-0.2, 1.2, 23)[:, None]])
+        batch = predict(model, X)
+        for i in range(len(X)):
+            one = predict(model, X[i:i + 1])
+            for f in FIELDS:
+                np.testing.assert_allclose(getattr(one, f),
+                                           getattr(batch, f)[i:i + 1],
+                                           rtol=1e-12, atol=1e-12, err_msg=f)
 
     def test_cache_not_serialized(self, vi_model):
         data, model = vi_model
