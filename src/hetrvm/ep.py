@@ -183,7 +183,7 @@ def ep_posterior(cov, mu0, site_prec, site_nu, site_logz=None):
     marginal-likelihood estimate (nan when a flat-precision site with a
     nonzero mean parameter makes the normalizer assembly undefined).
 
-    ``cov`` is K with its split K = j I + F F^T (``vi._split_prior``).
+    ``cov`` is K in its split K = j I + F F^T (a ``vi._PriorCov``).
     With T = diag(site_prec) and nu_t = site_nu - mu0 site_prec,
     Sigma = (K^-1 + T)^-1 stays in the r x r factored form of
     ``vi._q_cov``; only var = diag(Sigma) and mu = mu0 + Sigma nu_t are
@@ -234,9 +234,9 @@ def fit_ep(data: Dataset, kernel: Optional[KernelSpec] = None,
         return _degenerate("ep", kernel, work, record, config)
     y, n, mu0 = work.y, work.n, noise_prior.mu0
 
-    # flat sites, and q(g)'s marginals at the prior
+    # flat sites, and q(g)'s marginals at the prior, diag K from the split
     site_prec, site_nu, site_logz = np.zeros((3, n))
-    post_mu, post_var = np.full(n, mu0), np.diag(cov.K)
+    post_mu, post_var = np.full(n, mu0), cov.jitter + np.sum(cov.F**2, 1)
 
     training_log: List[float] = []
     status = "max_passes"

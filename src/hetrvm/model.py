@@ -29,9 +29,9 @@ class HrvmModel:
     fit) stores no sites: its log-noise is the constant ``noise_mu0`` =
     log sigma2, and its noise-GP hyperparameters are unused.
 
-    Treat a fitted model as read-only: its first ``predict`` factors the
-    noise-GP system at ``centers`` and keeps the result, so later
-    edits to the fields may not reach the predictions.
+    Treat a fitted model as read-only: its first ``predict`` splits the
+    noise-GP prior at ``centers`` as training did and keeps a readout,
+    so later edits to the fields may not reach the predictions.
     """
 
     method: str                  # "rvm", "vi" or "ep"

@@ -12,9 +12,9 @@ return the same bits.  The trainers factor m x m weight precisions, m
 around 10, thousands of times per fit, and at that size the wrappers'
 argument handling costs several times the factorization.
 :func:`chol_factor` is the only Cholesky entry point; the trainers call
-it through their own module's name for it.  The one other decomposition
-in the package is ``vi._split_prior``'s ``np.linalg.eigh`` of the
-noise-GP prior covariance, once per fit.
+it through their own module's name for it.  The noise-GP prior
+covariance is split by ``vi._split_prior``'s pivoted Cholesky, one
+kernel column per step, and is never factored whole.
 """
 
 from __future__ import annotations

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (GpNoisePrior, cross_covariance, design_matrix_at,
-                      gp_covariance)
+from .kernels import GpNoisePrior, cross_covariance, design_matrix_at
 from .model import HrvmModel
-from .numerics import chol_factor, gauss_hermite, lower_solve
+from .numerics import gauss_hermite
+from .vi import _q_cov, _split_prior
 
 __all__ = ["PredictiveDist", "predict", "nlpd", "rmse"]
 
@@ -33,14 +33,15 @@ class PredictiveDist:
 
 @dataclass(frozen=True)
 class _NoiseReadout:
-    """The model-only part of the log-noise predictive: the prior and the
-    N x N matrix ``P`` = L^-1 T^1/2, where L is the Cholesky factor of
-    B = I + T^1/2 K T^1/2, so that g_var = k** - |P k*|^2.  ``P`` is
-    read-only; both are None for a clamped posterior, whose noise is a
-    known constant."""
+    """The model-only part of the log-noise predictive, from training's
+    split K = j I + F F^T: by Woodbury, (K + T^-1)^-1 = D^-1 - W^T W for
+    the N-vector ``Dinv`` = tau / (1 + j tau) and the r x N matrix
+    ``W`` = L^-1 F^T D^-1, L L^T = I + F^T D^-1 F.  Both are read-only,
+    and every field is None for a clamped posterior (constant noise)."""
 
     prior: GpNoisePrior | None
-    P: np.ndarray | None
+    Dinv: np.ndarray | None
+    W: np.ndarray | None
 
 
 def _noise_readout(model: HrvmModel) -> _NoiseReadout:
@@ -48,16 +49,13 @@ def _noise_readout(model: HrvmModel) -> _NoiseReadout:
     the model."""
     if model._noise_readout is None:
         if model.noise_clamped:
-            readout = _NoiseReadout(None, None)
+            readout = _NoiseReadout(None, None, None)
         else:
-            prior = model.noise_prior()
-            root = np.sqrt(model.g_prec)
-            K = gp_covariance(model.centers, prior)
-            L = chol_factor(np.eye(root.size) + root[:, None] * K * root,
-                            "noise system")
-            P = lower_solve(L, np.diag(root))
-            P.flags.writeable = False
-            readout = _NoiseReadout(prior, P)
+            prior, tau = model.noise_prior(), model.g_prec
+            q = _q_cov(tau, _split_prior(model.centers, prior))
+            Dinv, W = tau / (1.0 + prior.jitter * tau), q.Y * tau
+            Dinv.flags.writeable = W.flags.writeable = False
+            readout = _NoiseReadout(prior, Dinv, W)
         model._noise_readout = readout
     return model._noise_readout
 
@@ -68,14 +66,14 @@ def predict(model: HrvmModel, Xstar) -> PredictiveDist:
     The latent part comes from the weight posterior, with the basis
     evaluated at the active centres only; the log-variance process from
     its site form (Rasmussen & Williams 2006, Alg. 3.2),
-    g_mean = mu0 + k*^T a and g_var = k** - |L^-1 T^1/2 k*|^2.  The
+    g_mean = mu0 + k*^T a and g_var = k** - k*^T (K + T^-1)^-1 k*.  The
     expected noise variance enters the total as the log-normal mean
     exp(g_mean + g_var / 2).
 
-    The first call factors B at the training inputs and keeps
-    P = L^-1 T^1/2 on the model, so a later batch costs one matrix
-    product P k*^T for its noise variance.  Treat a fitted model as
-    read-only.  Non-finite inputs raise ``ValueError``.
+    The first call splits the prior at the training inputs as training
+    did and keeps an N-vector and an r x N matrix W, so a later batch
+    costs one matrix product W k*^T for its noise variance.  Treat a
+    fitted model as read-only.  Non-finite inputs raise ``ValueError``.
     """
     record = model.standardization
     Xs = record.apply_x(Xstar)
@@ -96,9 +94,10 @@ def predict(model: HrvmModel, Xstar) -> PredictiveDist:
     prior = readout.prior
     ks = cross_covariance(Xs, model.centers, prior)      # n* x N
     kss = prior.kernel.signal_variance + prior.jitter
-    V = readout.P @ ks.T
+    V = readout.W @ ks.T
     g_mean = model.noise_mu0 + ks @ model.g_coef
-    g_var = np.maximum(kss - np.einsum("ij,ij->j", V, V), 0.0)
+    g_var = np.maximum(kss - np.einsum("ij,ij,j->i", ks, ks, readout.Dinv)
+                       + np.einsum("ij,ij->j", V, V), 0.0)
 
     return _assemble(record, latent_mean, latent_var, g_mean, g_var)
 
@@ -116,6 +115,8 @@ def _assemble(record, latent_mean, latent_var, g_mean, g_var) -> PredictiveDist:
 
 # kept for perfbench's tracer until ROADMAP item 1
 rvm_predictive_dist = predict
+from .kernels import gp_covariance  # noqa: E402,F401
+from .numerics import chol_factor  # noqa: E402,F401
 
 
 def nlpd(pred: PredictiveDist, y, quad_order: int = 32) -> float:

@@ -15,13 +15,13 @@ lam in (0, 1/2):
 so the bound is maximized over lam (through an unconstrained sigmoid
 transform) and mu0 by L-BFGS, with analytic gradients.  The noise GP's
 lengthscale and signal variance are held at their start, as under EP:
-the prior covariance K is an input of the bound, built once per fit by
-``kernels.gp_covariance``, the builder ``predict`` uses, so both trainers
-fit one noise model.  Learning them by the bound (type-II maximum
-likelihood) collapsed q(g) to a constant noise on 5 of 20 heteroscedastic
-N=100 draws of ``tools/status_sweep.py`` (signal variance below 1e-7), at
-a cost of up to 0.2 nats of held-out NLPD against EP (Rasmussen &
-Williams, 2006, sec. 5.4).
+the prior covariance K is an input of the bound, split once per fit by
+``_split_prior``, the split ``predict`` rebuilds, so both trainers and
+the predictions read one noise model.  Learning them by the bound
+(type-II maximum likelihood) collapsed q(g) to a constant noise on 5 of
+20 heteroscedastic N=100 draws of ``tools/status_sweep.py`` (signal
+variance below 1e-7), at a cost of up to 0.2 nats of held-out NLPD
+against EP (Rasmussen & Williams, 2006, sec. 5.4).
 
 The heteroscedastic RVM is the RVM with sigma2 I replaced by R, so at a
 fixed q(g) the precisions maximize the same evidence the RVM's do:
@@ -42,19 +42,18 @@ the m x m weight precision (Woodbury), never the N x N covariance, and
 so is the bound's gradient: it needs C^-1 y and diag(C^-1) only, and no
 N x N inverse of C or K is formed.
 
-K is held for the whole fit, so ``_setup`` splits it once, by an
-eigendecomposition, into its jitter j and a part of rank r:
-K = j I + F F^T (``_split_prior``; r is 14-15 on the 1-D draws at
-N = 100-800, and r = N where K is full rank, as with 5 inputs).  One
+K is held for the whole fit, so ``_setup`` splits it once, by a pivoted
+Cholesky that never forms K, into its jitter j and a part of rank r:
+K = j I + F F^T (``_split_prior``; r is 14-16 on the 1-D draws at
+N = 100-3200, and r = N where K is full rank, as with 5 inputs).  One
 q(g) routine, ``_q_cov``, then gives Sigma = (K^-1 + diag(lam))^-1 by
 Woodbury on B = I + Lam^1/2 K Lam^1/2 (Rasmussen & Williams 2006, sec.
-3.6), factoring only an r x r matrix: diag(Sigma), Sigma x and log|B|
-in O(N r^2).  ``_q_point`` adds q(g)'s mean, the effective noise and the
-bound's q(g) terms, to L-BFGS and to ``training_log`` alike, and EP
-refreshes q(g) with the same routine.  The one N x N product left per
-bound evaluation is the block Y^T Y of the gradient's (Sigma o Sigma)
-term, O(N^2 r); Sigma itself is never formed.  Only ``collapsed_bound``,
-the dense oracle of the tests, factors K and Sigma.  Within one outer
+3.6), factoring only an r x r matrix: diag(Sigma), Sigma x,
+(Sigma o Sigma) w and log|B| in O(N r^2).  ``_q_point`` adds q(g)'s
+mean, the effective noise and the bound's q(g) terms, to L-BFGS and to
+``training_log`` alike; EP's refresh and ``predict`` use the same
+routines.  No N x N matrix of the noise GP is formed but in
+``collapsed_bound``, the dense oracle of the tests.  Within one outer
 iteration every distinct point is evaluated once.
 
 L-BFGS is ``scipy.optimize.minimize``, reached through this module's
@@ -73,7 +72,7 @@ import numpy as np
 
 from .data import DataError, Dataset, Standardization, standardize
 from .kernels import (GpNoisePrior, KernelSpec, build_design_matrix,
-                      gp_covariance, _sqdist)
+                      cross_covariance, _sqdist)
 from .model import HrvmModel
 from .numerics import (FactorizationError, _check_int, chol_factor,
                        chol_solve, gauss_kl, lower_solve)
@@ -210,10 +209,9 @@ def weight_posterior(Phi_a, alpha, r, y):
 
 
 class _PriorCov(NamedTuple):
-    """The noise-GP prior covariance K at the training inputs and its
-    split K = jitter I + F F^T, F of N x r (:func:`_split_prior`)."""
+    """The noise-GP prior covariance K at the training inputs in its split
+    K = jitter I + F F^T, F of N x r (:func:`_split_prior`)."""
 
-    K: np.ndarray
     jitter: float
     F: np.ndarray
 
@@ -222,19 +220,28 @@ class _PriorCov(NamedTuple):
         return self.jitter * x + self.F @ (self.F.T @ x)
 
 
-def _split_prior(K, jitter):
-    """Split a prior covariance as K = jitter I + F F^T with
-    F = U (w - jitter)^1/2 over the eigenpairs (w, U) of K whose
-    eigenvalue exceeds the jitter by more than N eps max(w), a bound on
-    the eigensolver's own rounding; every other eigenvalue is taken to be
-    the jitter.  One O(N^3) eigendecomposition per fit; a failure raises
-    FactorizationError."""
-    try:
-        w, U = np.linalg.eigh(K)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(f"noise covariance: {exc}") from exc
-    keep = w - jitter > K.shape[0] * np.finfo(float).eps * w[-1]
-    return _PriorCov(K, float(jitter), U[:, keep] * np.sqrt(w[keep] - jitter))
+def _split_prior(X, prior: GpNoisePrior):
+    """K = jitter I + F F^T for the noise-GP prior covariance K at the
+    rows of X, by a greedy pivoted Cholesky of K - jitter I that never
+    forms K (Fine & Scheinberg, JMLR 2001): each step takes the kernel
+    column at the largest residual diagonal, less the columns so far,
+    until that diagonal (which bounds every residual entry) is at most
+    N eps sigma_v^2.  A value not finite raises FactorizationError."""
+    n, sv = X.shape[0], prior.kernel.signal_variance
+    d = np.full(n, sv)              # residual diagonal of the RBF part
+    Ft = np.empty((min(n, 32), n))  # rows: F's columns, grown by doubling
+    for r in range(n + 1):
+        i = int(np.argmax(d))
+        if r == n or d[i] <= n * np.finfo(float).eps * sv:
+            break
+        if r == len(Ft):
+            Ft = np.concatenate([Ft, np.empty((min(r, n - r), n))])
+        col = cross_covariance(X[i:i + 1], X, prior)[0] - Ft[:r, i] @ Ft[:r]
+        if not (np.isfinite(d[i]) and np.all(np.isfinite(col))):
+            raise FactorizationError(f"noise prior: column {i} not finite")
+        Ft[r] = col / np.sqrt(d[i])
+        d -= Ft[r] ** 2
+    return _PriorCov(float(prior.jitter), Ft[:r].T)
 
 
 class _QCov(NamedTuple):
@@ -251,12 +258,11 @@ class _QCov(NamedTuple):
         return self.jd * x + self.Y.T @ (self.Y @ x)
 
     def sq_mul(self, w):
-        """(Sigma o Sigma) w, o the elementwise product, from the explicit
-        N x N block Y^T Y: O(N^2 r)."""
-        S = self.Y.T @ self.Y
-        diag_terms = w * self.jd * (self.jd + 2.0 * S.diagonal())
-        S *= S
-        return w @ S + diag_terms
+        """(Sigma o Sigma) w, o the elementwise product, in O(N r^2) as
+        w jd (jd + 2 diag Y^T Y) + colsum(Y o (Y diag(w) Y^T Y))."""
+        M = (self.Y * w) @ self.Y.T
+        return (w * self.jd * (2.0 * self.diag - self.jd)
+                + np.einsum("ij,ij->j", self.Y, M @ self.Y))
 
 
 def _q_cov(lam, cov):
@@ -547,8 +553,7 @@ def _setup(work: Dataset):
                         "the inputs") from exc
     mu0 = float(np.log(0.1 * max(float(np.var(work.y)), 1e-12)))
     prior = GpNoisePrior(mu0, kernel)
-    return [], np.zeros(0), prior, _split_prior(gp_covariance(work.X, prior),
-                                                prior.jitter)
+    return [], np.zeros(0), prior, _split_prior(work.X, prior)
 
 
 def _gp_noise(prior: GpNoisePrior, prec, coef):
@@ -603,7 +608,7 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
            config: Optional[VIConfig] = None) -> HrvmModel:
     """Train by alternating: one L-BFGS ascent of the bound over the
     reduced q(g) parameters and mu0, under the noise-GP prior covariance
-    K that ``_setup`` builds and splits once (its lengthscale and signal
+    K that ``_setup`` splits once (its lengthscale and signal
     variance are held); then Tipping & Faul's basis selection at the new
     noise (``update_alpha``, stopped at ``config.tol``), whose deletes
     prune the basis.  The basis is first selected once at the start q(g),
@@ -625,7 +630,7 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
     if _constant(work.y):
         return _degenerate("vi", kernel, work, record, config)
     y, n, mu0 = work.y, work.n, prior.mu0
-    lam = 0.5 - 0.25 / cov.K.sum(axis=1)
+    lam = 0.5 - 0.25 / cov.mv(np.ones(n))
     *_, r, trq, kl = _q_point(lam, mu0, cov)  # kept current below
     active, alpha, _, posterior = update_alpha(active, alpha, Phi, r, y,
                                                config.tol)

@@ -2,12 +2,27 @@
 
 They use numpy and scipy alone and call no code of the package, so they
 stay independent of what they check: the dense q(g) covariance that the
-low-rank routine ``vi._q_cov`` must reproduce, the expected
+low-rank routine ``vi._q_cov`` must reproduce, a split of a hand-built
+prior covariance for it (filled into the package's container
+``vi._PriorCov``, without its pivoted split), the expected
 log-likelihood under q(g), and a central-difference gradient checker.
 """
 
 import numpy as np
 import scipy.linalg as sla
+
+from hetrvm.vi import _PriorCov
+
+
+def prior_cov(K, jitter):
+    """A dense prior covariance K in the split form ``vi._q_cov`` takes,
+    K = jitter I + F F^T, by an eigendecomposition: F = U (w - jitter)^1/2
+    over the eigenpairs (w, U) whose eigenvalue exceeds the jitter by
+    more than N eps max(w), every other eigenvalue taken as the jitter."""
+    K = np.asarray(K, dtype=float)
+    w, U = np.linalg.eigh(K)
+    keep = w - jitter > K.shape[0] * np.finfo(float).eps * w[-1]
+    return _PriorCov(float(jitter), U[:, keep] * np.sqrt(w[keep] - jitter))
 
 
 def reduced_cov(lam, K):

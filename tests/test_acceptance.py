@@ -25,7 +25,7 @@ from hetrvm.rvm import fit_rvm
 from hetrvm.serialize import load_model, model_to_dict, save_model
 from hetrvm.vi import VIConfig, VariationalState, _bound_value_grad, \
     _q_cov, _q_point, _split_prior, collapsed_bound, fit_vi, update_alpha
-from oracles import expected_loglik, grad_check
+from oracles import expected_loglik, grad_check, prior_cov
 
 # np.trapezoid is new in numpy 2.0; pyproject.toml accepts numpy 1.24
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -44,27 +44,34 @@ def verdict(num, name, ok, detail=""):
     assert ok, line
 
 
-def noise_split(X, log_ell, log_sv):
-    """The noise-GP prior covariance K built at X from (log_ell, log_sv),
-    split as K = j I + F F^T with j its jitter."""
+def noise_prior(log_ell, log_sv):
+    """The noise-GP prior of (log_ell, log_sv), with jitter 1e-6 of the
+    signal variance."""
     sv = float(np.exp(log_sv))
-    prior = GpNoisePrior(
+    return GpNoisePrior(
         mu0=0.0,
         kernel=KernelSpec(family="rbf", lengthscale=float(np.exp(log_ell)),
                           include_bias=False, signal_variance=sv),
         jitter=1e-6 * sv)
-    return _split_prior(gp_covariance(X, prior), prior.jitter)
+
+
+def noise_split(X, log_ell, log_sv):
+    """The noise-GP prior covariance K at X from (log_ell, log_sv), split
+    as K = j I + F F^T with j its jitter."""
+    return _split_prior(X, noise_prior(log_ell, log_sv))
 
 
 def make_state(X, eta, log_ell, log_sv, mu0, alpha, active):
     """A VariationalState whose prior covariance K is built at X from
-    (log_ell, log_sv); the two are not stored in the state."""
+    (log_ell, log_sv); the two are not stored in the state.  q(g) comes
+    from the split K, the state's K is the dense one."""
     cov = noise_split(X, log_ell, log_sv)
     lam = 0.5 / (1.0 + np.exp(-np.asarray(eta, dtype=float)))
     mu, q = _q_point(lam, mu0, cov)[:2]
     return VariationalState(mu=mu, Sigma=conftest.dense_sigma(q),
                             alpha=np.asarray(alpha, dtype=float),
-                            active_indices=list(active), mu0=mu0, K=cov.K)
+                            active_indices=list(active), mu0=mu0,
+                            K=gp_covariance(X, noise_prior(log_ell, log_sv)))
 
 
 @pytest.fixture(scope="module")
@@ -246,8 +253,8 @@ def _ep_converge(K, mu0, m_hat, passes=400, damping=0.8):
     (mu, var)."""
     n = len(m_hat)
     prec, nu, logz = np.zeros(n), np.zeros(n), np.zeros(n)
-    cov = _split_prior(np.asarray(K, dtype=float), 0.0)
-    mu, var = np.full(n, mu0), np.diag(cov.K).copy()
+    cov = prior_cov(K, 0.0)
+    mu, var = np.full(n, mu0), np.diag(K).astype(float)
     for _ in range(passes):
         cav = cavity(mu, var, prec, nu)
         cav_mu, cav_var, ok = cav
@@ -276,7 +283,7 @@ def test_criterion_6_ep_exactness_and_accuracy():
     logzs = (-0.5 * np.log(2 * np.pi * v)
              + 0.5 * np.log(2 * np.pi / prec) + 0.5 * nu**2 / prec
              - 0.5 * yv**2 / v)
-    cov = _split_prior(K, 0.0)
+    cov = prior_cov(K, 0.0)
     mu, var, logz = ep_posterior(cov, mu0, prec, nu, logzs)
     # the full covariance of the q(g) ep_posterior's marginals come from
     Sigma = conftest.dense_sigma(_q_cov(prec, cov))

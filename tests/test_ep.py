@@ -11,11 +11,12 @@ import hetrvm.ep
 from hetrvm.data import Dataset, SynthSpec, synth
 from hetrvm.ep import (EpConfig, cavity, ep_posterior, fit_ep, site_update,
                        tilted_moments)
-from hetrvm.kernels import KernelSpec
+from hetrvm.kernels import KernelSpec, gp_covariance
 from hetrvm.numerics import FactorizationError, Quadrature
 from hetrvm.predict import predict
 from hetrvm.serialize import model_to_dict
-from hetrvm.vi import _q_cov, _split_prior
+from hetrvm.vi import _q_cov
+from oracles import prior_cov
 
 # np.trapezoid is new in numpy 2.0; pyproject.toml accepts numpy 1.24
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -28,7 +29,7 @@ def flat_sites(n):
 
 def split(K, jitter=0.0):
     """A prior covariance in the split form ep_posterior takes."""
-    return _split_prior(np.asarray(K, dtype=float), jitter)
+    return prior_cov(K, jitter)
 
 
 class TestCavity:
@@ -295,7 +296,8 @@ class TestEpPosterior:
 
         monkeypatch.setattr(hetrvm.ep, "ep_posterior", recorded)
         data, _ = synth(SynthSpec(generator="goldberg_sine", n=40, seed=0))
-        fit_ep(data, KernelSpec(lengthscale=0.3))
+        model = fit_ep(data, KernelSpec(lengthscale=0.3))
+        K = gp_covariance(model.centers, model.noise_prior())
         cov, mu0, prec, nu, logzs = calls[-1]
         prec, nu = prec.copy(), nu.copy()
         prec[[3, 17]] = nu[[3, 17]] = 0.0
@@ -304,7 +306,7 @@ class TestEpPosterior:
         a = np.flatnonzero(prec > 0)
         assert a.size == 38
         with mpmath.workdps(30):
-            C = mpmath.matrix(cov.K[np.ix_(a, a)].tolist())
+            C = mpmath.matrix(K[np.ix_(a, a)].tolist())
             d = mpmath.matrix([mpmath.mpf(nu[i]) / mpmath.mpf(prec[i])
                                - mpmath.mpf(mu0) for i in a])
             for k, i in enumerate(a):

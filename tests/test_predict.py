@@ -205,6 +205,21 @@ def ep_model():
     return data, fit_ep(data, KernelSpec(lengthscale=0.3))
 
 
+@pytest.fixture(scope="module")
+def draw_400():
+    return synth(SynthSpec(generator="goldberg_sine", n=400, seed=0))[0]
+
+
+@pytest.fixture(scope="module")
+def vi_model_400(draw_400):
+    return draw_400, fit_vi(draw_400, KernelSpec(lengthscale=0.3))
+
+
+@pytest.fixture(scope="module")
+def ep_model_400(draw_400):
+    return draw_400, fit_ep(draw_400, KernelSpec(lengthscale=0.3))
+
+
 def fresh(model):
     """A copy of ``model`` that has never predicted."""
     return model_from_dict(model_to_dict(model))
@@ -243,9 +258,10 @@ def dense_predict(model, Xstar):
 
 
 class TestNoiseReadout:
-    """The noise-GP factor is built once per model and kept on it."""
+    """The noise-GP readout is built once per model and kept on it."""
 
-    @pytest.mark.parametrize("which", ["vi_model", "ep_model"])
+    @pytest.mark.parametrize("which", ["vi_model", "ep_model",
+                                       "vi_model_400", "ep_model_400"])
     def test_matches_dense_oracle(self, which, request):
         # the latent fields share their code with the oracle; the noise
         # fields come from the site form against the dense moments
@@ -266,47 +282,64 @@ class TestNoiseReadout:
         data, model = vi_model
         model = fresh(model)
         calls = []
-        real = predict_module.chol_factor
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counting(name):
+            real = getattr(predict_module, name)
 
-        monkeypatch.setattr(predict_module, "chol_factor", counting)
-        P = None
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return call
+
+        for name in ("_split_prior", "_q_cov"):
+            monkeypatch.setattr(predict_module, name, counting(name))
+        readout = None
         for X in (data.X, data.X[:1], data.X[3:9]):
             predict(model, X)
-            P = model._noise_readout.P if P is None else P
-            assert model._noise_readout.P is P
-        assert len(calls) == 1
+            readout = model._noise_readout if readout is None else readout
+            assert model._noise_readout is readout
+        assert calls == ["_split_prior", "_q_cov"]
         copy = fresh(model)
         predict(copy, data.X[:1])
         predict(copy, data.X)
-        assert len(calls) == 2
-        assert copy._noise_readout.P is not P
-        assert np.array_equal(copy._noise_readout.P, P)
+        assert calls == ["_split_prior", "_q_cov"] * 2
+        assert copy._noise_readout is not readout
+        for field in ("Dinv", "W"):
+            assert np.array_equal(getattr(copy._noise_readout, field),
+                                  getattr(readout, field))
 
     def test_cached_arrays_read_only(self, ep_model):
+        # an N-vector and one r x N matrix, r < N, and no N x N array
         data, model = ep_model
         model = fresh(model)
         predict(model, data.X[:1])
-        P = model._noise_readout.P
-        assert P.shape == (data.n, data.n)
-        with pytest.raises(ValueError):
-            P[0, 0] = 1.0
+        readout = model._noise_readout
+        r = readout.W.shape[0]
+        assert readout.Dinv.shape == (data.n,)
+        assert readout.W.shape == (r, data.n) and r < data.n
+        for array in (readout.Dinv, readout.W):
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 1.0
+        kept = [v for v in vars(readout).values()
+                if isinstance(v, np.ndarray)]
+        assert len(kept) == 2
+        assert all(v.shape != (data.n, data.n) for v in kept)
 
     def test_readout_is_whitened_root(self, ep_model):
-        # P = L^-1 T^1/2 with L L^T = I + T^1/2 K T^1/2, so
-        # P^T P = T^1/2 B^-1 T^1/2 = (K + T^-1)^-1
+        # D^-1 - W^T W = (K + T^-1)^-1 by Woodbury on the split
+        # K = j I + F F^T, D = j I + T^-1 and W = L^-1 F^T D^-1 with
+        # L L^T = I + F^T D^-1 F
         data, model = ep_model
         model = fresh(model)
         predict(model, data.X[:1])
-        P = model._noise_readout.P
+        readout = model._noise_readout
         K = gp_covariance(model.centers, model.noise_prior())
         want = np.linalg.inv(K + np.diag(1.0 / model.g_prec))
-        np.testing.assert_allclose(P.T @ P, want, rtol=1e-8,
+        got = np.diag(readout.Dinv) - readout.W.T @ readout.W
+        np.testing.assert_allclose(got, want, rtol=1e-8,
                                    atol=1e-8 * np.max(np.abs(want)))
-        assert np.array_equal(P, np.tril(P))
+        tau, j = model.g_prec, model.noise_jitter
+        assert np.array_equal(readout.Dinv, tau / (1.0 + j * tau))
 
     @pytest.mark.parametrize("which", ["vi_model", "ep_model"])
     def test_single_point_matches_batch(self, which, request):
@@ -337,9 +370,10 @@ class TestNoiseReadout:
         c = model.noise_mu0
 
         def refuse(*args, **kwargs):
-            raise AssertionError("clamped model factored the noise GP")
+            raise AssertionError("clamped model split the noise GP")
 
-        monkeypatch.setattr(predict_module, "chol_factor", refuse)
+        for name in ("_split_prior", "_q_cov"):
+            monkeypatch.setattr(predict_module, name, refuse)
         for X in (np.array([[0.3], [5.0]]), np.array([[1.0]])):
             pred = predict(model, X)
             assert np.array_equal(pred.g_var, np.zeros(len(X)))

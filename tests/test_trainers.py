@@ -1,5 +1,7 @@
 """Behaviour that fit_rvm, fit_vi and fit_ep share."""
 
+from importlib import import_module
+
 import conftest
 import numpy as np
 import pytest
@@ -12,10 +14,13 @@ from hetrvm.ep import EpConfig, fit_ep
 from hetrvm.kernels import KernelSpec, build_design_matrix, gp_covariance
 from hetrvm.predict import predict
 from hetrvm.rvm import RvmConfig, fit_rvm
-from hetrvm.serialize import load_model, save_model
+from hetrvm.serialize import (load_model, model_from_dict, model_to_dict,
+                              save_model)
 from hetrvm.vi import (VIConfig, VariationalState, collapsed_bound, fit_vi,
                        noise_diag, weight_posterior)
 
+# the module, not the ``hetrvm.predict`` function the package exports
+predict_module = import_module("hetrvm.predict")
 TRAINERS = {"rvm": (fit_rvm, RvmConfig), "vi": (fit_vi, VIConfig),
             "ep": (fit_ep, EpConfig)}
 FIELDS = ("latent_mean", "latent_var", "g_mean", "g_var", "total_var")
@@ -82,22 +87,32 @@ def test_model_does_not_alias_the_inputs(method):
                                          (hetrvm.ep, fit_ep)])
 def test_training_and_prediction_share_one_noise_prior(monkeypatch, module,
                                                        fit):
-    # the prior covariance the fit trains under, split once, is to the
-    # bit the one predict rebuilds from the model's noise prior
-    built = []
-    setup = hetrvm.vi._setup
+    # the split of the prior covariance the fit trains under is to the
+    # bit the one predict rebuilds from the model's noise prior, also
+    # after a round trip through the model's document
+    built, read = [], []
+    setup, split = hetrvm.vi._setup, predict_module._split_prior
 
-    def spy(work):
+    def setup_spy(work):
         active, alpha, prior, cov = setup(work)
-        built.append(cov.K)
+        built.append(cov)
         return active, alpha, prior, cov
 
-    monkeypatch.setattr(module, "_setup", spy)
+    def split_spy(X, prior):
+        read.append(split(X, prior))
+        return read[-1]
+
+    monkeypatch.setattr(module, "_setup", setup_spy)
+    monkeypatch.setattr(predict_module, "_split_prior", split_spy)
     data, _ = synth(SynthSpec(generator="goldberg_sine", n=60, seed=0))
     model = fit(data, KernelSpec(lengthscale=0.3))
-    (K,) = built
-    assert np.array_equal(gp_covariance(model.centers, model.noise_prior()),
-                          K)
+    predict(model, data.X[:1])
+    predict(model_from_dict(model_to_dict(model)), data.X[:1])
+    (trained,) = built
+    assert len(read) == 2
+    for cov in read:
+        assert cov.jitter == trained.jitter
+        assert np.array_equal(cov.F, trained.F)
 
 
 def _training_arrays(model, data):

@@ -22,24 +22,28 @@ from hetrvm.vi import (VIConfig, VariationalState, _all_sq,
                        _q_cov, _q_point, _setup, _split_prior, _weight_fit,
                        _sigmoid, _sparsity_quality, collapsed_bound, fit_vi,
                        noise_diag, update_alpha, weight_posterior)
-from oracles import expected_loglik, grad_check, reduced_cov
+from oracles import expected_loglik, grad_check, prior_cov, reduced_cov
 
 
-def noise_cov(X, log_ell, log_sv):
-    """The noise-GP prior covariance at X for a log lengthscale and a log
-    signal variance, with jitter 1e-6 of the signal variance."""
+def noise_prior(log_ell, log_sv):
+    """The noise-GP prior for a log lengthscale and a log signal variance,
+    with jitter 1e-6 of the signal variance."""
     sv = float(np.exp(log_sv))
-    return gp_covariance(X, GpNoisePrior(
+    return GpNoisePrior(
         mu0=0.0,
         kernel=KernelSpec(family="rbf", lengthscale=float(np.exp(log_ell)),
                           include_bias=False, signal_variance=sv),
-        jitter=1e-6 * sv))
+        jitter=1e-6 * sv)
+
+
+def noise_cov(X, log_ell, log_sv):
+    """The dense noise-GP prior covariance at X."""
+    return gp_covariance(X, noise_prior(log_ell, log_sv))
 
 
 def noise_split(X, log_ell, log_sv):
     """noise_cov's K, split as K = j I + F F^T with j its jitter."""
-    return _split_prior(noise_cov(X, log_ell, log_sv),
-                        1e-6 * float(np.exp(log_sv)))
+    return _split_prior(X, noise_prior(log_ell, log_sv))
 
 
 def make_state(X, eta, log_ell, log_sv, mu0, alpha, active):
@@ -50,7 +54,8 @@ def make_state(X, eta, log_ell, log_sv, mu0, alpha, active):
     mu, q = _q_point(lam, mu0, cov)[:2]
     return VariationalState(mu=mu, Sigma=conftest.dense_sigma(q),
                             alpha=np.asarray(alpha, dtype=float),
-                            active_indices=list(active), mu0=mu0, K=cov.K)
+                            active_indices=list(active), mu0=mu0,
+                            K=noise_cov(X, log_ell, log_sv))
 
 
 class TestNoiseDiag:
@@ -188,7 +193,7 @@ class TestReducedToMoments:
     A A^T + I full rank."""
 
     def test_identity_prior_quarter(self):
-        cov = _split_prior(np.eye(2), 1.0)
+        cov = prior_cov(np.eye(2), 1.0)
         mu, q = _q_point(np.full(2, 0.25), 0.0, cov)[:2]
         np.testing.assert_allclose(conftest.dense_sigma(q), 0.8 * np.eye(2),
                                    atol=1e-12)
@@ -196,7 +201,7 @@ class TestReducedToMoments:
 
     def test_half_limit_mean_is_mu0(self):
         lam = np.full(3, 0.5 - 1e-12)
-        mu = _q_point(lam, 1.3, _split_prior(2.0 * np.eye(3) + 0.5, 2.0))[0]
+        mu = _q_point(lam, 1.3, prior_cov(2.0 * np.eye(3) + 0.5, 2.0))[0]
         np.testing.assert_allclose(mu, 1.3, atol=1e-9)
 
     def test_matches_direct_inverse(self):
@@ -204,7 +209,7 @@ class TestReducedToMoments:
         A = rng.normal(size=(4, 4)) * 0.4
         K = A @ A.T + np.eye(4)
         lam = rng.uniform(0.05, 0.45, 4)
-        mu, q = _q_point(lam, 0.7, _split_prior(K, 1.0))[:2]
+        mu, q = _q_point(lam, 0.7, prior_cov(K, 1.0))[:2]
         want = np.linalg.inv(np.linalg.inv(K) + np.diag(lam))
         np.testing.assert_allclose(conftest.dense_sigma(q), want, atol=1e-10)
         np.testing.assert_allclose(mu, K @ (lam - 0.5) + 0.7, atol=1e-12)
@@ -350,7 +355,7 @@ def _wide_noise_case(m, seed, n=40):
     r = noise_diag(mu, q.diag)
     y = (Phi_a @ (rng.normal(size=m) / np.sqrt(alpha))
          + np.sqrt(r) * rng.normal(size=n))
-    return x, cov, Phi_a, alpha, y, r
+    return x, cov, noise_cov(X, np.log(0.2), 1.05), Phi_a, alpha, y, r
 
 
 class TestBoundAgainstDenseInverses:
@@ -360,24 +365,27 @@ class TestBoundAgainstDenseInverses:
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("m", [41, 10, 1])
     def test_matches_dense_form(self, m, seed):
-        x, cov, Phi_a, alpha, y, r = _wide_noise_case(m, seed)
+        x, cov, K, Phi_a, alpha, y, r = _wide_noise_case(m, seed)
         assert r.min() <= 1e-6 and r.max() >= 1e3
         f, g = _bound_value_grad(x, cov, Phi_a, alpha, y)
-        f_ref, g_ref = _dense_bound_value_grad(x, cov.K, Phi_a, alpha, y)
+        f_ref, g_ref = _dense_bound_value_grad(x, K, Phi_a, alpha, y)
         assert f == pytest.approx(f_ref, rel=1e-9)
         err = np.abs(g - g_ref) / np.maximum(1.0, np.abs(g_ref))
         assert np.max(err) < 1e-7
 
 
 def _draw_prior(q, n):
-    """The split noise-GP prior ``_setup`` builds for a standardized draw:
-    goldberg_sine for q = 1, else q inputs on U[0, 1]."""
+    """The split noise-GP prior ``_setup`` builds for a standardized draw,
+    goldberg_sine for q = 1, else q inputs on U[0, 1], and the dense
+    covariance K of that prior.  Returns (cov, K)."""
     if q == 1:
         data = synth(SynthSpec(generator="goldberg_sine", n=n, seed=0))[0]
     else:
         rng = np.random.default_rng(q)
         data = Dataset(rng.uniform(0.0, 1.0, (n, q)), rng.normal(size=n))
-    return _setup(standardize(data)[0])[3]
+    work = standardize(data)[0]
+    _, _, prior, cov = _setup(work)
+    return cov, gp_covariance(work.X, prior)
 
 
 def _site_precisions(fill, n):
@@ -418,25 +426,43 @@ class TestSplitPrior:
 
     @pytest.mark.parametrize("q, n", DRAWS)
     def test_split_rebuilds_prior(self, q, n):
-        cov = _draw_prior(q, n)
+        cov, K = _draw_prior(q, n)
         r = cov.F.shape[1]
         assert (r < n) if q == 1 else (r == n)
         assert cov.jitter == 1e-6
         rebuilt = cov.jitter * np.eye(n) + cov.F @ cov.F.T
-        assert np.max(np.abs(rebuilt - cov.K)) <= 1e-12 * np.max(np.abs(cov.K))
+        assert np.max(np.abs(rebuilt - K)) <= 1e-12 * np.max(np.abs(K))
         x = np.random.default_rng(0).normal(size=n)
-        np.testing.assert_allclose(cov.mv(x), cov.K @ x, rtol=0,
-                                   atol=1e-12 * np.max(np.abs(cov.K @ x)))
+        np.testing.assert_allclose(cov.mv(x), K @ x, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(K @ x)))
 
-    def test_eigensolver_failure_is_a_factorization_error(self):
+    @pytest.mark.parametrize("q, n", [(1, 60), (1, 400), (1, 3200),
+                                      (5, 200)])
+    def test_split_meets_its_stop_against_dense_prior(self, q, n):
+        # the pivoted split stops at a largest residual diagonal of
+        # N eps sigma_v^2 (sigma_v^2 = 1 in _setup); its residual is
+        # positive semidefinite, so no entry of K - (j I + F F^T) exceeds
+        # that.  A 1-D draw keeps a low rank, 5 inputs the full rank.
+        cov, K = _draw_prior(q, n)
+        K -= cov.F @ cov.F.T
+        K[np.diag_indices(n)] -= cov.jitter
+        assert np.max(np.abs(K)) <= n * np.finfo(float).eps * 1.0
+        r = cov.F.shape[1]
+        assert cov.F.shape[0] == n and ((r <= 20) if q == 1 else (r == n))
+
+    def test_non_finite_kernel_is_a_factorization_error(self):
+        # a NaN input reaches the split as a kernel column that is not
+        # finite: a typed error, not a split that stops at rank 0
+        X = np.array([[0.0], [np.nan], [1.0]])
+        prior = GpNoisePrior(0.0, KernelSpec(include_bias=False))
         with pytest.raises(hetrvm.vi.FactorizationError):
-            _split_prior(np.full((3, 3), np.nan), 1e-6)
+            _split_prior(X, prior)
 
     @pytest.mark.parametrize("fill", ["planted", 0.0, 1e-12, 1e3])
     @pytest.mark.parametrize("q, n", DRAWS)
     def test_routine_is_the_woodbury_form_of_its_split(self, q, n, fill):
         # the algebra alone: the dense Sigma of the K the split holds
-        cov = _draw_prior(q, n)
+        cov, _ = _draw_prior(q, n)
         lam = _site_precisions(fill, n)
         K = cov.jitter * np.eye(n) + cov.F @ cov.F.T
         _assert_matches_dense(_q_cov(lam, cov),
@@ -445,16 +471,17 @@ class TestSplitPrior:
     @pytest.mark.parametrize("q, n", DRAWS)
     def test_routine_matches_dense_prior(self, q, n):
         # the split and the algebra together, against the prior as built
-        cov = _draw_prior(q, n)
+        cov, K = _draw_prior(q, n)
         lam = _site_precisions("planted", n)
-        _assert_matches_dense(_q_cov(lam, cov), *reduced_cov(lam, cov.K))
+        _assert_matches_dense(_q_cov(lam, cov), *reduced_cov(lam, K))
 
     def test_gradient_at_low_rank_state(self):
         # criterion 5's check at N = 60, r < N, against the dense bound
         # at the dense q(g) of the prior as built
         work = standardize(synth(SynthSpec(generator="goldberg_sine", n=60,
                                            seed=0))[0])[0]
-        cov = _setup(work)[3]
+        _, _, prior, cov = _setup(work)
+        K = gp_covariance(work.X, prior)
         assert cov.F.shape[1] < work.n
         Phi = build_design_matrix(work.X, KernelSpec(lengthscale=0.3))
         active = [0, 5, 17, 30, 44, 59]
@@ -464,9 +491,9 @@ class TestSplitPrior:
         def unpack(x):
             lam = 0.5 * _sigmoid(x[:-1])
             return VariationalState(
-                mu=cov.K @ (lam - 0.5) + x[-1],
-                Sigma=reduced_cov(lam, cov.K)[0], alpha=alpha,
-                active_indices=active, mu0=float(x[-1]), K=cov.K)
+                mu=K @ (lam - 0.5) + x[-1],
+                Sigma=reduced_cov(lam, K)[0], alpha=alpha,
+                active_indices=active, mu0=float(x[-1]), K=K)
 
         x = np.append(rng.normal(size=work.n), rng.normal())
         f = lambda v: collapsed_bound(unpack(v), Phi, work.y)
