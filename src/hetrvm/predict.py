@@ -60,6 +60,21 @@ def _noise_readout(model: HrvmModel) -> _NoiseReadout:
     return model._noise_readout
 
 
+# A block's temporaries, each (rows x width) floats, stay near this many
+# bytes, so that they are reused in cache instead of streamed through memory
+_BLOCK_BYTES = 1 << 18
+# Blocks are whole multiples of this many rows: BLAS then meets each row at
+# the same place in its unrolled loops as in one product over the whole
+# batch, and blocking changes no bit of latent_mean, latent_var or g_mean
+_ROW_ALIGN = 16
+
+
+def _block_rows(width: int) -> int:
+    """Rows per block of a (rows x ``width``) float64 temporary."""
+    rows = _BLOCK_BYTES // (8 * max(width, 1))
+    return max(_ROW_ALIGN, rows - rows % _ROW_ALIGN)
+
+
 def predict(model: HrvmModel, Xstar) -> PredictiveDist:
     """Predictive moments at new inputs.
 
@@ -72,34 +87,57 @@ def predict(model: HrvmModel, Xstar) -> PredictiveDist:
 
     The first call splits the prior at the training inputs as training
     did and keeps an N-vector and an r x N matrix W, so a later batch
-    costs one matrix product W k*^T for its noise variance.  Treat a
-    fitted model as read-only.  Non-finite inputs raise ``ValueError``.
+    costs one matrix product W k*^T for its noise variance.  A batch is
+    read in row blocks whose basis and cross-covariance rows take about
+    256 KB, and the blocks' moments are joined once at the end, so no
+    n* x N array is ever held.  Treat a fitted model as read-only.
+    Non-finite inputs raise ``ValueError``.
     """
     record = model.standardization
     Xs = record.apply_x(Xstar)
-    Phi_s = design_matrix_at(Xs, model.kernel, model.centers,
-                             model.active_indices)
-    # an empty active set reads 0 from both
-    latent_mean = Phi_s @ model.mu_w
-    latent_var = np.maximum(
-        np.sum((Phi_s @ model.Sigma_w) * Phi_s, axis=1), 0.0)
-
+    n = Xs.shape[0]
     readout = _noise_readout(model)
-    if readout.prior is None:
-        # clamped posterior (every RVM): the noise is a known constant
-        g_mean = np.full(Xs.shape[0], float(model.noise_mu0))
-        g_var = np.zeros(Xs.shape[0])
-        return _assemble(record, latent_mean, latent_var, g_mean, g_var)
-
     prior = readout.prior
-    ks = cross_covariance(Xs, model.centers, prior)      # n* x N
-    kss = prior.kernel.signal_variance + prior.jitter
-    V = readout.W @ ks.T
-    g_mean = model.noise_mu0 + ks @ model.g_coef
-    g_var = np.maximum(kss - np.einsum("ij,ij,j->i", ks, ks, readout.Dinv)
-                       + np.einsum("ij,ij->j", V, V), 0.0)
-
-    return _assemble(record, latent_mean, latent_var, g_mean, g_var)
+    # the widest rows: the basis at m active centres, and k* at N centres
+    width = len(model.active_indices)
+    if prior is None:
+        step = _block_rows(width)
+    else:
+        step = _block_rows(max(width, model.centers.shape[0]))
+        kss = prior.kernel.signal_variance + prior.jitter
+    blocks = []
+    lo = 0
+    while True:
+        # a last block of one row would take matrix-vector products where
+        # the whole batch takes matrix products, so it joins the one before
+        hi = n if n - lo <= step + 1 else lo + step
+        X = Xs[lo:hi]
+        Phi_s = design_matrix_at(X, model.kernel, model.centers,
+                                 model.active_indices)
+        # an empty active set reads 0 from both; np.add.reduce is np.sum
+        # without its dispatch, which every single-point query pays
+        latent_mean = Phi_s @ model.mu_w
+        latent_var = np.maximum(
+            np.add.reduce((Phi_s @ model.Sigma_w) * Phi_s, 1), 0.0)
+        if prior is None:
+            # clamped posterior (every RVM): the noise is a known constant
+            g_mean = np.full(hi - lo, float(model.noise_mu0))
+            g_var = np.zeros(hi - lo)
+        else:
+            ks = cross_covariance(X, model.centers, prior)   # rows x N
+            V = readout.W @ ks.T
+            g_mean = model.noise_mu0 + ks @ model.g_coef
+            g_var = np.maximum(kss - (ks * ks) @ readout.Dinv
+                               + np.einsum("ij,ij->j", V, V), 0.0)
+        blocks.append((latent_mean, latent_var, g_mean, g_var))
+        if hi == n:
+            break
+        lo = hi
+    # a single block is taken as it is: copying it into preallocated
+    # n*-vectors costs a single-point query more than its block loop
+    fields = blocks[0] if len(blocks) == 1 else map(np.concatenate,
+                                                    zip(*blocks))
+    return _assemble(record, *fields)
 
 
 def _assemble(record, latent_mean, latent_var, g_mean, g_var) -> PredictiveDist:
@@ -124,25 +162,44 @@ def nlpd(pred: PredictiveDist, y, quad_order: int = 32) -> float:
     log-variance by Gauss-Hermite quadrature (exact Gaussian formula
     when the log-variance is deterministic, ``g_var < 1e-14``).
 
-    Array code over a (points x ``quad_order``) grid of log-variance
-    nodes, clipped at +-700 and summed by a max-shifted log-sum-exp.
-    An empty or non-finite target raises ``ValueError``.
+    The quadrature points are scored in blocks, each a (``quad_order`` x
+    points) grid of about 256 KB that is reused from block to block:
+    log-variance nodes clipped at +-700, then a log-sum-exp shifted by
+    each point's largest term, with the weighted sum as one matrix-vector
+    product.  An empty or non-finite target raises ``ValueError``.
     """
     y = _targets(y, pred.latent_mean)
     quad = gauss_hermite(quad_order)
     m, lv, gm, gv = pred.latent_mean, pred.latent_var, pred.g_mean, pred.g_var
+    r2 = (y - m) ** 2
     ll = np.empty(y.size)
     exact = gv < 1e-14
     var = lv[exact] + np.exp(gm[exact])
-    ll[exact] = -0.5 * (np.log(2 * np.pi * var)
-                        + (y[exact] - m[exact]) ** 2 / var)
-    q = ~exact
-    g = gm[q, None] + np.sqrt(gv[q])[:, None] * quad.nodes
-    var = lv[q, None] + np.exp(np.clip(g, -700, 700))
-    logp = -0.5 * (np.log(2 * np.pi * var) + (y[q] - m[q])[:, None] ** 2 / var)
-    shift = np.max(logp, axis=1)
-    ll[q] = shift + np.log(np.sum(quad.weights * np.exp(logp - shift[:, None]),
-                                  axis=1))
+    ll[exact] = -0.5 * (np.log(2 * np.pi * var) + r2[exact] / var)
+    q = np.flatnonzero(~exact)
+    step = _block_rows(quad_order)
+    grid = np.empty(quad_order * min(q.size, step))
+    scaled = np.empty_like(grid)
+    nodes = quad.nodes[:, None]
+    for lo in range(0, q.size, step):
+        i = q[lo:lo + step]
+        G = grid[:quad_order * i.size].reshape(quad_order, i.size)
+        R = scaled[:G.size].reshape(G.shape)
+        # G: log-variance nodes, then variances, then log densities
+        np.multiply(nodes, np.sqrt(gv[i]), out=G)
+        G += gm[i]
+        np.clip(G, -700, 700, out=G)
+        np.exp(G, out=G)
+        G += lv[i]
+        np.divide(r2[i], G, out=R)
+        G *= 2 * np.pi
+        np.log(G, out=G)
+        G += R
+        G *= -0.5
+        shift = np.maximum.reduce(G, axis=0)
+        G -= shift
+        np.exp(G, out=G)
+        ll[i] = shift + np.log(quad.weights @ G)
     return float(-np.sum(ll) / y.size)
 
 

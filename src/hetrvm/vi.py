@@ -543,7 +543,9 @@ def _setup(work: Dataset):
     if n < 3:
         raise ValueError("need at least 3 points")
     D2 = _sqdist(work.X, work.X)
-    off = D2[np.triu_indices(n, k=1)]
+    # the distances above the diagonal, row by row, as np.triu_indices
+    # orders them, without its two index arrays of N^2/2 integers
+    off = np.concatenate([D2[i, i + 1:] for i in range(n - 1)])
     ell0 = float(np.sqrt(np.median(off[off > 0]))) if np.any(off > 0) else 0.0
     try:
         kernel = KernelSpec(lengthscale=ell0, include_bias=False)

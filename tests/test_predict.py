@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from importlib import import_module
 
 import conftest
@@ -180,6 +181,29 @@ class TestVectorizedNlpd:
         assert nlpd(d, data.y) == pytest.approx(loop_nlpd(d, data.y),
                                                 rel=1e-12)
 
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 1025])
+    def test_block_boundaries(self, extra):
+        # nlpd scores the quadrature points in blocks of B: B - 1, B,
+        # B + 1 and 2B + 1 of them, every third point exact between them,
+        # and the last partial block holding nodes beyond the clip and
+        # far outliers
+        B = predict_module._block_rows(32)
+        assert B == 1024
+        n_quad = B + extra
+        rng = np.random.default_rng(14)
+        n = n_quad + n_quad // 2
+        exact = np.arange(n) % 3 == 2
+        gv = rng.uniform(1e-3, 1.0, n)
+        gv[exact] = np.where(rng.random(exact.sum()) < 0.5, 0.0, 1e-15)
+        d = dist(rng.normal(size=n), rng.uniform(0.05, 0.5, n),
+                 rng.normal(size=n) * 0.5, gv)
+        y = d.latent_mean + rng.normal(size=n)
+        last = np.flatnonzero(~exact)[(n_quad - 1) // B * B:]
+        assert last.size == n_quad - (n_quad - 1) // B * B
+        d.g_var[last[::2]] = 200.0**2
+        y[last[::-2]] += rng.choice((-1e3, 1e3), last[::-2].size)
+        assert nlpd(d, y) == pytest.approx(loop_nlpd(d, y), rel=1e-12)
+
     @pytest.mark.parametrize("order", [2, 64])
     def test_quad_order(self, order):
         rng = np.random.default_rng(12)
@@ -197,6 +221,12 @@ class TestVectorizedNlpd:
 def vi_model():
     data, _ = synth(SynthSpec(generator="goldberg_sine", n=50, seed=0))
     return data, fit_vi(data, KernelSpec(lengthscale=0.3))
+
+
+@pytest.fixture(scope="module")
+def rvm_model():
+    data, _ = synth(SynthSpec(generator="goldberg_sine", n=50, seed=0))
+    return data, fit_rvm(data, KernelSpec(lengthscale=0.3))
 
 
 @pytest.fixture(scope="module")
@@ -230,7 +260,6 @@ def dense_predict(model, Xstar):
     the dense q(g) = N(g_mu, g_Sigma) at the centers: the covariance K,
     its factor and both solves, g_mean = mu0 + k*^T K^-1 (g_mu - mu0) and
     g_var = k** - k*^T K^-1 k* + k*^T K^-1 g_Sigma K^-1 k*."""
-    g_mu, g_Sigma = conftest.dense_noise(model)
     record = model.standardization
     Xs = record.apply_x(Xstar)
     Phi_s = design_matrix_at(Xs, model.kernel, model.centers,
@@ -238,6 +267,22 @@ def dense_predict(model, Xstar):
     latent_mean = Phi_s @ model.mu_w
     latent_var = np.maximum(
         np.sum((Phi_s @ model.Sigma_w) * Phi_s, axis=1), 0.0)
+    if model.noise_clamped:
+        g_mean = np.full(len(Xs), model.noise_mu0)
+        g_var = np.zeros(len(Xs))
+    else:
+        g_mean, g_var = dense_noise_predict(model, Xs)
+    scale2 = record.y_scale**2
+    latent_var = latent_var * scale2
+    g_mean = g_mean + np.log(scale2)
+    return PredictiveDist(latent_mean=record.invert_y(latent_mean),
+                          latent_var=latent_var, g_mean=g_mean, g_var=g_var,
+                          total_var=latent_var + np.exp(g_mean + 0.5 * g_var))
+
+
+def dense_noise_predict(model, Xs):
+    """g_mean and g_var of ``dense_predict`` at standardized inputs."""
+    g_mu, g_Sigma = conftest.dense_noise(model)
     prior = model.noise_prior()
     L = sla.cholesky(gp_covariance(model.centers, prior), lower=True,
                      check_finite=False)
@@ -248,13 +293,19 @@ def dense_predict(model, Xstar):
         (L, True), g_mu - model.noise_mu0, check_finite=False)
     reduce_term = np.sum(ks * W.T, axis=1)
     add_term = np.sum(W * (g_Sigma @ W), axis=0)
-    g_var = np.maximum(kss - reduce_term + add_term, 0.0)
-    scale2 = record.y_scale**2
-    latent_var = latent_var * scale2
-    g_mean = g_mean + np.log(scale2)
-    return PredictiveDist(latent_mean=record.invert_y(latent_mean),
-                          latent_var=latent_var, g_mean=g_mean, g_var=g_var,
-                          total_var=latent_var + np.exp(g_mean + 0.5 * g_var))
+    return g_mean, np.maximum(kss - reduce_term + add_term, 0.0)
+
+
+def assert_matches_dense(got, want):
+    """The latent fields share their code with the oracle and must be
+    equal; the noise fields come from the site form against the dense
+    moments."""
+    for f in ("latent_mean", "latent_var"):
+        assert np.array_equal(getattr(got, f), getattr(want, f)), f
+    np.testing.assert_allclose(got.g_mean, want.g_mean, rtol=0, atol=1e-12)
+    for f in ("g_var", "total_var"):
+        np.testing.assert_allclose(getattr(got, f), getattr(want, f),
+                                   rtol=1e-10, atol=0, err_msg=f)
 
 
 class TestNoiseReadout:
@@ -263,20 +314,11 @@ class TestNoiseReadout:
     @pytest.mark.parametrize("which", ["vi_model", "ep_model",
                                        "vi_model_400", "ep_model_400"])
     def test_matches_dense_oracle(self, which, request):
-        # the latent fields share their code with the oracle; the noise
-        # fields come from the site form against the dense moments
         data, model = request.getfixturevalue(which)
         model = fresh(model)
         grid = np.linspace(-0.2, 1.2, 37)[:, None]
         for X in (data.X, grid, grid[5:6], data.X, grid[:1]):
-            got, want = predict(model, X), dense_predict(model, X)
-            for f in ("latent_mean", "latent_var"):
-                assert np.array_equal(getattr(got, f), getattr(want, f)), f
-            np.testing.assert_allclose(got.g_mean, want.g_mean, rtol=0,
-                                       atol=1e-12)
-            for f in ("g_var", "total_var"):
-                np.testing.assert_allclose(getattr(got, f), getattr(want, f),
-                                           rtol=1e-10, atol=0, err_msg=f)
+            assert_matches_dense(predict(model, X), dense_predict(model, X))
 
     def test_factor_once_per_model(self, vi_model, monkeypatch):
         data, model = vi_model
@@ -379,6 +421,110 @@ class TestNoiseReadout:
             assert np.array_equal(pred.g_var, np.zeros(len(X)))
             assert np.array_equal(pred.g_mean, np.full(len(X), c))
         assert model._noise_readout.prior is None
+
+
+def block_calls(model, X, monkeypatch):
+    """The rows of every basis and cross-covariance evaluation that
+    ``predict(model, X)`` makes, in call order."""
+    rows = {"design_matrix_at": [], "cross_covariance": []}
+    with monkeypatch.context() as patch:
+        for name, seen in rows.items():
+            def call(*args, _real=getattr(predict_module, name), _seen=seen,
+                     **kwargs):
+                _seen.append(np.shape(args[0])[0])
+                return _real(*args, **kwargs)
+            patch.setattr(predict_module, name, call)
+        predict(model, X)
+    return rows
+
+
+class TestBlocks:
+    """``predict`` reads a batch in row blocks of B points; B follows from
+    the widest block temporaries, k* at the N centres (the basis at the m
+    active centres for a clamped model)."""
+
+    @pytest.fixture(params=["rvm_model", "vi_model", "ep_model"])
+    def blocked(self, request, monkeypatch):
+        data, model = request.getfixturevalue(request.param)
+        model = fresh(model)
+        rows = block_calls(model, np.linspace(0.0, 1.0, 20_000)[:, None],
+                           monkeypatch)["design_matrix_at"]
+        B = rows[0]
+        assert sum(rows) == 20_000 and set(rows[:-1]) == {B}
+        return model, B
+
+    def test_block_size(self, blocked, monkeypatch):
+        # one block per B rows, each of a few hundred KB, and a noise-GP
+        # model evaluates k* once per block, never at all rows at once
+        model, B = blocked
+        N, m = model.centers.shape[0], len(model.active_indices)
+        width = m if model.noise_clamped else max(m, N)
+        assert B % 16 == 0 and 8 * B * width <= 1 << 18
+        for n, want in ((1, [1]), (B + 1, [B + 1]), (B + 2, [B, 2]),
+                        (2 * B + 1, [B, B + 1])):
+            # a last block of one row joins the block before it
+            rows = block_calls(model, np.zeros((n, 1)), monkeypatch)
+            assert rows["design_matrix_at"] == want
+            assert rows["cross_covariance"] == ([] if model.noise_clamped
+                                                else want)
+
+    def test_block_boundaries(self, blocked):
+        # batches of 0, 1, B - 1, B, B + 1 and 2B + 1 rows: each row equals
+        # its own single-point prediction, the batch equals the dense
+        # oracle, and its NLPD the per-point loop's
+        model, B = blocked
+        X = np.linspace(-0.2, 1.2, 2 * B + 1)[:, None]
+        ones = [predict(model, X[i:i + 1]) for i in range(len(X))]
+        y = np.sin(6.0 * X[:, 0]) + np.cos(40.0 * X[:, 0])
+        for n in (0, 1, B - 1, B, B + 1, 2 * B + 1):
+            batch = predict(model, X[:n])
+            for f in FIELDS:
+                got = getattr(batch, f)
+                assert got.shape == (n,), f
+                want = np.concatenate([np.empty(0)] + [getattr(one, f)
+                                                       for one in ones[:n]])
+                np.testing.assert_allclose(got, want, rtol=1e-12,
+                                           atol=1e-12, err_msg=f)
+            assert_matches_dense(batch, dense_predict(model, X[:n]))
+            if n:
+                assert nlpd(batch, y[:n]) == pytest.approx(
+                    loop_nlpd(batch, y[:n]), rel=1e-12)
+
+    def test_empty_batch(self, blocked):
+        model, _ = blocked
+        pred = predict(model, np.empty((0, 1)))
+        for f in FIELDS:
+            got = getattr(pred, f)
+            assert isinstance(got, np.ndarray) and got.shape == (0,), f
+
+
+class TestMemory:
+    """No n* x N array and no n* x nodes grid: peak traced allocations of
+    a 50,000-point batch on an N=400 model."""
+
+    def test_predict_and_nlpd_peaks(self, vi_model_400):
+        _, model = vi_model_400
+        model = fresh(model)
+        n, N = 50_000, model.centers.shape[0]
+        assert N == 400
+        X = np.linspace(-0.2, 1.2, n)[:, None]
+        y = np.sin(6.0 * X[:, 0])
+        predict(model, X[:1])      # the readout, built once per model
+
+        def peak(call, *args):
+            # bytes allocated at the call's peak, beyond those held before
+            tracemalloc.start()
+            try:
+                out = call(*args)
+                return out, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        pred, predict_peak = peak(predict, model, X)
+        score, nlpd_peak = peak(nlpd, pred, y)
+        assert np.isfinite(score)
+        assert predict_peak < n * N * 8 / 4
+        assert nlpd_peak < n * 32 * 8 / 2
 
 
 class TestNonFiniteInput:

@@ -12,8 +12,8 @@ import hetrvm.rvm
 import hetrvm.vi
 from hetrvm.data import Dataset, SynthSpec, standardize, synth
 from hetrvm.ep import EpConfig, fit_ep
-from hetrvm.kernels import (GpNoisePrior, KernelSpec, build_design_matrix,
-                            gp_covariance)
+from hetrvm.kernels import (GpNoisePrior, KernelSpec, _sqdist,
+                            build_design_matrix, gp_covariance)
 from hetrvm.numerics import chol_solve, gauss_hermite
 from hetrvm.predict import nlpd, predict
 from hetrvm.rvm import RvmConfig, fit_rvm
@@ -414,6 +414,35 @@ def _assert_matches_dense(q, Sigma, LB):
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(scale)
     logdet_B = 2.0 * np.sum(np.log(np.diag(LB)))
     assert abs(q.logdet_B - logdet_B) <= 1e-10 * max(1.0, abs(logdet_B))
+
+
+def _lengthscale_work(case):
+    """Standardized inputs for the noise-lengthscale check: goldberg_sine
+    draws of 3, 60 and 400 points, 60 points that each appear three
+    times, and 60 points with 5 inputs."""
+    rng = np.random.default_rng(7)
+    if case == "duplicates":
+        X = np.repeat(rng.uniform(0.0, 1.0, (20, 1)), 3, axis=0)
+    elif case == "five_inputs":
+        X = rng.uniform(0.0, 1.0, (60, 5))
+    else:
+        X = synth(SynthSpec(generator="goldberg_sine", n=int(case),
+                            seed=0))[0].X
+    return standardize(Dataset(X, rng.normal(size=len(X))))[0]
+
+
+@pytest.mark.parametrize("case", ["3", "60", "400", "duplicates",
+                                  "five_inputs"])
+def test_noise_lengthscale_is_the_triu_median(case):
+    # _setup gathers the distances above the diagonal row by row; the
+    # lengthscale is bit for bit the one of the np.triu_indices form
+    work = _lengthscale_work(case)
+    D2 = _sqdist(work.X, work.X)
+    off = D2[np.triu_indices(work.n, k=1)]
+    want = float(np.sqrt(np.median(off[off > 0])))
+    if case == "duplicates":
+        assert np.count_nonzero(off == 0) == 20 * 3
+    assert _setup(work)[2].kernel.lengthscale == want
 
 
 DRAWS = [(1, 60), (1, 400), (5, 60)]
