@@ -45,10 +45,6 @@ class Standardization:
     def invert_y(self, y):
         return np.asarray(y, dtype=float) * self.y_scale + self.y_mean
 
-    @staticmethod
-    def identity(q: int) -> "Standardization":
-        return Standardization(np.zeros(q), np.ones(q), 0.0, 1.0)
-
 
 @dataclass(frozen=True)
 class Dataset:

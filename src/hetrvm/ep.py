@@ -36,12 +36,12 @@ from typing import List, Optional
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, standardize
 from .kernels import KernelSpec, build_design_matrix
 from .model import HrvmModel
 from .numerics import FactorizationError, gauss_hermite
 from .vi import (_check_loop, _constant, _degenerate, _finish, _gp_noise,
-                 _q_cov, _setup, _standardized, noise_diag, update_alpha)
+                 _q_cov, _setup, noise_diag, update_alpha)
 # kept for perfbench's tracer until ROADMAP item 1
 from .numerics import chol_factor  # noqa: F401
 from .vi import weight_posterior  # noqa: F401
@@ -61,7 +61,6 @@ class EpConfig:
     max_passes: int = 100
     damping: float = 0.8
     tol: float = 1e-6
-    standardize: bool = True
 
     def __post_init__(self):
         # damping 0 would leave every site flat and report "converged"
@@ -227,7 +226,7 @@ def fit_ep(data: Dataset, kernel: Optional[KernelSpec] = None,
     the damping once; five more end the fit as ``oscillating``."""
     kernel = kernel or KernelSpec()
     config = config or EpConfig()
-    work, record = _standardized(data, config.standardize)
+    work, record = standardize(data)
     Phi = build_design_matrix(work.X, kernel)
     active, alpha, noise_prior, cov = _setup(work)
     if _constant(work.y):

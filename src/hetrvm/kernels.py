@@ -71,10 +71,10 @@ class GpNoisePrior:
             raise ValueError("jitter must be positive and finite")
 
 
-def kernel_matrix(kernel: KernelSpec, X, X2=None) -> np.ndarray:
+def kernel_matrix(kernel: KernelSpec, X, X2) -> np.ndarray:
     """Pairwise kernel values between rows of X and X2 (unscaled)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    X2 = X if X2 is None else np.atleast_2d(np.asarray(X2, dtype=float))
+    X2 = np.atleast_2d(np.asarray(X2, dtype=float))
     if X.shape[1] != X2.shape[1]:
         raise ValueError("input dimensionalities differ")
     if kernel.family == "rbf":

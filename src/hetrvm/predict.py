@@ -67,6 +67,8 @@ _BLOCK_BYTES = 1 << 18
 # the same place in its unrolled loops as in one product over the whole
 # batch, and blocking changes no bit of latent_mean, latent_var or g_mean
 _ROW_ALIGN = 16
+# Gauss-Hermite nodes of nlpd's log-variance integral, the rows of its grid
+_NLPD_NODES = 32
 
 
 def _block_rows(width: int) -> int:
@@ -157,19 +159,19 @@ from .kernels import gp_covariance  # noqa: E402,F401
 from .numerics import chol_factor  # noqa: E402,F401
 
 
-def nlpd(pred: PredictiveDist, y, quad_order: int = 32) -> float:
+def nlpd(pred: PredictiveDist, y) -> float:
     """Mean negative log predictive density, marginalizing the
-    log-variance by Gauss-Hermite quadrature (exact Gaussian formula
-    when the log-variance is deterministic, ``g_var < 1e-14``).
+    log-variance by 32-point Gauss-Hermite quadrature (exact Gaussian
+    formula when the log-variance is deterministic, ``g_var < 1e-14``).
 
-    The quadrature points are scored in blocks, each a (``quad_order`` x
-    points) grid of about 256 KB that is reused from block to block:
+    The quadrature points are scored in blocks, each a (32 x points)
+    grid of about 256 KB that is reused from block to block:
     log-variance nodes clipped at +-700, then a log-sum-exp shifted by
     each point's largest term, with the weighted sum as one matrix-vector
     product.  An empty or non-finite target raises ``ValueError``.
     """
     y = _targets(y, pred.latent_mean)
-    quad = gauss_hermite(quad_order)
+    quad = gauss_hermite(_NLPD_NODES)
     m, lv, gm, gv = pred.latent_mean, pred.latent_var, pred.g_mean, pred.g_var
     r2 = (y - m) ** 2
     ll = np.empty(y.size)
@@ -177,13 +179,13 @@ def nlpd(pred: PredictiveDist, y, quad_order: int = 32) -> float:
     var = lv[exact] + np.exp(gm[exact])
     ll[exact] = -0.5 * (np.log(2 * np.pi * var) + r2[exact] / var)
     q = np.flatnonzero(~exact)
-    step = _block_rows(quad_order)
-    grid = np.empty(quad_order * min(q.size, step))
+    step = _block_rows(_NLPD_NODES)
+    grid = np.empty(_NLPD_NODES * min(q.size, step))
     scaled = np.empty_like(grid)
     nodes = quad.nodes[:, None]
     for lo in range(0, q.size, step):
         i = q[lo:lo + step]
-        G = grid[:quad_order * i.size].reshape(quad_order, i.size)
+        G = grid[:_NLPD_NODES * i.size].reshape(_NLPD_NODES, i.size)
         R = scaled[:G.size].reshape(G.shape)
         # G: log-variance nodes, then variances, then log densities
         np.multiply(nodes, np.sqrt(gv[i]), out=G)

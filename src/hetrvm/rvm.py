@@ -16,14 +16,14 @@ from typing import List, Optional
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, standardize
 from .kernels import KernelSpec, build_design_matrix
 from .model import HrvmModel
 # kept for perfbench's tracer until ROADMAP item 1
 from .kernels import design_matrix_at  # noqa: F401
 from .numerics import chol_factor  # noqa: F401
 from .vi import (_check_loop, _clamped_noise, _constant, _degenerate,
-                 _finish, _standardized, _weight_fit, update_alpha)
+                 _finish, _weight_fit, update_alpha)
 
 __all__ = ["RvmConfig", "fit_rvm"]
 
@@ -32,7 +32,6 @@ __all__ = ["RvmConfig", "fit_rvm"]
 class RvmConfig:
     max_iter: int = 500
     tol: float = 1e-6
-    standardize: bool = True
 
     def __post_init__(self):
         _check_loop(self.max_iter, self.tol)
@@ -49,7 +48,7 @@ def fit_rvm(data: Dataset, kernel: Optional[KernelSpec] = None,
     at log sigma2 (standardized units)."""
     kernel = kernel or KernelSpec()
     config = config or RvmConfig()
-    work, record = _standardized(data, config.standardize)
+    work, record = standardize(data)
     if _constant(work.y):
         return _degenerate("rvm", kernel, work, record, config)
     y, n = work.y, work.n

@@ -164,8 +164,9 @@ def _model(doc: dict) -> HrvmModel:
     """The model of a "hetrvm" document, whose sizes must agree: N rows
     of ``centers``, m distinct ``active_indices`` in [0, n_basis), and
     the weight and noise posteriors sized m and N.  The method must be a
-    trainer's, the status a string, and the noise-GP prior one that
-    ``GpNoisePrior`` and ``KernelSpec`` accept, with a finite mean."""
+    trainer's, the status a string, the noise-GP prior one that
+    ``GpNoisePrior`` and ``KernelSpec`` accept, and every number but the
+    training log (EP can log nan) finite, precisions and scales > 0."""
     if doc["method"] not in ("rvm", "vi", "ep"):
         raise SchemaError(f"unknown method {doc['method']!r}")
     if not isinstance(doc["status"], str):
@@ -204,8 +205,17 @@ def _model(doc: dict) -> HrvmModel:
         config=doc.get("config", {}),
     )
     model.noise_prior()  # raises ValueError on a malformed prior
-    if not np.isfinite(model.noise_mu0):
-        raise SchemaError(f"noise_mu0 {model.noise_mu0!r} is not finite")
+    record = model.standardization
+    for name, value in dict(
+            alpha=model.alpha, x_scale=record.x_scale, y_scale=record.y_scale,
+            mu_w=model.mu_w, Sigma_w=model.Sigma_w, centers=model.centers,
+            x_mean=record.x_mean, y_mean=record.y_mean,
+            noise_mu0=model.noise_mu0).items():
+        positive = name in ("alpha", "x_scale", "y_scale")
+        if not np.all((value > (0.0 if positive else -np.inf))
+                      & (value < np.inf)):
+            raise SchemaError(f"{name} must be finite"
+                              + (" and positive" if positive else ""))
     return replace(model, **_noise_from_dict(doc, model))
 
 

@@ -70,7 +70,7 @@ from typing import List, NamedTuple, Optional
 
 import numpy as np
 
-from .data import DataError, Dataset, Standardization, standardize
+from .data import DataError, Dataset, standardize
 from .kernels import (GpNoisePrior, KernelSpec, build_design_matrix,
                       cross_covariance, _sqdist)
 from .model import HrvmModel
@@ -110,7 +110,6 @@ def _check_loop(max_iter, tol, max_iter_name="max_iter"):
 class VIConfig:
     max_iter: int = 200
     tol: float = 1e-6
-    standardize: bool = True
 
     def __post_init__(self):
         _check_loop(self.max_iter, self.tol)
@@ -524,21 +523,14 @@ def update_alpha(active, alpha, Phi, r, y, tol: float):
         scratch = not _intact(mu_w, Sigma_w, s, q)
 
 
-def _standardized(data: Dataset, standardize_data: bool):
-    """The working data and the record that maps predictions back."""
-    if standardize_data:
-        return standardize(data)
-    return data, Standardization.identity(data.q)
-
-
 def _setup(work: Dataset):
     """Starting point shared by fit_vi and fit_ep: the empty basis, and
     the noise-GP prior at the median-distance lengthscale, unit signal
     variance, jitter 1e-6 and mu0 = log(0.1 var y), with its covariance
     K at the training inputs, split once as K = jitter I + F F^T
     (:func:`_split_prior`).  Returns (active, alpha, prior, cov), cov the
-    :class:`_PriorCov`; inputs whose squared distances are all 0 (or
-    underflow) raise DataError."""
+    :class:`_PriorCov`; standardized inputs whose squared distances are
+    all 0 (or underflow) raise DataError."""
     n = work.n
     if n < 3:
         raise ValueError("need at least 3 points")
@@ -551,8 +543,8 @@ def _setup(work: Dataset):
         kernel = KernelSpec(lengthscale=ell0, include_bias=False)
     except ValueError as exc:  # 0, or its square leaves the float range
         raise DataError(f"the noise GP's lengthscale, the median input "
-                        f"distance {ell0:.3g}, is out of range; rescale "
-                        "the inputs") from exc
+                        f"distance {ell0:.3g}, is out of range: the inputs "
+                        "are all equal or nearly so") from exc
     mu0 = float(np.log(0.1 * max(float(np.var(work.y)), 1e-12)))
     prior = GpNoisePrior(mu0, kernel)
     return [], np.zeros(0), prior, _split_prior(work.X, prior)
@@ -581,10 +573,10 @@ def _finish(method, kernel, work, record, active, alpha, posterior, noise,
             **fit):
     """The model the trainers return: the final active set, precisions
     and weight posterior (mu_w, Sigma_w), the noise fields ``noise``
-    (:func:`_gp_noise`), the record ``fit`` of the run, and a copy of the
-    training inputs ``work.X`` (the basis centres)."""
+    (:func:`_gp_noise`), the record ``fit`` of the run, and the
+    standardized training inputs ``work.X`` (the basis centres)."""
     mu_w, Sigma_w = posterior
-    return HrvmModel(method=method, kernel=kernel, centers=work.X.copy(),
+    return HrvmModel(method=method, kernel=kernel, centers=work.X,
                      active_indices=list(active), alpha=alpha, mu_w=mu_w,
                      Sigma_w=Sigma_w, standardization=record, **noise, **fit)
 
@@ -596,14 +588,15 @@ def _constant(y):
 
 def _degenerate(method, kernel, work, record, config):
     """Every trainer's model of a :func:`_constant` target: the bias
-    weight (if any) is the constant, at unit noise.  Fitted, such a target
-    makes the VI weight precision singular and drives EP's noise to 0."""
+    weight (if any) is the standardized constant, 0 up to round-off, at
+    unit noise; y_mean predicts the constant, with or without a bias.
+    Fitted, such a target makes the VI weight precision singular and
+    drives EP's noise to 0."""
     k = int(kernel.include_bias)
-    return HrvmModel(method=method, kernel=kernel, centers=work.X.copy(),
-                     active_indices=list(range(k)), alpha=np.full(k, 1e6),
-                     mu_w=np.full(k, work.y[0]), Sigma_w=np.full((k, k), 1e-6),
-                     standardization=record, status="degenerate",
-                     config=asdict(config), **_clamped_noise(1.0))
+    return _finish(method, kernel, work, record, range(k), np.full(k, 1e6),
+                   (np.full(k, work.y[0]), np.full((k, k), 1e-6)),
+                   _clamped_noise(1.0), status="degenerate",
+                   config=asdict(config))
 
 
 def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
@@ -626,7 +619,7 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
     N=200)."""
     kernel = kernel or KernelSpec()
     config = config or VIConfig()
-    work, record = _standardized(data, config.standardize)
+    work, record = standardize(data)
     Phi = build_design_matrix(work.X, kernel)
     active, alpha, prior, cov = _setup(work)
     if _constant(work.y):

@@ -413,6 +413,18 @@ def _set_first(key, value):
     return mutate
 
 
+def _set_record(key, value):
+    def mutate(doc):
+        doc["standardization"][key] = value
+    return mutate
+
+
+def _set_center(value):
+    def mutate(doc):
+        doc["centers"][0][0] = value
+    return mutate
+
+
 def _format1_drop_last(key):
     """A format-1 log-noise (flat g_mu, unit g_Sigma) with ``key`` one
     row short."""
@@ -445,6 +457,10 @@ def _format1_drop_last(key):
     pytest.param("vi", _set("noise_mu0", float("nan")), id="vi-noise_mu0-nan"),
     pytest.param("vi", _set("method", "banana"), id="vi-method-unknown"),
     pytest.param("rvm", _set("status", 17), id="rvm-status-not-a-string"),
+    pytest.param("vi", _set_first("mu_w", float("nan")), id="vi-mu_w-nan"),
+    pytest.param("vi", _set_record("y_scale", 0.0), id="vi-y_scale-zero"),
+    pytest.param("vi", _set_center(float("nan")), id="vi-centers-nan"),
+    pytest.param("rvm", _set_first("alpha", 0.0), id="rvm-alpha-zero"),
 ])
 def test_inconsistent_model_file_is_data_error(request, train_csv, tmp_path,
                                                capsys, method, mutate):

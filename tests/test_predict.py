@@ -13,7 +13,7 @@ from hetrvm.kernels import (KernelSpec, cross_covariance, design_matrix_at,
                             gp_covariance)
 from hetrvm.numerics import gauss_hermite
 from hetrvm.predict import PredictiveDist, nlpd, predict, rmse
-from hetrvm.rvm import RvmConfig, fit_rvm
+from hetrvm.rvm import fit_rvm
 from hetrvm.serialize import model_from_dict, model_to_dict
 from hetrvm.vi import VIConfig, fit_vi
 
@@ -115,10 +115,11 @@ class TestNlpd:
             nlpd(d, [0.0, bad])
 
 
-def loop_nlpd(pred, y, quad_order=32):
-    """The per-point NLPD loop, kept as the oracle for the array code."""
+def loop_nlpd(pred, y):
+    """The per-point NLPD loop over 32 Gauss-Hermite nodes, kept as the
+    oracle for the array code."""
     y = np.asarray(y, dtype=float).ravel()
-    quad = gauss_hermite(quad_order)
+    quad = gauss_hermite(32)
     total = 0.0
     for m, lv, gm, gv, yi in zip(pred.latent_mean, pred.latent_var,
                                  pred.g_mean, pred.g_var, y):
@@ -203,18 +204,6 @@ class TestVectorizedNlpd:
         d.g_var[last[::2]] = 200.0**2
         y[last[::-2]] += rng.choice((-1e3, 1e3), last[::-2].size)
         assert nlpd(d, y) == pytest.approx(loop_nlpd(d, y), rel=1e-12)
-
-    @pytest.mark.parametrize("order", [2, 64])
-    def test_quad_order(self, order):
-        rng = np.random.default_rng(12)
-        n = 200
-        gv = rng.uniform(0.0, 2.0, n)
-        gv[::4] = 0.0
-        d = dist(rng.normal(size=n), rng.uniform(0.0, 0.5, n),
-                 rng.normal(size=n), gv)
-        y = d.latent_mean + rng.normal(size=n)
-        assert nlpd(d, y, quad_order=order) == pytest.approx(
-            loop_nlpd(d, y, quad_order=order), rel=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -407,9 +396,9 @@ class TestNoiseReadout:
 
     def test_clamped_model_skips_factor(self, monkeypatch):
         data, _ = synth(SynthSpec(generator="const_noise", n=25, seed=1))
-        model = fit_rvm(data, KernelSpec(lengthscale=0.5),
-                        RvmConfig(standardize=False))
-        c = model.noise_mu0
+        model = fit_rvm(data, KernelSpec(lengthscale=0.5))
+        # the clamped log-noise, in the original units
+        c = model.noise_mu0 + np.log(model.standardization.y_scale**2)
 
         def refuse(*args, **kwargs):
             raise AssertionError("clamped model split the noise GP")
@@ -569,13 +558,13 @@ class TestPredict:
 
     def test_clamped_model_constant_noise(self):
         # a constant target: VI returns the degenerate model, clamped at
-        # unit noise
+        # unit noise in standardized units
         data, _ = synth(SynthSpec(generator="const_noise", n=25, seed=1))
         data = Dataset(data.X, np.full(data.n, 0.3))
-        c = 0.0
         model = fit_vi(data, KernelSpec(lengthscale=0.5),
-                       VIConfig(max_iter=40, standardize=False))
+                       VIConfig(max_iter=40))
         assert model.status == "degenerate" and model.noise_clamped
+        c = model.noise_mu0 + np.log(model.standardization.y_scale**2)
         pred = predict(model, np.array([[0.3], [5.0]]))
         noise = pred.total_var - pred.latent_var
         np.testing.assert_allclose(noise, np.exp(c), rtol=1e-10)

@@ -5,7 +5,7 @@ from test_vi import SelectionLog, _all_sq_at, _dense_sparsity_quality
 
 import hetrvm.rvm
 import hetrvm.vi
-from hetrvm.data import Dataset, SynthSpec, synth
+from hetrvm.data import Dataset, SynthSpec, standardize, synth
 from hetrvm.kernels import KernelSpec, build_design_matrix
 from hetrvm.predict import predict
 from hetrvm.rvm import RvmConfig, fit_rvm
@@ -179,16 +179,19 @@ class TestAlphaGridOracle:
 
 class TestFitRvm:
     def test_recovers_single_basis(self):
+        # the target is one basis column at the standardized inputs; the
+        # weight comes back in standardized units, y / y_scale
         rng = np.random.default_rng(3)
         X = np.linspace(0, 1, 30)[:, None]
         kernel = KernelSpec(lengthscale=0.2)
-        Phi = build_design_matrix(X, kernel)
+        Phi = build_design_matrix(standardize(Dataset(X, X[:, 0]))[0].X,
+                                  kernel)
         y = 3.0 * Phi[:, 7] + 1e-4 * rng.normal(size=30)
-        model = fit_rvm(Dataset(X, y), kernel,
-                        RvmConfig(standardize=False))
+        model = fit_rvm(Dataset(X, y), kernel)
         assert 7 in model.active_indices
         w = model.mu_w[model.active_indices.index(7)]
-        assert w == pytest.approx(3.0, abs=0.05)
+        assert w * model.standardization.y_scale == pytest.approx(3.0,
+                                                                  abs=0.05)
 
     def test_pure_noise_prefers_empty_or_bias(self):
         hits = 0
@@ -219,22 +222,25 @@ class TestFitRvm:
         model = fit_rvm(Dataset(X, np.full(10, 5.0)), KernelSpec())
         assert set(model.active_indices) <= {0}
 
-    @pytest.mark.parametrize("standardize", [True, False])
+    @pytest.mark.parametrize("include_bias", [True, False])
     @pytest.mark.parametrize("c", [3.5, 0.1])
-    def test_degenerate_predicts_the_constant(self, tmp_path, standardize, c):
-        # unstandardized, the computed variance of y = 0.1 is round-off,
-        # not 0
+    def test_degenerate_predicts_the_constant(self, tmp_path, include_bias,
+                                              c):
+        # the standardized target is 0, so the bias weight (if any) is 0
+        # and the standardization's y_mean predicts the constant
         X = np.linspace(0, 1, 30)[:, None]
         model = fit_rvm(Dataset(X, np.full(30, c)),
-                        KernelSpec(lengthscale=0.5),
-                        RvmConfig(standardize=standardize))
-        assert model.status == "degenerate" and model.active_indices == [0]
+                        KernelSpec(lengthscale=0.5,
+                                   include_bias=include_bias))
+        basis = [0] if include_bias else []
+        assert model.status == "degenerate" and model.active_indices == basis
         Xt = np.array([[-0.3], [0.4], [2.0]])
         np.testing.assert_allclose(predict(model, Xt).latent_mean, c,
                                    rtol=1e-12)
         save_model(model, tmp_path / "m.json")
         loaded = load_model(tmp_path / "m.json")
-        assert loaded.status == "degenerate" and loaded.active_indices == [0]
+        assert loaded.status == "degenerate"
+        assert loaded.active_indices == basis
         for field in ("latent_mean", "total_var"):
             assert np.array_equal(getattr(predict(loaded, Xt), field),
                                   getattr(predict(model, Xt), field))
@@ -242,10 +248,9 @@ class TestFitRvm:
     def test_degenerate_without_bias_is_empty(self):
         X = np.linspace(0, 1, 10)[:, None]
         model = fit_rvm(Dataset(X, np.full(10, 2.0)),
-                        KernelSpec(include_bias=False),
-                        RvmConfig(standardize=False))
+                        KernelSpec(include_bias=False))
         assert model.status == "degenerate" and model.active_indices == []
-        assert np.all(predict(model, X).latent_mean == 0.0)
+        assert np.all(predict(model, X).latent_mean == 2.0)
 
     @pytest.mark.parametrize("bad", [
         dict(max_iter=0), dict(max_iter=-3), dict(tol=-1.0),

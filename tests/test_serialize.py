@@ -166,6 +166,18 @@ def _drop(key):
     return mutate
 
 
+def _set_record(key, value):
+    def mutate(doc):
+        doc["standardization"][key] = value
+    return mutate
+
+
+def _set_corner(key, value):
+    def mutate(doc):
+        doc[key][0][0] = value
+    return mutate
+
+
 def _as_format1(doc):
     """The document with a format-1 log-noise: a flat g_mu and a unit
     g_Sigma in place of the site form."""
@@ -234,14 +246,31 @@ def _site_and_format1(doc):
     pytest.param(_set("method", ["vi"]), id="method-list"),
     pytest.param(_set("status", 17), id="status-int"),
     pytest.param(_set("status", None), id="status-null"),
+    pytest.param(_set_first("alpha", float("nan")), id="alpha-nan"),
+    pytest.param(_set_first("alpha", float("inf")), id="alpha-inf"),
+    pytest.param(_set_first("alpha", 0.0), id="alpha-zero"),
+    pytest.param(_set_first("mu_w", float("nan")), id="mu_w-nan"),
+    pytest.param(_set_first("mu_w", -float("inf")), id="mu_w-minus-inf"),
+    pytest.param(_set_corner("Sigma_w", float("nan")), id="Sigma_w-nan"),
+    pytest.param(_set_corner("centers", float("nan")), id="centers-nan"),
+    pytest.param(_set_corner("centers", float("inf")), id="centers-inf"),
+    pytest.param(_set_record("x_mean", [float("nan")]), id="x_mean-nan"),
+    pytest.param(_set_record("x_scale", [0.0]), id="x_scale-zero"),
+    pytest.param(_set_record("x_scale", [-1.0]), id="x_scale-negative"),
+    pytest.param(_set_record("x_scale", [float("inf")]), id="x_scale-inf"),
+    pytest.param(_set_record("y_mean", float("nan")), id="y_mean-nan"),
+    pytest.param(_set_record("y_scale", 0.0), id="y_scale-zero"),
+    pytest.param(_set_record("y_scale", -2.0), id="y_scale-negative"),
+    pytest.param(_set_record("y_scale", float("nan")), id="y_scale-nan"),
 ])
 def test_inconsistent_document_rejected(fitted, mutate):
     """A document whose index and array sizes disagree, whose method no
     trainer has, whose status is not a string, whose noise-GP mean is not
-    finite or whose noise-GP prior ``GpNoisePrior`` or ``KernelSpec``
-    rejects fails to load, rather
-    than loading and then predicting from wrapped or truncated arrays
-    (or failing later as a numeric error)."""
+    finite, whose noise-GP prior ``GpNoisePrior`` or ``KernelSpec``
+    rejects, or whose weight posterior, centres or standardization hold
+    a non-finite number (or a precision or scale that is not positive)
+    fails to load, rather than loading and then predicting from wrapped
+    or truncated arrays, or nan (or failing later as a numeric error)."""
     doc = model_to_dict(fitted["vi"])
     assert len(doc["active_indices"]) >= 2
     mutate(doc)
@@ -389,3 +418,26 @@ def test_legacy_posterior_file_converts_to_sites(method):
                                    rtol=1e-9, atol=0, err_msg=name)
     resaved = model_to_dict(model)
     assert resaved["format_version"] == 3 and "g_Sigma" not in resaved
+
+
+@pytest.mark.parametrize("method", ["vi", "rvm"])
+def test_raw_units_file_loads_and_predicts(tmp_path, method):
+    """A file fitted in raw units, as the trainers wrote them before they
+    always standardized (``"standardize": false`` in its config and an
+    identity standardization), loads, predicts to the bit what it
+    predicted when written, and saves back to the same bytes."""
+    path = LEGACY / f"legacy_{method}_raw_units.json"
+    doc = json.loads(path.read_text())
+    expected = json.loads(
+        (LEGACY / f"legacy_{method}_raw_units_pred.json").read_text())
+    assert doc["config"]["standardize"] is False
+    assert doc["standardization"] == {"x_mean": [0.0], "x_scale": [1.0],
+                                      "y_mean": 0.0, "y_scale": 1.0}
+    model = load_model(path)
+    assert model.method == method and model.config == doc["config"]
+    pred = predict(model, np.asarray(expected["X"]))
+    for name in PRED_FIELDS:
+        assert np.array_equal(getattr(pred, name), expected[name]), name
+    assert nlpd(pred, expected["y"]) == expected["nlpd"]
+    save_model(model, tmp_path / "m.json")
+    assert (tmp_path / "m.json").read_bytes() == path.read_bytes()

@@ -13,7 +13,7 @@ from hetrvm.data import DataError, Dataset, SynthSpec, synth
 from hetrvm.ep import EpConfig, fit_ep
 from hetrvm.kernels import KernelSpec, build_design_matrix, gp_covariance
 from hetrvm.predict import predict
-from hetrvm.rvm import RvmConfig, fit_rvm
+from hetrvm.rvm import fit_rvm
 from hetrvm.serialize import (load_model, model_from_dict, model_to_dict,
                               save_model)
 from hetrvm.vi import (VIConfig, VariationalState, collapsed_bound, fit_vi,
@@ -21,8 +21,7 @@ from hetrvm.vi import (VIConfig, VariationalState, collapsed_bound, fit_vi,
 
 # the module, not the ``hetrvm.predict`` function the package exports
 predict_module = import_module("hetrvm.predict")
-TRAINERS = {"rvm": (fit_rvm, RvmConfig), "vi": (fit_vi, VIConfig),
-            "ep": (fit_ep, EpConfig)}
+TRAINERS = {"rvm": fit_rvm, "vi": fit_vi, "ep": fit_ep}
 FIELDS = ("latent_mean", "latent_var", "g_mean", "g_var", "total_var")
 # every status a trainer can end a fit in
 STATUSES = {"rvm": {"converged", "max_iter", "degenerate"},
@@ -30,19 +29,21 @@ STATUSES = {"rvm": {"converged", "max_iter", "degenerate"},
             "ep": {"converged", "max_passes", "oscillating", "degenerate"}}
 
 
-@pytest.mark.parametrize("standardize", [True, False])
+@pytest.mark.parametrize("include_bias", [True, False])
 @pytest.mark.parametrize("c", [0.1, 3.5])
 @pytest.mark.parametrize("method", ["rvm", "vi", "ep"])
-def test_constant_target_is_degenerate(tmp_path, method, c, standardize):
+def test_constant_target_is_degenerate(tmp_path, method, c, include_bias):
     # VI used to raise FactorizationError here, and EP to end "converged"
-    # with a noise variance of about 5e-16
-    fit, config = TRAINERS[method]
+    # with a noise variance of about 5e-16.  Without a bias column the
+    # model has no weight, and the standardization alone predicts c
+    fit = TRAINERS[method]
     data = Dataset(np.linspace(-1.0, 1.0, 30)[:, None], np.full(30, c))
-    kernel = KernelSpec(lengthscale=0.5)
-    model = fit(data, kernel, config(standardize=standardize))
-    rvm = fit_rvm(data, kernel, RvmConfig(standardize=standardize))
+    kernel = KernelSpec(lengthscale=0.5, include_bias=include_bias)
+    model = fit(data, kernel)
+    rvm = fit_rvm(data, kernel)
+    basis = [0] if include_bias else []
     assert model.method == method
-    assert model.status == "degenerate" and model.active_indices == [0]
+    assert model.status == "degenerate" and model.active_indices == basis
     Xt = np.array([[-0.3], [0.4], [2.0]])
     pred = predict(model, Xt)
     np.testing.assert_allclose(pred.latent_mean, c, rtol=1e-12)
@@ -50,7 +51,7 @@ def test_constant_target_is_degenerate(tmp_path, method, c, standardize):
     save_model(model, tmp_path / "m.json")
     loaded = load_model(tmp_path / "m.json")
     assert (loaded.method, loaded.status, loaded.active_indices) == (
-        method, "degenerate", [0])
+        method, "degenerate", basis)
     for field in FIELDS:
         assert np.array_equal(getattr(predict(loaded, Xt), field),
                               getattr(pred, field))
@@ -64,15 +65,14 @@ def test_constant_target_still_needs_three_points(fit):
 
 @pytest.mark.parametrize("method", ["rvm", "vi", "ep"])
 def test_model_does_not_alias_the_inputs(method):
-    # unstandardized float64 2-D inputs reach the trainer as the caller's
-    # own array, so the model must keep a copy
-    fit, config = TRAINERS[method]
+    # float64 2-D inputs reach the trainer as the caller's own array;
+    # the model keeps the standardized inputs, which must not share it
+    fit = TRAINERS[method]
     train, _ = synth(SynthSpec(n=30, seed=0))
     X = train.X.copy()
     data = Dataset(X, train.y)
     assert np.shares_memory(data.X, X)
-    model = fit(data, KernelSpec(lengthscale=0.3),
-                config(standardize=False))
+    model = fit(data, KernelSpec(lengthscale=0.3))
     centers = model.centers.copy()
     Xt = np.linspace(0.0, 1.0, 7)[:, None]
     before = predict(model, Xt)
@@ -129,7 +129,7 @@ def test_model_keeps_the_posterior_of_its_final_state(method, generator):
     # the trainer hands the model the weight posterior it last fitted,
     # without a refit: it is the one of the final basis, precisions and
     # noise
-    fit, _ = TRAINERS[method]
+    fit = TRAINERS[method]
     data, _ = synth(SynthSpec(generator=generator, n=60, seed=0))
     model = fit(data, KernelSpec(lengthscale=0.3))
     assert model.status == "converged" and model.active_indices
@@ -159,24 +159,24 @@ def test_vi_logs_the_bound_at_its_final_state(generator):
         collapsed_bound(state, Phi, y), rel=1e-9, abs=0)
 
 
-def _finely_spaced(spacing):
-    """20 unstandardized inputs ``spacing`` apart, with a sine target."""
-    X = spacing * np.arange(20.0)[:, None]
+def _sine_target(X):
+    """The inputs ``X`` (20 rows) with a sine target."""
     return Dataset(X, np.sin(np.arange(20.0)))
 
 
 @pytest.mark.parametrize("fit, config", [(fit_vi, VIConfig),
                                          (fit_ep, EpConfig)])
 def test_noise_lengthscale_out_of_range_is_a_data_error(fit, config):
-    # the noise GP's lengthscale is the median input distance, which the
-    # caller never sets: at a spacing of 1e-160 its square underflows,
-    # and at 1e-170 every squared distance does
-    for spacing in (1e-160, 1e-170):
+    # the noise GP's lengthscale is the median standardized input
+    # distance, which the caller never sets: it is 0 when the inputs are
+    # all equal, and its square underflows when 18 of 20 inputs lie
+    # within 1e-158 of their mean
+    near = 1e-158 * np.linspace(-1.0, 1.0, 18)
+    for X in (np.full(20, 5.0), np.concatenate([[-1.0, 1.0], near])):
         with pytest.raises(DataError, match="noise GP's lengthscale"):
-            fit(_finely_spaced(spacing), KernelSpec(),
-                config(standardize=False))
-    model = fit(_finely_spaced(1e-150), KernelSpec(),
-                config(standardize=False))
+            fit(_sine_target(X[:, None]), KernelSpec(), config())
+    model = fit(_sine_target(1e-150 * np.arange(20.0)[:, None]),
+                KernelSpec(), config())
     assert model.status == "converged"
 
 
@@ -194,7 +194,7 @@ def test_every_fit_ends_in_a_named_status(generator, n, seed, lengthscale,
     data = Dataset(data.X, data.y * 10.0**log10_scale)
     kernel = KernelSpec(lengthscale=lengthscale)
     models = {}
-    for method, (fit, _) in TRAINERS.items():
+    for method, fit in TRAINERS.items():
         model = models[method] = fit(data, kernel)
         assert model.status in STATUSES[method]
         assert np.all(np.isfinite(model.training_log))
