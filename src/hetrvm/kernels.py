@@ -78,24 +78,41 @@ def kernel_matrix(kernel: KernelSpec, X, X2) -> np.ndarray:
     if X.shape[1] != X2.shape[1]:
         raise ValueError("input dimensionalities differ")
     if kernel.family == "rbf":
-        K = _sqdist(X, X2)
-        K *= -0.5
-        K /= kernel.lengthscale**2
-        return np.exp(K, out=K)
-    K = X @ X2.T
+        return _kernel_values(kernel, _sqdist(X, X2))
+    return _kernel_values(kernel, X @ X2.T)
+
+
+def _kernel_values(kernel: KernelSpec, A) -> np.ndarray:
+    """The kernel, computed in place in ``A`` from what its family reads:
+    squared distances for rbf, inner products for linear and polynomial."""
+    if kernel.family == "rbf":
+        A *= -0.5
+        A /= kernel.lengthscale**2
+        return np.exp(A, out=A)
     if kernel.family == "polynomial":
-        K += 1.0
-        K **= int(kernel.degree)
-    return K
+        A += 1.0
+        A **= int(kernel.degree)
+    return A
+
+
+def _sqnorms(X):
+    """Squared Euclidean norms of the rows of X."""
+    # np.add.reduce is np.sum without its dispatch, a microsecond per call
+    # that every single-point query pays
+    return np.add.reduce(X**2, 1)
 
 
 def _sqdist(X, X2):
-    """Squared Euclidean distances |x|^2 + |x2|^2 - 2 x.x2, clipped at zero
-    against round-off, computed in place in the returned array."""
-    # np.add.reduce is np.sum without its dispatch, a microsecond per call
-    # that every single-point query pays
-    D = np.add.reduce(X**2, 1)[:, None] + np.add.reduce(X2**2, 1)[None, :]
-    D -= 2.0 * X @ X2.T
+    """Squared Euclidean distances between the rows of X and X2."""
+    return _sqdist_from(_sqnorms(X), _sqnorms(X2), 2.0 * X @ X2.T)
+
+
+def _sqdist_from(x_sq, x2_sq, cross):
+    """Squared distances |x|^2 + |x2|^2 - 2 x.x2 from the squared norms and
+    the doubled inner products ``cross``, clipped at zero against
+    round-off, in a new array."""
+    D = x_sq[:, None] + x2_sq[None, :]
+    D -= cross
     return np.maximum(D, 0.0, out=D)
 
 
@@ -107,32 +124,17 @@ def build_design_matrix(X, kernel: KernelSpec) -> np.ndarray:
     return design_matrix_at(X, kernel, X)
 
 
-def design_matrix_at(Xstar, kernel: KernelSpec, centers,
-                     active_columns=None) -> np.ndarray:
-    """Evaluate the basis at new inputs, restricted to ``active_columns``
-    (indices into the full design matrix, bias = column 0 when present).
-
-    With ``active_columns`` the kernel is evaluated at the listed centres
-    only, and a listed bias reads 1.  The result is Fortran-ordered and
-    equals the full matrix's listed columns, bit for bit with one input
-    dimension (with several, BLAS may sum the cross term in another
-    order).  Non-finite inputs raise ``ValueError``."""
+def design_matrix_at(Xstar, kernel: KernelSpec, centers) -> np.ndarray:
+    """The basis at new inputs: the bias column of ones when the kernel
+    includes a bias, then the kernel centred at each of ``centers``.
+    Non-finite inputs raise ``ValueError``."""
     Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
     if not np.isfinite(Xstar).all():
         raise ValueError("non-finite prediction input")
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    if active_columns is None:
-        K = kernel_matrix(kernel, Xstar, centers)
-        if kernel.include_bias:
-            K = np.hstack([np.ones((Xstar.shape[0], 1)), K])
-        return K
-    cols = np.asarray(active_columns, dtype=int)
-    bias = int(kernel.include_bias)
-    # a bias slot reads index -1, the last centre, and is then overwritten
-    Kt = kernel_matrix(kernel, centers[cols - bias], Xstar)
-    if bias:
-        Kt[cols == 0] = 1.0
-    return Kt.T
+    K = kernel_matrix(kernel, Xstar, centers)
+    if kernel.include_bias:
+        K = np.hstack([np.ones((Xstar.shape[0], 1)), K])
+    return K
 
 
 def gp_covariance(X, prior: GpNoisePrior) -> np.ndarray:

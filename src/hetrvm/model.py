@@ -29,9 +29,11 @@ class HrvmModel:
     fit) stores no sites: its log-noise is the constant ``noise_mu0`` =
     log sigma2, and its noise-GP hyperparameters are unused.
 
-    Treat a fitted model as read-only: its first ``predict`` splits the
-    noise-GP prior at ``centers`` as training did and keeps a readout,
-    so later edits to the fields may not reach the predictions.
+    Treat a fitted model as read-only: its first ``predict`` keeps a read
+    path that pins the active set and the centres it reaches, and for a
+    noise-GP model splits the noise-GP prior at ``centers`` as training
+    did and keeps the noise readout, so later edits to the fields may not
+    reach the predictions.
     """
 
     method: str                  # "rvm", "vi" or "ep"
@@ -52,9 +54,9 @@ class HrvmModel:
     status: str = "converged"
     n_iter: int = 0
     config: Dict = field(default_factory=dict)
-    # per-model noise-GP readout, built by the first ``predict`` (predict.py)
-    _noise_readout: object = field(default=None, init=False, repr=False,
-                                   compare=False)
+    # per-model read path, built by the first ``predict`` (predict.py)
+    _read_path: object = field(default=None, init=False, repr=False,
+                               compare=False)
 
     @property
     def noise_clamped(self) -> bool:

@@ -11,7 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import GpNoisePrior, cross_covariance, design_matrix_at
+from .data import DataError
+from .kernels import (GpNoisePrior, KernelSpec, _kernel_values, _sqdist_from,
+                      _sqnorms)
 from .model import HrvmModel
 from .numerics import gauss_hermite
 from .vi import _q_cov, _split_prior
@@ -32,32 +34,90 @@ class PredictiveDist:
 
 
 @dataclass(frozen=True)
-class _NoiseReadout:
-    """The model-only part of the log-noise predictive, from training's
-    split K = j I + F F^T: by Woodbury, (K + T^-1)^-1 = D^-1 - W^T W for
-    the N-vector ``Dinv`` = tau / (1 + j tau) and the r x N matrix
-    ``W`` = L^-1 F^T D^-1, L L^T = I + F^T D^-1 F.  Both are read-only,
-    and every field is None for a clamped posterior (constant noise)."""
+class _ReadPath:
+    """What a block of queries reads of its model, in standardized units.
 
+    ``centers2`` holds the c centres a block reaches, doubled so that
+    their inner products with a query are the cross term 2 x.c of its
+    squared distances, and ``c_sq`` their squared norms.  A noise-GP model reaches all N
+    training inputs, and ``cols`` holds the position among them of each
+    active basis column.  A clamped model reaches only the m centres of
+    its active columns, in their order, and ``cols`` is None.  A bias
+    column reads the last centre, and ``bias`` is its slot in the active
+    set (None without one), which the block then overwrites with 1.
+
+    The rest is the model-only part of the log-noise predictive, from
+    training's split K = j I + F F^T: by Woodbury, (K + T^-1)^-1 =
+    D^-1 - W^T W for the N-vector ``Dinv`` = tau / (1 + j tau) and the
+    r x N matrix ``W`` = L^-1 F^T D^-1, L L^T = I + F^T D^-1 F.  These
+    fields are None for a clamped posterior (constant noise).  Every
+    array is read-only."""
+
+    centers2: np.ndarray
+    c_sq: np.ndarray
+    cols: np.ndarray | None
+    bias: int | None
     prior: GpNoisePrior | None
     Dinv: np.ndarray | None
     W: np.ndarray | None
 
 
-def _noise_readout(model: HrvmModel) -> _NoiseReadout:
-    """The model's noise-GP readout, built on its first call and kept on
-    the model."""
-    if model._noise_readout is None:
+def _read_path(model: HrvmModel) -> _ReadPath:
+    """The model's read path, built on its first call and kept on the
+    model."""
+    if model._read_path is None:
+        active = np.array(model.active_indices, dtype=int)
+        include_bias = int(model.kernel.include_bias)
+        slot = np.flatnonzero(active < include_bias)
+        # a bias column is index -1 among the centres: the last one
+        cols = active - include_bias
         if model.noise_clamped:
-            readout = _NoiseReadout(None, None, None)
+            centers, cols = model.centers[cols], None
+            prior = Dinv = W = None
         else:
+            centers = model.centers
             prior, tau = model.noise_prior(), model.g_prec
-            q = _q_cov(tau, _split_prior(model.centers, prior))
+            q = _q_cov(tau, _split_prior(centers, prior))
             Dinv, W = tau / (1.0 + prior.jitter * tau), q.Y * tau
-            Dinv.flags.writeable = W.flags.writeable = False
-            readout = _NoiseReadout(prior, Dinv, W)
-        model._noise_readout = readout
-    return model._noise_readout
+        read = _ReadPath(2.0 * centers, _sqnorms(centers), cols,
+                         int(slot[0]) if slot.size else None, prior, Dinv, W)
+        for array in (read.centers2, read.c_sq, cols, Dinv, W):
+            if array is not None:
+                array.flags.writeable = False
+        model._read_path = read
+    return model._read_path
+
+
+def _block_kernels(read: _ReadPath, kernel: KernelSpec, X):
+    """The basis rows (rows x m, Fortran-ordered) and, for a noise-GP
+    model, the k* rows (rows x N, else None) of a block of standardized
+    inputs.
+
+    Both come from one inner-product block 2 X C^T and, when an rbf reads
+    them, one block of squared distances |x|^2 + |c|^2 - 2 x.c.  A
+    noise-GP model's block is laid out rows by centres, as k* is read; a
+    clamped model's centres by rows, so that the elementwise steps run
+    along the block and not along its m short rows.  With one input
+    column every value is the one ``kernel_matrix`` gives, bit for bit.
+    """
+    rbf, noise = kernel.family == "rbf", read.prior
+    if noise is None:
+        P = read.centers2 @ X.T
+        K = _sqdist_from(read.c_sq, _sqnorms(X), P) if rbf else P
+    else:
+        P = X @ read.centers2.T
+        D = _sqdist_from(_sqnorms(X), read.c_sq, P)
+        K = (D if rbf else P).T[read.cols]
+    if not rbf:
+        K *= 0.5  # x.c from 2 x.c: halving is exact
+    K = _kernel_values(kernel, K)
+    if read.bias is not None:
+        K[read.bias] = 1.0
+    if noise is None:
+        return K.T, None
+    ks = _kernel_values(noise.kernel, D)
+    ks *= noise.kernel.signal_variance
+    return K.T, ks
 
 
 # A block's temporaries, each (rows x width) floats, stay near this many
@@ -87,25 +147,36 @@ def predict(model: HrvmModel, Xstar) -> PredictiveDist:
     expected noise variance enters the total as the log-normal mean
     exp(g_mean + g_var / 2).
 
-    The first call splits the prior at the training inputs as training
-    did and keeps an N-vector and an r x N matrix W, so a later batch
-    costs one matrix product W k*^T for its noise variance.  A batch is
-    read in row blocks whose basis and cross-covariance rows take about
-    256 KB, and the blocks' moments are joined once at the end, so no
-    n* x N array is ever held.  Treat a fitted model as read-only.
-    Non-finite inputs raise ``ValueError``.
+    The first call pins the model's read path: the centres a query must
+    reach (all N for a noise-GP model, the m active ones for a clamped
+    model) with their squared norms, and the positions of the active
+    basis columns among them.  For a noise-GP model it also splits the
+    prior at the training inputs as training did and keeps an N-vector
+    and an r x N matrix W, so a later batch costs one matrix product
+    W k*^T for its noise variance.  A batch is read in row blocks whose
+    basis and cross-covariance rows take about 256 KB.  Each block
+    computes one inner-product block against the centres, from which
+    come both its basis rows and its k* rows.  The blocks' moments are
+    joined once at the end, so no n* x N array is ever held.  Treat a
+    fitted model as read-only.  Inputs whose column count is not the
+    model's raise ``DataError``, and non-finite inputs ``ValueError``.
     """
     record = model.standardization
-    Xs = record.apply_x(Xstar)
+    X = np.atleast_2d(np.asarray(Xstar, dtype=float))
+    width = model.centers.shape[1]
+    if X.shape[1] != width:
+        raise DataError(f"the inputs have {X.shape[1]} columns, the model "
+                        f"was trained on {width}")
+    Xs = record.apply_x(X)
+    if not np.isfinite(Xs).all():
+        raise ValueError("non-finite prediction input")
     n = Xs.shape[0]
-    readout = _noise_readout(model)
-    prior = readout.prior
+    read = _read_path(model)
+    prior = read.prior
     # the widest rows: the basis at m active centres, and k* at N centres
-    width = len(model.active_indices)
-    if prior is None:
-        step = _block_rows(width)
-    else:
-        step = _block_rows(max(width, model.centers.shape[0]))
+    step = _block_rows(max(len(model.active_indices),
+                           read.centers2.shape[0]))
+    if prior is not None:
         kss = prior.kernel.signal_variance + prior.jitter
     blocks = []
     lo = 0
@@ -113,23 +184,20 @@ def predict(model: HrvmModel, Xstar) -> PredictiveDist:
         # a last block of one row would take matrix-vector products where
         # the whole batch takes matrix products, so it joins the one before
         hi = n if n - lo <= step + 1 else lo + step
-        X = Xs[lo:hi]
-        Phi_s = design_matrix_at(X, model.kernel, model.centers,
-                                 model.active_indices)
+        Phi_s, ks = _block_kernels(read, model.kernel, Xs[lo:hi])
         # an empty active set reads 0 from both; np.add.reduce is np.sum
         # without its dispatch, which every single-point query pays
         latent_mean = Phi_s @ model.mu_w
         latent_var = np.maximum(
             np.add.reduce((Phi_s @ model.Sigma_w) * Phi_s, 1), 0.0)
-        if prior is None:
+        if ks is None:
             # clamped posterior (every RVM): the noise is a known constant
             g_mean = np.full(hi - lo, float(model.noise_mu0))
             g_var = np.zeros(hi - lo)
         else:
-            ks = cross_covariance(X, model.centers, prior)   # rows x N
-            V = readout.W @ ks.T
+            V = read.W @ ks.T
             g_mean = model.noise_mu0 + ks @ model.g_coef
-            g_var = np.maximum(kss - (ks * ks) @ readout.Dinv
+            g_var = np.maximum(kss - (ks * ks) @ read.Dinv
                                + np.einsum("ij,ij->j", V, V), 0.0)
         blocks.append((latent_mean, latent_var, g_mean, g_var))
         if hi == n:
@@ -155,6 +223,7 @@ def _assemble(record, latent_mean, latent_var, g_mean, g_var) -> PredictiveDist:
 
 # kept for perfbench's tracer until ROADMAP item 1
 rvm_predictive_dist = predict
+from .kernels import cross_covariance, design_matrix_at  # noqa: E402,F401
 from .kernels import gp_covariance  # noqa: E402,F401
 from .numerics import chol_factor  # noqa: E402,F401
 

@@ -162,8 +162,9 @@ def _noise_from_dict(doc: dict, model: HrvmModel) -> dict:
 
 def _model(doc: dict) -> HrvmModel:
     """The model of a "hetrvm" document, whose sizes must agree: N rows
-    of ``centers``, m distinct ``active_indices`` in [0, n_basis), and
-    the weight and noise posteriors sized m and N.  The method must be a
+    of ``centers``, m distinct ``active_indices`` in [0, n_basis), the
+    weight and noise posteriors sized m and N, and one ``x_mean`` and
+    ``x_scale`` entry per column of ``centers``.  The method must be a
     trainer's, the status a string, the noise-GP prior one that
     ``GpNoisePrior`` and ``KernelSpec`` accept, and every number but the
     training log (EP can log nan) finite, precisions and scales > 0."""
@@ -206,6 +207,12 @@ def _model(doc: dict) -> HrvmModel:
     )
     model.noise_prior()  # raises ValueError on a malformed prior
     record = model.standardization
+    width = centers.shape[1]
+    for name in ("x_mean", "x_scale"):
+        shape = getattr(record, name).shape
+        if shape != (width,):
+            raise SchemaError(f"{name} has shape {shape}, expected ({width},)"
+                              " for the columns of centers")
     for name, value in dict(
             alpha=model.alpha, x_scale=record.x_scale, y_scale=record.y_scale,
             mu_w=model.mu_w, Sigma_w=model.Sigma_w, centers=model.centers,

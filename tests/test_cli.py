@@ -315,6 +315,21 @@ class TestExitCodes:
                     str(headerless_csv), "--no-header", "--target", target,
                     "--out", str(tmp_path / "m.json")]) == 3
 
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_wide_csv_is_data_error(self, vi_model, train_csv, tmp_path,
+                                    capsys, command):
+        # the input column twice: a data error naming both widths, not a
+        # numeric failure
+        rows = [ln.split(",") for ln in train_csv.read_text().splitlines()]
+        wide = tmp_path / "wide.csv"
+        wide.write_text("".join(f"{x},{x},{y}\n" for x, y in rows))
+        out = ["--out", str(tmp_path / "p.tsv")] if command == "predict" else []
+        assert run([command, "--model", str(vi_model),
+                    "--data", str(wide)] + out) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err
+        assert "2 columns" in err and "trained on 1" in err
+
     def test_schema_error_is_data_error(self, tmp_path):
         bogus = tmp_path / "bogus.json"
         bogus.write_text("{\"format_version\": 42}")
@@ -461,6 +476,8 @@ def _format1_drop_last(key):
     pytest.param("vi", _set_record("y_scale", 0.0), id="vi-y_scale-zero"),
     pytest.param("vi", _set_center(float("nan")), id="vi-centers-nan"),
     pytest.param("rvm", _set_first("alpha", 0.0), id="rvm-alpha-zero"),
+    pytest.param("vi", _set_record("x_mean", [0.5, 0.5]),
+                 id="vi-x_mean-two-entries"),
 ])
 def test_inconsistent_model_file_is_data_error(request, train_csv, tmp_path,
                                                capsys, method, mutate):

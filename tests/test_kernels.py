@@ -1,11 +1,17 @@
+import itertools
+from importlib import import_module
+
 import numpy as np
 import pytest
 
-import hetrvm.kernels as kernels_module
-from hetrvm.data import Dataset, standardize
+from hetrvm.data import Dataset, Standardization, standardize
 from hetrvm.kernels import (GpNoisePrior, KernelSpec, build_design_matrix,
                             design_matrix_at, gp_covariance, kernel_matrix)
+from hetrvm.model import HrvmModel
 from hetrvm.numerics import chol_factor
+
+# the module, not the ``hetrvm.predict`` function the package exports
+predict_module = import_module("hetrvm.predict")
 
 
 def _k(kernel, a, b):
@@ -97,10 +103,33 @@ class TestDesignMatrix:
         assert np.array_equal(a, b)
 
 
+def read_model(kernel, centers, cols, noise_gp):
+    """A model whose active basis columns are ``cols`` over ``centers``,
+    in identity units, with a noise GP of unit site precisions or a
+    clamped noise; its weights are placeholders."""
+    (N, q), m = centers.shape, len(cols)
+    sites = np.ones(N) if noise_gp else np.zeros(0)
+    return HrvmModel(
+        method="vi" if noise_gp else "rvm", kernel=kernel, centers=centers,
+        active_indices=list(cols), alpha=np.ones(m), mu_w=np.zeros(m),
+        Sigma_w=np.zeros((m, m)), noise_mu0=0.0, noise_lengthscale=1.0,
+        noise_signal_variance=1.0, noise_jitter=1e-6, g_prec=sites,
+        g_coef=np.zeros(sites.size),
+        standardization=Standardization(np.zeros(q), np.ones(q), 0.0, 1.0))
+
+
+def basis_rows(model, Xstar):
+    """The basis rows of one block of ``predict``'s read path."""
+    read = predict_module._read_path(model)
+    return predict_module._block_kernels(read, model.kernel, Xstar)[0]
+
+
 class TestDesignMatrixAtActive:
-    """``active_columns`` evaluates the listed centres only and reads the
-    full matrix's listed columns: bit for bit with one input dimension,
-    where the cross term is a single product, and to the last bits with
+    """The read path's basis rows evaluate the active columns only and
+    read the full design matrix's listed columns, for a noise-GP model
+    (which reaches every centre) and a clamped one (which reaches the
+    listed centres only): bit for bit with one input dimension, where
+    the cross term is a single product, and to the last bits with
     several, where BLAS may sum it in another order."""
 
     FAMILIES = [KernelSpec(lengthscale=0.7, include_bias=b, family=f)
@@ -128,8 +157,10 @@ class TestDesignMatrixAtActive:
         for n in (1, 2, 40):
             Xstar = rng.normal(size=(n, q))
             full = design_matrix_at(Xstar, kernel, centers)
-            for cols in self._lists(M, kernel.include_bias):
-                got = design_matrix_at(Xstar, kernel, centers, cols)
+            for cols, noise_gp in itertools.product(
+                    self._lists(M, kernel.include_bias), (False, True)):
+                got = basis_rows(read_model(kernel, centers, cols, noise_gp),
+                                 Xstar)
                 assert got.shape == (n, len(cols))
                 assert got.flags.f_contiguous, cols
                 if q == 1:
@@ -142,33 +173,38 @@ class TestDesignMatrixAtActive:
     def test_single_point_is_a_batch_row(self):
         rng = np.random.default_rng(7)
         centers, Xstar = rng.normal(size=(9, 1)), rng.normal(size=(30, 1))
-        for kernel in self.FAMILIES:
-            batch = design_matrix_at(Xstar, kernel, centers, [4, 0, 2])
+        for kernel, noise_gp in itertools.product(self.FAMILIES,
+                                                  (False, True)):
+            model = read_model(kernel, centers, [4, 0, 2], noise_gp)
+            batch = basis_rows(model, Xstar)
             for i in (0, 13, 29):
-                one = design_matrix_at(Xstar[i:i + 1], kernel, centers,
-                                       [4, 0, 2])
+                one = basis_rows(model, Xstar[i:i + 1])
                 assert np.array_equal(one[0], batch[i])
 
     def test_empty_list(self):
         X = np.linspace(0, 1, 6)[:, None]
-        got = design_matrix_at(X, KernelSpec(), X, [])
-        assert got.shape == (6, 0)
+        for noise_gp in (False, True):
+            got = basis_rows(read_model(KernelSpec(), X, [], noise_gp), X)
+            assert got.shape == (6, 0)
 
     def test_evaluates_listed_centres_only(self, monkeypatch):
+        # a clamped model's block evaluates the kernel once, at the
+        # listed centres (a bias column at one, then overwritten)
         calls = []
-        real = kernels_module.kernel_matrix
+        real = predict_module._kernel_values
 
-        def recording(kernel, X, X2=None):
-            calls.append((np.shape(X), np.shape(X2)))
-            return real(kernel, X, X2)
+        def recording(kernel, A):
+            calls.append(np.shape(A))
+            return real(kernel, A)
 
-        monkeypatch.setattr(kernels_module, "kernel_matrix", recording)
+        monkeypatch.setattr(predict_module, "_kernel_values", recording)
         X = np.linspace(0, 1, 50)[:, None]
-        design_matrix_at(X[:7], KernelSpec(), X, [0, 11, 30])
-        assert calls == [((3, 1), (7, 1))]
+        basis_rows(read_model(KernelSpec(), X, [0, 11, 30], False), X[:7])
+        assert calls == [(3, 7)]
         calls.clear()
-        design_matrix_at(X[:7], KernelSpec(include_bias=False), X, [11, 30])
-        assert calls == [((2, 1), (7, 1))]
+        basis_rows(read_model(KernelSpec(include_bias=False), X, [11, 30],
+                              False), X[:7])
+        assert calls == [(2, 7)]
 
 
 class TestGpCovariance:

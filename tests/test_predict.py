@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from hetrvm.data import Dataset, SynthSpec, synth
+from hetrvm.data import DataError, Dataset, SynthSpec, synth
 from hetrvm.ep import fit_ep
 from hetrvm.kernels import (KernelSpec, cross_covariance, design_matrix_at,
                             gp_covariance)
@@ -251,8 +251,8 @@ def dense_predict(model, Xstar):
     g_var = k** - k*^T K^-1 k* + k*^T K^-1 g_Sigma K^-1 k*."""
     record = model.standardization
     Xs = record.apply_x(Xstar)
-    Phi_s = design_matrix_at(Xs, model.kernel, model.centers,
-                             model.active_indices)
+    Phi_s = design_matrix_at(Xs, model.kernel,
+                             model.centers)[:, model.active_indices]
     latent_mean = Phi_s @ model.mu_w
     latent_var = np.maximum(
         np.sum((Phi_s @ model.Sigma_w) * Phi_s, axis=1), 0.0)
@@ -285,16 +285,31 @@ def dense_noise_predict(model, Xs):
     return g_mean, np.maximum(kss - reduce_term + add_term, 0.0)
 
 
-def assert_matches_dense(got, want):
-    """The latent fields share their code with the oracle and must be
-    equal; the noise fields come from the site form against the dense
-    moments."""
+def assert_matches_dense(got, want, exact=True):
+    """The latent fields share their arithmetic with the oracle and must
+    be equal (to 1e-12 relative when not ``exact``: with several input
+    columns BLAS may sum the basis's cross term in another order); the
+    noise fields come from the site form against the dense moments."""
     for f in ("latent_mean", "latent_var"):
-        assert np.array_equal(getattr(got, f), getattr(want, f)), f
+        if exact:
+            assert np.array_equal(getattr(got, f), getattr(want, f)), f
+        else:
+            np.testing.assert_allclose(getattr(got, f), getattr(want, f),
+                                       rtol=1e-12, atol=1e-12, err_msg=f)
     np.testing.assert_allclose(got.g_mean, want.g_mean, rtol=0, atol=1e-12)
     for f in ("g_var", "total_var"):
         np.testing.assert_allclose(getattr(got, f), getattr(want, f),
                                    rtol=1e-10, atol=0, err_msg=f)
+
+
+def assert_single_points_match_batch(model, X):
+    batch = predict(model, X)
+    for i in range(len(X)):
+        one = predict(model, X[i:i + 1])
+        for f in FIELDS:
+            np.testing.assert_allclose(getattr(one, f),
+                                       getattr(batch, f)[i:i + 1],
+                                       rtol=1e-12, atol=1e-12, err_msg=f)
 
 
 class TestNoiseReadout:
@@ -327,16 +342,16 @@ class TestNoiseReadout:
         readout = None
         for X in (data.X, data.X[:1], data.X[3:9]):
             predict(model, X)
-            readout = model._noise_readout if readout is None else readout
-            assert model._noise_readout is readout
+            readout = model._read_path if readout is None else readout
+            assert model._read_path is readout
         assert calls == ["_split_prior", "_q_cov"]
         copy = fresh(model)
         predict(copy, data.X[:1])
         predict(copy, data.X)
         assert calls == ["_split_prior", "_q_cov"] * 2
-        assert copy._noise_readout is not readout
+        assert copy._read_path is not readout
         for field in ("Dinv", "W"):
-            assert np.array_equal(getattr(copy._noise_readout, field),
+            assert np.array_equal(getattr(copy._read_path, field),
                                   getattr(readout, field))
 
     def test_cached_arrays_read_only(self, ep_model):
@@ -344,16 +359,15 @@ class TestNoiseReadout:
         data, model = ep_model
         model = fresh(model)
         predict(model, data.X[:1])
-        readout = model._noise_readout
+        readout = model._read_path
         r = readout.W.shape[0]
         assert readout.Dinv.shape == (data.n,)
         assert readout.W.shape == (r, data.n) and r < data.n
-        for array in (readout.Dinv, readout.W):
-            with pytest.raises(ValueError):
-                array[(0,) * array.ndim] = 1.0
         kept = [v for v in vars(readout).values()
                 if isinstance(v, np.ndarray)]
-        assert len(kept) == 2
+        for array in kept:
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 1.0
         assert all(v.shape != (data.n, data.n) for v in kept)
 
     def test_readout_is_whitened_root(self, ep_model):
@@ -363,7 +377,7 @@ class TestNoiseReadout:
         data, model = ep_model
         model = fresh(model)
         predict(model, data.X[:1])
-        readout = model._noise_readout
+        readout = model._read_path
         K = gp_covariance(model.centers, model.noise_prior())
         want = np.linalg.inv(K + np.diag(1.0 / model.g_prec))
         got = np.diag(readout.Dinv) - readout.W.T @ readout.W
@@ -376,22 +390,15 @@ class TestNoiseReadout:
     def test_single_point_matches_batch(self, which, request):
         # the check the predict_serve benchmark makes on every query
         data, model = request.getfixturevalue(which)
-        model = fresh(model)
         X = np.concatenate([data.X, np.linspace(-0.2, 1.2, 23)[:, None]])
-        batch = predict(model, X)
-        for i in range(len(X)):
-            one = predict(model, X[i:i + 1])
-            for f in FIELDS:
-                np.testing.assert_allclose(getattr(one, f),
-                                           getattr(batch, f)[i:i + 1],
-                                           rtol=1e-12, atol=1e-12, err_msg=f)
+        assert_single_points_match_batch(fresh(model), X)
 
     def test_cache_not_serialized(self, vi_model):
         data, model = vi_model
         model = fresh(model)
         before = json.dumps(model_to_dict(model))
         predict(model, data.X)
-        assert model._noise_readout is not None
+        assert model._read_path is not None
         assert json.dumps(model_to_dict(model)) == before
 
     def test_clamped_model_skips_factor(self, monkeypatch):
@@ -409,20 +416,90 @@ class TestNoiseReadout:
             pred = predict(model, X)
             assert np.array_equal(pred.g_var, np.zeros(len(X)))
             assert np.array_equal(pred.g_mean, np.full(len(X), c))
-        assert model._noise_readout.prior is None
+        assert model._read_path.prior is None
+
+
+@pytest.fixture(scope="module")
+def draw_40():
+    return synth(SynthSpec(generator="goldberg_sine", n=40, seed=0))[0]
+
+
+@pytest.fixture(scope="module")
+def draw_3d():
+    """60 points in three input columns, the noise rising along the
+    first."""
+    rng = np.random.default_rng(3)
+    X = rng.uniform(0.0, 1.0, size=(60, 3))
+    f = np.sin(4.0 * X[:, 0]) + X[:, 1] - X[:, 2] ** 2
+    return Dataset(X, f + (0.05 + 0.5 * X[:, 0]) * rng.normal(size=60))
+
+
+class TestReadPathBases:
+    """Every basis family, with or without a bias column, and several
+    input columns read through the same per-block step as the rbf models
+    above, against the dense oracle, one point at a time as in a batch."""
+
+    @pytest.mark.parametrize("fit", [fit_vi, fit_ep], ids=["vi", "ep"])
+    @pytest.mark.parametrize("kernel", [
+        KernelSpec(family="linear"),
+        KernelSpec(family="polynomial", degree=2),
+        KernelSpec(lengthscale=0.3)], ids=["linear", "polynomial", "rbf"])
+    def test_noise_gp_model(self, draw_40, fit, kernel):
+        model = fit(draw_40, kernel)
+        assert not model.noise_clamped
+        grid = np.linspace(-0.2, 1.2, 37)[:, None]
+        for X in (draw_40.X, grid, grid[5:6]):
+            assert_matches_dense(predict(fresh(model), X),
+                                 dense_predict(model, X))
+        assert_single_points_match_batch(fresh(model), grid)
+
+    @pytest.mark.parametrize("fit", [fit_vi, fit_ep], ids=["vi", "ep"])
+    def test_three_inputs(self, draw_3d, fit):
+        model = fit(draw_3d, KernelSpec(lengthscale=1.0))
+        assert not model.noise_clamped and model.centers.shape[1] == 3
+        X = np.random.default_rng(4).uniform(-0.1, 1.1, size=(41, 3))
+        assert_matches_dense(predict(fresh(model), X),
+                             dense_predict(model, X), exact=False)
+        assert_single_points_match_batch(fresh(model), X)
+
+    @pytest.mark.parametrize("fit", [fit_rvm, fit_vi, fit_ep],
+                             ids=["rvm", "vi", "ep"])
+    def test_no_bias_column(self, draw_40, fit):
+        model = fit(draw_40, KernelSpec(lengthscale=0.3, include_bias=False))
+        assert model.noise_clamped == (fit is fit_rvm)
+        grid = np.linspace(-0.2, 1.2, 37)[:, None]
+        assert_matches_dense(predict(fresh(model), grid),
+                             dense_predict(model, grid))
+        assert_single_points_match_batch(fresh(model), grid)
+
+
+class TestInputWidth:
+    @pytest.mark.parametrize("width", [0, 2, 3])
+    def test_wrong_width_is_data_error(self, vi_model, width):
+        # named with both widths before any arithmetic, also for a width
+        # that standardization would broadcast
+        _, model = vi_model
+        model = fresh(model)
+        with pytest.raises(DataError, match=f"{width} columns.*trained on 1"):
+            predict(model, np.zeros((4, width)))
+        assert model._read_path is None
 
 
 def block_calls(model, X, monkeypatch):
-    """The rows of every basis and cross-covariance evaluation that
+    """The rows of every block's basis and k* evaluations that
     ``predict(model, X)`` makes, in call order."""
-    rows = {"design_matrix_at": [], "cross_covariance": []}
+    rows = {"basis": [], "k*": []}
+    real = predict_module._block_kernels
+
+    def call(*args, **kwargs):
+        Phi_s, ks = real(*args, **kwargs)
+        rows["basis"].append(Phi_s.shape[0])
+        if ks is not None:
+            rows["k*"].append(ks.shape[0])
+        return Phi_s, ks
+
     with monkeypatch.context() as patch:
-        for name, seen in rows.items():
-            def call(*args, _real=getattr(predict_module, name), _seen=seen,
-                     **kwargs):
-                _seen.append(np.shape(args[0])[0])
-                return _real(*args, **kwargs)
-            patch.setattr(predict_module, name, call)
+        patch.setattr(predict_module, "_block_kernels", call)
         predict(model, X)
     return rows
 
@@ -437,7 +514,7 @@ class TestBlocks:
         data, model = request.getfixturevalue(request.param)
         model = fresh(model)
         rows = block_calls(model, np.linspace(0.0, 1.0, 20_000)[:, None],
-                           monkeypatch)["design_matrix_at"]
+                           monkeypatch)["basis"]
         B = rows[0]
         assert sum(rows) == 20_000 and set(rows[:-1]) == {B}
         return model, B
@@ -453,9 +530,8 @@ class TestBlocks:
                         (2 * B + 1, [B, B + 1])):
             # a last block of one row joins the block before it
             rows = block_calls(model, np.zeros((n, 1)), monkeypatch)
-            assert rows["design_matrix_at"] == want
-            assert rows["cross_covariance"] == ([] if model.noise_clamped
-                                                else want)
+            assert rows["basis"] == want
+            assert rows["k*"] == ([] if model.noise_clamped else want)
 
     def test_block_boundaries(self, blocked):
         # batches of 0, 1, B - 1, B, B + 1 and 2B + 1 rows: each row equals
@@ -583,8 +659,8 @@ def rvm_predict(model, X):
     weight posterior and sigma2 = exp(noise_mu0): mean phi^T mu_w and
     variance sigma2 + phi^T Sigma_w phi."""
     record = model.standardization
-    Phi = design_matrix_at(record.apply_x(X), model.kernel, model.centers,
-                           model.active_indices)
+    Phi = design_matrix_at(record.apply_x(X), model.kernel,
+                           model.centers)[:, model.active_indices]
     sigma2 = np.exp(model.noise_mu0)
     var = sigma2 + np.sum((Phi @ model.Sigma_w) * Phi, axis=1)
     return record.invert_y(Phi @ model.mu_w), var * record.y_scale**2

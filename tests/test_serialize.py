@@ -255,6 +255,9 @@ def _site_and_format1(doc):
     pytest.param(_set_corner("centers", float("nan")), id="centers-nan"),
     pytest.param(_set_corner("centers", float("inf")), id="centers-inf"),
     pytest.param(_set_record("x_mean", [float("nan")]), id="x_mean-nan"),
+    pytest.param(_set_record("x_mean", [0.5, 0.5]), id="x_mean-two-entries"),
+    pytest.param(_set_record("x_scale", []), id="x_scale-empty"),
+    pytest.param(_set_record("x_scale", [[1.0]]), id="x_scale-nested"),
     pytest.param(_set_record("x_scale", [0.0]), id="x_scale-zero"),
     pytest.param(_set_record("x_scale", [-1.0]), id="x_scale-negative"),
     pytest.param(_set_record("x_scale", [float("inf")]), id="x_scale-inf"),
@@ -268,8 +271,9 @@ def test_inconsistent_document_rejected(fitted, mutate):
     trainer has, whose status is not a string, whose noise-GP mean is not
     finite, whose noise-GP prior ``GpNoisePrior`` or ``KernelSpec``
     rejects, or whose weight posterior, centres or standardization hold
-    a non-finite number (or a precision or scale that is not positive)
-    fails to load, rather than loading and then predicting from wrapped
+    a non-finite number (or a precision or scale that is not positive),
+    or whose input standardization is not as wide as ``centers``, fails
+    to load, rather than loading and then predicting from wrapped
     or truncated arrays, or nan (or failing later as a numeric error)."""
     doc = model_to_dict(fitted["vi"])
     assert len(doc["active_indices"]) >= 2
