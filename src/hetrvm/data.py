@@ -108,7 +108,9 @@ def load_csv(path, has_header: bool = True, target_column=None) -> Dataset:
 
     ``target_column`` names (header) or indexes the target; defaults to the
     last column.  Non-numeric cells are rejected with their row number
-    (1-based, counting the header).
+    (1-based, counting the header).  A header whose column count differs
+    from the rows' is rejected too, since a name could then pick another
+    column.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -136,6 +138,9 @@ def load_csv(path, has_header: bool = True, target_column=None) -> Dataset:
         raise DataError(f"{path}: no data rows")
     arr = np.asarray(rows, dtype=float)
     ncol = arr.shape[1]
+    if header is not None and len(header) != ncol:
+        raise DataError(f"{path}: the header names {len(header)} columns, "
+                        f"the rows hold {ncol}")
     if ncol < 2:
         raise DataError(f"{path}: need at least one feature and one target column")
 

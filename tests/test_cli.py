@@ -282,6 +282,17 @@ class TestExitCodes:
         assert run(["train", "--method", "rvm", "--data", str(bad),
                     "--out", str(tmp_path / "m.json")]) == 3
 
+    @pytest.mark.parametrize("target", [[], ["--target", "y"]])
+    def test_data_error_header_narrower_than_rows(self, tmp_path, capsys,
+                                                  target):
+        bad = tmp_path / "narrow.csv"
+        bad.write_text("x,y\n" + "".join(f"{i},{i % 3},{2 * i}\n"
+                                          for i in range(10)))
+        assert run(["train", "--method", "rvm", "--data", str(bad),
+                    "--out", str(tmp_path / "m.json")] + target) == 3
+        assert "header names 2 columns" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     def test_data_error_overflowing_column(self, tmp_path):
         bad = tmp_path / "big.csv"
         bad.write_text("x,y\n1e300,0\n-1e300,1\n5e299,2\n0,3\n2e299,4\n")

@@ -111,6 +111,18 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="row 3"):
             load_csv(p)
 
+    @pytest.mark.parametrize("text", ["x,y\n1,2,3\n4,5,6\n",
+                                      "a,x,y\n1,2\n3,4\n"])
+    def test_header_width_must_match_rows(self, tmp_path, text):
+        # a header naming fewer (or more) columns than the rows hold would
+        # let --target by name pick another column
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        with pytest.raises(DataError, match="header names"):
+            load_csv(p, target_column="y")
+        with pytest.raises(DataError, match="header names"):
+            load_csv(p)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_csv(tmp_path / "absent.csv")

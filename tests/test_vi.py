@@ -640,6 +640,30 @@ def _alpha_problem(seed):
     return np.exp(rng.normal(size=m)), Phi, r, y
 
 
+def _decades_problem(seed, top):
+    """A random (a0, Phi, r, y) with start precisions 10^U(-2, top), at
+    noise spanning six decades."""
+    rng = np.random.default_rng(200 + seed)
+    n = int(rng.integers(8, 40))
+    m = int(rng.integers(1, n + 2))
+    Phi = rng.normal(size=(n, m))
+    y = Phi[:, 0] + 0.3 * rng.normal(size=n)
+    r = 10.0 ** rng.uniform(-3.0, 3.0, size=n)
+    return 10.0 ** rng.uniform(-2.0, top, size=m), Phi, r, y
+
+
+def _check_against_reference(a0, Phi, r, y):
+    """update_alpha from every column at a0 ends where the dense reference
+    selection does: the same basis, precisions and evidence."""
+    start = list(range(a0.size))
+    active, alpha, ev, _ = update_alpha(start, a0, Phi, r, y, 1e-6)
+    ref_active, ref_alpha, ref_ev = _update_alpha_reference(start, a0, Phi,
+                                                            r, y, 1e-6)
+    assert active == ref_active
+    np.testing.assert_allclose(alpha, ref_alpha, rtol=1e-7)
+    assert ev == pytest.approx(ref_ev, rel=1e-9)
+
+
 class SelectionLog:
     """What update_alpha does, counted by spies on hetrvm.vi installed
     through ``patch``: Cholesky factorizations (``chol``), guard refreshes
@@ -1015,20 +1039,22 @@ class TestUpdateAlpha:
         # a re-estimate from a precision near 1e30 to one near 1 changes
         # its weight's variance by thirty decades; kappa written as
         # 1 / (Sigma_kk + 1 / (a_new - a_old)) cancels to rounding there
-        rng = np.random.default_rng(200 + seed)
-        n = int(rng.integers(8, 40))
-        m = int(rng.integers(1, n + 2))
-        Phi = rng.normal(size=(n, m))
-        y = Phi[:, 0] + 0.3 * rng.normal(size=n)
-        r = 10.0 ** rng.uniform(-3.0, 3.0, size=n)
-        a0 = 10.0 ** rng.uniform(-2.0, 30.0, size=m)
-        active, alpha, ev, _ = update_alpha(list(range(m)), a0, Phi, r, y,
-                                            1e-6)
-        ref_active, ref_alpha, ref_ev = _update_alpha_reference(
-            list(range(m)), a0, Phi, r, y, 1e-6)
-        assert active == ref_active
-        np.testing.assert_allclose(alpha, ref_alpha, rtol=1e-7)
-        assert ev == pytest.approx(ref_ev, rel=1e-9)
+        _check_against_reference(*_decades_problem(seed, 30.0))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_precisions_over_fifty_decades_match_reference(self, seed):
+        # the range over which the updates are documented to stay on the
+        # selection that factors every state
+        _check_against_reference(*_decades_problem(seed, 50.0))
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="over about 100 decades of start precisions "
+                       "a quarter of the problems end off the reference")
+    def test_precisions_over_a_hundred_decades_match_reference(self):
+        # the drift is not isolated: the stop is decided on fresh (s, q),
+        # yet problems 3, 4, 5, 9, ... end on another basis or evidence
+        for seed in range(100):
+            _check_against_reference(*_decades_problem(seed, 100.0))
 
 
 class TestFitVi:
