@@ -228,7 +228,7 @@ def fit_ep(data: Dataset, kernel: Optional[KernelSpec] = None,
     config = config or EpConfig()
     work, record = standardize(data)
     Phi = build_design_matrix(work.X, kernel)
-    active, alpha, noise_prior, cov = _setup(work)
+    noise_prior, cov = _setup(work)
     if _constant(work.y):
         return _degenerate("ep", kernel, work, record, config)
     y, n, mu0 = work.y, work.n, noise_prior.mu0
@@ -244,8 +244,7 @@ def fit_ep(data: Dataset, kernel: Optional[KernelSpec] = None,
     prev_change = np.inf
     osc = 0
     r = noise_diag(post_mu, post_var)  # kept current below
-    active, alpha, _, posterior = update_alpha(active, alpha, Phi, r, y,
-                                               config.tol)
+    active, alpha, _, posterior = update_alpha([], [], Phi, r, y, config.tol)
     for n_pass in range(1, config.max_passes + 1):
         Phi_a = Phi[:, active]
         mu_w, Sigma_w = posterior

@@ -54,8 +54,7 @@ def fit_rvm(data: Dataset, kernel: Optional[KernelSpec] = None,
     y, n = work.y, work.n
     Phi = build_design_matrix(work.X, kernel)
     sigma2 = 0.1 * float(np.var(y))
-    active: List[int] = []
-    alpha = np.zeros(0)
+    active, alpha = [], []
 
     log: List[float] = []
     status = "max_iter"

@@ -52,8 +52,9 @@ Woodbury on B = I + Lam^1/2 K Lam^1/2 (Rasmussen & Williams 2006, sec.
 (Sigma o Sigma) w and log|B| in O(N r^2).  ``_q_point`` adds q(g)'s
 mean, the effective noise and the bound's q(g) terms, to L-BFGS and to
 ``training_log`` alike; EP's refresh and ``predict`` use the same
-routines.  No N x N matrix of the noise GP is formed but in
-``collapsed_bound``, the dense oracle of the tests.  Within one outer
+routines.  No fit or prediction forms an N x N matrix of the noise GP:
+only ``collapsed_bound``, the dense oracle of the tests, and the loader
+of format-1 model files (:mod:`hetrvm.serialize`) do.  Within one outer
 iteration every distinct point is evaluated once.
 
 L-BFGS is ``scipy.optimize.minimize``, reached through this module's
@@ -152,41 +153,29 @@ def _gram(Phi_a, r, y):
 
 def _factor(G, alpha):
     """The factor step: the Cholesky factor L of the weight precision
-    H = diag(alpha) + G (None for an empty active set)."""
-    if alpha.size == 0:
-        return None
+    H = diag(alpha) + G (0 x 0 for an empty active set)."""
     return chol_factor(np.diag(alpha) + G, "weight precision")
 
 
 def _posterior(L, b):
     """Sigma_w = H^-1 and mu_w = H^-1 b from the factor of H."""
-    if L is None:
-        return np.zeros(0), np.zeros((0, 0))
     Sigma_w = chol_solve(L, np.eye(L.shape[0]))
     Sigma_w = 0.5 * (Sigma_w + Sigma_w.T)
     mu_w = chol_solve(L, b)
     return mu_w, Sigma_w
 
 
-def _noise_terms(r, y):
-    """sum log r and y^T R^-1 y: the noise-only part of the evidence."""
-    return np.sum(np.log(r)), y @ (y / r)
-
-
-def _evidence(L, b, alpha, r, y, noise=None):
+def _evidence(L, b, alpha, r, y):
     """log N(y | 0, C) with C = Phi diag(1/alpha) Phi^T + diag(r), by
     Woodbury on the m x m weight precision H = L L^T (Tipping & Faul,
     2003): log|C| = sum log r + log|H| - sum log alpha and
-    y^T C^-1 y = y^T R^-1 y - v^T v, with v = L^-1 b.  ``noise`` is
-    :func:`_noise_terms` (r, y) when the caller already has it.
+    y^T C^-1 y = y^T R^-1 y - v^T v, with v = L^-1 b.
 
     Returns (log evidence, v)."""
-    logdet, quad = _noise_terms(r, y) if noise is None else noise
-    v = np.zeros(0)
-    if L is not None:
-        v = lower_solve(L, b)
-        logdet += 2.0 * np.log(L.diagonal()).sum() - np.log(alpha).sum()
-        quad -= v @ v
+    v = lower_solve(L, b)
+    logdet = np.sum(np.log(r)) + (2.0 * np.log(L.diagonal()).sum()
+                                  - np.log(alpha).sum())
+    quad = y @ (y / r) - v @ v
     return float(-0.5 * (y.size * _LOG_2PI + logdet + quad)), v
 
 
@@ -379,9 +368,7 @@ def _all_sq(G, d, c, active, L, posterior):
     column nearly in the active span) and q = c - G mu_w; the columns in
     it take :func:`_sparsity_quality`."""
     mu_w, Sigma_w = posterior
-    s = d.copy()
-    if L is not None:
-        s -= np.sum(lower_solve(L, G.T) ** 2, axis=0)
+    s = d - np.sum(lower_solve(L, G.T) ** 2, axis=0)
     q = c - G @ mu_w
     s[active], q[active] = _sparsity_quality(G[active], Sigma_w, mu_w)
     return s, q
@@ -439,8 +426,9 @@ def update_alpha(active, alpha, Phi, r, y, tol: float):
     empty set the first add is the column with the largest
     (phi^T R^-1 y)^2 / phi^T R^-1 phi.
 
-    R^-1 Phi, diag(Phi^T R^-1 Phi), Phi^T R^-1 y and the noise terms of
-    the evidence are formed once per call.  Between actions the call
+    R^-1 Phi, diag(Phi^T R^-1 Phi) and Phi^T R^-1 y are formed once per
+    call, and every column's precision is kept once, in a vector that
+    reads inf outside the model.  Between actions the call
     carries G = Phi^T R^-1 Phi_a, its active rows, the weight posterior
     (mu_w, Sigma_w) and every column's (s, q), and each action updates
     them by Tipping & Faul's appendix formulas in O(M m): a re-estimate
@@ -461,12 +449,8 @@ def update_alpha(active, alpha, Phi, r, y, tol: float):
     scored from scratch has (G and Sigma_w C-contiguous: G @ x on another
     layout takes another BLAS path and moves the last bits).  At M = 101
     and m near 5 the step costs what its numpy calls cost, not their
-    arithmetic: a re-estimate makes about 48, and one ``np.errstate``
-    (:func:`_actions`'s).  Replaying the 74 calls of the ``train_n100``
-    fits (2-core x86, one BLAS thread) takes 0.73x (RVM), 0.76x (VI) and
-    0.78x (EP) the time of a step that made about 56 calls, two of them
-    ``np.errstate``, and copied Sigma_w, mu_w and G whole on every
-    action, to the same bits.
+    arithmetic: a re-estimate makes under 50, and one ``np.errstate``
+    (:func:`_actions`'s).
 
     A state is scored from scratch, by one m x m factorization of the
     weight precision, at the start, where an update leaves a value that
@@ -479,19 +463,19 @@ def update_alpha(active, alpha, Phi, r, y, tol: float):
     Returns (active, alpha, log evidence, (mu_w, Sigma_w)): the state the
     selection stops at, its evidence and its weight posterior, equal to
     :func:`_weight_fit`'s of that state, so no caller factors it again."""
-    active, alpha = list(active), np.asarray(alpha, dtype=float).copy()
+    active = list(active)
     Phir = Phi / r[:, None]
     d = np.sum(Phi * Phir, axis=0)
     c = Phir.T @ y
-    noise = _noise_terms(r, y)
-    a_old = np.full(Phi.shape[1], np.inf)
+    a_old = np.full(Phi.shape[1], np.inf)  # every column's precision
     a_old[active] = alpha
     while True:  # a state scored from scratch, then the updated ones
         at = np.array(active, dtype=np.intp)
+        alpha = a_old[at]
         Phir_a, H, b = _gram(Phi[:, at], r, y)
         G = Phi.T @ Phir_a
         L = _factor(H, alpha)
-        ev, _ = _evidence(L, b, alpha, r, y, noise)
+        ev, _ = _evidence(L, b, alpha, r, y)
         mu_w, Sigma_w = _posterior(L, b)
         s, q = _all_sq(G, d, c, at, L, (mu_w, Sigma_w))
         Ga = G[at]  # G's active rows, the Gram block of the active set
@@ -534,7 +518,6 @@ def update_alpha(active, alpha, Phi, r, y, tol: float):
                     Sigma_w, mu_w, G = B, mu, Gj
                     active.append(j)
                     at = np.append(at, j)
-                    alpha = np.append(alpha, aj)
                     Ga = G[at]
                 else:  # re-estimate, or delete at a_new = inf
                     k = active.index(j)
@@ -543,7 +526,7 @@ def update_alpha(active, alpha, Phi, r, y, tol: float):
                     # kappa = 1 / (Sigma_kk + 1 / (a_new - a_old)), the
                     # sum in its form free of cancellation where it falls
                     # below Sigma_kk / 2
-                    step = aj - alpha[k]
+                    step = aj - a_old[j]
                     den = Sk[k] + 1.0 / step
                     if abs(den) < 0.5 * Sk[k]:
                         den = Sk[k] * (aj + sj) / step
@@ -567,11 +550,9 @@ def update_alpha(active, alpha, Phi, r, y, tol: float):
                         keep[k:] += 1
                         Sigma_w = Sigma_w.take(keep, 0).take(keep, 1)
                         mu_w, G = mu_w.take(keep), G.take(keep, 1)
-                        at, alpha = at.take(keep), alpha.take(keep)
+                        at = at.take(keep)
                         del active[k]
                         Ga = G[at]
-                    else:
-                        alpha[k] = aj
                 a_old[j] = aj
                 if not _intact(mu_w, Sigma_w, s, q):
                     break
@@ -581,16 +562,16 @@ def update_alpha(active, alpha, Phi, r, y, tol: float):
 
 
 def _setup(work: Dataset):
-    """Starting point shared by fit_vi and fit_ep: the empty basis, and
-    the noise-GP prior at the median-distance lengthscale, unit signal
-    variance, jitter 1e-6 and mu0 = log(0.1 var y), with its covariance
-    K at the training inputs, split once as K = jitter I + F F^T
-    (:func:`_split_prior`).  Returns (active, alpha, prior, cov), cov the
-    :class:`_PriorCov`; standardized inputs whose squared distances are
-    all 0 (or underflow) raise DataError."""
+    """The noise-GP prior shared by fit_vi and fit_ep: the median-distance
+    lengthscale, unit signal variance, jitter 1e-6 and
+    mu0 = log(0.1 var y), with its covariance K at the training inputs,
+    split once as K = jitter I + F F^T (:func:`_split_prior`).  Returns
+    (prior, cov), cov the :class:`_PriorCov`; fewer than 3 points, or
+    standardized inputs whose squared distances are all 0 (or
+    underflow), raise DataError."""
     n = work.n
     if n < 3:
-        raise ValueError("need at least 3 points")
+        raise DataError("need at least 3 points")
     D2 = _sqdist(work.X, work.X)
     # the distances above the diagonal, row by row, as np.triu_indices
     # orders them, without its two index arrays of N^2/2 integers
@@ -604,7 +585,7 @@ def _setup(work: Dataset):
                         "are all equal or nearly so") from exc
     mu0 = float(np.log(0.1 * max(float(np.var(work.y)), 1e-12)))
     prior = GpNoisePrior(mu0, kernel)
-    return [], np.zeros(0), prior, _split_prior(work.X, prior)
+    return prior, _split_prior(work.X, prior)
 
 
 def _gp_noise(prior: GpNoisePrior, prec, coef):
@@ -678,14 +659,13 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
     config = config or VIConfig()
     work, record = standardize(data)
     Phi = build_design_matrix(work.X, kernel)
-    active, alpha, prior, cov = _setup(work)
+    prior, cov = _setup(work)
     if _constant(work.y):
         return _degenerate("vi", kernel, work, record, config)
     y, n, mu0 = work.y, work.n, prior.mu0
     lam = 0.5 - 0.25 / cov.mv(np.ones(n))
     *_, r, trq, kl = _q_point(lam, mu0, cov)  # kept current below
-    active, alpha, _, posterior = update_alpha(active, alpha, Phi, r, y,
-                                               config.tol)
+    active, alpha, _, posterior = update_alpha([], [], Phi, r, y, config.tol)
 
     training_log: List[float] = []
     status = "max_iter"

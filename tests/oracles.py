@@ -5,7 +5,8 @@ stay independent of what they check: the dense q(g) covariance that the
 low-rank routine ``vi._q_cov`` must reproduce, a split of a hand-built
 prior covariance for it (filled into the package's container
 ``vi._PriorCov``, without its pivoted split), the expected
-log-likelihood under q(g), and a central-difference gradient checker.
+log-likelihood under q(g), a column's sparsity and quality from a dense
+covariance, and a central-difference gradient checker.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ import scipy.linalg as sla
 from hetrvm.vi import _PriorCov
 
 
-def prior_cov(K, jitter):
+def prior_cov(K, jitter=0.0):
     """A dense prior covariance K in the split form ``vi._q_cov`` takes,
     K = jitter I + F F^T, by an eigendecomposition: F = U (w - jitter)^1/2
     over the eigenpairs (w, U) whose eigenvalue exceeds the jitter by
@@ -48,6 +49,17 @@ def expected_loglik(y, w, Phi, mu, Sigma) -> float:
     ll = -0.5 * (y.size * np.log(2 * np.pi) + np.sum(np.log(r))
                  + np.sum((y - f) ** 2 / r))
     return float(ll - 0.25 * np.sum(sd))
+
+
+def dense_sparsity_quality(Phi_a, alpha, r, y, j):
+    """(s_j, q_j) from a dense Cholesky of C_-j = diag(r) +
+    sum_{i != j} phi_i phi_i^T / alpha_i."""
+    C = np.diag(r)
+    for i in range(alpha.size):
+        if i != j:
+            C = C + np.outer(Phi_a[:, i], Phi_a[:, i]) / alpha[i]
+    u = sla.cho_solve(sla.cho_factor(C, lower=True), Phi_a[:, j])
+    return Phi_a[:, j] @ u, u @ y
 
 
 def grad_check(f, grad, x) -> float:

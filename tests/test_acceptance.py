@@ -17,14 +17,14 @@ from scipy.stats import multivariate_normal
 from hetrvm.data import SynthSpec, synth
 from hetrvm.ep import EpConfig, cavity, ep_posterior, fit_ep, \
     site_update, tilted_moments
-from hetrvm.kernels import GpNoisePrior, KernelSpec, build_design_matrix, \
-    gp_covariance
+from hetrvm.kernels import KernelSpec, build_design_matrix
 from hetrvm.numerics import gauss_hermite
 from hetrvm.predict import nlpd, predict
 from hetrvm.rvm import fit_rvm
-from hetrvm.serialize import load_model, model_to_dict, save_model
-from hetrvm.vi import VIConfig, VariationalState, _bound_value_grad, \
-    _q_cov, _q_point, _split_prior, collapsed_bound, fit_vi, update_alpha
+from hetrvm.serialize import load_model, save_model
+from hetrvm.vi import VIConfig, _bound_value_grad, _q_cov, \
+    collapsed_bound, fit_vi, update_alpha
+from conftest import make_state, noise_split
 from oracles import expected_loglik, grad_check, prior_cov
 
 # np.trapezoid is new in numpy 2.0; pyproject.toml accepts numpy 1.24
@@ -42,36 +42,6 @@ def verdict(num, name, ok, detail=""):
     conftest.VERDICTS.append(line)
     print(line)
     assert ok, line
-
-
-def noise_prior(log_ell, log_sv):
-    """The noise-GP prior of (log_ell, log_sv), with jitter 1e-6 of the
-    signal variance."""
-    sv = float(np.exp(log_sv))
-    return GpNoisePrior(
-        mu0=0.0,
-        kernel=KernelSpec(family="rbf", lengthscale=float(np.exp(log_ell)),
-                          include_bias=False, signal_variance=sv),
-        jitter=1e-6 * sv)
-
-
-def noise_split(X, log_ell, log_sv):
-    """The noise-GP prior covariance K at X from (log_ell, log_sv), split
-    as K = j I + F F^T with j its jitter."""
-    return _split_prior(X, noise_prior(log_ell, log_sv))
-
-
-def make_state(X, eta, log_ell, log_sv, mu0, alpha, active):
-    """A VariationalState whose prior covariance K is built at X from
-    (log_ell, log_sv); the two are not stored in the state.  q(g) comes
-    from the split K, the state's K is the dense one."""
-    cov = noise_split(X, log_ell, log_sv)
-    lam = 0.5 / (1.0 + np.exp(-np.asarray(eta, dtype=float)))
-    mu, q = _q_point(lam, mu0, cov)[:2]
-    return VariationalState(mu=mu, Sigma=conftest.dense_sigma(q),
-                            alpha=np.asarray(alpha, dtype=float),
-                            active_indices=list(active), mu0=mu0,
-                            K=gp_covariance(X, noise_prior(log_ell, log_sv)))
 
 
 @pytest.fixture(scope="module")

@@ -14,6 +14,8 @@ from hetrvm.ep import EpConfig
 from hetrvm.kernels import KernelSpec
 from hetrvm.rvm import RvmConfig
 from hetrvm.vi import VIConfig
+from conftest import (drop_field, drop_last, format1_drop_last, set_corner,
+                      set_field, set_first, set_index, set_record)
 
 
 @pytest.fixture(scope="module")
@@ -300,11 +302,11 @@ class TestExitCodes:
                     "--out", str(tmp_path / "m.json")]) == 3
         assert not (tmp_path / "m.json").exists()
 
-    def test_numeric_error_too_few_points(self, tmp_path):
+    def test_data_error_too_few_points(self, tmp_path):
         tiny = tmp_path / "tiny.csv"
         tiny.write_text("x,y\n0,1\n1,2\n")
         assert run(["train", "--method", "vi", "--data", str(tiny),
-                    "--out", str(tmp_path / "m.json")]) == 4
+                    "--out", str(tmp_path / "m.json")]) == 3
 
     @pytest.mark.parametrize("command", ["train", "predict", "evaluate"])
     @pytest.mark.parametrize("target", ["x0", "1.0", "last", ""])
@@ -409,85 +411,36 @@ class TestCliMatchesLibrary:
             assert code != 2
 
 
-def _set_index(value):
-    def mutate(doc):
-        doc["active_indices"][0] = value
-    return mutate
-
-
-def _drop_last(key):
-    def mutate(doc):
-        doc[key] = doc[key][:-1]
-    return mutate
-
-
-def _drop(key):
-    def mutate(doc):
-        del doc[key]
-    return mutate
-
-
-def _set(key, value):
-    def mutate(doc):
-        doc[key] = value
-    return mutate
-
-
-def _set_first(key, value):
-    def mutate(doc):
-        doc[key][0] = value
-    return mutate
-
-
-def _set_record(key, value):
-    def mutate(doc):
-        doc["standardization"][key] = value
-    return mutate
-
-
-def _set_center(value):
-    def mutate(doc):
-        doc["centers"][0][0] = value
-    return mutate
-
-
-def _format1_drop_last(key):
-    """A format-1 log-noise (flat g_mu, unit g_Sigma) with ``key`` one
-    row short."""
-    def mutate(doc):
-        n = len(doc.pop("g_prec"))
-        del doc["g_coef"]
-        doc.update(format_version=1, g_mu=[0.0] * n,
-                   g_Sigma=np.eye(n).tolist())
-        doc[key] = doc[key][:-1]
-    return mutate
-
-
 @pytest.mark.parametrize("method, mutate", [
-    pytest.param("rvm", _set_index(999), id="rvm-index-past-n_basis"),
-    pytest.param("rvm", _set_index(-1), id="rvm-index-negative"),
-    pytest.param("rvm", _drop_last("alpha"), id="rvm-alpha-short"),
-    pytest.param("vi", _format1_drop_last("g_mu"), id="vi-g_mu-short"),
-    pytest.param("vi", _drop_last("g_prec"), id="vi-g_prec-short"),
-    pytest.param("vi", _set_first("g_prec", -1.0), id="vi-g_prec-negative"),
-    pytest.param("vi", _set_first("g_coef", float("nan")), id="vi-g_coef-nan"),
-    pytest.param("vi", _set("g_const", 0.0), id="vi-two-noise-forms"),
-    pytest.param("vi", _drop_last("centers"), id="vi-centers-short"),
-    pytest.param("rvm", _drop("g_const"), id="rvm-g_const-missing"),
-    pytest.param("rvm", _set("g_const", float("nan")), id="rvm-g_const-nan"),
-    pytest.param("vi", _set("noise_jitter", -1.0), id="vi-noise_jitter-negative"),
-    pytest.param("vi", _set("noise_lengthscale", 0.0),
+    pytest.param("rvm", set_index(0, 999), id="rvm-index-past-n_basis"),
+    pytest.param("rvm", set_index(0, -1), id="rvm-index-negative"),
+    pytest.param("rvm", drop_last("alpha"), id="rvm-alpha-short"),
+    pytest.param("vi", format1_drop_last("g_mu", mean=0.0),
+                 id="vi-g_mu-short"),
+    pytest.param("vi", drop_last("g_prec"), id="vi-g_prec-short"),
+    pytest.param("vi", set_first("g_prec", -1.0), id="vi-g_prec-negative"),
+    pytest.param("vi", set_first("g_coef", float("nan")), id="vi-g_coef-nan"),
+    pytest.param("vi", set_field("g_const", 0.0), id="vi-two-noise-forms"),
+    pytest.param("vi", drop_last("centers"), id="vi-centers-short"),
+    pytest.param("rvm", drop_field("g_const"), id="rvm-g_const-missing"),
+    pytest.param("rvm", set_field("g_const", float("nan")),
+                 id="rvm-g_const-nan"),
+    pytest.param("vi", set_field("noise_jitter", -1.0),
+                 id="vi-noise_jitter-negative"),
+    pytest.param("vi", set_field("noise_lengthscale", 0.0),
                  id="vi-noise_lengthscale-zero"),
-    pytest.param("vi", _set("noise_signal_variance", float("nan")),
+    pytest.param("vi", set_field("noise_signal_variance", float("nan")),
                  id="vi-noise_signal_variance-nan"),
-    pytest.param("vi", _set("noise_mu0", float("nan")), id="vi-noise_mu0-nan"),
-    pytest.param("vi", _set("method", "banana"), id="vi-method-unknown"),
-    pytest.param("rvm", _set("status", 17), id="rvm-status-not-a-string"),
-    pytest.param("vi", _set_first("mu_w", float("nan")), id="vi-mu_w-nan"),
-    pytest.param("vi", _set_record("y_scale", 0.0), id="vi-y_scale-zero"),
-    pytest.param("vi", _set_center(float("nan")), id="vi-centers-nan"),
-    pytest.param("rvm", _set_first("alpha", 0.0), id="rvm-alpha-zero"),
-    pytest.param("vi", _set_record("x_mean", [0.5, 0.5]),
+    pytest.param("vi", set_field("noise_mu0", float("nan")),
+                 id="vi-noise_mu0-nan"),
+    pytest.param("vi", set_field("method", "banana"), id="vi-method-unknown"),
+    pytest.param("rvm", set_field("status", 17), id="rvm-status-not-a-string"),
+    pytest.param("vi", set_first("mu_w", float("nan")), id="vi-mu_w-nan"),
+    pytest.param("vi", set_record("y_scale", 0.0), id="vi-y_scale-zero"),
+    pytest.param("vi", set_corner("centers", float("nan")),
+                 id="vi-centers-nan"),
+    pytest.param("rvm", set_first("alpha", 0.0), id="rvm-alpha-zero"),
+    pytest.param("vi", set_record("x_mean", [0.5, 0.5]),
                  id="vi-x_mean-two-entries"),
 ])
 def test_inconsistent_model_file_is_data_error(request, train_csv, tmp_path,

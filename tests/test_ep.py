@@ -27,11 +27,6 @@ def flat_sites(n):
     return np.zeros(n), np.zeros(n), np.zeros(n)
 
 
-def split(K, jitter=0.0):
-    """A prior covariance in the split form ep_posterior takes."""
-    return prior_cov(K, jitter)
-
-
 class TestCavity:
     def test_flat_site_returns_marginal(self):
         cav_mu, cav_var, ok = cavity(np.array([0.5]), np.array([2.0]),
@@ -50,7 +45,7 @@ class TestCavity:
         K = np.array([[1.0, 0.3], [0.3, 2.0]])
         prec = np.array([0.7, 1.4])
         nu = np.array([0.2, -0.5])
-        mu, var, _ = ep_posterior(split(K), 0.1, prec, nu)
+        mu, var, _ = ep_posterior(prior_cov(K), 0.1, prec, nu)
         cav_mu, cav_var, ok = cavity(mu, var, prec, nu)
         assert np.all(ok)
         for n in range(2):
@@ -159,7 +154,7 @@ class TestSiteUpdate:
         assert prec[0] == pytest.approx(1.0, abs=1e-12)
         assert nu[0] == pytest.approx(1.0, abs=1e-12)
         assert logz[0] == pytest.approx(0.0, abs=1e-12)
-        mu, var, _ = ep_posterior(split(K), 0.0, prec, nu)
+        mu, var, _ = ep_posterior(prior_cov(K), 0.0, prec, nu)
         assert mu[0] == pytest.approx(0.5, abs=1e-12)
         assert var[0] == pytest.approx(0.5, abs=1e-12)
 
@@ -177,7 +172,7 @@ class TestSiteUpdate:
         prec = np.array([0.5, 0.3, 0.2])
         nu = np.array([0.1, -0.2, 0.3])
         logz = np.array([0.1, 0.2, 0.3])
-        mu, var, _ = ep_posterior(split(K), 0.0, prec, nu)
+        mu, var, _ = ep_posterior(prior_cov(K), 0.0, prec, nu)
         # site 0's precision exceeds its marginal precision: its cavity
         # variance would be negative
         prec[0] = 1.0 / var[0] + 1.0
@@ -222,7 +217,7 @@ class TestSiteUpdate:
         mu0 = -0.3
         m_hat = rng.uniform(0.05, 3.0, size=6)
         prec, nu, logz = flat_sites(6)
-        cov = split(K, 1e-6)
+        cov = prior_cov(K, 1e-6)
         mu, var = np.full(6, mu0), np.diag(K)
         for _ in range(1000):
             cav = cavity(mu, var, prec, nu)
@@ -247,14 +242,14 @@ class TestSiteUpdate:
 class TestEpPosterior:
     def test_flat_sites_return_prior(self):
         K = np.array([[1.0, 0.2], [0.2, 0.8]])
-        mu, var, _ = ep_posterior(split(K), 0.7, np.zeros(2), np.zeros(2))
+        mu, var, _ = ep_posterior(prior_cov(K), 0.7, np.zeros(2), np.zeros(2))
         np.testing.assert_allclose(mu, 0.7, atol=1e-12)
         np.testing.assert_allclose(var, np.diag(K), atol=1e-12)
-        Sigma = conftest.dense_sigma(_q_cov(np.zeros(2), split(K)))
+        Sigma = conftest.dense_sigma(_q_cov(np.zeros(2), prior_cov(K)))
         np.testing.assert_allclose(Sigma, K, atol=1e-12)
 
     def test_scalar_combination(self):
-        mu, var, _ = ep_posterior(split(np.eye(1)), 0.0, np.array([1.0]),
+        mu, var, _ = ep_posterior(prior_cov(np.eye(1)), 0.0, np.array([1.0]),
                                   np.array([1.0]))
         assert var[0] == pytest.approx(0.5, abs=1e-12)
         assert mu[0] == pytest.approx(0.5, abs=1e-12)
@@ -272,7 +267,7 @@ class TestEpPosterior:
         logzs = -0.5 * np.log(2 * np.pi * v) \
             + 0.5 * np.log(2 * np.pi / prec) + 0.5 * nu**2 / prec \
             - 0.5 * y**2 / v
-        mu, var, logz = ep_posterior(split(K), mu0, prec, nu, logzs)
+        mu, var, logz = ep_posterior(prior_cov(K), mu0, prec, nu, logzs)
         C = K + np.diag(v)
         resid = y - mu0
         want = -0.5 * (2 * np.log(2 * np.pi) + np.linalg.slogdet(C)[1]
@@ -280,7 +275,7 @@ class TestEpPosterior:
         assert logz == pytest.approx(want, abs=1e-10)
         want_Sigma = np.linalg.inv(np.linalg.inv(K) + np.diag(prec))
         np.testing.assert_allclose(var, np.diag(want_Sigma), atol=1e-10)
-        Sigma = conftest.dense_sigma(_q_cov(prec, split(K)))
+        Sigma = conftest.dense_sigma(_q_cov(prec, prior_cov(K)))
         np.testing.assert_allclose(Sigma, want_Sigma, atol=1e-10)
 
     def test_logz_matches_mpmath_on_fitted_state(self, monkeypatch):
@@ -326,7 +321,7 @@ class TestEpPosterior:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(FactorizationError):
-                ep_posterior(split(K), 0.0, np.array([1.0, -1e-12]),
+                ep_posterior(prior_cov(K), 0.0, np.array([1.0, -1e-12]),
                              np.zeros(2))
 
 

@@ -1,7 +1,6 @@
 import mpmath
 import numpy as np
 import pytest
-from test_vi import SelectionLog, _all_sq_at, _dense_sparsity_quality
 
 import hetrvm.rvm
 import hetrvm.vi
@@ -11,13 +10,15 @@ from hetrvm.predict import predict
 from hetrvm.rvm import RvmConfig, fit_rvm
 from hetrvm.serialize import load_model, save_model
 from hetrvm.vi import _actions, _weight_fit
+from conftest import SelectionLog, all_sq_at
+from oracles import dense_sparsity_quality
 
 
 def sparsity_quality(Phi, y, active, alpha, sigma2, j):
     """Column j's (s_j, q_j) from the basis selection's ``vi._all_sq``
     at the constant noise r = sigma2 1, with j left out of C."""
     Phi = np.asarray(Phi, dtype=float)
-    s, q = _all_sq_at(Phi, np.asarray(y, dtype=float), list(active),
+    s, q = all_sq_at(Phi, np.asarray(y, dtype=float), list(active),
                       np.asarray(alpha, dtype=float),
                       np.full(Phi.shape[0], float(sigma2)))
     return s[j], q[j]
@@ -86,7 +87,7 @@ def _dense_sq(Phi, y, active, alpha, r):
     for j in range(Phi.shape[1]):
         cols, a = (active, alpha) if j in active else (active + [j],
                                                        np.append(alpha, 1.0))
-        out.append(_dense_sparsity_quality(Phi[:, cols], a, r, y,
+        out.append(dense_sparsity_quality(Phi[:, cols], a, r, y,
                                            cols.index(j)))
     return np.array(out).T
 
@@ -101,7 +102,7 @@ class TestAllSq:
         for seed in seeds:
             Phi, y, active, alpha, _, r = _rvm_problem(seed)
             empty += not active
-            s, q = _all_sq_at(Phi, y, active, alpha, r)
+            s, q = all_sq_at(Phi, y, active, alpha, r)
             sd, qd = _dense_sq(Phi, y, active, alpha, r)
             np.testing.assert_array_less(
                 np.abs(q - qd), 1e-7 * (np.abs(qd) + np.sqrt(sd)))
@@ -119,7 +120,7 @@ class TestAllSq:
         # a column nearly in the active span: through the explicit Sigma_w
         # the Woodbury subtraction was off by up to 2.5e-6 relative here
         Phi, y, active, alpha, sigma2, _ = _rvm_problem(seed)
-        s, _ = _all_sq_at(Phi, y, active, alpha, np.full(y.size, sigma2))
+        s, _ = all_sq_at(Phi, y, active, alpha, np.full(y.size, sigma2))
         with mpmath.workdps(50):
             P = mpmath.matrix(Phi.tolist())
             C = sigma2 * mpmath.eye(y.size)

@@ -13,6 +13,8 @@ from hetrvm.rvm import fit_rvm
 from hetrvm.serialize import (SchemaError, load_model, model_from_dict,
                               model_to_dict, save_model)
 from hetrvm.vi import VIConfig, fit_vi
+from conftest import (drop_field, drop_last, format1_drop_last, set_corner,
+                      set_field, set_first, set_index, set_record)
 
 
 @pytest.fixture(scope="module")
@@ -105,18 +107,6 @@ def test_fields_preserved_exactly(fitted, tmp_path):
     assert model.kernel == loaded.kernel
 
 
-def _drop_last(key):
-    def mutate(doc):
-        doc[key] = doc[key][:-1]
-    return mutate
-
-
-def _set_index(position, value):
-    def mutate(doc):
-        doc["active_indices"][position] = value
-    return mutate
-
-
 def _shrink_weights(doc):
     # mu_w and Sigma_w agree with each other, not with the active set
     doc["mu_w"] = doc["mu_w"][:-1]
@@ -148,76 +138,29 @@ def _noise_const(value):
     return mutate
 
 
-def _set(key, value):
-    def mutate(doc):
-        doc[key] = value
-    return mutate
-
-
-def _set_first(key, value):
-    def mutate(doc):
-        doc[key][0] = value
-    return mutate
-
-
-def _drop(key):
-    def mutate(doc):
-        del doc[key]
-    return mutate
-
-
-def _set_record(key, value):
-    def mutate(doc):
-        doc["standardization"][key] = value
-    return mutate
-
-
-def _set_corner(key, value):
-    def mutate(doc):
-        doc[key][0][0] = value
-    return mutate
-
-
-def _as_format1(doc):
-    """The document with a format-1 log-noise: a flat g_mu and a unit
-    g_Sigma in place of the site form."""
-    n = len(doc.pop("g_prec"))
-    del doc["g_coef"]
-    doc["format_version"] = 1
-    doc["g_mu"] = [doc["noise_mu0"]] * n
-    doc["g_Sigma"] = np.eye(n).tolist()
-
-
-def _format1_drop_last(key):
-    def mutate(doc):
-        _as_format1(doc)
-        doc[key] = doc[key][:-1]
-    return mutate
-
-
 def _site_and_format1(doc):
     doc["g_mu"] = [doc["noise_mu0"]] * len(doc["g_prec"])
 
 
 @pytest.mark.parametrize("mutate", [
-    pytest.param(_set_index(0, 999), id="index-past-n_basis"),
-    pytest.param(_set_index(0, -1), id="index-negative"),
-    pytest.param(_set_index(0, 2.5), id="index-not-integer"),
+    pytest.param(set_index(0, 999), id="index-past-n_basis"),
+    pytest.param(set_index(0, -1), id="index-negative"),
+    pytest.param(set_index(0, 2.5), id="index-not-integer"),
     pytest.param(_repeat_index, id="index-repeated"),
-    pytest.param(_drop_last("alpha"), id="alpha-short"),
+    pytest.param(drop_last("alpha"), id="alpha-short"),
     pytest.param(_shrink_weights, id="mu_w-short"),
     pytest.param(_flatten("Sigma_w"), id="Sigma_w-flat"),
-    pytest.param(_format1_drop_last("g_mu"), id="g_mu-short"),
-    pytest.param(_format1_drop_last("g_Sigma"), id="g_Sigma-short"),
-    pytest.param(_drop_last("g_prec"), id="g_prec-short"),
-    pytest.param(_drop_last("g_coef"), id="g_coef-short"),
-    pytest.param(_set_first("g_prec", -1e-3), id="g_prec-negative"),
-    pytest.param(_set_first("g_prec", float("nan")), id="g_prec-nan"),
-    pytest.param(_set_first("g_prec", float("inf")), id="g_prec-inf"),
-    pytest.param(_set_first("g_coef", float("nan")), id="g_coef-nan"),
-    pytest.param(_set_first("g_coef", -float("inf")), id="g_coef-minus-inf"),
-    pytest.param(_drop("g_coef"), id="g_coef-missing"),
-    pytest.param(_drop_last("centers"), id="centers-short"),
+    pytest.param(format1_drop_last("g_mu"), id="g_mu-short"),
+    pytest.param(format1_drop_last("g_Sigma"), id="g_Sigma-short"),
+    pytest.param(drop_last("g_prec"), id="g_prec-short"),
+    pytest.param(drop_last("g_coef"), id="g_coef-short"),
+    pytest.param(set_first("g_prec", -1e-3), id="g_prec-negative"),
+    pytest.param(set_first("g_prec", float("nan")), id="g_prec-nan"),
+    pytest.param(set_first("g_prec", float("inf")), id="g_prec-inf"),
+    pytest.param(set_first("g_coef", float("nan")), id="g_coef-nan"),
+    pytest.param(set_first("g_coef", -float("inf")), id="g_coef-minus-inf"),
+    pytest.param(drop_field("g_coef"), id="g_coef-missing"),
+    pytest.param(drop_last("centers"), id="centers-short"),
     pytest.param(_flatten("centers"), id="centers-flat"),
     pytest.param(_both_noise_forms, id="noise-both-forms"),
     pytest.param(_no_noise_form, id="noise-neither-form"),
@@ -228,43 +171,46 @@ def _site_and_format1(doc):
     pytest.param(_noise_const("0.5"), id="g_const-string"),
     pytest.param(_noise_const(True), id="g_const-bool"),
     pytest.param(_noise_const([0.5]), id="g_const-list"),
-    pytest.param(_set("noise_jitter", -1.0), id="noise_jitter-negative"),
-    pytest.param(_set("noise_jitter", 0.0), id="noise_jitter-zero"),
-    pytest.param(_set("noise_jitter", float("inf")), id="noise_jitter-inf"),
-    pytest.param(_set("noise_lengthscale", 0.0), id="noise_lengthscale-zero"),
-    pytest.param(_set("noise_lengthscale", float("nan")),
+    pytest.param(set_field("noise_jitter", -1.0), id="noise_jitter-negative"),
+    pytest.param(set_field("noise_jitter", 0.0), id="noise_jitter-zero"),
+    pytest.param(set_field("noise_jitter", float("inf")),
+                 id="noise_jitter-inf"),
+    pytest.param(set_field("noise_lengthscale", 0.0),
+                 id="noise_lengthscale-zero"),
+    pytest.param(set_field("noise_lengthscale", float("nan")),
                  id="noise_lengthscale-nan"),
-    pytest.param(_set("noise_lengthscale", 1e300),
+    pytest.param(set_field("noise_lengthscale", 1e300),
                  id="noise_lengthscale-square-overflows"),
-    pytest.param(_set("noise_signal_variance", float("nan")),
+    pytest.param(set_field("noise_signal_variance", float("nan")),
                  id="noise_signal_variance-nan"),
-    pytest.param(_set("noise_signal_variance", 0.0),
+    pytest.param(set_field("noise_signal_variance", 0.0),
                  id="noise_signal_variance-zero"),
-    pytest.param(_set("noise_mu0", float("nan")), id="noise_mu0-nan"),
-    pytest.param(_set("noise_mu0", -float("inf")), id="noise_mu0-minus-inf"),
-    pytest.param(_set("method", "banana"), id="method-unknown"),
-    pytest.param(_set("method", ["vi"]), id="method-list"),
-    pytest.param(_set("status", 17), id="status-int"),
-    pytest.param(_set("status", None), id="status-null"),
-    pytest.param(_set_first("alpha", float("nan")), id="alpha-nan"),
-    pytest.param(_set_first("alpha", float("inf")), id="alpha-inf"),
-    pytest.param(_set_first("alpha", 0.0), id="alpha-zero"),
-    pytest.param(_set_first("mu_w", float("nan")), id="mu_w-nan"),
-    pytest.param(_set_first("mu_w", -float("inf")), id="mu_w-minus-inf"),
-    pytest.param(_set_corner("Sigma_w", float("nan")), id="Sigma_w-nan"),
-    pytest.param(_set_corner("centers", float("nan")), id="centers-nan"),
-    pytest.param(_set_corner("centers", float("inf")), id="centers-inf"),
-    pytest.param(_set_record("x_mean", [float("nan")]), id="x_mean-nan"),
-    pytest.param(_set_record("x_mean", [0.5, 0.5]), id="x_mean-two-entries"),
-    pytest.param(_set_record("x_scale", []), id="x_scale-empty"),
-    pytest.param(_set_record("x_scale", [[1.0]]), id="x_scale-nested"),
-    pytest.param(_set_record("x_scale", [0.0]), id="x_scale-zero"),
-    pytest.param(_set_record("x_scale", [-1.0]), id="x_scale-negative"),
-    pytest.param(_set_record("x_scale", [float("inf")]), id="x_scale-inf"),
-    pytest.param(_set_record("y_mean", float("nan")), id="y_mean-nan"),
-    pytest.param(_set_record("y_scale", 0.0), id="y_scale-zero"),
-    pytest.param(_set_record("y_scale", -2.0), id="y_scale-negative"),
-    pytest.param(_set_record("y_scale", float("nan")), id="y_scale-nan"),
+    pytest.param(set_field("noise_mu0", float("nan")), id="noise_mu0-nan"),
+    pytest.param(set_field("noise_mu0", -float("inf")),
+                 id="noise_mu0-minus-inf"),
+    pytest.param(set_field("method", "banana"), id="method-unknown"),
+    pytest.param(set_field("method", ["vi"]), id="method-list"),
+    pytest.param(set_field("status", 17), id="status-int"),
+    pytest.param(set_field("status", None), id="status-null"),
+    pytest.param(set_first("alpha", float("nan")), id="alpha-nan"),
+    pytest.param(set_first("alpha", float("inf")), id="alpha-inf"),
+    pytest.param(set_first("alpha", 0.0), id="alpha-zero"),
+    pytest.param(set_first("mu_w", float("nan")), id="mu_w-nan"),
+    pytest.param(set_first("mu_w", -float("inf")), id="mu_w-minus-inf"),
+    pytest.param(set_corner("Sigma_w", float("nan")), id="Sigma_w-nan"),
+    pytest.param(set_corner("centers", float("nan")), id="centers-nan"),
+    pytest.param(set_corner("centers", float("inf")), id="centers-inf"),
+    pytest.param(set_record("x_mean", [float("nan")]), id="x_mean-nan"),
+    pytest.param(set_record("x_mean", [0.5, 0.5]), id="x_mean-two-entries"),
+    pytest.param(set_record("x_scale", []), id="x_scale-empty"),
+    pytest.param(set_record("x_scale", [[1.0]]), id="x_scale-nested"),
+    pytest.param(set_record("x_scale", [0.0]), id="x_scale-zero"),
+    pytest.param(set_record("x_scale", [-1.0]), id="x_scale-negative"),
+    pytest.param(set_record("x_scale", [float("inf")]), id="x_scale-inf"),
+    pytest.param(set_record("y_mean", float("nan")), id="y_mean-nan"),
+    pytest.param(set_record("y_scale", 0.0), id="y_scale-zero"),
+    pytest.param(set_record("y_scale", -2.0), id="y_scale-negative"),
+    pytest.param(set_record("y_scale", float("nan")), id="y_scale-nan"),
 ])
 def test_inconsistent_document_rejected(fitted, mutate):
     """A document whose index and array sizes disagree, whose method no

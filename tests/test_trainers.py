@@ -59,7 +59,7 @@ def test_constant_target_is_degenerate(tmp_path, method, c, include_bias):
 
 @pytest.mark.parametrize("fit", [fit_vi, fit_ep])
 def test_constant_target_still_needs_three_points(fit):
-    with pytest.raises(ValueError, match="at least 3 points"):
+    with pytest.raises(DataError, match="at least 3 points"):
         fit(Dataset(np.array([[0.0], [1.0]]), np.array([2.0, 2.0])))
 
 
@@ -94,9 +94,9 @@ def test_training_and_prediction_share_one_noise_prior(monkeypatch, module,
     setup, split = hetrvm.vi._setup, predict_module._split_prior
 
     def setup_spy(work):
-        active, alpha, prior, cov = setup(work)
+        prior, cov = setup(work)
         built.append(cov)
-        return active, alpha, prior, cov
+        return prior, cov
 
     def split_spy(X, prior):
         read.append(split(X, prior))

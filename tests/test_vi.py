@@ -10,52 +10,22 @@ from scipy.stats import multivariate_normal
 import hetrvm.ep
 import hetrvm.rvm
 import hetrvm.vi
-from hetrvm.data import Dataset, SynthSpec, standardize, synth
+from hetrvm.data import DataError, Dataset, SynthSpec, standardize, synth
 from hetrvm.ep import EpConfig, fit_ep
 from hetrvm.kernels import (GpNoisePrior, KernelSpec, _sqdist,
                             build_design_matrix, gp_covariance)
 from hetrvm.numerics import chol_solve, gauss_hermite
 from hetrvm.predict import nlpd, predict
 from hetrvm.rvm import RvmConfig, fit_rvm
-from hetrvm.vi import (VIConfig, VariationalState, _all_sq,
-                       _bound_value_grad, _factor, _gram, _posterior,
-                       _q_cov, _q_point, _setup, _split_prior, _weight_fit,
-                       _sigmoid, _sparsity_quality, collapsed_bound, fit_vi,
+from hetrvm.vi import (VIConfig, VariationalState, _bound_value_grad,
+                       _factor, _gram, _q_cov, _q_point, _setup,
+                       _split_prior, _weight_fit, _sigmoid,
+                       _sparsity_quality, collapsed_bound, fit_vi,
                        noise_diag, update_alpha, weight_posterior)
-from oracles import expected_loglik, grad_check, prior_cov, reduced_cov
-
-
-def noise_prior(log_ell, log_sv):
-    """The noise-GP prior for a log lengthscale and a log signal variance,
-    with jitter 1e-6 of the signal variance."""
-    sv = float(np.exp(log_sv))
-    return GpNoisePrior(
-        mu0=0.0,
-        kernel=KernelSpec(family="rbf", lengthscale=float(np.exp(log_ell)),
-                          include_bias=False, signal_variance=sv),
-        jitter=1e-6 * sv)
-
-
-def noise_cov(X, log_ell, log_sv):
-    """The dense noise-GP prior covariance at X."""
-    return gp_covariance(X, noise_prior(log_ell, log_sv))
-
-
-def noise_split(X, log_ell, log_sv):
-    """noise_cov's K, split as K = j I + F F^T with j its jitter."""
-    return _split_prior(X, noise_prior(log_ell, log_sv))
-
-
-def make_state(X, eta, log_ell, log_sv, mu0, alpha, active):
-    """Build a consistent VariationalState from unconstrained parameters;
-    (log_ell, log_sv) fix the prior covariance K and are not stored."""
-    cov = noise_split(X, log_ell, log_sv)
-    lam = 0.5 / (1.0 + np.exp(-np.asarray(eta, dtype=float)))
-    mu, q = _q_point(lam, mu0, cov)[:2]
-    return VariationalState(mu=mu, Sigma=conftest.dense_sigma(q),
-                            alpha=np.asarray(alpha, dtype=float),
-                            active_indices=list(active), mu0=mu0,
-                            K=noise_cov(X, log_ell, log_sv))
+from conftest import (SelectionLog, all_sq_at, make_state, noise_cov,
+                      noise_split, selection_inputs)
+from oracles import (dense_sparsity_quality, expected_loglik, grad_check,
+                     prior_cov, reduced_cov)
 
 
 class TestNoiseDiag:
@@ -384,7 +354,7 @@ def _draw_prior(q, n):
         rng = np.random.default_rng(q)
         data = Dataset(rng.uniform(0.0, 1.0, (n, q)), rng.normal(size=n))
     work = standardize(data)[0]
-    _, _, prior, cov = _setup(work)
+    prior, cov = _setup(work)
     return cov, gp_covariance(work.X, prior)
 
 
@@ -442,7 +412,7 @@ def test_noise_lengthscale_is_the_triu_median(case):
     want = float(np.sqrt(np.median(off[off > 0])))
     if case == "duplicates":
         assert np.count_nonzero(off == 0) == 20 * 3
-    assert _setup(work)[2].kernel.lengthscale == want
+    assert _setup(work)[0].kernel.lengthscale == want
 
 
 DRAWS = [(1, 60), (1, 400), (5, 60)]
@@ -509,7 +479,7 @@ class TestSplitPrior:
         # at the dense q(g) of the prior as built
         work = standardize(synth(SynthSpec(generator="goldberg_sine", n=60,
                                            seed=0))[0])[0]
-        _, _, prior, cov = _setup(work)
+        prior, cov = _setup(work)
         K = gp_covariance(work.X, prior)
         assert cov.F.shape[1] < work.n
         Phi = build_design_matrix(work.X, KernelSpec(lengthscale=0.3))
@@ -531,34 +501,6 @@ class TestSplitPrior:
         assert grad_check(f, g, x) < 1e-4
 
 
-def _dense_sparsity_quality(Phi_a, alpha, r, y, j):
-    """(s_j, q_j) from a dense Cholesky of C_-j = diag(r) +
-    sum_{i != j} phi_i phi_i^T / alpha_i."""
-    C = np.diag(r)
-    for i in range(alpha.size):
-        if i != j:
-            C = C + np.outer(Phi_a[:, i], Phi_a[:, i]) / alpha[i]
-    u = sla.cho_solve(sla.cho_factor(C, lower=True), Phi_a[:, j])
-    return Phi_a[:, j] @ u, u @ y
-
-
-def _selection_inputs(Phi, y, active, alpha, r):
-    """What update_alpha forms at one state, at noise diag(r), formed
-    afresh: the arguments of vi._all_sq, the weight posterior last."""
-    Phir = Phi / r[:, None]
-    G = Phi.T @ Phir[:, active]
-    c = Phir.T @ y
-    L = _factor(G[active], alpha)
-    return (G, np.sum(Phi * Phir, axis=0), c, active, L,
-            _posterior(L, c[active]))
-
-
-def _all_sq_at(Phi, y, active, alpha, r):
-    """vi._all_sq's (s, q) of every column at noise diag(r), from the
-    inputs update_alpha forms, its weight posterior included."""
-    return _all_sq(*_selection_inputs(Phi, y, active, alpha, r))
-
-
 def _update_alpha_reference(active, alpha, Phi, r, y, tol):
     """Tipping & Faul's selection written out densely: every column's
     (s, q) from its own C_-j, each candidate's gain from l(a), and the
@@ -578,7 +520,7 @@ def _update_alpha_reference(active, alpha, Phi, r, y, tol):
         for j in range(Phi.shape[1]):
             cols = active if j in active else active + [j]
             a = alpha if j in active else np.append(alpha, 1.0)
-            s, q = _dense_sparsity_quality(Phi[:, cols], a, r, y,
+            s, q = dense_sparsity_quality(Phi[:, cols], a, r, y,
                                            cols.index(j))
             a_old = alpha[active.index(j)] if j in active else np.inf
             a_new = s**2 / (q**2 - s) if q**2 > s else np.inf
@@ -609,12 +551,12 @@ def _replay(active, alpha, Phi, r, y, tol):
     while True:
         a_old = np.full(Phi.shape[1], np.inf)
         a_old[act] = a
-        a_new, gain = hetrvm.vi._actions(*_all_sq_at(Phi, y, act, a, r),
+        a_new, gain = hetrvm.vi._actions(*all_sq_at(Phi, y, act, a, r),
                                          a_old)
         j = int(np.argmax(gain))
         if gain[j] <= max(tol * (1.0 + abs(ev)), 1e-12):
             return (act, a, ev,
-                    _selection_inputs(Phi, y, act, a, r)[-1], steps)
+                    selection_inputs(Phi, y, act, a, r)[-1], steps)
         if j not in act:
             act, a = act + [j], np.append(a, a_new[j])
         elif np.isinf(a_new[j]):
@@ -662,53 +604,6 @@ def _check_against_reference(a0, Phi, r, y):
     assert active == ref_active
     np.testing.assert_allclose(alpha, ref_alpha, rtol=1e-7)
     assert ev == pytest.approx(ref_ev, rel=1e-9)
-
-
-class SelectionLog:
-    """What update_alpha does, counted by spies on hetrvm.vi installed
-    through ``patch``: Cholesky factorizations (``chol``), guard refreshes
-    (``guard``, updated states that ``vi._intact`` rejected), scored states
-    (``scored``, calls of ``vi._actions``) and the actions taken
-    (:attr:`trail`)."""
-
-    def __init__(self, patch):
-        self.chol = self.guard = 0
-        self.seen = []
-        chol, actions = hetrvm.vi.chol_factor, hetrvm.vi._actions
-        intact = hetrvm.vi._intact
-
-        def counted_chol(*args):
-            self.chol += 1
-            return chol(*args)
-
-        def seen_actions(s, q, a_old):
-            self.seen.append(a_old.copy())
-            return actions(s, q, a_old)
-
-        def counted_intact(*args):
-            ok = intact(*args)
-            self.guard += not ok
-            return ok
-
-        patch.setattr(hetrvm.vi, "chol_factor", counted_chol)
-        patch.setattr(hetrvm.vi, "_actions", seen_actions)
-        patch.setattr(hetrvm.vi, "_intact", counted_intact)
-
-    @property
-    def scored(self):
-        return len(self.seen)
-
-    @property
-    def trail(self):
-        """The column of each action, read off the precisions of
-        consecutive scored states: a state scored twice, once updated and
-        once from scratch, counts once."""
-        out = []
-        for before, after in zip(self.seen, self.seen[1:]):
-            changed = np.flatnonzero(before != after).tolist()
-            assert len(changed) <= 1
-            out += changed
-        return out
 
 
 def _logged(monkeypatch, select, *args):
@@ -796,7 +691,7 @@ class TestUpdateAlpha:
         L = _factor(G, alpha)
         s, q = _sparsity_quality(G, chol_solve(L, np.eye(m)),
                                  chol_solve(L, b))
-        dense = np.array([_dense_sparsity_quality(Phi, alpha, r, y, j)
+        dense = np.array([dense_sparsity_quality(Phi, alpha, r, y, j)
                           for j in range(m)])
         np.testing.assert_allclose(s, dense[:, 0], rtol=1e-8, atol=0)
         np.testing.assert_allclose(q, dense[:, 1], rtol=1e-8, atol=0)
@@ -1224,7 +1119,7 @@ class TestFitVi:
         assert seen == [tol] * len(seen)
 
     def test_too_few_points(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             fit_vi(Dataset(np.array([[0.0], [1.0]]), np.array([0.0, 1.0])))
 
     def test_numpy_integer_settings_accepted(self):
