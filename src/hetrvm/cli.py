@@ -3,11 +3,11 @@
 Exit codes: 0 ok, 2 usage error, 3 data error, 4 numeric failure.  The
 parser only reads numbers; the library's own specs and configs
 (``KernelSpec``, ``RvmConfig``, ``VIConfig``, ``EpConfig``, ``SynthSpec``)
-decide which values are valid.  They are built from the options before
-any file is read or written, so a setting they reject is a usage error
-with the library's message.  Every artifact embeds the resolved
-configuration for provenance, and identical (config, seed, inputs)
-produce identical outputs.
+give every option's default and decide which values are valid.  They are
+built from the options before any file is read or written, so a setting
+they reject is a usage error with the library's message.  Every artifact
+embeds the resolved configuration for provenance, and identical (config,
+seed, inputs) produce identical outputs.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ __all__ = ["main", "run"]
 def _settings(args) -> dict:
     """The library objects the options describe.  Their constructors
     raise ValueError (DataError for ``SynthSpec``) on an invalid value.
-    Every fitting command builds all three configs, so a setting one
-    method ignores is still checked.  With ``--no-header``, ``--target``
-    is a 0-based column index."""
+    Every fitting command builds all three configs, from the same
+    ``--max-iter`` and ``--tol``.  With ``--no-header``, ``--target`` is a
+    0-based column index."""
     s = {}
     if args.command in ("train", "predict", "evaluate"):
         s["target"] = args.target
@@ -59,8 +59,7 @@ def _settings(args) -> dict:
                                  include_bias=not args.no_bias)
         s["rvm"] = RvmConfig(max_iter=args.max_iter, tol=args.tol)
         s["vi"] = VIConfig(max_iter=args.max_iter, tol=args.tol)
-        s["ep"] = EpConfig(max_passes=args.max_iter, damping=args.damping,
-                           tol=args.tol)
+        s["ep"] = EpConfig(max_passes=args.max_iter, tol=args.tol)
     if args.command == "benchmark":
         _check_int(args.seeds, "seeds", 1)
         s["methods"] = [m.strip() for m in args.methods.split(",")
@@ -172,14 +171,23 @@ def _cmd_benchmark(args, s):
 
 
 def _add_common_model_opts(p):
-    p.add_argument("--kernel", default="rbf",
+    # the library's defaults: the three configs share one iteration limit
+    # and one tolerance
+    p.add_argument("--kernel", default=KernelSpec.family,
                    choices=["rbf", "linear", "polynomial"])
-    p.add_argument("--lengthscale", type=float, default=1.0)
-    p.add_argument("--degree", type=int, default=3)
+    p.add_argument("--lengthscale", type=float,
+                   default=KernelSpec.lengthscale)
+    p.add_argument("--degree", type=int, default=KernelSpec.degree)
     p.add_argument("--no-bias", action="store_true")
-    p.add_argument("--max-iter", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--damping", type=float, default=0.8)
+    p.add_argument("--max-iter", type=int, default=VIConfig.max_iter)
+    p.add_argument("--tol", type=float, default=VIConfig.tol)
+
+
+def _add_synth_opts(p):
+    p.add_argument("--generator", default=SynthSpec.generator,
+                   choices=["goldberg_sine", "linear_het", "const_noise"])
+    p.add_argument("--n", type=int, default=SynthSpec.n)
+    p.add_argument("--sigma", type=float, default=SynthSpec.sigma)
 
 
 def _add_data_opts(p):
@@ -195,11 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset CSV")
-    p.add_argument("--generator", default="goldberg_sine",
-                   choices=["goldberg_sine", "linear_het", "const_noise"])
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sigma", type=float, default=0.3)
+    _add_synth_opts(p)
+    p.add_argument("--seed", type=int, default=SynthSpec.seed)
     p.add_argument("--out", required=True)
     p.add_argument("--noise-out", default=None)
     p.set_defaults(func=_cmd_synth)
@@ -226,11 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("benchmark",
                        help="compare methods over seeds on synthetic data")
-    p.add_argument("--generator", default="goldberg_sine",
-                   choices=["goldberg_sine", "linear_het", "const_noise"])
-    p.add_argument("--n", type=int, default=100)
+    _add_synth_opts(p)
     p.add_argument("--seeds", type=int, default=5)
-    p.add_argument("--sigma", type=float, default=0.3)
     p.add_argument("--methods", default="rvm,vi,ep")
     p.add_argument("--report", default=None)
     _add_common_model_opts(p)

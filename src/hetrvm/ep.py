@@ -40,8 +40,8 @@ from .data import Dataset, standardize
 from .kernels import KernelSpec, build_design_matrix
 from .model import HrvmModel
 from .numerics import FactorizationError, gauss_hermite
-from .vi import (_check_loop, _constant, _degenerate, _finish, _gp_noise,
-                 _q_cov, _setup, noise_diag, update_alpha)
+from .vi import (_MAX_ITER, _check_loop, _constant, _degenerate, _finish,
+                 _gp_noise, _q_cov, _setup, noise_diag, update_alpha)
 # kept for perfbench's tracer until ROADMAP item 1
 from .numerics import chol_factor  # noqa: F401
 from .vi import weight_posterior  # noqa: F401
@@ -56,17 +56,19 @@ __all__ = [
 ]
 
 
+# The damping of every site update, halved once on oscillation.  On a q=5
+# draw (N=200, basis lengthscale 0.5) 0.8 converged in 324 passes where 0.5
+# and 0.3 ran out of 400; at lengthscale 1 all three reached the same NLPD,
+# 0.8 in the fewest passes (26, against 43 and 74).
+_DAMPING = 0.8
+
+
 @dataclass(frozen=True)
 class EpConfig:
-    max_passes: int = 100
-    damping: float = 0.8
+    max_passes: int = _MAX_ITER
     tol: float = 1e-6
 
     def __post_init__(self):
-        # damping 0 would leave every site flat and report "converged"
-        # after one pass
-        if not (0.0 < self.damping <= 1.0):
-            raise ValueError("damping must lie in (0, 1]")
         _check_loop(self.max_passes, self.tol, "max_passes")
 
 
@@ -222,8 +224,9 @@ def fit_ep(data: Dataset, kernel: Optional[KernelSpec] = None,
 
     Each pass takes every cavity from the current marginals, matches all
     tilted moments on one quadrature grid, damps every site and refreshes
-    q(g) once.  Five consecutive rises of the largest site change halve
-    the damping once; five more end the fit as ``oscillating``."""
+    q(g) once.  Sites are damped by 0.8 (``_DAMPING``); five consecutive
+    rises of the largest site change halve the damping once, and five
+    more end the fit as ``oscillating``."""
     kernel = kernel or KernelSpec()
     config = config or EpConfig()
     work, record = standardize(data)
@@ -239,8 +242,7 @@ def fit_ep(data: Dataset, kernel: Optional[KernelSpec] = None,
 
     training_log: List[float] = []
     status = "max_passes"
-    damping = config.damping
-    halved = False
+    damping, halved = _DAMPING, False
     prev_change = np.inf
     osc = 0
     r = noise_diag(post_mu, post_var)  # kept current below

@@ -32,16 +32,15 @@ _TINY = np.finfo(float).tiny  # the smallest normal float
 class KernelSpec:
     """Kernel family plus its hyperparameters.
 
-    ``signal_variance`` only matters when the spec is used as a GP
-    covariance (it is ignored for design-matrix columns, matching the
-    usual RVM convention of unscaled basis functions).
+    The kernel is unscaled: design-matrix columns follow the usual RVM
+    convention of unscaled basis functions, and a noise-GP covariance
+    takes its scale from :class:`GpNoisePrior`.
     """
 
     family: str = "rbf"
     lengthscale: float = 1.0
     degree: int = 3
     include_bias: bool = True
-    signal_variance: float = 1.0
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
@@ -53,22 +52,24 @@ class KernelSpec:
             raise ValueError("lengthscale must be positive and finite, "
                              "and so must its square")
         _check_int(self.degree, "degree", 1)
-        if not (np.isfinite(self.signal_variance) and self.signal_variance > 0):
-            raise ValueError("signal_variance must be positive and finite")
 
 
 @dataclass(frozen=True)
 class GpNoisePrior:
     """Prior for the latent log-variance process: constant mean ``mu0``
-    and covariance ``signal_variance * k(x, x') + jitter`` on the diagonal."""
+    and covariance ``signal_variance * k(x, x')``, with ``k`` the unscaled
+    ``kernel``, plus ``jitter`` on the diagonal."""
 
     mu0: float
     kernel: KernelSpec
+    signal_variance: float = 1.0
     jitter: float = 1e-6
 
     def __post_init__(self):
-        if not (np.isfinite(self.jitter) and self.jitter > 0):
-            raise ValueError("jitter must be positive and finite")
+        for name in ("signal_variance", "jitter"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite")
 
 
 def kernel_matrix(kernel: KernelSpec, X, X2) -> np.ndarray:
@@ -142,7 +143,7 @@ def gp_covariance(X, prior: GpNoisePrior) -> np.ndarray:
     signal_variance * k + jitter on the diagonal.  Symmetric PD."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     K = kernel_matrix(prior.kernel, X, X)
-    K *= prior.kernel.signal_variance
+    K *= prior.signal_variance
     K[np.diag_indices_from(K)] += prior.jitter
     return 0.5 * (K + K.T)
 
@@ -151,5 +152,5 @@ def cross_covariance(Xstar, X, prior: GpNoisePrior) -> np.ndarray:
     """Covariance between the log-variance process at new and training
     inputs (no jitter: off-diagonal blocks only)."""
     K = kernel_matrix(prior.kernel, Xstar, X)
-    K *= prior.kernel.signal_variance
+    K *= prior.signal_variance
     return K

@@ -64,9 +64,7 @@ class HrvmModel:
         return self.g_prec.size == 0
 
     def noise_prior(self) -> GpNoisePrior:
-        kern = KernelSpec(family="rbf",
-                          lengthscale=self.noise_lengthscale,
-                          include_bias=False,
-                          signal_variance=self.noise_signal_variance)
-        return GpNoisePrior(mu0=self.noise_mu0, kernel=kern,
-                            jitter=self.noise_jitter)
+        kern = KernelSpec(lengthscale=self.noise_lengthscale,
+                          include_bias=False)  # an rbf
+        return GpNoisePrior(self.noise_mu0, kern, self.noise_signal_variance,
+                            self.noise_jitter)

@@ -116,7 +116,7 @@ def _block_kernels(read: _ReadPath, kernel: KernelSpec, X):
     if noise is None:
         return K.T, None
     ks = _kernel_values(noise.kernel, D)
-    ks *= noise.kernel.signal_variance
+    ks *= noise.signal_variance
     return K.T, ks
 
 
@@ -177,7 +177,7 @@ def predict(model: HrvmModel, Xstar) -> PredictiveDist:
     step = _block_rows(max(len(model.active_indices),
                            read.centers2.shape[0]))
     if prior is not None:
-        kss = prior.kernel.signal_variance + prior.jitter
+        kss = prior.signal_variance + prior.jitter
     blocks = []
     lo = 0
     while True:

@@ -22,15 +22,15 @@ from .model import HrvmModel
 # kept for perfbench's tracer until ROADMAP item 1
 from .kernels import design_matrix_at  # noqa: F401
 from .numerics import chol_factor  # noqa: F401
-from .vi import (_check_loop, _clamped_noise, _constant, _degenerate,
-                 _finish, _weight_fit, update_alpha)
+from .vi import (_MAX_ITER, _check_loop, _clamped_noise, _constant,
+                 _degenerate, _finish, _weight_fit, update_alpha)
 
 __all__ = ["RvmConfig", "fit_rvm"]
 
 
 @dataclass(frozen=True)
 class RvmConfig:
-    max_iter: int = 500
+    max_iter: int = _MAX_ITER
     tol: float = 1e-6
 
     def __post_init__(self):

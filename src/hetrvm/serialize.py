@@ -48,15 +48,28 @@ def _arr(a):
 
 
 def _kernel_to_dict(k: KernelSpec):
+    # every file carries a basis-kernel signal variance of 1, which no
+    # basis reads, so that files keep their bytes and older readers, which
+    # require the key, still load them
     return {"family": k.family, "lengthscale": k.lengthscale,
             "degree": k.degree, "include_bias": k.include_bias,
-            "signal_variance": k.signal_variance}
+            "signal_variance": 1.0}
 
 
 def _kernel_from_dict(d):
+    """The basis kernel of a document.  Its ``signal_variance`` must be
+    positive and finite, and is not read: it never changed a
+    prediction."""
+    sv = d["signal_variance"]
+    if not (np.isfinite(sv) and sv > 0):
+        raise SchemaError(f"signal_variance {sv!r} is not positive and finite")
     return KernelSpec(family=d["family"], lengthscale=d["lengthscale"],
-                      degree=d["degree"], include_bias=d["include_bias"],
-                      signal_variance=d["signal_variance"])
+                      degree=d["degree"], include_bias=d["include_bias"])
+
+
+def _is_number(v) -> bool:
+    """Whether ``v`` is a JSON number: an int or a float, not a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _std_to_dict(s: Standardization):
@@ -137,8 +150,7 @@ def _noise_from_dict(doc: dict, model: HrvmModel) -> dict:
     n, mu0, none = model.centers.shape[0], model.noise_mu0, np.zeros(0)
     if "g_const" in doc:
         const = doc["g_const"]
-        if (isinstance(const, bool) or not isinstance(const, (int, float))
-                or not np.isfinite(const)):
+        if not (_is_number(const) and np.isfinite(const)):
             raise SchemaError(f"g_const {const!r} is not a finite number")
         return dict(noise_mu0=float(const), g_prec=none, g_coef=none)
     if "g_prec" in doc:
@@ -167,11 +179,20 @@ def _model(doc: dict) -> HrvmModel:
     ``x_scale`` entry per column of ``centers``.  The method must be a
     trainer's, the status a string, the noise-GP prior one that
     ``GpNoisePrior`` and ``KernelSpec`` accept, and every number but the
-    training log (EP can log nan) finite, precisions and scales > 0."""
+    training log (EP can log nan) finite, precisions and scales > 0.  The
+    record of the run must be well formed too: ``n_iter`` a nonnegative
+    integer, ``config`` an object and ``training_log`` a list of
+    numbers."""
     if doc["method"] not in ("rvm", "vi", "ep"):
         raise SchemaError(f"unknown method {doc['method']!r}")
     if not isinstance(doc["status"], str):
         raise SchemaError(f"status {doc['status']!r} is not a string")
+    n_iter, config, log = (doc["n_iter"], doc.get("config", {}),
+                           doc["training_log"])
+    if not (type(n_iter) is int and n_iter >= 0 and isinstance(config, dict)
+            and isinstance(log, list) and all(map(_is_number, log))):
+        raise SchemaError("n_iter must be a nonnegative integer, config an "
+                          "object and training_log a list of numbers")
     kernel = _kernel_from_dict(doc["kernel"])
     centers = np.asarray(doc["centers"], dtype=float)
     if centers.ndim != 2:
@@ -200,10 +221,10 @@ def _model(doc: dict) -> HrvmModel:
         g_prec=np.zeros(0),
         g_coef=np.zeros(0),
         standardization=_std_from_dict(doc["standardization"]),
-        training_log=[float(v) for v in doc["training_log"]],
+        training_log=[float(v) for v in log],
         status=doc["status"],
-        n_iter=int(doc["n_iter"]),
-        config=doc.get("config", {}),
+        n_iter=n_iter,
+        config=config,
     )
     model.noise_prior()  # raises ValueError on a malformed prior
     record = model.standardization

@@ -64,8 +64,8 @@ def noise_prior(log_ell, log_sv):
     return GpNoisePrior(
         mu0=0.0,
         kernel=KernelSpec(family="rbf", lengthscale=float(np.exp(log_ell)),
-                          include_bias=False, signal_variance=sv),
-        jitter=1e-6 * sv)
+                          include_bias=False),
+        signal_variance=sv, jitter=1e-6 * sv)
 
 
 def noise_cov(X, log_ell, log_sv):

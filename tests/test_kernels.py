@@ -222,8 +222,9 @@ class TestGpCovariance:
 
     def test_signal_variance_scaling(self):
         X = np.array([[0.0], [1.0]])
-        kern = KernelSpec(include_bias=False, signal_variance=2.0)
-        prior = GpNoisePrior(mu0=0.0, kernel=kern, jitter=1e-12)
+        kern = KernelSpec(include_bias=False)
+        prior = GpNoisePrior(mu0=0.0, kernel=kern, signal_variance=2.0,
+                             jitter=1e-12)
         K = gp_covariance(X, prior)
         assert K[0, 1] == pytest.approx(2 * np.exp(-0.5), abs=1e-12)
 

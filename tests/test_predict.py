@@ -276,7 +276,7 @@ def dense_noise_predict(model, Xs):
     L = sla.cholesky(gp_covariance(model.centers, prior), lower=True,
                      check_finite=False)
     ks = cross_covariance(Xs, model.centers, prior)
-    kss = prior.kernel.signal_variance + prior.jitter
+    kss = prior.signal_variance + prior.jitter
     W = sla.cho_solve((L, True), ks.T, check_finite=False)
     g_mean = model.noise_mu0 + ks @ sla.cho_solve(
         (L, True), g_mu - model.noise_mu0, check_finite=False)

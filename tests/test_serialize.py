@@ -93,6 +93,29 @@ def test_unknown_kind_rejected(fitted):
         model_from_dict(doc)
 
 
+def test_kernel_signal_variance_is_not_read(fitted):
+    """Every file carries the basis kernel's signal variance at 1; any
+    other positive value loads, predicts the same and saves as 1, since
+    no basis ever read it."""
+    doc = model_to_dict(fitted["vi"])
+    assert doc["kernel"]["signal_variance"] == 1.0
+    doc["kernel"]["signal_variance"] = 2.5
+    loaded = model_from_dict(doc)
+    X = fitted["data"].X
+    assert np.array_equal(predict(loaded, X).total_var,
+                          predict(fitted["vi"], X).total_var)
+    assert model_to_dict(loaded)["kernel"]["signal_variance"] == 1.0
+
+
+def test_training_log_may_hold_nan(fitted):
+    """EP logs nan where its marginal-likelihood estimate is undefined, so
+    a log holding nan (or ints) loads as floats."""
+    doc = model_to_dict(fitted["ep"])
+    doc["training_log"] = [float("nan"), 2, -1.5]
+    log = model_from_dict(json.loads(json.dumps(doc))).training_log
+    assert np.isnan(log[0]) and log[1:] == [2.0, -1.5]
+
+
 def test_fields_preserved_exactly(fitted, tmp_path):
     model = fitted["ep"]
     path = tmp_path / "m.json"
@@ -142,6 +165,12 @@ def _site_and_format1(doc):
     doc["g_mu"] = [doc["noise_mu0"]] * len(doc["g_prec"])
 
 
+def _kernel_signal_variance(value):
+    def mutate(doc):
+        doc["kernel"]["signal_variance"] = value
+    return mutate
+
+
 @pytest.mark.parametrize("mutate", [
     pytest.param(set_index(0, 999), id="index-past-n_basis"),
     pytest.param(set_index(0, -1), id="index-negative"),
@@ -185,6 +214,10 @@ def _site_and_format1(doc):
                  id="noise_signal_variance-nan"),
     pytest.param(set_field("noise_signal_variance", 0.0),
                  id="noise_signal_variance-zero"),
+    pytest.param(_kernel_signal_variance(0.0),
+                 id="kernel-signal_variance-zero"),
+    pytest.param(_kernel_signal_variance(float("nan")),
+                 id="kernel-signal_variance-nan"),
     pytest.param(set_field("noise_mu0", float("nan")), id="noise_mu0-nan"),
     pytest.param(set_field("noise_mu0", -float("inf")),
                  id="noise_mu0-minus-inf"),
@@ -192,6 +225,13 @@ def _site_and_format1(doc):
     pytest.param(set_field("method", ["vi"]), id="method-list"),
     pytest.param(set_field("status", 17), id="status-int"),
     pytest.param(set_field("status", None), id="status-null"),
+    pytest.param(set_field("n_iter", 2.5), id="n_iter-float"),
+    pytest.param(set_field("n_iter", -4), id="n_iter-negative"),
+    pytest.param(set_field("n_iter", True), id="n_iter-bool"),
+    pytest.param(set_field("n_iter", "7"), id="n_iter-string"),
+    pytest.param(set_field("config", [1, 2]), id="config-list"),
+    pytest.param(set_field("config", "x"), id="config-string"),
+    pytest.param(set_field("training_log", "12"), id="training_log-string"),
     pytest.param(set_first("alpha", float("nan")), id="alpha-nan"),
     pytest.param(set_first("alpha", float("inf")), id="alpha-inf"),
     pytest.param(set_first("alpha", 0.0), id="alpha-zero"),
