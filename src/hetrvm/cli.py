@@ -19,9 +19,9 @@ import sys
 
 import numpy as np
 
-from .data import DataError, SynthSpec, load_csv, synth
+from .data import _GENERATORS, DataError, SynthSpec, load_csv, synth
 from .ep import EpConfig, fit_ep
-from .kernels import KernelSpec
+from .kernels import _FAMILIES, KernelSpec
 from .numerics import _check_int
 from .predict import nlpd, predict, rmse
 # kept for perfbench's tracer until ROADMAP item 1
@@ -173,8 +173,7 @@ def _cmd_benchmark(args, s):
 def _add_common_model_opts(p):
     # the library's defaults: the three configs share one iteration limit
     # and one tolerance
-    p.add_argument("--kernel", default=KernelSpec.family,
-                   choices=["rbf", "linear", "polynomial"])
+    p.add_argument("--kernel", default=KernelSpec.family, choices=_FAMILIES)
     p.add_argument("--lengthscale", type=float,
                    default=KernelSpec.lengthscale)
     p.add_argument("--degree", type=int, default=KernelSpec.degree)
@@ -185,7 +184,7 @@ def _add_common_model_opts(p):
 
 def _add_synth_opts(p):
     p.add_argument("--generator", default=SynthSpec.generator,
-                   choices=["goldberg_sine", "linear_het", "const_noise"])
+                   choices=_GENERATORS)
     p.add_argument("--n", type=int, default=SynthSpec.n)
     p.add_argument("--sigma", type=float, default=SynthSpec.sigma)
 

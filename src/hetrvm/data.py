@@ -159,6 +159,9 @@ def load_csv(path, has_header: bool = True, target_column=None) -> Dataset:
     return Dataset(X, y)
 
 
+_GENERATORS = ("goldberg_sine", "linear_het", "const_noise")
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     """Synthetic heteroscedastic regression problem, fully determined by
@@ -170,7 +173,7 @@ class SynthSpec:
     sigma: float = 0.3  # const_noise only
 
     def __post_init__(self):
-        if self.generator not in ("goldberg_sine", "linear_het", "const_noise"):
+        if self.generator not in _GENERATORS:
             raise DataError(f"unknown generator {self.generator!r}")
         _check_int(self.n, "n", 3, DataError)
         _check_int(self.seed, "seed", 0, DataError)

@@ -230,11 +230,11 @@ def fit_ep(data: Dataset, kernel: Optional[KernelSpec] = None,
     kernel = kernel or KernelSpec()
     config = config or EpConfig()
     work, record = standardize(data)
-    Phi = build_design_matrix(work.X, kernel)
     noise_prior, cov = _setup(work)
     if _constant(work.y):
         return _degenerate("ep", kernel, work, record, config)
     y, n, mu0 = work.y, work.n, noise_prior.mu0
+    Phi = build_design_matrix(work.X, kernel)
 
     # flat sites, and q(g)'s marginals at the prior, diag K from the split
     site_prec, site_nu, site_logz = np.zeros((3, n))

@@ -11,11 +11,10 @@ writes its log-noise as the one number ``g_const`` (format 2), so RVM
 files keep their bytes; a VI or EP model writes q(g) in site form, the
 N-vectors ``g_prec`` and ``g_coef`` (format 3, see ``HrvmModel``).
 
-Older files still load.  Format-1 "hetrvm" documents carry q(g) as
-``g_mu`` and the N x N ``g_Sigma``, which are clamped or converted to
-site form (:func:`_noise_from_dict`).  Format-1 "rvm" documents,
-written before the RVM became an ``HrvmModel``, load as the clamped
-``HrvmModel`` that ``fit_rvm`` now returns.
+Formats 2 and 3 load; format 1 (kind "rvm", or q(g) as ``g_mu`` and
+the N x N ``g_Sigma``) is no longer read, and raises ``SchemaError``.
+hetrvm at commit 2469dfe or earlier loads a format-1 file, and its
+``save_model`` re-saves it as format 2 or 3.
 """
 
 from __future__ import annotations
@@ -26,16 +25,13 @@ from dataclasses import replace
 import numpy as np
 
 from .data import Standardization
-from .kernels import KernelSpec, gp_covariance
+from .kernels import KernelSpec
 from .model import HrvmModel
-from .numerics import chol_factor, chol_solve
-from .vi import _clamped_noise
 
 __all__ = ["FORMAT_VERSION", "SchemaError", "save_model", "load_model",
            "model_to_dict", "model_from_dict"]
 
 FORMAT_VERSION = 3
-_NOISE_FORMS = (("g_const",), ("g_prec", "g_coef"), ("g_mu", "g_Sigma"))
 
 
 class SchemaError(ValueError):
@@ -117,17 +113,6 @@ def _noise_to_dict(model: HrvmModel) -> dict:
             "g_coef": _arr(model.g_coef)}
 
 
-def _from_rvm(doc: dict) -> dict:
-    """A format-1 "rvm" document as the "hetrvm" one of the same model."""
-    sigma2 = float(doc["sigma2"])
-    if not (np.isfinite(sigma2) and sigma2 > 0.0):
-        raise SchemaError(f"sigma2 {sigma2!r} is not positive and finite")
-    noise = _clamped_noise(sigma2)
-    del noise["g_prec"], noise["g_coef"]
-    return {**doc, "method": "rvm", "config": {}, **noise,
-            "g_const": noise["noise_mu0"]}
-
-
 def _array(doc: dict, key: str, *shape: int) -> np.ndarray:
     """``doc[key]`` as a float array of the given shape."""
     a = np.asarray(doc[key], dtype=float)
@@ -138,38 +123,23 @@ def _array(doc: dict, key: str, *shape: int) -> np.ndarray:
     return a
 
 
-def _noise_from_dict(doc: dict, model: HrvmModel) -> dict:
-    """``noise_mu0``, ``g_prec`` and ``g_coef`` over the model's N centers,
-    from the document's one log-noise form.  Format 1's q(g) = N(g_mu,
-    g_Sigma) loads clamped when it is a point mass; otherwise
-    a = K^-1 (g_mu - mu0), and tau_j is the least-squares solution of
-    column j of Sigma (K^-1 + diag tau) = I, clipped at 0."""
-    if sum(any(k in doc for k in form) for form in _NOISE_FORMS) != 1:
-        raise SchemaError("the log-noise needs exactly one of g_const, "
-                          "g_prec and g_coef, or g_mu and g_Sigma")
-    n, mu0, none = model.centers.shape[0], model.noise_mu0, np.zeros(0)
+def _noise_from_dict(doc: dict, n: int) -> dict:
+    """The ``HrvmModel`` fields of a document's one log-noise form over
+    N centers: ``noise_mu0`` from ``g_const``, or ``g_prec`` and
+    ``g_coef``."""
+    if ("g_const" in doc) == ("g_prec" in doc or "g_coef" in doc):
+        raise SchemaError("the log-noise needs g_const, or g_prec and "
+                          "g_coef, but not both")
     if "g_const" in doc:
         const = doc["g_const"]
         if not (_is_number(const) and np.isfinite(const)):
             raise SchemaError(f"g_const {const!r} is not a finite number")
-        return dict(noise_mu0=float(const), g_prec=none, g_coef=none)
-    if "g_prec" in doc:
-        prec, coef = _array(doc, "g_prec", n), _array(doc, "g_coef", n)
-    else:
-        mu, Sigma = _array(doc, "g_mu", n), _array(doc, "g_Sigma", n, n)
-        if not np.any(Sigma) and np.ptp(mu) == 0.0:
-            return dict(noise_mu0=float(mu[0]), g_prec=none, g_coef=none)
-        L = chol_factor(gp_covariance(model.centers, model.noise_prior()),
-                        "noise covariance")
-        resid = np.eye(n) - chol_solve(L, Sigma).T   # I - Sigma K^-1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            prec = np.maximum(np.sum(Sigma * resid, axis=0)
-                              / np.sum(Sigma**2, axis=0), 0.0)
-        coef = chol_solve(L, mu - mu0)
+        return dict(noise_mu0=float(const))
+    prec, coef = _array(doc, "g_prec", n), _array(doc, "g_coef", n)
     if not np.all(np.isfinite(coef) & np.isfinite(prec) & (prec >= 0.0)):
         raise SchemaError("g_prec must be finite and nonnegative, and "
                           "g_coef finite")
-    return dict(noise_mu0=mu0, g_prec=prec, g_coef=coef)
+    return dict(g_prec=prec, g_coef=coef)
 
 
 def _model(doc: dict) -> HrvmModel:
@@ -187,8 +157,7 @@ def _model(doc: dict) -> HrvmModel:
         raise SchemaError(f"unknown method {doc['method']!r}")
     if not isinstance(doc["status"], str):
         raise SchemaError(f"status {doc['status']!r} is not a string")
-    n_iter, config, log = (doc["n_iter"], doc.get("config", {}),
-                           doc["training_log"])
+    n_iter, config, log = doc["n_iter"], doc["config"], doc["training_log"]
     if not (type(n_iter) is int and n_iter >= 0 and isinstance(config, dict)
             and isinstance(log, list) and all(map(_is_number, log))):
         raise SchemaError("n_iter must be a nonnegative integer, config an "
@@ -244,7 +213,7 @@ def _model(doc: dict) -> HrvmModel:
                       & (value < np.inf)):
             raise SchemaError(f"{name} must be finite"
                               + (" and positive" if positive else ""))
-    return replace(model, **_noise_from_dict(doc, model))
+    return replace(model, **_noise_from_dict(doc, n))
 
 
 def model_from_dict(doc: dict) -> HrvmModel:
@@ -253,14 +222,20 @@ def model_from_dict(doc: dict) -> HrvmModel:
     if not isinstance(doc, dict):
         raise SchemaError("model document must be a JSON object")
     version = doc.get("format_version")
-    if type(version) is not int or not 1 <= version <= FORMAT_VERSION:
+    if ((type(version) is int and version == 1)
+            or "g_mu" in doc or "g_Sigma" in doc):
+        raise SchemaError("model format 1 (format_version 1, or q(g) as g_mu "
+                          "and g_Sigma) is no longer read: hetrvm at commit "
+                          "2469dfe or earlier loads the file, and its "
+                          "save_model re-saves it as format 2 or 3")
+    if type(version) is not int or not 2 <= version <= FORMAT_VERSION:
         raise SchemaError(f"unsupported format_version {version!r} "
-                          f"(expected 1 to {FORMAT_VERSION})")
+                          f"(expected 2 to {FORMAT_VERSION})")
     kind = doc.get("model_kind")
-    if kind not in ("hetrvm", "rvm"):
+    if kind != "hetrvm":
         raise SchemaError(f"unknown model_kind {kind!r}")
     try:
-        return _model(_from_rvm(doc) if kind == "rvm" else doc)
+        return _model(doc)
     except SchemaError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -52,10 +52,10 @@ Woodbury on B = I + Lam^1/2 K Lam^1/2 (Rasmussen & Williams 2006, sec.
 (Sigma o Sigma) w and log|B| in O(N r^2).  ``_q_point`` adds q(g)'s
 mean, the effective noise and the bound's q(g) terms, to L-BFGS and to
 ``training_log`` alike; EP's refresh and ``predict`` use the same
-routines.  No fit or prediction forms an N x N matrix of the noise GP:
-only ``collapsed_bound``, the dense oracle of the tests, and the loader
-of format-1 model files (:mod:`hetrvm.serialize`) do.  Within one outer
-iteration every distinct point is evaluated once.
+routines.  No fit, prediction or model load forms an N x N matrix of
+the noise GP: only ``collapsed_bound``, the dense oracle of the tests,
+does.  Within one outer iteration every distinct point is evaluated
+once.
 
 L-BFGS is ``scipy.optimize.minimize``, reached through this module's
 ``minimize``, which imports the optimizer on its first call.  Loading
@@ -660,11 +660,11 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
     kernel = kernel or KernelSpec()
     config = config or VIConfig()
     work, record = standardize(data)
-    Phi = build_design_matrix(work.X, kernel)
     prior, cov = _setup(work)
     if _constant(work.y):
         return _degenerate("vi", kernel, work, record, config)
     y, n, mu0 = work.y, work.n, prior.mu0
+    Phi = build_design_matrix(work.X, kernel)
     lam = 0.5 - 0.25 / cov.mv(np.ones(n))
     *_, r, trq, kl = _q_point(lam, mu0, cov)  # kept current below
     active, alpha, _, posterior = update_alpha([], [], Phi, r, y, config.tol)

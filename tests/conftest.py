@@ -199,21 +199,3 @@ def set_record(key, value):
         doc["standardization"][key] = value
     return mutate
 
-
-def as_format1(doc, mean=None):
-    """The document with a format-1 log-noise in place of the site form:
-    a flat g_mu at ``mean`` (the prior mean noise_mu0 if None) and a unit
-    g_Sigma."""
-    n = len(doc.pop("g_prec"))
-    del doc["g_coef"]
-    doc["format_version"] = 1
-    doc["g_mu"] = [doc["noise_mu0"] if mean is None else mean] * n
-    doc["g_Sigma"] = np.eye(n).tolist()
-
-
-def format1_drop_last(key, mean=None):
-    """:func:`as_format1`'s document with ``key`` one row short."""
-    def mutate(doc):
-        as_format1(doc, mean)
-        doc[key] = doc[key][:-1]
-    return mutate

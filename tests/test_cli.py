@@ -15,8 +15,8 @@ from hetrvm.kernels import KernelSpec
 from hetrvm.rvm import RvmConfig, fit_rvm
 from hetrvm.serialize import model_to_dict
 from hetrvm.vi import VIConfig, fit_vi
-from conftest import (drop_field, drop_last, format1_drop_last, set_corner,
-                      set_field, set_first, set_index, set_record)
+from conftest import (drop_field, drop_last, set_corner, set_field,
+                      set_first, set_index, set_record)
 
 
 @pytest.fixture(scope="module")
@@ -421,8 +421,7 @@ class TestCliMatchesLibrary:
     pytest.param("rvm", set_index(0, 999), id="rvm-index-past-n_basis"),
     pytest.param("rvm", set_index(0, -1), id="rvm-index-negative"),
     pytest.param("rvm", drop_last("alpha"), id="rvm-alpha-short"),
-    pytest.param("vi", format1_drop_last("g_mu", mean=0.0),
-                 id="vi-g_mu-short"),
+    pytest.param("vi", set_field("format_version", 1), id="vi-format1"),
     pytest.param("vi", drop_last("g_prec"), id="vi-g_prec-short"),
     pytest.param("vi", set_first("g_prec", -1.0), id="vi-g_prec-negative"),
     pytest.param("vi", set_first("g_coef", float("nan")), id="vi-g_coef-nan"),

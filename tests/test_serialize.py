@@ -7,14 +7,13 @@ import pytest
 from hetrvm.data import Dataset, SynthSpec, synth
 from hetrvm.ep import EpConfig, fit_ep
 from hetrvm.kernels import KernelSpec
-from hetrvm.model import HrvmModel
 from hetrvm.predict import nlpd, predict
 from hetrvm.rvm import fit_rvm
 from hetrvm.serialize import (SchemaError, load_model, model_from_dict,
                               model_to_dict, save_model)
 from hetrvm.vi import VIConfig, fit_vi
-from conftest import (drop_field, drop_last, format1_drop_last, set_corner,
-                      set_field, set_first, set_index, set_record)
+from conftest import (drop_field, drop_last, set_corner, set_field,
+                      set_first, set_index, set_record)
 
 
 @pytest.fixture(scope="module")
@@ -69,10 +68,12 @@ def test_unknown_version_rejected(fitted, tmp_path):
         load_model(path)
 
 
-@pytest.mark.parametrize("version", [4, True, 1.0, "1", None])
+@pytest.mark.parametrize("version", [
+    4, True, 1.0, "1", None, pytest.param(1, id="format1")])
 def test_version_is_a_known_integer(fitted, version):
     """The version decides which fields a document may carry, so only
-    the integers 1 to 3 are versions (``True == 1`` in Python)."""
+    the integers 2 to 3 are versions (``True == 1`` in Python); format 1
+    is no longer read."""
     doc = model_to_dict(fitted["vi"])
     doc["format_version"] = version
     with pytest.raises(SchemaError, match="version"):
@@ -179,8 +180,6 @@ def _kernel_signal_variance(value):
     pytest.param(drop_last("alpha"), id="alpha-short"),
     pytest.param(_shrink_weights, id="mu_w-short"),
     pytest.param(_flatten("Sigma_w"), id="Sigma_w-flat"),
-    pytest.param(format1_drop_last("g_mu"), id="g_mu-short"),
-    pytest.param(format1_drop_last("g_Sigma"), id="g_Sigma-short"),
     pytest.param(drop_last("g_prec"), id="g_prec-short"),
     pytest.param(drop_last("g_coef"), id="g_coef-short"),
     pytest.param(set_first("g_prec", -1e-3), id="g_prec-negative"),
@@ -231,6 +230,7 @@ def _kernel_signal_variance(value):
     pytest.param(set_field("n_iter", "7"), id="n_iter-string"),
     pytest.param(set_field("config", [1, 2]), id="config-list"),
     pytest.param(set_field("config", "x"), id="config-string"),
+    pytest.param(drop_field("config"), id="config-missing"),
     pytest.param(set_field("training_log", "12"), id="training_log-string"),
     pytest.param(set_first("alpha", float("nan")), id="alpha-nan"),
     pytest.param(set_first("alpha", float("inf")), id="alpha-inf"),
@@ -271,36 +271,17 @@ def test_inconsistent_document_rejected(fitted, mutate):
 LEGACY = Path(__file__).resolve().parent / "data"
 
 
-def test_legacy_rvm_document_loads_as_clamped_model():
-    """A format-1 "rvm" file, as the package wrote them before the RVM
-    became an HrvmModel, loads as the clamped model and predicts what
-    the old RVM predictive did (stored beside it, on held-out points)."""
-    model = load_model(LEGACY / "legacy_rvm_format1.json")
-    doc = json.loads((LEGACY / "legacy_rvm_format1.json").read_text())
-    expected = json.loads(
-        (LEGACY / "legacy_rvm_format1_pred.json").read_text())
-    assert doc["model_kind"] == "rvm"
-    assert isinstance(model, HrvmModel) and model.method == "rvm"
-    assert model.active_indices == doc["active_indices"]
-    assert np.exp(model.noise_mu0) == pytest.approx(doc["sigma2"], rel=1e-15)
-    assert model.noise_clamped
-    assert model.g_prec.size == model.g_coef.size == 0
-
-    X = np.asarray(expected["X"])
-    pred = predict(model, X)
-    for name in ("latent_mean", "latent_var", "g_mean", "g_var",
-                 "total_var"):
-        np.testing.assert_allclose(getattr(pred, name), expected[name],
-                                   rtol=1e-12, atol=0, err_msg=name)
-    assert nlpd(pred, expected["y"]) == pytest.approx(expected["nlpd"],
-                                                      rel=1e-12)
-
-
-def test_legacy_rvm_document_needs_positive_sigma2():
-    doc = json.loads((LEGACY / "legacy_rvm_format1.json").read_text())
-    doc["sigma2"] = 0.0
-    with pytest.raises(SchemaError, match="sigma2"):
-        model_from_dict(doc)
+@pytest.mark.parametrize("name", ["rvm", "hetrvm", "vi", "ep"])
+def test_format1_file_names_the_resave_route(name):
+    """Format 1 is no longer read: a format-1 file, of kind "rvm" or
+    "hetrvm" with q(g) as g_mu and the N x N g_Sigma, raises a
+    SchemaError that names format 1 and the route to a readable file, a
+    load and re-save with hetrvm at commit 2469dfe or earlier."""
+    path = LEGACY / f"legacy_{name}_format1.json"
+    assert json.loads(path.read_text())["format_version"] == 1
+    with pytest.raises(SchemaError, match=r"format 1 .*no longer read.*"
+                       r"2469dfe or earlier.*re-saves it as format 2 or 3"):
+        load_model(path)
 
 
 def test_model_files_are_compact_json(fitted, tmp_path):
@@ -357,57 +338,6 @@ def test_posterior_noise_keeps_its_arrays(fitted, method):
     assert len(doc["g_prec"]) == len(doc["g_coef"]) == n
     assert doc["g_prec"] == model.g_prec.tolist()
     assert doc["g_coef"] == model.g_coef.tolist()
-
-
-def test_legacy_hetrvm_rvm_file_loads_and_predicts():
-    """A format-1 "hetrvm" RVM file, written with its N x N zero block
-    before the compact form existed, loads clamped, predicts what it
-    predicted when written, and is re-saved in the compact form."""
-    model = load_model(LEGACY / "legacy_hetrvm_format1.json")
-    doc = json.loads((LEGACY / "legacy_hetrvm_format1.json").read_text())
-    expected = json.loads(
-        (LEGACY / "legacy_hetrvm_format1_pred.json").read_text())
-    assert doc["format_version"] == 1 and doc["model_kind"] == "hetrvm"
-    assert model.method == "rvm" and model.noise_clamped
-    assert not np.any(doc["g_Sigma"])
-    assert model.noise_mu0 == doc["g_mu"][0]
-    pred = predict(model, np.asarray(expected["X"]))
-    for name in PRED_FIELDS:
-        np.testing.assert_allclose(getattr(pred, name), expected[name],
-                                   rtol=1e-12, atol=0, err_msg=name)
-    assert nlpd(pred, expected["y"]) == pytest.approx(expected["nlpd"],
-                                                      rel=1e-12)
-    resaved = model_to_dict(model)
-    assert resaved["g_const"] == doc["g_mu"][0]
-    assert {k: v for k, v in resaved.items()
-            if k not in ("format_version", "g_const")} == {
-        k: v for k, v in doc.items()
-        if k not in ("format_version", "g_mu", "g_Sigma")}
-
-
-@pytest.mark.parametrize("method", ["vi", "ep"])
-def test_legacy_posterior_file_converts_to_sites(method):
-    """A format-1 VI or EP file, which stored q(g) as g_mu and the N x N
-    g_Sigma, loads in site form and predicts what it predicted when
-    written: the weight part to the bit, the log-noise to round-off."""
-    model = load_model(LEGACY / f"legacy_{method}_format1.json")
-    doc = json.loads((LEGACY / f"legacy_{method}_format1.json").read_text())
-    expected = json.loads(
-        (LEGACY / f"legacy_{method}_format1_pred.json").read_text())
-    assert doc["format_version"] == 1 and "g_Sigma" in doc
-    assert model.method == method and not model.noise_clamped
-    n = len(doc["centers"])
-    assert model.g_prec.shape == model.g_coef.shape == (n,)
-    pred = predict(model, np.asarray(expected["X"]))
-    for name in ("latent_mean", "latent_var"):
-        assert np.array_equal(getattr(pred, name), expected[name]), name
-    np.testing.assert_allclose(pred.g_mean, expected["g_mean"], rtol=0,
-                               atol=1e-12)
-    for name in ("g_var", "total_var"):
-        np.testing.assert_allclose(getattr(pred, name), expected[name],
-                                   rtol=1e-9, atol=0, err_msg=name)
-    resaved = model_to_dict(model)
-    assert resaved["format_version"] == 3 and "g_Sigma" not in resaved
 
 
 @pytest.mark.parametrize("method", ["vi", "rvm"])
