@@ -21,7 +21,7 @@ print(f"variational fit: status={vi.status}, iterations={vi.n_iter}, "
       f"active basis {len(vi.active_indices)}/101")
 print(f"baseline fit:    status={rvm.status}, "
       f"active basis {len(rvm.active_indices)}/101, one noise sd "
-      f"{np.exp(rvm.noise_mu0 / 2) * rvm.standardization.y_scale:.2f}")
+      f"{np.exp(rvm.noise_prior.mu0 / 2) * rvm.standardization.y_scale:.2f}")
 
 vi_pred = predict(vi, test.X)
 rvm_pred = predict(rvm, test.X)

@@ -17,8 +17,9 @@ y = np.sin(2 * np.pi * X[:, 0]) + 0.1 * rng.standard_normal(80)
 model = fit_rvm(Dataset(X, y), KernelSpec(lengthscale=0.2))
 
 print(f"kept {len(model.active_indices)} of 81 candidate basis functions")
-# the RVM's log-noise is the constant noise_mu0 = log sigma2
-sd_orig = float(np.exp(model.noise_mu0 / 2)) * model.standardization.y_scale
+# the RVM's log-noise is the constant noise_prior.mu0 = log sigma2
+sd_orig = (float(np.exp(model.noise_prior.mu0 / 2))
+           * model.standardization.y_scale)
 print(f"noise sd estimate: {sd_orig:.3f} (true 0.1)")
 
 print("\nrelevance vectors (column 0 is the bias):")

@@ -41,7 +41,7 @@ from .kernels import KernelSpec, build_design_matrix
 from .model import HrvmModel
 from .numerics import FactorizationError, gauss_hermite
 from .vi import (_MAX_ITER, _check_loop, _constant, _degenerate, _finish,
-                 _gp_noise, _q_cov, _setup, noise_diag, update_alpha)
+                 _q_cov, _setup, noise_diag, update_alpha)
 # kept for perfbench's tracer until ROADMAP item 1
 from .numerics import chol_factor  # noqa: F401
 from .vi import weight_posterior  # noqa: F401
@@ -284,6 +284,6 @@ def fit_ep(data: Dataset, kernel: Optional[KernelSpec] = None,
     # = site_nu - T mu, from the last pass's refresh
     coef = site_nu - site_prec * post_mu
     return _finish("ep", kernel, work, record, active, alpha, posterior,
-                   _gp_noise(noise_prior, site_prec, coef),
+                   noise_prior=noise_prior, g_prec=site_prec, g_coef=coef,
                    training_log=training_log, status=status, n_iter=n_pass,
                    config=asdict(config))

@@ -1,9 +1,11 @@
 """Kernel functions, design matrices and GP covariance construction.
 
 Everything here is a pure function of its arguments and returns plain
-arrays.  Kernels are described by an immutable :class:`KernelSpec`; the
-same spec type serves both the regression basis (columns of the design
-matrix) and the covariance of the latent log-variance process.
+arrays.  The regression basis (columns of the design matrix) is
+described by an immutable :class:`KernelSpec`, and the prior of the
+latent log-variance process, always an rbf, by :class:`GpNoisePrior`.
+Both apply one lengthscale rule, and every rbf value comes from one
+routine, :func:`_rbf`.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _check_int
+from .numerics import _check_int, _is_number
 
 __all__ = [
     "KernelSpec",
@@ -28,13 +30,22 @@ _FAMILIES = ("rbf", "linear", "polynomial")
 _TINY = np.finfo(float).tiny  # the smallest normal float
 
 
+def _check_lengthscale(ls):
+    """Every kernel's lengthscale rule: a number, not a bool, that is
+    positive, and whose square, which the rbf divides by, neither
+    overflows nor underflows to zero."""
+    if not (_is_number(ls) and ls > 0 and _TINY <= ls * ls < np.inf):
+        raise ValueError("lengthscale must be positive and finite, "
+                         "and so must its square")
+
+
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel family plus its hyperparameters.
+    """The regression basis: kernel family, its hyperparameters, and
+    whether a bias column of ones leads the design matrix.
 
     The kernel is unscaled: design-matrix columns follow the usual RVM
-    convention of unscaled basis functions, and a noise-GP covariance
-    takes its scale from :class:`GpNoisePrior`.
+    convention of unscaled basis functions.
     """
 
     family: str = "rbf"
@@ -45,37 +56,35 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
-        # the rbf kernel divides by lengthscale**2, which must neither
-        # overflow nor underflow to zero
-        ls = self.lengthscale
-        if not (ls > 0 and _TINY <= ls * ls < np.inf):
-            raise ValueError("lengthscale must be positive and finite, "
-                             "and so must its square")
+        _check_lengthscale(self.lengthscale)
         _check_int(self.degree, "degree", 1)
+        if not isinstance(self.include_bias, bool):
+            raise ValueError("include_bias must be a bool")
 
 
 @dataclass(frozen=True)
 class GpNoisePrior:
     """Prior for the latent log-variance process: constant mean ``mu0``
-    and covariance ``signal_variance * k(x, x')``, with ``k`` the unscaled
-    ``kernel``, plus ``jitter`` on the diagonal."""
+    and covariance ``signal_variance * exp(-|x - x'|^2 / (2
+    lengthscale^2))``, plus ``jitter`` on the diagonal."""
 
     mu0: float
-    kernel: KernelSpec
+    lengthscale: float = 1.0
     signal_variance: float = 1.0
     jitter: float = 1e-6
 
     def __post_init__(self):
-        for name in ("signal_variance", "jitter"):
+        _check_lengthscale(self.lengthscale)
+        for name in ("mu0", "signal_variance", "jitter"):
             value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite")
+            if not (np.isfinite(value) and (name == "mu0" or value > 0)):
+                raise ValueError(f"{name} must be finite"
+                                 + ("" if name == "mu0" else " and positive"))
 
 
 def kernel_matrix(kernel: KernelSpec, X, X2) -> np.ndarray:
     """Pairwise kernel values between rows of X and X2 (unscaled)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    X2 = np.atleast_2d(np.asarray(X2, dtype=float))
+    X, X2 = (np.atleast_2d(np.asarray(A, dtype=float)) for A in (X, X2))
     if X.shape[1] != X2.shape[1]:
         raise ValueError("input dimensionalities differ")
     if kernel.family == "rbf":
@@ -83,13 +92,19 @@ def kernel_matrix(kernel: KernelSpec, X, X2) -> np.ndarray:
     return _kernel_values(kernel, X @ X2.T)
 
 
+def _rbf(D, lengthscale) -> np.ndarray:
+    """The unscaled rbf exp(-D / (2 lengthscale^2)), computed in place in
+    the squared distances ``D``."""
+    D *= -0.5
+    D /= lengthscale**2
+    return np.exp(D, out=D)
+
+
 def _kernel_values(kernel: KernelSpec, A) -> np.ndarray:
     """The kernel, computed in place in ``A`` from what its family reads:
     squared distances for rbf, inner products for linear and polynomial."""
     if kernel.family == "rbf":
-        A *= -0.5
-        A /= kernel.lengthscale**2
-        return np.exp(A, out=A)
+        return _rbf(A, kernel.lengthscale)
     if kernel.family == "polynomial":
         A += 1.0
         A **= int(kernel.degree)
@@ -121,7 +136,6 @@ def build_design_matrix(X, kernel: KernelSpec) -> np.ndarray:
     """The N x M basis matrix at the training inputs X: column 0 is a
     bias column of ones when the kernel includes a bias, and the other
     columns are the kernel centred at each row of X, in order."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
     return design_matrix_at(X, kernel, X)
 
 
@@ -141,16 +155,16 @@ def design_matrix_at(Xstar, kernel: KernelSpec, centers) -> np.ndarray:
 def gp_covariance(X, prior: GpNoisePrior) -> np.ndarray:
     """Covariance of the log-variance process at the rows of X:
     signal_variance * k + jitter on the diagonal.  Symmetric PD."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    K = kernel_matrix(prior.kernel, X, X)
-    K *= prior.signal_variance
+    K = cross_covariance(X, X, prior)
     K[np.diag_indices_from(K)] += prior.jitter
     return 0.5 * (K + K.T)
 
 
 def cross_covariance(Xstar, X, prior: GpNoisePrior) -> np.ndarray:
     """Covariance between the log-variance process at new and training
-    inputs (no jitter: off-diagonal blocks only)."""
-    K = kernel_matrix(prior.kernel, Xstar, X)
+    inputs (no jitter: off-diagonal blocks only).  Inputs of different
+    widths raise ``ValueError``."""
+    Xstar, X = (np.atleast_2d(np.asarray(A, dtype=float)) for A in (Xstar, X))
+    K = _rbf(_sqdist(Xstar, X), prior.lengthscale)
     K *= prior.signal_variance
     return K

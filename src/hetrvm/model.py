@@ -23,11 +23,12 @@ class HrvmModel:
     inputs, all in standardized units.  ``standardization`` maps back to
     the original units at prediction time.
 
-    The log-noise posterior at the N centers is kept in site form,
-    q(g) = N(noise_mu0 + K g_coef, (K^-1 + diag(g_prec))^-1) with K the
-    noise-GP covariance.  A clamped model (every RVM, and every degenerate
-    fit) stores no sites: its log-noise is the constant ``noise_mu0`` =
-    log sigma2, and its noise-GP hyperparameters are unused.
+    The log-noise prior is ``noise_prior``, an rbf GP with mean mu0 and
+    covariance K at the N centers, and its posterior there is kept in
+    site form, q(g) = N(mu0 + K g_coef, (K^-1 + diag(g_prec))^-1).  A
+    clamped model (every RVM, and every degenerate fit) stores no sites:
+    its log-noise is the constant ``noise_prior.mu0`` = log sigma2, and
+    the prior's other hyperparameters are unused.
 
     Treat a fitted model as read-only: its first ``predict`` keeps a read
     path that pins the active set and the centres it reaches, and for a
@@ -43,10 +44,7 @@ class HrvmModel:
     alpha: np.ndarray
     mu_w: np.ndarray
     Sigma_w: np.ndarray
-    noise_mu0: float
-    noise_lengthscale: float
-    noise_signal_variance: float
-    noise_jitter: float
+    noise_prior: GpNoisePrior
     g_prec: np.ndarray           # site precisions tau at centers (N or 0)
     g_coef: np.ndarray           # mean coefficients a at centers (N or 0)
     standardization: Standardization
@@ -60,11 +58,5 @@ class HrvmModel:
 
     @property
     def noise_clamped(self) -> bool:
-        """Whether the log-noise is the constant ``noise_mu0``."""
+        """Whether the log-noise is the constant ``noise_prior.mu0``."""
         return self.g_prec.size == 0
-
-    def noise_prior(self) -> GpNoisePrior:
-        kern = KernelSpec(lengthscale=self.noise_lengthscale,
-                          include_bias=False)  # an rbf
-        return GpNoisePrior(self.noise_mu0, kern, self.noise_signal_variance,
-                            self.noise_jitter)

@@ -67,6 +67,12 @@ def _check_int(value, name, minimum, error=ValueError):
         raise error(f"{name} must be at least {minimum}")
 
 
+def _is_number(value) -> bool:
+    """Whether ``value`` is a real number and not a bool: for a loaded
+    document, a JSON number."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def chol_factor(A, name: str = "matrix"):
     """Lower Cholesky factor of a symmetric PD matrix.
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataError
-from .kernels import (GpNoisePrior, KernelSpec, _kernel_values, _sqdist_from,
-                      _sqnorms)
+from .kernels import (GpNoisePrior, KernelSpec, _kernel_values, _rbf,
+                      _sqdist_from, _sqnorms)
 from .model import HrvmModel
 from .numerics import gauss_hermite
 from .vi import _q_cov, _split_prior
@@ -76,7 +76,7 @@ def _read_path(model: HrvmModel) -> _ReadPath:
             prior = Dinv = W = None
         else:
             centers = model.centers
-            prior, tau = model.noise_prior(), model.g_prec
+            prior, tau = model.noise_prior, model.g_prec
             q = _q_cov(tau, _split_prior(centers, prior))
             Dinv, W = tau / (1.0 + prior.jitter * tau), q.Y * tau
         read = _ReadPath(2.0 * centers, _sqnorms(centers), cols,
@@ -115,7 +115,7 @@ def _block_kernels(read: _ReadPath, kernel: KernelSpec, X):
         K[read.bias] = 1.0
     if noise is None:
         return K.T, None
-    ks = _kernel_values(noise.kernel, D)
+    ks = _rbf(D, noise.lengthscale)
     ks *= noise.signal_variance
     return K.T, ks
 
@@ -176,8 +176,6 @@ def predict(model: HrvmModel, Xstar) -> PredictiveDist:
     # the widest rows: the basis at m active centres, and k* at N centres
     step = _block_rows(max(len(model.active_indices),
                            read.centers2.shape[0]))
-    if prior is not None:
-        kss = prior.signal_variance + prior.jitter
     blocks = []
     lo = 0
     while True:
@@ -192,11 +190,12 @@ def predict(model: HrvmModel, Xstar) -> PredictiveDist:
             np.add.reduce((Phi_s @ model.Sigma_w) * Phi_s, 1), 0.0)
         if ks is None:
             # clamped posterior (every RVM): the noise is a known constant
-            g_mean = np.full(hi - lo, float(model.noise_mu0))
+            g_mean = np.full(hi - lo, float(model.noise_prior.mu0))
             g_var = np.zeros(hi - lo)
         else:
             V = read.W @ ks.T
-            g_mean = model.noise_mu0 + ks @ model.g_coef
+            g_mean = prior.mu0 + ks @ model.g_coef
+            kss = prior.signal_variance + prior.jitter
             g_var = np.maximum(kss - (ks * ks) @ read.Dinv
                                + np.einsum("ij,ij->j", V, V), 0.0)
         blocks.append((latent_mean, latent_var, g_mean, g_var))

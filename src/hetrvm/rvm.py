@@ -86,6 +86,5 @@ def fit_rvm(data: Dataset, kernel: Optional[KernelSpec] = None,
             break
 
     return _finish("rvm", kernel, work, record, active, alpha, posterior,
-                   _clamped_noise(sigma2),
-                   training_log=log, status=status, n_iter=n_iter,
-                   config=asdict(config))
+                   **_clamped_noise(sigma2), training_log=log,
+                   status=status, n_iter=n_iter, config=asdict(config))

@@ -20,13 +20,14 @@ hetrvm at commit 2469dfe or earlier loads a format-1 file, and its
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 
 from .data import Standardization
-from .kernels import KernelSpec
+from .kernels import GpNoisePrior, KernelSpec
 from .model import HrvmModel
+from .numerics import _is_number
 
 __all__ = ["FORMAT_VERSION", "SchemaError", "save_model", "load_model",
            "model_to_dict", "model_from_dict"]
@@ -54,18 +55,17 @@ def _kernel_to_dict(k: KernelSpec):
 
 def _kernel_from_dict(d):
     """The basis kernel of a document.  Its ``signal_variance`` must be
-    positive and finite, and is not read: it never changed a
+    a positive and finite number, and is not read: it never changed a
     prediction."""
     sv = d["signal_variance"]
-    if not (np.isfinite(sv) and sv > 0):
+    if not (_is_number(sv) and np.isfinite(sv) and sv > 0):
         raise SchemaError(f"signal_variance {sv!r} is not positive and finite")
     return KernelSpec(family=d["family"], lengthscale=d["lengthscale"],
                       degree=d["degree"], include_bias=d["include_bias"])
 
 
-def _is_number(v) -> bool:
-    """Whether ``v`` is a JSON number: an int or a float, not a bool."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+# the noise prior's fields, each saved as "noise_" + its name
+_PRIOR_FIELDS = [f.name for f in fields(GpNoisePrior)]
 
 
 def _std_to_dict(s: Standardization):
@@ -93,10 +93,8 @@ def model_to_dict(model: HrvmModel) -> dict:
         "alpha": _arr(model.alpha),
         "mu_w": _arr(model.mu_w),
         "Sigma_w": _arr(model.Sigma_w),
-        "noise_mu0": model.noise_mu0,
-        "noise_lengthscale": model.noise_lengthscale,
-        "noise_signal_variance": model.noise_signal_variance,
-        "noise_jitter": model.noise_jitter,
+        **{"noise_" + name: getattr(model.noise_prior, name)
+           for name in _PRIOR_FIELDS},
         "standardization": _std_to_dict(model.standardization),
         "training_log": [float(v) for v in model.training_log],
         "status": model.status,
@@ -108,7 +106,7 @@ def model_to_dict(model: HrvmModel) -> dict:
 def _noise_to_dict(model: HrvmModel) -> dict:
     """The log-noise fields and the format version they need."""
     if model.noise_clamped:
-        return {"format_version": 2, "g_const": float(model.noise_mu0)}
+        return {"format_version": 2, "g_const": model.noise_prior.mu0}
     return {"format_version": FORMAT_VERSION, "g_prec": _arr(model.g_prec),
             "g_coef": _arr(model.g_coef)}
 
@@ -124,22 +122,28 @@ def _array(doc: dict, key: str, *shape: int) -> np.ndarray:
 
 
 def _noise_from_dict(doc: dict, n: int) -> dict:
-    """The ``HrvmModel`` fields of a document's one log-noise form over
-    N centers: ``noise_mu0`` from ``g_const``, or ``g_prec`` and
-    ``g_coef``."""
+    """The ``HrvmModel`` log-noise fields of a document over N centers:
+    ``noise_prior``, from the ``noise_*`` values, which must be numbers
+    that ``GpNoisePrior`` accepts, and the sites ``g_prec`` and ``g_coef``
+    of the one posterior form.  A clamped model has no sites, and its
+    ``g_const`` must be the prior's mean: the log noise is read once."""
+    values = [doc["noise_" + name] for name in _PRIOR_FIELDS]
+    if not all(map(_is_number, values)):
+        raise SchemaError(f"every noise_* value must be a number: {values}")
+    prior = GpNoisePrior(*map(float, values))
     if ("g_const" in doc) == ("g_prec" in doc or "g_coef" in doc):
         raise SchemaError("the log-noise needs g_const, or g_prec and "
                           "g_coef, but not both")
     if "g_const" in doc:
         const = doc["g_const"]
-        if not (_is_number(const) and np.isfinite(const)):
-            raise SchemaError(f"g_const {const!r} is not a finite number")
-        return dict(noise_mu0=float(const))
+        if not (_is_number(const) and const == prior.mu0):
+            raise SchemaError(f"g_const {const!r} is not noise_mu0")
+        return dict(noise_prior=prior, g_prec=np.zeros(0), g_coef=np.zeros(0))
     prec, coef = _array(doc, "g_prec", n), _array(doc, "g_coef", n)
     if not np.all(np.isfinite(coef) & np.isfinite(prec) & (prec >= 0.0)):
         raise SchemaError("g_prec must be finite and nonnegative, and "
                           "g_coef finite")
-    return dict(g_prec=prec, g_coef=coef)
+    return dict(noise_prior=prior, g_prec=prec, g_coef=coef)
 
 
 def _model(doc: dict) -> HrvmModel:
@@ -148,11 +152,11 @@ def _model(doc: dict) -> HrvmModel:
     weight and noise posteriors sized m and N, and one ``x_mean`` and
     ``x_scale`` entry per column of ``centers``.  The method must be a
     trainer's, the status a string, the noise-GP prior one that
-    ``GpNoisePrior`` and ``KernelSpec`` accept, and every number but the
-    training log (EP can log nan) finite, precisions and scales > 0.  The
-    record of the run must be well formed too: ``n_iter`` a nonnegative
-    integer, ``config`` an object and ``training_log`` a list of
-    numbers."""
+    ``GpNoisePrior`` accepts, with a clamped model's ``g_const`` its mean,
+    and every number but the training log (EP can log nan) finite,
+    precisions and scales > 0.  The record of the run must be well formed
+    too: ``n_iter`` a nonnegative integer, ``config`` an object and
+    ``training_log`` a list of numbers."""
     if doc["method"] not in ("rvm", "vi", "ep"):
         raise SchemaError(f"unknown method {doc['method']!r}")
     if not isinstance(doc["status"], str):
@@ -183,19 +187,13 @@ def _model(doc: dict) -> HrvmModel:
         alpha=_array(doc, "alpha", m),
         mu_w=_array(doc, "mu_w", m),
         Sigma_w=_array(doc, "Sigma_w", m, m),
-        noise_mu0=float(doc["noise_mu0"]),
-        noise_lengthscale=float(doc["noise_lengthscale"]),
-        noise_signal_variance=float(doc["noise_signal_variance"]),
-        noise_jitter=float(doc["noise_jitter"]),
-        g_prec=np.zeros(0),
-        g_coef=np.zeros(0),
+        **_noise_from_dict(doc, n),
         standardization=_std_from_dict(doc["standardization"]),
         training_log=[float(v) for v in log],
         status=doc["status"],
         n_iter=n_iter,
         config=config,
     )
-    model.noise_prior()  # raises ValueError on a malformed prior
     record = model.standardization
     width = centers.shape[1]
     for name in ("x_mean", "x_scale"):
@@ -206,14 +204,13 @@ def _model(doc: dict) -> HrvmModel:
     for name, value in dict(
             alpha=model.alpha, x_scale=record.x_scale, y_scale=record.y_scale,
             mu_w=model.mu_w, Sigma_w=model.Sigma_w, centers=model.centers,
-            x_mean=record.x_mean, y_mean=record.y_mean,
-            noise_mu0=model.noise_mu0).items():
+            x_mean=record.x_mean, y_mean=record.y_mean).items():
         positive = name in ("alpha", "x_scale", "y_scale")
         if not np.all((value > (0.0 if positive else -np.inf))
                       & (value < np.inf)):
             raise SchemaError(f"{name} must be finite"
                               + (" and positive" if positive else ""))
-    return replace(model, **_noise_from_dict(doc, n))
+    return model
 
 
 def model_from_dict(doc: dict) -> HrvmModel:

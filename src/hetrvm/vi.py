@@ -14,10 +14,11 @@ lam in (0, 1/2):
 
 so the bound is maximized over lam (through an unconstrained sigmoid
 transform) and mu0 by L-BFGS, with analytic gradients.  The noise GP's
-lengthscale and signal variance are held at their start, as under EP:
-the prior covariance K is an input of the bound, split once per fit by
-``_split_prior``, the split ``predict`` rebuilds, so both trainers and
-the predictions read one noise model.  Learning them by the bound
+prior is one rbf ``GpNoisePrior``, whose lengthscale and signal variance
+are held at their start, as under EP: the prior covariance K is an input
+of the bound, split once per fit by ``_split_prior``, the split
+``predict`` rebuilds from the model's ``noise_prior``, so both trainers
+and the predictions read one noise model.  Learning them by the bound
 (type-II maximum likelihood) collapsed q(g) to a constant noise on 5 of
 20 heteroscedastic N=100 draws of ``tools/status_sweep.py`` (signal
 variance below 1e-7), at a cost of up to 0.2 nats of held-out NLPD
@@ -220,9 +221,10 @@ def _split_prior(X, prior: GpNoisePrior):
     forms K (Fine & Scheinberg, JMLR 2001): each step takes the kernel
     column at the largest residual diagonal, less the columns so far,
     until that diagonal (which bounds every residual entry) is at most
-    N eps sigma_v^2.  A value not finite raises FactorizationError."""
+    N eps sigma_v^2.  The prior is an rbf, so the diagonal of K - jitter I
+    starts at sigma_v^2.  A value not finite raises FactorizationError."""
     n, sv = X.shape[0], prior.signal_variance
-    d = np.full(n, sv)              # residual diagonal of the RBF part
+    d = np.full(n, sv)              # residual diagonal of the rbf part
     Ft = np.empty((min(n, 32), n))  # rows: F's columns, grown by doubling
     for r in range(n + 1):
         i = int(np.argmax(d))
@@ -463,24 +465,37 @@ def update_alpha(active, alpha, Phi, r, y, tol: float):
     (:func:`_intact`), and where the best gain of an updated state falls
     to the stop threshold: the stop is decided on freshly factored
     (s, q), and the evidence and posterior returned come from that
-    factor, not from the updates.  Start
-    precisions that do not factor raise :class:`FactorizationError`.
-    Returns (active, alpha, log evidence, (mu_w, Sigma_w)): the state the
-    selection stops at, its evidence and its weight posterior, equal to
-    :func:`_weight_fit`'s of that state, so no caller factors it again."""
+    factor, not from the updates.  Start precisions that do not factor
+    raise :class:`FactorizationError`.  A later state that does not
+    factor ends the selection at the last state that did: near a
+    singular weight precision the updates drift from the state they
+    track (a wide basis kernel on ``goldberg_sine`` at N=149, where an
+    updated state of 51 columns had a weight precision of condition
+    number 3.5e17).  Returns (active, alpha, log evidence,
+    (mu_w, Sigma_w)): the state the selection stops at, its evidence and
+    its weight posterior, equal to :func:`_weight_fit`'s of that state,
+    so no caller factors it again."""
     at = np.array(active, dtype=np.intp)  # the active set, in order
     Phir = Phi / r[:, None]
     d = np.sum(Phi * Phir, axis=0)
     c = Phir.T @ y
     a_old = np.full(Phi.shape[1], np.inf)  # every column's precision
     a_old[at] = alpha
+    start = None  # the last state scored from scratch, as returned
     while True:  # a state scored from scratch, then the updated ones
         alpha = a_old[at]
         Phir_a, H, b = _gram(Phi[:, at], r, y)
         G = Phi.T @ Phir_a
-        L = _factor(H, alpha)
+        try:
+            L = _factor(H, alpha)
+        except FactorizationError:
+            if start is None:
+                raise
+            return start
         ev, _ = _evidence(L, b, alpha, r, y)
         mu_w, Sigma_w = _posterior(L, b)
+        # the updates below change mu_w and Sigma_w in place
+        start = at.tolist(), alpha, ev, (mu_w.copy(), Sigma_w.copy())
         s, q = _all_sq(G, d, c, at, L, (mu_w, Sigma_w))
         Ga = G[at]  # G's active rows, the Gram block of the active set
         fresh = True
@@ -560,7 +575,7 @@ def update_alpha(active, alpha, Phi, r, y, tol: float):
                     break
                 s[at], q[at] = _sparsity_quality(Ga, Sigma_w, mu_w)
         if fresh:
-            return at.tolist(), alpha, ev, (mu_w, Sigma_w)
+            return start
 
 
 def _setup(work: Dataset):
@@ -579,46 +594,35 @@ def _setup(work: Dataset):
     # orders them, without its two index arrays of N^2/2 integers
     off = np.concatenate([D2[i, i + 1:] for i in range(n - 1)])
     ell0 = float(np.sqrt(np.median(off[off > 0]))) if np.any(off > 0) else 0.0
+    mu0 = float(np.log(0.1 * max(float(np.var(work.y)), 1e-12)))
     try:
-        kernel = KernelSpec(lengthscale=ell0, include_bias=False)
+        prior = GpNoisePrior(mu0, ell0)
     except ValueError as exc:  # 0, or its square leaves the float range
         raise DataError(f"the noise GP's lengthscale, the median input "
                         f"distance {ell0:.3g}, is out of range: the inputs "
                         "are all equal or nearly so") from exc
-    mu0 = float(np.log(0.1 * max(float(np.var(work.y)), 1e-12)))
-    prior = GpNoisePrior(mu0, kernel)
     return prior, _split_prior(work.X, prior)
 
 
-def _gp_noise(prior: GpNoisePrior, prec, coef):
-    """The log-noise fields of an ``HrvmModel``: the noise-GP prior and
-    q(g) = N(mu0 + K coef, (K^-1 + diag(prec))^-1) at the training
-    inputs."""
-    return dict(noise_mu0=prior.mu0,
-                noise_lengthscale=prior.kernel.lengthscale,
-                noise_signal_variance=prior.signal_variance,
-                noise_jitter=prior.jitter, g_prec=prec, g_coef=coef)
-
-
 def _clamped_noise(sigma2):
-    """The noise fields of an ``HrvmModel`` whose log-noise is clamped at
-    log sigma2: no sites.  The noise-GP hyperparameters are neutral
-    values that ``predict`` never reads for such a model."""
-    return _gp_noise(GpNoisePrior(float(np.log(sigma2)),
-                                  KernelSpec(include_bias=False)),
-                     np.zeros(0), np.zeros(0))
+    """The log-noise fields of an ``HrvmModel`` clamped at log sigma2: the
+    prior ``GpNoisePrior(log sigma2)`` and no sites.  The prior's other
+    hyperparameters are its defaults, which ``predict`` never reads for
+    such a model."""
+    return dict(noise_prior=GpNoisePrior(float(np.log(sigma2))),
+                g_prec=np.zeros(0), g_coef=np.zeros(0))
 
 
-def _finish(method, kernel, work, record, active, alpha, posterior, noise,
-            **fit):
+def _finish(method, kernel, work, record, active, alpha, posterior, **fit):
     """The model the trainers return: the final active set, precisions
-    and weight posterior (mu_w, Sigma_w), the noise fields ``noise``
-    (:func:`_gp_noise`), the record ``fit`` of the run, and the
-    standardized training inputs ``work.X`` (the basis centres)."""
+    and weight posterior (mu_w, Sigma_w), the standardized training
+    inputs ``work.X`` (the basis centres), and the fields ``fit``: the
+    log-noise (``noise_prior``, ``g_prec`` and ``g_coef``, or
+    :func:`_clamped_noise`'s) and the record of the run."""
     mu_w, Sigma_w = posterior
     return HrvmModel(method=method, kernel=kernel, centers=work.X,
                      active_indices=list(active), alpha=alpha, mu_w=mu_w,
-                     Sigma_w=Sigma_w, standardization=record, **noise, **fit)
+                     Sigma_w=Sigma_w, standardization=record, **fit)
 
 
 def _constant(y):
@@ -635,7 +639,7 @@ def _degenerate(method, kernel, work, record, config):
     k = int(kernel.include_bias)
     return _finish(method, kernel, work, record, range(k), np.full(k, 1e6),
                    (np.full(k, work.y[0]), np.full((k, k), 1e-6)),
-                   _clamped_noise(1.0), status="degenerate",
+                   **_clamped_noise(1.0), status="degenerate",
                    config=asdict(config))
 
 
@@ -723,6 +727,6 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
         f_prev = fval
 
     return _finish("vi", kernel, work, record, active, alpha, posterior,
-                   _gp_noise(replace(prior, mu0=mu0), lam, lam - 0.5),
-                   training_log=training_log, status=status, n_iter=it + 1,
-                   config=asdict(config))
+                   noise_prior=replace(prior, mu0=mu0), g_prec=lam,
+                   g_coef=lam - 0.5, training_log=training_log,
+                   status=status, n_iter=it + 1, config=asdict(config))

@@ -18,8 +18,7 @@ import numpy as np  # noqa: E402
 import scipy.linalg as sla  # noqa: E402
 
 import hetrvm.vi  # noqa: E402
-from hetrvm.kernels import (GpNoisePrior, KernelSpec,  # noqa: E402
-                            gp_covariance)
+from hetrvm.kernels import GpNoisePrior, gp_covariance  # noqa: E402
 from hetrvm.vi import (VariationalState, _all_sq, _factor,  # noqa: E402
                        _posterior, _q_point, _split_prior)
 
@@ -42,13 +41,13 @@ def dense_noise(model):
     a zero covariance."""
     n = model.centers.shape[0]
     if model.g_prec.size == 0:
-        return np.full(n, model.noise_mu0), np.zeros((n, n))
-    K = gp_covariance(model.centers, model.noise_prior())
+        return np.full(n, model.noise_prior.mu0), np.zeros((n, n))
+    K = gp_covariance(model.centers, model.noise_prior)
     root = np.sqrt(model.g_prec)
     B = np.eye(n) + root[:, None] * K * root[None, :]
     RK = root[:, None] * K
     Sigma = K - RK.T @ sla.solve(B, RK, assume_a="pos")
-    return model.noise_mu0 + K @ model.g_coef, 0.5 * (Sigma + Sigma.T)
+    return model.noise_prior.mu0 + K @ model.g_coef, 0.5 * (Sigma + Sigma.T)
 
 
 def dense_sigma(q):
@@ -61,11 +60,8 @@ def noise_prior(log_ell, log_sv):
     """The noise-GP prior for a log lengthscale and a log signal variance,
     with jitter 1e-6 of the signal variance."""
     sv = float(np.exp(log_sv))
-    return GpNoisePrior(
-        mu0=0.0,
-        kernel=KernelSpec(family="rbf", lengthscale=float(np.exp(log_ell)),
-                          include_bias=False),
-        signal_variance=sv, jitter=1e-6 * sv)
+    return GpNoisePrior(mu0=0.0, lengthscale=float(np.exp(log_ell)),
+                        signal_variance=sv, jitter=1e-6 * sv)
 
 
 def noise_cov(X, log_ell, log_sv):

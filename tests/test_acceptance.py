@@ -395,8 +395,9 @@ def test_criterion_11_noise_gp_does_not_collapse():
                                   seed=seed + 10_000))
         vi = fit_vi(train, GOLDBERG_KERNEL)
         ep = fit_ep(train, GOLDBERG_KERNEL)
-        held = (held and vi.noise_lengthscale == ep.noise_lengthscale
-                and vi.noise_signal_variance == 1.0)
+        held = (held and vi.noise_prior.lengthscale
+                == ep.noise_prior.lengthscale
+                and vi.noise_prior.signal_variance == 1.0)
         gaps.append(nlpd(predict(vi, test.X), test.y)
                     - nlpd(predict(ep, test.X), test.y))
     verdict(11, "noise GP does not collapse",

@@ -292,7 +292,7 @@ class TestEpPosterior:
         monkeypatch.setattr(hetrvm.ep, "ep_posterior", recorded)
         data, _ = synth(SynthSpec(generator="goldberg_sine", n=40, seed=0))
         model = fit_ep(data, KernelSpec(lengthscale=0.3))
-        K = gp_covariance(model.centers, model.noise_prior())
+        K = gp_covariance(model.centers, model.noise_prior)
         cov, mu0, prec, nu, logzs = calls[-1]
         prec, nu = prec.copy(), nu.copy()
         prec[[3, 17]] = nu[[3, 17]] = 0.0

@@ -61,9 +61,12 @@ class TestKernelEval:
     def test_invalid_spec(self):
         for lengthscale in (-1.0, 1e-300, 1e300):
             # 1e300 squared overflows; 1e-300 squared underflows to zero,
-            # and the rbf's 0/0 on the diagonal would be nan
+            # and the rbf's 0/0 on the diagonal would be nan.  The noise
+            # prior's rbf applies the same rule
             with pytest.raises(ValueError):
                 KernelSpec(lengthscale=lengthscale)
+            with pytest.raises(ValueError):
+                GpNoisePrior(0.0, lengthscale)
         with pytest.raises(ValueError):
             KernelSpec(family="matern")
         for degree in (0, 2.5, True):
@@ -112,8 +115,8 @@ def read_model(kernel, centers, cols, noise_gp):
     return HrvmModel(
         method="vi" if noise_gp else "rvm", kernel=kernel, centers=centers,
         active_indices=list(cols), alpha=np.ones(m), mu_w=np.zeros(m),
-        Sigma_w=np.zeros((m, m)), noise_mu0=0.0, noise_lengthscale=1.0,
-        noise_signal_variance=1.0, noise_jitter=1e-6, g_prec=sites,
+        Sigma_w=np.zeros((m, m)), noise_prior=GpNoisePrior(0.0),
+        g_prec=sites,
         g_coef=np.zeros(sites.size),
         standardization=Standardization(np.zeros(q), np.ones(q), 0.0, 1.0))
 
@@ -209,32 +212,25 @@ class TestDesignMatrixAtActive:
 
 class TestGpCovariance:
     def test_single_point(self):
-        prior = GpNoisePrior(mu0=0.0, kernel=KernelSpec(include_bias=False),
-                             jitter=1e-6)
+        prior = GpNoisePrior(mu0=0.0, jitter=1e-6)
         np.testing.assert_allclose(gp_covariance(np.array([[0.0]]), prior),
                                    [[1.000001]], atol=1e-15)
 
     def test_duplicate_rows_stay_pd(self):
         X = np.array([[0.2], [0.2], [0.7]])
-        prior = GpNoisePrior(mu0=0.0, kernel=KernelSpec(include_bias=False),
-                             jitter=1e-6)
+        prior = GpNoisePrior(mu0=0.0, jitter=1e-6)
         chol_factor(gp_covariance(X, prior))  # must not raise
 
     def test_signal_variance_scaling(self):
         X = np.array([[0.0], [1.0]])
-        kern = KernelSpec(include_bias=False)
-        prior = GpNoisePrior(mu0=0.0, kernel=kern, signal_variance=2.0,
-                             jitter=1e-12)
+        prior = GpNoisePrior(mu0=0.0, signal_variance=2.0, jitter=1e-12)
         K = gp_covariance(X, prior)
         assert K[0, 1] == pytest.approx(2 * np.exp(-0.5), abs=1e-12)
 
     def test_symmetric(self):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(8, 2))
-        prior = GpNoisePrior(mu0=0.0,
-                             kernel=KernelSpec(include_bias=False,
-                                               lengthscale=0.5),
-                             jitter=1e-6)
+        prior = GpNoisePrior(mu0=0.0, lengthscale=0.5, jitter=1e-6)
         K = gp_covariance(X, prior)
         assert np.max(np.abs(K - K.T)) == 0.0
 

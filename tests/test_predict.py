@@ -257,7 +257,7 @@ def dense_predict(model, Xstar):
     latent_var = np.maximum(
         np.sum((Phi_s @ model.Sigma_w) * Phi_s, axis=1), 0.0)
     if model.noise_clamped:
-        g_mean = np.full(len(Xs), model.noise_mu0)
+        g_mean = np.full(len(Xs), model.noise_prior.mu0)
         g_var = np.zeros(len(Xs))
     else:
         g_mean, g_var = dense_noise_predict(model, Xs)
@@ -272,14 +272,14 @@ def dense_predict(model, Xstar):
 def dense_noise_predict(model, Xs):
     """g_mean and g_var of ``dense_predict`` at standardized inputs."""
     g_mu, g_Sigma = conftest.dense_noise(model)
-    prior = model.noise_prior()
+    prior = model.noise_prior
     L = sla.cholesky(gp_covariance(model.centers, prior), lower=True,
                      check_finite=False)
     ks = cross_covariance(Xs, model.centers, prior)
     kss = prior.signal_variance + prior.jitter
     W = sla.cho_solve((L, True), ks.T, check_finite=False)
-    g_mean = model.noise_mu0 + ks @ sla.cho_solve(
-        (L, True), g_mu - model.noise_mu0, check_finite=False)
+    g_mean = model.noise_prior.mu0 + ks @ sla.cho_solve(
+        (L, True), g_mu - model.noise_prior.mu0, check_finite=False)
     reduce_term = np.sum(ks * W.T, axis=1)
     add_term = np.sum(W * (g_Sigma @ W), axis=0)
     return g_mean, np.maximum(kss - reduce_term + add_term, 0.0)
@@ -378,12 +378,12 @@ class TestNoiseReadout:
         model = fresh(model)
         predict(model, data.X[:1])
         readout = model._read_path
-        K = gp_covariance(model.centers, model.noise_prior())
+        K = gp_covariance(model.centers, model.noise_prior)
         want = np.linalg.inv(K + np.diag(1.0 / model.g_prec))
         got = np.diag(readout.Dinv) - readout.W.T @ readout.W
         np.testing.assert_allclose(got, want, rtol=1e-8,
                                    atol=1e-8 * np.max(np.abs(want)))
-        tau, j = model.g_prec, model.noise_jitter
+        tau, j = model.g_prec, model.noise_prior.jitter
         assert np.array_equal(readout.Dinv, tau / (1.0 + j * tau))
 
     @pytest.mark.parametrize("which", ["vi_model", "ep_model"])
@@ -405,7 +405,7 @@ class TestNoiseReadout:
         data, _ = synth(SynthSpec(generator="const_noise", n=25, seed=1))
         model = fit_rvm(data, KernelSpec(lengthscale=0.5))
         # the clamped log-noise, in the original units
-        c = model.noise_mu0 + np.log(model.standardization.y_scale**2)
+        c = model.noise_prior.mu0 + np.log(model.standardization.y_scale**2)
 
         def refuse(*args, **kwargs):
             raise AssertionError("clamped model split the noise GP")
@@ -640,7 +640,7 @@ class TestPredict:
         model = fit_vi(data, KernelSpec(lengthscale=0.5),
                        VIConfig(max_iter=40))
         assert model.status == "degenerate" and model.noise_clamped
-        c = model.noise_mu0 + np.log(model.standardization.y_scale**2)
+        c = model.noise_prior.mu0 + np.log(model.standardization.y_scale**2)
         pred = predict(model, np.array([[0.3], [5.0]]))
         noise = pred.total_var - pred.latent_var
         np.testing.assert_allclose(noise, np.exp(c), rtol=1e-10)
@@ -656,12 +656,12 @@ class TestPredict:
 
 def rvm_predict(model, X):
     """The homoscedastic RVM predictive in original units, from the
-    weight posterior and sigma2 = exp(noise_mu0): mean phi^T mu_w and
+    weight posterior and sigma2 = exp(noise_prior.mu0): mean phi^T mu_w and
     variance sigma2 + phi^T Sigma_w phi."""
     record = model.standardization
     Phi = design_matrix_at(record.apply_x(X), model.kernel,
                            model.centers)[:, model.active_indices]
-    sigma2 = np.exp(model.noise_mu0)
+    sigma2 = np.exp(model.noise_prior.mu0)
     var = sigma2 + np.sum((Phi @ model.Sigma_w) * Phi, axis=1)
     return record.invert_y(Phi @ model.mu_w), var * record.y_scale**2
 

@@ -308,7 +308,7 @@ class TestFitRvm:
         model = fit_rvm(data, KernelSpec(lengthscale=0.3))
         assert 0 < len(model.active_indices) < 61
         assert np.all(model.alpha > 0)
-        assert np.exp(model.noise_mu0) > 0
+        assert np.exp(model.noise_prior.mu0) > 0
 
 
 class TestRvmPredict:
@@ -325,6 +325,6 @@ class TestRvmPredict:
         data, _ = synth(SynthSpec(n=40, seed=3))
         model = fit_rvm(data, KernelSpec(lengthscale=0.3))
         var = predict(model, data.X).total_var
-        sigma2_orig = (np.exp(model.noise_mu0)
+        sigma2_orig = (np.exp(model.noise_prior.mu0)
                        * model.standardization.y_scale**2)
         assert np.all(var >= sigma2_orig - 1e-12)

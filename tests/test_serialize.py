@@ -166,9 +166,20 @@ def _site_and_format1(doc):
     doc["g_mu"] = [doc["noise_mu0"]] * len(doc["g_prec"])
 
 
-def _kernel_signal_variance(value):
+def _clamped(mutate):
+    """``mutate`` applied to the document clamped at its own ``noise_mu0``,
+    written as a clamped model writes it (format 2, ``g_const``)."""
+    def clamp_then(doc):
+        del doc["g_prec"], doc["g_coef"]
+        doc["g_const"] = doc["noise_mu0"]
+        doc["format_version"] = 2
+        mutate(doc)
+    return clamp_then
+
+
+def _kernel_field(key, value):
     def mutate(doc):
-        doc["kernel"]["signal_variance"] = value
+        doc["kernel"][key] = value
     return mutate
 
 
@@ -199,6 +210,8 @@ def _kernel_signal_variance(value):
     pytest.param(_noise_const("0.5"), id="g_const-string"),
     pytest.param(_noise_const(True), id="g_const-bool"),
     pytest.param(_noise_const([0.5]), id="g_const-list"),
+    pytest.param(_clamped(set_field("noise_mu0", 5.0)),
+                 id="clamped-noise_mu0-not-g_const"),
     pytest.param(set_field("noise_jitter", -1.0), id="noise_jitter-negative"),
     pytest.param(set_field("noise_jitter", 0.0), id="noise_jitter-zero"),
     pytest.param(set_field("noise_jitter", float("inf")),
@@ -213,10 +226,24 @@ def _kernel_signal_variance(value):
                  id="noise_signal_variance-nan"),
     pytest.param(set_field("noise_signal_variance", 0.0),
                  id="noise_signal_variance-zero"),
-    pytest.param(_kernel_signal_variance(0.0),
+    pytest.param(set_field("noise_lengthscale", "0.5"),
+                 id="noise_lengthscale-string"),
+    pytest.param(set_field("noise_mu0", True), id="noise_mu0-bool"),
+    pytest.param(set_field("noise_jitter", "1e-6"), id="noise_jitter-string"),
+    pytest.param(set_field("noise_signal_variance", True),
+                 id="noise_signal_variance-bool"),
+    pytest.param(_kernel_field("signal_variance", 0.0),
                  id="kernel-signal_variance-zero"),
-    pytest.param(_kernel_signal_variance(float("nan")),
+    pytest.param(_kernel_field("signal_variance", float("nan")),
                  id="kernel-signal_variance-nan"),
+    pytest.param(_kernel_field("signal_variance", True),
+                 id="kernel-signal_variance-bool"),
+    pytest.param(_kernel_field("include_bias", 2), id="kernel-include_bias-2"),
+    pytest.param(_kernel_field("include_bias", 1), id="kernel-include_bias-1"),
+    pytest.param(_kernel_field("include_bias", 1.0),
+                 id="kernel-include_bias-1.0"),
+    pytest.param(_kernel_field("lengthscale", True),
+                 id="kernel-lengthscale-bool"),
     pytest.param(set_field("noise_mu0", float("nan")), id="noise_mu0-nan"),
     pytest.param(set_field("noise_mu0", -float("inf")),
                  id="noise_mu0-minus-inf"),
@@ -254,9 +281,12 @@ def _kernel_signal_variance(value):
 ])
 def test_inconsistent_document_rejected(fitted, mutate):
     """A document whose index and array sizes disagree, whose method no
-    trainer has, whose status is not a string, whose noise-GP mean is not
-    finite, whose noise-GP prior ``GpNoisePrior`` or ``KernelSpec``
-    rejects, or whose weight posterior, centres or standardization hold
+    trainer has, whose status is not a string, whose noise-GP prior
+    ``GpNoisePrior`` rejects (a mean that is not finite included), whose
+    clamped log-noise ``g_const`` is not that prior's mean, whose kernel
+    or noise-prior values are not of their JSON types (a bool
+    ``include_bias``, numbers elsewhere), or whose weight posterior,
+    centres or standardization hold
     a non-finite number (or a precision or scale that is not positive),
     or whose input standardization is not as wide as ``centers``, fails
     to load, rather than loading and then predicting from wrapped
@@ -313,9 +343,9 @@ def test_clamped_noise_written_as_one_number(fitted, clamped_vi, name):
     doc = model_to_dict(model)
     assert doc["format_version"] == 2
     assert not {"g_mu", "g_Sigma", "g_prec", "g_coef"} & set(doc)
-    assert doc["g_const"] == model.noise_mu0
+    assert doc["g_const"] == model.noise_prior.mu0
     loaded = model_from_dict(json.loads(json.dumps(doc)))
-    assert loaded.noise_mu0 == model.noise_mu0
+    assert loaded.noise_prior.mu0 == model.noise_prior.mu0
     assert np.array_equal(loaded.g_prec, model.g_prec)
     assert np.array_equal(loaded.g_coef, model.g_coef)
     assert loaded.g_prec.dtype == loaded.g_coef.dtype == np.float64

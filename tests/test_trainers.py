@@ -153,8 +153,8 @@ def test_vi_logs_the_bound_at_its_final_state(generator):
     g_mu, g_Sigma = conftest.dense_noise(model)
     state = VariationalState(
         mu=g_mu, Sigma=g_Sigma, alpha=model.alpha,
-        active_indices=model.active_indices, mu0=model.noise_mu0,
-        K=gp_covariance(model.centers, model.noise_prior()))
+        active_indices=model.active_indices, mu0=model.noise_prior.mu0,
+        K=gp_covariance(model.centers, model.noise_prior))
     assert model.training_log[-1] == pytest.approx(
         collapsed_bound(state, Phi, y), rel=1e-9, abs=0)
 
@@ -201,7 +201,7 @@ def test_every_fit_ends_in_a_named_status(generator, n, seed, lengthscale,
         assert np.all(np.isfinite(model.alpha) & (model.alpha > 0))
         assert len(set(model.active_indices)) == len(model.active_indices)
     vi, ep = models["vi"], models["ep"]
-    assert vi.noise_lengthscale == ep.noise_lengthscale
+    assert vi.noise_prior.lengthscale == ep.noise_prior.lengthscale
     for model in (vi, ep):
-        assert model.noise_signal_variance == 1.0
-        assert model.noise_jitter == 1e-6
+        assert model.noise_prior.signal_variance == 1.0
+        assert model.noise_prior.jitter == 1e-6

@@ -412,7 +412,7 @@ def test_noise_lengthscale_is_the_triu_median(case):
     want = float(np.sqrt(np.median(off[off > 0])))
     if case == "duplicates":
         assert np.count_nonzero(off == 0) == 20 * 3
-    assert _setup(work)[0].kernel.lengthscale == want
+    assert _setup(work)[0].lengthscale == want
 
 
 DRAWS = [(1, 60), (1, 400), (5, 60)]
@@ -453,7 +453,7 @@ class TestSplitPrior:
         # a NaN input reaches the split as a kernel column that is not
         # finite: a typed error, not a split that stops at rank 0
         X = np.array([[0.0], [np.nan], [1.0]])
-        prior = GpNoisePrior(0.0, KernelSpec(include_bias=False))
+        prior = GpNoisePrior(0.0)
         with pytest.raises(hetrvm.vi.FactorizationError):
             _split_prior(X, prior)
 
@@ -818,6 +818,39 @@ class TestUpdateAlpha:
         a0, Phi, r, y = _alpha_problem(0)
         with pytest.raises(hetrvm.vi.FactorizationError):
             update_alpha(list(range(a0.size)), a0, Phi, r, y, 1e-6)
+
+    def test_state_that_stops_factoring_ends_at_the_last_that_did(
+            self, monkeypatch):
+        # near a singular weight precision the updates drift from the
+        # state they track.  On this draw, at EP's start noise, the
+        # selection reaches an updated state of 51 columns that does not
+        # factor, which raised FactorizationError out of fit_ep.  It ends
+        # at the last state that factored, with that state's own evidence
+        # and posterior
+        data, _ = synth(SynthSpec(generator="goldberg_sine", n=149,
+                                  seed=7510))
+        kernel = KernelSpec(lengthscale=2.7916980826286726)
+        work, _ = standardize(data)
+        prior, cov = _setup(work)
+        r = noise_diag(np.full(work.n, prior.mu0),
+                       cov.jitter + np.sum(cov.F**2, 1))
+        Phi = build_design_matrix(work.X, kernel)
+        factored = []
+
+        def recording(G, alpha):
+            factored.append(False)
+            L = _factor(G, alpha)
+            factored[-1] = True
+            return L
+
+        monkeypatch.setattr(hetrvm.vi, "_factor", recording)
+        active, alpha, ev, post = update_alpha([], [], Phi, r, work.y, 1e-6)
+        monkeypatch.undo()
+        assert factored[0] and not factored[-1]
+        ev_w, *post_w = _weight_fit(Phi[:, active], alpha, r, work.y)
+        assert ev == ev_w
+        assert all(np.array_equal(p, q) for p, q in zip(post, post_w))
+        assert fit_ep(data, kernel).status == "converged"
 
     def test_irrelevant_basis_diverges(self):
         # repeated calls at one r keep the junk column out
