@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataError
-from .kernels import (GpNoisePrior, KernelSpec, _kernel_values, _rbf,
-                      _sqdist_from, _sqnorms)
+from .kernels import (GpNoisePrior, KernelSpec, _inner, _kernel_values,
+                      _rbf, _sqdist_from, _sqnorms)
 from .model import HrvmModel
 from .numerics import gauss_hermite
 from .vi import _q_cov, _split_prior
@@ -99,13 +99,17 @@ def _block_kernels(read: _ReadPath, kernel: KernelSpec, X):
     clamped model's centres by rows, so that the elementwise steps run
     along the block and not along its m short rows.  With one input
     column every value is the one ``kernel_matrix`` gives, bit for bit.
+    The inner products come from ``kernels._inner`` in either layout, as
+    ``kernel_matrix``'s do: a broadcast product with one input column,
+    which a K=1 GEMM would match at a higher cost, and a GEMM with
+    several.
     """
     rbf, noise = kernel.family == "rbf", read.prior
     if noise is None:
-        P = read.centers2 @ X.T
+        P = _inner(read.centers2, X)
         K = _sqdist_from(read.c_sq, _sqnorms(X), P) if rbf else P
     else:
-        P = X @ read.centers2.T
+        P = _inner(X, read.centers2)
         D = _sqdist_from(_sqnorms(X), read.c_sq, P)
         K = (D if rbf else P).T[read.cols]
     if not rbf:

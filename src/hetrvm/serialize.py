@@ -19,6 +19,7 @@ hetrvm at commit 2469dfe or earlier loads a format-1 file, and its
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import fields
 
@@ -74,10 +75,13 @@ def _std_to_dict(s: Standardization):
 
 
 def _std_from_dict(d):
-    return Standardization(x_mean=np.asarray(d["x_mean"], dtype=float),
-                           x_scale=np.asarray(d["x_scale"], dtype=float),
-                           y_mean=float(d["y_mean"]),
-                           y_scale=float(d["y_scale"]))
+    y_mean, y_scale = d["y_mean"], d["y_scale"]
+    if not (_is_number(y_mean) and _is_number(y_scale)):
+        raise SchemaError(f"y_mean {y_mean!r} and y_scale {y_scale!r} "
+                          "must be numbers")
+    return Standardization(x_mean=_numbers(d["x_mean"], "x_mean"),
+                           x_scale=_numbers(d["x_scale"], "x_scale"),
+                           y_mean=float(y_mean), y_scale=float(y_scale))
 
 
 def model_to_dict(model: HrvmModel) -> dict:
@@ -111,9 +115,24 @@ def _noise_to_dict(model: HrvmModel) -> dict:
             "g_coef": _arr(model.g_coef)}
 
 
+def _numbers(value, name: str) -> np.ndarray:
+    """``value``, a list (or nested lists) of JSON numbers, as a float
+    array.  A string, bool or null among them raises ``SchemaError``,
+    where ``float`` would read ``"0.5"`` as 0.5 and ``true`` as 1."""
+    a = np.asarray(value, dtype=float)
+    leaves = [value] if a.ndim == 0 else value
+    for _ in range(a.ndim - 1):
+        leaves = itertools.chain.from_iterable(leaves)
+    # whether a value is a number depends on its type only, so one value
+    # of each type is checked: a list of N floats costs microseconds
+    if not all(map(_is_number, {type(v): v for v in leaves}.values())):
+        raise SchemaError(f"every entry of {name} must be a number")
+    return a
+
+
 def _array(doc: dict, key: str, *shape: int) -> np.ndarray:
     """``doc[key]`` as a float array of the given shape."""
-    a = np.asarray(doc[key], dtype=float)
+    a = _numbers(doc[key], key)
     if a.size == 0 and 0 in shape:
         a = a.reshape(shape)  # an empty matrix is written as []
     if a.shape != shape:
@@ -153,7 +172,8 @@ def _model(doc: dict) -> HrvmModel:
     ``x_scale`` entry per column of ``centers``.  The method must be a
     trainer's, the status a string, the noise-GP prior one that
     ``GpNoisePrior`` accepts, with a clamped model's ``g_const`` its mean,
-    and every number but the training log (EP can log nan) finite,
+    every number a JSON number (not a string, bool or null) in the float
+    range, and every number but the training log (EP can log nan) finite,
     precisions and scales > 0.  The record of the run must be well formed
     too: ``n_iter`` a nonnegative integer, ``config`` an object and
     ``training_log`` a list of numbers."""
@@ -167,7 +187,7 @@ def _model(doc: dict) -> HrvmModel:
         raise SchemaError("n_iter must be a nonnegative integer, config an "
                           "object and training_log a list of numbers")
     kernel = _kernel_from_dict(doc["kernel"])
-    centers = np.asarray(doc["centers"], dtype=float)
+    centers = _numbers(doc["centers"], "centers")
     if centers.ndim != 2:
         raise SchemaError(f"centers has shape {centers.shape}, expected "
                           "(points, inputs)")
@@ -235,7 +255,9 @@ def model_from_dict(doc: dict) -> HrvmModel:
         return _model(doc)
     except SchemaError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: a JSON integer beyond the float range, such as 1e400
+        # written out in digits
         raise SchemaError(f"malformed model document: {exc}") from exc
 
 

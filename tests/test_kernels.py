@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from hetrvm.data import Dataset, Standardization, standardize
-from hetrvm.kernels import (GpNoisePrior, KernelSpec, build_design_matrix,
-                            design_matrix_at, gp_covariance, kernel_matrix)
+from hetrvm.kernels import (GpNoisePrior, KernelSpec, _sqdist, _sqdist_from,
+                            _sqnorms, build_design_matrix, design_matrix_at,
+                            gp_covariance, kernel_matrix)
 from hetrvm.model import HrvmModel
 from hetrvm.numerics import chol_factor
 
@@ -104,6 +105,45 @@ class TestDesignMatrix:
         a = build_design_matrix(X, k)
         b = build_design_matrix(X.copy(), k)
         assert np.array_equal(a, b)
+
+
+class TestCrossTerm:
+    """The cross term 2 X X2^T of the squared distances is a broadcast
+    product with one input column and a GEMM with several; each gives
+    the GEMM's bits."""
+
+    @staticmethod
+    def _gemm(X, X2):
+        return _sqdist_from(_sqnorms(X), _sqnorms(X2), 2.0 * X @ X2.T)
+
+    def test_one_column_keeps_the_gemm_bits(self):
+        # exact zeros of both signs, mixed signs, and magnitudes from
+        # 1e-100 to 1e100, whose squares and products stay normal
+        mags = np.array([1e-100, 3.7e-60, 1e-20, 0.3, 1.0, 2.5, 7e19,
+                         4.1e60, 1e100])
+        values = np.concatenate([[0.0, -0.0], mags, -mags])
+        X = values[:, None]
+        X2 = np.concatenate([values[::-1], [0.5, -1e-100]])[:, None]
+        got = _sqdist(X, X2)
+        assert got.tobytes() == self._gemm(X, X2).tobytes()
+        assert (got == 0.0).sum() >= len(values)  # each x meets x == c
+
+    def test_several_columns_take_the_gemm(self):
+        products = []
+
+        class Spy(np.ndarray):
+            def __matmul__(self, other):
+                products.append(self.shape)
+                return np.asarray(self) @ np.asarray(other)
+
+        rng = np.random.default_rng(11)
+        for q, gemms in ((1, 0), (3, 1)):
+            X, X2 = (rng.normal(size=(n, q)).view(Spy) for n in (7, 5))
+            products.clear()
+            got = np.asarray(_sqdist(X, X2))
+            assert len(products) == gemms, q
+            want = np.asarray(self._gemm(X, X2))
+            assert got.tobytes() == want.tobytes()
 
 
 def read_model(kernel, centers, cols, noise_gp):

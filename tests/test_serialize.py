@@ -177,6 +177,14 @@ def _clamped(mutate):
     return clamp_then
 
 
+def _log_noise(value):
+    """A clamped document's log noise, ``noise_mu0`` and ``g_const`` both,
+    set to ``value``."""
+    def mutate(doc):
+        doc["noise_mu0"] = doc["g_const"] = value
+    return mutate
+
+
 def _kernel_field(key, value):
     def mutate(doc):
         doc["kernel"][key] = value
@@ -278,14 +286,26 @@ def _kernel_field(key, value):
     pytest.param(set_record("y_scale", 0.0), id="y_scale-zero"),
     pytest.param(set_record("y_scale", -2.0), id="y_scale-negative"),
     pytest.param(set_record("y_scale", float("nan")), id="y_scale-nan"),
+    # a JSON integer beyond the float range
+    pytest.param(set_first("alpha", 10**400), id="alpha-int-overflows"),
+    pytest.param(_clamped(_log_noise(10**400)),
+                 id="clamped-noise_mu0-and-g_const-int-overflow"),
+    # a string or bool where a number belongs
+    pytest.param(set_record("y_mean", "0.5"), id="y_mean-string"),
+    pytest.param(set_record("y_scale", True), id="y_scale-bool"),
+    pytest.param(set_corner("centers", "0.25"), id="centers-string"),
+    pytest.param(set_first("mu_w", True), id="mu_w-bool"),
+    pytest.param(set_record("x_scale", ["1.5"]), id="x_scale-string"),
+    pytest.param(set_first("g_prec", "0.1"), id="g_prec-string"),
 ])
 def test_inconsistent_document_rejected(fitted, mutate):
     """A document whose index and array sizes disagree, whose method no
     trainer has, whose status is not a string, whose noise-GP prior
     ``GpNoisePrior`` rejects (a mean that is not finite included), whose
-    clamped log-noise ``g_const`` is not that prior's mean, whose kernel
-    or noise-prior values are not of their JSON types (a bool
-    ``include_bias``, numbers elsewhere), or whose weight posterior,
+    clamped log-noise ``g_const`` is not that prior's mean, whose values
+    are not of their JSON types (a bool ``include_bias``, numbers
+    elsewhere, a string or bool among them included), whose integers
+    overflow a float, or whose weight posterior,
     centres or standardization hold
     a non-finite number (or a precision or scale that is not positive),
     or whose input standardization is not as wide as ``centers``, fails
