@@ -10,11 +10,12 @@ routine, :func:`_rbf`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _check_int, _is_number
+from .numerics import _as_float, _check_int, _square_in_range
 
 __all__ = [
     "KernelSpec",
@@ -27,14 +28,13 @@ __all__ = [
 ]
 
 _FAMILIES = ("rbf", "linear", "polynomial")
-_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 def _check_lengthscale(ls):
     """Every kernel's lengthscale rule: a number, not a bool, that is
     positive, and whose square, which the rbf divides by, neither
-    overflows nor underflows to zero."""
-    if not (_is_number(ls) and ls > 0 and _TINY <= ls * ls < np.inf):
+    overflows nor underflows to zero (``numerics._square_in_range``)."""
+    if not _square_in_range(ls):
         raise ValueError("lengthscale must be positive and finite, "
                          "and so must its square")
 
@@ -76,8 +76,9 @@ class GpNoisePrior:
     def __post_init__(self):
         _check_lengthscale(self.lengthscale)
         for name in ("mu0", "signal_variance", "jitter"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and (name == "mu0" or value > 0)):
+            value = _as_float(getattr(self, name))
+            if not (value is not None and math.isfinite(value)
+                    and (name == "mu0" or value > 0)):
                 raise ValueError(f"{name} must be finite"
                                  + ("" if name == "mu0" else " and positive"))
 

@@ -27,6 +27,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
+_TINY = np.finfo(float).tiny  # the smallest normal float
+
 __all__ = [
     "FactorizationError",
     "Quadrature",
@@ -73,6 +75,24 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _as_float(value):
+    """A number (:func:`_is_number`) as a float, or None where ``value``
+    is not one or is an integer beyond the float range."""
+    try:
+        return float(value) if _is_number(value) else None
+    except OverflowError:
+        return None
+
+
+def _square_in_range(value) -> bool:
+    """The rule for a length or scale that is squared and then divided by
+    or logged: a positive number whose square neither overflows nor falls
+    below the smallest normal float."""
+    value = _as_float(value)
+    return (value is not None and value > 0
+            and _TINY <= value * value < math.inf)
+
+
 def chol_factor(A, name: str = "matrix"):
     """Lower Cholesky factor of a symmetric PD matrix.
 
@@ -89,7 +109,8 @@ def chol_factor(A, name: str = "matrix"):
     peak = float(np.abs(A).max())
     if not math.isfinite(peak):
         raise FactorizationError(f"{name} has a non-finite entry")
-    if np.abs(A - A.T).max() > 1e-10 * max(1.0, peak):
+    # A - A^T is antisymmetric, so its largest entry is its largest |entry|
+    if (A - A.T).max() > 1e-10 * max(1.0, peak):
         raise ValueError(f"{name} is not symmetric within tolerance")
     L, info = dpotrf(A, lower=1)
     if info:

@@ -28,7 +28,7 @@ import numpy as np
 from .data import Standardization
 from .kernels import GpNoisePrior, KernelSpec
 from .model import HrvmModel
-from .numerics import _is_number
+from .numerics import _is_number, _square_in_range
 
 __all__ = ["FORMAT_VERSION", "SchemaError", "save_model", "load_model",
            "model_to_dict", "model_from_dict"]
@@ -79,6 +79,11 @@ def _std_from_dict(d):
     if not (_is_number(y_mean) and _is_number(y_scale)):
         raise SchemaError(f"y_mean {y_mean!r} and y_scale {y_scale!r} "
                           "must be numbers")
+    # predict scales the noise variance by y_scale^2 and takes its log
+    if not _square_in_range(y_scale):
+        raise SchemaError(f"y_scale {y_scale!r} must be positive, and its "
+                          "square finite and at least the smallest normal "
+                          "float")
     return Standardization(x_mean=_numbers(d["x_mean"], "x_mean"),
                            x_scale=_numbers(d["x_scale"], "x_scale"),
                            y_mean=float(y_mean), y_scale=float(y_scale))
@@ -174,9 +179,10 @@ def _model(doc: dict) -> HrvmModel:
     ``GpNoisePrior`` accepts, with a clamped model's ``g_const`` its mean,
     every number a JSON number (not a string, bool or null) in the float
     range, and every number but the training log (EP can log nan) finite,
-    precisions and scales > 0.  The record of the run must be well formed
-    too: ``n_iter`` a nonnegative integer, ``config`` an object and
-    ``training_log`` a list of numbers."""
+    precisions and scales > 0, and ``y_scale`` one whose square is finite
+    and at least the smallest normal float.  The record of the run must be
+    well formed too: ``n_iter`` a nonnegative integer, ``config`` an
+    object and ``training_log`` a list of numbers."""
     if doc["method"] not in ("rvm", "vi", "ep"):
         raise SchemaError(f"unknown method {doc['method']!r}")
     if not isinstance(doc["status"], str):
@@ -222,10 +228,10 @@ def _model(doc: dict) -> HrvmModel:
             raise SchemaError(f"{name} has shape {shape}, expected ({width},)"
                               " for the columns of centers")
     for name, value in dict(
-            alpha=model.alpha, x_scale=record.x_scale, y_scale=record.y_scale,
-            mu_w=model.mu_w, Sigma_w=model.Sigma_w, centers=model.centers,
+            alpha=model.alpha, x_scale=record.x_scale, mu_w=model.mu_w,
+            Sigma_w=model.Sigma_w, centers=model.centers,
             x_mean=record.x_mean, y_mean=record.y_mean).items():
-        positive = name in ("alpha", "x_scale", "y_scale")
+        positive = name in ("alpha", "x_scale")
         if not np.all((value > (0.0 if positive else -np.inf))
                       & (value < np.inf)):
             raise SchemaError(f"{name} must be finite"

@@ -160,7 +160,9 @@ def _gram(Phi_a, r, y):
 def _factor(G, alpha):
     """The factor step: the Cholesky factor L of the weight precision
     H = diag(alpha) + G (0 x 0 for an empty active set)."""
-    return chol_factor(np.diag(alpha) + G, "weight precision")
+    H = G.copy()
+    H.reshape(-1)[::H.shape[0] + 1] += alpha  # diag(alpha) + G
+    return chol_factor(H, "weight precision")
 
 
 def _posterior(L, b):
@@ -177,12 +179,13 @@ def _evidence(L, b, alpha, r, y):
     2003): log|C| = sum log r + log|H| - sum log alpha and
     y^T C^-1 y = y^T R^-1 y - v^T v, with v = L^-1 b.
 
-    Returns (log evidence, v)."""
+    Returns (log evidence, v, R^-1 y)."""
     v = lower_solve(L, b)
-    logdet = np.sum(np.log(r)) + (2.0 * np.log(L.diagonal()).sum()
-                                  - np.log(alpha).sum())
-    quad = y @ (y / r) - v @ v
-    return float(-0.5 * (y.size * _LOG_2PI + logdet + quad)), v
+    logdet = np.log(r).sum() + (2.0 * np.log(L.diagonal()).sum()
+                                - np.log(alpha).sum())
+    ry = y / r
+    quad = y @ ry - v @ v
+    return float(-0.5 * (y.size * _LOG_2PI + logdet + quad)), v, ry
 
 
 def _weight_fit(Phi_a, alpha, r, y):
@@ -256,9 +259,13 @@ class _QCov(NamedTuple):
     def sq_mul(self, w):
         """(Sigma o Sigma) w, o the elementwise product, in O(N r^2) as
         w jd (jd + 2 diag Y^T Y) + colsum(Y o (Y diag(w) Y^T Y))."""
-        M = (self.Y * w) @ self.Y.T
-        return (w * self.jd * (2.0 * self.diag - self.jd)
-                + np.einsum("ij,ij->j", self.Y, M @ self.Y))
+        Y, jd = self.Y, self.jd
+        t = 2.0 * self.diag
+        t -= jd
+        out = w * jd
+        out *= t
+        out += np.einsum("ij,ij->j", Y, ((Y * w) @ Y.T) @ Y)
+        return out
 
 
 def _q_cov(lam, cov):
@@ -269,13 +276,20 @@ def _q_cov(lam, cov):
     Y = L^-1 (F/d)^T, L L^T = I + Omega, and
     log|B| = sum log d + log|I + Omega|.  Only the r x r matrix I + Omega
     is factored: O(N r^2).  Returns the :class:`_QCov`."""
-    d = 1.0 + cov.jitter * lam
-    G = cov.F * np.sqrt(lam / d)[:, None]
-    L = chol_factor(np.eye(G.shape[1]) + G.T @ G, "reduced system")
-    Y = lower_solve(L, (cov.F / d[:, None]).T)
-    jd = cov.jitter / d
-    return _QCov(jd, Y, jd + np.einsum("ij,ij->j", Y, Y),
-                 float(np.sum(np.log(d)) + 2.0 * np.sum(np.log(L.diagonal()))))
+    jitter, Ft = cov.jitter, cov.F.T
+    d = jitter * lam
+    d += 1.0
+    root = lam / d
+    Gt = Ft * np.sqrt(root, out=root)  # G^T
+    A = Gt @ Gt.T
+    A.reshape(-1)[::A.shape[0] + 1] += 1.0  # I + Omega
+    L = chol_factor(A, "reduced system")
+    Y = lower_solve(L, Ft / d)
+    jd = jitter / d
+    diag = np.einsum("ij,ij->j", Y, Y)
+    diag += jd
+    return _QCov(jd, Y, diag, float(np.log(d, out=d).sum()
+                                    + 2.0 * np.log(L.diagonal()).sum()))
 
 
 def _q_point(lam, mu0, cov):
@@ -290,9 +304,12 @@ def _q_point(lam, mu0, cov):
     v = lam - 0.5
     Kv = cov.mv(v)
     mu = Kv + mu0
-    r = np.exp(np.clip(mu - 0.5 * q.diag, -700.0, 700.0))
+    r = 0.5 * q.diag
+    np.subtract(mu, r, out=r)
+    np.maximum(r, -700.0, out=r)
+    np.exp(np.minimum(r, 700.0, out=r), out=r)
     kl = 0.5 * (q.logdet_B - float(lam @ q.diag) + float(v @ Kv))
-    return mu, q, Kv, r, 0.25 * float(np.sum(q.diag)), float(kl)
+    return mu, q, Kv, r, 0.25 * float(q.diag.sum()), kl
 
 
 def collapsed_bound(state: VariationalState, Phi, y) -> float:
@@ -308,12 +325,20 @@ def collapsed_bound(state: VariationalState, Phi, y) -> float:
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
+    """1 / (1 + exp(-x)) where x >= 0 and e / (1 + e), e = exp(x), where
+    not, from one exp(-|x|): min(x, -x) is -|x| that keeps a nan's sign."""
+    e = np.exp(np.minimum(x, -x))
+    out = np.where(x >= 0.0, 1.0, e)
+    out /= 1.0 + e
     return out
+
+
+def _lam_from_eta(eta):
+    """lam = sigmoid(eta) / 2, kept within [1e-12, 1/2 - 1e-12]."""
+    lam = _sigmoid(eta)
+    lam *= 0.5
+    np.maximum(lam, 1e-12, out=lam)
+    return np.minimum(lam, 0.5 - 1e-12, out=lam)
 
 
 def _eta_from_lam(lam):
@@ -325,29 +350,46 @@ def _eta_from_lam(lam):
 def _bound_value_grad(x, cov, Phi_a, alpha, y):
     """Bound and its analytic gradient in the packed variables
     x = [eta (N), mu0] with lam = sigmoid(eta)/2, under the split noise-GP
-    prior covariance ``cov`` (:func:`_split_prior`)."""
+    prior covariance ``cov`` (:func:`_split_prior`).
+
+    At N = 100 an evaluation costs what its numpy calls cost, not their
+    arithmetic (r = 16 prior columns, m near 5 active ones), so R^-1 y and
+    each other vector is formed once and updated in place, in its
+    formula's order of operations: every value keeps the bits of the
+    formulas written out (``tests/oracles.py``, ``bound_formula``)."""
     n = y.size
-    lam = np.clip(0.5 * _sigmoid(x[:n]), 1e-12, 0.5 - 1e-12)
+    lam = _lam_from_eta(x[:n])
     _, q, Kv, r, trq, kl = _q_point(lam, x[n], cov)
 
     # evidence, beta = C^-1 y and diag(C^-1) through the m x m weight
     # precision: C^-1 = R^-1 - W^T W with W = L^-1 Phi^T R^-1
     Phir, G, b = _gram(Phi_a, r, y)
     L = _factor(G, alpha)
-    f1, vb = _evidence(L, b, alpha, r, y)
+    f1, vb, beta = _evidence(L, b, alpha, r, y)
     W = lower_solve(L, Phir.T)
-    beta = y / r - W.T @ vb
-    cinv_diag = 1.0 / r - np.sum(W**2, axis=0)
+    beta -= W.T @ vb
+    cinv_diag = 1.0 / r
+    cinv_diag -= np.square(W, out=W).sum(axis=0)
     fval = f1 - trq - kl
 
-    # gradient pieces
-    d = 0.5 * (beta**2 - cinv_diag)
-    u = d * r
+    # gradient pieces: u = r (beta^2 - diag(C^-1)) / 2
+    u = np.square(beta, out=beta)
+    u -= cinv_diag
+    u *= 0.5
+    u *= r
 
-    fs = -0.5 * u - 0.25 + 0.5 * lam          # diag of dF/dSigma
-    g_lam = cov.mv(u) + q.sq_mul(-fs) - Kv
-    g_eta = g_lam * lam * (1.0 - 2.0 * lam)
-    return fval, np.append(g_eta, np.sum(u))
+    fs = -0.5 * u                             # diag of dF/dSigma
+    fs -= 0.25
+    fs += 0.5 * lam
+    g_lam = cov.mv(u)
+    g_lam += q.sq_mul(np.negative(fs, out=fs))
+    g_lam -= Kv
+    g_lam *= lam
+    dlam = 2.0 * lam                          # dlam/deta = lam (1 - 2 lam)
+    g = np.empty(n + 1)
+    np.multiply(g_lam, np.subtract(1.0, dlam, out=dlam), out=g[:n])
+    g[n] = u.sum()
+    return fval, g
 
 
 def _sparsity_quality(G, Sigma_w, mu_w):
@@ -375,7 +417,8 @@ def _all_sq(G, d, c, active, L, posterior):
     column nearly in the active span) and q = c - G mu_w; the columns in
     it take :func:`_sparsity_quality`."""
     mu_w, Sigma_w = posterior
-    s = d - np.sum(lower_solve(L, G.T) ** 2, axis=0)
+    V = lower_solve(L, G.T)
+    s = d - np.square(V, out=V).sum(axis=0)
     q = c - G @ mu_w
     s[active], q[active] = _sparsity_quality(G[active], Sigma_w, mu_w)
     return s, q
@@ -385,15 +428,16 @@ def _actions(s, q, a_old):
     """Each column's evidence-optimal precision a_new (inf: out of the
     model) and its gain l(a_new) - l(a_old), -inf where not finite.  q^2
     is formed once and a_new and the gain are updated in place: every
-    action's step calls this on all M columns."""
+    action's step calls this on all M columns, under
+    :func:`update_alpha`'s ``np.errstate``, which keeps a division by 0
+    or a value that is not finite quiet."""
     q2 = q * q
     theta = q2 - s
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a_new = s * s
-        a_new /= theta
-        np.putmask(a_new, ~(theta > 0.0), np.inf)
-        gain = _ell(a_new, s, q2)
-        gain -= _ell(a_old, s, q2)
+    a_new = s * s
+    a_new /= theta
+    np.putmask(a_new, ~(theta > 0.0), np.inf)
+    gain = _ell(a_new, s, q2)
+    gain -= _ell(a_old, s, q2)
     np.putmask(gain, ~np.isfinite(gain), -np.inf)
     return a_new, gain
 
@@ -413,10 +457,11 @@ def _ell(a, s, q2):
 def _intact(mu_w, Sigma_w, s, q):
     """Whether an updated selection state can be scored: every value
     finite (their sum is, unless one is not or the sum overflows, which
-    rescores as well) and every weight variance positive."""
-    total = s.sum() + q.sum() + mu_w.sum() + Sigma_w.sum()
+    rescores as well) and every weight variance positive.  One reduction
+    sums them all."""
+    total = np.concatenate((s, q, mu_w, Sigma_w.ravel())).sum()
     return (math.isfinite(total)
-            and min(Sigma_w.diagonal().tolist(), default=1.0) > 0.0)
+            and min(Sigma_w.diagonal().tolist() + [1.0]) > 0.0)
 
 
 def update_alpha(active, alpha, Phi, r, y, tol: float):
@@ -456,8 +501,9 @@ def update_alpha(active, alpha, Phi, r, y, tol: float):
     scored from scratch has (G and Sigma_w C-contiguous: G @ x on another
     layout takes another BLAS path and moves the last bits).  At M = 101
     and m near 5 the step costs what its numpy calls cost, not their
-    arithmetic: a re-estimate makes under 50, and one ``np.errstate``
-    (:func:`_actions`'s).
+    arithmetic: :func:`_actions` makes 23 ufunc calls, :func:`_intact`
+    one reduction, and every action of a state runs under the one
+    ``np.errstate`` the call enters per state scored from scratch.
 
     A state is scored from scratch, by one m x m factorization of the
     weight precision, at the start, where an update leaves a value that
@@ -477,7 +523,7 @@ def update_alpha(active, alpha, Phi, r, y, tol: float):
     so no caller factors it again."""
     at = np.array(active, dtype=np.intp)  # the active set, in order
     Phir = Phi / r[:, None]
-    d = np.sum(Phi * Phir, axis=0)
+    d = (Phi * Phir).sum(axis=0)
     c = Phir.T @ y
     a_old = np.full(Phi.shape[1], np.inf)  # every column's precision
     a_old[at] = alpha
@@ -492,7 +538,7 @@ def update_alpha(active, alpha, Phi, r, y, tol: float):
             if start is None:
                 raise
             return start
-        ev, _ = _evidence(L, b, alpha, r, y)
+        ev = _evidence(L, b, alpha, r, y)[0]
         mu_w, Sigma_w = _posterior(L, b)
         # the updates below change mu_w and Sigma_w in place
         start = at.tolist(), alpha, ev, (mu_w.copy(), Sigma_w.copy())
@@ -708,7 +754,7 @@ def fit_vi(data: Dataset, kernel: Optional[KernelSpec] = None,
                 status = "stalled"
             stalled_once = True
         if -negf(res.x)[0] >= f0:
-            lam = np.clip(0.5 * _sigmoid(res.x[:n]), 1e-12, 0.5 - 1e-12)
+            lam = _lam_from_eta(res.x[:n])
             mu0 = float(res.x[n])
         *_, r, trq, kl = _q_point(lam, mu0, cov)
 

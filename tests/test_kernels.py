@@ -68,6 +68,14 @@ class TestKernelEval:
                 KernelSpec(lengthscale=lengthscale)
             with pytest.raises(ValueError):
                 GpNoisePrior(0.0, lengthscale)
+        # an integer beyond the float range, as a JSON document can hold
+        for make in (lambda: KernelSpec(lengthscale=10**400),
+                     lambda: GpNoisePrior(0.0, lengthscale=10**400),
+                     lambda: GpNoisePrior(10**400),
+                     lambda: GpNoisePrior(0.0, signal_variance=10**400),
+                     lambda: GpNoisePrior(0.0, jitter=10**400)):
+            with pytest.raises(ValueError):
+                make()
         with pytest.raises(ValueError):
             KernelSpec(family="matern")
         for degree in (0, 2.5, True):

@@ -233,14 +233,31 @@ class TestNonFiniteInput:
             A[1, 1] = np.nan
         elif name == "nan_upper":
             A[0, 2] = np.nan
+        elif name == "nan_lower":  # the triangle LAPACK reads
+            A[2, 0] = np.nan
+        elif name == "inf_diagonal":
+            A[1, 1] = np.inf
+        elif name == "neg_inf_off_diagonal":
+            A[0, 2] = A[2, 0] = -np.inf
         else:
             A[0, 2] = A[2, 0] = np.inf
         return A
 
     @pytest.mark.parametrize("name", ["nan_diagonal", "nan_upper",
-                                      "inf_off_diagonal"])
+                                      "nan_lower", "inf_diagonal",
+                                      "inf_off_diagonal",
+                                      "neg_inf_off_diagonal"])
     def test_raises_without_warning(self, name):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(FactorizationError):
+            with pytest.raises(FactorizationError,
+                               match="has a non-finite entry"):
                 chol_factor(self._case(name))
+
+    def test_asymmetry_is_reported_before_the_factorization(self):
+        # not positive definite and not symmetric: the symmetry check
+        # comes first, a plain ValueError and not a FactorizationError
+        A = np.array([[1.0, 2.0], [3.0, 1.0]])
+        with pytest.raises(ValueError, match="not symmetric") as exc:
+            chol_factor(A, "A")
+        assert not isinstance(exc.value, FactorizationError)

@@ -286,6 +286,10 @@ def _kernel_field(key, value):
     pytest.param(set_record("y_scale", 0.0), id="y_scale-zero"),
     pytest.param(set_record("y_scale", -2.0), id="y_scale-negative"),
     pytest.param(set_record("y_scale", float("nan")), id="y_scale-nan"),
+    # predict scales the noise variance by y_scale^2: its square must be
+    # finite and not subnormal, the lengthscale rule
+    pytest.param(set_record("y_scale", 1e308), id="y_scale-huge"),
+    pytest.param(set_record("y_scale", 1e-320), id="y_scale-subnormal"),
     # a JSON integer beyond the float range
     pytest.param(set_first("alpha", 10**400), id="alpha-int-overflows"),
     pytest.param(_clamped(_log_noise(10**400)),

@@ -17,15 +17,17 @@ from hetrvm.kernels import (GpNoisePrior, KernelSpec, _sqdist,
 from hetrvm.numerics import chol_solve, gauss_hermite
 from hetrvm.predict import nlpd, predict
 from hetrvm.rvm import RvmConfig, fit_rvm
-from hetrvm.vi import (VIConfig, VariationalState, _bound_value_grad,
-                       _factor, _gram, _q_cov, _q_point, _setup,
-                       _split_prior, _weight_fit, _sigmoid,
+from hetrvm.vi import (VIConfig, VariationalState, _PriorCov,
+                       _bound_value_grad, _factor, _gram, _q_cov, _q_point,
+                       _setup, _split_prior, _weight_fit, _sigmoid,
                        _sparsity_quality, collapsed_bound, fit_vi,
                        noise_diag, update_alpha, weight_posterior)
 from conftest import (SelectionLog, all_sq_at, make_state, noise_cov,
                       noise_split, selection_inputs)
-from oracles import (dense_sparsity_quality, expected_loglik, grad_check,
-                     prior_cov, reduced_cov)
+from oracles import (actions_formula, all_sq_formula, bound_formula,
+                     dense_sparsity_quality, expected_loglik, grad_check,
+                     prior_cov, q_cov_formula, q_point_formula,
+                     reduced_cov, sigmoid_two_branch)
 
 
 class TestNoiseDiag:
@@ -342,6 +344,136 @@ class TestBoundAgainstDenseInverses:
         assert f == pytest.approx(f_ref, rel=1e-9)
         err = np.abs(g - g_ref) / np.maximum(1.0, np.abs(g_ref))
         assert np.max(err) < 1e-7
+
+
+def _same_bits(got, want):
+    """Equal shapes and equal bytes: -0.0 is not 0.0, and a nan matches
+    only a nan of the same bits."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _frozen_cases():
+    """(x, cov, Phi_a, alpha, y) for the bit checks: the N=100 draw of the
+    benchmark's size (r = 16, m = 5, F as the pivoted split lays it out),
+    an N=12 prior split densely with a jitter of 1e-6 and of 0.5 (where
+    the jitter's terms are not lost to rounding), in both memory layouts
+    of F, and the nine-decade noise of ``_wide_noise_case`` at m > N,
+    m < N and m = 1."""
+    data = synth(SynthSpec(generator="goldberg_sine", n=100, seed=0))[0]
+    work = standardize(data)[0]
+    prior, cov = _setup(work)
+    Phi = build_design_matrix(work.X, KernelSpec(lengthscale=0.3))
+    rng = np.random.default_rng(36)
+    for _ in range(3):
+        x = np.append(rng.normal(0.0, 2.0, 100), prior.mu0 + rng.normal())
+        cols = np.sort(rng.choice(101, 5, replace=False))
+        yield x, cov, Phi[:, cols], np.exp(rng.uniform(-3, 3, 5)), work.y
+    X = np.linspace(0.0, 1.0, 12)[:, None]
+    K = noise_cov(X, np.log(0.3), 0.2)
+    Phi = build_design_matrix(X, KernelSpec(lengthscale=0.3))
+    for jitter in (1e-6, 0.5):
+        split = prior_cov(K + (jitter - 1e-6) * np.eye(12), jitter)
+        for layout in (np.asfortranarray, np.ascontiguousarray):
+            x = np.append(rng.normal(0.0, 3.0, 12), -1.0)
+            yield (x, _PriorCov(split.jitter, layout(split.F)),
+                   Phi[:, [0, 4, 9]], np.array([0.5, 2.0, 8.0]),
+                   rng.normal(size=12))
+    for m in (41, 10, 1):
+        x, cov, _, Phi_a, alpha, y, _ = _wide_noise_case(m, m)
+        yield x, cov, Phi_a, alpha, y
+
+
+class TestFrozenFormulas:
+    """The bound evaluation and the selection step make fewer numpy calls
+    than their formulas written out (tests/oracles.py), and must give
+    their bits."""
+
+    def test_sigmoid_matches_two_branches(self):
+        x = np.array([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 40.0, -40.0,
+                      745.0, -745.0, np.inf, -np.inf, np.nan,
+                      np.copysign(np.nan, -1.0)])
+        assert _same_bits(_sigmoid(x), sigmoid_two_branch(x))
+        eta = np.random.default_rng(0).normal(0.0, 30.0, 1000)
+        assert _same_bits(_sigmoid(eta), sigmoid_two_branch(eta))
+
+    def test_bound_matches_its_formula(self):
+        for x, cov, Phi_a, alpha, y in _frozen_cases():
+            f, g = _bound_value_grad(x, cov, Phi_a, alpha, y)
+            f_ref, g_ref = bound_formula(x, cov, Phi_a, alpha, y)
+            assert _same_bits(f, f_ref) and _same_bits(g, g_ref)
+
+    def test_q_cov_matches_its_formula(self):
+        # at L-BFGS's reduced parameters and at EP's site precisions,
+        # zeros included
+        for x, cov, *_ in _frozen_cases():
+            n = x.size - 1
+            for lam in (0.5 * sigmoid_two_branch(x[:n]),
+                        np.where(np.arange(n) % 3, 0.0, 4.0)):
+                q = _q_cov(lam, cov)
+                assert all(map(_same_bits, (q.jd, q.Y, q.diag, q.logdet_B),
+                               q_cov_formula(lam, cov)))
+
+    def test_q_point_matches_its_formula(self):
+        # a prior mean far enough out clips the noise's exponent at +-700
+        for x, cov, *_ in _frozen_cases():
+            lam = 0.5 * sigmoid_two_branch(x[:-1])
+            for mu0 in (x[-1], -800.0, 800.0):
+                mu, _, Kv, r, trq, kl = _q_point(lam, mu0, cov)
+                assert all(map(_same_bits, (mu, Kv, r, trq, kl),
+                               q_point_formula(lam, mu0, cov)))
+
+    def test_actions_match_their_formula(self):
+        rng = np.random.default_rng(1)
+        s = rng.uniform(-0.5, 10.0, 300)
+        q = rng.normal(0.0, 3.0, 300)
+        s[:6] = [0.0, np.inf, np.nan, 1.0, 2.0, 1e300]
+        q[:6] = [1.0, 1.0, 1.0, np.nan, np.sqrt(2.0), 1e200]
+        a_old = np.where(rng.uniform(size=300) < 0.1,
+                         np.exp(rng.uniform(-5, 5, 300)), np.inf)
+        a_old[:6] = [1.0, 1.0, np.inf, 1.0, 3.0, 1.0]
+        # update_alpha's errstate, under which the step calls _actions
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            got = hetrvm.vi._actions(s, q, a_old)
+            want = actions_formula(s, q, a_old)
+        assert all(map(_same_bits, got, want))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_all_sq_matches_its_formula(self, seed):
+        rng = np.random.default_rng(seed)
+        Phi, y = rng.normal(size=(20, 8)), rng.normal(size=20)
+        active = np.array([0, 3, 5])
+        r = np.exp(rng.normal(size=20))
+        G, d, c, act, L, (mu_w, Sigma_w) = selection_inputs(
+            Phi, y, active, np.exp(rng.uniform(-2, 2, 3)), r)
+        got = hetrvm.vi._all_sq(G, d, c, act, L, (mu_w, Sigma_w))
+        want = all_sq_formula(G, d, c, act, L, mu_w, Sigma_w)
+        assert all(map(_same_bits, got, want))
+
+    def test_intact_verdict_is_the_sums(self):
+        # the guard's verdict, one reduction over every value, is that of
+        # the four sums it replaced: every value finite, every weight
+        # variance positive
+        rng = np.random.default_rng(2)
+        for trial in range(400):
+            m = int(rng.integers(0, 6))
+            B = rng.normal(size=(m, m))
+            state = [rng.normal(size=m), B @ B.T + np.eye(m),
+                     rng.normal(size=40), rng.normal(size=40)]
+            part, kind = int(rng.integers(4)), int(rng.integers(6))
+            value = (None, np.nan, np.inf, -np.inf, 0.0, -1e-3)[kind]
+            if value is not None and state[part].size:
+                if part == 1:
+                    state[1][rng.integers(m), rng.integers(m)] = value
+                    if kind >= 4:
+                        state[1][0, 0] = value  # a variance at 0 or below
+                else:
+                    state[part][rng.integers(state[part].size)] = value
+            mu_w, Sigma_w, s, q = state
+            total = s.sum() + q.sum() + mu_w.sum() + Sigma_w.sum()
+            want = bool(np.isfinite(total)
+                        and np.all(np.diag(Sigma_w) > 0.0))
+            assert hetrvm.vi._intact(mu_w, Sigma_w, s, q) == want
 
 
 def _draw_prior(q, n):
