@@ -8,12 +8,19 @@ built from the options before any file is read or written, so a setting
 they reject is a usage error with the library's message.  Every artifact
 embeds the resolved configuration for provenance, and identical (config,
 seed, inputs) produce identical outputs.
+
+The parser is built once per process and reused by every ``run``, which
+serves in-process callers (tests, benchmarks, notebooks) that run many
+commands.  Commands look up the library functions they call in this
+module when they run, so rebinding one here (as a tracer does) takes
+effect on the next command.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -195,7 +202,10 @@ def _add_data_opts(p):
     p.add_argument("--no-header", action="store_true")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves
+    it as it was, and each command's ``func`` is a module function."""
     parser = argparse.ArgumentParser(
         prog="hetrvm",
         description="Sparse kernel regression with input-dependent noise.")

@@ -107,37 +107,42 @@ def load_csv(path, has_header: bool = True, target_column=None) -> Dataset:
     """Parse a numeric CSV into a Dataset.
 
     ``target_column`` names (header) or indexes the target; defaults to the
-    last column.  Non-numeric cells are rejected with their row number
-    (1-based, counting the header).  A header whose column count differs
-    from the rows' is rejected too, since a name could then pick another
+    last column.  A bool is neither, and is rejected.  The file is read as
+    UTF-8, skipping a leading byte-order mark; a file that is not UTF-8 is
+    rejected.  Blank lines are skipped.  Each cell is ``float(cell)``,
+    which ignores the whitespace around it.  A non-numeric or non-finite
+    cell and a row of another width than the first are rejected with
+    their row number: the file's line number, 1-based, counting the
+    header and blank lines.  A header whose column count differs from
+    the rows' is rejected too, since a name could then pick another
     column.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    except OSError as exc:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    lines = [(lineno, ln) for lineno, ln in enumerate(text.split("\n"), 1)
+             if ln.strip()]
     if not lines:
         raise DataError(f"{path}: empty file")
 
     header = None
-    start = 0
     if has_header:
-        header = [c.strip() for c in lines[0].split(",")]
-        start = 1
-    rows = []
-    for lineno, ln in enumerate(lines[start:], start=start + 1):
-        cells = [c.strip() for c in ln.split(",")]
+        header = [c.strip() for c in lines[0][1].split(",")]
+        lines = lines[1:]
+    if not lines:
+        raise DataError(f"{path}: no data rows")
+    values = []
+    ncol = lines[0][1].count(",") + 1
+    for row, (lineno, ln) in enumerate(lines, 1):
         try:
-            rows.append([float(c) for c in cells])
+            values.extend(map(float, ln.split(",")))
         except ValueError as exc:
             raise DataError(f"{path}: non-numeric cell at row {lineno}") from exc
-        if len(rows[-1]) != len(rows[0]):
+        if len(values) != row * ncol:
             raise DataError(f"{path}: inconsistent column count at row {lineno}")
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    arr = np.asarray(rows, dtype=float)
-    ncol = arr.shape[1]
+    arr = np.array(values).reshape(len(lines), ncol)
     if header is not None and len(header) != ncol:
         raise DataError(f"{path}: the header names {len(header)} columns, "
                         f"the rows hold {ncol}")
@@ -146,6 +151,9 @@ def load_csv(path, has_header: bool = True, target_column=None) -> Dataset:
 
     if target_column is None:
         tidx = ncol - 1
+    elif isinstance(target_column, bool):
+        raise DataError(f"{path}: target column {target_column!r} is neither "
+                        "a column index nor a header name")
     elif isinstance(target_column, int):
         tidx = target_column
     else:
@@ -154,9 +162,12 @@ def load_csv(path, has_header: bool = True, target_column=None) -> Dataset:
         tidx = header.index(target_column)
     if not (0 <= tidx < ncol):
         raise DataError(f"{path}: target column index {tidx} out of range")
-    y = arr[:, tidx]
-    X = np.delete(arr, tidx, axis=1)
-    return Dataset(X, y)
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        raise DataError(f"{path}: non-finite cell at row "
+                        f"{lines[int(finite.argmin())][0]}")
+    return Dataset(arr[:, [i for i in range(ncol) if i != tidx]],
+                   arr[:, tidx])
 
 
 _GENERATORS = ("goldberg_sine", "linear_het", "const_noise")

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import hetrvm
+from hetrvm import cli
 from hetrvm.cli import run
 from hetrvm.data import SynthSpec, load_csv
 from hetrvm.ep import EpConfig, fit_ep
@@ -201,6 +203,46 @@ class TestBenchmark:
         rows = [ln.split("\t") for ln in lines[3:]]
         assert [(r[0], r[1]) for r in rows] == [
             ("rvm", "0"), ("vi", "0"), ("rvm", "1"), ("vi", "1")]
+
+
+class TestParserReuse:
+    """``run`` parses with one parser per process.  argparse keeps no
+    state between parses, so calls in sequence act as calls on freshly
+    built parsers do."""
+
+    CALLS = (["train", "--method", "nonsense"],
+             ["train", "--method", "rvm", "--data", "train.csv",
+              "--out", "m.json", "--lengthscale", "0.3"],
+             ["--help"],
+             ["predict", "--model", "m.json", "--data", "train.csv",
+              "--out", "p.tsv"])
+
+    def _sequence(self, directory, train_csv, monkeypatch, capsys):
+        directory.mkdir()
+        monkeypatch.chdir(directory)
+        shutil.copy(train_csv, "train.csv")
+        calls = []
+        for argv in self.CALLS:
+            code = run(argv)
+            calls.append((code, *capsys.readouterr()))
+        files = {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+        return calls, files
+
+    def test_reused_parser_acts_as_fresh_ones(self, train_csv, tmp_path,
+                                              monkeypatch, capsys):
+        reused = self._sequence(tmp_path / "reused", train_csv, monkeypatch,
+                                capsys)
+        # the builder without its memo builds a new parser on every call
+        monkeypatch.setattr(cli, "build_parser", getattr(
+            cli.build_parser, "__wrapped__", cli.build_parser))
+        fresh = self._sequence(tmp_path / "fresh", train_csv, monkeypatch,
+                               capsys)
+        assert [c[0] for c in reused[0]] == [2, 0, 0, 0]
+        assert reused == fresh
+        assert set(reused[1]) == {"train.csv", "m.json", "p.tsv"}
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
 
 
 class TestExitCodes:

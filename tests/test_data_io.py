@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from hetrvm.cli import run
 from hetrvm.data import (DataError, Dataset, SynthSpec, load_csv, standardize,
                          synth)
 from hetrvm.kernels import KernelSpec
@@ -111,6 +114,15 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="row 3"):
             load_csv(p)
 
+    @pytest.mark.parametrize("text", ["y\n1\n2,3\n", "x,y\n1,2\n3,4,5,6\n"])
+    def test_row_a_multiple_of_the_first_is_ragged(self, tmp_path, text):
+        # the cell count is checked per row, not only in total
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        with pytest.raises(DataError,
+                           match="inconsistent column count at row 3"):
+            load_csv(p)
+
     @pytest.mark.parametrize("text", ["x,y\n1,2,3\n4,5,6\n",
                                       "a,x,y\n1,2\n3,4\n"])
     def test_header_width_must_match_rows(self, tmp_path, text):
@@ -126,6 +138,12 @@ class TestLoadCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_csv(tmp_path / "absent.csv")
+
+    def test_not_utf8_file(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"x,y\n1,2\n\xff,3\n")
+        with pytest.raises(DataError, match="cannot read"):
+            load_csv(p)
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -144,6 +162,95 @@ class TestLoadCsv:
         p.write_text("y\n1\n2\n")
         with pytest.raises(DataError):
             load_csv(p)
+
+    def test_target_bool_rejected(self, tmp_path):
+        # a bool is neither a column index nor a header name
+        p = tmp_path / "d.csv"
+        p.write_text("x,y,z\n1,2,3\n")
+        for target in (True, False):
+            with pytest.raises(DataError, match="target column"):
+                load_csv(p, target_column=target)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_cell_reports_row(self, tmp_path, cell):
+        p = tmp_path / "d.csv"
+        p.write_text(f"x,y\n1,2\n\n3,4\n5,{cell}\n6,7\n")
+        with pytest.raises(DataError,
+                           match=re.escape(f"{p}: non-finite cell at row 5")):
+            load_csv(p)
+
+    @pytest.mark.parametrize("text, message", [
+        ("x,y\n\n\n1,2\nfoo,3\n", "non-numeric cell at row 5"),
+        ("x,y\n1,2\n \n\t\n3,4,5\n", "inconsistent column count at row 5"),
+        ("\n\nx,y\n1,2\n\n1,oops\n", "non-numeric cell at row 6")],
+        ids=["non_numeric", "ragged", "header_after_blanks"])
+    def test_row_number_counts_blank_lines(self, tmp_path, text, message):
+        # the docstring's row numbers are the file's line numbers
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        with pytest.raises(DataError, match=message):
+            load_csv(p)
+
+    @pytest.mark.parametrize("has_header", [True, False])
+    def test_byte_order_mark_is_skipped(self, tmp_path, has_header):
+        # spreadsheet tools often write UTF-8 with a byte-order mark
+        text = ("x0,y\n" if has_header else "") + "0.25,1.5\n-3,2e-3\n"
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(text.encode("utf-8"))
+        bom.write_bytes(text.encode("utf-8-sig"))
+        target = "x0" if has_header else 0
+        for kw in ({}, {"target_column": target}):
+            want = load_csv(plain, has_header=has_header, **kw)
+            got = load_csv(bom, has_header=has_header, **kw)
+            assert got.X.tobytes() == want.X.tobytes()
+            assert got.y.tobytes() == want.y.tobytes()
+
+
+def _float_rows(text):
+    """The rows of a CSV text as ``float(cell.strip())``, blank lines
+    skipped: the parse ``load_csv`` must reproduce bit for bit."""
+    lines = text.replace("\r\n", "\n").split("\n")
+    return np.array([[float(c.strip()) for c in ln.split(",")]
+                     for ln in lines if ln.strip()])
+
+
+class TestLoadCsvParse:
+    @pytest.mark.parametrize("body", [
+        " 0.5 ,\t1.5\n\t1.0\t, 2.0  \n",
+        "0.5,1.5\r\n1.0,2.0\r\n",
+        "-0.0,+1.5\n1e-320,1_000\n",
+        "0.1,0.2\n0.3,0.4",
+        "0.1,0.2\n\n \n\t\n0.3,0.4\n\n",
+        "1,2,3\n-4.5e2, 6E-1 ,  +7.\n.5,-.25,8_8.0_1\n",
+    ], ids=["spaces_tabs", "crlf", "signs_subnormal_underscore",
+            "no_final_newline", "blank_lines", "three_columns"])
+    @pytest.mark.parametrize("has_header", [True, False])
+    def test_cells_parse_as_float_of_stripped_cell(self, tmp_path, body,
+                                                   has_header):
+        width = body.split("\n")[0].count(",") + 1
+        head = ",".join(f"c{i}" for i in range(width)) + "\n"
+        p = tmp_path / "d.csv"
+        p.write_bytes(((head if has_header else "") + body).encode())
+        want = _float_rows(body)
+        for target in range(width):
+            d = load_csv(p, has_header=has_header, target_column=target)
+            assert d.y.tobytes() == want[:, target].tobytes()
+            assert d.X.tobytes() == np.delete(want, target, axis=1).tobytes()
+        d = load_csv(p, has_header=has_header)
+        assert d.y.tobytes() == want[:, -1].tobytes()
+
+    @pytest.mark.parametrize("n, seed", [(100, 0), (1000, 300_000)])
+    def test_synth_files_load_the_drawn_arrays(self, tmp_path, n, seed):
+        # the two files the README flow (and its benchmark) writes: repr
+        # round-trips every float, so the file holds the draw's bits
+        p = tmp_path / "d.csv"
+        assert run(["synth", "--generator", "goldberg_sine", "--n", str(n),
+                    "--seed", str(seed), "--out", str(p)]) == 0
+        drawn, _ = synth(SynthSpec(generator="goldberg_sine", n=n, seed=seed))
+        d = load_csv(p)
+        assert d.X.tobytes() == drawn.X.tobytes()
+        assert d.y.tobytes() == drawn.y.tobytes()
+        assert d.X.flags.c_contiguous and d.y.flags.c_contiguous
 
 
 class TestSynth:
