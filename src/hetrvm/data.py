@@ -115,7 +115,7 @@ def load_csv(path, has_header: bool = True, target_column=None) -> Dataset:
     their row number: the file's line number, 1-based, counting the
     header and blank lines.  A header whose column count differs from
     the rows' is rejected too, since a name could then pick another
-    column.
+    column, and so is a target name that the header gives twice.
     """
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
@@ -159,6 +159,9 @@ def load_csv(path, has_header: bool = True, target_column=None) -> Dataset:
     else:
         if header is None or target_column not in header:
             raise DataError(f"{path}: unknown target column {target_column!r}")
+        if header.count(target_column) > 1:
+            raise DataError(f"{path}: the header names target column "
+                            f"{target_column!r} more than once")
         tidx = header.index(target_column)
     if not (0 <= tidx < ncol):
         raise DataError(f"{path}: target column index {tidx} out of range")

@@ -7,7 +7,7 @@ variance (a constant shift of 2 log y_scale relative to training units).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -164,6 +164,8 @@ def predict(model: HrvmModel, Xstar) -> PredictiveDist:
     joined once at the end, so no n* x N array is ever held.  Treat a
     fitted model as read-only.  Inputs whose column count is not the
     model's raise ``DataError``, and non-finite inputs ``ValueError``.
+    A model whose moments at finite inputs are not all finite raises
+    ``FloatingPointError``.
     """
     record = model.standardization
     X = np.atleast_2d(np.asarray(Xstar, dtype=float))
@@ -208,20 +210,32 @@ def predict(model: HrvmModel, Xstar) -> PredictiveDist:
         lo = hi
     # a single block is taken as it is: copying it into preallocated
     # n*-vectors costs a single-point query more than its block loop
-    fields = blocks[0] if len(blocks) == 1 else map(np.concatenate,
-                                                    zip(*blocks))
-    return _assemble(record, *fields)
+    moments = blocks[0] if len(blocks) == 1 else map(np.concatenate,
+                                                     zip(*blocks))
+    return _assemble(record, model.method, *moments)
 
 
-def _assemble(record, latent_mean, latent_var, g_mean, g_var) -> PredictiveDist:
+def _assemble(record, method, latent_mean, latent_var, g_mean,
+              g_var) -> PredictiveDist:
+    """The moments in the original units, checked to be finite."""
     latent_mean = record.invert_y(latent_mean)
     scale2 = record.y_scale**2
     latent_var = latent_var * scale2
     g_mean = g_mean + np.log(scale2)
     # the log-normal mean E[exp(g)]; g_var >= 0 by construction
     total_var = latent_var + np.exp(g_mean + 0.5 * g_var)
-    return PredictiveDist(latent_mean=latent_mean, latent_var=latent_var,
+    pred = PredictiveDist(latent_mean=latent_mean, latent_var=latent_var,
                           g_mean=g_mean, g_var=g_var, total_var=total_var)
+    # one check per call.  latent_var and g_var are >= 0 or nan, so they are
+    # finite where total_var and g_mean are; a sum that overflows, from
+    # moments near the float range's end, is looked at moment by moment
+    if not np.logical_and.reduce(np.isfinite(latent_mean + g_mean
+                                             + total_var)):
+        for name in (f.name for f in fields(pred)):
+            if not np.isfinite(getattr(pred, name)).all():
+                raise FloatingPointError(f"the {method} model predicts a "
+                                         f"{name} that is not finite")
+    return pred
 
 
 # kept for perfbench's tracer until ROADMAP item 1

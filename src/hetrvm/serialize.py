@@ -11,6 +11,10 @@ writes its log-noise as the one number ``g_const`` (format 2), so RVM
 files keep their bytes; a VI or EP model writes q(g) in site form, the
 N-vectors ``g_prec`` and ``g_coef`` (format 3, see ``HrvmModel``).
 
+One table, ``_FIELDS``, gives each field's JSON type, shape and rule:
+``model_to_dict`` writes from it, ``model_from_dict`` reads through it,
+and README's model-format table lists it.
+
 Formats 2 and 3 load; format 1 (kind "rvm", or q(g) as ``g_mu`` and
 the N x N ``g_Sigma``) is no longer read, and raises ``SchemaError``.
 hetrvm at commit 2469dfe or earlier loads a format-1 file, and its
@@ -21,7 +25,9 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import fields
+from functools import partial
+from operator import attrgetter
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -41,83 +47,124 @@ class SchemaError(ValueError):
     malformed field)."""
 
 
-def _arr(a):
-    return np.asarray(a, dtype=float).tolist()
+class _Field(NamedTuple):
+    """One field of a model document.
+
+    ``key`` is its name, as ``place.name`` inside the ``kernel`` or
+    ``standardization`` object.  ``type`` is its JSON type: ``int``,
+    ``bool``, ``str``, ``number`` (not a bool) and ``object``, or a list
+    held as a float ``array`` of ``shape``, as a list of ``floats`` or
+    as a list of ``ints``.  A shape names its sizes: N rows of
+    ``centers``, m ``active_indices`` and q input columns; the first field
+    that has a size fixes it.  ``held`` says whether the model holds the
+    value, as the attribute the key names (``noise_`` + name as
+    ``noise_prior``'s).  ``rule`` names the test in ``_RULES`` the value
+    must pass, and ``formats`` gives the versions that carry the field."""
+
+    key: str
+    type: str
+    shape: Tuple[str, ...]
+    held: bool
+    rule: Optional[str]
+    formats: Tuple[int, ...] = (2, 3)
+
+    @property
+    def attr(self) -> str:
+        """The model attribute of a held field, as a dotted path."""
+        return self.key.replace("noise_", "noise_prior.", 1)
 
 
-def _kernel_to_dict(k: KernelSpec):
-    # every file carries a basis-kernel signal variance of 1, which no
-    # basis reads, so that files keep their bytes and older readers, which
-    # require the key, still load them
-    return {"family": k.family, "lengthscale": k.lengthscale,
-            "degree": k.degree, "include_bias": k.include_bias,
-            "signal_variance": 1.0}
-
-
-def _kernel_from_dict(d):
-    """The basis kernel of a document.  Its ``signal_variance`` must be
-    a positive and finite number, and is not read: it never changed a
-    prediction."""
-    sv = d["signal_variance"]
-    if not (_is_number(sv) and np.isfinite(sv) and sv > 0):
-        raise SchemaError(f"signal_variance {sv!r} is not positive and finite")
-    return KernelSpec(family=d["family"], lengthscale=d["lengthscale"],
-                      degree=d["degree"], include_bias=d["include_bias"])
-
-
-# the noise prior's fields, each saved as "noise_" + its name
-_PRIOR_FIELDS = [f.name for f in fields(GpNoisePrior)]
-
-
-def _std_to_dict(s: Standardization):
-    return {"x_mean": _arr(s.x_mean), "x_scale": _arr(s.x_scale),
-            "y_mean": s.y_mean, "y_scale": s.y_scale}
-
-
-def _std_from_dict(d):
-    y_mean, y_scale = d["y_mean"], d["y_scale"]
-    if not (_is_number(y_mean) and _is_number(y_scale)):
-        raise SchemaError(f"y_mean {y_mean!r} and y_scale {y_scale!r} "
-                          "must be numbers")
+# in the order the loader reads them: a rule may read an earlier field
+_FIELDS = [_Field(*row) for row in (
+    # key                       type      shape       held   rule
+    ("format_version",          "int",    (),         False, "version"),
+    ("model_kind",              "str",    (),         False, "hetrvm"),
+    ("method",                  "str",    (),         True,  "method"),
+    ("status",                  "str",    (),         True,  None),
+    ("n_iter",                  "int",    (),         True,  "nonneg"),
+    ("config",                  "object", (),         True,  None),
+    # EP logs nan where its marginal-likelihood estimate is undefined
+    ("training_log",            "floats", ("log",),   True,  None),
+    ("kernel.family",           "str",    (),         True,  "KernelSpec"),
+    ("kernel.lengthscale",      "number", (),         True,  "KernelSpec"),
+    ("kernel.degree",           "int",    (),         True,  "KernelSpec"),
+    ("kernel.include_bias",     "bool",   (),         True,  "KernelSpec"),
+    ("kernel.signal_variance",  "number", (),         False, "positive"),
+    ("centers",                 "array",  ("N", "q"), True,  "finite"),
+    ("active_indices",          "ints",   ("m",),     True,  "index"),
+    ("alpha",                   "array",  ("m",),     True,  "positive"),
+    ("mu_w",                    "array",  ("m",),     True,  "finite"),
+    ("Sigma_w",                 "array",  ("m", "m"), True,  "finite"),
+    ("noise_mu0",               "number", (),         True,  "GpNoisePrior"),
+    ("noise_lengthscale",       "number", (),         True,  "GpNoisePrior"),
+    ("noise_signal_variance",   "number", (),         True,  "GpNoisePrior"),
+    ("noise_jitter",            "number", (),         True,  "GpNoisePrior"),
+    ("g_const",                 "number", (),         False, "mu0", (2,)),
+    ("g_prec",                  "array",  ("N",),     True,  "nonneg", (3,)),
+    ("g_coef",                  "array",  ("N",),     True,  "finite", (3,)),
+    ("standardization.x_mean",  "array",  ("q",),     True,  "finite"),
+    ("standardization.x_scale", "array",  ("q",),     True,  "positive"),
+    ("standardization.y_mean",  "number", (),         True,  "finite"),
     # predict scales the noise variance by y_scale^2 and takes its log
-    if not _square_in_range(y_scale):
-        raise SchemaError(f"y_scale {y_scale!r} must be positive, and its "
-                          "square finite and at least the smallest normal "
-                          "float")
-    return Standardization(x_mean=_numbers(d["x_mean"], "x_mean"),
-                           x_scale=_numbers(d["x_scale"], "x_scale"),
-                           y_mean=float(y_mean), y_scale=float(y_scale))
+    ("standardization.y_scale", "number", (),         True,  "square"),
+)]
+
+# np.all without its Python-level dispatch, microseconds a rule
+_all = partial(np.logical_and.reduce, axis=None)
+# each rule's text, and its test of a value given what is known before it;
+# a rule named after a class is the check its constructor makes
+_RULES = {
+    "finite": ("finite", lambda v, _: _all(np.abs(v) < np.inf)),
+    "positive": ("finite and positive",
+                 lambda v, _: _all((0.0 < v) & (v < np.inf))),
+    "nonneg": ("finite and nonnegative",
+               lambda v, _: _all((0.0 <= v) & (v < np.inf))),
+    "square": ("positive, and its square finite and at least the smallest "
+               "normal float", lambda v, _: _square_in_range(v)),
+    "version": (f"2 to {FORMAT_VERSION}",
+                lambda v, _: 2 <= v <= FORMAT_VERSION),
+    "hetrvm": ('"hetrvm"', lambda v, _: v == "hetrvm"),
+    "method": ("rvm, vi or ep", lambda v, _: v in ("rvm", "vi", "ep")),
+    "index": ("distinct and in [0, number of basis columns)",
+              lambda v, known: len(set(v)) == len(v) and all(
+                  0 <= i < known["N"] + known["kernel.include_bias"]
+                  for i in v)),
+    "mu0": ("noise_mu0", lambda v, known: v == known["noise_mu0"]),
+}
+
+_TYPES = {
+    "int": lambda v: type(v) is int,
+    "bool": lambda v: type(v) is bool,
+    "str": lambda v: isinstance(v, str),
+    "number": _is_number,
+    "object": lambda v: isinstance(v, dict),
+    "ints": lambda v: isinstance(v, list) and all(type(i) is int for i in v),
+}
+
+# how a value of each type is read and written (any other as it is)
+_READ = {"floats": lambda a: a.tolist(), "ints": list}
+_WRITE = {"array": lambda v: np.asarray(v, dtype=float).tolist(),
+          "floats": lambda v: [float(x) for x in v],
+          "ints": lambda v: list(map(int, v)), "int": int}
 
 
 def model_to_dict(model: HrvmModel) -> dict:
     if not isinstance(model, HrvmModel):
         raise TypeError(f"cannot serialize {type(model).__name__}")
-    return {
-        **_noise_to_dict(model),
-        "model_kind": "hetrvm",
-        "method": model.method,
-        "kernel": _kernel_to_dict(model.kernel),
-        "centers": _arr(model.centers),
-        "active_indices": list(map(int, model.active_indices)),
-        "alpha": _arr(model.alpha),
-        "mu_w": _arr(model.mu_w),
-        "Sigma_w": _arr(model.Sigma_w),
-        **{"noise_" + name: getattr(model.noise_prior, name)
-           for name in _PRIOR_FIELDS},
-        "standardization": _std_to_dict(model.standardization),
-        "training_log": [float(v) for v in model.training_log],
-        "status": model.status,
-        "n_iter": int(model.n_iter),
-        "config": model.config,
-    }
-
-
-def _noise_to_dict(model: HrvmModel) -> dict:
-    """The log-noise fields and the format version they need."""
-    if model.noise_clamped:
-        return {"format_version": 2, "g_const": model.noise_prior.mu0}
-    return {"format_version": FORMAT_VERSION, "g_prec": _arr(model.g_prec),
-            "g_coef": _arr(model.g_coef)}
+    version = 2 if model.noise_clamped else FORMAT_VERSION
+    # the fields the model does not hold.  Every file carries a basis-kernel
+    # signal variance of 1, which no basis reads, so that files keep their
+    # bytes and older readers, which require the key, still load them
+    extra = {"format_version": version, "model_kind": "hetrvm",
+             "kernel.signal_variance": 1.0, "g_const": model.noise_prior.mu0}
+    doc = {}
+    for field in (f for f in _FIELDS if version in f.formats):
+        value = (attrgetter(field.attr)(model) if field.held
+                 else extra[field.key])
+        value = _WRITE[field.type](value) if field.type in _WRITE else value
+        place, _, name = field.key.rpartition(".")
+        (doc.setdefault(place, {}) if place else doc)[name] = value
+    return doc
 
 
 def _numbers(value, name: str) -> np.ndarray:
@@ -135,108 +182,54 @@ def _numbers(value, name: str) -> np.ndarray:
     return a
 
 
-def _array(doc: dict, key: str, *shape: int) -> np.ndarray:
-    """``doc[key]`` as a float array of the given shape."""
-    a = _numbers(doc[key], key)
-    if a.size == 0 and 0 in shape:
-        a = a.reshape(shape)  # an empty matrix is written as []
-    if a.shape != shape:
-        raise SchemaError(f"{key} has shape {a.shape}, expected {shape}")
-    return a
-
-
-def _noise_from_dict(doc: dict, n: int) -> dict:
-    """The ``HrvmModel`` log-noise fields of a document over N centers:
-    ``noise_prior``, from the ``noise_*`` values, which must be numbers
-    that ``GpNoisePrior`` accepts, and the sites ``g_prec`` and ``g_coef``
-    of the one posterior form.  A clamped model has no sites, and its
-    ``g_const`` must be the prior's mean: the log noise is read once."""
-    values = [doc["noise_" + name] for name in _PRIOR_FIELDS]
-    if not all(map(_is_number, values)):
-        raise SchemaError(f"every noise_* value must be a number: {values}")
-    prior = GpNoisePrior(*map(float, values))
-    if ("g_const" in doc) == ("g_prec" in doc or "g_coef" in doc):
-        raise SchemaError("the log-noise needs g_const, or g_prec and "
-                          "g_coef, but not both")
-    if "g_const" in doc:
-        const = doc["g_const"]
-        if not (_is_number(const) and const == prior.mu0):
-            raise SchemaError(f"g_const {const!r} is not noise_mu0")
-        return dict(noise_prior=prior, g_prec=np.zeros(0), g_coef=np.zeros(0))
-    prec, coef = _array(doc, "g_prec", n), _array(doc, "g_coef", n)
-    if not np.all(np.isfinite(coef) & np.isfinite(prec) & (prec >= 0.0)):
-        raise SchemaError("g_prec must be finite and nonnegative, and "
-                          "g_coef finite")
-    return dict(noise_prior=prior, g_prec=prec, g_coef=coef)
+def _read(doc: dict, field: _Field, known: dict):
+    """The value of ``field`` in ``doc``, of its type, shape and rule;
+    ``known`` holds the fields read before it, and the sizes (N, m, q)
+    their shapes fixed."""
+    place, _, name = field.key.rpartition(".")
+    value = (doc[place] if place else doc)[name]
+    if field.type in ("array", "floats"):
+        value = _numbers(value, field.key)
+    elif not _TYPES[field.type](value):
+        raise SchemaError(f"{field.key} {value!r:.40} is not of JSON type "
+                          f"{field.type}")
+    elif field.type == "number":
+        value = float(value)  # OverflowError beyond the float range
+    if field.shape:  # a value of a scalar type is a scalar
+        expected = tuple(known.get(s) for s in field.shape)
+        if 0 in expected and np.size(value) == 0:
+            value = value.reshape(expected)  # an empty matrix is written []
+        shape = np.shape(value)
+        if len(shape) != len(expected) or any(
+                e not in (None, n) for e, n in zip(expected, shape)):
+            raise SchemaError(f"{field.key} has shape {shape}, expected "
+                              f"({', '.join(field.shape)})")
+        known.update(zip(field.shape, shape))
+    text, test = _RULES.get(field.rule, (None, None))
+    if test is not None and not test(value, known):
+        raise SchemaError(f"{field.key} must be {text}")
+    return _READ[field.type](value) if field.type in _READ else value
 
 
 def _model(doc: dict) -> HrvmModel:
-    """The model of a "hetrvm" document, whose sizes must agree: N rows
-    of ``centers``, m distinct ``active_indices`` in [0, n_basis), the
-    weight and noise posteriors sized m and N, and one ``x_mean`` and
-    ``x_scale`` entry per column of ``centers``.  The method must be a
-    trainer's, the status a string, the noise-GP prior one that
-    ``GpNoisePrior`` accepts, with a clamped model's ``g_const`` its mean,
-    every number a JSON number (not a string, bool or null) in the float
-    range, and every number but the training log (EP can log nan) finite,
-    precisions and scales > 0, and ``y_scale`` one whose square is finite
-    and at least the smallest normal float.  The record of the run must be
-    well formed too: ``n_iter`` a nonnegative integer, ``config`` an
-    object and ``training_log`` a list of numbers."""
-    if doc["method"] not in ("rvm", "vi", "ep"):
-        raise SchemaError(f"unknown method {doc['method']!r}")
-    if not isinstance(doc["status"], str):
-        raise SchemaError(f"status {doc['status']!r} is not a string")
-    n_iter, config, log = doc["n_iter"], doc["config"], doc["training_log"]
-    if not (type(n_iter) is int and n_iter >= 0 and isinstance(config, dict)
-            and isinstance(log, list) and all(map(_is_number, log))):
-        raise SchemaError("n_iter must be a nonnegative integer, config an "
-                          "object and training_log a list of numbers")
-    kernel = _kernel_from_dict(doc["kernel"])
-    centers = _numbers(doc["centers"], "centers")
-    if centers.ndim != 2:
-        raise SchemaError(f"centers has shape {centers.shape}, expected "
-                          "(points, inputs)")
-    n = centers.shape[0]
-    n_basis = n + int(kernel.include_bias)
-    active = doc["active_indices"]
-    if not (all(type(i) is int and 0 <= i < n_basis for i in active)
-            and len(set(active)) == len(active)):
-        raise SchemaError("active_indices must be distinct integers in "
-                          f"[0, {n_basis})")
-    m = len(active)
-    model = HrvmModel(
-        method=doc["method"],
-        kernel=kernel,
-        centers=centers,
-        active_indices=list(active),
-        alpha=_array(doc, "alpha", m),
-        mu_w=_array(doc, "mu_w", m),
-        Sigma_w=_array(doc, "Sigma_w", m, m),
-        **_noise_from_dict(doc, n),
-        standardization=_std_from_dict(doc["standardization"]),
-        training_log=[float(v) for v in log],
-        status=doc["status"],
-        n_iter=n_iter,
-        config=config,
-    )
-    record = model.standardization
-    width = centers.shape[1]
-    for name in ("x_mean", "x_scale"):
-        shape = getattr(record, name).shape
-        if shape != (width,):
-            raise SchemaError(f"{name} has shape {shape}, expected ({width},)"
-                              " for the columns of centers")
-    for name, value in dict(
-            alpha=model.alpha, x_scale=record.x_scale, mu_w=model.mu_w,
-            Sigma_w=model.Sigma_w, centers=model.centers,
-            x_mean=record.x_mean, y_mean=record.y_mean).items():
-        positive = name in ("alpha", "x_scale")
-        if not np.all((value > (0.0 if positive else -np.inf))
-                      & (value < np.inf)):
-            raise SchemaError(f"{name} must be finite"
-                              + (" and positive" if positive else ""))
-    return model
+    """The model of a "hetrvm" document: every field of ``_FIELDS`` that
+    its log-noise form's format carries, and no field of the other."""
+    version = 2 if "g_const" in doc else FORMAT_VERSION
+    known = {}
+    parts = {"": {"g_prec": np.zeros(0), "g_coef": np.zeros(0)},
+             "kernel": {}, "noise_prior": {}, "standardization": {}}
+    for field in (f for f in _FIELDS if version in f.formats):
+        known[field.key] = value = _read(doc, field, known)
+        if field.held:
+            place, _, name = field.attr.rpartition(".")
+            parts[place][name] = value
+    if set(doc) & {f.key for f in _FIELDS if version not in f.formats}:
+        raise SchemaError("the log-noise is g_const, or g_prec and g_coef, "
+                          "not both")
+    return HrvmModel(**parts[""], kernel=KernelSpec(**parts["kernel"]),
+                     noise_prior=GpNoisePrior(**parts["noise_prior"]),
+                     standardization=Standardization(
+                         **parts["standardization"]))
 
 
 def model_from_dict(doc: dict) -> HrvmModel:
@@ -251,12 +244,6 @@ def model_from_dict(doc: dict) -> HrvmModel:
                           "and g_Sigma) is no longer read: hetrvm at commit "
                           "2469dfe or earlier loads the file, and its "
                           "save_model re-saves it as format 2 or 3")
-    if type(version) is not int or not 2 <= version <= FORMAT_VERSION:
-        raise SchemaError(f"unsupported format_version {version!r} "
-                          f"(expected 2 to {FORMAT_VERSION})")
-    kind = doc.get("model_kind")
-    if kind != "hetrvm":
-        raise SchemaError(f"unknown model_kind {kind!r}")
     try:
         return _model(doc)
     except SchemaError:
@@ -276,9 +263,11 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
+    """The model saved at ``path``.  A file that is not UTF-8 JSON, or
+    that nests deeper than the decoder takes, raises ``SchemaError``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise SchemaError(f"{path}: not UTF-8 JSON ({exc})") from exc
     return model_from_dict(doc)

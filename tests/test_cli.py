@@ -392,6 +392,41 @@ class TestExitCodes:
         assert "data error" in err
         assert "2 columns" in err and "trained on 1" in err
 
+    @pytest.mark.parametrize("text", [b"\xff\xfe",
+                                      b"[" * 100000 + b"]" * 100000],
+                             ids=["not-utf8", "nested-too-deep"])
+    def test_unreadable_model_file_is_data_error(self, train_csv, tmp_path,
+                                                 capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text)
+        assert run(["evaluate", "--model", str(bad),
+                    "--data", str(train_csv)]) == 3
+        assert "data error" in capsys.readouterr().err
+
+    def test_target_named_twice_is_data_error(self, train_csv, tmp_path,
+                                              capsys):
+        rows = [ln.split(",") for ln in train_csv.read_text().splitlines()]
+        twice = tmp_path / "twice.csv"
+        twice.write_text("".join(f"{y},{x},{y}\n" for x, y in rows))
+        assert run(["train", "--method", "rvm", "--data", str(twice),
+                    "--target", "y", "--out", str(tmp_path / "m.json")]) == 3
+        assert "more than once" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_non_finite_prediction_is_numeric_failure(self, vi_model,
+                                                      train_csv, tmp_path,
+                                                      capsys):
+        # the file loads, and its total_var overflows
+        doc = json.loads(vi_model.read_text())
+        doc["Sigma_w"][0][0] = 1e308
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with np.errstate(all="ignore"):
+            assert run(["evaluate", "--model", str(bad),
+                        "--data", str(train_csv)]) == 4
+        err = capsys.readouterr().err
+        assert "numeric failure: the vi model predicts a" in err
+
     def test_schema_error_is_data_error(self, tmp_path):
         bogus = tmp_path / "bogus.json"
         bogus.write_text("{\"format_version\": 42}")

@@ -157,6 +157,17 @@ class TestLoadCsv:
         with pytest.raises(DataError):
             load_csv(p, target_column="z")
 
+    @pytest.mark.parametrize("text", ["y,x,y\n1,2,3\n4,5,6\n",
+                                      "x,y,y\n1,2,3\n4,5,6\n"])
+    def test_target_name_given_twice(self, tmp_path, text):
+        # the name cannot tell which column is the target; other names
+        # may repeat, since inputs are read by position
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        with pytest.raises(DataError, match="'y' more than once"):
+            load_csv(p, target_column="y")
+        assert load_csv(p, target_column="x").X.shape == (2, 2)
+
     def test_single_column_rejected(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("y\n1\n2\n")

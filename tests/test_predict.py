@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from hetrvm.data import DataError, Dataset, SynthSpec, synth
+from hetrvm.data import DataError, Dataset, Standardization, SynthSpec, synth
 from hetrvm.ep import fit_ep
 from hetrvm.kernels import (KernelSpec, cross_covariance, design_matrix_at,
                             gp_covariance)
@@ -609,6 +609,40 @@ class TestNonFiniteInput:
             predict(model, [[bad]])
         with pytest.raises(ValueError, match="non-finite"):
             predict(model, [[0.5], [bad]])
+
+
+class TestNonFiniteMoment:
+    """A model that loads but predicts a moment that is not finite, at
+    finite inputs, raises ``FloatingPointError`` naming its method and
+    the moment, rather than returning it."""
+
+    @pytest.mark.parametrize("which, mutate, moment", [
+        ("rvm_model", conftest.set_corner("Sigma_w", 1e308), "latent_var"),
+        ("vi_model", conftest.set_corner("Sigma_w", 1e308), "latent_var"),
+        ("vi_model", conftest.set_first("g_coef", 1e308), "total_var"),
+        ("vi_model", conftest.set_field("noise_mu0", 1e308), "total_var"),
+        ("ep_model", conftest.set_field("noise_jitter", 1e308),
+         "total_var"),
+    ])
+    def test_raises_naming_the_moment(self, request, which, mutate, moment):
+        data, model = request.getfixturevalue(which)
+        doc = model_to_dict(model)
+        mutate(doc)
+        loaded = model_from_dict(doc)
+        with np.errstate(all="ignore"), pytest.raises(
+                FloatingPointError,
+                match=f"the {model.method} model predicts a {moment} "):
+            predict(loaded, data.X)
+
+    def test_overflowing_sum_of_finite_moments_is_returned(self):
+        # the check's sum of three moments overflows, and each is finite
+        record = Standardization(np.zeros(1), np.ones(1), 1.5e308, 1.0)
+        moments = [np.array([0.0]), np.array([1e308]), np.zeros(1),
+                   np.zeros(1)]
+        with np.errstate(over="ignore"):
+            pred = predict_module._assemble(record, "vi", *moments)
+        assert pred.latent_mean[0] == 1.5e308
+        assert pred.total_var[0] == 1e308 + 1.0
 
 
 class TestPredict:

@@ -1,16 +1,19 @@
+import copy
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hetrvm.cli import run
 from hetrvm.data import Dataset, SynthSpec, synth
 from hetrvm.ep import EpConfig, fit_ep
 from hetrvm.kernels import KernelSpec
+from hetrvm.numerics import FactorizationError
 from hetrvm.predict import nlpd, predict
 from hetrvm.rvm import fit_rvm
-from hetrvm.serialize import (SchemaError, load_model, model_from_dict,
-                              model_to_dict, save_model)
+from hetrvm.serialize import (_FIELDS, SchemaError, load_model,
+                              model_from_dict, model_to_dict, save_model)
 from hetrvm.vi import VIConfig, fit_vi
 from conftest import (drop_field, drop_last, set_corner, set_field,
                       set_first, set_index, set_record)
@@ -323,6 +326,7 @@ def test_inconsistent_document_rejected(fitted, mutate):
 
 
 LEGACY = Path(__file__).resolve().parent / "data"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.mark.parametrize("name", ["rvm", "hetrvm", "vi", "ep"])
@@ -415,3 +419,133 @@ def test_raw_units_file_loads_and_predicts(tmp_path, method):
     assert nlpd(pred, expected["y"]) == expected["nlpd"]
     save_model(model, tmp_path / "m.json")
     assert (tmp_path / "m.json").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("text", [b"\xff\xfe",
+                                  b"[" * 100000 + b"]" * 100000],
+                         ids=["not-utf8", "nested-too-deep"])
+def test_unreadable_file_rejected(tmp_path, text):
+    path = tmp_path / "m.json"
+    path.write_bytes(text)
+    with pytest.raises(SchemaError, match="not UTF-8 JSON"):
+        load_model(path)
+
+
+def _flat_keys(doc):
+    """The keys of a document, those of its kernel and standardization
+    objects as ``place.name``."""
+    keys = set()
+    for key, value in doc.items():
+        if key in ("kernel", "standardization"):
+            keys.update(f"{key}.{name}" for name in value)
+        else:
+            keys.add(key)
+    return keys
+
+
+@pytest.mark.parametrize("name, version", [
+    ("rvm", 2), ("clamped_vi", 2), ("vi", 3), ("ep", 3)])
+def test_written_keys_are_the_tables(fitted, clamped_vi, name, version):
+    """A clamped model writes the table's format-2 fields and a site-form
+    model its format-3 fields, no more and no fewer."""
+    model = clamped_vi if name == "clamped_vi" else fitted[name]
+    doc = model_to_dict(model)
+    assert doc["format_version"] == version
+    assert _flat_keys(doc) == {f.key for f in _FIELDS
+                               if version in f.formats}
+
+
+def test_readme_lists_the_table():
+    """README's model-format table gives the fields of ``_FIELDS`` in its
+    order, each with its type and shape."""
+    rows = [[cell.strip() for cell in line.split("|")[1:4]] for line in
+            README.read_text(encoding="utf-8").splitlines()
+            if line.startswith("| `")]
+    listed = [(key.split("`")[1], kind,
+               tuple(shape.split(" × ")) if shape else ())
+              for key, kind, shape in rows]
+    assert listed == [(f.key, f.type, f.shape) for f in _FIELDS]
+
+
+# what each field of the table is set to, or its first and last entries
+FUZZ_VALUES = ["s", True, None, float("nan"), float("inf"), -1, 0, -0.0, 2,
+               10**400, 1e308, 1e-320, [], [1.0], {}]
+# the fitted documents and the format each is written in
+FUZZ_DOCS = {"rvm": 2, "vi": 3, "ep": 3}
+
+
+def _mutations(doc, key):
+    """Copies of ``doc`` with the field ``key`` set to each fuzz value, or,
+    for a list that has entries, its first and its last entry (innermost)
+    set to each: pairs of a label and the copy."""
+    place, _, name = key.rpartition(".")
+    value = (doc[place] if place else doc)[name]
+    ends = [()]
+    if isinstance(value, list) and value:
+        depth = 2 if isinstance(value[0], list) and value[0] else 1
+        ends = [(0,) * depth, (-1,) * depth]
+    for end in ends:
+        for new in FUZZ_VALUES:
+            out = copy.deepcopy(doc)
+            parent, at = (out[place] if place else out), name
+            for i in end:
+                parent, at = parent[at], i
+            parent[at] = new
+            yield f"{key}{list(end) if end else ''}={new!r:.12}", out
+
+
+def _outcome(doc):
+    """What loading ``doc`` and predicting at its model's centres, in the
+    original units, gives: "schema" for a ``SchemaError`` at load,
+    "typed" for a typed numeric error from predict, "finite" for moments
+    that are all finite with a positive total_var, or else the names of
+    the moments that are not."""
+    try:
+        model = model_from_dict(doc)
+    except SchemaError:
+        return "schema"
+    X = model.standardization.invert_x(model.centers)
+    try:
+        with np.errstate(all="ignore"):
+            pred = predict(model, X)
+    except (FloatingPointError, FactorizationError):
+        return "typed"
+    bad = [name for name in PRED_FIELDS
+           if not np.isfinite(getattr(pred, name)).all()]
+    if not (pred.total_var > 0).all():
+        bad.append("total_var <= 0")
+    return ", ".join(bad) or "finite"
+
+
+@pytest.mark.parametrize("method, key", [
+    pytest.param(method, field.key, id=f"{method}-{field.key}")
+    for method, version in FUZZ_DOCS.items()
+    for field in _FIELDS if version in field.formats])
+def test_loader_fuzz(fitted, tmp_path, method, key):
+    """Every field of the table, set (or its first and last entry set) to
+    each fuzz value, either fails to load with ``SchemaError`` or loads a
+    model that predicts finite moments at its centres, or raises a typed
+    numeric error: ``FloatingPointError`` for a moment that is not
+    finite, or ``FactorizationError`` where the noise prior does not
+    factor at the centres.  A sample of the files also goes through
+    ``hetrvm evaluate``, which exits 0, 3 or 4 and raises nothing."""
+    doc = model_to_dict(fitted[method])
+    assert doc["format_version"] == FUZZ_DOCS[method]
+    data = fitted["data"]
+    csv = tmp_path / "d.csv"
+    csv.write_text("x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in
+                                     zip(data.X[:, 0].tolist(),
+                                         data.y.tolist())))
+    path = tmp_path / "m.json"
+    for i, (label, mutated) in enumerate(_mutations(doc, key)):
+        outcome = _outcome(mutated)
+        assert outcome in ("schema", "typed", "finite"), (label, outcome)
+        # the sample: a string, -0.0 and 1e308 at each place mutated
+        if i % 5 == 0:
+            path.write_text(json.dumps(mutated))
+            with np.errstate(all="ignore"):
+                code = run(["evaluate", "--model", str(path),
+                            "--data", str(csv)])
+            # the CLI predicts at the CSV's inputs, not at the centres
+            assert code == 3 if outcome == "schema" else code in (0, 4), \
+                label
