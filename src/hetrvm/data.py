@@ -3,11 +3,12 @@ heteroscedastic generators."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _check_int
+from .numerics import _as_float, _check_int
 
 __all__ = [
     "DataError",
@@ -106,16 +107,17 @@ def standardize(data: Dataset):
 def load_csv(path, has_header: bool = True, target_column=None) -> Dataset:
     """Parse a numeric CSV into a Dataset.
 
-    ``target_column`` names (header) or indexes the target; defaults to the
-    last column.  A bool is neither, and is rejected.  The file is read as
-    UTF-8, skipping a leading byte-order mark; a file that is not UTF-8 is
-    rejected.  Blank lines are skipped.  Each cell is ``float(cell)``,
-    which ignores the whitespace around it.  A non-numeric or non-finite
-    cell and a row of another width than the first are rejected with
-    their row number: the file's line number, 1-based, counting the
-    header and blank lines.  A header whose column count differs from
-    the rows' is rejected too, since a name could then pick another
-    column, and so is a target name that the header gives twice.
+    ``target_column`` names (header) or indexes (any integer, numpy's
+    included) the target; defaults to the last column.  A bool is neither,
+    and is rejected.  The file is read as UTF-8, skipping a leading
+    byte-order mark; a file that is not UTF-8 is rejected.  Blank lines are
+    skipped.  Each cell is ``float(cell)``, which ignores the whitespace
+    around it.  A non-numeric or non-finite cell and a row of another width
+    than the first are rejected with their row number: the file's line
+    number, 1-based, counting the header and blank lines.  A header whose
+    column count differs from the rows' is rejected too, since a name could
+    then pick another column, and so is a target name that the header gives
+    twice.
     """
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
@@ -154,8 +156,8 @@ def load_csv(path, has_header: bool = True, target_column=None) -> Dataset:
     elif isinstance(target_column, bool):
         raise DataError(f"{path}: target column {target_column!r} is neither "
                         "a column index nor a header name")
-    elif isinstance(target_column, int):
-        tidx = target_column
+    elif isinstance(target_column, numbers.Integral):
+        tidx = int(target_column)
     else:
         if header is None or target_column not in header:
             raise DataError(f"{path}: unknown target column {target_column!r}")
@@ -191,8 +193,9 @@ class SynthSpec:
             raise DataError(f"unknown generator {self.generator!r}")
         _check_int(self.n, "n", 3, DataError)
         _check_int(self.seed, "seed", 0, DataError)
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise DataError("sigma must be positive and finite")
+        sigma = _as_float(self.sigma)
+        if not (sigma is not None and np.isfinite(sigma) and sigma > 0):
+            raise DataError("sigma must be a positive and finite number")
 
 
 def synth(spec: SynthSpec):

@@ -12,13 +12,14 @@ every cavity is taken from the current marginals, all tilted moments
 come from one Gauss-Hermite grid over the cavities, every site is damped
 on natural parameters, and q(g) is refreshed once.  Between passes the
 basis and the weight posterior are refreshed exactly as in the
-variational trainer, by Tipping & Faul's selection at the new noise;
-the next pass reads m_n from the posterior the selection returns.
+variational trainer, by the trainers' shared Tipping & Faul selection
+(``core.update_alpha``) at the new noise; the next pass reads m_n from
+the posterior the selection returns.
 
-q(g) comes from the variational trainer's q(g) routine, ``vi._q_cov``,
+q(g) comes from the q(g) routine VI's bound uses, ``numerics._q_cov``,
 with the site precisions in place of its diagonal parameters.  The
 noise-GP hyperparameters stay at their initialization, as under VI, so
-``vi._setup`` splits the prior covariance once per fit into its jitter
+``core._setup`` splits the prior covariance once per fit into its jitter
 and a part of rank r, K = j I + F F^T, and each refresh of
 Sigma = (K^-1 + diag(site_prec))^-1 factors only an r x r matrix
 (Woodbury on B = I + T^1/2 K T^1/2; Rasmussen & Williams 2006, sec.
@@ -36,15 +37,15 @@ from typing import List, Optional
 
 import numpy as np
 
+from .core import (_MAX_ITER, _check_loop, _constant, _degenerate, _finish,
+                   _setup, noise_diag, update_alpha)
 from .data import Dataset, standardize
 from .kernels import KernelSpec, build_design_matrix
 from .model import HrvmModel
-from .numerics import FactorizationError, gauss_hermite
-from .vi import (_MAX_ITER, _check_loop, _constant, _degenerate, _finish,
-                 _q_cov, _setup, noise_diag, update_alpha)
+from .numerics import FactorizationError, _q_cov, gauss_hermite
 # kept for perfbench's tracer until ROADMAP item 1
+from .core import weight_posterior  # noqa: F401
 from .numerics import chol_factor  # noqa: F401
-from .vi import weight_posterior  # noqa: F401
 
 __all__ = [
     "EpConfig",
@@ -184,10 +185,10 @@ def ep_posterior(cov, mu0, site_prec, site_nu, site_logz=None):
     marginal-likelihood estimate (nan when a flat-precision site with a
     nonzero mean parameter makes the normalizer assembly undefined).
 
-    ``cov`` is K in its split K = j I + F F^T (a ``vi._PriorCov``).
+    ``cov`` is K in its split K = j I + F F^T (a ``numerics._PriorCov``).
     With T = diag(site_prec) and nu_t = site_nu - mu0 site_prec,
     Sigma = (K^-1 + T)^-1 stays in the r x r factored form of
-    ``vi._q_cov``; only var = diag(Sigma) and mu = mu0 + Sigma nu_t are
+    ``numerics._q_cov``; only var = diag(Sigma) and mu = mu0 + Sigma nu_t are
     returned.  The estimate, sum log Z~ + log N(site means | mu0 1,
     K + T^-1) over the active sites, is written in B = I + T^1/2 K T^1/2
     alone (Rasmussen & Williams 2006, eq. 3.65): log|K + T^-1| =

@@ -5,7 +5,9 @@ arrays.  The regression basis (columns of the design matrix) is
 described by an immutable :class:`KernelSpec`, and the prior of the
 latent log-variance process, always an rbf, by :class:`GpNoisePrior`.
 Both apply one lengthscale rule, and every rbf value comes from one
-routine, :func:`_rbf`.
+routine, :func:`_rbf`.  :func:`_split_prior` splits the noise prior's
+covariance at the training inputs into its jitter and a low-rank part,
+the form in which the trainers and ``predict`` read it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _as_float, _check_int, _square_in_range
+from .numerics import (FactorizationError, _PriorCov, _as_float,
+                       _check_int, _square_in_range)
 
 __all__ = [
     "KernelSpec",
@@ -187,3 +190,29 @@ def cross_covariance(Xstar, X, prior: GpNoisePrior) -> np.ndarray:
     K = _rbf(_sqdist(Xstar, X), prior.lengthscale)
     K *= prior.signal_variance
     return K
+
+
+def _split_prior(X, prior: GpNoisePrior):
+    """K = jitter I + F F^T for the noise-GP prior covariance K at the
+    rows of X, by a greedy pivoted Cholesky of K - jitter I that never
+    forms K (Fine & Scheinberg, JMLR 2001): each step takes the kernel
+    column at the largest residual diagonal, less the columns so far,
+    until that diagonal (which bounds every residual entry) is at most
+    N eps sigma_v^2.  The prior is an rbf, so the diagonal of K - jitter I
+    starts at sigma_v^2.  A value not finite raises FactorizationError.
+    Returns the ``numerics._PriorCov``."""
+    n, sv = X.shape[0], prior.signal_variance
+    d = np.full(n, sv)              # residual diagonal of the rbf part
+    Ft = np.empty((min(n, 32), n))  # rows: F's columns, grown by doubling
+    for r in range(n + 1):
+        i = int(np.argmax(d))
+        if r == n or d[i] <= n * np.finfo(float).eps * sv:
+            break
+        if r == len(Ft):
+            Ft = np.concatenate([Ft, np.empty((min(r, n - r), n))])
+        col = cross_covariance(X[i:i + 1], X, prior)[0] - Ft[:r, i] @ Ft[:r]
+        if not (np.isfinite(d[i]) and np.all(np.isfinite(col))):
+            raise FactorizationError(f"noise prior: column {i} not finite")
+        Ft[r] = col / np.sqrt(d[i])
+        d -= Ft[r] ** 2
+    return _PriorCov(float(prior.jitter), Ft[:r].T)

@@ -11,10 +11,20 @@ The factorization and the two solves call the LAPACK routines that
 return the same bits.  The trainers factor m x m weight precisions, m
 around 10, thousands of times per fit, and at that size the wrappers'
 argument handling costs several times the factorization.
-:func:`chol_factor` is the only Cholesky entry point; the trainers call
-it through their own module's name for it.  The noise-GP prior
-covariance is split by ``vi._split_prior``'s pivoted Cholesky, one
-kernel column per step, and is never factored whole.
+:func:`chol_factor` is the only Cholesky entry point, and only this
+module calls it: the two routines that factor are here, :func:`_factor`
+for the trainers' m x m weight precision and :func:`_q_cov` for q(g)'s
+covariance under the split noise-GP prior.  That prior covariance is
+split by ``kernels._split_prior``'s pivoted Cholesky, one kernel column
+per step, and is never factored whole.
+
+:func:`_q_cov` gives Sigma = (K^-1 + diag(lam))^-1 for site precisions
+lam under the split K = j I + F F^T (:class:`_PriorCov`) by Woodbury on
+B = I + Lam^1/2 K Lam^1/2 (Rasmussen & Williams 2006, sec. 3.6),
+factoring only an r x r matrix: diag(Sigma), Sigma x, (Sigma o Sigma) w
+and log|B| in O(N r^2).  VI's bound, EP's refresh and ``predict`` all
+read q(g) through it, so no fit, prediction or model load forms an
+N x N matrix of the noise GP.
 """
 
 from __future__ import annotations
@@ -23,6 +33,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
@@ -141,6 +152,75 @@ def lower_solve(L, b):
     if info:
         raise FactorizationError(f"zero on the diagonal (pivot {info})", info)
     return x
+
+
+def _factor(G, alpha):
+    """The factor step: the Cholesky factor L of the weight precision
+    H = diag(alpha) + G (0 x 0 for an empty active set)."""
+    H = G.copy()
+    H.reshape(-1)[::H.shape[0] + 1] += alpha  # diag(alpha) + G
+    return chol_factor(H, "weight precision")
+
+
+class _PriorCov(NamedTuple):
+    """The noise-GP prior covariance K at the training inputs in its split
+    K = jitter I + F F^T, F of N x r (``kernels._split_prior``)."""
+
+    jitter: float
+    F: np.ndarray
+
+    def mv(self, x):
+        """K x through the split, in O(N r)."""
+        return self.jitter * x + self.F @ (self.F.T @ x)
+
+
+class _QCov(NamedTuple):
+    """q(g)'s covariance Sigma = (K^-1 + diag(lam))^-1 in the factored
+    form Sigma = diag(jd) + Y^T Y of :func:`_q_cov`."""
+
+    jd: np.ndarray         # j / d, d = 1 + j lam
+    Y: np.ndarray          # r x N
+    diag: np.ndarray       # diag(Sigma)
+    logdet_B: float        # log|I + Lam^1/2 K Lam^1/2|
+
+    def mul(self, x):
+        """Sigma x, in O(N r)."""
+        return self.jd * x + self.Y.T @ (self.Y @ x)
+
+    def sq_mul(self, w):
+        """(Sigma o Sigma) w, o the elementwise product, in O(N r^2) as
+        w jd (jd + 2 diag Y^T Y) + colsum(Y o (Y diag(w) Y^T Y))."""
+        Y, jd = self.Y, self.jd
+        t = 2.0 * self.diag
+        t -= jd
+        out = w * jd
+        out *= t
+        out += np.einsum("ij,ij->j", Y, ((Y * w) @ Y.T) @ Y)
+        return out
+
+
+def _q_cov(lam, cov):
+    """Sigma = (K^-1 + diag(lam))^-1 for site precisions lam >= 0 under the
+    split prior ``cov`` (K = j I + F F^T), by Woodbury on
+    B = I + Lam^1/2 K Lam^1/2: with d = 1 + j lam and
+    Omega = F^T diag(lam/d) F, Sigma = diag(j/d) + Y^T Y for
+    Y = L^-1 (F/d)^T, L L^T = I + Omega, and
+    log|B| = sum log d + log|I + Omega|.  Only the r x r matrix I + Omega
+    is factored: O(N r^2).  Returns the :class:`_QCov`."""
+    jitter, Ft = cov.jitter, cov.F.T
+    d = jitter * lam
+    d += 1.0
+    root = lam / d
+    Gt = Ft * np.sqrt(root, out=root)  # G^T
+    A = Gt @ Gt.T
+    A.reshape(-1)[::A.shape[0] + 1] += 1.0  # I + Omega
+    L = chol_factor(A, "reduced system")
+    Y = lower_solve(L, Ft / d)
+    jd = jitter / d
+    diag = np.einsum("ij,ij->j", Y, Y)
+    diag += jd
+    return _QCov(jd, Y, diag, float(np.log(d, out=d).sum()
+                                    + 2.0 * np.log(L.diagonal()).sum()))
 
 
 def gauss_kl(mu_q, Sigma_q, mu_p, Sigma_p) -> float:

@@ -3,6 +3,11 @@
 All quantities are reported in the original units of the training data;
 the log-variance moments refer to the log of the original-unit noise
 variance (a constant shift of 2 log y_scale relative to training units).
+
+A noise-GP model's log-noise is read through the routines its trainer
+used: the prior is split at the training inputs by
+``kernels._split_prior`` and q(g)'s covariance comes from
+``numerics._q_cov``, so predictions and fits read one noise model.
 """
 
 from __future__ import annotations
@@ -13,10 +18,9 @@ import numpy as np
 
 from .data import DataError
 from .kernels import (GpNoisePrior, KernelSpec, _inner, _kernel_values,
-                      _rbf, _sqdist_from, _sqnorms)
+                      _rbf, _split_prior, _sqdist_from, _sqnorms)
 from .model import HrvmModel
-from .numerics import gauss_hermite
-from .vi import _q_cov, _split_prior
+from .numerics import _q_cov, gauss_hermite
 
 __all__ = ["PredictiveDist", "predict", "nlpd", "rmse"]
 
@@ -164,8 +168,8 @@ def predict(model: HrvmModel, Xstar) -> PredictiveDist:
     joined once at the end, so no n* x N array is ever held.  Treat a
     fitted model as read-only.  Inputs whose column count is not the
     model's raise ``DataError``, and non-finite inputs ``ValueError``.
-    A model whose moments at finite inputs are not all finite raises
-    ``FloatingPointError``.
+    A model whose standardization or moments at finite inputs are not all
+    finite raises ``FloatingPointError``.
     """
     record = model.standardization
     X = np.atleast_2d(np.asarray(Xstar, dtype=float))
@@ -175,7 +179,11 @@ def predict(model: HrvmModel, Xstar) -> PredictiveDist:
                         f"was trained on {width}")
     Xs = record.apply_x(X)
     if not np.isfinite(Xs).all():
-        raise ValueError("non-finite prediction input")
+        # the raw inputs are looked at only here, off the common path
+        if not np.isfinite(X).all():
+            raise ValueError("non-finite prediction input")
+        raise FloatingPointError(f"the {model.method} model's standardization"
+                                 " maps finite inputs to non-finite values")
     n = Xs.shape[0]
     read = _read_path(model)
     prior = read.prior

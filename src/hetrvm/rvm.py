@@ -3,7 +3,7 @@ basis selection (Tipping & Faul, 2003): sequential add / re-estimate /
 delete on the candidate columns of the design matrix.
 
 The basis selection, whose deletes are the only pruning, the weight fit
-and the model finish are the heteroscedastic trainers' (:mod:`hetrvm.vi`)
+and the model finish are the trainers' shared core (:mod:`hetrvm.core`)
 with the constant noise r = sigma2; this module adds the sigma2
 re-estimate.  The fit is an :class:`HrvmModel` whose log-noise process
 is clamped at log sigma2, the form a degenerate fit also takes, so it
@@ -16,14 +16,14 @@ from typing import List, Optional
 
 import numpy as np
 
+from .core import (_MAX_ITER, _check_loop, _clamped_noise, _constant,
+                   _degenerate, _finish, _weight_fit, update_alpha)
 from .data import Dataset, standardize
 from .kernels import KernelSpec, build_design_matrix
 from .model import HrvmModel
 # kept for perfbench's tracer until ROADMAP item 1
 from .kernels import design_matrix_at  # noqa: F401
 from .numerics import chol_factor  # noqa: F401
-from .vi import (_MAX_ITER, _check_loop, _clamped_noise, _constant,
-                 _degenerate, _finish, _weight_fit, update_alpha)
 
 __all__ = ["RvmConfig", "fit_rvm"]
 

@@ -1,8 +1,9 @@
 """Shared pytest plumbing: surfaces the acceptance-criterion verdict
 lines in the terminal summary, where output capture cannot swallow
 them.  It also pins BLAS to one thread before any test imports numpy:
-on a 2-core machine a second OpenBLAS thread makes the dense N=100
-solves several times slower, not faster.
+the fits' matrices are small, and on a 2-core x86 machine a VI fit of
+``goldberg_sine`` seed 0 takes 20 ms at N=100 with one OpenBLAS thread
+or two, and 51 ms against 100 ms at N=400.
 
 It holds the helpers several test modules share and that call package
 code (the dense references that do not are in ``oracles``): the noise-GP
@@ -17,10 +18,13 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 import scipy.linalg as sla  # noqa: E402
 
-import hetrvm.vi  # noqa: E402
-from hetrvm.kernels import GpNoisePrior, gp_covariance  # noqa: E402
-from hetrvm.vi import (VariationalState, _all_sq, _factor,  # noqa: E402
-                       _posterior, _q_point, _split_prior)
+import hetrvm.core  # noqa: E402
+import hetrvm.numerics  # noqa: E402
+from hetrvm.core import _all_sq, _posterior  # noqa: E402
+from hetrvm.kernels import (GpNoisePrior, _split_prior,  # noqa: E402
+                            gp_covariance)
+from hetrvm.numerics import _factor  # noqa: E402
+from hetrvm.vi import VariationalState, _q_point  # noqa: E402
 
 VERDICTS = []
 
@@ -51,7 +55,7 @@ def dense_noise(model):
 
 
 def dense_sigma(q):
-    """The N x N covariance Sigma = diag(jd) + Y^T Y that a ``vi._QCov``
+    """The N x N covariance Sigma = diag(jd) + Y^T Y that a ``numerics._QCov``
     holds in factored form."""
     return np.diag(q.jd) + q.Y.T @ q.Y
 
@@ -89,7 +93,7 @@ def make_state(X, eta, log_ell, log_sv, mu0, alpha, active):
 
 def selection_inputs(Phi, y, active, alpha, r):
     """What update_alpha forms at one state, at noise diag(r), formed
-    afresh: the arguments of vi._all_sq, the weight posterior last."""
+    afresh: the arguments of core._all_sq, the weight posterior last."""
     Phir = Phi / r[:, None]
     G = Phi.T @ Phir[:, active]
     c = Phir.T @ y
@@ -99,23 +103,24 @@ def selection_inputs(Phi, y, active, alpha, r):
 
 
 def all_sq_at(Phi, y, active, alpha, r):
-    """vi._all_sq's (s, q) of every column at noise diag(r), from the
+    """core._all_sq's (s, q) of every column at noise diag(r), from the
     inputs update_alpha forms, its weight posterior included."""
     return _all_sq(*selection_inputs(Phi, y, active, alpha, r))
 
 
 class SelectionLog:
-    """What update_alpha does, counted by spies on hetrvm.vi installed
-    through ``patch``: Cholesky factorizations (``chol``), guard refreshes
-    (``guard``, updated states that ``vi._intact`` rejected), scored states
-    (``scored``, calls of ``vi._actions``) and the actions taken
+    """What update_alpha does, counted by spies on hetrvm.core and
+    hetrvm.numerics installed through ``patch``: Cholesky factorizations
+    (``chol``), guard refreshes (``guard``, updated states that
+    ``core._intact`` rejected), scored states (``scored``, calls of
+    ``core._actions``) and the actions taken
     (:attr:`trail`)."""
 
     def __init__(self, patch):
         self.chol = self.guard = 0
         self.seen = []
-        chol, actions = hetrvm.vi.chol_factor, hetrvm.vi._actions
-        intact = hetrvm.vi._intact
+        chol, actions = hetrvm.numerics.chol_factor, hetrvm.core._actions
+        intact = hetrvm.core._intact
 
         def counted_chol(*args):
             self.chol += 1
@@ -130,9 +135,9 @@ class SelectionLog:
             self.guard += not ok
             return ok
 
-        patch.setattr(hetrvm.vi, "chol_factor", counted_chol)
-        patch.setattr(hetrvm.vi, "_actions", seen_actions)
-        patch.setattr(hetrvm.vi, "_intact", counted_intact)
+        patch.setattr(hetrvm.numerics, "chol_factor", counted_chol)
+        patch.setattr(hetrvm.core, "_actions", seen_actions)
+        patch.setattr(hetrvm.core, "_intact", counted_intact)
 
     @property
     def scored(self):

@@ -2,9 +2,9 @@
 
 They use numpy and scipy alone and call no code of the package, so they
 stay independent of what they check: the dense q(g) covariance that the
-low-rank routine ``vi._q_cov`` must reproduce, a split of a hand-built
+low-rank routine ``numerics._q_cov`` must reproduce, a split of a hand-built
 prior covariance for it (filled into the package's container
-``vi._PriorCov``, without its pivoted split), the expected
+``numerics._PriorCov``, without its pivoted split), the expected
 log-likelihood under q(g), a column's sparsity and quality from a dense
 covariance, and a central-difference gradient checker.
 
@@ -18,11 +18,11 @@ routines through scipy's wrappers, which pass the arguments that
 import numpy as np
 import scipy.linalg as sla
 
-from hetrvm.vi import _PriorCov
+from hetrvm.numerics import _PriorCov
 
 
 def prior_cov(K, jitter=0.0):
-    """A dense prior covariance K in the split form ``vi._q_cov`` takes,
+    """A dense prior covariance K in the split form ``numerics._q_cov`` takes,
     K = jitter I + F F^T, by an eigendecomposition: F = U (w - jitter)^1/2
     over the eigenpairs (w, U) whose eigenvalue exceeds the jitter by
     more than N eps max(w), every other eigenvalue taken as the jitter."""
@@ -100,7 +100,7 @@ def sigmoid_two_branch(x):
 
 
 def q_cov_formula(lam, cov):
-    """``vi._q_cov``'s (j/d, Y, diag(Sigma), log|B|) under the split prior
+    """``numerics._q_cov``'s (j/d, Y, diag(Sigma), log|B|) under the split prior
     ``cov``: d = 1 + j lam, G = F (lam/d)^1/2, L L^T = I + G^T G and
     Y = L^-1 (F/d)^T."""
     d = 1.0 + cov.jitter * lam
@@ -152,7 +152,7 @@ def bound_formula(x, cov, Phi_a, alpha, y):
 
 
 def actions_formula(s, q, a_old):
-    """``vi._actions``: a_new = s^2 / (q^2 - s), inf where q^2 - s is not
+    """``core._actions``: a_new = s^2 / (q^2 - s), inf where q^2 - s is not
     positive, and the gain l(a_new) - l(a_old) with
     l(a) = (q^2 / (a + s) - log(1 + s / a)) / 2, -inf where not finite."""
     q2 = q * q
@@ -166,7 +166,7 @@ def actions_formula(s, q, a_old):
 
 
 def all_sq_formula(G, d, c, active, L, mu_w, Sigma_w):
-    """``vi._all_sq``: s = d - |L^-1 G^T|^2 and q = c - G mu_w outside the
+    """``core._all_sq``: s = d - |L^-1 G^T|^2 and q = c - G mu_w outside the
     model; s = (Sigma_w G_a)_jj / Sigma_jj and q = mu_j / Sigma_jj in it."""
     s = d - np.sum(sla.solve_triangular(L, G.T, lower=True) ** 2, axis=0)
     q = c - G @ mu_w

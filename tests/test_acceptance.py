@@ -18,12 +18,12 @@ from hetrvm.data import SynthSpec, synth
 from hetrvm.ep import EpConfig, cavity, ep_posterior, fit_ep, \
     site_update, tilted_moments
 from hetrvm.kernels import KernelSpec, build_design_matrix
-from hetrvm.numerics import gauss_hermite
+from hetrvm.numerics import _q_cov, gauss_hermite
 from hetrvm.predict import nlpd, predict
 from hetrvm.rvm import fit_rvm
 from hetrvm.serialize import load_model, save_model
-from hetrvm.vi import VIConfig, _bound_value_grad, _q_cov, \
-    collapsed_bound, fit_vi, update_alpha
+from hetrvm.core import update_alpha
+from hetrvm.vi import VIConfig, _bound_value_grad, collapsed_bound, fit_vi
 from conftest import make_state, noise_split
 from oracles import expected_loglik, grad_check, prior_cov
 

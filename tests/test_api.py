@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -43,3 +44,32 @@ def test_import_leaves_optimizer_unloaded():
     where, loaded = out.stdout.splitlines()
     assert Path(where).resolve() == Path(hetrvm.__file__).resolve()
     assert loaded == "[]"
+
+
+def test_module_layering():
+    """The trainers share their core through ``core``, ``numerics`` and
+    ``kernels``: no private name is imported from one of the trainer
+    modules ``rvm``, ``vi`` and ``ep`` into another of them, or into
+    ``predict``, ``serialize`` or ``cli``.  Only ``numerics`` uses
+    ``chol_factor``; another module may bind it by import, for
+    perfbench's tracer, and reads it nowhere."""
+    trainers = {"rvm", "vi", "ep"}
+    readers = trainers | {"predict", "serialize", "cli"}
+    src = Path(hetrvm.__file__).resolve().parent
+    crossings, uses = [], []
+    for path in sorted(src.glob("*.py")):
+        name = path.stem
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                source = node.module.rsplit(".", 1)[-1]
+                if (node.level or node.module.startswith("hetrvm.")) and (
+                        source in trainers and name in readers - {source}):
+                    crossings += [(name, source, alias.name)
+                                  for alias in node.names
+                                  if alias.name.startswith("_")]
+            used = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else None)
+            if used == "chol_factor" and name != "numerics":
+                uses.append((name, node.lineno))
+    assert not crossings
+    assert not uses

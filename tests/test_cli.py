@@ -427,6 +427,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "numeric failure: the vi model predicts a" in err
 
+    def test_standardization_overflow_is_numeric_failure(self, vi_model,
+                                                         train_csv, tmp_path,
+                                                         capsys):
+        # the file loads, and its x_mean overflows the training inputs'
+        # standardization: the model is at fault, not the data
+        doc = json.loads(vi_model.read_text())
+        doc["standardization"]["x_mean"] = [1e308]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with np.errstate(all="ignore"):
+            assert run(["evaluate", "--model", str(bad),
+                        "--data", str(train_csv)]) == 4
+        err = capsys.readouterr().err
+        assert "numeric failure: the vi model's standardization" in err
+
     def test_schema_error_is_data_error(self, tmp_path):
         bogus = tmp_path / "bogus.json"
         bogus.write_text("{\"format_version\": 42}")

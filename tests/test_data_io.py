@@ -99,8 +99,10 @@ class TestLoadCsv:
     def test_target_by_index(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("1,10\n2,20\n")
-        d = load_csv(p, has_header=False, target_column=0)
-        np.testing.assert_allclose(d.y, [1.0, 2.0])
+        # a numpy integer indexes as an int does
+        for index in (0, np.int64(0), np.int32(0)):
+            d = load_csv(p, has_header=False, target_column=index)
+            np.testing.assert_allclose(d.y, [1.0, 2.0])
 
     def test_non_numeric_reports_row(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -325,7 +327,9 @@ class TestSynth:
         with pytest.raises(DataError):
             SynthSpec(seed=seed)
 
-    @pytest.mark.parametrize("sigma", [-1.0, 0.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("sigma", [
+        -1.0, 0.0, float("nan"), float("inf"), True, "0.3", None,
+        pytest.param(10**400, id="huge_int")])
     def test_invalid_sigma(self, sigma):
         with pytest.raises(DataError):
             SynthSpec(generator="const_noise", sigma=sigma)

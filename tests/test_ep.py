@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 import hetrvm.ep
+import hetrvm.numerics
 from hetrvm.data import Dataset, SynthSpec, synth
 from hetrvm.ep import (EpConfig, cavity, ep_posterior, fit_ep, site_update,
                        tilted_moments)
 from hetrvm.kernels import KernelSpec, gp_covariance
-from hetrvm.numerics import FactorizationError, Quadrature
+from hetrvm.numerics import FactorizationError, Quadrature, _q_cov
 from hetrvm.predict import predict
 from hetrvm.serialize import model_to_dict
-from hetrvm.vi import _q_cov
 from oracles import prior_cov
 
 # np.trapezoid is new in numpy 2.0; pyproject.toml accepts numpy 1.24
@@ -378,7 +378,7 @@ class TestFitEp:
         # r x r factor of each pass's refresh; K is never factored
         data, _ = synth(SynthSpec(generator="goldberg_sine", n=100, seed=0))
         shapes = []
-        for module in (hetrvm.vi, hetrvm.ep):
+        for module in (hetrvm.numerics, hetrvm.ep):
             def counted(A, *args, _factor=module.chol_factor):
                 shapes.append(A.shape)
                 return _factor(A, *args)
@@ -432,7 +432,11 @@ class TestFitEp:
         pytest.param(dict(max_passes=True), id="bad9"),
         pytest.param(dict(tol=float("inf")), id="bad10"),
         pytest.param(dict(tol=-float("inf")), id="bad12"),
-        pytest.param(dict(max_passes=float("inf")), id="bad13")])
+        pytest.param(dict(max_passes=float("inf")), id="bad13"),
+        pytest.param(dict(tol=True), id="bool_tol"),
+        pytest.param(dict(tol="1e-6"), id="str_tol"),
+        pytest.param(dict(tol=None), id="none_tol"),
+        pytest.param(dict(tol=10**400), id="huge_tol")])
     def test_invalid_config_rejected_before_setup(self, monkeypatch, bad):
         def no_setup(*args, **kwargs):
             raise AssertionError("config must be checked before setup")

@@ -634,6 +634,21 @@ class TestNonFiniteMoment:
                 match=f"the {model.method} model predicts a {moment} "):
             predict(loaded, data.X)
 
+    def test_standardization_overflow_blames_the_model(self, vi_model):
+        # an x_mean at 1e308 loads, and standardizing the model's own
+        # finite training inputs overflows: the model's fault, not the
+        # query's.  Inputs that are not finite are still the query's
+        data, model = vi_model
+        doc = model_to_dict(model)
+        conftest.set_record("x_mean", [1e308])(doc)
+        loaded = model_from_dict(doc)
+        with np.errstate(all="ignore"):
+            with pytest.raises(FloatingPointError,
+                               match="the vi model's standardization"):
+                predict(loaded, data.X)
+            with pytest.raises(ValueError, match="non-finite"):
+                predict(loaded, [[np.nan]])
+
     def test_overflowing_sum_of_finite_moments_is_returned(self):
         # the check's sum of three moments overflows, and each is finite
         record = Standardization(np.zeros(1), np.ones(1), 1.5e308, 1.0)

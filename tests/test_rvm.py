@@ -2,20 +2,20 @@ import mpmath
 import numpy as np
 import pytest
 
+import hetrvm.core
 import hetrvm.rvm
-import hetrvm.vi
 from hetrvm.data import Dataset, SynthSpec, standardize, synth
 from hetrvm.kernels import KernelSpec, build_design_matrix
 from hetrvm.predict import predict
 from hetrvm.rvm import RvmConfig, fit_rvm
 from hetrvm.serialize import load_model, save_model
-from hetrvm.vi import _actions, _weight_fit
+from hetrvm.core import _actions, _weight_fit
 from conftest import SelectionLog, all_sq_at
 from oracles import dense_sparsity_quality
 
 
 def sparsity_quality(Phi, y, active, alpha, sigma2, j):
-    """Column j's (s_j, q_j) from the basis selection's ``vi._all_sq``
+    """Column j's (s_j, q_j) from the basis selection's ``core._all_sq``
     at the constant noise r = sigma2 1, with j left out of C."""
     Phi = np.asarray(Phi, dtype=float)
     s, q = all_sq_at(Phi, np.asarray(y, dtype=float), list(active),
@@ -257,7 +257,8 @@ class TestFitRvm:
         dict(max_iter=0), dict(max_iter=-3), dict(tol=-1.0),
         dict(tol=float("nan")), dict(max_iter=1.5), dict(max_iter=True),
         dict(tol=float("inf")), dict(tol=-float("inf")),
-        dict(max_iter=float("inf")), dict(max_iter="3")])
+        dict(max_iter=float("inf")), dict(max_iter="3"), dict(tol=True),
+        dict(tol="1e-6"), dict(tol=None), dict(tol=10**400)])
     def test_invalid_config_rejected_before_setup(self, monkeypatch, bad):
         def no_setup(*args, **kwargs):
             raise AssertionError("config must be checked before setup")
@@ -273,7 +274,7 @@ class TestFitRvm:
         its guard rescored; each alternation factors once more, to score
         the noise re-estimate, as the model keeps the posterior the
         selection returned."""
-        real, select = hetrvm.vi._factor, hetrvm.rvm.update_alpha
+        real, select = hetrvm.core._factor, hetrvm.rvm.update_alpha
         states, selecting, per_call = [], [False], []
         log = SelectionLog(monkeypatch)
 
@@ -291,7 +292,7 @@ class TestFitRvm:
                 per_call.append((len(states) - before[0],
                                  log.guard - before[1]))
 
-        monkeypatch.setattr(hetrvm.vi, "_factor", counting)
+        monkeypatch.setattr(hetrvm.core, "_factor", counting)
         monkeypatch.setattr(hetrvm.rvm, "update_alpha", counted_select)
         data, _ = synth(SynthSpec(generator="goldberg_sine", n=60, seed=0))
         model = fit_rvm(data, KernelSpec(lengthscale=0.3))

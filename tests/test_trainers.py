@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
+import hetrvm.core
 import hetrvm.ep
 import hetrvm.vi
 from hetrvm.data import DataError, Dataset, SynthSpec, synth
@@ -16,8 +17,8 @@ from hetrvm.predict import predict
 from hetrvm.rvm import fit_rvm
 from hetrvm.serialize import (load_model, model_from_dict, model_to_dict,
                               save_model)
-from hetrvm.vi import (VIConfig, VariationalState, collapsed_bound, fit_vi,
-                       noise_diag, weight_posterior)
+from hetrvm.core import noise_diag, weight_posterior
+from hetrvm.vi import VIConfig, VariationalState, collapsed_bound, fit_vi
 
 # the module, not the ``hetrvm.predict`` function the package exports
 predict_module = import_module("hetrvm.predict")
@@ -91,7 +92,7 @@ def test_training_and_prediction_share_one_noise_prior(monkeypatch, module,
     # bit the one predict rebuilds from the model's noise prior, also
     # after a round trip through the model's document
     built, read = [], []
-    setup, split = hetrvm.vi._setup, predict_module._split_prior
+    setup, split = hetrvm.core._setup, predict_module._split_prior
 
     def setup_spy(work):
         prior, cov = setup(work)

@@ -7,21 +7,23 @@ import scipy.linalg as sla
 from hypothesis import given, settings, strategies as hst
 from scipy.stats import multivariate_normal
 
+import hetrvm.core
 import hetrvm.ep
+import hetrvm.numerics
 import hetrvm.rvm
 import hetrvm.vi
+from hetrvm.core import (_gram, _setup, _sparsity_quality, _weight_fit,
+                         noise_diag, update_alpha, weight_posterior)
 from hetrvm.data import DataError, Dataset, SynthSpec, standardize, synth
 from hetrvm.ep import EpConfig, fit_ep
-from hetrvm.kernels import (GpNoisePrior, KernelSpec, _sqdist,
+from hetrvm.kernels import (GpNoisePrior, KernelSpec, _split_prior, _sqdist,
                             build_design_matrix, gp_covariance)
-from hetrvm.numerics import chol_solve, gauss_hermite
+from hetrvm.numerics import (_PriorCov, _factor, _q_cov, chol_solve,
+                             gauss_hermite)
 from hetrvm.predict import nlpd, predict
 from hetrvm.rvm import RvmConfig, fit_rvm
-from hetrvm.vi import (VIConfig, VariationalState, _PriorCov,
-                       _bound_value_grad, _factor, _gram, _q_cov, _q_point,
-                       _setup, _split_prior, _weight_fit, _sigmoid,
-                       _sparsity_quality, collapsed_bound, fit_vi,
-                       noise_diag, update_alpha, weight_posterior)
+from hetrvm.vi import (VIConfig, VariationalState, _bound_value_grad,
+                       _q_point, _sigmoid, collapsed_bound, fit_vi)
 from conftest import (SelectionLog, all_sq_at, make_state, noise_cov,
                       noise_split, selection_inputs)
 from oracles import (actions_formula, all_sq_formula, bound_formula,
@@ -434,7 +436,7 @@ class TestFrozenFormulas:
         a_old[:6] = [1.0, 1.0, np.inf, 1.0, 3.0, 1.0]
         # update_alpha's errstate, under which the step calls _actions
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            got = hetrvm.vi._actions(s, q, a_old)
+            got = hetrvm.core._actions(s, q, a_old)
             want = actions_formula(s, q, a_old)
         assert all(map(_same_bits, got, want))
 
@@ -446,7 +448,7 @@ class TestFrozenFormulas:
         r = np.exp(rng.normal(size=20))
         G, d, c, act, L, (mu_w, Sigma_w) = selection_inputs(
             Phi, y, active, np.exp(rng.uniform(-2, 2, 3)), r)
-        got = hetrvm.vi._all_sq(G, d, c, act, L, (mu_w, Sigma_w))
+        got = hetrvm.core._all_sq(G, d, c, act, L, (mu_w, Sigma_w))
         want = all_sq_formula(G, d, c, act, L, mu_w, Sigma_w)
         assert all(map(_same_bits, got, want))
 
@@ -473,7 +475,7 @@ class TestFrozenFormulas:
             total = s.sum() + q.sum() + mu_w.sum() + Sigma_w.sum()
             want = bool(np.isfinite(total)
                         and np.all(np.diag(Sigma_w) > 0.0))
-            assert hetrvm.vi._intact(mu_w, Sigma_w, s, q) == want
+            assert hetrvm.core._intact(mu_w, Sigma_w, s, q) == want
 
 
 def _draw_prior(q, n):
@@ -683,7 +685,7 @@ def _replay(active, alpha, Phi, r, y, tol):
     while True:
         a_old = np.full(Phi.shape[1], np.inf)
         a_old[act] = a
-        a_new, gain = hetrvm.vi._actions(*all_sq_at(Phi, y, act, a, r),
+        a_new, gain = hetrvm.core._actions(*all_sq_at(Phi, y, act, a, r),
                                          a_old)
         j = int(np.argmax(gain))
         if gain[j] <= max(tol * (1.0 + abs(ev)), 1e-12):
@@ -838,10 +840,10 @@ class TestUpdateAlpha:
             return wrapper
 
         log = SelectionLog(monkeypatch)
-        monkeypatch.setattr(hetrvm.vi, "chol_factor",
-                            counted("chol", hetrvm.vi.chol_factor))
-        monkeypatch.setattr(hetrvm.vi, "_evidence",
-                            counted("evidence", hetrvm.vi._evidence))
+        monkeypatch.setattr(hetrvm.numerics, "chol_factor",
+                            counted("chol", hetrvm.numerics.chol_factor))
+        monkeypatch.setattr(hetrvm.core, "_evidence",
+                            counted("evidence", hetrvm.core._evidence))
         rng = np.random.default_rng(13)
         Phi = rng.normal(size=(20, 6))
         y = Phi[:, 0] + 0.3 * rng.normal(size=20)
@@ -883,13 +885,13 @@ class TestUpdateAlpha:
         j0 = int(np.argmax(proj))
         s0, q0 = Phi[:, j0] @ Phi[:, j0] / sigma2, Phi[:, j0] @ y / sigma2
         seen = []
-        actions = hetrvm.vi._actions
+        actions = hetrvm.core._actions
 
         def spy(s, q, a_old):
             seen.append(a_old.copy())
             return actions(s, q, a_old)
 
-        monkeypatch.setattr(hetrvm.vi, "_actions", spy)
+        monkeypatch.setattr(hetrvm.core, "_actions", spy)
         update_alpha([], np.zeros(0), Phi, np.full(y.size, sigma2), y, 1e-6)
         assert np.all(np.isinf(seen[0]))
         assert np.flatnonzero(np.isfinite(seen[1])).tolist() == [j0]
@@ -946,7 +948,7 @@ class TestUpdateAlpha:
         def fails(G, alpha):
             raise hetrvm.vi.FactorizationError("start precision", 1)
 
-        monkeypatch.setattr(hetrvm.vi, "_factor", fails)
+        monkeypatch.setattr(hetrvm.core, "_factor", fails)
         a0, Phi, r, y = _alpha_problem(0)
         with pytest.raises(hetrvm.vi.FactorizationError):
             update_alpha(list(range(a0.size)), a0, Phi, r, y, 1e-6)
@@ -975,7 +977,7 @@ class TestUpdateAlpha:
             factored[-1] = True
             return L
 
-        monkeypatch.setattr(hetrvm.vi, "_factor", recording)
+        monkeypatch.setattr(hetrvm.core, "_factor", recording)
         active, alpha, ev, post = update_alpha([], [], Phi, r, work.y, 1e-6)
         monkeypatch.undo()
         assert factored[0] and not factored[-1]
@@ -1069,7 +1071,7 @@ class TestUpdateAlpha:
         # variance that is not positive, is scored again from scratch: the
         # call returns the reference loop's result, and no nan
         a0, Phi, r, y = _alpha_problem(seed)
-        intact = hetrvm.vi._intact
+        intact = hetrvm.core._intact
         broken = []
 
         def break_first(mu_w, Sigma_w, s, q):
@@ -1082,7 +1084,7 @@ class TestUpdateAlpha:
                 return broken[0]
             return intact(mu_w, Sigma_w, s, q)
 
-        monkeypatch.setattr(hetrvm.vi, "_intact", break_first)
+        monkeypatch.setattr(hetrvm.core, "_intact", break_first)
         log = SelectionLog(monkeypatch)
         active, alpha, ev, post = update_alpha([], np.zeros(0), Phi, r, y,
                                                1e-6)
@@ -1297,7 +1299,8 @@ class TestFitVi:
     @pytest.mark.parametrize("bad", [
         dict(max_iter=0), dict(max_iter=-3), dict(tol=-1.0),
         dict(tol=float("nan")), dict(max_iter=1.5), dict(max_iter=True),
-        dict(tol=float("inf"))])
+        dict(tol=float("inf")), dict(tol=True), dict(tol="1e-6"),
+        dict(tol=None), dict(tol=10**400)])
     def test_invalid_config_rejected_before_setup(self, monkeypatch, bad):
         def no_setup(*args, **kwargs):
             raise AssertionError("config must be checked before setup")
