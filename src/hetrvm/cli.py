@@ -265,7 +265,9 @@ def run(argv=None) -> int:
     except (DataError, SchemaError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except (FloatingPointError, ValueError) as exc:  # FactorizationError too
+    # FactorizationError is a ValueError.  Under ``-W error``, numpy's
+    # overflow warning is raised before the typed error it precedes
+    except (FloatingPointError, ValueError, RuntimeWarning) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
 

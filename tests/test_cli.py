@@ -205,6 +205,22 @@ class TestBenchmark:
             ("rvm", "0"), ("vi", "0"), ("rvm", "1"), ("vi", "1")]
 
 
+class TestEntryPoint:
+    @pytest.mark.parametrize("argv, code", [
+        (["synth", "--n", "10", "--out", "d.csv"], 0),
+        (["frobnicate"], 2),
+        (["train", "--method", "rvm", "--data", "absent.csv",
+          "--out", "m.json"], 3)], ids=["synth", "unknown", "missing-data"])
+    def test_main_exits_with_the_code(self, tmp_path, monkeypatch, argv,
+                                      code):
+        # the console script's target, `hetrvm = "hetrvm.cli:main"`
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "argv", ["hetrvm", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == code
+
+
 class TestParserReuse:
     """``run`` parses with one parser per process.  argparse keeps no
     state between parses, so calls in sequence act as calls on freshly
@@ -352,10 +368,24 @@ class TestExitCodes:
         assert not (tmp_path / "m.json").exists()
 
     def test_data_error_too_few_points(self, tmp_path):
+        # two rows are too few for the noise GP of VI and EP
         tiny = tmp_path / "tiny.csv"
         tiny.write_text("x,y\n0,1\n1,2\n")
-        assert run(["train", "--method", "vi", "--data", str(tiny),
-                    "--out", str(tmp_path / "m.json")]) == 3
+        for method in ("vi", "ep"):
+            assert run(["train", "--method", method, "--data", str(tiny),
+                        "--out", str(tmp_path / "m.json")]) == 3
+        assert not (tmp_path / "m.json").exists()
+
+    def test_rvm_fits_two_points(self, tmp_path, capsys):
+        # the RVM has no noise GP: it fits the two rows VI and EP reject
+        tiny = tmp_path / "tiny.csv"
+        tiny.write_text("x,y\n0,1\n1,2\n")
+        model = tmp_path / "m.json"
+        assert run(["train", "--method", "rvm", "--data", str(tiny),
+                    "--out", str(model)]) == 0
+        assert run(["evaluate", "--model", str(model),
+                    "--data", str(tiny)]) == 0
+        assert "status=" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", ["train", "predict", "evaluate"])
     @pytest.mark.parametrize("target", ["x0", "1.0", "last", ""])
@@ -441,6 +471,22 @@ class TestExitCodes:
                         "--data", str(train_csv)]) == 4
         err = capsys.readouterr().err
         assert "numeric failure: the vi model's standardization" in err
+
+    @pytest.mark.parametrize("mutate", [
+        set_corner("Sigma_w", 1e308), set_record("x_mean", [1e308])],
+        ids=["Sigma_w-overflows", "x_mean-overflows"])
+    def test_numeric_failure_under_warnings_as_errors(self, vi_model,
+                                                      train_csv, tmp_path,
+                                                      capsys, mutate):
+        # without np.errstate, the suite's filter raises numpy's overflow
+        # warning, as `python -W error::RuntimeWarning` does: still exit 4
+        doc = json.loads(vi_model.read_text())
+        mutate(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["evaluate", "--model", str(bad),
+                    "--data", str(train_csv)]) == 4
+        assert "numeric failure" in capsys.readouterr().err
 
     def test_schema_error_is_data_error(self, tmp_path):
         bogus = tmp_path / "bogus.json"
